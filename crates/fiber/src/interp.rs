@@ -26,7 +26,7 @@
 //! of the differential sim-vs-native harness in the root package's
 //! `tests/differential.rs`.
 
-use crate::runtime::{spawn, JoinHandle, Runtime};
+use crate::runtime::{bump, current_worker_id, spawn, JoinHandle, Runtime, SchedStats};
 use crate::tsc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,65 +53,163 @@ pub(crate) fn with_reserved_frame<R, F: FnOnce() -> R>(bytes: u64, f: F) -> R {
     with_reserved_frame(bytes.saturating_sub(FRAME_CHUNK as u64), f)
 }
 
-/// Atomic accumulators shared by every task of one native run.
+/// Everything one task contributes to the run accounting, computed from
+/// its expanded program before it executes — so the whole contribution
+/// is recorded in one go, on one worker, ahead of the task's first
+/// migration point.
+pub(crate) struct TaskAcct {
+    pub(crate) frame: u64,
+    units: u64,
+    work_cycles: u64,
+    joins: u64,
+    spawns: u64,
+}
+
+impl TaskAcct {
+    pub(crate) fn of<W: Workload>(w: &W, d: &W::Desc, prog: &[Action<W::Desc>]) -> TaskAcct {
+        let mut a = TaskAcct {
+            frame: w.frame_size(d),
+            units: w.units(d),
+            work_cycles: 0,
+            joins: 0,
+            spawns: 0,
+        };
+        for step in prog {
+            match step {
+                Action::Work(c) => a.work_cycles += c,
+                Action::Spawn(_) => a.spawns += 1,
+                Action::JoinAll => a.joins += 1,
+            }
+        }
+        a
+    }
+}
+
+/// One worker's run accounting: exactly one cache line that only its
+/// owner writes [I17], summed over workers once the run is over. All
+/// zeroes is the valid initial state, so the multiprocess backend
+/// places its rows in the (zero-filled) shared region as they are.
 #[derive(Default)]
-struct Counters {
+#[repr(C, align(64))]
+pub(crate) struct AcctRow {
     tasks: AtomicU64,
     units: AtomicU64,
     work_cycles: AtomicU64,
     joins: AtomicU64,
-    spawns: AtomicU64,
+    /// Children announced by the tasks that *started* here. Monotonic,
+    /// and stored with Release: the multiprocess termination scan reads
+    /// it as this worker's `spawned` cell.
+    pub(crate) spawns: AtomicU64,
     frame_bytes_total: AtomicU64,
-    live_frame_bytes: AtomicU64,
-    peak_frame_bytes: AtomicU64,
     join_fingerprint: AtomicU64,
+    /// Deepest root→task frame chain among the tasks that started here.
+    peak_chain: AtomicU64,
 }
 
+const _: () = assert!(std::mem::size_of::<AcctRow>() == 64);
+
+impl AcctRow {
+    /// Record a starting task whose frame chain (its own frame included)
+    /// is `chain` bytes deep. Owner-only.
+    #[inline]
+    pub(crate) fn record(&self, a: &TaskAcct, chain: u64) {
+        bump(&self.tasks, 1, Ordering::Relaxed);
+        bump(&self.units, a.units, Ordering::Relaxed);
+        bump(&self.work_cycles, a.work_cycles, Ordering::Relaxed);
+        bump(&self.joins, a.joins, Ordering::Relaxed);
+        bump(&self.spawns, a.spawns, Ordering::Release);
+        bump(&self.frame_bytes_total, a.frame, Ordering::Relaxed);
+        bump(
+            &self.join_fingerprint,
+            task_shape_hash(a.spawns, a.units, a.frame),
+            Ordering::Relaxed,
+        );
+        if chain > self.peak_chain.load(Ordering::Relaxed) {
+            self.peak_chain.store(chain, Ordering::Relaxed);
+        }
+    }
+
+    /// Add the workers' rows to a run's stats. The caller has
+    /// synchronised with every writer (joined the worker threads /
+    /// reaped the worker processes), so Relaxed loads read final values.
+    pub(crate) fn totals<'a>(
+        rows: impl IntoIterator<Item = &'a AcctRow>,
+        mut stats: NativeRunStats,
+    ) -> NativeRunStats {
+        for r in rows {
+            let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            stats.total_tasks += get(&r.tasks);
+            stats.total_units += get(&r.units);
+            stats.total_work_cycles += get(&r.work_cycles);
+            stats.joins += get(&r.joins);
+            stats.spawns += get(&r.spawns);
+            stats.frame_bytes_total += get(&r.frame_bytes_total);
+            stats.join_fingerprint = stats
+                .join_fingerprint
+                .wrapping_add(get(&r.join_fingerprint));
+            stats.peak_frame_bytes = stats.peak_frame_bytes.max(get(&r.peak_chain));
+        }
+        stats
+    }
+}
+
+/// What every task of one native run reads: the workload, one
+/// accounting row per worker, and the work divisor. Tasks reach it
+/// through an [`EnvRef`].
+struct Env<W> {
+    w: W,
+    rows: Box<[AcctRow]>,
+    work_divisor: u64,
+}
+
+/// `Copy` pointer to the run's [`Env`], captured by every task closure.
+/// Not an `Arc`: a clone per spawn is an atomic read-modify-write on a
+/// refcount line all workers share [I17].
+struct EnvRef<W>(*const Env<W>);
+
+impl<W> Clone for EnvRef<W> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<W> Copy for EnvRef<W> {}
+
+// SAFETY: [I8] an EnvRef is only ever dereferenced to a shared `&Env`,
+// whose fields are `W` (required `Sync` below), atomics and a plain
+// integer; the pointee outlives every task (see `run_with`).
+unsafe impl<W: Sync> Send for EnvRef<W> {}
+
 /// Interpret one task: expand its program and execute it on this fiber.
-fn exec<W>(w: &Arc<W>, d: &W::Desc, c: &Arc<Counters>, work_divisor: u64)
+/// `chain_above` is the summed `frame_size` of the task's ancestors.
+fn exec<W>(env: EnvRef<W>, d: &W::Desc, chain_above: u64)
 where
     W: Workload + Send + Sync + 'static,
     W::Desc: 'static,
 {
-    let frame = w.frame_size(d);
-    let units = w.units(d);
-    // Machine-wide live-frame high-water (the analogue of the sim's
-    // peak stack usage, summed across workers rather than per-region).
-    let live = c.live_frame_bytes.fetch_add(frame, Ordering::AcqRel) + frame;
-    c.peak_frame_bytes.fetch_max(live, Ordering::AcqRel);
-
+    // SAFETY: [I8] the root task's closure owns an `Arc` of the Env and
+    // ends only after every descendant — this task included — has been
+    // joined (see `run_with`).
+    let e = unsafe { &*env.0 };
     let mut prog = Vec::new();
-    w.program(d, &mut prog);
-    let children = prog
-        .iter()
-        .filter(|a| matches!(a, Action::Spawn(_)))
-        .count() as u64;
+    e.w.program(d, &mut prog);
+    let acct = TaskAcct::of(&e.w, d, &prog);
+    let chain = chain_above + acct.frame;
+    // The worker is looked up once, before the first migration point;
+    // nothing below touches a worker-indexed cell again.
+    e.rows[current_worker_id()].record(&acct, chain);
 
-    c.tasks.fetch_add(1, Ordering::Relaxed);
-    c.units.fetch_add(units, Ordering::Relaxed);
-    c.frame_bytes_total.fetch_add(frame, Ordering::Relaxed);
-    c.join_fingerprint
-        .fetch_add(task_shape_hash(children, units, frame), Ordering::Relaxed);
-
-    with_reserved_frame(frame, move || {
+    with_reserved_frame(acct.frame, move || {
         let mut handles: Vec<JoinHandle<()>> = Vec::new();
         for a in prog {
             match a {
-                Action::Work(cycles) => {
-                    c.work_cycles.fetch_add(cycles, Ordering::Relaxed);
-                    tsc::spin_cycles(cycles / work_divisor);
-                }
+                Action::Work(cycles) => tsc::spin_cycles(cycles / e.work_divisor),
                 Action::Spawn(child) => {
-                    c.spawns.fetch_add(1, Ordering::Relaxed);
-                    let w2 = Arc::clone(w);
-                    let c2 = Arc::clone(c);
                     // Child-first: `exec(child)` starts right now on a
                     // fresh stack; our continuation (the rest of this
                     // loop) becomes stealable.
-                    handles.push(spawn(move || exec(&w2, &child, &c2, work_divisor)));
+                    handles.push(spawn(move || exec(env, &child, chain)));
                 }
                 Action::JoinAll => {
-                    c.joins.fetch_add(1, Ordering::Relaxed);
                     for h in handles.drain(..) {
                         h.join();
                     }
@@ -125,14 +223,13 @@ where
             h.join();
         }
     });
-    c.live_frame_bytes.fetch_sub(frame, Ordering::AcqRel);
 }
 
 /// Result of one native run — the fiber backend's counterpart of the
 /// simulator's `RunStats`, restricted to the quantities that are
-/// *backend-invariant* (task expansion) or native-measurable (wall
-/// clock, steals, live-frame peak).
-#[derive(Clone, Debug)]
+/// *backend-invariant* (task expansion, frame-chain peak) or
+/// native-measurable (wall clock, steals).
+#[derive(Clone, Debug, Default)]
 pub struct NativeRunStats {
     /// Workload name.
     pub workload: String,
@@ -152,7 +249,10 @@ pub struct NativeRunStats {
     pub spawns: u64,
     /// Sum of every task's `frame_size`.
     pub frame_bytes_total: u64,
-    /// High-water of simultaneously live frame bytes, machine-wide.
+    /// Deepest frame chain: the maximum over tasks of the summed
+    /// `frame_size` on the root→task path — the stack depth one lineage
+    /// reaches, whichever workers ran it. Schedule-independent; equals
+    /// [`uat_model::SeqProfile::peak_chain_frame_bytes`].
     pub peak_frame_bytes: u64,
     /// Schedule-independent join-tree digest; must equal
     /// [`uat_model::join_tree_fingerprint`] of the same workload.
@@ -324,19 +424,11 @@ impl NativeRunner {
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
-        let workload = w.name();
-        let w = Arc::new(w);
-        let counters = Arc::new(Counters::default());
-        let rt = self.runtime();
-        let w2 = Arc::clone(&w);
-        let c2 = Arc::clone(&counters);
-        let div = self.work_divisor;
-        let ((), sched) = rt.run_counted(move || {
-            let root = w2.root();
-            exec(&w2, &root, &c2, div);
-        });
-        let wall = sched.wall;
-        self.stats(workload, &counters, sched, wall, 0)
+        self.run_with(w, |rt, root| {
+            let ((), sched) = rt.run_counted(root);
+            (sched, 0, ())
+        })
+        .0
     }
 
     /// Like [`run`](Self::run) with the timed metrics tier forced on,
@@ -349,19 +441,10 @@ impl NativeRunner {
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
-        let workload = w.name();
-        let w = Arc::new(w);
-        let counters = Arc::new(Counters::default());
-        let rt = self.runtime();
-        let w2 = Arc::clone(&w);
-        let c2 = Arc::clone(&counters);
-        let div = self.work_divisor;
-        let ((), sched, snapshot) = rt.run_metered(move || {
-            let root = w2.root();
-            exec(&w2, &root, &c2, div);
-        });
-        let wall = sched.wall;
-        (self.stats(workload, &counters, sched, wall, 0), snapshot)
+        self.run_with(w, |rt, root| {
+            let ((), sched, snapshot) = rt.run_metered(root);
+            (sched, 0, snapshot)
+        })
     }
 
     /// Like [`run`](Self::run) with per-worker event tracing on,
@@ -375,50 +458,57 @@ impl NativeRunner {
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
-        let workload = w.name();
-        let w = Arc::new(w);
-        let counters = Arc::new(Counters::default());
-        let mut rt = self.runtime();
-        if let Some(cap) = self.ring_capacity {
-            rt = rt.with_tracing(cap);
-        }
-        let w2 = Arc::clone(&w);
-        let c2 = Arc::clone(&counters);
-        let div = self.work_divisor;
-        let ((), sched, trace) = rt.run_traced(move || {
-            let root = w2.root();
-            exec(&w2, &root, &c2, div);
-        });
-        let wall = sched.wall;
-        let dropped = trace.data.workers.iter().map(|r| r.dropped()).sum();
-        (self.stats(workload, &counters, sched, wall, dropped), trace)
+        let ring_capacity = self.ring_capacity;
+        self.run_with(w, |mut rt, root| {
+            if let Some(cap) = ring_capacity {
+                rt = rt.with_tracing(cap);
+            }
+            let ((), sched, trace) = rt.run_traced(root);
+            let dropped = trace.data.workers.iter().map(|r| r.dropped()).sum();
+            (sched, dropped, trace)
+        })
     }
 
-    fn stats(
+    /// Run `w`'s root task through `drive` (one of the runtime's run
+    /// entry points, which reports the scheduler counters, the dropped
+    /// trace events and its own extra output) and fold the workers'
+    /// accounting rows into the stats.
+    fn run_with<W, X>(
         &self,
-        workload: String,
-        c: &Counters,
-        sched: crate::runtime::SchedStats,
-        wall: std::time::Duration,
-        trace_dropped: u64,
-    ) -> NativeRunStats {
-        NativeRunStats {
-            workload,
-            workers: self.workers as u32,
-            total_tasks: c.tasks.load(Ordering::Acquire),
-            total_units: c.units.load(Ordering::Acquire),
-            total_work_cycles: c.work_cycles.load(Ordering::Acquire),
-            joins: c.joins.load(Ordering::Acquire),
-            spawns: c.spawns.load(Ordering::Acquire),
-            frame_bytes_total: c.frame_bytes_total.load(Ordering::Acquire),
-            peak_frame_bytes: c.peak_frame_bytes.load(Ordering::Acquire),
-            join_fingerprint: c.join_fingerprint.load(Ordering::Acquire),
-            steals: sched.steals,
-            parks: sched.parks,
-            unparks: sched.unparks,
-            trace_dropped,
-            wall,
-        }
+        w: W,
+        drive: impl FnOnce(Runtime, Box<dyn FnOnce() + Send>) -> (SchedStats, u64, X),
+    ) -> (NativeRunStats, X)
+    where
+        W: Workload + Send + Sync + 'static,
+        W::Desc: 'static,
+    {
+        let workload = w.name();
+        let env = Arc::new(Env {
+            w,
+            rows: (0..self.workers).map(|_| AcctRow::default()).collect(),
+            work_divisor: self.work_divisor,
+        });
+        // The root task's closure owns the one other handle on the Env.
+        // Every task joins its children before it returns, so that
+        // closure — dropped when the root's body ends — outlives every
+        // `EnvRef` dereference, whatever happens to this frame.
+        let held = Arc::clone(&env);
+        let root = Box::new(move || exec(EnvRef(Arc::as_ptr(&held)), &held.w.root(), 0));
+        let (sched, trace_dropped, extra) = drive(self.runtime(), root);
+        let stats = AcctRow::totals(
+            env.rows.iter(),
+            NativeRunStats {
+                workload,
+                workers: self.workers as u32,
+                steals: sched.steals,
+                parks: sched.parks,
+                unparks: sched.unparks,
+                trace_dropped,
+                wall: sched.wall,
+                ..NativeRunStats::default()
+            },
+        );
+        (stats, extra)
     }
 }
 
@@ -448,6 +538,7 @@ mod tests {
             assert_eq!(s.joins, p.joins);
             assert_eq!(s.spawns, p.spawns);
             assert_eq!(s.frame_bytes_total, p.frame_bytes_total);
+            assert_eq!(s.peak_frame_bytes, p.peak_chain_frame_bytes);
             assert_eq!(s.join_fingerprint, p.join_fingerprint);
             assert_eq!(s.join_fingerprint, join_tree_fingerprint(&w));
         }
@@ -467,15 +558,15 @@ mod tests {
     #[test]
     fn frames_really_occupy_stack() {
         // A frame far beyond the chunk size still completes (the
-        // reservation recursion works), and the peak reflects at least
-        // the deepest single frame.
+        // reservation recursion works), and the peak is the two-level
+        // frame chain.
         let w = BinTree {
             depth: 1,
             work: 0,
             frame: 16 << 10,
         };
         let s = runner(1).run(w);
-        assert!(s.peak_frame_bytes >= 16 << 10);
+        assert_eq!(s.peak_frame_bytes, 2 * (16 << 10));
         assert_eq!(s.total_tasks, 3);
     }
 

@@ -24,8 +24,16 @@
 //!   counter cells the parent reads back through
 //!   [`uat_rdma::OneSidedFabric`] windows — per-worker metrics export
 //!   with no RPC;
-//! - the **control block**: live-task count, shutdown flag, the slot
-//!   free list, and the global frame-bytes accounting.
+//! - the **stats bank** (one single-writer accounting row per worker)
+//!   and the **slot pool** (a locked LIFO of free stack slots behind
+//!   one small cache per worker);
+//! - the **control block**: shutdown flag, slots-exhausted flag, and the
+//!   fork-safety probe readings — nothing a task ever writes.
+//!
+//! Creating, running and finishing a task that nobody steals writes
+//! only lines its own worker owns ([I17]): the worker's deque, its
+//! accounting and metrics rows, its slot cache, and the stacks of the
+//! task and its parent.
 //!
 //! A steal is therefore exactly the paper's: one-sided loads/stores/CAS
 //! on the victim's deque words, a one-sided `fetch_add` when a
@@ -59,17 +67,18 @@
 //! after a potential migration re-derives through the opaque call.
 
 use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
-use crate::interp::{with_reserved_frame, NativeRunStats};
+use crate::interp::{with_reserved_frame, AcctRow, NativeRunStats, TaskAcct};
+use crate::runtime::bump;
 use crate::tsc;
 use std::ffi::c_void;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::addr_of_mut;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use uat_base::{SplitMix64, WorkerId};
 use uat_deque::ShmDeque;
-use uat_model::{task_shape_hash, Action, Workload};
+use uat_model::{Action, Workload};
 use uat_rdma::{OneSidedFabric, ShmFabric};
 
 /// Fixed virtual address of the multiprocess uni-address region (same
@@ -80,23 +89,19 @@ pub const MP_BASE: usize = 0x7e00_0000_0000;
 const PAGE: usize = 4096;
 /// Entries per worker deque (matches the thread runtime's sizing).
 const DEQ_CAP: usize = 8192;
-/// Bytes at the top of each slot for the task header + program area —
-/// sized for the widest paper program (a `Chain::fig10(n)` root emits
-/// `2n` 16-byte actions). The mapping is sparse, so unused program
-/// pages cost nothing.
+/// Bytes at the top of each slot for the task header + program area.
+/// One task's whole program must fit: with 16-byte actions that is
+/// about 8 190 of them, so a `Chain::fig10(n)` root (`2n` actions) runs
+/// up to `n ≈ 4 000` and `fig10(20000)` does not — `exec_mp` asserts
+/// the capacity. The mapping is sparse, so unused program pages cost
+/// nothing.
 const PROG_BYTES: usize = 128 << 10;
 /// Hard cap on worker processes (sizes the control block).
 pub const MAX_WORKERS: usize = 64;
-
-// Per-worker stats cells (private accounting bank; *not* the exported
-// metrics segment). Cell indices within a `STATS_STRIDE` row.
-const SC_UNITS: usize = 0;
-const SC_WORK_CYCLES: usize = 1;
-const SC_JOINS: usize = 2;
-const SC_SPAWNS: usize = 3;
-const SC_FRAME_BYTES: usize = 4;
-const SC_FINGERPRINT: usize = 5;
-const STATS_STRIDE: usize = 8;
+/// Entries in a worker's free-slot cache. A fixed array in the shared
+/// region, so the cache needs no allocation ([I15]); the bound a run
+/// actually uses is `2 * RegionLayout::slot_batch`, at most this.
+const SLOT_CACHE_MAX: usize = 64;
 
 // Per-worker cells of the exported metrics segment. Indices MUST match
 // `uat_metrics::shm::SEGMENT_COUNTERS` order (asserted by a test below)
@@ -109,25 +114,16 @@ const MC_UNPARKS: usize = 4;
 const MC_TASKS: usize = 5;
 const MC_STRIDE: usize = 8;
 
-/// Shared control block, at the very start of the region.
+/// Shared control block, at the very start of the region. No task ever
+/// writes it ([I17]): workers only read `shutdown_flag` when idle.
 #[repr(C)]
 struct Ctrl {
-    /// TTAS spinlock guarding the slot free list.
-    slot_lock: AtomicU64,
-    /// Head of the slot free list (index + 1; 0 = exhausted).
-    slot_head: AtomicU64,
-    /// Started-but-unfinished tasks, machine-wide (root counts from the
-    /// start, so `root_done && live == 0` means the whole tree ran).
-    live: AtomicU64,
     /// Coordinator → workers: exit your scheduler loop.
     shutdown_flag: AtomicU64,
-    /// Set by the root task's completion.
-    root_done: AtomicU64,
-    /// Machine-wide live frame bytes (same accounting as the thread
-    /// interpreter's global cells).
-    live_frame_bytes: AtomicU64,
-    /// High-water of `live_frame_bytes`.
-    peak_frame_bytes: AtomicU64,
+    /// Set by a worker that found no free stack slot anywhere, just
+    /// before it exits; read by the coordinator when it finds a worker
+    /// dead, to name the failure.
+    slots_exhausted: AtomicU64,
     /// Per-worker allocation count observed across the fork-safety
     /// window, written once at worker-loop entry (0 when no probe is
     /// installed; see [`set_bootstrap_alloc_probe`]).
@@ -141,15 +137,14 @@ const _: () = assert!(std::mem::size_of::<Ctrl>() <= PAGE);
 /// region and crosses process boundaries by address.
 #[repr(C)]
 struct MpHeader<D> {
-    /// Free-list link (meaningful only while the slot is free).
-    next_free: u64,
-    /// 1 for the root task (no join block, completion sets
-    /// `root_done`).
-    is_root: u64,
     /// The parent's [`JoinBlock`] (`*const JoinBlock` as u64; 0 for the
     /// root). Points into the *parent's* shm stack — valid in every
     /// process per [I16].
     join: u64,
+    /// Summed `frame_size` of this task's ancestors — the frame chain
+    /// its lineage has built so far, carried parent→child so the peak
+    /// needs no machine-wide gauge.
+    chain_above: u64,
     /// The spawner's saved continuation, written by the spawn
     /// trampoline and published by the child per [I12].
     parent_ctx: u64,
@@ -191,10 +186,14 @@ struct JoinBlock {
 struct RegionLayout {
     workers: usize,
     slots: usize,
+    /// Slots a worker's cache takes from / returns to the pool at a
+    /// time; the cache holds at most twice that.
+    slot_batch: usize,
     /// Whole slot: guard page + stack + header/program area.
     slot_size: usize,
     metrics_off: usize,
     stats_off: usize,
+    pool_off: usize,
     deques_off: usize,
     slots_off: usize,
     total: usize,
@@ -210,16 +209,22 @@ impl RegionLayout {
         assert!(slots > workers, "need at least one slot per worker");
         let metrics_off = PAGE;
         let stats_off = metrics_off + round_page(workers * MC_STRIDE * 8);
-        let deques_off = stats_off + round_page(workers * STATS_STRIDE * 8);
+        let pool_off = stats_off + round_page(workers * std::mem::size_of::<AcctRow>());
+        let pool_bytes = SlotStack::block_size(slots) + workers * SlotStack::CACHE_BLOCK;
+        let deques_off = pool_off + round_page(pool_bytes);
         let deq_block = ShmDeque::block_size(DEQ_CAP);
         let slots_off = deques_off + round_page(workers * deq_block);
         let slot_size = PAGE + round_page(stack_size) + PROG_BYTES;
         RegionLayout {
             workers,
             slots,
+            // A quarter of a worker's even share per batch: the caches
+            // together never park more than half the pool.
+            slot_batch: (slots / (4 * workers)).clamp(1, SLOT_CACHE_MAX / 2),
             slot_size,
             metrics_off,
             stats_off,
+            pool_off,
             deques_off,
             slots_off,
             total: slots_off + slots * slot_size,
@@ -235,9 +240,33 @@ impl RegionLayout {
         MP_BASE + self.metrics_off + (w * MC_STRIDE + c) * 8
     }
 
-    fn stats_cell_addr(&self, w: usize, c: usize) -> usize {
-        debug_assert!(w < self.workers && c < STATS_STRIDE);
-        MP_BASE + self.stats_off + (w * STATS_STRIDE + c) * 8
+    /// Worker `w`'s accounting row in the stats bank.
+    fn stats_row(&self, w: usize) -> &'static AcctRow {
+        debug_assert!(w < self.workers);
+        let addr = MP_BASE + self.stats_off + w * std::mem::size_of::<AcctRow>();
+        // SAFETY: [I16] a 64-byte-aligned row inside the live mapping
+        // (zero-filled = a valid empty row), made of atomics only; the
+        // region outlives every use (see `cell`).
+        unsafe { &*(addr as *const AcctRow) }
+    }
+
+    /// The machine-wide free-slot stack.
+    fn slot_pool(&self) -> SlotStack {
+        // SAFETY: [I16] `pool_off` starts a block of
+        // `block_size(slots)` bytes inside the live mapping.
+        unsafe { SlotStack::at(MP_BASE + self.pool_off, self.slots) }
+    }
+
+    /// Worker `w`'s free-slot cache.
+    fn slot_cache(&self, w: usize) -> SlotStack {
+        debug_assert!(w < self.workers);
+        let base = MP_BASE
+            + self.pool_off
+            + SlotStack::block_size(self.slots)
+            + w * SlotStack::CACHE_BLOCK;
+        // SAFETY: [I16] the `w`-th `CACHE_BLOCK` after the pool's block,
+        // inside the live mapping.
+        unsafe { SlotStack::at(base, SLOT_CACHE_MAX) }
     }
 
     /// Worker `w`'s deque handle (any process may construct any
@@ -331,20 +360,13 @@ fn mp_proc() -> *mut MpProc {
     }
 }
 
-/// Bump a metrics-segment cell of the *current* worker.
+/// Add 1 to a metrics-segment cell of the *current* worker (its own
+/// row: single-writer, so a plain load + store).
 #[inline]
-fn mcell_add(c: usize, v: u64) {
+fn mcell_inc(c: usize, order: Ordering) {
     // SAFETY: [I15] mp_proc() is this process's live state.
     let p = unsafe { &*mp_proc() };
-    cell(p.layout.metrics_cell_addr(p.worker, c)).fetch_add(v, Ordering::Relaxed);
-}
-
-/// Bump a stats-bank cell of the *current* worker.
-#[inline]
-fn scell_add(c: usize, v: u64) {
-    // SAFETY: [I15] as in `mcell_add`.
-    let p = unsafe { &*mp_proc() };
-    cell(p.layout.stats_cell_addr(p.worker, c)).fetch_add(v, Ordering::Relaxed);
+    bump(cell(p.layout.metrics_cell_addr(p.worker, c)), 1, order);
 }
 
 /// Free the slot retired by the previously completed task, if any. Must
@@ -357,64 +379,208 @@ fn mp_collect_retired() {
     if p.pending_retire != 0 {
         let idx = (p.pending_retire - 1) as usize;
         p.pending_retire = 0;
-        free_slot(&p.layout, idx);
+        free_slot(&p.layout, p.worker, idx);
     }
 }
 
 // ---------------------------------------------------------------------
-// Slot free list (spinlock + links through the free slots' headers).
+// Slot pool: one locked LIFO of free slot indices for the machine, one
+// small one per worker in front of it.
 // ---------------------------------------------------------------------
 
-fn lock_slots(ctrl: &Ctrl) {
-    loop {
-        if ctrl.slot_lock.load(Ordering::Relaxed) == 0
-            && ctrl
-                .slot_lock
-                .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        {
-            return;
+/// Lock and length of a [`SlotStack`], on a cache line of their own.
+#[repr(C, align(64))]
+struct SlotStackHdr {
+    /// TTAS spinlock over `len` and the entries.
+    busy: AtomicU64,
+    len: AtomicU64,
+}
+
+/// A view of one locked LIFO of free slot indices in the shared region:
+/// a [`SlotStackHdr`] line followed by the entries, oldest first. Zero
+/// bytes are a valid empty stack.
+///
+/// Every method but [`acquire`](Self::acquire) requires the caller to
+/// hold the lock. Lock order, wherever more than one is held: worker
+/// caches by ascending worker id, then the pool.
+///
+/// A worker's cache is only ever locked by another worker on the
+/// [`reclaim_slot`] path, so on the task fast path its header line stays
+/// in the owner's cache and the lock is an uncontended local
+/// operation ([I17]).
+#[derive(Clone, Copy)]
+struct SlotStack {
+    hdr: &'static SlotStackHdr,
+    entries: &'static [AtomicU32],
+}
+
+impl SlotStack {
+    /// Bytes a worker's cache occupies (whole cache lines, so no two
+    /// workers' caches share one).
+    const CACHE_BLOCK: usize = Self::block_size(SLOT_CACHE_MAX);
+
+    /// Bytes a stack of `cap` entries occupies, rounded to cache lines.
+    const fn block_size(cap: usize) -> usize {
+        (std::mem::size_of::<SlotStackHdr>() + cap * 4).div_ceil(64) * 64
+    }
+
+    /// # Safety
+    ///
+    /// `base` must be 64-byte aligned and start `block_size(cap)` bytes
+    /// of the live shared mapping that nothing but `SlotStack` views
+    /// touch.
+    unsafe fn at(base: usize, cap: usize) -> SlotStack {
+        debug_assert!(base.is_multiple_of(64));
+        let entries = (base + std::mem::size_of::<SlotStackHdr>()) as *const AtomicU32;
+        // SAFETY: [I16] the caller's contract; header and entries are
+        // atomics, so shared references across processes are sound.
+        unsafe {
+            SlotStack {
+                hdr: &*(base as *const SlotStackHdr),
+                entries: std::slice::from_raw_parts(entries, cap),
+            }
         }
-        std::hint::spin_loop();
+    }
+
+    fn acquire(&self) {
+        let mut spins = 0u32;
+        loop {
+            if self.hdr.busy.load(Ordering::Relaxed) == 0
+                && self
+                    .hdr
+                    .busy
+                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return;
+            }
+            // The holder may have been preempted (more workers than
+            // CPUs): give it the CPU instead of burning the quantum.
+            spins += 1;
+            if spins.is_multiple_of(64) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    fn release(&self) {
+        self.hdr.busy.store(0, Ordering::Release);
+    }
+
+    fn len(&self) -> usize {
+        self.hdr.len.load(Ordering::Relaxed) as usize
+    }
+
+    fn push(&self, slot: usize) {
+        let n = self.len();
+        self.entries[n].store(slot as u32, Ordering::Relaxed);
+        self.hdr.len.store(n as u64 + 1, Ordering::Relaxed);
+    }
+
+    fn pop(&self) -> Option<usize> {
+        let n = self.len().checked_sub(1)?;
+        self.hdr.len.store(n as u64, Ordering::Relaxed);
+        Some(self.entries[n].load(Ordering::Relaxed) as usize)
+    }
+
+    /// Move `n` entries onto the top of `dst` in their present order:
+    /// the `oldest` (bottom) ones, closing the gap, or else the newest.
+    fn move_to(&self, dst: &SlotStack, n: usize, oldest: bool) {
+        let (have, at) = (self.len(), dst.len());
+        let first = if oldest { 0 } else { have - n };
+        for k in 0..n {
+            let slot = self.entries[first + k].load(Ordering::Relaxed);
+            dst.entries[at + k].store(slot, Ordering::Relaxed);
+        }
+        if oldest {
+            for k in n..have {
+                let slot = self.entries[k].load(Ordering::Relaxed);
+                self.entries[k - n].store(slot, Ordering::Relaxed);
+            }
+        }
+        self.hdr.len.store((have - n) as u64, Ordering::Relaxed);
+        dst.hdr.len.store((at + n) as u64, Ordering::Relaxed);
     }
 }
 
-fn unlock_slots(ctrl: &Ctrl) {
-    ctrl.slot_lock.store(0, Ordering::Release);
+/// Take a free slot for a task spawned on worker `me`: the top of the
+/// worker's own cache — the stack it freed last, still warm in its CPU
+/// cache — refilled a batch at a time from the pool.
+fn alloc_slot(layout: &RegionLayout, me: usize) -> usize {
+    let cache = layout.slot_cache(me);
+    cache.acquire();
+    if cache.len() == 0 {
+        let pool = layout.slot_pool();
+        pool.acquire();
+        pool.move_to(&cache, pool.len().min(layout.slot_batch), false);
+        pool.release();
+    }
+    let got = cache.pop();
+    cache.release();
+    got.unwrap_or_else(|| reclaim_slot(layout, me))
 }
 
-fn alloc_slot(layout: &RegionLayout) -> usize {
+/// Return a dead task's slot to worker `me`'s cache, spilling the
+/// batch the worker has left unused longest when the cache is full.
+fn free_slot(layout: &RegionLayout, me: usize, slot: usize) {
+    let cache = layout.slot_cache(me);
+    cache.acquire();
+    if cache.len() == 2 * layout.slot_batch {
+        let pool = layout.slot_pool();
+        pool.acquire();
+        cache.move_to(&pool, layout.slot_batch, true);
+        pool.release();
+    }
+    cache.push(slot);
+    cache.release();
+}
+
+/// Worker `me`'s cache and the pool were both empty: before giving the
+/// run up, look in the other workers' caches. Holding every lock at
+/// once makes the verdict exact — if nothing turns up, no slot was free
+/// anywhere at that instant and the pool really is exhausted.
+fn reclaim_slot(layout: &RegionLayout, me: usize) -> usize {
+    let caches = || (0..layout.workers).map(|w| layout.slot_cache(w));
+    let pool = layout.slot_pool();
+    let mine = layout.slot_cache(me);
+    caches().for_each(|c| c.acquire());
+    pool.acquire();
+    // Our own cache or the pool may have been fed since we looked.
+    if mine.len() == 0 {
+        if pool.len() > 0 {
+            pool.move_to(&mine, pool.len().min(layout.slot_batch), false);
+        } else {
+            // The fullest cache gives up its older half (nothing, if
+            // every cache is as empty as ours).
+            let victim = caches()
+                .max_by_key(|c| c.len())
+                .expect("at least one worker");
+            victim.move_to(&mine, victim.len().div_ceil(2), true);
+        }
+    }
+    let got = mine.pop();
+    pool.release();
+    caches().for_each(|c| c.release());
+    got.unwrap_or_else(|| die_slots_exhausted(layout))
+}
+
+/// Give the run up from a worker: tell the coordinator why and exit.
+/// No `panic!` — its hook takes the stderr lock and allocates, and
+/// either may be held by a parent thread that did not survive `fork`;
+/// a worker that hung here would hang the run.
+fn die_slots_exhausted(layout: &RegionLayout) -> ! {
     // SAFETY: [I16] ctrl is the mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
-    lock_slots(ctrl);
-    let head = ctrl.slot_head.load(Ordering::Relaxed);
-    if head == 0 {
-        unlock_slots(ctrl);
-        panic!(
-            "multiprocess stack slot pool exhausted ({} slots)",
-            layout.slots
-        );
-    }
-    let idx = (head - 1) as usize;
-    // SAFETY: [I16] a free slot's header is owned by the free list; the
-    // lock we hold orders this read after the corresponding write.
-    let next = unsafe { (*layout.header::<()>(idx)).next_free };
-    ctrl.slot_head.store(next, Ordering::Relaxed);
-    unlock_slots(ctrl);
-    idx
-}
-
-fn free_slot(layout: &RegionLayout, idx: usize) {
-    // SAFETY: [I16] as in `alloc_slot`.
-    let ctrl = unsafe { &*layout.ctrl() };
-    lock_slots(ctrl);
-    // SAFETY: [I16] the slot is dead (its task completed and control
-    // left its stack); the free list owns its header from here.
+    unsafe { &*layout.ctrl() }
+        .slots_exhausted
+        .store(1, Ordering::Release);
+    let msg = b"uat-fiber(mp): stack slot pool exhausted; worker exiting\n";
+    // SAFETY: [I10] async-signal-safe raw write + process exit.
     unsafe {
-        (*layout.header::<()>(idx)).next_free = ctrl.slot_head.load(Ordering::Relaxed);
+        libc::write(2, msg.as_ptr() as *const c_void, msg.len());
+        libc::_exit(103)
     }
-    ctrl.slot_head.store(idx as u64 + 1, Ordering::Relaxed);
-    unlock_slots(ctrl);
 }
 
 // ---------------------------------------------------------------------
@@ -525,7 +691,7 @@ where
     let mut parked = false;
     loop {
         mp_collect_retired();
-        mcell_add(MC_HEARTBEATS, 1);
+        mcell_inc(MC_HEARTBEATS, Ordering::Relaxed);
 
         // Scheduler-side join park [I12]: a fiber that suspended on a
         // join handed us its (block, ctx); publish the waiter from this
@@ -576,13 +742,13 @@ where
                 v += 1;
             }
             let got = layout.deque(v).steal();
-            mcell_add(
+            mcell_inc(
                 if got.is_some() {
                     MC_STEALS_COMPLETED
                 } else {
                     MC_STEALS_FAILED
                 },
-                1,
+                Ordering::Relaxed,
             );
             got
         });
@@ -591,7 +757,7 @@ where
                 idle_spins = 0;
                 if parked {
                     parked = false;
-                    mcell_add(MC_UNPARKS, 1);
+                    mcell_inc(MC_UNPARKS, Ordering::Relaxed);
                 }
                 mp_run_ctx(ctx);
             }
@@ -603,7 +769,7 @@ where
                 if idle_spins > 64 {
                     if !parked {
                         parked = true;
-                        mcell_add(MC_PARKS, 1);
+                        mcell_inc(MC_PARKS, Ordering::Relaxed);
                     }
                     std::thread::sleep(std::time::Duration::from_micros(20));
                 } else {
@@ -665,17 +831,10 @@ where
     W: Workload,
     W::Desc: Copy,
 {
-    let hdr = arg as *mut MpHeader<W::Desc>;
     // SAFETY: [I16] the header is this task's slot memory, ours until
     // retirement; reads of POD fields.
-    let (slot, is_root, join, parent_ctx) = unsafe {
-        (
-            (*hdr).slot_idx as usize,
-            (*hdr).is_root != 0,
-            (*hdr).join,
-            (*hdr).parent_ctx,
-        )
-    };
+    let hdr = unsafe { &*(arg as *const MpHeader<W::Desc>) };
+    let (slot, join, parent_ctx) = (hdr.slot_idx as usize, hdr.join, hdr.parent_ctx);
     if parent_ctx != 0 {
         // Publish the spawner's continuation: stealable (by any
         // process) from now on. Safe here per [I12] — we run on the
@@ -719,11 +878,7 @@ where
         p.pending_retire = slot as u64 + 1;
         (p.layout, p.worker)
     };
-    // SAFETY: [I16] mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
-    if is_root {
-        ctrl.root_done.store(1, Ordering::Release);
-    } else {
+    if join != 0 {
         // SAFETY: [I16] the parent's join block outlives all its
         // children: the parent cannot leave its JoinAll scope while
         // `pending > 0`.
@@ -741,7 +896,9 @@ where
             }
         }
     }
-    ctrl.live.fetch_sub(1, Ordering::AcqRel);
+    // The task's last act, on the worker it ended on: the Release tick
+    // of this worker's `completed` cell (see `mp_quiescent`).
+    mcell_inc(MC_TASKS, Ordering::Release);
     // Figure 4 lines 13-15: pop the parent continuation; if stolen,
     // fall back to the scheduler.
     let target = match layout.deque(id).pop() {
@@ -762,9 +919,9 @@ where
     W::Desc: Copy,
 {
     // SAFETY: [I15] per-process state; values are Copy snapshots.
-    let (layout, divisor, env) = unsafe {
+    let (layout, worker, divisor, env) = unsafe {
         let p = &*mp_proc();
-        (p.layout, p.divisor, p.env)
+        (p.layout, p.worker, p.divisor, p.env)
     };
     // SAFETY: [I16] the workload was constructed before fork and is
     // read-only for the whole run: the copy-on-write pages hold the
@@ -774,13 +931,8 @@ where
     // SAFETY: [I16] the slot header is ours; desc was written by the
     // spawner (or the coordinator, for the root).
     let d: W::Desc = unsafe { (*hdr).desc.assume_init() };
-
-    let frame = w.frame_size(&d);
-    let units = w.units(&d);
-    // SAFETY: [I16] mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
-    let live = ctrl.live_frame_bytes.fetch_add(frame, Ordering::AcqRel) + frame;
-    ctrl.peak_frame_bytes.fetch_max(live, Ordering::AcqRel);
+    // SAFETY: [I16] as above, for chain_above.
+    let chain_above = unsafe { (*hdr).chain_above };
 
     // Expand the program through a transient Vec, then copy it into the
     // slot's program area and drop the Vec — no private-heap pointer
@@ -790,12 +942,16 @@ where
     let n = prog.len();
     assert!(
         n <= layout.prog_capacity::<W::Desc>(),
-        "task program ({n} actions) exceeds the slot program area"
+        "task program ({n} actions) exceeds the slot program area \
+         ({} actions of {} bytes)",
+        layout.prog_capacity::<W::Desc>(),
+        std::mem::size_of::<Action<W::Desc>>(),
     );
-    let children = prog
-        .iter()
-        .filter(|a| matches!(a, Action::Spawn(_)))
-        .count() as u64;
+    // The task's whole accounting, recorded on the worker it starts on
+    // before its first migration point.
+    let acct = TaskAcct::of(w, &d, &prog);
+    let chain = chain_above + acct.frame;
+    layout.stats_row(worker).record(&acct, chain);
     let prog_ptr = layout.prog_ptr::<W::Desc>(slot);
     for (i, a) in prog.into_iter().enumerate() {
         // SAFETY: [I16] i < prog_capacity (asserted); the program area
@@ -805,11 +961,6 @@ where
     // SAFETY: [I16] header is ours.
     unsafe { (*hdr).prog_len = n as u64 };
 
-    mcell_add(MC_TASKS, 1);
-    scell_add(SC_UNITS, units);
-    scell_add(SC_FRAME_BYTES, frame);
-    scell_add(SC_FINGERPRINT, task_shape_hash(children, units, frame));
-
     // The join block is a local of this frame — on the shm stack, so a
     // child completing in another process reaches it at the same
     // address [I16]. It lives exactly as long as the task.
@@ -818,55 +969,46 @@ where
         waiter: AtomicU64::new(0),
     };
 
-    with_reserved_frame(frame, || {
+    with_reserved_frame(acct.frame, || {
         for i in 0..n {
             // SAFETY: [I16] reading back the i-th action we wrote above;
             // Desc is Copy so the read copy has no drop obligations.
             let a: Action<W::Desc> = unsafe { prog_ptr.add(i).read() };
             match a {
-                Action::Work(cycles) => {
-                    scell_add(SC_WORK_CYCLES, cycles);
-                    tsc::spin_cycles(cycles / divisor);
-                }
-                Action::Spawn(child) => {
-                    scell_add(SC_SPAWNS, 1);
-                    mp_spawn::<W>(child, &jb);
-                }
-                Action::JoinAll => {
-                    scell_add(SC_JOINS, 1);
-                    mp_join(&jb);
-                }
+                Action::Work(cycles) => tsc::spin_cycles(cycles / divisor),
+                Action::Spawn(child) => mp_spawn::<W>(child, &jb, chain),
+                Action::JoinAll => mp_join(&jb),
             }
         }
         // Join stragglers so a malformed workload cannot leak running
         // tasks past its own completion (mirrors the thread interp).
         mp_join(&jb);
     });
-    ctrl.live_frame_bytes.fetch_sub(frame, Ordering::AcqRel);
 }
 
 /// Spawn a child task, child-first: the child starts right now on a
 /// fresh slot stack and the caller's continuation becomes stealable by
-/// every process.
-fn mp_spawn<W>(desc: W::Desc, jb: &JoinBlock)
+/// every process. `chain` is the spawner's frame chain, its own frame
+/// included.
+fn mp_spawn<W>(desc: W::Desc, jb: &JoinBlock, chain: u64)
 where
     W: Workload,
     W::Desc: Copy,
 {
-    // SAFETY: [I15] per-process state snapshot.
-    let layout = unsafe { (*mp_proc()).layout };
+    // SAFETY: [I15] per-process state snapshot (of the process this
+    // fiber runs in *now*).
+    let (layout, worker) = unsafe {
+        let p = &*mp_proc();
+        (p.layout, p.worker)
+    };
     jb.pending.fetch_add(1, Ordering::AcqRel);
-    // SAFETY: [I16] mapped control block.
-    unsafe { &*layout.ctrl() }
-        .live
-        .fetch_add(1, Ordering::AcqRel);
-    let slot = alloc_slot(&layout);
+    let slot = alloc_slot(&layout, worker);
     let hdr = layout.header::<W::Desc>(slot);
     // SAFETY: [I16] a freshly allocated slot's header is exclusively
     // ours until the child publishes/retires it.
     unsafe {
-        (*hdr).is_root = 0;
         (*hdr).join = jb as *const JoinBlock as u64;
+        (*hdr).chain_above = chain;
         (*hdr).parent_ctx = 0;
         (*hdr).slot_idx = slot as u64;
         (*hdr).prog_len = 0;
@@ -1037,10 +1179,7 @@ impl MultiProcessRunner {
         // concurrent run's mapping (silently skipping tests) and make
         // that run's own MAP_FIXED_NOREPLACE fail.
         let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        map_region(PAGE).map(|_| {
-            // SAFETY: [I10] unmapping exactly the probe mapping.
-            unsafe { libc::munmap(MP_BASE as *mut c_void, PAGE) };
-        })
+        map_region(PAGE).map(drop)
     }
 
     /// Run `w` to completion across worker processes; panics on
@@ -1083,13 +1222,11 @@ impl MultiProcessRunner {
         // rather than corrupt anything (NOREPLACE).
         let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let layout = RegionLayout::new(self.workers, self.slots, self.stack_size);
-        map_region(layout.total)?;
-        let out = self.run_mapped(&layout, w);
-        // SAFETY: [I10] unmapping exactly what map_region mapped; every
-        // worker has been reaped, so no other process holds the pages
-        // via us (the memfd itself dies with its last mapping).
-        unsafe { libc::munmap(MP_BASE as *mut c_void, layout.total) };
-        Ok(out)
+        // Dropped (unmapped) on the way out of a panicking run too — a
+        // dead worker, an exhausted slot pool — or the next run in this
+        // process could not map the region.
+        let _region = map_region(layout.total)?;
+        Ok(self.run_mapped(&layout, w))
     }
 
     fn run_mapped<W>(&self, layout: &RegionLayout, w: W) -> MpReport
@@ -1109,26 +1246,19 @@ impl MultiProcessRunner {
         }
         // SAFETY: [I16] freshly mapped (zeroed) control block.
         let ctrl = unsafe { &*layout.ctrl() };
-        ctrl.live.store(1, Ordering::Relaxed); // the root
-                                               // Free list: slots 1..N (slot 0 is the root's).
-        for s in 1..layout.slots {
-            // SAFETY: [I16] pre-fork, single-threaded init of free
-            // slots' headers.
-            unsafe {
-                (*layout.header::<()>(s)).next_free = if s + 1 < layout.slots {
-                    s as u64 + 2
-                } else {
-                    0
-                };
-            }
+        // Every slot but the root's (slot 0) starts in the pool, lowest
+        // index on top; the workers' caches start empty. Pre-fork and
+        // single-threaded, so the pool's lock is not needed.
+        let pool = layout.slot_pool();
+        for s in (1..layout.slots).rev() {
+            pool.push(s);
         }
-        ctrl.slot_head.store(2, Ordering::Relaxed); // slot index 1
-                                                    // Root task header into slot 0.
+        // Root task header into slot 0.
         let root_hdr = layout.header::<W::Desc>(0);
         // SAFETY: [I16] pre-fork init of the root's slot header.
         unsafe {
-            (*root_hdr).is_root = 1;
             (*root_hdr).join = 0;
+            (*root_hdr).chain_above = 0;
             (*root_hdr).parent_ctx = 0;
             (*root_hdr).slot_idx = 0;
             (*root_hdr).desc = MaybeUninit::new(w.root());
@@ -1163,11 +1293,7 @@ impl MultiProcessRunner {
 
         // Coordinate: wait for the tree, then stop the workers.
         let mut poll = 0u64;
-        loop {
-            if ctrl.root_done.load(Ordering::Acquire) != 0 && ctrl.live.load(Ordering::Acquire) == 0
-            {
-                break;
-            }
+        while !mp_quiescent(layout) {
             poll += 1;
             if poll.is_multiple_of(200) {
                 // A worker dying early (panic → _exit(101/102), or a
@@ -1185,6 +1311,12 @@ impl MultiProcessRunner {
                         for &p in &pids {
                             // SAFETY: [I10] reaping our own children.
                             unsafe { libc::waitpid(p, std::ptr::null_mut(), 0) };
+                        }
+                        if ctrl.slots_exhausted.load(Ordering::Acquire) != 0 {
+                            panic!(
+                                "multiprocess stack slot pool exhausted ({} slots)",
+                                layout.slots
+                            );
                         }
                         panic!("multiprocess worker {pid} died mid-run (status {status:#x})");
                     }
@@ -1240,33 +1372,28 @@ impl MultiProcessRunner {
                 .map(|wk| metric_words[wk * MC_STRIDE + c])
                 .sum()
         };
-        let scell_of =
-            |wk: usize, c: usize| cell(layout.stats_cell_addr(wk, c)).load(Ordering::Acquire);
-        let ssum = |c: usize| -> u64 { (0..layout.workers).map(|wk| scell_of(wk, c)).sum() };
-        let fingerprint = (0..layout.workers).fold(0u64, |acc, wk| {
-            acc.wrapping_add(scell_of(wk, SC_FINGERPRINT))
-        });
         let bootstrap_allocs = (0..layout.workers)
             .map(|wk| ctrl.bootstrap_allocs[wk].load(Ordering::Acquire))
             .collect();
 
-        let stats = NativeRunStats {
-            workload,
-            workers: layout.workers as u32,
-            total_tasks: msum(MC_TASKS),
-            total_units: ssum(SC_UNITS),
-            total_work_cycles: ssum(SC_WORK_CYCLES),
-            joins: ssum(SC_JOINS),
-            spawns: ssum(SC_SPAWNS),
-            frame_bytes_total: ssum(SC_FRAME_BYTES),
-            peak_frame_bytes: ctrl.peak_frame_bytes.load(Ordering::Acquire),
-            join_fingerprint: fingerprint,
-            steals: msum(MC_STEALS_COMPLETED),
-            parks: msum(MC_PARKS),
-            unparks: msum(MC_UNPARKS),
-            trace_dropped: 0,
-            wall,
-        };
+        // The workers were reaped, so every row holds its final values.
+        let stats = AcctRow::totals(
+            (0..layout.workers).map(|wk| layout.stats_row(wk)),
+            NativeRunStats {
+                workload,
+                workers: layout.workers as u32,
+                steals: msum(MC_STEALS_COMPLETED),
+                parks: msum(MC_PARKS),
+                unparks: msum(MC_UNPARKS),
+                wall,
+                ..NativeRunStats::default()
+            },
+        );
+        // What the termination scan summed must be what ran: every
+        // task started exactly once, completed exactly once, and every
+        // one but the root was announced by its parent.
+        assert_eq!(msum(MC_TASKS), stats.total_tasks, "completed != started");
+        assert_eq!(stats.spawns + 1, stats.total_tasks, "spawned != started");
         MpReport {
             stats,
             bootstrap_allocs,
@@ -1275,9 +1402,43 @@ impl MultiProcessRunner {
     }
 }
 
+/// Termination detection, the two-pass scan of
+/// [`runtime::quiescent`](crate::runtime) over this backend's cells:
+/// worker `w`'s `completed` cell is its metrics-row `tasks` counter,
+/// ticked (Release) as a task's last act on the worker it *ended* on;
+/// its `spawned` cell is its accounting row's `spawns`, which a task
+/// raises (Release) by its whole child count as it *starts* — earlier
+/// than each `mp_spawn`, so still before any child runs and before the
+/// task's own completion tick, which is all the proof there needs. The
+/// root, spawned by nobody, is the `1 +`.
+fn mp_quiescent(layout: &RegionLayout) -> bool {
+    let completed: u64 = (0..layout.workers)
+        .map(|w| cell(layout.metrics_cell_addr(w, MC_TASKS)).load(Ordering::Acquire))
+        .sum();
+    let spawned: u64 = (0..layout.workers)
+        .map(|w| layout.stats_row(w).spawns.load(Ordering::Acquire))
+        .sum();
+    completed == 1 + spawned
+}
+
+/// The mapping [`map_region`] made; dropping it unmaps.
+struct Region {
+    total: usize,
+}
+
+impl Drop for Region {
+    fn drop(&mut self) {
+        // SAFETY: [I10] unmapping exactly what map_region mapped; every
+        // worker has been reaped or killed, so no other process holds
+        // the pages via us (the memfd itself dies with its last
+        // mapping).
+        unsafe { libc::munmap(MP_BASE as *mut c_void, self.total) };
+    }
+}
+
 /// Create the memfd-backed shared mapping at [`MP_BASE`]. Errors (not
 /// panics) on hosts that cannot, so callers can skip with a reason.
-fn map_region(total: usize) -> Result<(), String> {
+fn map_region(total: usize) -> Result<Region, String> {
     // SAFETY: [I10] memfd + MAP_SHARED|MAP_FIXED_NOREPLACE at an
     // address chosen to be free; NOREPLACE turns a collision into an
     // error instead of a clobber. Every result is checked.
@@ -1315,7 +1476,7 @@ fn map_region(total: usize) -> Result<(), String> {
             return Err("kernel ignored MAP_FIXED_NOREPLACE".into());
         }
     }
-    Ok(())
+    Ok(Region { total })
 }
 
 #[cfg(test)]
@@ -1381,6 +1542,93 @@ mod tests {
             assert_eq!(s.join_fingerprint, p.join_fingerprint);
             assert_eq!(s.join_fingerprint, join_tree_fingerprint(&w));
         }
+    }
+
+    #[test]
+    fn small_pool_runs_a_tree_that_fits() {
+        if !supported() {
+            return;
+        }
+        // 64 slots against up to 11 live tasks per lineage: enough, but
+        // only if slots parked in one worker's cache stay reachable for
+        // the others.
+        let w = BinTree {
+            depth: 10,
+            work: 200,
+            frame: 256,
+        };
+        let p = sequential_profile(&w);
+        for workers in [2usize, 4] {
+            let s = MultiProcessRunner::new(workers)
+                .with_work_divisor(1)
+                .with_slots(64)
+                .run(w.clone());
+            assert_eq!(s.total_tasks, p.tasks, "workers={workers}");
+            assert_eq!(s.join_fingerprint, p.join_fingerprint);
+        }
+    }
+
+    #[test]
+    fn too_small_pool_fails_by_name() {
+        if !supported() {
+            return;
+        }
+        // A depth-10 lineage needs 11 slots at once; 8 cannot do.
+        let w = BinTree {
+            depth: 10,
+            work: 0,
+            frame: 64,
+        };
+        let err = catch_unwind(|| runner(2).with_slots(8).run(w))
+            .expect_err("an 8-slot pool cannot hold an 11-deep lineage");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic payload is a message");
+        assert!(msg.contains("slot pool exhausted (8 slots)"), "{msg}");
+        // The failed run left nothing behind: the region maps again.
+        assert_eq!(
+            runner(2)
+                .run(BinTree {
+                    depth: 3,
+                    work: 0,
+                    frame: 64
+                })
+                .total_tasks,
+            15
+        );
+    }
+
+    #[test]
+    fn empty_cache_over_empty_pool_reclaims_from_a_peer() {
+        if !supported() {
+            return;
+        }
+        let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let layout = RegionLayout::new(2, 33, PAGE);
+        assert_eq!(layout.slot_batch, 4);
+        let _region = map_region(layout.total).expect("probe passed");
+        let pool = layout.slot_pool();
+        for s in (1..layout.slots).rev() {
+            pool.push(s);
+        }
+        // Worker 1 takes every slot and gives six back: they sit in its
+        // cache (under the spill bound of 8), the pool stays empty.
+        let taken: Vec<usize> = (1..layout.slots).map(|_| alloc_slot(&layout, 1)).collect();
+        assert_eq!(taken[0], 1, "lowest slot first");
+        for &s in &taken[..6] {
+            free_slot(&layout, 1, s);
+        }
+        assert_eq!((pool.len(), layout.slot_cache(1).len()), (0, 6));
+        // Worker 0 has nothing of its own: it takes the older half of
+        // worker 1's cache and hands out the newest of those.
+        assert_eq!(alloc_slot(&layout, 0), taken[2]);
+        assert_eq!(layout.slot_cache(0).len(), 2);
+        assert_eq!(layout.slot_cache(1).len(), 3);
+        // A full cache spills its oldest batch to the pool.
+        for &s in &taken[6..12] {
+            free_slot(&layout, 1, s);
+        }
+        assert_eq!((pool.len(), layout.slot_cache(1).len()), (4, 5));
     }
 
     #[test]

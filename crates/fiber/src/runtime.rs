@@ -90,10 +90,30 @@ pub struct JoinHandle<T> {
     result: Arc<Mutex<Option<T>>>,
 }
 
+/// Single-writer add on a per-worker cell: a plain load + store (no
+/// `lock` prefix), sound because only the cell's owning worker ever
+/// writes it — the idiom of `uat_metrics::Counter` [I17].
+#[inline]
+pub(crate) fn bump(cell: &AtomicU64, v: u64, order: Ordering) {
+    cell.store(cell.load(Ordering::Relaxed).wrapping_add(v), order);
+}
+
+/// One worker's termination-detection cells, on a cache line only that
+/// worker writes [I17]. Both are monotonic: `spawned` counts the
+/// `spawn` calls made on this worker, `completed` the tasks that
+/// *finished* here (a task may start on one worker and finish on
+/// another). Worker 0's `spawned` starts at 1 — the root.
+#[derive(Default)]
+#[repr(align(64))]
+struct Progress {
+    spawned: AtomicU64,
+    completed: AtomicU64,
+}
+
 struct Shared {
     deques: Vec<Arc<NativeDeque<u64>>>,
     shutdown: AtomicBool,
-    live: AtomicU64,
+    progress: Box<[Progress]>,
     /// Run-wide metrics state: sharded scheduler counters (steals,
     /// parks, heartbeats, …), tail-latency histograms, and the flight
     /// rings. With the `metrics` feature off this degrades to the three
@@ -238,11 +258,13 @@ where
         task_id,
         parent_ctx: 0,
     });
+    // Announce the child before it can run: its `completed` tick then
+    // happens-after this one, which the termination scan relies on.
     // SAFETY: [I8] shared is alive for the runtime's duration; the reference
     // is dropped before the context switch below.
     unsafe {
         let wr = &*w;
-        wr.shared.live.fetch_add(1, Ordering::AcqRel);
+        bump(&wr.shared.progress[wr.id].spawned, 1, Ordering::Release);
     }
     // SAFETY: [I5] spawn_tramp never returns normally; the continuation saved
     // here is resumed exactly once (by the child's pop or by a thief).
@@ -355,11 +377,13 @@ unsafe extern "C" fn child_main(arg: *mut c_void) -> ! {
                 wr.shared.deques[wr.id].push(prev);
             }
         }
+        // Last act of the task: everything it did (every `spawn` it
+        // called included) happens-before this Release tick.
         // SAFETY: [I7][I8] w points at this worker's thread-local Worker, alive
         // for the whole worker loop.
         unsafe {
             let wr = &*w;
-            wr.shared.live.fetch_sub(1, Ordering::AcqRel);
+            bump(&wr.shared.progress[wr.id].completed, 1, Ordering::Release);
         }
     } // payload fully dropped before we abandon this stack
     let w = current();
@@ -656,12 +680,15 @@ impl Runtime {
                 .map(|_| Arc::new(NativeDeque::new(8192)))
                 .collect(),
             shutdown: AtomicBool::new(false),
-            live: AtomicU64::new(1), // the root
+            progress: (0..self.nworkers).map(|_| Progress::default()).collect(),
             metrics,
             seed_task: Mutex::new(None),
             #[cfg(feature = "trace")]
             trace,
         });
+        // The root counts as spawned from the start, so the scan cannot
+        // pass before the root itself has completed.
+        shared.progress[0].spawned.store(1, Ordering::Relaxed);
 
         let core = Arc::new(JoinCore::new());
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
@@ -726,13 +753,12 @@ impl Runtime {
             (stop, handle)
         });
 
-        // Wait for the root to finish, then for stragglers, then stop.
-        while !core.done.load(Ordering::Acquire) {
+        // Wait for the whole task tree (the root, everything it joined
+        // and every detached straggler), then stop.
+        while !quiescent(&shared.progress) {
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
-        while shared.live.load(Ordering::Acquire) != 0 {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
+        debug_assert!(core.done.load(Ordering::Acquire));
         // Disarm the sampler *before* the shutdown flag: workers stop
         // heartbeating once they see shutdown, and the watchdog must
         // never mistake an orderly exit for a stall.
@@ -765,6 +791,37 @@ impl Runtime {
         };
         (out, sched, shared)
     }
+}
+
+/// Termination detection over the per-worker monotonic cells: read every
+/// `completed`, *then* every `spawned`; the run is over iff the sums
+/// are equal.
+///
+/// Why a match cannot be a false quiescence. Let `D` be the tasks whose
+/// completion tick pass 1 read. A task's spawn tick happens-before its
+/// own first instruction, and every `spawn` a task calls happens-before
+/// that task's completion tick. Completion ticks are Release stores and
+/// pass 1 loads them with Acquire, so by the time pass 2 runs, the
+/// spawn tick of every task in `D` *and of every child of a task in
+/// `D`* is visible to it (cells are monotonic, so a later value only
+/// counts more). Hence `spawned >= |D ∪ children(D) ∪ {root}|`, and
+/// `spawned == completed = |D|` forces `D` to contain the root and be
+/// closed under children: `D` is the whole tree. The order of the
+/// passes is the point — `spawned` first could count a parent, miss the
+/// child it spawns next, and then count that child's completion. (One
+/// live counter sharded into ±1 cells cannot be scanned soundly at all:
+/// a sum can take a `+1` from before a spawn on one worker and the `-1`
+/// of that task's completion on another, and read zero mid-run.)
+fn quiescent(progress: &[Progress]) -> bool {
+    let completed: u64 = progress
+        .iter()
+        .map(|p| p.completed.load(Ordering::Acquire))
+        .sum();
+    let spawned: u64 = progress
+        .iter()
+        .map(|p| p.spawned.load(Ordering::Acquire))
+        .sum();
+    completed == spawned
 }
 
 /// Scheduler-level counters from one [`Runtime::run_counted`] call.
@@ -1091,6 +1148,43 @@ mod tests {
             v
         });
         assert_eq!(out, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn run_waits_for_a_detached_child() {
+        // The root drops its child's handle unjoined and returns; `run`
+        // must neither return before the child's side effect nor hang
+        // on a spawned/completed count that a dropped handle upset.
+        // With several workers the child holds on until a thief has
+        // resumed the root and the root is on its way out, so the root
+        // really does finish first; with one worker child-first order
+        // finishes the child first.
+        for workers in [1usize, 3] {
+            let root_leaving = Arc::new(AtomicBool::new(false));
+            let child_done = Arc::new(AtomicBool::new(false));
+            let (leaving, done) = (Arc::clone(&root_leaving), Arc::clone(&child_done));
+            Runtime::new(workers).run(move || {
+                let leaving2 = Arc::clone(&leaving);
+                drop(spawn(move || {
+                    if workers > 1 {
+                        while !leaving2.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    // Outlast the coordinator's 50us poll many times over.
+                    let t0 = std::time::Instant::now();
+                    while t0.elapsed() < std::time::Duration::from_millis(2) {
+                        std::hint::spin_loop();
+                    }
+                    done.store(true, Ordering::Release);
+                }));
+                leaving.store(true, Ordering::Release);
+            });
+            assert!(
+                child_done.load(Ordering::Acquire),
+                "run returned before the detached child finished (workers={workers})"
+            );
+        }
     }
 
     #[test]

@@ -87,13 +87,17 @@ impl<W: Workload + ?Sized> Workload for &W {
 /// Count tasks and total work of a workload by sequential traversal —
 /// the ground truth the parallel runs are checked against in tests.
 pub fn sequential_profile<W: Workload>(w: &W) -> SeqProfile {
-    let mut stack = vec![w.root()];
+    // Each entry carries the summed frame sizes of the task's ancestors.
+    let mut stack = vec![(w.root(), 0u64)];
     let mut prog = Vec::new();
     let mut p = SeqProfile::default();
-    while let Some(d) = stack.pop() {
+    while let Some((d, above)) = stack.pop() {
+        let (frame, units) = (w.frame_size(&d), w.units(&d));
+        let chain = above + frame;
         p.tasks += 1;
-        p.units += w.units(&d);
-        p.frame_bytes_total += w.frame_size(&d);
+        p.units += units;
+        p.frame_bytes_total += frame;
+        p.peak_chain_frame_bytes = p.peak_chain_frame_bytes.max(chain);
         prog.clear();
         w.program(&d, &mut prog);
         let mut children = 0u64;
@@ -102,17 +106,15 @@ pub fn sequential_profile<W: Workload>(w: &W) -> SeqProfile {
                 Action::Work(c) => p.work_cycles += c,
                 Action::Spawn(child) => {
                     children += 1;
-                    stack.push(child);
+                    stack.push((child, chain));
                 }
                 Action::JoinAll => p.joins += 1,
             }
         }
         p.spawns += children;
-        p.join_fingerprint = p.join_fingerprint.wrapping_add(task_shape_hash(
-            children,
-            w.units(&d),
-            w.frame_size(&d),
-        ));
+        p.join_fingerprint = p
+            .join_fingerprint
+            .wrapping_add(task_shape_hash(children, units, frame));
     }
     p
 }
@@ -132,6 +134,10 @@ pub struct SeqProfile {
     pub spawns: u64,
     /// Sum of all frame sizes.
     pub frame_bytes_total: u64,
+    /// Deepest frame chain: the maximum over tasks of the summed
+    /// `frame_size` on the root→task path. Schedule-independent, so the
+    /// real backends' `peak_frame_bytes` must equal it exactly.
+    pub peak_chain_frame_bytes: u64,
     /// Schedule-independent join-tree digest; see
     /// [`join_tree_fingerprint`].
     pub join_fingerprint: u64,
@@ -229,6 +235,7 @@ mod tests {
         assert_eq!(p.joins, 15, "every internal node joins once");
         assert_eq!(p.spawns, 30, "every task but the root was spawned");
         assert_eq!(p.frame_bytes_total, 3100);
+        assert_eq!(p.peak_chain_frame_bytes, 500, "five levels of 100 bytes");
     }
 
     #[test]

@@ -90,6 +90,10 @@ where
         join_tree_fingerprint(&w),
         "native join-tree shape diverges: {name}"
     );
+    assert_eq!(
+        nat.peak_frame_bytes, p.peak_chain_frame_bytes,
+        "native peak frame chain diverges: {name}"
+    );
 
     // Transitivity spot-check: the two parallel backends agree directly.
     assert_eq!(sim.total_tasks, nat.total_tasks, "{name}");
@@ -122,6 +126,10 @@ where
                 mp.join_fingerprint, nat.join_fingerprint,
                 "native vs multiprocess fingerprints diverge: {tag}"
             );
+            assert_eq!(
+                mp.peak_frame_bytes, p.peak_chain_frame_bytes,
+                "mp peak frame chain diverges: {tag}"
+            );
             assert_eq!(sim.total_tasks, mp.total_tasks, "{tag}");
         }
     }
@@ -152,6 +160,45 @@ fn nqueens_backends_agree() {
 #[test]
 fn chain_backends_agree() {
     assert_backends_agree(Chain::fig10(50));
+}
+
+// ---- the peak is a checked quantity -----------------------------------
+
+/// `peak_frame_bytes` is the deepest root→task frame chain, so — unlike
+/// a machine-wide high-water of live frames — it does not depend on the
+/// schedule: both real backends must report the sequential profile's
+/// value at every worker count.
+fn assert_peak_is_the_deepest_chain<W>(w: W)
+where
+    W: Workload + Clone + Send + Sync + 'static,
+    W::Desc: Copy + 'static,
+{
+    let name = w.name();
+    let want = sequential_profile(&w).peak_chain_frame_bytes;
+    for workers in [1usize, 2, 4] {
+        let nat = native(workers).run(w.clone());
+        assert_eq!(nat.peak_frame_bytes, want, "{name} native w={workers}");
+        if mp_supported() {
+            let mp = multiprocess(workers).run(w.clone());
+            assert_eq!(mp.peak_frame_bytes, want, "{name} mp w={workers}");
+        }
+    }
+}
+
+#[test]
+fn peak_frame_bytes_is_schedule_independent() {
+    assert_peak_is_the_deepest_chain(Fib::new(12));
+    assert_peak_is_the_deepest_chain(Btc::new(8, 1));
+    assert_peak_is_the_deepest_chain(Uts::geometric(5));
+    assert_peak_is_the_deepest_chain(NQueens::new(6));
+    assert_peak_is_the_deepest_chain(Chain::fig10(50));
+    // Frames that differ from task to task, so the deepest chain is not
+    // simply the deepest path.
+    assert_peak_is_the_deepest_chain(RandomTree {
+        seed: 0x5eed,
+        max_depth: 6,
+        max_children: 3,
+    });
 }
 
 // ---- randomized cases ------------------------------------------------

@@ -20,10 +20,14 @@ fn exported_totals_match_trace_ground_truth() {
     let registry = Arc::new(Registry::new(workers));
     // Rings big enough that nothing drops: a dropped event would void
     // the "same run" premise of every equality below (asserted first).
+    // The run emits ~16.0M events in all and how they split between the
+    // two workers is up to the schedule, so each ring is bounded to hold
+    // every one of them; a ring grows as it fills, so the bound itself
+    // costs no memory.
     let (stats, trace) = NativeRunner::new(workers)
         .with_metrics(Arc::clone(&registry))
         .with_sampler(DEFAULT_SAMPLE_INTERVAL)
-        .with_tracing(1 << 23)
+        .with_tracing(1 << 25)
         .run_traced(Uts::geometric(11));
     assert_eq!(stats.trace_dropped, 0, "rings dropped events");
     let snap = registry.snapshot();
