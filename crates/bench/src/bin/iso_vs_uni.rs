@@ -111,9 +111,9 @@ fn part3_physical_growth() {
         cfg.core.rdma_heap_size = 512 << 10;
         cfg.core.deque_capacity = 1024;
         cfg.core.iso_stacks_per_worker = 128;
-        Engine::new(cfg, Btc::new(18, 1)).run()
+        Engine::new(cfg, Btc::new(18, 1)).run_with_resident_bytes()
     });
-    for (scheme, stats) in SCHEMES.iter().zip(&runs) {
+    for (scheme, (stats, resident)) in SCHEMES.iter().zip(&runs) {
         println!(
             "{:?}: committed {:>8} KiB total | stack peak {:>6} B/worker | faults {:>6} | fault cycles {}",
             scheme,
@@ -121,6 +121,11 @@ fn part3_physical_growth() {
             stats.peak_stack_usage,
             stats.page_faults,
             Cycles(stats.page_faults * 21_000),
+        );
+        println!(
+            "     pinned {:>6} KiB/worker | host-resident {:>6.1} KiB/worker",
+            stats.pinned_per_worker >> 10,
+            *resident as f64 / f64::from(stats.workers) / 1024.0,
         );
     }
     println!(

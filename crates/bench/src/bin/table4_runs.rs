@@ -19,8 +19,13 @@ use uat_workloads::{btc::BTC_FRAME, nqueens, uts, Btc, NQueens, Uts};
 /// Run one row's pre-built engine; when a capture slot is passed (the
 /// first row, under `--trace`), keep the trace for export. The slot is
 /// a `Mutex` only because rows run concurrently on the harness pool;
-/// exactly one row ever writes it.
-fn run<W: Workload>(engine: Engine<W>, capture: Option<&Mutex<Option<TraceData>>>) -> RunStats {
+/// exactly one row ever writes it. Also returns the host bytes resident
+/// behind the machine's registered memory at the end of the run (`None`
+/// for the traced row: `run_traced` keeps the trace instead).
+fn run<W: Workload>(
+    engine: Engine<W>,
+    capture: Option<&Mutex<Option<TraceData>>>,
+) -> (RunStats, Option<u64>) {
     match capture {
         #[cfg(feature = "trace")]
         Some(slot) => {
@@ -30,13 +35,16 @@ fn run<W: Workload>(engine: Engine<W>, capture: Option<&Mutex<Option<TraceData>>
             // open in Perfetto.
             let (stats, trace) = engine.with_tracing(1 << 14).run_traced();
             *slot.lock().expect("trace slot poisoned") = Some(trace);
-            stats
+            (stats, None)
         }
         // `require_trace_feature` already rejected `--trace` without the
         // feature, so a capture slot cannot reach this arm.
         #[cfg(not(feature = "trace"))]
         Some(_) => unreachable!("--trace without the trace feature"),
-        None => engine.run(),
+        None => {
+            let (stats, resident) = engine.run_with_resident_bytes();
+            (stats, Some(resident))
+        }
     }
 }
 
@@ -82,7 +90,7 @@ fn main() {
     let registry = uat_bench::wants_metrics(&flags).then(|| {
         std::sync::Arc::new(uat_metrics::Registry::new(cfg.topo.total_workers() as usize))
     });
-    let mut row_stats = run_indexed(4, sweep_threads(), |i| match i {
+    let results = run_indexed(4, sweep_threads(), |i| match i {
         0 => {
             let engine = Engine::new(cfg.clone(), Btc::new(22, 1));
             #[cfg(feature = "metrics")]
@@ -96,8 +104,9 @@ fn main() {
         2 => run(Engine::new(cfg.clone(), Uts::geometric(12)), None),
         3 => run(Engine::new(cfg.clone(), NQueens::new(12)), None),
         _ => unreachable!(),
-    })
-    .into_iter();
+    });
+    let resident = results.iter().filter_map(|(_, resident)| *resident).max();
+    let mut row_stats = results.into_iter().map(|(stats, _)| stats);
     let mut next_stats = || row_stats.next().expect("one result per row");
     let rows = vec![
         Row {
@@ -177,6 +186,16 @@ fn main() {
         cfg.core.uni_region_size >> 10,
         rows[0].stats.reserved_va_per_worker >> 10,
     );
+    // Rows differ in which pages they write, not in what they pin; the
+    // most any of them left resident bounds the host's cost of a row.
+    if let Some(resident) = resident {
+        println!(
+            "Per worker: pinned {} KiB (simulated), host-resident {:.1} KiB \
+             (pages of it this process materialised).",
+            rows[0].stats.pinned_per_worker >> 10,
+            resident as f64 / f64::from(cfg.topo.total_workers()) / 1024.0,
+        );
+    }
 
     if let Some(path) = &flags.json {
         let lines = rows.iter().map(|r| {

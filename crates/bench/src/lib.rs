@@ -198,9 +198,10 @@ pub mod paper {
     pub const STACK_BOUND: u64 = 144 * 1024;
 }
 
-/// A simulation config for *large* simulated machines: same protocol,
-/// compact per-worker regions so thousands of workers fit in host RAM
-/// (the fabric materializes registered bytes).
+/// The simulation config of the *large*-machine experiments: same
+/// protocol, compact per-worker regions — the sizes `results_*.txt` and
+/// the BENCH baselines were recorded with. Host memory does not depend on
+/// them: the fabric backs only the pages a run writes.
 pub fn compact_config(nodes: u32) -> SimConfig {
     let mut cfg = SimConfig::fx10(nodes);
     cfg.core.uni_region_size = 192 << 10; // > the 144 KiB Table 4 bound

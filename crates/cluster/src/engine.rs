@@ -230,10 +230,33 @@ impl<W: Workload> Engine<W> {
         self
     }
 
+    /// Bytes of simulated memory the workers have registered (pinned)
+    /// with the fabric.
+    pub fn registered_bytes(&self) -> u64 {
+        self.fabric.registered_bytes()
+    }
+
+    /// Host bytes this process holds behind
+    /// [`registered_bytes`](Self::registered_bytes): only the pages the
+    /// simulation has written are materialised
+    /// ([`uat_rdma::ProcMem::resident_bytes`]).
+    pub fn resident_bytes(&self) -> u64 {
+        self.fabric.resident_bytes()
+    }
+
     /// Run to completion of the root task; returns the measurements.
     pub fn run(mut self) -> RunStats {
         let makespan = self.run_loop();
         self.collect(makespan)
+    }
+
+    /// [`run`](Self::run), plus the finished machine's
+    /// [`resident_bytes`](Self::resident_bytes) — a cost of the host, not
+    /// a simulated result, so it stays out of [`RunStats`].
+    pub fn run_with_resident_bytes(mut self) -> (RunStats, u64) {
+        let makespan = self.run_loop();
+        let resident = self.resident_bytes();
+        (self.collect(makespan), resident)
     }
 
     /// Drive the event loop until the root completes; returns the

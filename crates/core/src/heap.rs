@@ -44,6 +44,8 @@ pub struct RdmaHeap {
     free_slots: Vec<u64>,
     /// Peak bytes parked at once (part of the pinned-memory accounting).
     peak_parked: u64,
+    /// Reusable staging buffer for the park/unpark copies.
+    scratch: Vec<u8>,
 }
 
 impl RdmaHeap {
@@ -55,6 +57,7 @@ impl RdmaHeap {
             saved: Vec::new(),
             free_slots: Vec::new(),
             peak_parked: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -74,11 +77,11 @@ impl RdmaHeap {
             .alloc(stack_size)
             .expect("RDMA region exhausted; grow CoreConfig::rdma_heap_size");
         // memcpy(sctx->stack_buf, stack_top, stack_size)
-        let mut bytes = vec![0u8; stack_size as usize];
+        self.scratch.resize(stack_size as usize, 0);
         let mem = fabric.mem_mut(self.owner);
-        mem.read_local(stack_top, &mut bytes)
+        mem.read_local(stack_top, &mut self.scratch)
             .expect("suspending frames must be in registered memory");
-        mem.write_local(stack_buf, &bytes)
+        mem.write_local(stack_buf, &self.scratch)
             .expect("heap region is registered");
         self.peak_parked = self.peak_parked.max(self.alloc.used());
         let sctx = SavedContext {
@@ -115,11 +118,11 @@ impl RdmaHeap {
             .expect("unpark of a live handle");
         self.free_slots.push(h.0);
         // memcpy(next_sctx->stack_top, sctx->stack_buf, stack_size)
-        let mut bytes = vec![0u8; sctx.stack_size as usize];
+        self.scratch.resize(sctx.stack_size as usize, 0);
         let mem = fabric.mem_mut(self.owner);
-        mem.read_local(sctx.stack_buf, &mut bytes)
+        mem.read_local(sctx.stack_buf, &mut self.scratch)
             .expect("parked frames are in the heap region");
-        mem.write_local(sctx.stack_top, &bytes)
+        mem.write_local(sctx.stack_top, &self.scratch)
             .expect("uni-address region is registered");
         self.alloc.free(sctx.stack_buf);
         sctx

@@ -26,7 +26,8 @@ pub struct UniMgr {
     /// Wait queue of suspended threads (Figure 7), FIFO.
     wait_queue: VecDeque<SavedHandle>,
     verify: bool,
-    /// Reusable buffer for frame byte patterns (spawn is the hot path).
+    /// Reusable buffer for frame bytes: spawn's pattern, a steal's
+    /// transfer, verification's read-back (spawn is the hot path).
     scratch: Vec<u8>,
 }
 
@@ -169,16 +170,16 @@ impl UniMgr {
         frame_base: u64,
         frame_size: u64,
     ) -> Cycles {
-        let mut buf = vec![0u8; frame_size as usize];
+        self.scratch.resize(frame_size as usize, 0);
         let done = fabric
-            .read(now, self.id, victim, frame_base, &mut buf)
+            .read(now, self.id, victim, frame_base, &mut self.scratch)
             .expect("victim frames are in its registered uni region");
         self.region
             .install(task, frame_base, frame_size)
             .unwrap_or_else(|e| panic!("worker {}: steal install: {e}", self.id));
         fabric
             .mem_mut(self.id)
-            .write_local(frame_base, &buf)
+            .write_local(frame_base, &self.scratch)
             .expect("own uni region registered");
         if self.verify {
             self.verify_frames(fabric, task, frame_base, frame_size);
@@ -211,14 +212,14 @@ impl UniMgr {
         self.space.stats()
     }
 
-    fn verify_frames(&self, fabric: &Fabric, task: u64, base: u64, size: u64) {
-        let mut got = vec![0u8; size as usize];
+    fn verify_frames(&mut self, fabric: &Fabric, task: u64, base: u64, size: u64) {
+        self.scratch.resize(size as usize, 0);
         fabric
             .mem(self.id)
-            .read_local(base, &mut got)
+            .read_local(base, &mut self.scratch)
             .expect("frames readable");
         assert_eq!(
-            got,
+            self.scratch,
             pattern(task, size as usize),
             "worker {}: task {task} frame bytes corrupted",
             self.id

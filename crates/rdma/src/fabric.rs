@@ -72,20 +72,57 @@ impl fmt::Display for RdmaError {
 
 impl std::error::Error for RdmaError {}
 
+/// Bytes per lazily materialised page of a registered region.
+const PAGE: usize = uat_vmem::PAGE_SIZE as usize;
+
+/// One materialised page, aligned like the host page it stands for:
+/// 4 KiB blocks at the allocator's natural 16-byte alignment straddle two
+/// host pages each, which measured +8 % on the engine's `ns_per_event`.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+#[repr(align(4096))]
+struct Page([u8; PAGE]);
+
+const _: () = assert!(std::mem::align_of::<Page>() == PAGE);
+
+/// A fresh all-zero page. Out of line: inlined, the `[0; PAGE]` temporary
+/// gives `write_local` a page-sized stack frame and with it a stack probe
+/// on every call (measured: another +10 %).
+#[inline(never)]
+fn zero_page() -> Box<Page> {
+    Box::new(Page([0; PAGE]))
+}
+
+/// One registered region: `len` bytes at `base`, backed page by page.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct Region {
+    base: u64,
+    len: usize,
+    /// Page table, indexed by `offset / PAGE` and grown only as far as
+    /// the highest page written. A page that was never written holds no
+    /// memory and reads as zeros — exactly what `register`'s
+    /// zero-initialised contract promises for it.
+    pages: Vec<Option<Box<Page>>>,
+}
+
 /// The registered memory of one simulated process.
 ///
-/// Regions are identified by their (simulated) base virtual address and
-/// back their bytes in an ordinary `Vec<u8>`. Registration implies the
-/// pages are pinned; the caller (uat-core) keeps the corresponding
-/// [`uat_vmem::AddressSpace`] in sync.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Regions are identified by their (simulated) base virtual address.
+/// *Registered is not resident*: registration records the range (and
+/// implies the simulated pages are pinned; the caller, uat-core, keeps
+/// the corresponding [`uat_vmem::AddressSpace`] in sync), while the host
+/// backs only the pages that have been written — see
+/// [`registered_bytes`](Self::registered_bytes) vs
+/// [`resident_bytes`](Self::resident_bytes) and DESIGN.md §5.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ProcMem {
+    /// The process this memory belongs to (named in errors).
+    owner: WorkerId,
     /// Registered regions, sorted by base address. A process registers a
     /// handful of fixed regions at startup (uni-address region, RDMA
     /// heap, deque block), so a sorted `Vec` beats a tree: `locate`
     /// resolves to an *index*, letting the byte access reuse it instead
     /// of paying a second map lookup.
-    regions: Vec<(u64, Vec<u8>)>,
+    regions: Vec<Region>,
     /// Index of the region `locate` last hit. Deque pointer traffic
     /// revisits the same region almost every access; the hit is
     /// re-validated against the region's bounds, and `register` resets
@@ -94,71 +131,98 @@ pub struct ProcMem {
 }
 
 impl ProcMem {
-    fn locate(&self, addr: u64, len: usize) -> Option<(usize, usize)> {
-        let hit = self.last_hit.get();
-        if let Some((base, bytes)) = self.regions.get(hit) {
-            let off = addr.wrapping_sub(*base) as usize;
-            if addr >= *base && off + len <= bytes.len() {
-                return Some((hit, off));
-            }
-        }
-        let i = match self.regions.binary_search_by(|(base, _)| base.cmp(&addr)) {
-            Ok(i) => i,
-            Err(0) => return None,
-            Err(i) => i - 1,
-        };
-        let (base, bytes) = &self.regions[i];
-        let off = (addr - base) as usize;
-        if off + len <= bytes.len() {
-            self.last_hit.set(i);
-            Some((i, off))
-        } else {
-            None
+    fn new(owner: WorkerId) -> Self {
+        ProcMem {
+            owner,
+            regions: Vec::new(),
+            last_hit: std::cell::Cell::new(usize::MAX),
         }
     }
 
-    fn register(&mut self, addr: u64, len: usize) -> Result<(), RdmaError> {
-        // Insertion point: first region with base >= addr.
-        let idx = self.regions.partition_point(|(base, _)| *base < addr);
-        let end = addr + len as u64;
-        let overlaps_prev = idx > 0 && {
-            let (base, bytes) = &self.regions[idx - 1];
-            base + bytes.len() as u64 > addr
+    /// The region holding all of `[addr, addr+len)` and the offset of
+    /// `addr` in it.
+    fn locate(&self, addr: u64, len: usize) -> Result<(usize, usize), RdmaError> {
+        let fits = |r: &Region| {
+            let off = usize::try_from(addr.checked_sub(r.base)?).ok()?;
+            (off.checked_add(len)? <= r.len).then_some(off)
         };
-        let overlaps_next = self.regions.get(idx).is_some_and(|(base, _)| *base < end);
-        if overlaps_prev || overlaps_next {
-            return Err(RdmaError::OverlappingRegistration {
-                proc: WorkerId(u32::MAX),
-                addr,
-            });
+        let hit = self.last_hit.get();
+        if let Some(off) = self.regions.get(hit).and_then(fits) {
+            return Ok((hit, off));
         }
-        self.regions.insert(idx, (addr, vec![0; len]));
+        // The last region starting at or below `addr`.
+        let i = self.regions.partition_point(|r| r.base <= addr);
+        let off = i.checked_sub(1).and_then(|i| fits(&self.regions[i]));
+        let off = off.ok_or(RdmaError::NotRegistered {
+            proc: self.owner,
+            addr,
+        })?;
+        self.last_hit.set(i - 1);
+        Ok((i - 1, off))
+    }
+
+    fn register(&mut self, addr: u64, len: usize) -> Result<(), RdmaError> {
+        let proc = self.owner;
+        let end = u64::try_from(len)
+            .ok()
+            .and_then(|len| addr.checked_add(len))
+            .ok_or(RdmaError::AddressOverflow { proc, addr })?;
+        // Insertion point: first region with base >= addr.
+        let idx = self.regions.partition_point(|r| r.base < addr);
+        // Registered regions end inside the address space, so this sum
+        // cannot wrap.
+        let overlaps_prev = idx > 0 && {
+            let prev = &self.regions[idx - 1];
+            prev.base + prev.len as u64 > addr
+        };
+        let overlaps_next = self.regions.get(idx).is_some_and(|r| r.base < end);
+        if overlaps_prev || overlaps_next {
+            return Err(RdmaError::OverlappingRegistration { proc, addr });
+        }
+        let region = Region {
+            base: addr,
+            len,
+            pages: Vec::new(),
+        };
+        self.regions.insert(idx, region);
         // Insertion shifts indices; drop the (now possibly wrong) hit.
         self.last_hit.set(usize::MAX);
         Ok(())
     }
 
     /// Read `buf.len()` bytes starting at `addr` (owner-side, zero cost).
-    pub fn read_local(&self, addr: u64, buf: &mut [u8]) -> Result<(), RdmaError> {
-        let (i, off) = self
-            .locate(addr, buf.len())
-            .ok_or(RdmaError::NotRegistered {
-                proc: WorkerId(u32::MAX),
-                addr,
-            })?;
-        buf.copy_from_slice(&self.regions[i].1[off..off + buf.len()]);
+    pub fn read_local(&self, addr: u64, mut buf: &mut [u8]) -> Result<(), RdmaError> {
+        let (i, mut off) = self.locate(addr, buf.len())?;
+        let pages = &self.regions[i].pages;
+        while !buf.is_empty() {
+            let at = off % PAGE;
+            let (span, rest) = buf.split_at_mut(buf.len().min(PAGE - at));
+            match pages.get(off / PAGE) {
+                Some(Some(page)) => span.copy_from_slice(&page.0[at..at + span.len()]),
+                _ => span.fill(0),
+            }
+            off += span.len();
+            buf = rest;
+        }
         Ok(())
     }
 
     /// Write `data` starting at `addr` (owner-side, zero cost).
-    pub fn write_local(&mut self, addr: u64, data: &[u8]) -> Result<(), RdmaError> {
-        let (i, off) = self
-            .locate(addr, data.len())
-            .ok_or(RdmaError::NotRegistered {
-                proc: WorkerId(u32::MAX),
-                addr,
-            })?;
-        self.regions[i].1[off..off + data.len()].copy_from_slice(data);
+    pub fn write_local(&mut self, addr: u64, mut data: &[u8]) -> Result<(), RdmaError> {
+        let (i, mut off) = self.locate(addr, data.len())?;
+        let pages = &mut self.regions[i].pages;
+        while !data.is_empty() {
+            let at = off % PAGE;
+            let (span, rest) = data.split_at(data.len().min(PAGE - at));
+            let idx = off / PAGE;
+            if pages.len() <= idx {
+                pages.resize_with(idx + 1, || None);
+            }
+            let page = pages[idx].get_or_insert_with(zero_page);
+            page.0[at..at + span.len()].copy_from_slice(span);
+            off += span.len();
+            data = rest;
+        }
         Ok(())
     }
 
@@ -176,7 +240,14 @@ impl ProcMem {
 
     /// Total registered bytes.
     pub fn registered_bytes(&self) -> u64 {
-        self.regions.iter().map(|(_, v)| v.len() as u64).sum()
+        self.regions.iter().map(|r| r.len as u64).sum()
+    }
+
+    /// Host bytes actually backing the registered regions: the pages
+    /// written so far.
+    pub fn resident_bytes(&self) -> u64 {
+        let pages = self.regions.iter().flat_map(|r| &r.pages).flatten();
+        (pages.count() * PAGE) as u64
     }
 }
 
@@ -303,9 +374,8 @@ pub struct Fabric {
 impl Fabric {
     /// A fabric connecting `topo.total_workers()` processes.
     pub fn new(topo: Topology, cost: CostModel) -> Self {
-        let n = topo.total_workers() as usize;
         Fabric {
-            procs: vec![ProcMem::default(); n],
+            procs: topo.workers().map(ProcMem::new).collect(),
             server_busy: vec![Cycles::ZERO; topo.nodes as usize],
             topo,
             lat: LatencyCache::new(&cost),
@@ -369,9 +439,7 @@ impl Fabric {
         if len == 0 {
             return Err(RdmaError::ZeroLength);
         }
-        self.procs[proc.index()]
-            .register(addr, len)
-            .map_err(|_| RdmaError::OverlappingRegistration { proc, addr })
+        self.procs[proc.index()].register(addr, len)
     }
 
     /// Owner-side view of a process's memory.
@@ -397,12 +465,7 @@ impl Fabric {
         if buf.is_empty() {
             return Err(RdmaError::ZeroLength);
         }
-        self.procs[target.index()]
-            .read_local(remote_addr, buf)
-            .map_err(|_| RdmaError::NotRegistered {
-                proc: target,
-                addr: remote_addr,
-            })?;
+        self.procs[target.index()].read_local(remote_addr, buf)?;
         self.stats.reads += 1;
         self.stats.read_bytes += buf.len() as u64;
         let intra = self.topo.same_node(initiator, target);
@@ -432,12 +495,7 @@ impl Fabric {
         if data.is_empty() {
             return Err(RdmaError::ZeroLength);
         }
-        self.procs[target.index()]
-            .write_local(remote_addr, data)
-            .map_err(|_| RdmaError::NotRegistered {
-                proc: target,
-                addr: remote_addr,
-            })?;
+        self.procs[target.index()].write_local(remote_addr, data)?;
         self.stats.writes += 1;
         self.stats.write_bytes += data.len() as u64;
         let intra = self.topo.same_node(initiator, target);
@@ -475,12 +533,7 @@ impl Fabric {
             return Err(RdmaError::Misaligned { addr: remote_addr });
         }
         let mem = &mut self.procs[target.index()];
-        let old = mem
-            .read_u64_local(remote_addr)
-            .map_err(|_| RdmaError::NotRegistered {
-                proc: target,
-                addr: remote_addr,
-            })?;
+        let old = mem.read_u64_local(remote_addr)?;
         mem.write_u64_local(remote_addr, old.wrapping_add(delta))
             .expect("readable address is writable");
         self.stats.faas += 1;
@@ -537,6 +590,16 @@ impl Fabric {
         v: u64,
     ) -> Result<Cycles, RdmaError> {
         self.write(now, initiator, target, remote_addr, &v.to_le_bytes())
+    }
+
+    /// Bytes registered across all processes.
+    pub fn registered_bytes(&self) -> u64 {
+        self.procs.iter().map(ProcMem::registered_bytes).sum()
+    }
+
+    /// Host bytes backing them (see [`ProcMem::resident_bytes`]).
+    pub fn resident_bytes(&self) -> u64 {
+        self.procs.iter().map(ProcMem::resident_bytes).sum()
     }
 
     /// Operation counters.
@@ -788,5 +851,87 @@ mod tests {
         assert_eq!(f.mem(W0).read_u64_local(0x5010).unwrap(), 0xdead_beef);
         assert!(f.mem(W0).read_u64_local(0x9000).is_err());
         assert_eq!(f.mem(W0).registered_bytes(), 64);
+    }
+
+    #[test]
+    fn ranges_past_the_address_space_are_errors_not_wraparounds() {
+        let mut f = fabric2();
+        let top = u64::MAX - 63;
+        assert_eq!(
+            f.register(W1, top, 64),
+            Err(RdmaError::AddressOverflow {
+                proc: W1,
+                addr: top
+            })
+        );
+        // One byte lower fits, to its last byte and no further.
+        f.register(W1, top - 1, 64).unwrap();
+        assert!(f.mem(W1).read_local(u64::MAX - 8, &mut [0; 8]).is_ok());
+        assert!(f.mem(W1).read_local(u64::MAX - 8, &mut [0; 9]).is_err());
+        // `offset + len` past `usize::MAX` is out of range, not a wrap
+        // back into it.
+        f.register(W0, 0x1000, usize::MAX - 0x2000).unwrap();
+        assert!(f.mem(W0).locate(0x3000, usize::MAX - 0x1000).is_err());
+        assert!(f.mem(W0).locate(0x3000, 16).is_ok());
+    }
+
+    #[test]
+    fn owner_side_errors_name_the_worker() {
+        let mut f = fabric2();
+        f.register(W2, 0x1000, 64).unwrap();
+        assert_eq!(
+            f.mem(W2).read_u64_local(0x9000),
+            Err(RdmaError::NotRegistered {
+                proc: W2,
+                addr: 0x9000
+            })
+        );
+        let err = f.mem_mut(W2).write_u64_local(0x103c, 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "address 0x103c on w2 is not in a registered region"
+        );
+        assert_eq!(
+            f.register(W2, 0x1020, 8),
+            Err(RdmaError::OverlappingRegistration {
+                proc: W2,
+                addr: 0x1020
+            })
+        );
+    }
+
+    #[test]
+    fn registered_is_not_resident() {
+        let mut f = fabric2();
+        // 1 MiB + a partial page, at a base that is not page aligned:
+        // pages are offsets into the region, not address classes.
+        const BASE: u64 = 0x7f00_0040;
+        const LEN: usize = (1 << 20) + 100;
+        f.register(W1, BASE, LEN).unwrap();
+        assert_eq!(f.registered_bytes(), LEN as u64);
+        assert_eq!(f.resident_bytes(), 0, "registration backs nothing");
+        // Reads never materialise a page, wherever they land.
+        let mut whole = vec![0xffu8; LEN];
+        f.read(Cycles(0), W0, W1, BASE, &mut whole).unwrap();
+        assert!(whole.iter().all(|&b| b == 0));
+        assert_eq!(f.resident_bytes(), 0);
+        // A write straddling a page boundary materialises both pages and
+        // only those.
+        let at = BASE + 3 * PAGE as u64 - 5;
+        let data: Vec<u8> = (1..=10).collect();
+        f.write(Cycles(0), W0, W1, at, &data).unwrap();
+        assert_eq!(f.mem(W1).resident_bytes(), 2 * PAGE as u64);
+        let mut back = [0xffu8; 14];
+        f.mem(W1).read_local(at - 2, &mut back).unwrap();
+        assert_eq!(back, [0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0]);
+        // The last, partial page is addressable to its final byte.
+        let last = BASE + LEN as u64 - 1;
+        f.mem_mut(W1).write_local(last, &[7]).unwrap();
+        assert!(f.mem_mut(W1).write_local(last, &[7, 7]).is_err());
+        assert_eq!(f.resident_bytes(), 3 * PAGE as u64);
+        // FAA on a never-written word starts from zero.
+        let word = BASE + 9 * PAGE as u64;
+        let (old, _) = f.fetch_add_u64(Cycles(0), W0, W1, word, 5).unwrap();
+        assert_eq!((old, f.mem(W1).read_u64_local(word).unwrap()), (0, 5));
     }
 }

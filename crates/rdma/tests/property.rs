@@ -2,10 +2,64 @@
 //! like memory, latencies are monotone, FAA serializes per node.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use uat_base::{CostModel, Cycles, Topology, WorkerId};
 use uat_rdma::Fabric;
+use uat_vmem::PAGE_SIZE;
 
 proptest! {
+    /// The demand-paged region against a flat `Vec<u8>`: transfers at
+    /// random offsets and lengths (sub-page, page-straddling, several
+    /// pages, the whole region), local and remote, read back exactly what
+    /// the flat model holds — zeros wherever nothing was written — and
+    /// the host backs exactly the distinct pages written.
+    #[test]
+    fn sparse_region_matches_flat_model(
+        ops in proptest::collection::vec(
+            (0u8..8, any::<u32>(), any::<u32>(), any::<u8>()),
+            1..80,
+        )
+    ) {
+        const W: WorkerId = WorkerId(1);
+        // Not page aligned, and not a whole number of pages.
+        const BASE: u64 = 0x7f80_0000_0100;
+        const LEN: usize = 6 * PAGE_SIZE as usize + 777;
+        let mut f = Fabric::new(Topology::new(2, 1), CostModel::fx10());
+        f.register(W, BASE, LEN).unwrap();
+        let mut flat = vec![0u8; LEN];
+        let mut written = HashSet::new();
+        for (kind, off, len, byte) in ops {
+            // Kinds 0-2 write, 3-7 read; one in four spans is long.
+            let max = if len % 4 == 0 { LEN } else { 300 };
+            let off = off as usize % LEN;
+            let len = (1 + len as usize % max).min(LEN - off);
+            let (off, len) = if kind == 7 { (0, LEN) } else { (off, len) };
+            let addr = BASE + off as u64;
+            if kind < 3 {
+                let data: Vec<u8> = (0..len).map(|i| byte.wrapping_add(i as u8)).collect();
+                if kind == 0 {
+                    f.write(Cycles::ZERO, WorkerId(0), W, addr, &data).unwrap();
+                } else {
+                    f.mem_mut(W).write_local(addr, &data).unwrap();
+                }
+                flat[off..off + len].copy_from_slice(&data);
+                written.extend(off / PAGE_SIZE as usize..=(off + len - 1) / PAGE_SIZE as usize);
+            } else {
+                let mut got = vec![0xa5u8; len];
+                if kind == 3 {
+                    f.read(Cycles::ZERO, WorkerId(0), W, addr, &mut got).unwrap();
+                } else {
+                    f.mem(W).read_local(addr, &mut got).unwrap();
+                }
+                prop_assert_eq!(&got[..], &flat[off..off + len]);
+            }
+            prop_assert_eq!(f.mem(W).resident_bytes(), written.len() as u64 * PAGE_SIZE);
+            prop_assert_eq!(f.registered_bytes(), LEN as u64);
+        }
+        // One byte past the end is out of the region, whatever is resident.
+        prop_assert!(f.mem(W).read_local(BASE + LEN as u64, &mut [0]).is_err());
+    }
+
     /// Random sequences of writes followed by reads observe exactly the
     /// last write to each byte (a tiny linearizability check against a
     /// flat reference array).

@@ -1,7 +1,7 @@
 //! Per-process simulated address spaces.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Simulated page size in bytes. FX10's XTCOS uses 8 KiB base pages on
@@ -100,20 +100,65 @@ pub struct MemStats {
     pub faults: u64,
 }
 
+/// A set of pages held as maximal runs, `first page → one past the last`:
+/// disjoint and never adjacent, so a contiguous range costs one entry
+/// however many pages it spans.
+#[derive(Clone, Debug, Default)]
+struct Extents(BTreeMap<u64, u64>);
+
+impl Extents {
+    /// Add `[lo, hi)`, absorbing every run it overlaps or abuts. Returns
+    /// the number of pages that were not in the set before.
+    fn insert(&mut self, lo: u64, hi: u64) -> u64 {
+        let (mut start, mut end, mut fresh) = (lo, hi, hi - lo);
+        while let Some((&s, &e)) = self.0.range(..=end).next_back().filter(|r| *r.1 >= start) {
+            fresh -= e.min(hi).saturating_sub(s.max(lo));
+            (start, end) = (start.min(s), end.max(e));
+            self.0.remove(&s);
+        }
+        self.0.insert(start, end);
+        fresh
+    }
+
+    /// Remove `[lo, hi)`, splitting the runs that straddle its ends.
+    /// Returns the number of pages that were in the set.
+    fn remove(&mut self, lo: u64, hi: u64) -> u64 {
+        let mut gone = 0;
+        while let Some((&s, &e)) = self.0.range(..hi).next_back().filter(|r| *r.1 > lo) {
+            self.0.remove(&s);
+            if s < lo {
+                self.0.insert(s, lo);
+            }
+            if e > hi {
+                self.0.insert(hi, e);
+            }
+            gone += e.min(hi) - s.max(lo);
+        }
+        gone
+    }
+
+    /// Whether every page of `[lo, hi)` is in the set. Runs are maximal,
+    /// so a covered range lies inside a single one.
+    fn covers(&self, lo: u64, hi: u64) -> bool {
+        self.0.range(..=lo).next_back().is_some_and(|r| *r.1 >= hi)
+    }
+}
+
 /// A simulated process address space.
 ///
 /// Tracks reservations exactly and committed/pinned state at page
-/// granularity, *sparsely*: a 2^49-byte iso-address reservation costs a few
-/// words here, while its touched pages are recorded one by one — which is
-/// precisely the asymmetry the paper exploits in its analysis.
+/// granularity, *sparsely*, as runs of pages: a 2^49-byte iso-address
+/// reservation costs a few words here, a pinned region one run, and
+/// scattered first touches one run each — which is precisely the
+/// asymmetry the paper exploits in its analysis.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     /// Reservations keyed by base address.
     reservations: BTreeMap<u64, Reservation>,
     /// Committed (physically backed) pages, by page index.
-    committed: HashSet<u64>,
+    committed: Extents,
     /// Pinned pages, by page index (subset of committed).
-    pinned: HashSet<u64>,
+    pinned: Extents,
     /// Bump pointer for address assignment of non-fixed reservations.
     next_free: u64,
     /// Size limit of this address space.
@@ -138,8 +183,8 @@ impl AddressSpace {
     pub fn with_limit(va_limit: u64) -> Self {
         AddressSpace {
             reservations: BTreeMap::new(),
-            committed: HashSet::new(),
-            pinned: HashSet::new(),
+            committed: Extents::default(),
+            pinned: Extents::default(),
             // Leave the low 64 MiB unused, like a real process image would
             // (scaled down for artificially small spaces).
             next_free: (0x0400_0000u64).min(va_limit / 4).max(PAGE_SIZE),
@@ -240,14 +285,9 @@ impl AddressSpace {
             None => return Err(VmemError::Unmapped { addr: r.base }),
         }
         self.stats.reserved -= r.len;
-        for p in page_range(r.base, r.len) {
-            if self.committed.remove(&p) {
-                self.stats.committed -= PAGE_SIZE;
-            }
-            if self.pinned.remove(&p) {
-                self.stats.pinned -= PAGE_SIZE;
-            }
-        }
+        let (lo, hi) = page_range(r.base, r.len);
+        self.stats.committed -= self.committed.remove(lo, hi) * PAGE_SIZE;
+        self.stats.pinned -= self.pinned.remove(lo, hi) * PAGE_SIZE;
         Ok(())
     }
 
@@ -260,13 +300,9 @@ impl AddressSpace {
             return Err(VmemError::ZeroLength);
         }
         self.check_mapped(addr, len)?;
-        let mut faults = 0;
-        for p in page_range(addr, len) {
-            if self.committed.insert(p) {
-                faults += 1;
-                self.stats.committed += PAGE_SIZE;
-            }
-        }
+        let (lo, hi) = page_range(addr, len);
+        let faults = self.committed.insert(lo, hi);
+        self.stats.committed += faults * PAGE_SIZE;
         self.stats.faults += faults;
         self.stats.peak_committed = self.stats.peak_committed.max(self.stats.committed);
         Ok(faults)
@@ -279,14 +315,9 @@ impl AddressSpace {
             return Err(VmemError::ZeroLength);
         }
         self.check_mapped(addr, len)?;
-        for p in page_range(addr, len) {
-            if self.committed.insert(p) {
-                self.stats.committed += PAGE_SIZE;
-            }
-            if self.pinned.insert(p) {
-                self.stats.pinned += PAGE_SIZE;
-            }
-        }
+        let (lo, hi) = page_range(addr, len);
+        self.stats.committed += self.committed.insert(lo, hi) * PAGE_SIZE;
+        self.stats.pinned += self.pinned.insert(lo, hi) * PAGE_SIZE;
         self.stats.peak_committed = self.stats.peak_committed.max(self.stats.committed);
         Ok(())
     }
@@ -294,12 +325,16 @@ impl AddressSpace {
     /// Whether every page of `[addr, addr+len)` is pinned (an RDMA
     /// operation targeting the range is legal).
     pub fn is_pinned(&self, addr: u64, len: u64) -> bool {
-        len > 0 && page_range(addr, len).all(|p| self.pinned.contains(&p))
+        len > 0 && {
+            let (lo, hi) = page_range(addr, len);
+            self.pinned.covers(lo, hi)
+        }
     }
 
     /// Whether a page has been committed (touched or pinned).
     pub fn is_committed(&self, addr: u64) -> bool {
-        self.committed.contains(&(addr / PAGE_SIZE))
+        let page = addr / PAGE_SIZE;
+        self.committed.covers(page, page + 1)
     }
 
     /// The reservation containing `addr`, if any.
@@ -331,10 +366,9 @@ impl AddressSpace {
     }
 }
 
-fn page_range(addr: u64, len: u64) -> impl Iterator<Item = u64> {
-    let first = addr / PAGE_SIZE;
-    let last = (addr + len - 1) / PAGE_SIZE;
-    first..=last
+/// The pages `[addr, addr+len)` touches, as `(first, one past the last)`.
+fn page_range(addr: u64, len: u64) -> (u64, u64) {
+    (addr / PAGE_SIZE, (addr + len - 1) / PAGE_SIZE + 1)
 }
 
 #[cfg(test)]
@@ -476,6 +510,58 @@ mod tests {
         let r = a.reserve(PAGE_SIZE).unwrap();
         assert_eq!(a.touch(r.base, 0), Err(VmemError::ZeroLength));
         assert_eq!(a.pin(r.base, 0), Err(VmemError::ZeroLength));
+    }
+
+    #[test]
+    fn pinning_a_reservation_is_one_run() {
+        let mut a = AddressSpace::new();
+        // Bump-allocated reservations abut, so their pinned pages merge.
+        let r1 = a.reserve(2048 * PAGE_SIZE).unwrap();
+        let r2 = a.reserve(256 * PAGE_SIZE).unwrap();
+        a.pin(r1.base, r1.len).unwrap();
+        a.pin(r2.base, r2.len).unwrap();
+        assert_eq!(r1.end(), r2.base);
+        assert_eq!((a.committed.0.len(), a.pinned.0.len()), (1, 1));
+        assert!(a.is_pinned(r1.base, r1.len + r2.len));
+        // Releasing one splits the run; the neighbour keeps its pages.
+        a.release(r1).unwrap();
+        assert_eq!(a.pinned.0, BTreeMap::from([page_range(r2.base, r2.len)]));
+        assert_eq!(a.stats().pinned, r2.len);
+        assert!(!a.is_committed(r1.end() - 1) && a.is_committed(r2.base));
+    }
+
+    proptest::proptest! {
+        /// `Extents` against a plain set of pages: the counts `insert`
+        /// and `remove` return, `covers`, and the representation itself —
+        /// after every operation the runs are exactly the maximal runs of
+        /// the reference (merged on insert, split on remove).
+        #[test]
+        fn extents_match_a_page_set(
+            ops in proptest::collection::vec((0u8..3, 1u64..48, 1u64..12), 1..100)
+        ) {
+            let mut runs = Extents::default();
+            let mut pages = std::collections::HashSet::new();
+            for (kind, lo, n) in ops {
+                let hi = lo + n;
+                match kind {
+                    0 => {
+                        let fresh = (lo..hi).filter(|&p| pages.insert(p)).count() as u64;
+                        assert_eq!(runs.insert(lo, hi), fresh);
+                    }
+                    1 => {
+                        let gone = (lo..hi).filter(|p| pages.remove(p)).count() as u64;
+                        assert_eq!(runs.remove(lo, hi), gone);
+                    }
+                    _ => assert_eq!(runs.covers(lo, hi), (lo..hi).all(|p| pages.contains(&p))),
+                }
+                let mut maximal = BTreeMap::new();
+                for p in (1..64).filter(|p| pages.contains(p) && !pages.contains(&(p - 1))) {
+                    let end = (p..).find(|q| !pages.contains(q)).expect("finite set");
+                    maximal.insert(p, end);
+                }
+                assert_eq!(runs.0, maximal);
+            }
+        }
     }
 
     #[test]
