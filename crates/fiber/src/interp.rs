@@ -8,12 +8,13 @@
 //!
 //! - [`Action::Work`]`(c)` is calibrated spinning of `c` timestamp-counter
 //!   ticks ([`tsc::spin_cycles`]), optionally scaled down for tests;
-//! - [`Action::Spawn`]`(d)` is a child-first fiber creation
-//!   ([`runtime::spawn`]): the child's interpreter starts immediately on
-//!   a fresh stack while the parent's continuation is pushed on the
-//!   `NativeDeque`, stealable by any idle worker;
-//! - [`Action::JoinAll`] joins every child spawned so far — one done-flag
-//!   load on the fast path, else the Figure 7 suspend while the worker
+//! - [`Action::Spawn`]`(d)` is a child-first fiber creation (the
+//!   runtime's spawn primitive): the child's interpreter starts
+//!   immediately on a fresh stack while the parent's continuation is
+//!   pushed on the `NativeDeque`, stealable by any idle worker;
+//! - [`Action::JoinAll`] joins every child spawned so far on the task's
+//!   one join block — one pending-count load on the fast path, else one
+//!   Figure 7 suspend, resumed by the last child, while the worker
 //!   finds other work;
 //! - [`Workload::frame_size`] is honored by *really reserving* that many
 //!   bytes of the task's stack before the program runs, so stack-depth
@@ -26,8 +27,10 @@
 //! of the differential sim-vs-native harness in the root package's
 //! `tests/differential.rs`.
 
-use crate::runtime::{bump, current_worker_id, spawn, JoinHandle, Runtime, SchedStats};
+use crate::join::JoinBlock;
+use crate::runtime::{bump, current_worker_id, join_all, spawn_on, Runtime, SchedStats};
 use crate::tsc;
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uat_model::{task_shape_hash, Action, Workload};
@@ -153,31 +156,44 @@ impl AcctRow {
     }
 }
 
+/// One worker's free list of program buffers, on a line of its own.
+/// Single-writer like a `StackPool`: a task takes a buffer from the
+/// worker it starts on and returns it to the worker it ends on.
+#[repr(align(64))]
+struct BufList<D>(UnsafeCell<Vec<Vec<Action<D>>>>);
+
+// SAFETY: [I7] entry `i` of `Env::bufs` is only ever borrowed by worker
+// `i`, one short borrow at a time (`exec`); the buffers move between
+// workers with the tasks that hold them, hence `D: Send`.
+unsafe impl<D: Send> Sync for BufList<D> {}
+
 /// What every task of one native run reads: the workload, one
-/// accounting row per worker, and the work divisor. Tasks reach it
-/// through an [`EnvRef`].
-struct Env<W> {
+/// accounting row and one program-buffer free list per worker, and the
+/// work divisor. Tasks reach it through an [`EnvRef`].
+struct Env<W: Workload> {
     w: W,
     rows: Box<[AcctRow]>,
+    bufs: Box<[BufList<W::Desc>]>,
     work_divisor: u64,
 }
 
 /// `Copy` pointer to the run's [`Env`], captured by every task closure.
 /// Not an `Arc`: a clone per spawn is an atomic read-modify-write on a
 /// refcount line all workers share [I17].
-struct EnvRef<W>(*const Env<W>);
+struct EnvRef<W: Workload>(*const Env<W>);
 
-impl<W> Clone for EnvRef<W> {
+impl<W: Workload> Clone for EnvRef<W> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<W> Copy for EnvRef<W> {}
+impl<W: Workload> Copy for EnvRef<W> {}
 
-// SAFETY: [I8] an EnvRef is only ever dereferenced to a shared `&Env`,
-// whose fields are `W` (required `Sync` below), atomics and a plain
-// integer; the pointee outlives every task (see `run_with`).
-unsafe impl<W: Sync> Send for EnvRef<W> {}
+// SAFETY: [I7][I8] an EnvRef is only ever dereferenced to a shared
+// `&Env`, whose fields are `W` (required `Sync` below), atomics, a
+// plain integer, and the buffer lists, each touched only by its own
+// worker; the pointee outlives every task (see `run_with`).
+unsafe impl<W: Workload + Sync> Send for EnvRef<W> {}
 
 /// Interpret one task: expand its program and execute it on this fiber.
 /// `chain_above` is the summed `frame_size` of the task's ancestors.
@@ -190,39 +206,44 @@ where
     // ends only after every descendant — this task included — has been
     // joined (see `run_with`).
     let e = unsafe { &*env.0 };
-    let mut prog = Vec::new();
+    // The worker is looked up once, before the first migration point.
+    let me = current_worker_id();
+    // A recycled buffer (empty, capacity kept): no allocation per task
+    // once the lists are warm.
+    // SAFETY: [I7] we run on `me`; the borrow ends with the statement.
+    let mut prog = unsafe { &mut *e.bufs[me].0.get() }
+        .pop()
+        .unwrap_or_default();
     e.w.program(d, &mut prog);
     let acct = TaskAcct::of(&e.w, d, &prog);
     let chain = chain_above + acct.frame;
-    // The worker is looked up once, before the first migration point;
-    // nothing below touches a worker-indexed cell again.
-    e.rows[current_worker_id()].record(&acct, chain);
+    e.rows[me].record(&acct, chain);
 
-    with_reserved_frame(acct.frame, move || {
-        let mut handles: Vec<JoinHandle<()>> = Vec::new();
-        for a in prog {
+    // The task's one join block, a local of this frame: every child
+    // counts on it, every `JoinAll` waits on it.
+    let jb = JoinBlock::new();
+    with_reserved_frame(acct.frame, || {
+        for a in prog.drain(..) {
             match a {
                 Action::Work(cycles) => tsc::spin_cycles(cycles / e.work_divisor),
-                Action::Spawn(child) => {
-                    // Child-first: `exec(child)` starts right now on a
-                    // fresh stack; our continuation (the rest of this
-                    // loop) becomes stealable.
-                    handles.push(spawn(move || exec(env, &child, chain)));
-                }
-                Action::JoinAll => {
-                    for h in handles.drain(..) {
-                        h.join();
-                    }
-                }
+                // Child-first: `exec(child)` starts right now on a
+                // fresh stack; our continuation (the rest of this
+                // loop) becomes stealable.
+                // SAFETY: [I16] `jb` is joined below before this frame
+                // ends; `env` outlives every task.
+                Action::Spawn(child) => unsafe {
+                    spawn_on(&jb, move || exec(env, &child, chain));
+                },
+                Action::JoinAll => join_all(&jb),
             }
         }
         // Fork-join programs end with every child joined (the simulator
         // asserts as much); join stragglers anyway so a malformed
         // workload cannot leak running tasks past its own completion.
-        for h in handles {
-            h.join();
-        }
+        join_all(&jb);
     });
+    // SAFETY: [I7] as above, on the worker this task *ends* on.
+    unsafe { &mut *e.bufs[current_worker_id()].0.get() }.push(prog);
 }
 
 /// Result of one native run — the fiber backend's counterpart of the
@@ -486,6 +507,9 @@ impl NativeRunner {
         let env = Arc::new(Env {
             w,
             rows: (0..self.workers).map(|_| AcctRow::default()).collect(),
+            bufs: (0..self.workers)
+                .map(|_| BufList(UnsafeCell::new(Vec::new())))
+                .collect(),
             work_divisor: self.work_divisor,
         });
         // The root task's closure owns the one other handle on the Env.

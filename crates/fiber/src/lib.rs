@@ -32,6 +32,8 @@
 //!   flight-recorder rings, a deque-depth sampler thread, and the
 //!   heartbeat stall watchdog (stubs when the `metrics` feature is
 //!   off).
+//! - `join`: the join protocol both real backends share — a per-joiner
+//!   pending count plus one waiter slot, arbitrated on a single word.
 //! - [`ipc`]: the faithful **cross-address-space** demonstration —
 //!   process-per-core via `fork`, the uni-address region at the same
 //!   fixed virtual address in each process, shared-memory task-queue
@@ -59,6 +61,7 @@ pub mod creation;
 pub mod ctx;
 pub mod interp;
 pub mod ipc;
+mod join;
 pub mod mpruntime;
 pub mod nmetrics;
 pub mod ntrace;

@@ -68,6 +68,7 @@
 
 use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
 use crate::interp::{with_reserved_frame, AcctRow, NativeRunStats, TaskAcct};
+use crate::join::JoinBlock;
 use crate::runtime::bump;
 use crate::tsc;
 use std::ffi::c_void;
@@ -138,8 +139,9 @@ const _: () = assert!(std::mem::size_of::<Ctrl>() <= PAGE);
 #[repr(C)]
 struct MpHeader<D> {
     /// The parent's [`JoinBlock`] (`*const JoinBlock` as u64; 0 for the
-    /// root). Points into the *parent's* shm stack — valid in every
-    /// process per [I16].
+    /// root), a local on the *parent's* shm stack — valid in every
+    /// process per [I16]; the child's decrement of it is the protocol's
+    /// one-sided remote fetch-and-add.
     join: u64,
     /// Summed `frame_size` of this task's ancestors — the frame chain
     /// its lineage has built so far, carried parent→child so the peak
@@ -154,29 +156,6 @@ struct MpHeader<D> {
     prog_len: u64,
     /// The task descriptor (`Copy` plain data; [I16]).
     desc: MaybeUninit<D>,
-}
-
-/// Per-task join synchronisation, **a local on the parent's shm
-/// stack**: outstanding-children count plus a single waiter slot.
-///
-/// The completing child's `pending.fetch_sub` is the protocol's
-/// one-sided remote fetch-and-add: the block may live on a stack owned
-/// by a fiber currently parked in a different process, and the
-/// decrement needs nothing from that process's CPU. The waiter slot is
-/// claimed by exactly one side (`swap` by the last child vs
-/// `compare_exchange` reclaim by the parker's scheduler), so a parked
-/// parent is resumed exactly once.
-///
-/// Ordering: the scheduler publishes the waiter then re-reads
-/// `pending`, while the last child decrements `pending` then reads the
-/// waiter — a store-buffering (Dekker) race across two locations, so
-/// all four accesses are SeqCst (an AcqRel pair is insufficient: each
-/// side may read the other's pre-store value and the parent is never
-/// resumed).
-#[repr(C)]
-struct JoinBlock {
-    pending: AtomicU64,
-    waiter: AtomicU64,
 }
 
 /// Byte map of the region: every address any process computes comes
@@ -333,8 +312,7 @@ struct MpProc {
     /// Slot retired by the previously completed task (+1; 0 = none).
     pending_retire: u64,
     /// Join park hand-off: (`*const JoinBlock`, ctx) per [I12].
-    pending_join_block: u64,
-    pending_join_ctx: u64,
+    pending_join: Option<(*const JoinBlock, u64)>,
     rng: SplitMix64,
     divisor: u64,
     /// The workload, by pre-fork pointer (copy-on-write read-only data,
@@ -640,8 +618,7 @@ where
             layout,
             sched_ctx: 0,
             pending_retire: 0,
-            pending_join_block: 0,
-            pending_join_ctx: 0,
+            pending_join: None,
             rng: SplitMix64::new(0x5EED ^ id as u64),
             divisor,
             env: env as u64,
@@ -694,38 +671,17 @@ where
         mcell_inc(MC_HEARTBEATS, Ordering::Relaxed);
 
         // Scheduler-side join park [I12]: a fiber that suspended on a
-        // join handed us its (block, ctx); publish the waiter from this
-        // OS stack. If every child already finished, reclaim and resume
-        // it right away (exactly one side ever owns the ctx: the last
-        // child's `swap` or this `compare_exchange`).
+        // join handed us its (block, ctx); park it from this OS stack.
+        // If every child already finished, resume it right away
+        // (exactly one side ever owns the ctx: the last child's
+        // `complete` or this `park`).
         // SAFETY: [I15] exclusive per-process state.
-        let pending = unsafe {
-            let p = &mut *mp_proc();
-            let b = p.pending_join_block;
-            let c = p.pending_join_ctx;
-            p.pending_join_block = 0;
-            p.pending_join_ctx = 0;
-            (b, c)
-        };
-        if pending.0 != 0 {
+        if let Some((jb, ctx)) = unsafe { (*mp_proc()).pending_join.take() } {
             // SAFETY: [I16] the block lives on the parked parent's shm
             // stack, which stays live until the parent is resumed.
-            let jb = unsafe { &*(pending.0 as *const JoinBlock) };
-            // Publish-waiter then read-pending vs. the last child's
-            // decrement-pending then read-waiter is a two-location
-            // Dekker (store-buffering) pattern: both sides must be
-            // SeqCst or each can miss the other's store and the parked
-            // parent is never resumed. Same reasoning as the SeqCst
-            // store/load pair in ShmDeque::pop.
-            jb.waiter.store(pending.1, Ordering::SeqCst);
-            if jb.pending.load(Ordering::SeqCst) == 0
-                && jb
-                    .waiter
-                    .compare_exchange(pending.1, 0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
+            if !unsafe { (*jb).park(ctx) } {
                 idle_spins = 0;
-                mp_run_ctx(pending.1);
+                mp_run_ctx(ctx);
                 continue;
             }
         }
@@ -879,21 +835,14 @@ where
         (p.layout, p.worker)
     };
     if join != 0 {
-        // SAFETY: [I16] the parent's join block outlives all its
-        // children: the parent cannot leave its JoinAll scope while
-        // `pending > 0`.
+        // SAFETY: [I16] the parent's join block outlives this call:
+        // the parent cannot leave its JoinAll scope before our
+        // decrement, and cannot run at all if we are handed its ctx.
         let jb = unsafe { &*(join as *const JoinBlock) };
-        // SeqCst on both halves: this decrement/read-waiter races the
-        // scheduler's store-waiter/read-pending (the Dekker pair — see
-        // mp_worker_loop); weaker orderings allow both sides to read
-        // stale values and strand the parked parent.
-        if jb.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let waiter = jb.waiter.swap(0, Ordering::SeqCst);
-            if waiter != 0 {
-                // The parked parent becomes runnable here, on the last
-                // child's worker — and immediately stealable by anyone.
-                layout.deque(id).push(waiter);
-            }
+        if let Some(waiter) = jb.complete() {
+            // The parked parent becomes runnable here, on the last
+            // child's worker — and immediately stealable by anyone.
+            layout.deque(id).push(waiter);
         }
     }
     // The task's last act, on the worker it ended on: the Release tick
@@ -964,10 +913,7 @@ where
     // The join block is a local of this frame — on the shm stack, so a
     // child completing in another process reaches it at the same
     // address [I16]. It lives exactly as long as the task.
-    let jb = JoinBlock {
-        pending: AtomicU64::new(0),
-        waiter: AtomicU64::new(0),
-    };
+    let jb = JoinBlock::new();
 
     with_reserved_frame(acct.frame, || {
         for i in 0..n {
@@ -1001,7 +947,7 @@ where
         let p = &*mp_proc();
         (p.layout, p.worker)
     };
-    jb.pending.fetch_add(1, Ordering::AcqRel);
+    jb.announce();
     let slot = alloc_slot(&layout, worker);
     let hdr = layout.header::<W::Desc>(slot);
     // SAFETY: [I16] a freshly allocated slot's header is exclusively
@@ -1051,12 +997,12 @@ where
 /// the fast path, else suspend and let this worker find other work
 /// (Figure 7).
 fn mp_join(jb: &JoinBlock) {
-    if jb.pending.load(Ordering::Acquire) == 0 {
+    if jb.is_done() {
         return;
     }
-    // SAFETY: [I5] mp_join_tramp either parks this continuation
-    // (resumed exactly once by the last child) or the scheduler resumes
-    // it inline after the reclaim CAS.
+    // SAFETY: [I5] mp_join_tramp hands this continuation to the
+    // scheduler, which parks it (resumed exactly once by the last
+    // child) or resumes it inline.
     unsafe {
         save_context_and_call(
             std::ptr::null_mut(),
@@ -1066,7 +1012,7 @@ fn mp_join(jb: &JoinBlock) {
     }
     // Resumed — possibly in a different process, with all children done.
     mp_collect_retired();
-    debug_assert_eq!(jb.pending.load(Ordering::Acquire), 0);
+    debug_assert!(jb.is_done());
 }
 
 unsafe extern "C" fn mp_join_tramp(ctx: *mut Context, arg: *mut c_void) {
@@ -1077,9 +1023,8 @@ unsafe extern "C" fn mp_join_tramp(ctx: *mut Context, arg: *mut c_void) {
     // resume.
     let sched = unsafe {
         let p = &mut *mp_proc();
-        debug_assert_eq!(p.pending_join_block, 0);
-        p.pending_join_block = arg as u64;
-        p.pending_join_ctx = ctx as u64;
+        debug_assert!(p.pending_join.is_none());
+        p.pending_join = Some((arg as *const JoinBlock, ctx as u64));
         p.sched_ctx as *mut Context
     };
     // SAFETY: [I5] the scheduler context is parked in its loop and

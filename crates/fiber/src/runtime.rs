@@ -18,76 +18,79 @@
 //!
 //! Control transfers never unwind (user closures are `catch_unwind`ed and
 //! a panic aborts). A context is resumed exactly once: the deque hands an
-//! entry to exactly one consumer (THE protocol), and the join waiter slot
-//! is claimed by exactly one CAS winner. A task's stack is retired only
+//! entry to exactly one consumer (THE protocol), and a parked joiner is
+//! claimed by exactly one side of the [`JoinBlock`] arbitration. A
+//! task's stack is retired only
 //! by its own completion and freed only after control has left it (the
 //! `pending_retire` hand-off). Functions passed to
 //! `switch_stack_and_call` and trampolines that claim a continuation
 //! diverge with only `Copy` locals live, so no destructor is skipped.
 //!
 //! **Publication rule [I12]:** a saved continuation is made visible to
-//! other workers (deque push or join-waiter CAS) only from a stack that
+//! other workers (deque push or join park) only from a stack that
 //! is *not* the continuation's own. The `Context` record lives on the
 //! fiber's stack and a thief resumes it by setting `rsp = ctx` — from
 //! that instant every frame below the record (the very trampoline that
 //! saved it) is dead memory the resumed fiber will overwrite. So
 //! `spawn` publishes the parent from the child's fresh stack
-//! (`child_main`), and a parking `join` hands the waiter CAS to the
+//! (`child_main`), and a parking `join` hands the park to the
 //! scheduler loop on the worker's OS stack (`pending_join`). Publishing
 //! from the trampoline itself — the obvious Figure 4 reading — is a
 //! stack-trample race that corrupts spilled locals under steal churn
 //! (debug builds spill everything, making it a near-certain segfault).
 
 use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
+use crate::join::JoinBlock;
 use crate::nmetrics::{MetricsShared, WorkerMetrics};
 use crate::ntrace::{TraceShared, WorkerTracer};
 use crate::stack::{Stack, StackPool};
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::ffi::c_void;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::mem::ManuallyDrop;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
 use uat_base::SplitMix64;
 use uat_deque::NativeDeque;
 
-const WAITER_EMPTY: u64 = 0;
-const WAITER_SEALED: u64 = 1;
-
-/// Join synchronization core: done flag + single waiter slot.
-struct JoinCore {
-    done: AtomicBool,
-    /// 0 = empty, 1 = sealed (child finished), else a `*mut Context`.
-    waiter: AtomicU64,
-    /// Trace-only: task id of the parked waiter, written by the parent
-    /// before publishing its continuation in the waiter slot, read by
-    /// the completing child to name the `JoinReady` edge.
-    #[cfg(feature = "trace")]
-    waiter_task: AtomicU64,
-    /// Trace-only: task id of the child whose completion unparked the
-    /// waiter (0 = the join never blocked), read by the resumed parent
-    /// to name the `JoinResume` edge.
-    #[cfg(feature = "trace")]
-    enabler: AtomicU64,
+/// What a public [`spawn`] shares between the child and its handle —
+/// the one allocation such a spawn makes.
+struct JoinCell<T> {
+    block: JoinBlock,
+    /// Written once by the child before its `block.complete()`, taken
+    /// once by the joiner after `block.is_done()`.
+    result: UnsafeCell<Option<T>>,
 }
 
-impl JoinCore {
-    fn new() -> Self {
-        JoinCore {
-            done: AtomicBool::new(false),
-            waiter: AtomicU64::new(WAITER_EMPTY),
-            #[cfg(feature = "trace")]
-            waiter_task: AtomicU64::new(0),
-            #[cfg(feature = "trace")]
-            enabler: AtomicU64::new(0),
+// SAFETY: [I8] `block` is atomics; `result`'s one write happens-before
+// its one read through the block's Release/Acquire (or the termination
+// scan's, for the root). `T: Send`: the value changes threads.
+unsafe impl<T: Send> Sync for JoinCell<T> {}
+
+impl<T> JoinCell<T> {
+    fn new() -> Arc<Self> {
+        Arc::new(JoinCell {
+            block: JoinBlock::new(),
+            result: UnsafeCell::new(None),
+        })
+    }
+
+    /// The body of a task that reports to `cell`: store what `f`
+    /// returns and hand the cell back as the task's keep-alive [I18].
+    fn task<F: FnOnce() -> T>(cell: Arc<Self>, f: F) -> impl FnOnce() -> Arc<Self> {
+        move || {
+            let out = f();
+            // SAFETY: [I8] the slot's only write (see `Sync` above).
+            unsafe { *cell.result.get() = Some(out) };
+            cell
         }
     }
 }
 
 /// Handle to a spawned thread; [`join`](JoinHandle::join) returns its
-/// result (the `task<T>`/`join` API of Figure 2).
+/// result (the `task<T>`/`join` API of Figure 2). Dropping the handle
+/// detaches the thread; [`Runtime::run`] still waits for it.
 pub struct JoinHandle<T> {
-    core: Arc<JoinCore>,
-    result: Arc<Mutex<Option<T>>>,
+    cell: Arc<JoinCell<T>>,
 }
 
 /// Single-writer add on a per-worker cell: a plain load + store (no
@@ -119,7 +122,8 @@ struct Shared {
     /// rings. With the `metrics` feature off this degrades to the three
     /// plain atomics [`SchedStats`] needs.
     metrics: Arc<MetricsShared>,
-    seed_task: Mutex<Option<Box<Payload>>>,
+    /// The root's task record, taken (once) by worker 0.
+    seed_task: AtomicPtr<TaskHeader>,
     /// Run-wide trace state; `None` = untraced (hooks early-out).
     #[cfg(feature = "trace")]
     trace: Option<Arc<TraceShared>>,
@@ -146,12 +150,11 @@ struct Worker {
     rng: SplitMix64,
     sched_ctx: *mut Context,
     pending_retire: Option<Stack>,
-    /// A fiber that wants to park on a join hands `(core, ctx)` to its
-    /// scheduler here; the scheduler performs the waiter CAS from the
-    /// OS stack per [I12] (resuming the fiber immediately if the child
-    /// already sealed the slot). The pointer stays valid until the CAS:
-    /// the suspended fiber's frame holds the `JoinHandle`'s `Arc`.
-    pending_join: Option<(*const JoinCore, u64)>,
+    /// A fiber that wants to park on a join hands `(block, ctx)` to its
+    /// scheduler here; the scheduler calls `JoinBlock::park` from the
+    /// OS stack per [I12]. The block stays valid until then: it is in
+    /// the suspended fiber's frame, or in a `JoinHandle` that frame holds.
+    pending_join: Option<(*const JoinBlock, u64)>,
     trace: WorkerTracer,
     metrics: WorkerMetrics,
 }
@@ -199,184 +202,250 @@ pub fn current_worker_id() -> usize {
     unsafe { (*w).id }
 }
 
-/// Free the stack retired by the previously completed thread, if any.
-/// Must run at every point control can land after a completion.
+/// Free the stack retired by the previously completed thread, if any,
+/// and return the worker control landed on. Must run at every point
+/// control can land after a completion.
 #[inline]
-fn collect_retired() {
+fn collect_retired() -> *mut Worker {
     let w = current();
     // SAFETY: [I7] only the owning OS thread touches its Worker, and no other
     // borrow is live across this call.
-    let w = unsafe { &mut *w };
-    if let Some(s) = w.pending_retire.take() {
-        w.pool.put(s);
+    let wr = unsafe { &mut *w };
+    if let Some(s) = wr.pending_retire.take() {
+        wr.pool.put(s);
     }
+    w
 }
 
-struct Payload {
-    body: Option<Box<dyn FnOnce() + Send>>,
-    core: Arc<JoinCore>,
-    stack: Option<Stack>,
-    /// Trace task id (0 when the run is untraced).
-    task_id: u64,
+/// A task's record may take at most 1/N of its stack.
+const RECORD_STACK_DIVISOR: usize = 4;
+
+/// The type-independent head of a task record [I18].
+#[repr(C)]
+struct TaskHeader {
+    /// `child_main::<K, F>` for the record's own `F`: lets the
+    /// trampolines start a task without knowing its closure type.
+    entry: unsafe extern "C" fn(*mut c_void) -> !,
     /// The spawner's saved continuation (`*mut Context` as u64), written
     /// by `spawn_tramp` on the way into the child and published by
-    /// `child_main` from the child's stack per [I12]. 0 for the root
-    /// task (no continuation to publish).
+    /// `child_main` from the child's stack per [I12]. 0 for the root.
     parent_ctx: u64,
+    /// The block the task reports its completion to.
+    join: *const JoinBlock,
+    /// Trace task id (0 when the run is untraced).
+    task_id: u64,
+    /// The stack this very record sits on; moved out only by the task's
+    /// own completion, into `pending_retire`.
+    stack: ManuallyDrop<Stack>,
+}
+
+/// Everything a task needs to start, written by its spawner at the top
+/// of the task's own stack and read only by the task [I18].
+#[repr(C)]
+struct TaskRecord<F> {
+    hdr: TaskHeader,
+    f: ManuallyDrop<F>,
+}
+
+/// Write the record of a task running `f` at the top of `stack`; the
+/// task starts with its stack pointer at the record. Panics, naming
+/// both sizes, if the record is over `1/RECORD_STACK_DIVISOR` of the
+/// stack — the body would otherwise start part-way to the guard page.
+fn place_record<K, F: FnOnce() -> K>(
+    stack: Stack,
+    join: *const JoinBlock,
+    task_id: u64,
+    f: F,
+) -> *mut TaskHeader {
+    let size = std::mem::size_of::<TaskRecord<F>>();
+    let align = std::mem::align_of::<TaskRecord<F>>().max(16);
+    assert!(
+        size + align <= stack.usable() / RECORD_STACK_DIVISOR,
+        "uat-fiber: a task record of {size} bytes ({}-byte closure + {}-byte header) exceeds \
+         1/{RECORD_STACK_DIVISOR} of the {}-byte task stack; raise `with_stack_size` or box \
+         the captured data",
+        std::mem::size_of::<F>(),
+        std::mem::size_of::<TaskHeader>(),
+        stack.usable(),
+    );
+    let rec = ((stack.top() as usize - size) & !(align - 1)) as *mut TaskRecord<F>;
+    // SAFETY: [I6][I18] `rec` is aligned and `[rec, rec + size)` is
+    // inside the usable span (checked above) of a stack nothing runs on.
+    unsafe {
+        rec.write(TaskRecord {
+            hdr: TaskHeader {
+                entry: child_main::<K, F>,
+                parent_ctx: 0,
+                join,
+                task_id,
+                stack: ManuallyDrop::new(stack),
+            },
+            f: ManuallyDrop::new(f),
+        });
+    }
+    rec.cast()
 }
 
 /// Spawn a thread running `f`, child-first: `f` starts immediately on a
 /// fresh stack and the *caller's* continuation becomes stealable
 /// (Figure 4's semantics under the stack-pool strategy).
 ///
-/// Must be called from inside [`Runtime::run`].
+/// Must be called from inside [`Runtime::run`]. Panics if `f`'s captures
+/// do not fit a quarter of the runtime's task stack size.
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let core = Arc::new(JoinCore::new());
-    let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let r2 = Arc::clone(&result);
-    let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-        *r2.lock().unwrap() = Some(f());
-    });
+    let cell = JoinCell::new();
+    let task = JoinCell::task(Arc::clone(&cell), f);
+    // SAFETY: [I8] the block lives in the `Arc` cell, and the child
+    // returns its own reference to the cell as the keep-alive.
+    unsafe { spawn_on(&cell.block, task) };
+    JoinHandle { cell }
+}
+
+/// The one spawn primitive: start a child running `f` right now on a
+/// fresh pooled stack, counted on `jb`; the caller's continuation
+/// becomes stealable and this returns once somebody resumes it. What
+/// `f` returns is the child's keep-alive, dropped only after the
+/// child's last access to `jb`. No allocator call in steady state.
+///
+/// # Safety
+///
+/// `jb` must stay valid until the child's `JoinBlock::complete` on it
+/// has returned: it is in a frame that first passes [`join_all`] on it,
+/// or is owned by what `f` returns. Likewise everything `f` borrows.
+pub(crate) unsafe fn spawn_on<K, F>(jb: &JoinBlock, f: F)
+where
+    K: Send,
+    F: FnOnce() -> K + Send,
+{
     let w = current();
-    // SAFETY: [I7] exclusive access by the owning thread; short borrow.
-    let (stack, task_id) = unsafe {
+    // SAFETY: [I7] exclusive access by the owning thread; the borrow
+    // ends before the context switch below.
+    let rec = unsafe {
         let wr = &mut *w;
         let stack = wr.pool.take();
         // Trace: close the parent's Work slice, open Spawn, allocate
         // and announce the child id (0 when untraced).
         let task_id = wr.trace.on_spawn();
-        (stack, task_id)
-    };
-    let payload = Box::new(Payload {
-        body: Some(body),
-        core: Arc::clone(&core),
-        stack: Some(stack),
-        task_id,
-        parent_ctx: 0,
-    });
-    // Announce the child before it can run: its `completed` tick then
-    // happens-after this one, which the termination scan relies on.
-    // SAFETY: [I8] shared is alive for the runtime's duration; the reference
-    // is dropped before the context switch below.
-    unsafe {
-        let wr = &*w;
+        // Announce the child before it can run: its `completed` tick
+        // then happens-after this one, which the termination scan
+        // relies on.
         bump(&wr.shared.progress[wr.id].spawned, 1, Ordering::Release);
-    }
+        place_record(stack, jb, task_id, f)
+    };
+    jb.announce();
     // SAFETY: [I5] spawn_tramp never returns normally; the continuation saved
     // here is resumed exactly once (by the child's pop or by a thief).
     unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            spawn_tramp,
-            Box::into_raw(payload) as *mut c_void,
-        );
+        save_context_and_call(std::ptr::null_mut(), spawn_tramp, rec as *mut c_void);
     }
     // Resumed — possibly on a different worker thread.
-    collect_retired();
+    let w = collect_retired();
     // SAFETY: [I7] exclusive worker access; scoped borrow.
     unsafe {
-        (*current()).trace.on_resumed();
+        (*w).trace.on_resumed();
     }
-    JoinHandle { core, result }
 }
 
 unsafe extern "C" fn spawn_tramp(ctx: *mut Context, arg: *mut c_void) {
     // [I12]: do NOT publish `ctx` here — this frame lives on the very
     // stack `ctx` points into, and a thief resuming the continuation
     // would overwrite it while we still execute. Stash the continuation
-    // in the payload (heap) and leave this stack first; `child_main`
+    // in the child's record and leave this stack first; `child_main`
     // publishes it from the child's fresh stack.
-    // SAFETY: [I8] the payload is exclusively ours until child_main takes
-    // ownership; the borrow ends before the stack switch.
-    let top = unsafe {
-        let payload = &mut *(arg as *mut Payload);
-        payload.parent_ctx = ctx as u64;
-        payload
-            .stack
-            .as_ref()
-            .expect("stack present at start")
-            .top()
+    let hdr = arg as *mut TaskHeader;
+    // SAFETY: [I18] the record is exclusively the spawner's until the
+    // switch below hands it to the child.
+    let entry = unsafe {
+        (*hdr).parent_ctx = ctx as u64;
+        (*hdr).entry
     };
-    // SAFETY: [I6][I9] fresh pooled stack; child_main diverges.
-    unsafe { switch_stack_and_call(top, child_main, arg) }
+    // SAFETY: [I6][I9] the record's address is 16-byte aligned inside a
+    // fresh pooled stack with nothing live below it; `entry` diverges.
+    unsafe { switch_stack_and_call(arg as *mut u8, entry, arg) }
 }
 
-unsafe extern "C" fn child_main(arg: *mut c_void) -> ! {
-    {
-        // SAFETY: [I8] sole owner of the payload from here.
-        let mut payload = unsafe { Box::from_raw(arg as *mut Payload) };
-        let body = payload.body.take().expect("body present");
-        let task = payload.task_id;
-        // Push the parent thread's continuation: stealable from now on.
-        // Safe here per [I12] — we run on the child's fresh stack, and
-        // every parent-stack frame below the record is already dead.
-        if payload.parent_ctx != 0 {
-            // SAFETY: [I5][I7] worker structures outlive all tasks;
-            // scoped borrow on the owning thread.
-            unsafe {
-                let wr = &mut *current();
+unsafe extern "C" fn child_main<K, F: FnOnce() -> K>(arg: *mut c_void) -> ! {
+    let w = {
+        let rec = arg as *mut TaskRecord<F>;
+        // SAFETY: [I18] `arg` is the record `place_record::<K, F>` wrote
+        // (its `entry` names this instantiation), now solely the
+        // task's; `f` is moved out exactly once.
+        let (parent_ctx, join, task, f) = unsafe {
+            let hdr = &(*rec).hdr;
+            (
+                hdr.parent_ctx,
+                hdr.join,
+                hdr.task_id,
+                ManuallyDrop::take(&mut (*rec).f),
+            )
+        };
+        // SAFETY: [I5][I7] worker structures outlive all tasks;
+        // exclusive access on the owning thread, borrow scoped.
+        let (born, mborn) = unsafe {
+            let wr = &mut *current();
+            // Push the parent thread's continuation: stealable from now
+            // on. Safe here per [I12] — we run on the child's fresh
+            // stack, and every parent-stack frame below the record is
+            // already dead.
+            if parent_ctx != 0 {
                 // Trace: register the continuation *before* the push
                 // makes it stealable, so a thief's commit always finds
                 // the publication. `cur_task` is still the parent's id:
                 // `on_task_begin` below is what makes the child current.
                 let parent = wr.trace.cur_task();
-                wr.trace.on_publish(payload.parent_ctx, parent);
-                wr.shared.deques[wr.id].push(payload.parent_ctx);
+                wr.trace.on_publish(parent_ctx, parent);
+                wr.shared.deques[wr.id].push(parent_ctx);
             }
-        }
-        // Trace/metrics: the fiber body starts here; the begin stamps are
-        // Copy locals so they survive any migration of this stack between
-        // workers.
-        // SAFETY: [I7] exclusive worker access on this thread; scoped borrow.
-        let (born, mborn) = unsafe {
-            let wr = &mut *current();
+            // Trace/metrics: the fiber body starts here; the begin
+            // stamps are Copy locals so they survive any migration of
+            // this stack between workers.
             (wr.trace.on_task_begin(task), wr.metrics.on_task_begin())
         };
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
+        let Ok(keep) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) else {
             // Unwinding across a context switch is UB; mirror the paper's
             // C++ runtime and die loudly.
             eprintln!("uat-fiber: task panicked; aborting");
             std::process::abort();
-        }
+        };
         let w = current();
         // Retire our own stack; freed once control is off it.
-        // SAFETY: [I6][I7] exclusive worker access on this thread; the borrow is
-        // scoped to this block.
+        // SAFETY: [I6][I7][I18] exclusive worker access on this thread,
+        // borrow scoped to this block; the stack is moved out of the
+        // record exactly once, here.
         unsafe {
             let wr = &mut *w;
             debug_assert!(wr.pending_retire.is_none());
-            wr.pending_retire = payload.stack.take();
+            wr.pending_retire = Some(ManuallyDrop::take(&mut (*rec).hdr.stack));
             wr.trace.on_task_end(task, born);
             wr.metrics.on_task_end(mborn);
         }
-        // Thread exit: publish the result, wake a waiter if one parked.
-        payload.core.done.store(true, Ordering::Release);
-        let prev = payload.core.waiter.swap(WAITER_SEALED, Ordering::AcqRel);
-        if prev > WAITER_SEALED {
-            // Trace: name the join edge and register the waiter's
-            // continuation *before* the push makes it stealable.
-            #[cfg(feature = "trace")]
-            // SAFETY: [I7] exclusive worker access on this thread.
+        // Thread exit: count down the joiner's block, and make the
+        // joiner runnable if it parked and we are the last child.
+        // SAFETY: [I16] the block outlives this call: the joiner's
+        // frame cannot pass `join_all` before it, or `keep` owns it.
+        if let Some(waiter) = unsafe { (*join).complete() } {
+            // SAFETY: [I5][I7][I16] exclusive worker access; handed the
+            // waiter, the parked continuation is ours exactly here and
+            // the joiner's block stays put until the push.
             unsafe {
                 let wr = &mut *w;
+                // Trace: name the join edge and register the waiter's
+                // continuation *before* the push makes it stealable.
                 if wr.trace.enabled() {
-                    let parent = payload.core.waiter_task.load(Ordering::Acquire);
-                    payload.core.enabler.store(task, Ordering::Release);
+                    let parent = (*join).waiter_task.load(Ordering::Relaxed);
+                    (*join).enabler.store(task, Ordering::Relaxed);
                     wr.trace.on_join_ready(parent);
-                    wr.trace.on_publish(prev, parent);
+                    wr.trace.on_publish(waiter, parent);
                 }
-            }
-            // SAFETY: [I5] prev is a parked continuation, claimed exactly here;
-            // pushing it makes it runnable (and stealable).
-            unsafe {
-                let wr = &*w;
-                wr.shared.deques[wr.id].push(prev);
+                wr.shared.deques[wr.id].push(waiter);
             }
         }
+        // Only now, after the last access to the block [I18].
+        drop(keep);
         // Last act of the task: everything it did (every `spawn` it
         // called included) happens-before this Release tick.
         // SAFETY: [I7][I8] w points at this worker's thread-local Worker, alive
@@ -385,8 +454,9 @@ unsafe extern "C" fn child_main(arg: *mut c_void) -> ! {
             let wr = &*w;
             bump(&wr.shared.progress[wr.id].completed, 1, Ordering::Release);
         }
-    } // payload fully dropped before we abandon this stack
-    let w = current();
+        w
+    };
+    // Nothing with a destructor is live from here: we abandon this stack.
     // Figure 4 lines 13-15: pop the parent continuation; if stolen, go
     // to the scheduler.
     // SAFETY: [I5][I7] worker alive; contexts in the deque are live by protocol.
@@ -404,85 +474,84 @@ unsafe extern "C" fn child_main(arg: *mut c_void) -> ! {
     unsafe { resume_context(target) }
 }
 
-impl<T> JoinHandle<T> {
-    /// Wait for the thread to exit and take its result (Figure 7's
-    /// `join`): fast path is one done-flag load; otherwise the caller
-    /// suspends and the worker finds other work.
-    pub fn join(self) -> T {
-        if !self.core.done.load(Ordering::Acquire) {
-            let core_ptr: *const JoinCore = &*self.core;
-            // Trace: charge the park attempt to the suspend bucket.
-            // SAFETY: [I7] exclusive worker access on this thread.
-            unsafe {
-                (*current()).trace.on_suspend();
+/// Wait until every child announced on `jb` has completed (Figure 7's
+/// `join`): the fast path is one load; otherwise the caller suspends
+/// once — resumed by the last child — and the worker finds other work.
+pub(crate) fn join_all(jb: &JoinBlock) {
+    if jb.is_done() {
+        return;
+    }
+    // Trace: charge the park attempt to the suspend bucket.
+    // SAFETY: [I7] exclusive worker access on this thread.
+    unsafe {
+        (*current()).trace.on_suspend();
+    }
+    // SAFETY: [I5] join_tramp hands this continuation to the scheduler,
+    // which parks it (resumed exactly once by the last child) or resumes
+    // it inline.
+    unsafe {
+        save_context_and_call(
+            std::ptr::null_mut(),
+            join_tramp,
+            jb as *const JoinBlock as *mut c_void,
+        );
+    }
+    let w = collect_retired();
+    // Trace: name the resume edge if the join actually parked (the
+    // enabling child recorded itself; taken, so the block's next join
+    // starts clean); an inline resume just reopens the work slice.
+    // SAFETY: [I7] exclusive worker access on this (possibly new)
+    // thread.
+    unsafe {
+        let wr = &mut *w;
+        if wr.trace.enabled() {
+            match jb.enabler.swap(0, Ordering::Relaxed) {
+                0 => wr.trace.on_resumed(),
+                child => wr.trace.on_join_resume(child),
             }
-            // SAFETY: [I5] join_tramp either parks this continuation (resumed
-            // exactly once by the completer) or resumes it inline.
-            unsafe {
-                save_context_and_call(std::ptr::null_mut(), join_tramp, core_ptr as *mut c_void);
-            }
-            collect_retired();
-            // Trace: name the resume edge if the join actually parked
-            // (the child that sealed the slot recorded itself as the
-            // enabler); an inline resume just reopens the work slice.
-            #[cfg(feature = "trace")]
-            // SAFETY: [I7] exclusive worker access on this (possibly new)
-            // thread.
-            unsafe {
-                let wr = &mut *current();
-                if wr.trace.enabled() {
-                    let child = self.core.enabler.load(Ordering::Acquire);
-                    if child != 0 {
-                        wr.trace.on_join_resume(child);
-                    } else {
-                        wr.trace.on_resumed();
-                    }
-                }
-            }
-            debug_assert!(self.core.done.load(Ordering::Acquire));
         }
-        let out = self
-            .result
-            .lock()
-            .unwrap()
-            .take()
-            .expect("task set its result before publishing done");
-        out
+    }
+    debug_assert!(jb.is_done());
+}
+
+impl<T> JoinHandle<T> {
+    /// Wait for the thread to exit and take its result.
+    pub fn join(self) -> T {
+        join_all(&self.cell.block);
+        // SAFETY: [I8] `join_all` acquired the child's write, and
+        // `join` consumes the only handle: no other reader.
+        unsafe { (*self.cell.result.get()).take() }
+            .expect("task stored its result before completing")
     }
 
     /// Whether the thread has exited (non-blocking `try_join`).
     pub fn is_done(&self) -> bool {
-        self.core.done.load(Ordering::Acquire)
+        self.cell.block.is_done()
     }
 }
 
 unsafe extern "C" fn join_tramp(ctx: *mut Context, arg: *mut c_void) {
-    let core = arg as *const JoinCore;
-    // Trace: record who is about to park *before* the CAS can expose the
-    // slot to the completing child (which reads it to name `JoinReady`).
-    #[cfg(feature = "trace")]
-    // SAFETY: [I7][I8] core outlives the join; exclusive worker access.
-    unsafe {
-        let wr = &mut *current();
-        if wr.trace.enabled() {
-            (*core)
-                .waiter_task
-                .store(wr.trace.cur_task(), Ordering::Release);
-        }
-    }
-    // [I12]: the waiter CAS publishes `ctx` — the completing child can
-    // push it and a thief can resume it the next instant, overwriting
-    // this very frame (it lives on `ctx`'s stack). So don't CAS here:
-    // hand the park to the scheduler, which runs on the worker's OS
-    // stack. Until the scheduler's CAS, `ctx` is invisible to every
-    // other thread, so this stack is still private.
+    let jb = arg as *const JoinBlock;
+    // [I12]: parking publishes `ctx` — the last child can push it and a
+    // thief can resume it the next instant, overwriting this very frame
+    // (it lives on `ctx`'s stack). So don't park here: hand it to the
+    // scheduler, which runs on the worker's OS stack. Until the
+    // scheduler's `park`, `ctx` is invisible to every other thread, so
+    // this stack is still private.
     let w = current();
-    // SAFETY: [I7] exclusive worker access; the borrow ends before the
-    // resume below.
+    // SAFETY: [I7][I8] exclusive worker access, the borrow ends before
+    // the resume below; the block outlives the join.
     let sched = unsafe {
         let wr = &mut *w;
+        // Trace: record who is about to park *before* `park` can expose
+        // the slot to the last child (which reads it to name `JoinReady`).
+        if wr.trace.enabled() {
+            (*jb)
+                .waiter_task
+                .store(wr.trace.cur_task(), Ordering::Relaxed);
+        }
         debug_assert!(wr.pending_join.is_none());
-        wr.pending_join = Some((core, ctx as u64));
+        wr.pending_join = Some((jb, ctx as u64));
         wr.sched_ctx
     };
     // SAFETY: [I5] the scheduler context is parked in its loop and is
@@ -675,6 +744,27 @@ impl Runtime {
         ));
         #[cfg(not(feature = "metrics"))]
         let metrics = Arc::new(MetricsShared::new());
+        // The root is an ordinary task record on an ordinary stack, with
+        // no continuation to publish; it reports to a cell this frame
+        // keeps a handle on, exactly like a public `spawn`.
+        let cell = JoinCell::new();
+        cell.block.announce();
+        let root_task = {
+            #[cfg(feature = "trace")]
+            {
+                trace.as_ref().map_or(0, |t| t.alloc_task())
+            }
+            #[cfg(not(feature = "trace"))]
+            {
+                0
+            }
+        };
+        let seed = place_record(
+            Stack::new(self.stack_size),
+            &cell.block,
+            root_task,
+            JoinCell::task(Arc::clone(&cell), root),
+        );
         let shared = Arc::new(Shared {
             deques: (0..self.nworkers)
                 .map(|_| Arc::new(NativeDeque::new(8192)))
@@ -682,37 +772,13 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             progress: (0..self.nworkers).map(|_| Progress::default()).collect(),
             metrics,
-            seed_task: Mutex::new(None),
+            seed_task: AtomicPtr::new(seed),
             #[cfg(feature = "trace")]
             trace,
         });
         // The root counts as spawned from the start, so the scan cannot
         // pass before the root itself has completed.
         shared.progress[0].spawned.store(1, Ordering::Relaxed);
-
-        let core = Arc::new(JoinCore::new());
-        let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        let r2 = Arc::clone(&result);
-        let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-            *r2.lock().unwrap() = Some(root());
-        });
-        let root_task = {
-            #[cfg(feature = "trace")]
-            {
-                shared.trace.as_ref().map_or(0, |t| t.alloc_task())
-            }
-            #[cfg(not(feature = "trace"))]
-            {
-                0
-            }
-        };
-        *shared.seed_task.lock().unwrap() = Some(Box::new(Payload {
-            body: Some(body),
-            core: Arc::clone(&core),
-            stack: Some(Stack::new(self.stack_size)),
-            task_id: root_task,
-            parent_ctx: 0,
-        }));
 
         let t0 = std::time::Instant::now();
         let handles: Vec<_> = (0..self.nworkers)
@@ -758,7 +824,7 @@ impl Runtime {
         while !quiescent(&shared.progress) {
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
-        debug_assert!(core.done.load(Ordering::Acquire));
+        debug_assert!(cell.block.is_done());
         // Disarm the sampler *before* the shutdown flag: workers stop
         // heartbeating once they see shutdown, and the watchdog must
         // never mistake an orderly exit for a stall.
@@ -782,7 +848,13 @@ impl Runtime {
                 }
             }
         }
-        let out = result.lock().unwrap().take().expect("root set its result");
+        // The root dropped its reference before its completion tick, which
+        // the scan above acquired: ours is the last one.
+        let out = Arc::into_inner(cell)
+            .expect("the root task released its cell")
+            .result
+            .into_inner()
+            .expect("root set its result");
         let sched = SchedStats {
             steals: shared.metrics.steals_total(),
             parks: shared.metrics.parks_total(),
@@ -872,13 +944,11 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
 
     // Worker 0 seeds the root task.
     if id == 0 {
-        let payload = shared
-            .seed_task
-            .lock()
-            .unwrap()
-            .take()
-            .expect("seed present");
-        run_fresh(payload);
+        run_fresh(
+            shared
+                .seed_task
+                .swap(std::ptr::null_mut(), Ordering::Acquire),
+        );
     }
 
     let n = shared.deques.len();
@@ -895,21 +965,16 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
             (*w).metrics.on_loop();
         }
         // Scheduler-side join park [I12]: a fiber that suspended on a
-        // join handed us its (core, ctx); publish the waiter CAS from
-        // this OS stack. If the child sealed the slot first, the fiber
-        // never really parked — continue it right away.
+        // join handed us its (block, ctx); park it from this OS stack.
+        // If every child had completed first, the fiber never really
+        // parked — continue it right away.
         // SAFETY: [I7] exclusive worker access; scoped borrow.
-        if let Some((core, ctx)) = unsafe { (*w).pending_join.take() } {
-            // SAFETY: [I8] the suspended fiber's frame holds the
-            // JoinHandle's Arc, keeping `core` alive until this CAS
-            // decides whether it parks or resumes.
-            let parked_now = unsafe {
-                (*core)
-                    .waiter
-                    .compare_exchange(WAITER_EMPTY, ctx, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            };
-            if !parked_now {
+        if let Some((jb, ctx)) = unsafe { (*w).pending_join.take() } {
+            // SAFETY: [I8][I16] the suspended fiber's frame holds the
+            // block (or the JoinHandle whose cell does), and that frame
+            // stays suspended until `ctx` is resumed — which only
+            // `park`'s outcome can cause.
+            if !unsafe { (*jb).park(ctx) } {
                 idle_spins = 0;
                 run_ctx(ctx as *mut Context);
                 continue;
@@ -1029,29 +1094,26 @@ unsafe extern "C" fn run_tramp(sched_ctx: *mut Context, arg: *mut c_void) {
 }
 
 /// Start a brand-new thread (no saved context yet) from the scheduler.
-fn run_fresh(payload: Box<Payload>) {
+fn run_fresh(rec: *mut TaskHeader) {
     // SAFETY: [I5] fresh_tramp diverges into the task; scheduler context saved
     // as in run_ctx.
     unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            fresh_tramp,
-            Box::into_raw(payload) as *mut c_void,
-        );
+        save_context_and_call(std::ptr::null_mut(), fresh_tramp, rec as *mut c_void);
     }
     collect_retired();
 }
 
 unsafe extern "C" fn fresh_tramp(sched_ctx: *mut Context, arg: *mut c_void) {
     let w = current();
-    // SAFETY: [I7][I8] exclusive worker access; stack/top live in the payload.
-    let top = unsafe {
+    // SAFETY: [I7][I18] exclusive worker access; the record is ours
+    // until the switch below hands it to the task.
+    let entry = unsafe {
         (&mut *w).sched_ctx = sched_ctx;
-        let payload = &*(arg as *mut Payload);
-        payload.stack.as_ref().expect("stack present").top()
+        (*(arg as *mut TaskHeader)).entry
     };
-    // SAFETY: [I6][I9] fresh stack, child_main diverges.
-    unsafe { switch_stack_and_call(top, child_main, arg) }
+    // SAFETY: [I6][I9] fresh stack below the 16-byte-aligned record;
+    // `entry` diverges.
+    unsafe { switch_stack_and_call(arg as *mut u8, entry, arg) }
 }
 
 #[cfg(test)]
@@ -1185,6 +1247,53 @@ mod tests {
                 "run returned before the detached child finished (workers={workers})"
             );
         }
+    }
+
+    #[test]
+    fn oversized_closure_is_refused_naming_both_sizes() {
+        // 32 KiB of captures cannot go on a 16 KiB stack. The root goes
+        // through the same `place_record` as every spawn, and its check
+        // runs on the calling thread, where a panic can be caught (in a
+        // task it aborts the process, after the same message).
+        let big = [7u8; 32 << 10];
+        let err = std::panic::catch_unwind(move || {
+            Runtime::new(1)
+                .with_stack_size(16 << 10)
+                .run(move || big.iter().map(|&b| b as u64).sum::<u64>())
+        })
+        .expect_err("a 32 KiB closure cannot fit a 16 KiB stack");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        let closure = std::mem::size_of::<[u8; 32 << 10]>() + std::mem::size_of::<usize>();
+        assert!(msg.contains(&format!("{closure}-byte closure")), "{msg}");
+        assert!(msg.contains("1/4 of the 16384-byte task stack"), "{msg}");
+    }
+
+    #[test]
+    fn closure_within_the_record_limit_runs() {
+        // 2 KiB of captures is well under a quarter of a 64 KiB stack
+        // (and leaves an unoptimised build room for its by-value moves).
+        let rt = Runtime::new(2).with_stack_size(64 << 10);
+        let big = [3u8; 2 << 10];
+        let out = rt.run(move || {
+            let h = spawn(move || big.iter().map(|&b| b as u64).sum::<u64>());
+            h.join() + big[0] as u64
+        });
+        assert_eq!(out, 3 * (2 << 10) + 3);
+    }
+
+    #[test]
+    fn zero_sized_closure_and_result() {
+        let rt = Runtime::new(2);
+        rt.run(|| {
+            let handles: Vec<JoinHandle<()>> = (0..100).map(|_| spawn(|| ())).collect();
+            for h in handles {
+                h.join();
+            }
+            let h = spawn(|| ());
+            while !h.is_done() {
+                std::thread::yield_now();
+            }
+        });
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! switching, real stealing, results cross-checked against sequential
 //! and simulated executions.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use uni_address_threads::fiber::{self, Runtime};
 use uni_address_threads::workloads::nqueens::Board;
 use uni_address_threads::workloads::NQueens;
@@ -97,12 +99,111 @@ fn unbalanced_spawn_tree() {
 #[test]
 fn join_handles_can_outlive_spawning_order() {
     let rt = Runtime::new(2);
-    let total = rt.run(|| {
+    let got = rt.run(|| {
         let handles: Vec<_> = (0..64u64).map(|i| fiber::spawn(move || i * i)).collect();
-        // Join in reverse: forces the non-parent-pop paths.
-        handles.into_iter().rev().map(|h| h.join()).sum::<u64>()
+        // Join in reverse: forces the non-parent-pop paths. Each handle
+        // must still return its own child's value.
+        let mut got: Vec<u64> = handles.into_iter().rev().map(|h| h.join()).collect();
+        got.reverse();
+        got
     });
-    assert_eq!(total, (0..64u64).map(|i| i * i).sum());
+    assert_eq!(got, (0..64u64).map(|i| i * i).collect::<Vec<_>>());
+}
+
+/// Counts its own drops, as a task result or a closure capture.
+struct Counted(Arc<AtomicUsize>);
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Run `body` on `workers` workers, handing it one drop-counted value
+/// for a child's closure to capture and one for the child to return;
+/// whatever `body` does with the handle, by the time `run` returns each
+/// must have been dropped exactly once.
+fn assert_dropped_once(
+    workers: usize,
+    what: &str,
+    body: impl FnOnce(Counted, Counted) + Send + 'static,
+) {
+    let (captures, results) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let (capture, result) = (Counted(captures.clone()), Counted(results.clone()));
+    Runtime::new(workers).run(move || body(capture, result));
+    assert_eq!(captures.load(Ordering::SeqCst), 1, "{what}: capture drops");
+    assert_eq!(results.load(Ordering::SeqCst), 1, "{what}: result drops");
+}
+
+/// A child body that owns `capture` while it runs and returns `result`.
+fn child_of(capture: Counted, result: Counted) -> impl FnOnce() -> Counted + Send + 'static {
+    move || {
+        let _held = capture;
+        result
+    }
+}
+
+#[test]
+fn joined_handle_drops_capture_and_result_once() {
+    for workers in [1usize, 3] {
+        assert_dropped_once(workers, "joined", |capture, result| {
+            let out = fiber::spawn(child_of(capture, result)).join();
+            drop(out);
+        });
+    }
+}
+
+#[test]
+fn handle_dropped_after_the_child_finished_drops_once() {
+    // One worker: child-first order finishes the child inside `spawn`.
+    assert_dropped_once(1, "dropped after completion", |capture, result| {
+        let h = fiber::spawn(child_of(capture, result));
+        assert!(h.is_done());
+        drop(h);
+    });
+}
+
+#[test]
+fn handle_dropped_before_the_child_finishes_drops_once() {
+    // The child holds on until the root — resumed by a thief while the
+    // child still runs — has dropped the handle, so the child's is the
+    // last reference to the shared cell.
+    assert_dropped_once(3, "dropped before completion", |capture, result| {
+        let dropped = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&dropped);
+        let child = child_of(capture, result);
+        let h = fiber::spawn(move || {
+            while !seen.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            child()
+        });
+        assert!(!h.is_done());
+        drop(h);
+        dropped.store(true, Ordering::Release);
+    });
+}
+
+#[test]
+fn handle_joined_on_another_worker_drops_once() {
+    // The child keeps its worker busy until the root's continuation has
+    // been resumed — which, with the child still running, can only be
+    // on a different worker than the one `spawn` was called on.
+    assert_dropped_once(3, "joined elsewhere", |capture, result| {
+        let resumed = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&resumed);
+        let child = child_of(capture, result);
+        let spawned_on = fiber::current_worker_id();
+        let h = fiber::spawn(move || {
+            while !seen.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            child()
+        });
+        assert_ne!(fiber::current_worker_id(), spawned_on);
+        resumed.store(true, Ordering::Release);
+        drop(h.join());
+    });
 }
 
 #[test]
