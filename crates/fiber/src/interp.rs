@@ -16,9 +16,12 @@
 //!   one join block — one pending-count load on the fast path, else one
 //!   Figure 7 suspend, resumed by the last child, while the worker
 //!   finds other work;
-//! - [`Workload::frame_size`] is honored by *really reserving* that many
-//!   bytes of the task's stack before the program runs, so stack-depth
-//!   behaviour (and guard-page faults on overflow) are genuine.
+//! - [`Workload::frame_size`] is honored where the paper honors it, at
+//!   creation: the spawner evaluates it once and the child's body starts
+//!   that many bytes below the task's record at the top of its stack —
+//!   one subtraction, bound-checked against the stack (a frame that does
+//!   not fit is refused by name), so stack-depth behaviour (and
+//!   guard-page faults on deeper overflow) are genuine.
 //!
 //! The run reports [`NativeRunStats`] with the same unit accounting as
 //! the simulator's `RunStats` (`total_units`, `total_tasks`,
@@ -35,33 +38,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uat_model::{task_shape_hash, Action, Workload};
 
-/// Bytes of genuine stack reserved per recursion step of
-/// [`with_reserved_frame`]. Small enough that the reservation tracks
-/// `frame_size` closely; large enough that the recursion overhead stays
-/// a minor fraction.
-const FRAME_CHUNK: usize = 256;
-
-/// Run `f` with (at least) `bytes` bytes of the current stack reserved
-/// below it — the native realisation of a task's uni-address frame
-/// claim. The reservation is real: each step places a touched buffer on
-/// the stack, so a `frame_size` that exceeds the runtime's stack size
-/// faults on the guard page instead of silently lying.
-#[inline(never)]
-pub(crate) fn with_reserved_frame<R, F: FnOnce() -> R>(bytes: u64, f: F) -> R {
-    if bytes == 0 {
-        return f();
-    }
-    let mut pad = [0u8; FRAME_CHUNK];
-    std::hint::black_box(pad.as_mut_ptr());
-    with_reserved_frame(bytes.saturating_sub(FRAME_CHUNK as u64), f)
-}
-
 /// Everything one task contributes to the run accounting, computed from
 /// its expanded program before it executes — so the whole contribution
 /// is recorded in one go, on one worker, ahead of the task's first
 /// migration point.
 pub(crate) struct TaskAcct {
-    pub(crate) frame: u64,
+    frame: u64,
     units: u64,
     work_cycles: u64,
     joins: u64,
@@ -69,9 +51,15 @@ pub(crate) struct TaskAcct {
 }
 
 impl TaskAcct {
-    pub(crate) fn of<W: Workload>(w: &W, d: &W::Desc, prog: &[Action<W::Desc>]) -> TaskAcct {
+    /// `frame` is what the task's spawner claimed for it.
+    pub(crate) fn of<W: Workload>(
+        w: &W,
+        d: &W::Desc,
+        frame: u64,
+        prog: &[Action<W::Desc>],
+    ) -> TaskAcct {
         let mut a = TaskAcct {
-            frame: w.frame_size(d),
+            frame,
             units: w.units(d),
             work_cycles: 0,
             joins: 0,
@@ -196,8 +184,10 @@ impl<W: Workload> Copy for EnvRef<W> {}
 unsafe impl<W: Workload + Sync> Send for EnvRef<W> {}
 
 /// Interpret one task: expand its program and execute it on this fiber.
-/// `chain_above` is the summed `frame_size` of the task's ancestors.
-fn exec<W>(env: EnvRef<W>, d: &W::Desc, chain_above: u64)
+/// `frame` is the task's own `frame_size`, already claimed below its
+/// record by whoever spawned it; `chain_above` is the summed
+/// `frame_size` of its ancestors.
+fn exec<W>(env: EnvRef<W>, d: &W::Desc, frame: u64, chain_above: u64)
 where
     W: Workload + Send + Sync + 'static,
     W::Desc: 'static,
@@ -215,33 +205,31 @@ where
         .pop()
         .unwrap_or_default();
     e.w.program(d, &mut prog);
-    let acct = TaskAcct::of(&e.w, d, &prog);
-    let chain = chain_above + acct.frame;
-    e.rows[me].record(&acct, chain);
+    let chain = chain_above + frame;
+    e.rows[me].record(&TaskAcct::of(&e.w, d, frame, &prog), chain);
 
     // The task's one join block, a local of this frame: every child
     // counts on it, every `JoinAll` waits on it.
     let jb = JoinBlock::new();
-    with_reserved_frame(acct.frame, || {
-        for a in prog.drain(..) {
-            match a {
-                Action::Work(cycles) => tsc::spin_cycles(cycles / e.work_divisor),
-                // Child-first: `exec(child)` starts right now on a
-                // fresh stack; our continuation (the rest of this
-                // loop) becomes stealable.
+    for a in prog.drain(..) {
+        match a {
+            Action::Work(cycles) => tsc::spin_cycles(cycles / e.work_divisor),
+            // Child-first: `exec(child)` starts right now on a fresh
+            // stack, its frame claimed below its record; our
+            // continuation (the rest of this loop) becomes stealable.
+            Action::Spawn(child) => {
+                let claim = e.w.frame_size(&child);
                 // SAFETY: [I16] `jb` is joined below before this frame
                 // ends; `env` outlives every task.
-                Action::Spawn(child) => unsafe {
-                    spawn_on(&jb, move || exec(env, &child, chain));
-                },
-                Action::JoinAll => join_all(&jb),
+                unsafe { spawn_on(&jb, claim, move || exec(env, &child, claim, chain)) };
             }
+            Action::JoinAll => join_all(&jb),
         }
-        // Fork-join programs end with every child joined (the simulator
-        // asserts as much); join stragglers anyway so a malformed
-        // workload cannot leak running tasks past its own completion.
-        join_all(&jb);
-    });
+    }
+    // Fork-join programs end with every child joined (the simulator
+    // asserts as much); join stragglers anyway so a malformed workload
+    // cannot leak running tasks past its own completion.
+    join_all(&jb);
     // SAFETY: [I7] as above, on the worker this task *ends* on.
     unsafe { &mut *e.bufs[current_worker_id()].0.get() }.push(prog);
 }
@@ -403,8 +391,8 @@ impl NativeRunner {
     }
 
     /// Override the per-task stack size (default 128 KiB). Must exceed
-    /// the workload's largest `frame_size` with room for the
-    /// interpreter's own frames.
+    /// the workload's largest `frame_size` (a run panics, naming both,
+    /// if it does not) with room for the interpreter's own frames.
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
         self
@@ -512,13 +500,15 @@ impl NativeRunner {
                 .collect(),
             work_divisor: self.work_divisor,
         });
+        let root = env.w.root();
+        let root_frame = env.w.frame_size(&root);
         // The root task's closure owns the one other handle on the Env.
         // Every task joins its children before it returns, so that
         // closure — dropped when the root's body ends — outlives every
         // `EnvRef` dereference, whatever happens to this frame.
         let held = Arc::clone(&env);
-        let root = Box::new(move || exec(EnvRef(Arc::as_ptr(&held)), &held.w.root(), 0));
-        let (sched, trace_dropped, extra) = drive(self.runtime(), root);
+        let root = Box::new(move || exec(EnvRef(Arc::as_ptr(&held)), &root, root_frame, 0));
+        let (sched, trace_dropped, extra) = drive(self.runtime().with_root_frame(root_frame), root);
         let stats = AcctRow::totals(
             env.rows.iter(),
             NativeRunStats {
@@ -581,17 +571,22 @@ mod tests {
 
     #[test]
     fn frames_really_occupy_stack() {
-        // A frame far beyond the chunk size still completes (the
-        // reservation recursion works), and the peak is the two-level
-        // frame chain.
+        // Frames of several pages each are claimed on their tasks'
+        // stacks, and the peak is the two-level frame chain.
         let w = BinTree {
             depth: 1,
             work: 0,
             frame: 16 << 10,
         };
-        let s = runner(1).run(w);
+        let s = runner(1).run(w.clone());
         assert_eq!(s.peak_frame_bytes, 2 * (16 << 10));
         assert_eq!(s.total_tasks, 3);
+        // The same frames on stacks that cannot hold them are refused
+        // by name: `frame_size` reaches the claim's bound check.
+        let err = std::panic::catch_unwind(|| runner(1).with_stack_size(16 << 10).run(w))
+            .expect_err("a 16 KiB frame cannot fit a 16 KiB stack");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("a task frame of 16384 bytes"), "{msg}");
     }
 
     #[cfg(feature = "trace")]

@@ -21,8 +21,9 @@
 //!   done simply by passing the address of the stack").
 //! - [`interp`]: the native backend of the backend-neutral task model —
 //!   an interpreter that runs any `uat-model` `Workload` (`Work` /
-//!   `Spawn` / `JoinAll` programs) on real fibers with real frame
-//!   reservation, reporting the same unit accounting as the simulator.
+//!   `Spawn` / `JoinAll` programs) on real fibers, each task's frame
+//!   claimed at its spawn, reporting the same unit accounting as the
+//!   simulator.
 //! - [`ntrace`]: native observability — per-worker TSC-stamped event
 //!   rings, `TimeAccount` buckets, and steal-phase spans feeding the
 //!   same `uat-trace` exporters and profiler the simulator uses
@@ -34,6 +35,8 @@
 //!   off).
 //! - `join`: the join protocol both real backends share — a per-joiner
 //!   pending count plus one waiter slot, arbitrated on a single word.
+//! - `frame`: the frame claim both real backends share — where below
+//!   its record a task's body starts, bound-checked against the stack.
 //! - [`ipc`]: the faithful **cross-address-space** demonstration —
 //!   process-per-core via `fork`, the uni-address region at the same
 //!   fixed virtual address in each process, shared-memory task-queue
@@ -59,6 +62,7 @@
 
 pub mod creation;
 pub mod ctx;
+mod frame;
 pub mod interp;
 pub mod ipc;
 mod join;

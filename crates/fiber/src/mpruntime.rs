@@ -27,8 +27,9 @@
 //! - the **stats bank** (one single-writer accounting row per worker)
 //!   and the **slot pool** (a locked LIFO of free stack slots behind
 //!   one small cache per worker);
-//! - the **control block**: shutdown flag, slots-exhausted flag, and the
-//!   fork-safety probe readings — nothing a task ever writes.
+//! - the **control block**: shutdown flag, the two give-up flags (slot
+//!   pool exhausted, frame too large for a slot's stack), and the
+//!   allocation-probe readings — nothing a task ever writes.
 //!
 //! Creating, running and finishing a task that nobody steals writes
 //! only lines its own worker owns ([I17]): the worker's deque, its
@@ -51,9 +52,10 @@
 //! `fork-safety` rule scans it (and its callees) for alloc/lock
 //! constructs, and the `mp_fork_safety` integration test counts
 //! allocations across the window with a probing global allocator.
-//! After the worker loop is entered, allocation is permitted (task
-//! programs expand through a transient `Vec` that never survives a
-//! migration point, per [I16]).
+//! After the worker loop is entered, allocation is permitted, but the
+//! task path makes none in steady state: programs expand through one
+//! recycled per-process buffer, taken and handed back with no migration
+//! point in between ([I16]).
 //!
 //! # Per-process state
 //!
@@ -67,12 +69,13 @@
 //! after a potential migration re-derives through the opaque call.
 
 use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
-use crate::interp::{with_reserved_frame, AcctRow, NativeRunStats, TaskAcct};
+use crate::frame::{self, FrameTooLarge, PAGE};
+use crate::interp::{AcctRow, NativeRunStats, TaskAcct};
 use crate::join::JoinBlock;
 use crate::runtime::bump;
 use crate::tsc;
 use std::ffi::c_void;
-use std::mem::MaybeUninit;
+use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -87,7 +90,6 @@ use uat_rdma::{OneSidedFabric, ShmFabric};
 /// the two demonstrations can coexist in one test binary).
 pub const MP_BASE: usize = 0x7e00_0000_0000;
 
-const PAGE: usize = 4096;
 /// Entries per worker deque (matches the thread runtime's sizing).
 const DEQ_CAP: usize = 8192;
 /// Bytes at the top of each slot for the task header + program area.
@@ -125,10 +127,16 @@ struct Ctrl {
     /// before it exits; read by the coordinator when it finds a worker
     /// dead, to name the failure.
     slots_exhausted: AtomicU64,
+    /// Likewise, by a worker asked to spawn a task whose frame does not
+    /// fit a slot's stack: that frame's size (never 0).
+    frame_too_large: AtomicU64,
     /// Per-worker allocation count observed across the fork-safety
     /// window, written once at worker-loop entry (0 when no probe is
     /// installed; see [`set_bootstrap_alloc_probe`]).
     bootstrap_allocs: [AtomicU64; MAX_WORKERS],
+    /// Per-worker allocation count over the whole worker loop, written
+    /// once at its exit (same probe).
+    run_allocs: [AtomicU64; MAX_WORKERS],
 }
 
 const _: () = assert!(std::mem::size_of::<Ctrl>() <= PAGE);
@@ -152,8 +160,11 @@ struct MpHeader<D> {
     parent_ctx: u64,
     /// This slot's index (so code on the slot's stack can retire it).
     slot_idx: u64,
-    /// Number of `Action`s copied into the program area.
-    prog_len: u64,
+    /// The task's `frame_size`, evaluated once, by its spawner.
+    frame: u64,
+    /// Where the body starts: `frame` bytes below this header, as
+    /// [`frame::claim`] checked it against the slot's stack [I19].
+    sp: u64,
     /// The task descriptor (`Copy` plain data; [I16]).
     desc: MaybeUninit<D>,
 }
@@ -270,8 +281,43 @@ impl RegionLayout {
         self.slot_base(slot) + self.slot_size - PROG_BYTES
     }
 
+    /// Lowest usable address of the slot's stack (just above its guard
+    /// page).
+    fn slot_stack_limit(&self, slot: usize) -> usize {
+        self.slot_base(slot) + PAGE
+    }
+
     fn header<D>(&self, slot: usize) -> *mut MpHeader<D> {
         self.slot_stack_top(slot) as *mut MpHeader<D>
+    }
+
+    /// Write the header of a task about to start on the free slot
+    /// `slot`, its frame claimed below it; refused if the slot's stack
+    /// cannot hold the frame.
+    fn place_header<D>(
+        &self,
+        slot: usize,
+        join: u64,
+        chain_above: u64,
+        frame: u64,
+        desc: D,
+    ) -> Result<*mut MpHeader<D>, FrameTooLarge> {
+        let hdr = self.header::<D>(slot);
+        let sp = frame::claim(hdr as usize, self.slot_stack_limit(slot), frame)?;
+        // SAFETY: [I16] a free slot's header is exclusively the
+        // caller's until the task it starts publishes or retires it.
+        unsafe {
+            hdr.write(MpHeader {
+                join,
+                chain_above,
+                parent_ctx: 0,
+                slot_idx: slot as u64,
+                frame,
+                sp: sp as u64,
+                desc: MaybeUninit::new(desc),
+            });
+        }
+        Ok(hdr)
     }
 
     /// First `Action<D>` of the slot's program area (just after the
@@ -318,6 +364,10 @@ struct MpProc {
     /// The workload, by pre-fork pointer (copy-on-write read-only data,
     /// same virtual address in every worker).
     env: u64,
+    /// Raw parts (pointer, capacity) of this process's recycled program
+    /// buffer, an empty `Vec<Action<W::Desc>>` between tasks; (0, 0)
+    /// until the first task, so bootstrap allocates nothing [I15].
+    prog_buf: (usize, usize),
 }
 
 /// The worker process's state. Plain per-process memory: every worker
@@ -541,23 +591,25 @@ fn reclaim_slot(layout: &RegionLayout, me: usize) -> usize {
     let got = mine.pop();
     pool.release();
     caches().for_each(|c| c.release());
-    got.unwrap_or_else(|| die_slots_exhausted(layout))
+    got.unwrap_or_else(|| {
+        // SAFETY: [I16] ctrl is the mapped control block.
+        let ctrl = unsafe { &*layout.ctrl() };
+        let msg = b"uat-fiber(mp): stack slot pool exhausted; worker exiting\n";
+        die(&ctrl.slots_exhausted, 1, msg, 103)
+    })
 }
 
-/// Give the run up from a worker: tell the coordinator why and exit.
+/// Give the run up from a worker: tell the coordinator why (`why`,
+/// non-zero, into `flag` of the control block) and exit with `status`.
 /// No `panic!` — its hook takes the stderr lock and allocates, and
 /// either may be held by a parent thread that did not survive `fork`;
 /// a worker that hung here would hang the run.
-fn die_slots_exhausted(layout: &RegionLayout) -> ! {
-    // SAFETY: [I16] ctrl is the mapped control block.
-    unsafe { &*layout.ctrl() }
-        .slots_exhausted
-        .store(1, Ordering::Release);
-    let msg = b"uat-fiber(mp): stack slot pool exhausted; worker exiting\n";
+fn die(flag: &AtomicU64, why: u64, msg: &[u8], status: i32) -> ! {
+    flag.store(why, Ordering::Release);
     // SAFETY: [I10] async-signal-safe raw write + process exit.
     unsafe {
         libc::write(2, msg.as_ptr() as *const c_void, msg.len());
-        libc::_exit(103)
+        libc::_exit(status)
     }
 }
 
@@ -622,6 +674,7 @@ where
             rng: SplitMix64::new(0x5EED ^ id as u64),
             divisor,
             env: env as u64,
+            prog_buf: (0, 0),
         });
     }
     // SAFETY: [I16] ctrl is the mapped control block.
@@ -647,6 +700,7 @@ where
     };
     // SAFETY: [I16] mapped control block.
     let ctrl = unsafe { &*layout.ctrl() };
+    let allocs_at_entry = probe_allocs();
 
     if id == 0 {
         // Seed the root task (its header was written pre-fork by the
@@ -734,6 +788,10 @@ where
             }
         }
     }
+    ctrl.run_allocs[id].store(
+        probe_allocs().wrapping_sub(allocs_at_entry),
+        Ordering::Release,
+    );
     // SAFETY: [I10] _exit skips atexit handlers and destructors — the
     // worker owns nothing outside the shared region worth destructing,
     // and must not run the parent's cloned cleanup.
@@ -767,15 +825,15 @@ where
     W: Workload,
     W::Desc: Copy,
 {
-    // SAFETY: [I15] as in mp_run_tramp.
-    let top = unsafe {
+    // SAFETY: [I15] as in mp_run_tramp; [I16] the root's header, written
+    // pre-fork by the coordinator.
+    let sp = unsafe {
         (*mp_proc()).sched_ctx = sched as u64;
-        let hdr = &*(arg as *const MpHeader<W::Desc>);
-        (*mp_proc()).layout.slot_stack_top(hdr.slot_idx as usize) as *mut u8
+        (*(arg as *const MpHeader<W::Desc>)).sp as *mut u8
     };
-    // SAFETY: [I6][I9] the slot stack is mapped and fresh;
-    // mp_child_main diverges.
-    unsafe { switch_stack_and_call(top, mp_child_main::<W>, arg) }
+    // SAFETY: [I6][I9][I19] the slot stack is mapped and fresh, `sp`
+    // inside it below the header; mp_child_main diverges.
+    unsafe { switch_stack_and_call(sp, mp_child_main::<W>, arg) }
 }
 
 // ---------------------------------------------------------------------
@@ -867,26 +925,36 @@ where
     W: Workload,
     W::Desc: Copy,
 {
-    // SAFETY: [I15] per-process state; values are Copy snapshots.
-    let (layout, worker, divisor, env) = unsafe {
-        let p = &*mp_proc();
-        (p.layout, p.worker, p.divisor, p.env)
+    // SAFETY: [I15] exclusive per-process state, scoped borrow: Copy
+    // snapshots, and the recycled program buffer's parts, taken.
+    let (layout, worker, divisor, env, buf) = unsafe {
+        let p = &mut *mp_proc();
+        let buf = std::mem::take(&mut p.prog_buf);
+        (p.layout, p.worker, p.divisor, p.env, buf)
     };
     // SAFETY: [I16] the workload was constructed before fork and is
     // read-only for the whole run: the copy-on-write pages hold the
     // same bytes at the same address in every process.
     let w = unsafe { &*(env as *const W) };
-    let hdr = layout.header::<W::Desc>(slot);
-    // SAFETY: [I16] the slot header is ours; desc was written by the
+    // SAFETY: [I16] the slot header is ours, written whole by the
     // spawner (or the coordinator, for the root).
-    let d: W::Desc = unsafe { (*hdr).desc.assume_init() };
-    // SAFETY: [I16] as above, for chain_above.
-    let chain_above = unsafe { (*hdr).chain_above };
+    let (d, frame, chain_above) = unsafe {
+        let hdr = &*layout.header::<W::Desc>(slot);
+        (hdr.desc.assume_init(), hdr.frame, hdr.chain_above)
+    };
 
-    // Expand the program through a transient Vec, then copy it into the
-    // slot's program area and drop the Vec — no private-heap pointer
-    // may survive to the first migration point below [I16].
-    let mut prog: Vec<Action<W::Desc>> = Vec::new();
+    // Expand the program through this process's recycled buffer, then
+    // copy it into the slot's program area and hand the buffer back —
+    // no private-heap pointer may survive to the first migration point
+    // below [I16].
+    let mut prog: Vec<Action<W::Desc>> = match buf {
+        (_, 0) => Vec::new(),
+        // SAFETY: [I15] the parts of an empty `Vec<Action<W::Desc>>` put
+        // back below by an earlier task of this process, which runs one
+        // `W`; taken above, so a panicking `program` frees the buffer
+        // exactly once.
+        (ptr, cap) => unsafe { Vec::from_raw_parts(ptr as *mut Action<W::Desc>, 0, cap) },
+    };
     w.program(&d, &mut prog);
     let n = prog.len();
     assert!(
@@ -898,45 +966,46 @@ where
     );
     // The task's whole accounting, recorded on the worker it starts on
     // before its first migration point.
-    let acct = TaskAcct::of(w, &d, &prog);
-    let chain = chain_above + acct.frame;
-    layout.stats_row(worker).record(&acct, chain);
+    let chain = chain_above + frame;
+    layout
+        .stats_row(worker)
+        .record(&TaskAcct::of(w, &d, frame, &prog), chain);
     let prog_ptr = layout.prog_ptr::<W::Desc>(slot);
-    for (i, a) in prog.into_iter().enumerate() {
+    for (i, a) in prog.drain(..).enumerate() {
         // SAFETY: [I16] i < prog_capacity (asserted); the program area
         // is this slot's memory.
         unsafe { prog_ptr.add(i).write(a) };
     }
-    // SAFETY: [I16] header is ours.
-    unsafe { (*hdr).prog_len = n as u64 };
+    let mut prog = ManuallyDrop::new(prog);
+    // SAFETY: [I15] still the process the buffer was taken in: nothing
+    // since then can migrate.
+    unsafe { (*mp_proc()).prog_buf = (prog.as_mut_ptr() as usize, prog.capacity()) };
 
     // The join block is a local of this frame — on the shm stack, so a
     // child completing in another process reaches it at the same
     // address [I16]. It lives exactly as long as the task.
     let jb = JoinBlock::new();
 
-    with_reserved_frame(acct.frame, || {
-        for i in 0..n {
-            // SAFETY: [I16] reading back the i-th action we wrote above;
-            // Desc is Copy so the read copy has no drop obligations.
-            let a: Action<W::Desc> = unsafe { prog_ptr.add(i).read() };
-            match a {
-                Action::Work(cycles) => tsc::spin_cycles(cycles / divisor),
-                Action::Spawn(child) => mp_spawn::<W>(child, &jb, chain),
-                Action::JoinAll => mp_join(&jb),
-            }
+    for i in 0..n {
+        // SAFETY: [I16] reading back the i-th action we wrote above;
+        // Desc is Copy so the read copy has no drop obligations.
+        let a: Action<W::Desc> = unsafe { prog_ptr.add(i).read() };
+        match a {
+            Action::Work(cycles) => tsc::spin_cycles(cycles / divisor),
+            Action::Spawn(child) => mp_spawn::<W>(child, w.frame_size(&child), &jb, chain),
+            Action::JoinAll => mp_join(&jb),
         }
-        // Join stragglers so a malformed workload cannot leak running
-        // tasks past its own completion (mirrors the thread interp).
-        mp_join(&jb);
-    });
+    }
+    // Join stragglers so a malformed workload cannot leak running
+    // tasks past its own completion (mirrors the thread interp).
+    mp_join(&jb);
 }
 
 /// Spawn a child task, child-first: the child starts right now on a
-/// fresh slot stack and the caller's continuation becomes stealable by
-/// every process. `chain` is the spawner's frame chain, its own frame
-/// included.
-fn mp_spawn<W>(desc: W::Desc, jb: &JoinBlock, chain: u64)
+/// fresh slot stack, `frame` bytes of it claimed ahead of the body, and
+/// the caller's continuation becomes stealable by every process.
+/// `chain` is the spawner's frame chain, its own frame included.
+fn mp_spawn<W>(desc: W::Desc, frame: u64, jb: &JoinBlock, chain: u64)
 where
     W: Workload,
     W::Desc: Copy,
@@ -949,17 +1018,14 @@ where
     };
     jb.announce();
     let slot = alloc_slot(&layout, worker);
-    let hdr = layout.header::<W::Desc>(slot);
-    // SAFETY: [I16] a freshly allocated slot's header is exclusively
-    // ours until the child publishes/retires it.
-    unsafe {
-        (*hdr).join = jb as *const JoinBlock as u64;
-        (*hdr).chain_above = chain;
-        (*hdr).parent_ctx = 0;
-        (*hdr).slot_idx = slot as u64;
-        (*hdr).prog_len = 0;
-        (*hdr).desc = MaybeUninit::new(desc);
-    }
+    let hdr = layout
+        .place_header(slot, jb as *const JoinBlock as u64, chain, frame, desc)
+        .unwrap_or_else(|e| {
+            // SAFETY: [I16] ctrl is the mapped control block.
+            let ctrl = unsafe { &*layout.ctrl() };
+            let msg = b"uat-fiber(mp): task frame exceeds the slot stack; worker exiting\n";
+            die(&ctrl.frame_too_large, e.frame, msg, 104)
+        });
     // SAFETY: [I5] mp_spawn_tramp never returns normally; the
     // continuation saved here is resumed exactly once (by the child's
     // pop or by a thief in any process).
@@ -984,13 +1050,14 @@ where
     // this stack; mp_child_main publishes it from the child's stack.
     // SAFETY: [I16] the header is the child's slot, exclusively ours
     // until the switch below hands it to mp_child_main.
-    let top = unsafe {
+    let sp = unsafe {
         let hdr = &mut *(arg as *mut MpHeader<W::Desc>);
         hdr.parent_ctx = ctx as u64;
-        (*mp_proc()).layout.slot_stack_top(hdr.slot_idx as usize) as *mut u8
+        hdr.sp as *mut u8
     };
-    // SAFETY: [I6][I9] fresh slot stack; mp_child_main diverges.
-    unsafe { switch_stack_and_call(top, mp_child_main::<W>, arg) }
+    // SAFETY: [I6][I9][I19] fresh slot stack, `sp` inside it below the
+    // header; mp_child_main diverges.
+    unsafe { switch_stack_and_call(sp, mp_child_main::<W>, arg) }
 }
 
 /// Join every child spawned on `jb` so far: one pending-count load on
@@ -1046,6 +1113,9 @@ pub struct MpReport {
     /// Allocations each worker observed between `fork` and worker-loop
     /// entry (all 0 unless a probe caught a fork-safety regression).
     pub bootstrap_allocs: Vec<u64>,
+    /// Allocations each worker observed over its whole worker loop: a
+    /// small constant (its program buffer's growth), not per task.
+    pub run_allocs: Vec<u64>,
     /// The metrics segment's cells, worker-major with
     /// `uat_metrics::shm` layout, read via `uat_rdma::OneSidedFabric`.
     pub metric_words: Vec<u64>,
@@ -1198,15 +1268,11 @@ impl MultiProcessRunner {
         for s in (1..layout.slots).rev() {
             pool.push(s);
         }
-        // Root task header into slot 0.
-        let root_hdr = layout.header::<W::Desc>(0);
-        // SAFETY: [I16] pre-fork init of the root's slot header.
-        unsafe {
-            (*root_hdr).join = 0;
-            (*root_hdr).chain_above = 0;
-            (*root_hdr).parent_ctx = 0;
-            (*root_hdr).slot_idx = 0;
-            (*root_hdr).desc = MaybeUninit::new(w.root());
+        // Root task header into slot 0: joined by nobody, its frame
+        // checked here, where a refusal can still be an ordinary panic.
+        let root = w.root();
+        if let Err(e) = layout.place_header(0, 0, 0, w.frame_size(&root), root) {
+            panic!("multiprocess: {e} (the root's)");
         }
 
         // Flush inherited stdio buffers so workers cannot re-emit them.
@@ -1263,6 +1329,11 @@ impl MultiProcessRunner {
                                 layout.slots
                             );
                         }
+                        let frame = ctrl.frame_too_large.load(Ordering::Acquire);
+                        if frame != 0 {
+                            let room = layout.slot_stack_top(0) - layout.slot_stack_limit(0);
+                            panic!("multiprocess: {}", FrameTooLarge { frame, room });
+                        }
                         panic!("multiprocess worker {pid} died mid-run (status {status:#x})");
                     }
                 }
@@ -1317,9 +1388,12 @@ impl MultiProcessRunner {
                 .map(|wk| metric_words[wk * MC_STRIDE + c])
                 .sum()
         };
-        let bootstrap_allocs = (0..layout.workers)
-            .map(|wk| ctrl.bootstrap_allocs[wk].load(Ordering::Acquire))
-            .collect();
+        let probed = |cells: &[AtomicU64]| -> Vec<u64> {
+            cells[..layout.workers]
+                .iter()
+                .map(|c| c.load(Ordering::Acquire))
+                .collect()
+        };
 
         // The workers were reaped, so every row holds its final values.
         let stats = AcctRow::totals(
@@ -1341,7 +1415,8 @@ impl MultiProcessRunner {
         assert_eq!(stats.spawns + 1, stats.total_tasks, "spawned != started");
         MpReport {
             stats,
-            bootstrap_allocs,
+            bootstrap_allocs: probed(&ctrl.bootstrap_allocs),
+            run_allocs: probed(&ctrl.run_allocs),
             metric_words,
         }
     }
@@ -1543,6 +1618,81 @@ mod tests {
         );
     }
 
+    /// A root with a 64-byte frame and one leaf child with `leaf_frame`.
+    #[derive(Clone)]
+    struct FatLeaf {
+        leaf_frame: u64,
+    }
+
+    impl Workload for FatLeaf {
+        type Desc = bool; // is this the leaf?
+
+        fn root(&self) -> bool {
+            false
+        }
+
+        fn program(&self, leaf: &bool, out: &mut Vec<Action<bool>>) {
+            if !leaf {
+                out.extend([Action::Spawn(true), Action::JoinAll]);
+            }
+        }
+
+        fn frame_size(&self, leaf: &bool) -> u64 {
+            if *leaf {
+                self.leaf_frame
+            } else {
+                64
+            }
+        }
+
+        fn name(&self) -> String {
+            "fat-leaf".into()
+        }
+    }
+
+    #[test]
+    fn too_large_frame_fails_by_name() {
+        if !supported() {
+            return;
+        }
+        const STACK: u64 = 64 << 10;
+        let message = |err: Box<dyn std::any::Any + Send>| {
+            err.downcast_ref::<String>()
+                .expect("panic payload is a message")
+                .clone()
+        };
+        let run = |leaf_frame| {
+            catch_unwind(move || {
+                runner(2)
+                    .with_stack_size(STACK as usize)
+                    .run(FatLeaf { leaf_frame })
+            })
+        };
+        // Three quarters of the stack is a frame like any other.
+        let fits = run(STACK * 3 / 4).expect("a 48 KiB frame fits a 64 KiB stack");
+        assert_eq!(
+            (fits.total_tasks, fits.peak_frame_bytes),
+            (2, 64 + 48 * 1024)
+        );
+        // A child's frame is refused in the worker about to spawn it,
+        // which tells the coordinator and exits.
+        let msg = message(run(STACK + 1).expect_err("one byte over the stack"));
+        assert!(msg.contains("a task frame of 65537 bytes"), "{msg}");
+        assert!(msg.contains("does not fit the 65536 bytes"), "{msg}");
+        // The root's is refused before any worker is forked.
+        let fat_root = BinTree {
+            depth: 1,
+            work: 0,
+            frame: 1 << 20,
+        };
+        let err = catch_unwind(|| runner(2).with_stack_size(STACK as usize).run(fat_root));
+        let msg = message(err.expect_err("a 1 MiB root frame"));
+        assert!(msg.contains("a task frame of 1048576 bytes"), "{msg}");
+        assert!(msg.contains("(the root's)"), "{msg}");
+        // The failed runs left nothing behind: the region maps again.
+        assert_eq!(run(0).expect("an empty frame fits").total_tasks, 2);
+    }
+
     #[test]
     fn empty_cache_over_empty_pool_reclaims_from_a_peer() {
         if !supported() {
@@ -1613,6 +1763,8 @@ mod tests {
         let report = runner(2).try_run(w).unwrap();
         assert_eq!(report.bootstrap_allocs.len(), 2);
         assert!(report.bootstrap_allocs.iter().all(|&a| a == 0));
+        // No probe installed: nothing observed over the worker loops.
+        assert_eq!(report.run_allocs, vec![0, 0]);
         // Tasks exported through the fabric-read segment agree with the
         // stats bank.
         let tasks: u64 = (0..2)

@@ -40,6 +40,7 @@
 //! (debug builds spill everything, making it a near-certain segfault).
 
 use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
+use crate::frame;
 use crate::join::JoinBlock;
 use crate::nmetrics::{MetricsShared, WorkerMetrics};
 use crate::ntrace::{TraceShared, WorkerTracer};
@@ -122,7 +123,8 @@ struct Shared {
     /// rings. With the `metrics` feature off this degrades to the three
     /// plain atomics [`SchedStats`] needs.
     metrics: Arc<MetricsShared>,
-    /// The root's task record, taken (once) by worker 0.
+    /// The root's task record, started (once) by worker 0; from then on
+    /// only an address.
     seed_task: AtomicPtr<TaskHeader>,
     /// Run-wide trace state; `None` = untraced (hooks early-out).
     #[cfg(feature = "trace")]
@@ -226,6 +228,9 @@ struct TaskHeader {
     /// `child_main::<K, F>` for the record's own `F`: lets the
     /// trampolines start a task without knowing its closure type.
     entry: unsafe extern "C" fn(*mut c_void) -> !,
+    /// Where the body starts: the task's frame claim below this record,
+    /// as [`frame::claim`] checked it against the stack [I19].
+    sp: *mut u8,
     /// The spawner's saved continuation (`*mut Context` as u64), written
     /// by `spawn_tramp` on the way into the child and published by
     /// `child_main` from the child's stack per [I12]. 0 for the root.
@@ -248,13 +253,16 @@ struct TaskRecord<F> {
 }
 
 /// Write the record of a task running `f` at the top of `stack`; the
-/// task starts with its stack pointer at the record. Panics, naming
-/// both sizes, if the record is over `1/RECORD_STACK_DIVISOR` of the
-/// stack — the body would otherwise start part-way to the guard page.
+/// task starts with its stack pointer `frame` bytes below the record.
+/// Panics, naming the sizes, if the record is over
+/// `1/RECORD_STACK_DIVISOR` of the stack — the body would otherwise
+/// start part-way to the guard page — or the frame does not fit the
+/// rest of it.
 fn place_record<K, F: FnOnce() -> K>(
     stack: Stack,
     join: *const JoinBlock,
     task_id: u64,
+    frame: u64,
     f: F,
 ) -> *mut TaskHeader {
     let size = std::mem::size_of::<TaskRecord<F>>();
@@ -269,12 +277,19 @@ fn place_record<K, F: FnOnce() -> K>(
         stack.usable(),
     );
     let rec = ((stack.top() as usize - size) & !(align - 1)) as *mut TaskRecord<F>;
+    let sp = frame::claim(rec as usize, stack.limit() as usize, frame).unwrap_or_else(|e| {
+        panic!(
+            "uat-fiber: {e} ({}-byte task stack); raise `with_stack_size`",
+            stack.usable()
+        )
+    });
     // SAFETY: [I6][I18] `rec` is aligned and `[rec, rec + size)` is
     // inside the usable span (checked above) of a stack nothing runs on.
     unsafe {
         rec.write(TaskRecord {
             hdr: TaskHeader {
                 entry: child_main::<K, F>,
+                sp: sp as *mut u8,
                 parent_ctx: 0,
                 join,
                 task_id,
@@ -291,7 +306,8 @@ fn place_record<K, F: FnOnce() -> K>(
 /// (Figure 4's semantics under the stack-pool strategy).
 ///
 /// Must be called from inside [`Runtime::run`]. Panics if `f`'s captures
-/// do not fit a quarter of the runtime's task stack size.
+/// do not fit a quarter of the runtime's task stack size. Claims no
+/// frame: the body starts right at the task's record.
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
 where
     T: Send + 'static,
@@ -301,22 +317,24 @@ where
     let task = JoinCell::task(Arc::clone(&cell), f);
     // SAFETY: [I8] the block lives in the `Arc` cell, and the child
     // returns its own reference to the cell as the keep-alive.
-    unsafe { spawn_on(&cell.block, task) };
+    unsafe { spawn_on(&cell.block, 0, task) };
     JoinHandle { cell }
 }
 
 /// The one spawn primitive: start a child running `f` right now on a
-/// fresh pooled stack, counted on `jb`; the caller's continuation
-/// becomes stealable and this returns once somebody resumes it. What
-/// `f` returns is the child's keep-alive, dropped only after the
-/// child's last access to `jb`. No allocator call in steady state.
+/// fresh pooled stack, `frame` bytes of it claimed ahead of the body
+/// (Figure 4's allocation "just below the parent", by arithmetic [I19])
+/// and counted on `jb`; the caller's continuation becomes stealable and
+/// this returns once somebody resumes it. What `f` returns is the
+/// child's keep-alive, dropped only after the child's last access to
+/// `jb`. No allocator call in steady state.
 ///
 /// # Safety
 ///
 /// `jb` must stay valid until the child's `JoinBlock::complete` on it
 /// has returned: it is in a frame that first passes [`join_all`] on it,
 /// or is owned by what `f` returns. Likewise everything `f` borrows.
-pub(crate) unsafe fn spawn_on<K, F>(jb: &JoinBlock, f: F)
+pub(crate) unsafe fn spawn_on<K, F>(jb: &JoinBlock, frame: u64, f: F)
 where
     K: Send,
     F: FnOnce() -> K + Send,
@@ -334,7 +352,7 @@ where
         // then happens-after this one, which the termination scan
         // relies on.
         bump(&wr.shared.progress[wr.id].spawned, 1, Ordering::Release);
-        place_record(stack, jb, task_id, f)
+        place_record(stack, jb, task_id, frame, f)
     };
     jb.announce();
     // SAFETY: [I5] spawn_tramp never returns normally; the continuation saved
@@ -359,13 +377,14 @@ unsafe extern "C" fn spawn_tramp(ctx: *mut Context, arg: *mut c_void) {
     let hdr = arg as *mut TaskHeader;
     // SAFETY: [I18] the record is exclusively the spawner's until the
     // switch below hands it to the child.
-    let entry = unsafe {
+    let (entry, sp) = unsafe {
         (*hdr).parent_ctx = ctx as u64;
-        (*hdr).entry
+        ((*hdr).entry, (*hdr).sp)
     };
-    // SAFETY: [I6][I9] the record's address is 16-byte aligned inside a
-    // fresh pooled stack with nothing live below it; `entry` diverges.
-    unsafe { switch_stack_and_call(arg as *mut u8, entry, arg) }
+    // SAFETY: [I6][I9][I19] `sp` is 16-byte aligned inside a fresh
+    // pooled stack, below the record, with nothing live below it;
+    // `entry` diverges.
+    unsafe { switch_stack_and_call(sp, entry, arg) }
 }
 
 unsafe extern "C" fn child_main<K, F: FnOnce() -> K>(arg: *mut c_void) -> ! {
@@ -564,6 +583,9 @@ unsafe extern "C" fn join_tramp(ctx: *mut Context, arg: *mut c_void) {
 pub struct Runtime {
     nworkers: usize,
     stack_size: usize,
+    /// The root task's frame claim (every other task's comes with its
+    /// `spawn_on`).
+    root_frame: u64,
     /// Per-worker event-ring capacity when tracing; `None` = untraced.
     #[cfg(feature = "trace")]
     trace_rings: Option<usize>,
@@ -591,6 +613,7 @@ impl Runtime {
         Runtime {
             nworkers,
             stack_size: 128 << 10,
+            root_frame: 0,
             #[cfg(feature = "trace")]
             trace_rings: None,
             #[cfg(feature = "metrics")]
@@ -609,6 +632,13 @@ impl Runtime {
     /// Override the per-task stack size (default 128 KiB).
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
+        self
+    }
+
+    /// Start the root task of subsequent runs `bytes` below its record,
+    /// as `spawn_on` does for every other task.
+    pub(crate) fn with_root_frame(mut self, bytes: u64) -> Self {
+        self.root_frame = bytes;
         self
     }
 
@@ -763,6 +793,7 @@ impl Runtime {
             Stack::new(self.stack_size),
             &cell.block,
             root_task,
+            self.root_frame,
             JoinCell::task(Arc::clone(&cell), root),
         );
         let shared = Arc::new(Shared {
@@ -944,11 +975,7 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
 
     // Worker 0 seeds the root task.
     if id == 0 {
-        run_fresh(
-            shared
-                .seed_task
-                .swap(std::ptr::null_mut(), Ordering::Acquire),
-        );
+        run_fresh(shared.seed_task.load(Ordering::Acquire));
     }
 
     let n = shared.deques.len();
@@ -1107,13 +1134,14 @@ unsafe extern "C" fn fresh_tramp(sched_ctx: *mut Context, arg: *mut c_void) {
     let w = current();
     // SAFETY: [I7][I18] exclusive worker access; the record is ours
     // until the switch below hands it to the task.
-    let entry = unsafe {
+    let (entry, sp) = unsafe {
         (&mut *w).sched_ctx = sched_ctx;
-        (*(arg as *mut TaskHeader)).entry
+        let hdr = arg as *mut TaskHeader;
+        ((*hdr).entry, (*hdr).sp)
     };
-    // SAFETY: [I6][I9] fresh stack below the 16-byte-aligned record;
-    // `entry` diverges.
-    unsafe { switch_stack_and_call(arg as *mut u8, entry, arg) }
+    // SAFETY: [I6][I9][I19] fresh stack below the 16-byte-aligned `sp`,
+    // itself below the record; `entry` diverges.
+    unsafe { switch_stack_and_call(sp, entry, arg) }
 }
 
 #[cfg(test)]
@@ -1266,6 +1294,78 @@ mod tests {
         let closure = std::mem::size_of::<[u8; 32 << 10]>() + std::mem::size_of::<usize>();
         assert!(msg.contains(&format!("{closure}-byte closure")), "{msg}");
         assert!(msg.contains("1/4 of the 16384-byte task stack"), "{msg}");
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_naming_frame_and_stack() {
+        // The root's claim is checked by the same `place_record` as
+        // every spawn's, on the calling thread (in a task the panic
+        // aborts the process, after the same message).
+        let rt = Runtime::new(1).with_stack_size(16 << 10);
+        assert_eq!(rt.clone().with_root_frame(12 << 10).run(|| 7), 7);
+        let err = std::panic::catch_unwind(move || rt.with_root_frame(16 << 10).run(|| 7))
+            .expect_err("a 16 KiB frame cannot fit below the record on a 16 KiB stack");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("a task frame of 16384 bytes"), "{msg}");
+        assert!(msg.contains("(16384-byte task stack)"), "{msg}");
+    }
+
+    /// Where `place_record` puts an `F` task's record on a stack whose
+    /// top is `top`.
+    fn record_at<F>(top: usize, _f: &F) -> usize {
+        let align = std::mem::align_of::<TaskRecord<F>>().max(16);
+        (top - std::mem::size_of::<TaskRecord<F>>()) & !(align - 1)
+    }
+
+    #[test]
+    fn a_task_body_starts_below_its_frame_claim() {
+        use std::sync::atomic::AtomicUsize;
+        fn addr_of_a_local() -> usize {
+            let local = 0u8;
+            std::hint::black_box(&local) as *const u8 as usize
+        }
+        for frame in [0u64, 1, 1_120, 3 * 4096] {
+            let rt = Runtime::new(1).with_root_frame(frame);
+            let ((root_local, child_local, child_rec), _, shared) = rt.run_core(move || {
+                let root_local = addr_of_a_local();
+                // One worker, a LIFO pool: the next spawn runs on the
+                // stack put back last.
+                // SAFETY: [I7] exclusive worker access; scoped borrow.
+                let top = unsafe {
+                    let wr = &mut *current();
+                    let stack = wr.pool.take();
+                    let top = stack.top() as usize;
+                    wr.pool.put(stack);
+                    top
+                };
+                let jb = JoinBlock::new();
+                let seen = AtomicUsize::new(0);
+                let body = || seen.store(addr_of_a_local(), Ordering::Relaxed);
+                let rec = record_at(top, &body);
+                // SAFETY: [I16] `jb` and `seen` are locals of this
+                // frame, which joins the child before it ends.
+                unsafe { spawn_on(&jb, frame, body) };
+                join_all(&jb);
+                (root_local, seen.load(Ordering::Relaxed), rec)
+            });
+            let root_rec = shared.seed_task.load(Ordering::Relaxed) as usize;
+            for (who, local, rec) in [
+                ("root", root_local, root_rec),
+                ("child", child_local, child_rec),
+            ] {
+                let below = rec - local;
+                assert!(
+                    below as u64 >= frame,
+                    "{who}: a local {below} bytes below the record, frame {frame}"
+                );
+                // Claimed by arithmetic, not by the page: what is below
+                // the frame is the body's own few call frames.
+                assert!(
+                    below as u64 <= frame + 4096,
+                    "{who}: a local {below} bytes below the record, frame {frame}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! corrupting a neighbour, and are recycled through a free list because
 //! `mmap`/`munmap` per spawn would dwarf the 100-cycle budget.
 
+use crate::frame::PAGE;
 use std::ptr::NonNull;
 
 /// One task stack.
@@ -25,9 +26,7 @@ unsafe impl Send for Stack {}
 impl Stack {
     /// Map a stack with `usable` usable bytes plus one guard page.
     pub fn new(usable: usize) -> Stack {
-        let page = 4096usize;
-        let usable = usable.div_ceil(page) * page;
-        let len = usable + page;
+        let len = usable.div_ceil(PAGE) * PAGE + PAGE;
         // SAFETY: [I10] plain anonymous private mapping; we check the result.
         let base = unsafe {
             libc::mmap(
@@ -41,8 +40,8 @@ impl Stack {
         };
         assert!(base != libc::MAP_FAILED, "mmap failed for a task stack");
         // Guard page at the low end (stacks grow down).
-        // SAFETY: [I10] base..base+page is inside our fresh mapping.
-        let rc = unsafe { libc::mprotect(base, page, libc::PROT_NONE) };
+        // SAFETY: [I10] base..base+PAGE is inside our fresh mapping.
+        let rc = unsafe { libc::mprotect(base, PAGE, libc::PROT_NONE) };
         assert_eq!(rc, 0, "mprotect(guard) failed");
         Stack {
             base: NonNull::new(base as *mut u8).expect("mmap returned null"),
@@ -60,12 +59,12 @@ impl Stack {
 
     /// Lowest usable address (just above the guard page).
     pub fn limit(&self) -> *mut u8 {
-        (self.base.as_ptr() as usize + 4096) as *mut u8
+        (self.base.as_ptr() as usize + PAGE) as *mut u8
     }
 
     /// Usable bytes.
     pub fn usable(&self) -> usize {
-        self.len - 4096
+        self.len - PAGE
     }
 }
 

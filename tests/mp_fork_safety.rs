@@ -12,6 +12,12 @@
 //! `uat-lint`'s `fork-safety` rule, which scans `mp_bootstrap` and its
 //! callees for alloc/lock constructs — a dynamic lock test can't see a
 //! lock that happened not to be contended.
+//!
+//! The same probe, read at both ends of each worker's loop, shows that
+//! a multiprocess task makes no allocator call in steady state either:
+//! its record and program live in its stack slot, its join block in its
+//! parent's frame, and programs expand through one recycled buffer per
+//! process — the twin of `tests/native_alloc.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +51,41 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn probe() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocator calls the workers of a 2-process run of a depth-`depth`
+/// tree made inside their worker loops, and the tasks they ran.
+fn worker_loop_allocs(depth: u32) -> (u64, u64) {
+    let report = MultiProcessRunner::new(2)
+        .with_work_divisor(u64::MAX)
+        .try_run(BinTree {
+            depth,
+            work: 100,
+            frame: 128,
+        })
+        .expect("probe passed; the run must complete");
+    assert_eq!(report.bootstrap_allocs, vec![0u64; 2]);
+    (report.run_allocs.iter().sum(), report.stats.total_tasks)
+}
+
+#[test]
+fn tasks_allocate_nothing_in_steady_state() {
+    if let Err(e) = MultiProcessRunner::probe_support() {
+        eprintln!("skipping multiprocess allocation test: {e}");
+        return;
+    }
+    set_bootstrap_alloc_probe(probe);
+    let (few_allocs, few_tasks) = worker_loop_allocs(8);
+    let (many_allocs, many_tasks) = worker_loop_allocs(13);
+    assert_eq!(many_tasks, 32 * few_tasks + 31);
+    // Each worker grows one program buffer to the largest program it
+    // meets, whatever the tree's size.
+    assert!(
+        many_allocs <= few_allocs + 8,
+        "{} more tasks cost {many_allocs} allocator calls against {few_allocs}: \
+         the multiprocess task path allocates per task",
+        many_tasks - few_tasks
+    );
 }
 
 #[test]
