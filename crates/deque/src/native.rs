@@ -47,7 +47,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// byte-compatible with the simulated RDMA-resident one; only the
 /// entries differ, living behind a pointer rather than inline (fine
 /// intra-process, where no thief computes remote addresses).
-#[repr(C)]
+///
+/// The header is aligned to 128 bytes — a cache line and the adjacent
+/// line x86 prefetches with it — so wherever the allocator puts a deque,
+/// the words its owner writes on every push and pop share no line with
+/// another deque's (or anything else's). Unaligned, two `Arc`ed deques
+/// land 64 bytes apart whenever the allocator recycles small chunks, and
+/// a run of the fiber runtime is then fast or half as fast by heap
+/// placement alone (EXPERIMENTS.md, "Root cause").
+#[repr(C, align(128))]
 pub struct NativeDeque<T: Copy> {
     lock: AtomicU64,
     top: AtomicU64,
@@ -61,6 +69,10 @@ const _: () = {
     assert!(std::mem::offset_of!(NativeDeque<u64>, lock) as u64 == crate::layout::OFF_LOCK);
     assert!(std::mem::offset_of!(NativeDeque<u64>, top) as u64 == crate::layout::OFF_TOP);
     assert!(std::mem::offset_of!(NativeDeque<u64>, bottom) as u64 == crate::layout::OFF_BOTTOM);
+    // Its own line pair: the control words and the slot pointer fit the
+    // first line, and the next deque starts two lines further on.
+    assert!(std::mem::align_of::<NativeDeque<u64>>() == 128);
+    assert!(std::mem::size_of::<NativeDeque<u64>>() == 128);
 };
 
 // SAFETY: [I1][I2][I3] all shared access to `slots` is mediated by the THE protocol as
