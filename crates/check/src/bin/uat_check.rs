@@ -1,4 +1,5 @@
-//! CLI for the THE-protocol interleaving checker.
+//! CLI for the interleaving checker: the THE-protocol steal path and
+//! the runtime's termination scan.
 //!
 //! ```text
 //! uat_check                        # clean suite under SC: zero violations
@@ -21,6 +22,7 @@
 use std::process::ExitCode;
 use uat_check::model::{Family, Mutation};
 use uat_check::scenarios::{mutation_demos, sleep_set_scenarios, standard_suite, weak_suite};
+use uat_check::termination::{self, ScanMutation};
 use uat_check::{replay, Explorer, MemModel};
 
 const MUTATIONS: [Mutation; 10] = [
@@ -48,8 +50,24 @@ struct ScenarioStat {
     violation: Option<String>,
 }
 
+impl ScenarioStat {
+    fn of_termination(r: &termination::Report) -> Self {
+        ScenarioStat {
+            name: r.scenario,
+            states: r.states,
+            transitions: r.transitions,
+            interleavings: r.interleavings,
+            finals: 0,
+            violation: r.violation.as_ref().map(|_| {
+                "early termination: a scan passed with tasks still to complete".to_string()
+            }),
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let mut mutate: Option<Mutation> = None;
+    let mut mutate_scan: Option<ScanMutation> = None;
     let mut replay_cap: usize = 2000;
     let mut model = MemModel::Sc;
     let mut json_path: Option<String> = None;
@@ -58,16 +76,21 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--mutate" => {
                 let name = args.next().unwrap_or_default();
-                match MUTATIONS.iter().find(|m| m.name() == name) {
-                    Some(&m) => mutate = Some(m),
-                    None => {
-                        eprintln!("unknown mutation `{name}`; try --list-mutations");
-                        return ExitCode::FAILURE;
-                    }
+                mutate = MUTATIONS.iter().copied().find(|m| m.name() == name);
+                mutate_scan = termination::MUTATIONS
+                    .iter()
+                    .copied()
+                    .find(|m| m.name() == name);
+                if mutate.is_none() && mutate_scan.is_none() {
+                    eprintln!("unknown mutation `{name}`; try --list-mutations");
+                    return ExitCode::FAILURE;
                 }
             }
             "--list-mutations" => {
                 for m in MUTATIONS {
+                    println!("{}", m.name());
+                }
+                for m in termination::MUTATIONS {
                     println!("{}", m.name());
                 }
                 return ExitCode::SUCCESS;
@@ -103,9 +126,10 @@ fn main() -> ExitCode {
         }
     }
 
-    match mutate {
-        None => run_clean_suite(model, replay_cap, json_path.as_deref()),
-        Some(m) => run_mutation_demo(m, json_path.as_deref()),
+    match (mutate, mutate_scan) {
+        (Some(m), _) => run_mutation_demo(m, json_path.as_deref()),
+        (None, Some(m)) => run_scan_mutation_demo(m, json_path.as_deref()),
+        (None, None) => run_clean_suite(model, replay_cap, json_path.as_deref()),
     }
 }
 
@@ -156,6 +180,25 @@ fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) 
         });
     }
 
+    // The termination scan, on the same memory machine.
+    for sc in termination::suite(model, ScanMutation::None) {
+        let report = sc.explore();
+        println!(
+            "{:<22} {:>10} {:>12} {:>16} {:>8}",
+            report.scenario, report.states, report.transitions, report.interleavings, "-"
+        );
+        total_interleavings += report.interleavings;
+        total_states += report.states;
+        if let Some(v) = &report.violation {
+            println!("{v}");
+            failed = true;
+        } else if report.passes == 0 {
+            println!("{}: no scan ever passed — the scenario is vacuous", sc.name);
+            failed = true;
+        }
+        stats.push(ScenarioStat::of_termination(&report));
+    }
+
     // Sleep-set cross-check + differential replay on the scenarios whose
     // path space is small enough to walk path-by-path (SC only: the
     // sleep-set prover and the SimDeque replay target are SC artifacts).
@@ -197,7 +240,7 @@ fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) 
 
     println!(
         "total: {total_states} states verified, {total_interleavings} distinct interleavings across {} scenarios",
-        suite.len()
+        stats.len()
     );
     if let Some(path) = json_path {
         if let Err(e) = write_json(path, model, None, &stats, !failed) {
@@ -218,14 +261,12 @@ fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) 
 fn run_mutation_demo(m: Mutation, json_path: Option<&str>) -> ExitCode {
     let demos = mutation_demos(m);
     let mut stats: Vec<ScenarioStat> = Vec::new();
-    let mut bit = false;
     println!("uat-check: seeded mutation `{}`", m.name());
     for sc in &demos {
         let report = Explorer::new(sc, 0).run_exhaustive();
         let violation = match &report.violation {
             Some(v) => {
                 println!("{}", v.render(sc.name));
-                bit = true;
                 Some(v.kind.describe())
             }
             None => {
@@ -245,10 +286,21 @@ fn run_mutation_demo(m: Mutation, json_path: Option<&str>) -> ExitCode {
             violation,
         });
     }
+    let model = demos.first().map(|sc| sc.mem_model).unwrap_or(MemModel::Sc);
+    finish_mutation_demo(m.name(), model, &stats, json_path)
+}
+
+/// The verdict of a mutation run: the checker did its job iff some demo
+/// scenario produced a counterexample ("ok" in the JSON means that too).
+fn finish_mutation_demo(
+    mutation: &str,
+    model: MemModel,
+    stats: &[ScenarioStat],
+    json_path: Option<&str>,
+) -> ExitCode {
+    let bit = stats.iter().any(|s| s.violation.is_some());
     if let Some(path) = json_path {
-        // For a mutation run "ok" means the counterexample was found.
-        let model = demos.first().map(|sc| sc.mem_model).unwrap_or(MemModel::Sc);
-        if let Err(e) = write_json(path, model, Some(m), &stats, bit) {
+        if let Err(e) = write_json(path, model, Some(mutation), stats, bit) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -261,6 +313,30 @@ fn run_mutation_demo(m: Mutation, json_path: Option<&str>) -> ExitCode {
         println!("RESULT: checker FAILED to catch the mutation (exit 1)");
         ExitCode::FAILURE
     }
+}
+
+/// A seeded scan mutation: caught if either scanner placement yields a
+/// counterexample under the weakest model that shows it (SC for the
+/// pass order, RA for the ordering downgrade).
+fn run_scan_mutation_demo(m: ScanMutation, json_path: Option<&str>) -> ExitCode {
+    let model = match m {
+        ScanMutation::CompletedWeak => MemModel::Ra,
+        _ => MemModel::Sc,
+    };
+    println!("uat-check: seeded mutation `{}`", m.name());
+    let mut stats: Vec<ScenarioStat> = Vec::new();
+    for sc in termination::suite(model, m) {
+        let report = sc.explore();
+        match &report.violation {
+            Some(v) => println!("{v}"),
+            None => println!(
+                "{}: no violation found ({} interleavings) — mutation not observable here",
+                sc.name, report.interleavings
+            ),
+        }
+        stats.push(ScenarioStat::of_termination(&report));
+    }
+    finish_mutation_demo(m.name(), model, &stats, json_path)
 }
 
 /// Minimal JSON escaping: the strings we emit are scenario names,
@@ -287,7 +363,7 @@ fn json_str(s: &str) -> String {
 fn write_json(
     path: &str,
     model: MemModel,
-    mutation: Option<Mutation>,
+    mutation: Option<&str>,
     stats: &[ScenarioStat],
     ok: bool,
 ) -> std::io::Result<()> {
@@ -299,7 +375,7 @@ fn write_json(
     ));
     s.push_str(&format!(
         "  \"mutation\": {},\n",
-        mutation.map_or("null".to_string(), |m| json_str(m.name()))
+        mutation.map_or("null".to_string(), json_str)
     ));
     s.push_str(&format!("  \"ok\": {ok},\n"));
     s.push_str(&format!(

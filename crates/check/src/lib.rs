@@ -32,6 +32,11 @@
 //! capacity never exceeded. Seeded [`model::Mutation`]s prove the checker
 //! bites: each must produce a human-readable counterexample trace.
 //!
+//! Beyond the deque, [`termination`] puts the runtime's two-pass
+//! termination scan on the same memory machine (SC and RA), with its own
+//! invariant — a scan that passes does so after every task's completion
+//! tick — and its own two seeded mutations.
+//!
 //! Run `cargo run -p uat-check --bin uat_check` for the suite, or
 //! `--mutate <name>` for a counterexample demo; see the README for how
 //! to read the traces.
@@ -43,6 +48,7 @@ pub mod memory;
 pub mod model;
 pub mod replay;
 pub mod scenarios;
+pub mod termination;
 
 pub use explore::{Explorer, Report, StepRecord, Violation, ViolationKind};
 pub use memory::{Mem, MemModel, MemOrd};

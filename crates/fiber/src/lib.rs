@@ -37,6 +37,9 @@
 //!   pending count plus one waiter slot, arbitrated on a single word.
 //! - `frame`: the frame claim both real backends share — where below
 //!   its record a task's body starts, bound-checked against the stack.
+//! - `idle`: the idle path both real backends share — spin, then nap;
+//!   the termination scan an idle worker runs before each nap; and the
+//!   futex the multiprocess coordinator sleeps on meanwhile.
 //! - [`ipc`]: the faithful **cross-address-space** demonstration —
 //!   process-per-core via `fork`, the uni-address region at the same
 //!   fixed virtual address in each process, shared-memory task-queue
@@ -63,6 +66,7 @@
 pub mod creation;
 pub mod ctx;
 mod frame;
+mod idle;
 pub mod interp;
 pub mod ipc;
 mod join;

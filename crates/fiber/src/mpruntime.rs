@@ -31,6 +31,13 @@
 //!   pool exhausted, frame too large for a slot's stack), and the
 //!   allocation-probe readings — nothing a task ever writes.
 //!
+//! The coordinator decides nothing and polls nothing. The first idle
+//! worker whose termination scan passes (`idle.rs`, shared
+//! with the thread runtime) raises the shutdown flag and wakes the
+//! coordinator, which has been asleep on that word as a futex since the
+//! last fork; its 10 ms timeout exists only to sweep for a worker that
+//! died without a word, which nobody else could ever notice.
+//!
 //! Creating, running and finishing a task that nobody steals writes
 //! only lines its own worker owns ([I17]): the worker's deque, its
 //! accounting and metrics rows, its slot cache, and the stacks of the
@@ -70,6 +77,7 @@
 
 use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
 use crate::frame::{self, FrameTooLarge, PAGE};
+use crate::idle::{self, Idle};
 use crate::interp::{AcctRow, NativeRunStats, TaskAcct};
 use crate::join::JoinBlock;
 use crate::runtime::bump;
@@ -117,12 +125,18 @@ const MC_UNPARKS: usize = 4;
 const MC_TASKS: usize = 5;
 const MC_STRIDE: usize = 8;
 
+/// How long the coordinator sleeps on `Ctrl::shutdown_flag` between
+/// looks for a worker that died without raising it.
+const LIVENESS_SWEEP: std::time::Duration = std::time::Duration::from_millis(10);
+
 /// Shared control block, at the very start of the region. No task ever
-/// writes it ([I17]): workers only read `shutdown_flag` when idle.
+/// writes it ([I17]): an idle worker's loop reads `shutdown_flag`, and
+/// the one whose termination scan passes raises it.
 #[repr(C)]
 struct Ctrl {
-    /// Coordinator → workers: exit your scheduler loop.
-    shutdown_flag: AtomicU64,
+    /// Terminating worker → every worker loop (exit) and the
+    /// coordinator, which sleeps on this word as a futex ([I20]).
+    shutdown_flag: AtomicU32,
     /// Set by a worker that found no free stack slot anywhere, just
     /// before it exits; read by the coordinator when it finds a worker
     /// dead, to name the failure.
@@ -718,8 +732,7 @@ where
     }
 
     let n = layout.workers;
-    let mut idle_spins = 0u32;
-    let mut parked = false;
+    let mut idle = Idle::default();
     loop {
         mp_collect_retired();
         mcell_inc(MC_HEARTBEATS, Ordering::Relaxed);
@@ -734,7 +747,6 @@ where
             // SAFETY: [I16] the block lives on the parked parent's shm
             // stack, which stays live until the parent is resumed.
             if !unsafe { (*jb).park(ctx) } {
-                idle_spins = 0;
                 mp_run_ctx(ctx);
                 continue;
             }
@@ -764,9 +776,7 @@ where
         });
         match target {
             Some(ctx) => {
-                idle_spins = 0;
-                if parked {
-                    parked = false;
+                if idle.found() {
                     mcell_inc(MC_UNPARKS, Ordering::Relaxed);
                 }
                 mp_run_ctx(ctx);
@@ -775,15 +785,17 @@ where
                 if ctrl.shutdown_flag.load(Ordering::Acquire) != 0 {
                     break;
                 }
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins > 64 {
-                    if !parked {
-                        parked = true;
-                        mcell_inc(MC_PARKS, Ordering::Relaxed);
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(20));
-                } else {
-                    std::thread::yield_now();
+                // Nothing to run and about to nap: the party that pays
+                // for termination detection. A pass means every task
+                // has completed; tell the other idle loops, and wake the
+                // coordinator.
+                if idle.missed(
+                    || mp_quiescent(&layout),
+                    || mcell_inc(MC_PARKS, Ordering::Relaxed),
+                ) {
+                    ctrl.shutdown_flag.store(1, Ordering::Release);
+                    idle::futex_wake(&ctrl.shutdown_flag);
+                    break;
                 }
             }
         }
@@ -1302,54 +1314,34 @@ impl MultiProcessRunner {
             pids.push(pid);
         }
 
-        // Coordinate: wait for the tree, then stop the workers.
-        let mut poll = 0u64;
-        while !mp_quiescent(layout) {
-            poll += 1;
-            if poll.is_multiple_of(200) {
-                // A worker dying early (panic → _exit(101/102), or a
-                // signal) would hang the run; detect and fail fast.
-                for &pid in &pids {
-                    let mut status = 0;
-                    // SAFETY: [I10] non-blocking status poll of our own
-                    // child.
-                    let r = unsafe { libc::waitpid(pid, &mut status, libc::WNOHANG) };
-                    if r == pid {
-                        for &p in &pids {
-                            // SAFETY: [I10] killing our own children.
-                            unsafe { libc::kill(p, libc::SIGKILL) };
-                        }
-                        for &p in &pids {
-                            // SAFETY: [I10] reaping our own children.
-                            unsafe { libc::waitpid(p, std::ptr::null_mut(), 0) };
-                        }
-                        if ctrl.slots_exhausted.load(Ordering::Acquire) != 0 {
-                            panic!(
-                                "multiprocess stack slot pool exhausted ({} slots)",
-                                layout.slots
-                            );
-                        }
-                        let frame = ctrl.frame_too_large.load(Ordering::Acquire);
-                        if frame != 0 {
-                            let room = layout.slot_stack_top(0) - layout.slot_stack_limit(0);
-                            panic!("multiprocess: {}", FrameTooLarge { frame, room });
-                        }
-                        panic!("multiprocess worker {pid} died mid-run (status {status:#x})");
-                    }
+        // Coordinate: asleep on the shutdown word until the worker whose
+        // scan passes raises it and wakes us. The timeout's only job is
+        // the sweep for a worker that died without a word (a signal, a
+        // panic's `_exit`), whose tasks would never complete; once the
+        // run is over the same loop reaps, blocking.
+        let mut live = pids;
+        while !live.is_empty() {
+            idle::futex_wait(&ctrl.shutdown_flag, 0, LIVENESS_SWEEP);
+            let over = ctrl.shutdown_flag.load(Ordering::Acquire) != 0;
+            let mut i = 0;
+            while i < live.len() {
+                let (pid, mut status) = (live[i], 0);
+                let flags = if over { 0 } else { libc::WNOHANG };
+                // SAFETY: [I10] status poll (a blocking reap once the
+                // run is over) of our own child.
+                let r = unsafe { libc::waitpid(pid, &mut status, flags) };
+                if r == 0 {
+                    i += 1;
+                    continue;
+                }
+                assert_eq!(r, pid, "waitpid failed");
+                live.swap_remove(i);
+                // Status 0 is a worker that saw (or raised) shutdown,
+                // even if our own look at the flag came just before.
+                if !(libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0) {
+                    fail_run(ctrl, layout, &live, pid, status);
                 }
             }
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-        ctrl.shutdown_flag.store(1, Ordering::Release);
-        for &pid in &pids {
-            let mut status = 0;
-            // SAFETY: [I10] blocking reap of our own child.
-            let r = unsafe { libc::waitpid(pid, &mut status, 0) };
-            assert_eq!(r, pid, "waitpid failed");
-            assert!(
-                libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0,
-                "multiprocess worker exited abnormally (status {status:#x})"
-            );
         }
         let wall = t0.elapsed();
 
@@ -1422,23 +1414,53 @@ impl MultiProcessRunner {
     }
 }
 
-/// Termination detection, the two-pass scan of
-/// [`runtime::quiescent`](crate::runtime) over this backend's cells:
+/// A worker is gone with the run unfinished: kill and reap the
+/// survivors — they would idle forever on tasks that can no longer
+/// complete — and fail the run, by the dead worker's own word if it
+/// left one in `ctrl`.
+fn fail_run(
+    ctrl: &Ctrl,
+    layout: &RegionLayout,
+    live: &[libc::pid_t],
+    pid: libc::pid_t,
+    status: i32,
+) -> ! {
+    for &p in live {
+        // SAFETY: [I10] killing our own children.
+        unsafe { libc::kill(p, libc::SIGKILL) };
+    }
+    for &p in live {
+        // SAFETY: [I10] reaping our own children.
+        unsafe { libc::waitpid(p, std::ptr::null_mut(), 0) };
+    }
+    if ctrl.slots_exhausted.load(Ordering::Acquire) != 0 {
+        panic!(
+            "multiprocess stack slot pool exhausted ({} slots)",
+            layout.slots
+        );
+    }
+    let frame = ctrl.frame_too_large.load(Ordering::Acquire);
+    if frame != 0 {
+        let room = layout.slot_stack_top(0) - layout.slot_stack_limit(0);
+        panic!("multiprocess: {}", FrameTooLarge { frame, room });
+    }
+    panic!("multiprocess worker {pid} died mid-run (status {status:#x})");
+}
+
+/// Termination detection, [`idle::quiescent`] over this backend's cells:
 /// worker `w`'s `completed` cell is its metrics-row `tasks` counter,
 /// ticked (Release) as a task's last act on the worker it *ended* on;
 /// its `spawned` cell is its accounting row's `spawns`, which a task
 /// raises (Release) by its whole child count as it *starts* — earlier
 /// than each `mp_spawn`, so still before any child runs and before the
-/// task's own completion tick, which is all the proof there needs. The
-/// root, spawned by nobody, is the `1 +`.
+/// task's own completion tick, which is all the proof there needs.
 fn mp_quiescent(layout: &RegionLayout) -> bool {
-    let completed: u64 = (0..layout.workers)
-        .map(|w| cell(layout.metrics_cell_addr(w, MC_TASKS)).load(Ordering::Acquire))
-        .sum();
-    let spawned: u64 = (0..layout.workers)
-        .map(|w| layout.stats_row(w).spawns.load(Ordering::Acquire))
-        .sum();
-    completed == 1 + spawned
+    let completed = |w| cell(layout.metrics_cell_addr(w, MC_TASKS));
+    let spawned = |w| &layout.stats_row(w).spawns;
+    idle::quiescent(
+        (0..layout.workers).map(completed),
+        (0..layout.workers).map(spawned),
+    )
 }
 
 /// The mapping [`map_region`] made; dropping it unmaps.
@@ -1618,13 +1640,15 @@ mod tests {
         );
     }
 
-    /// A root with a 64-byte frame and one leaf child with `leaf_frame`.
+    /// A root with a 64-byte frame and one leaf child with `leaf_frame`,
+    /// which can be told to take its worker down with it.
     #[derive(Clone)]
-    struct FatLeaf {
+    struct OneLeaf {
         leaf_frame: u64,
+        leaf_aborts: bool,
     }
 
-    impl Workload for FatLeaf {
+    impl Workload for OneLeaf {
         type Desc = bool; // is this the leaf?
 
         fn root(&self) -> bool {
@@ -1634,6 +1658,8 @@ mod tests {
         fn program(&self, leaf: &bool, out: &mut Vec<Action<bool>>) {
             if !leaf {
                 out.extend([Action::Spawn(true), Action::JoinAll]);
+            } else if self.leaf_aborts {
+                std::process::abort();
             }
         }
 
@@ -1646,7 +1672,7 @@ mod tests {
         }
 
         fn name(&self) -> String {
-            "fat-leaf".into()
+            "one-leaf".into()
         }
     }
 
@@ -1663,9 +1689,10 @@ mod tests {
         };
         let run = |leaf_frame| {
             catch_unwind(move || {
-                runner(2)
-                    .with_stack_size(STACK as usize)
-                    .run(FatLeaf { leaf_frame })
+                runner(2).with_stack_size(STACK as usize).run(OneLeaf {
+                    leaf_frame,
+                    leaf_aborts: false,
+                })
             })
         };
         // Three quarters of the stack is a frame like any other.
@@ -1691,6 +1718,55 @@ mod tests {
         assert!(msg.contains("(the root's)"), "{msg}");
         // The failed runs left nothing behind: the region maps again.
         assert_eq!(run(0).expect("an empty frame fits").total_tasks, 2);
+    }
+
+    #[test]
+    fn a_worker_that_dies_without_a_word_fails_the_run_in_bounded_time() {
+        if !supported() {
+            return;
+        }
+        // SIGABRT in the worker that starts the leaf: no `Ctrl` flag
+        // names the death, the leaf never completes, and the survivors
+        // would idle forever on a scan that cannot pass. Only the
+        // coordinator's liveness sweep ends this run.
+        //
+        // There is no panicking-leaf twin (`_exit(101)`). A panic runs
+        // the process-wide hook before `catch_unwind` sees it — here
+        // std's default behind libtest's wrapper, which writes under
+        // the stderr lock, takes std's global backtrace lock and
+        // allocates. Another harness thread (this binary has several
+        // `catch_unwind` tests, any of them mid-panic) may hold one of
+        // those at `fork` and does not exist in the child: the worker
+        // would hang inside the hook, alive, and this test with it.
+        // Swapping the hook out is process-wide too, and would race
+        // every other test's output.
+        for workers in [2usize, 4] {
+            let t0 = std::time::Instant::now();
+            let err = catch_unwind(|| {
+                runner(workers).try_run(OneLeaf {
+                    leaf_frame: 64,
+                    leaf_aborts: true,
+                })
+            })
+            .expect_err("a run whose leaf aborts cannot complete");
+            let took = t0.elapsed();
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("panic payload is a message");
+            assert!(msg.contains("died mid-run"), "workers={workers}: {msg}");
+            assert!(
+                took < std::time::Duration::from_secs(1),
+                "workers={workers}: the death took {took:?} to notice"
+            );
+            // The survivors were killed and reaped — this thread forked
+            // them, and has no child left (where the kernel lists them).
+            if let Ok(children) = std::fs::read_to_string("/proc/thread-self/children") {
+                assert_eq!(children.trim(), "", "workers={workers}: children left");
+            }
+            // And the failed run left nothing behind: the region maps
+            // again.
+            MultiProcessRunner::probe_support().expect("the region maps again");
+        }
     }
 
     #[test]

@@ -22,9 +22,12 @@
 //! The **watchdog** rides the sampler thread: every worker bumps its
 //! heartbeat shard once per scheduler-loop iteration (parked workers
 //! still iterate every sleep cycle, so a live worker's epoch always
-//! advances between samples). If one worker's epoch freezes for the
-//! whole stall window while other workers keep advancing, the watchdog
-//! dumps a metrics snapshot plus every worker's flight ring and — by
+//! advances between samples). A busy worker need not visit that loop —
+//! the last child to finish is handed its parked parent, so a worker can
+//! inherit parent after parent for as long as there is work — which is
+//! why a completed task counts as a pulse too. If one worker shows
+//! neither for the whole stall window while other workers keep
+//! advancing, the watchdog dumps a metrics snapshot plus every worker's flight ring and — by
 //! default — aborts the process. This targets precisely the
 //! `fib_across_worker_counts` flake precursor: a worker wedged on a
 //! resumed-into-garbage context stops heartbeating long before the
@@ -461,9 +464,10 @@ mod real {
     /// The sampler thread body: every `interval`, sample each worker's
     /// deque depth into the gauge + histogram and — when `watchdog` is
     /// set — check the heartbeat epochs for a stalled worker. Returns
-    /// when `stop` is raised (the runtime raises it *before* the
-    /// shutdown flag, so workers never stop heartbeating while the
-    /// watchdog is still armed).
+    /// when `stop` is raised. The runtime passes the run's shutdown
+    /// flag, which a worker raises and on which every worker stops
+    /// heartbeating: the watchdog stands down the moment it can see the
+    /// flag, so an orderly exit is never read as a stall.
     pub fn sampler_loop(
         ms: &Arc<MetricsShared>,
         deques: &[Arc<NativeDeque<u64>>],
@@ -506,8 +510,17 @@ mod real {
             }
             let Some(wd) = watchdog else { continue };
             let epochs = ms.heartbeats.per_worker();
+            // Epochs read after the flag went up may show workers that
+            // have left: only ones read before it are evidence.
+            if stop.load(Ordering::Acquire) {
+                return;
+            }
+            // A worker's pulse: scheduler-loop iterations plus tasks
+            // completed (a busy worker may go long without the former).
+            let tasks = ms.tasks.per_worker();
+            let pulse: Vec<u64> = epochs.iter().zip(&tasks).map(|(e, t)| e + t).collect();
             if armed {
-                let advanced: Vec<bool> = epochs.iter().zip(&prev).map(|(a, b)| a != b).collect();
+                let advanced: Vec<bool> = pulse.iter().zip(&prev).map(|(a, b)| a != b).collect();
                 for i in 0..workers {
                     if advanced[i] {
                         stalled[i] = 0;
@@ -528,7 +541,7 @@ mod real {
                     }
                 }
             }
-            prev = epochs;
+            prev = pulse;
         }
     }
 

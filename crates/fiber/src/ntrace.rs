@@ -464,8 +464,9 @@ mod real {
     /// short; drop-free accounts are rebuilt from the clipped slices so
     /// they tile the makespan *exactly*. Instants are **never** dropped:
     /// workers keep running the scheduler loop between the last `TaskEnd`
-    /// and the shutdown flag (the main thread polls stragglers and joins
-    /// the sampler first), and the steal attempts made in that window are
+    /// and the shutdown flag (raised by the first of them to spin out and
+    /// pass the termination scan; a napping peer sees it a nap later),
+    /// and the steal attempts made in that window are
     /// real — the always-on metrics counters see them, so the trace must
     /// too or the two disagree on every count (clipping only affects the
     /// time *accounting*, which instants don't participate in).

@@ -14,6 +14,14 @@
 //! the Figure 7 join loop (fast-path done-check, else suspend and find
 //! other work).
 //!
+//! Nobody polls for the end of a run. A worker that has spun out and is
+//! about to nap runs the termination scan over the per-worker
+//! `spawned`/`completed` cells, and the first whose scan passes raises
+//! the shutdown flag; the thread that called [`Runtime::run`] sleeps in
+//! the workers' `join`s from the moment it has spawned them (the idle
+//! policy, the scan and its proof: `idle.rs`, shared with the
+//! multiprocess backend).
+//!
 //! # Safety model
 //!
 //! Control transfers never unwind (user closures are `catch_unwind`ed and
@@ -41,6 +49,7 @@
 
 use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
 use crate::frame;
+use crate::idle::{self, Idle};
 use crate::join::JoinBlock;
 use crate::nmetrics::{MetricsShared, WorkerMetrics};
 use crate::ntrace::{TraceShared, WorkerTracer};
@@ -106,7 +115,7 @@ pub(crate) fn bump(cell: &AtomicU64, v: u64, order: Ordering) {
 /// worker writes [I17]. Both are monotonic: `spawned` counts the
 /// `spawn` calls made on this worker, `completed` the tasks that
 /// *finished* here (a task may start on one worker and finish on
-/// another). Worker 0's `spawned` starts at 1 — the root.
+/// another). The root is spawned by nobody: it is the scan's `1 +`.
 #[derive(Default)]
 #[repr(align(64))]
 struct Progress {
@@ -116,6 +125,9 @@ struct Progress {
 
 struct Shared {
     deques: Vec<Arc<NativeDeque<u64>>>,
+    /// Raised by the first idle worker whose termination scan passes
+    /// ([`idle::quiescent`]); every worker loop, and the sampler, leaves
+    /// when it reads it.
     shutdown: AtomicBool,
     progress: Box<[Progress]>,
     /// Run-wide metrics state: sharded scheduler counters (steals,
@@ -807,10 +819,6 @@ impl Runtime {
             #[cfg(feature = "trace")]
             trace,
         });
-        // The root counts as spawned from the start, so the scan cannot
-        // pass before the root itself has completed.
-        shared.progress[0].spawned.store(1, Ordering::Relaxed);
-
         let t0 = std::time::Instant::now();
         let handles: Vec<_> = (0..self.nworkers)
             .map(|id| {
@@ -824,51 +832,44 @@ impl Runtime {
             .collect();
 
         // Sampler/watchdog thread, when configured: deque-depth samples
-        // every tick, heartbeat stall detection when armed.
+        // every tick, heartbeat stall detection when armed. Its stop
+        // flag is the run's shutdown flag: workers stop heartbeating
+        // once they see it, and the watchdog must never mistake an
+        // orderly exit for a stall.
         #[cfg(feature = "metrics")]
         let sampler = (self.sampler.is_some() || self.watchdog.is_some()).then(|| {
-            let stop = Arc::new(AtomicBool::new(false));
-            let ms = Arc::clone(&shared.metrics);
-            let deques = shared.deques.clone();
+            let shared = Arc::clone(&shared);
             let interval = self
                 .sampler
                 .unwrap_or(crate::nmetrics::DEFAULT_SAMPLE_INTERVAL);
             let watchdog = self.watchdog.clone();
-            let stop2 = Arc::clone(&stop);
-            let handle = std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name("uat-sampler".into())
                 .spawn(move || {
                     crate::nmetrics::sampler_loop(
-                        &ms,
-                        &deques,
-                        &stop2,
+                        &shared.metrics,
+                        &shared.deques,
+                        &shared.shutdown,
                         interval,
                         watchdog.as_ref(),
                     );
                 })
-                .expect("spawn sampler thread");
-            (stop, handle)
+                .expect("spawn sampler thread")
         });
 
-        // Wait for the whole task tree (the root, everything it joined
-        // and every detached straggler), then stop.
-        while !quiescent(&shared.progress) {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-        debug_assert!(cell.block.is_done());
-        // Disarm the sampler *before* the shutdown flag: workers stop
-        // heartbeating once they see shutdown, and the watchdog must
-        // never mistake an orderly exit for a stall.
-        #[cfg(feature = "metrics")]
-        if let Some((stop, handle)) = sampler {
-            stop.store(true, Ordering::Release);
-            handle.join().expect("sampler thread");
-        }
-        shared.shutdown.store(true, Ordering::Release);
+        // Nothing to decide here: the workers leave once one of them
+        // has seen the whole task tree complete (the root, everything
+        // it joined and every detached straggler), and this thread
+        // sleeps in `join` until they have.
         for h in handles {
             h.join().expect("worker thread");
         }
         let wall = t0.elapsed();
+        debug_assert!(cell.block.is_done());
+        #[cfg(feature = "metrics")]
+        if let Some(handle) = sampler {
+            handle.join().expect("sampler thread");
+        }
         // Every worker has deposited its ring; surface the drop counts
         // in the registry alongside the scheduler counters.
         #[cfg(all(feature = "trace", feature = "metrics"))]
@@ -880,7 +881,8 @@ impl Runtime {
             }
         }
         // The root dropped its reference before its completion tick, which
-        // the scan above acquired: ours is the last one.
+        // the scan that ended the run acquired, on a worker joined above:
+        // ours is the last one.
         let out = Arc::into_inner(cell)
             .expect("the root task released its cell")
             .result
@@ -894,37 +896,6 @@ impl Runtime {
         };
         (out, sched, shared)
     }
-}
-
-/// Termination detection over the per-worker monotonic cells: read every
-/// `completed`, *then* every `spawned`; the run is over iff the sums
-/// are equal.
-///
-/// Why a match cannot be a false quiescence. Let `D` be the tasks whose
-/// completion tick pass 1 read. A task's spawn tick happens-before its
-/// own first instruction, and every `spawn` a task calls happens-before
-/// that task's completion tick. Completion ticks are Release stores and
-/// pass 1 loads them with Acquire, so by the time pass 2 runs, the
-/// spawn tick of every task in `D` *and of every child of a task in
-/// `D`* is visible to it (cells are monotonic, so a later value only
-/// counts more). Hence `spawned >= |D ∪ children(D) ∪ {root}|`, and
-/// `spawned == completed = |D|` forces `D` to contain the root and be
-/// closed under children: `D` is the whole tree. The order of the
-/// passes is the point — `spawned` first could count a parent, miss the
-/// child it spawns next, and then count that child's completion. (One
-/// live counter sharded into ±1 cells cannot be scanned soundly at all:
-/// a sum can take a `+1` from before a spawn on one worker and the `-1`
-/// of that task's completion on another, and read zero mid-run.)
-fn quiescent(progress: &[Progress]) -> bool {
-    let completed: u64 = progress
-        .iter()
-        .map(|p| p.completed.load(Ordering::Acquire))
-        .sum();
-    let spawned: u64 = progress
-        .iter()
-        .map(|p| p.spawned.load(Ordering::Acquire))
-        .sum();
-    completed == spawned
 }
 
 /// Scheduler-level counters from one [`Runtime::run_counted`] call.
@@ -979,8 +950,7 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
     }
 
     let n = shared.deques.len();
-    let mut idle_spins = 0u32;
-    let mut parked = false;
+    let mut idle = Idle::default();
     loop {
         collect_retired();
         // SAFETY: [I7] exclusive worker access on this thread (each borrow
@@ -1002,7 +972,6 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
             // stays suspended until `ctx` is resumed — which only
             // `park`'s outcome can cause.
             if !unsafe { (*jb).park(ctx) } {
-                idle_spins = 0;
                 run_ctx(ctx as *mut Context);
                 continue;
             }
@@ -1058,9 +1027,7 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
             });
         match target {
             Some(ctx) => {
-                idle_spins = 0;
-                if parked {
-                    parked = false;
+                if idle.found() {
                     // SAFETY: [I7] as above.
                     unsafe {
                         (*w).trace.on_unpark();
@@ -1073,19 +1040,24 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins > 64 {
-                    if !parked {
-                        parked = true;
-                        // SAFETY: [I7] as above.
-                        unsafe {
-                            (*w).trace.on_park();
-                            (*w).metrics.on_park();
-                        }
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(20));
-                } else {
-                    std::thread::yield_now();
+                let scan = || {
+                    idle::quiescent(
+                        shared.progress.iter().map(|p| &p.completed),
+                        shared.progress.iter().map(|p| &p.spawned),
+                    )
+                };
+                // SAFETY: [I7] as above.
+                let on_park = || unsafe {
+                    (*w).trace.on_park();
+                    (*w).metrics.on_park();
+                };
+                // Nothing to run and about to nap: the party that pays
+                // for termination detection. A pass means every task
+                // has completed, so nobody is left to tell but the
+                // other idle loops.
+                if idle.missed(scan, on_park) {
+                    shared.shutdown.store(true, Ordering::Release);
+                    break;
                 }
             }
         }
@@ -1261,7 +1233,7 @@ mod tests {
                             std::thread::yield_now();
                         }
                     }
-                    // Outlast the coordinator's 50us poll many times over.
+                    // Outlast many of the idle workers' scan-and-nap rounds.
                     let t0 = std::time::Instant::now();
                     while t0.elapsed() < std::time::Duration::from_millis(2) {
                         std::hint::spin_loop();

@@ -1,6 +1,8 @@
 //! The stall watchdog, exercised both ways: a run with a deliberately
 //! wedged worker must trip (with a usable post-mortem dump), and a
-//! healthy run under the same sampler must never trip.
+//! healthy run under the same sampler must never trip — not mid-run,
+//! and not while its workers, who end the run themselves, leave one
+//! after another.
 //!
 //! The sabotage knob (`Runtime::with_stalled_worker`) wedges one worker
 //! before it enters the scheduler loop: it stays alive (so the run
@@ -10,14 +12,23 @@
 
 #![cfg(feature = "metrics")]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use uat_fiber::runtime::{spawn, Runtime};
 use uat_fiber::{WatchdogAction, WatchdogCfg, WatchdogReport};
 use uat_metrics::names;
 
+/// A worker without a CPU is, to the watchdog, a worker that does not
+/// advance — rightly. These tests each load every CPU, so they take
+/// turns rather than starve one another's workers into a trip.
+fn my_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn sabotaged_worker_trips_watchdog() {
+    let _turn = my_turn();
     let report = Arc::new(WatchdogReport::default());
     let rt = Runtime::new(4)
         .with_stalled_worker(2)
@@ -73,6 +84,7 @@ fn clean_run_never_trips() {
         let b = fib(n - 2);
         a.join() + b
     }
+    let _turn = my_turn();
     let report = Arc::new(WatchdogReport::default());
     let rt = Runtime::new(4)
         .with_sampler(Duration::from_millis(2))
@@ -105,4 +117,46 @@ fn clean_run_never_trips() {
             > 0
     );
     assert!(snap.total(names::TASKS) > 0);
+}
+
+#[test]
+fn orderly_exit_is_never_read_as_a_stall() {
+    // The workers end the run: the first whose termination scan passes
+    // raises shutdown and leaves at once, a napping peer a nap later, a
+    // peer without a CPU later still — and none of them heartbeats
+    // again. The watchdog shares that flag and must stand down on it,
+    // however hair-triggered: the minimum tick and the shortest window
+    // (two ticks), and more workers than this test needs CPUs.
+    let _turn = my_turn();
+    for round in 0..200u64 {
+        let report = Arc::new(WatchdogReport::default());
+        let rt = Runtime::new(3)
+            .with_sampler(Duration::from_micros(100))
+            .with_watchdog(WatchdogCfg {
+                stall_after: Duration::ZERO,
+                action: WatchdogAction::Report(Arc::clone(&report)),
+            });
+        let (out, _sched, snap) = rt.run_metered(move || {
+            let handles: Vec<_> = (0..4).map(|i| spawn(move || round + i)).collect();
+            handles.into_iter().map(|h| h.join()).sum::<u64>()
+        });
+        assert_eq!(out, 4 * round + 6);
+        // A window this tight also catches a live worker that went two
+        // ticks without a CPU (a thread the OS has yet to start, most
+        // often) while its peers spun — rightly, and not this test's
+        // business. That worker heartbeats again once it runs; one
+        // blamed at the very epoch it finished the run with had left.
+        if let Some(dump) = report.take() {
+            let last = snap
+                .per_worker(names::HEARTBEATS)
+                .expect("heartbeat shards")[dump.worker];
+            assert!(
+                last > dump.heartbeats[dump.worker],
+                "round {round}: worker {} was blamed at epoch {last}, the one it left with \
+                 (epochs then: {:?})",
+                dump.worker,
+                dump.heartbeats
+            );
+        }
+    }
 }

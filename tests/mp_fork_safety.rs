@@ -18,11 +18,17 @@
 //! its record and program live in its stack slot, its join block in its
 //! parent's frame, and programs expand through one recycled buffer per
 //! process — the twin of `tests/native_alloc.rs`.
+//!
+//! Also here, because it is the coordinator's other duty to its forked
+//! workers: it must sleep through the run, not poll them.
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use uni_address_threads::fiber::{set_bootstrap_alloc_probe, MultiProcessRunner};
 use uni_address_threads::model::testutil::BinTree;
+use uni_address_threads::workloads::Btc;
 
 /// Counts every allocation in this binary (and, after `fork`, in each
 /// worker — the counter is plain process memory, so each child counts
@@ -108,5 +114,38 @@ fn bootstrap_window_performs_no_allocations() {
         report.bootstrap_allocs,
         vec![0u64; 4],
         "a worker allocated between fork and worker-loop entry ([I15])"
+    );
+}
+
+#[test]
+fn the_coordinator_sleeps_through_a_run() {
+    if let Err(e) = MultiProcessRunner::probe_support() {
+        eprintln!("skipping the coordinator's context-switch bound: {e}");
+        return;
+    }
+    let before = match common::voluntary_switches() {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("skipping the coordinator's context-switch bound: {e}");
+            return;
+        }
+    };
+    let btc = Btc {
+        depth: 14,
+        iter: 1,
+        work: 20_000,
+    };
+    let tasks = btc.expected_tasks();
+    let t0 = std::time::Instant::now();
+    let stats = MultiProcessRunner::new(2).run(btc);
+    let elapsed = t0.elapsed().as_secs_f64();
+    let switches = common::voluntary_switches().expect("readable a moment ago") - before;
+    assert_eq!(stats.total_tasks, tasks);
+    // One futex wait per 10 ms liveness sweep plus a handful around
+    // fork, wake-up and reaping; the 50us poll made ~8 000 a second.
+    let bound = 10.0 + 150.0 * elapsed;
+    assert!(
+        switches as f64 <= bound,
+        "the coordinator blocked or slept {switches} times in {elapsed:.3} s (bound {bound:.0})"
     );
 }

@@ -2,11 +2,14 @@
 //! switching, real stealing, results cross-checked against sequential
 //! and simulated executions.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use uni_address_threads::fiber::{self, Runtime};
+use std::time::{Duration, Instant};
+use uni_address_threads::fiber::{self, NativeRunner, Runtime};
 use uni_address_threads::workloads::nqueens::Board;
-use uni_address_threads::workloads::NQueens;
+use uni_address_threads::workloads::{Btc, NQueens};
 
 fn fib_fiber(n: u64) -> u64 {
     if n < 2 {
@@ -217,4 +220,59 @@ fn creation_strategies_all_work_under_load() {
         let cycles = measure_creation(s, 1_000, 5);
         assert!(cycles > 0.0 && cycles < 50_000.0, "{s:?} -> {cycles}");
     }
+}
+
+#[test]
+fn the_caller_sleeps_through_a_run() {
+    // Nobody polls: the workers decide the run is over, and the calling
+    // thread blocks in their `join`s. A caller that slept and looked
+    // every 50us gave up its CPU ~8 000 times a second — on a CPU a
+    // worker was using.
+    let before = match common::voluntary_switches() {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("skipping the caller's context-switch bound: {e}");
+            return;
+        }
+    };
+    let btc = Btc {
+        depth: 14,
+        iter: 1,
+        work: 20_000,
+    };
+    let tasks = btc.expected_tasks();
+    let stats = NativeRunner::new(2).run(btc);
+    let switches = common::voluntary_switches().expect("readable a moment ago") - before;
+    assert_eq!(stats.total_tasks, tasks);
+    assert!(
+        stats.wall >= Duration::from_millis(20),
+        "a {:?} run is too short to tell polling from blocking",
+        stats.wall
+    );
+    assert!(
+        switches <= 20,
+        "the calling thread blocked or slept {switches} times in a {:?} run",
+        stats.wall
+    );
+}
+
+#[test]
+fn an_empty_run_returns_promptly() {
+    // Termination latency: the root's worker runs out of work, spins its
+    // 64 rounds, scans, and raises shutdown; its napping peer leaves one
+    // nap later. No poll interval stands between that and the caller.
+    let rt = Runtime::new(2);
+    let mut walls: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            rt.run(|| ());
+            t0.elapsed()
+        })
+        .collect();
+    walls.sort();
+    let median = walls[walls.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "an empty run took {median:?} (median of 20; all: {walls:?})"
+    );
 }
