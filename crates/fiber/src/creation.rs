@@ -8,14 +8,14 @@
 //! | strategy | models | mechanism |
 //! |---|---|---|
 //! | [`CreationStrategy::UniAddr`] | uni-address threads | Figure 4: `save_context_and_call`, push the parent entry, run the child on the same linear stack, pop |
-//! | [`CreationStrategy::StackPool`] | MassiveThreads | child gets a pooled stack; full context switch both ways |
+//! | [`CreationStrategy::StackPool`] | MassiveThreads, and both real runtimes here | child gets a pooled stack: `switch_to_fresh` in, the child pushes the parent entry from its own stack, pops it, inline `resume_context` out — what a spawn pays in `runtime`/`mpruntime` |
 //! | [`CreationStrategy::SeqCall`] | MIT Cilk's fast clone | push a queue entry, plain indirect call, pop — no context save |
 //!
-//! The ordering the paper reports (Cilk < uni-address ≈ MassiveThreads)
-//! follows from the mechanisms; `table2_creation` prints the measured
-//! numbers next to the paper's.
+//! The ordering the paper reports (Cilk < uni-address ≈ MassiveThreads,
+//! 100 vs 110 cycles) follows from the mechanisms; `table2_creation`
+//! prints the measured numbers next to the paper's.
 
-use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
+use crate::ctx::{resume_context, save_context_and_call, switch_to_fresh, Context};
 use crate::stack::Stack;
 use crate::tsc;
 use std::ffi::c_void;
@@ -74,26 +74,21 @@ unsafe extern "C" fn do_create_uniaddr(ctx: *mut Context, arg: *mut c_void) {
 struct PoolArgs<'a> {
     deque: &'a NativeDeque<u64>,
     counter: *mut u64,
-    child_top: *mut u8,
+    /// The parent's saved context: the slot of the `switch_to_fresh`.
+    parent: *mut Context,
 }
 
+/// The runtimes' `child_main`, specialized to the benchmark child: push
+/// the parent entry from the child's own stack, run, pop, resume.
 unsafe extern "C" fn pool_child_main(arg: *mut c_void) -> ! {
     // SAFETY: [I8] arg outlives the child (parent frame is suspended).
     let args = unsafe { &*(arg as *mut PoolArgs<'_>) };
+    args.deque.push(args.parent as u64);
     // SAFETY: [I8] counter points at the measuring frame's live u64.
     child_body(unsafe { &mut *args.counter });
     let parent = args.deque.pop().expect("parent not stolen in microbench");
     // SAFETY: [I5] the parent context is intact on its own stack.
     unsafe { resume_context(parent as *mut Context) }
-}
-
-unsafe extern "C" fn do_create_pool(ctx: *mut Context, arg: *mut c_void) {
-    // SAFETY: [I8] as above.
-    let args = unsafe { &mut *(arg as *mut PoolArgs<'_>) };
-    args.deque.push(ctx as u64);
-    // SAFETY: [I6][I9] child_top is the top of a live pooled stack and
-    // pool_child_main never returns.
-    unsafe { switch_stack_and_call(args.child_top, pool_child_main, arg) }
 }
 
 /// Measure mean creation cycles for `strategy` (min-of-batches, like the
@@ -140,15 +135,18 @@ pub fn measure_creation(strategy: CreationStrategy, batch: u64, reps: u64) -> f6
                     let mut args = PoolArgs {
                         deque: &deque,
                         counter: &mut counter,
-                        child_top: stack.top(),
+                        parent: std::ptr::null_mut(),
                     };
-                    // SAFETY: [I5][I8] the child jumps back via the saved context;
-                    // args outlives the round trip.
+                    // SAFETY: [I5][I6][I8][I9] the top of a live pooled
+                    // stack is 16-byte aligned; pool_child_main diverges,
+                    // back into the context saved here; args outlives
+                    // the round trip.
                     unsafe {
-                        save_context_and_call(
-                            std::ptr::null_mut(),
-                            do_create_pool,
-                            &mut args as *mut PoolArgs<'_> as *mut c_void,
+                        switch_to_fresh(
+                            &raw mut args.parent,
+                            stack.top(),
+                            pool_child_main,
+                            &raw mut args as *mut c_void,
                         );
                     }
                 },
@@ -202,6 +200,30 @@ mod tests {
             last.1 < 2_000.0,
             "uni-address creation {:.0} cycles",
             last.1
+        );
+    }
+
+    #[test]
+    fn pooled_stack_creation_is_level_with_uni_address() {
+        // Table 2's other result: MassiveThreads at 1.1x uni-address
+        // (110 vs 100 cycles). Both rows save and restore one context
+        // and push and pop one entry; the pooled-stack row adds a stack
+        // switch, which is a register move. A dead `call` or an extra
+        // `ret` on the way — a trampoline, an out-of-line
+        // `resume_context` — puts the CPU's return predictor out of
+        // step and shows here as 1.8-1.9x. Same any-of-a-few-attempts
+        // form as above.
+        let mut last = (0.0, 0.0);
+        let level = (0..5).any(|_| {
+            let uni = measure_creation(CreationStrategy::UniAddr, 2_000, 15);
+            let pool = measure_creation(CreationStrategy::StackPool, 2_000, 15);
+            last = (uni, pool);
+            pool <= 1.35 * uni
+        });
+        assert!(
+            level,
+            "pooled-stack creation ({:.0}) should be within 1.35x of uni-address ({:.0})",
+            last.1, last.0
         );
     }
 }

@@ -23,6 +23,7 @@
 //! the block after its decrement, and Release/Acquire on `pending` is
 //! all the ordering there is to get right.
 
+use crate::ctx::Context;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Set in `pending` while a continuation is registered in `waiter`.
@@ -111,6 +112,48 @@ impl JoinBlock {
         }
         self.pending.store(0, Ordering::Relaxed);
         false
+    }
+}
+
+/// A parking join on its way from the fiber to its worker's scheduler
+/// ([I12]): the block, stored by the fiber, and the fiber's
+/// continuation, written by the `switch_to` that leaves it — `ctx` is
+/// that call's slot. One per worker; a null block is "nothing pending".
+pub(crate) struct PendingJoin {
+    block: *const JoinBlock,
+    ctx: *mut Context,
+}
+
+impl PendingJoin {
+    pub(crate) const NONE: Self = PendingJoin {
+        block: std::ptr::null(),
+        ctx: std::ptr::null_mut(),
+    };
+
+    /// Fiber: hand the join on `jb` over. Returns the slot its
+    /// `switch_to` into the scheduler saves the continuation to.
+    #[inline]
+    pub(crate) fn hand_over(&mut self, jb: &JoinBlock) -> *mut *mut Context {
+        debug_assert!(self.block.is_null());
+        self.block = jb;
+        &raw mut self.ctx
+    }
+
+    /// Scheduler, on the worker's own stack: [`park`](JoinBlock::park)
+    /// what a fiber handed over, if anything. `Some(ctx)`: every child
+    /// had already completed, so the fiber never really parked and
+    /// `ctx` is still the caller's to resume.
+    ///
+    /// # Safety
+    /// The block handed over is still alive: it is in the suspended
+    /// fiber's frame (or in a `JoinHandle` that frame holds), and that
+    /// frame stays suspended until its continuation is resumed — which
+    /// only this park's outcome can cause.
+    #[inline]
+    pub(crate) unsafe fn park(&mut self) -> Option<*mut Context> {
+        let jb = std::mem::replace(&mut self.block, std::ptr::null());
+        // SAFETY: [I8][I16] alive per this function's contract.
+        (!jb.is_null() && !unsafe { (*jb).park(self.ctx as u64) }).then_some(self.ctx)
     }
 }
 

@@ -6,12 +6,16 @@
 //! microbenchmark, and this crate measures it for real:
 //!
 //! - [`ctx`]: a faithful port of the paper's Appendix A
-//!   `save_context_and_call` / `resume_context` x86-64 assembly.
+//!   `save_context_and_call` / `resume_context` x86-64 assembly, and the
+//!   two transfers both runtimes make with the same record
+//!   (`switch_to_fresh`, `switch_to`: one `call`, one `ret`).
 //! - [`stack`]: `mmap`-backed task stacks with guard pages, pooled.
 //! - [`creation`]: the three creation strategies Table 2 compares —
 //!   `uniaddr` (Figure 4: save context, push queue entry, run the child
-//!   on the same linear stack, pop), `stack_pool` (MassiveThreads-like:
-//!   child on a fresh pooled stack via a full context switch), and
+//!   on the same linear stack, pop), `stack_pool` (MassiveThreads-like,
+//!   and what a spawn pays in both runtimes here: child on a fresh
+//!   pooled stack, entered and left through the runtimes' own
+//!   transfers), and
 //!   `seq_call` (Cilk-like fast clone: push, plain call, pop) — each
 //!   timed with `rdtsc`.
 //! - [`runtime`]: a multi-worker work-stealing executor (stack-pool

@@ -64,6 +64,15 @@
 //! recycled per-process buffer, taken and handed back with no migration
 //! point in between ([I16]).
 //!
+//! # Control transfers
+//!
+//! The thread runtime's, call for call: a spawn and the root's start
+//! are `switch_to_fresh`, a parking join and the scheduler's resume are
+//! `switch_to`, a task leaves through an inlined `resume_context`
+//! ([`ctx`](crate::ctx)). Each names the slot its continuation is saved
+//! to — the child's header, this process's `sched_ctx`, the ctx half of
+//! `pending_join` — so nothing runs between the save and the switch.
+//!
 //! # Per-process state
 //!
 //! Worker identity, the scheduler context, and the retire/join hand-off
@@ -75,11 +84,11 @@
 //! context record with the *previous* process's value. Every access
 //! after a potential migration re-derives through the opaque call.
 
-use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
+use crate::ctx::{resume_context, switch_to, switch_to_fresh, Context};
 use crate::frame::{self, FrameTooLarge, PAGE};
 use crate::idle::{self, Idle};
 use crate::interp::{AcctRow, NativeRunStats, TaskAcct};
-use crate::join::JoinBlock;
+use crate::join::{JoinBlock, PendingJoin};
 use crate::runtime::bump;
 use crate::tsc;
 use std::ffi::c_void;
@@ -169,9 +178,10 @@ struct MpHeader<D> {
     /// its lineage has built so far, carried parent→child so the peak
     /// needs no machine-wide gauge.
     chain_above: u64,
-    /// The spawner's saved continuation, written by the spawn
-    /// trampoline and published by the child per [I12].
-    parent_ctx: u64,
+    /// The spawner's saved continuation: the slot of the spawn's
+    /// `switch_to_fresh`, written on the way into the child and
+    /// published by the child per [I12]. Null for the root.
+    parent_ctx: *mut Context,
     /// This slot's index (so code on the slot's stack can retire it).
     slot_idx: u64,
     /// The task's `frame_size`, evaluated once, by its spawner.
@@ -324,7 +334,7 @@ impl RegionLayout {
             hdr.write(MpHeader {
                 join,
                 chain_above,
-                parent_ctx: 0,
+                parent_ctx: std::ptr::null_mut(),
                 slot_idx: slot as u64,
                 frame,
                 sp: sp as u64,
@@ -368,11 +378,11 @@ struct MpProc {
     worker: usize,
     layout: RegionLayout,
     /// This process's parked scheduler context (worker OS stack).
-    sched_ctx: u64,
+    sched_ctx: *mut Context,
     /// Slot retired by the previously completed task (+1; 0 = none).
     pending_retire: u64,
-    /// Join park hand-off: (`*const JoinBlock`, ctx) per [I12].
-    pending_join: Option<(*const JoinBlock, u64)>,
+    /// Join park hand-off per [I12].
+    pending_join: PendingJoin,
     rng: SplitMix64,
     divisor: u64,
     /// The workload, by pre-fork pointer (copy-on-write read-only data,
@@ -682,9 +692,9 @@ where
         *addr_of_mut!(MP_PROC) = Some(MpProc {
             worker: id,
             layout,
-            sched_ctx: 0,
+            sched_ctx: std::ptr::null_mut(),
             pending_retire: 0,
-            pending_join: None,
+            pending_join: PendingJoin::NONE,
             rng: SplitMix64::new(0x5EED ^ id as u64),
             divisor,
             env: env as u64,
@@ -719,13 +729,18 @@ where
     if id == 0 {
         // Seed the root task (its header was written pre-fork by the
         // coordinator into slot 0).
-        // SAFETY: [I5] mp_fresh_tramp diverges into the root fiber; the
-        // scheduler context saved here is resumed exactly once.
+        let hdr = layout.header::<W::Desc>(0);
+        // SAFETY: [I5][I9][I15][I19] the slot is this process's own;
+        // [I16] the root's header was written pre-fork by the
+        // coordinator, its `sp` inside the mapped, fresh slot stack
+        // below the header; mp_child_main diverges; the scheduler
+        // context saved here is resumed exactly once.
         unsafe {
-            save_context_and_call(
-                std::ptr::null_mut(),
-                mp_fresh_tramp::<W>,
-                layout.header::<W::Desc>(0) as *mut c_void,
+            switch_to_fresh(
+                &raw mut (*mp_proc()).sched_ctx,
+                (*hdr).sp as *mut u8,
+                mp_child_main::<W>,
+                hdr as *mut c_void,
             );
         }
         mp_collect_retired();
@@ -738,18 +753,16 @@ where
         mcell_inc(MC_HEARTBEATS, Ordering::Relaxed);
 
         // Scheduler-side join park [I12]: a fiber that suspended on a
-        // join handed us its (block, ctx); park it from this OS stack.
-        // If every child already finished, resume it right away
-        // (exactly one side ever owns the ctx: the last child's
-        // `complete` or this `park`).
-        // SAFETY: [I15] exclusive per-process state.
-        if let Some((jb, ctx)) = unsafe { (*mp_proc()).pending_join.take() } {
-            // SAFETY: [I16] the block lives on the parked parent's shm
-            // stack, which stays live until the parent is resumed.
-            if !unsafe { (*jb).park(ctx) } {
-                mp_run_ctx(ctx);
-                continue;
-            }
+        // join handed it to us; park it from this OS stack. If every
+        // child already finished, resume it right away (exactly one
+        // side ever owns the ctx: the last child's `complete` or this
+        // `park`).
+        // SAFETY: [I15][I16] exclusive per-process state; the block
+        // lives on the parked parent's shm stack, which stays live
+        // until the parent is resumed.
+        if let Some(ctx) = unsafe { (*mp_proc()).pending_join.park() } {
+            mp_run_ctx(ctx);
+            continue;
         }
 
         // Own deque first, then a random victim (the one-sided steal:
@@ -779,7 +792,7 @@ where
                 if idle.found() {
                     mcell_inc(MC_UNPARKS, Ordering::Relaxed);
                 }
-                mp_run_ctx(ctx);
+                mp_run_ctx(ctx as *mut Context);
             }
             None => {
                 if ctrl.shutdown_flag.load(Ordering::Acquire) != 0 {
@@ -812,40 +825,13 @@ where
 
 /// Resume a ready continuation, saving this scheduler's own context so
 /// fibers can bail back to the loop.
-fn mp_run_ctx(ctx: u64) {
-    // SAFETY: [I5] mp_run_tramp diverges into `ctx`; the saved
-    // scheduler context is resumed exactly once (by whichever fiber
-    // next runs out of local work in this process).
-    unsafe {
-        save_context_and_call(std::ptr::null_mut(), mp_run_tramp, ctx as *mut c_void);
-    }
+fn mp_run_ctx(ctx: *mut Context) {
+    // SAFETY: [I5][I9][I15] the slot is this process's own, on a stack
+    // that never migrates; `ctx` is a live continuation handed out by a
+    // deque; the saved scheduler context is resumed exactly once (by
+    // whichever fiber next runs out of local work in this process).
+    unsafe { switch_to(&raw mut (*mp_proc()).sched_ctx, ctx) };
     mp_collect_retired();
-}
-
-unsafe extern "C" fn mp_run_tramp(sched: *mut Context, arg: *mut c_void) {
-    // SAFETY: [I15] exclusive per-process state; borrow ends before the
-    // resume.
-    unsafe {
-        (*mp_proc()).sched_ctx = sched as u64;
-    }
-    // SAFETY: [I5] arg is a live continuation handed out by a deque.
-    unsafe { resume_context(arg as *mut Context) }
-}
-
-unsafe extern "C" fn mp_fresh_tramp<W>(sched: *mut Context, arg: *mut c_void)
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I15] as in mp_run_tramp; [I16] the root's header, written
-    // pre-fork by the coordinator.
-    let sp = unsafe {
-        (*mp_proc()).sched_ctx = sched as u64;
-        (*(arg as *const MpHeader<W::Desc>)).sp as *mut u8
-    };
-    // SAFETY: [I6][I9][I19] the slot stack is mapped and fresh, `sp`
-    // inside it below the header; mp_child_main diverges.
-    unsafe { switch_stack_and_call(sp, mp_child_main::<W>, arg) }
 }
 
 // ---------------------------------------------------------------------
@@ -861,7 +847,7 @@ where
     // retirement; reads of POD fields.
     let hdr = unsafe { &*(arg as *const MpHeader<W::Desc>) };
     let (slot, join, parent_ctx) = (hdr.slot_idx as usize, hdr.join, hdr.parent_ctx);
-    if parent_ctx != 0 {
+    if !parent_ctx.is_null() {
         // Publish the spawner's continuation: stealable (by any
         // process) from now on. Safe here per [I12] — we run on the
         // child's fresh stack; every parent-stack frame below the
@@ -871,7 +857,7 @@ where
             let p = &*mp_proc();
             (p.layout, p.worker)
         };
-        layout.deque(id).push(parent_ctx);
+        layout.deque(id).push(parent_ctx as u64);
     }
     if catch_unwind(AssertUnwindSafe(|| {
         // SAFETY: [I15][I16] slot header and env are live; exec_mp is
@@ -923,7 +909,7 @@ where
     let target = match layout.deque(id).pop() {
         Some(c) => c as *mut Context,
         // SAFETY: [I15] this process's parked scheduler context.
-        None => unsafe { (*mp_proc()).sched_ctx as *mut Context },
+        None => unsafe { (*mp_proc()).sched_ctx },
     };
     // SAFETY: [I5] target is resumed exactly once; only Copy locals
     // live here.
@@ -1038,38 +1024,24 @@ where
             let msg = b"uat-fiber(mp): task frame exceeds the slot stack; worker exiting\n";
             die(&ctrl.frame_too_large, e.frame, msg, 104)
         });
-    // SAFETY: [I5] mp_spawn_tramp never returns normally; the
-    // continuation saved here is resumed exactly once (by the child's
-    // pop or by a thief in any process).
+    // [I12]: the continuation goes into the child's header, not into
+    // the deque — this frame lives on the very stack it points into.
+    // mp_child_main publishes it from the child's stack.
+    // SAFETY: [I5][I9][I16][I19] the header is the child's slot,
+    // exclusively ours until this switch hands it to mp_child_main,
+    // which diverges; `sp` is inside the fresh slot stack below the
+    // header; the continuation saved here is resumed exactly once (by
+    // the child's pop or by a thief in any process).
     unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            mp_spawn_tramp::<W>,
+        switch_to_fresh(
+            &raw mut (*hdr).parent_ctx,
+            (*hdr).sp as *mut u8,
+            mp_child_main::<W>,
             hdr as *mut c_void,
         );
     }
     // Resumed — possibly in a different process.
     mp_collect_retired();
-}
-
-unsafe extern "C" fn mp_spawn_tramp<W>(ctx: *mut Context, arg: *mut c_void)
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // [I12]: do NOT publish `ctx` here — this frame lives on the very
-    // stack `ctx` points into. Stash it in the child's header and leave
-    // this stack; mp_child_main publishes it from the child's stack.
-    // SAFETY: [I16] the header is the child's slot, exclusively ours
-    // until the switch below hands it to mp_child_main.
-    let sp = unsafe {
-        let hdr = &mut *(arg as *mut MpHeader<W::Desc>);
-        hdr.parent_ctx = ctx as u64;
-        hdr.sp as *mut u8
-    };
-    // SAFETY: [I6][I9][I19] fresh slot stack, `sp` inside it below the
-    // header; mp_child_main diverges.
-    unsafe { switch_stack_and_call(sp, mp_child_main::<W>, arg) }
 }
 
 /// Join every child spawned on `jb` so far: one pending-count load on
@@ -1079,36 +1051,25 @@ fn mp_join(jb: &JoinBlock) {
     if jb.is_done() {
         return;
     }
-    // SAFETY: [I5] mp_join_tramp hands this continuation to the
-    // scheduler, which parks it (resumed exactly once by the last
-    // child) or resumes it inline.
-    unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            mp_join_tramp,
-            jb as *const JoinBlock as *mut c_void,
-        );
-    }
+    // [I12]: publishing the continuation in the waiter slot from here
+    // would let the last child resume it while this very frame still
+    // runs on its stack. Hand the park to the scheduler on the worker's
+    // OS stack.
+    // SAFETY: [I15] exclusive per-process state; borrow ends before the
+    // switch.
+    let (slot, sched) = unsafe {
+        let p = &mut *mp_proc();
+        (p.pending_join.hand_over(jb), p.sched_ctx)
+    };
+    // SAFETY: [I5][I9] the slot is this process's own, read only by the
+    // scheduler this switches to, which is parked in its loop and
+    // resumed exactly once per lineage; the continuation saved here is
+    // resumed exactly once, by the last child's worker or inline by
+    // the scheduler.
+    unsafe { switch_to(slot, sched) };
     // Resumed — possibly in a different process, with all children done.
     mp_collect_retired();
     debug_assert!(jb.is_done());
-}
-
-unsafe extern "C" fn mp_join_tramp(ctx: *mut Context, arg: *mut c_void) {
-    // [I12]: publishing `ctx` in the waiter slot from here would let
-    // the last child resume it while this very frame still runs on its
-    // stack. Hand the park to the scheduler on the worker's OS stack.
-    // SAFETY: [I15] exclusive per-process state; borrow ends before the
-    // resume.
-    let sched = unsafe {
-        let p = &mut *mp_proc();
-        debug_assert!(p.pending_join.is_none());
-        p.pending_join = Some((arg as *const JoinBlock, ctx as u64));
-        p.sched_ctx as *mut Context
-    };
-    // SAFETY: [I5] the scheduler context is parked in its loop and
-    // resumed exactly once per lineage.
-    unsafe { resume_context(sched) }
 }
 
 // ---------------------------------------------------------------------

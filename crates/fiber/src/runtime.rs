@@ -14,6 +14,14 @@
 //! the Figure 7 join loop (fast-path done-check, else suspend and find
 //! other work).
 //!
+//! Control changes stacks in four places, through the two transfers of
+//! [`ctx`](crate::ctx) — a spawn and the scheduler starting the root
+//! (`switch_to_fresh`), a parking join and the scheduler resuming a
+//! continuation (`switch_to`) — and a task leaves through an inlined
+//! `resume_context`. Each transfer saves the caller's continuation into
+//! a slot the caller names, so there is no code between the save and
+//! the switch: a spawn nobody steals is one `call` and one `ret`.
+//!
 //! Nobody polls for the end of a run. A worker that has spun out and is
 //! about to nap runs the termination scan over the per-worker
 //! `spawned`/`completed` cells, and the first whose scan passes raises
@@ -30,27 +38,27 @@
 //! claimed by exactly one side of the [`JoinBlock`] arbitration. A
 //! task's stack is retired only
 //! by its own completion and freed only after control has left it (the
-//! `pending_retire` hand-off). Functions passed to
-//! `switch_stack_and_call` and trampolines that claim a continuation
-//! diverge with only `Copy` locals live, so no destructor is skipped.
+//! `pending_retire` hand-off). A task's entry (`child_main`) diverges
+//! with only `Copy` locals live, so no destructor is skipped.
 //!
 //! **Publication rule [I12]:** a saved continuation is made visible to
 //! other workers (deque push or join park) only from a stack that
 //! is *not* the continuation's own. The `Context` record lives on the
 //! fiber's stack and a thief resumes it by setting `rsp = ctx` — from
-//! that instant every frame below the record (the very trampoline that
-//! saved it) is dead memory the resumed fiber will overwrite. So
-//! `spawn` publishes the parent from the child's fresh stack
-//! (`child_main`), and a parking `join` hands the park to the
-//! scheduler loop on the worker's OS stack (`pending_join`). Publishing
-//! from the trampoline itself — the obvious Figure 4 reading — is a
+//! that instant every frame below the record is dead memory the
+//! resumed fiber will overwrite. So the saving routine writes the
+//! continuation only to a private slot: a spawn's is the child's own
+//! record, and the child publishes it from its fresh stack
+//! (`child_main`); a parking join's is `pending_join`, and the
+//! scheduler loop parks it from the worker's OS stack. Publishing
+//! from the saving stack itself — the obvious Figure 4 reading — is a
 //! stack-trample race that corrupts spilled locals under steal churn
 //! (debug builds spill everything, making it a near-certain segfault).
 
-use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
+use crate::ctx::{resume_context, switch_to, switch_to_fresh, Context};
 use crate::frame;
 use crate::idle::{self, Idle};
-use crate::join::JoinBlock;
+use crate::join::{JoinBlock, PendingJoin};
 use crate::nmetrics::{MetricsShared, WorkerMetrics};
 use crate::ntrace::{TraceShared, WorkerTracer};
 use crate::stack::{Stack, StackPool};
@@ -164,11 +172,10 @@ struct Worker {
     rng: SplitMix64,
     sched_ctx: *mut Context,
     pending_retire: Option<Stack>,
-    /// A fiber that wants to park on a join hands `(block, ctx)` to its
-    /// scheduler here; the scheduler calls `JoinBlock::park` from the
-    /// OS stack per [I12]. The block stays valid until then: it is in
-    /// the suspended fiber's frame, or in a `JoinHandle` that frame holds.
-    pending_join: Option<(*const JoinBlock, u64)>,
+    /// A fiber that wants to park on a join hands it to its scheduler
+    /// here; the scheduler calls `JoinBlock::park` from the OS stack per
+    /// [I12].
+    pending_join: PendingJoin,
     trace: WorkerTracer,
     metrics: WorkerMetrics,
 }
@@ -237,16 +244,17 @@ const RECORD_STACK_DIVISOR: usize = 4;
 /// The type-independent head of a task record [I18].
 #[repr(C)]
 struct TaskHeader {
-    /// `child_main::<K, F>` for the record's own `F`: lets the
-    /// trampolines start a task without knowing its closure type.
+    /// `child_main::<K, F>` for the record's own `F`: lets a spawner
+    /// or the scheduler start a task without knowing its closure type.
     entry: unsafe extern "C" fn(*mut c_void) -> !,
     /// Where the body starts: the task's frame claim below this record,
     /// as [`frame::claim`] checked it against the stack [I19].
     sp: *mut u8,
-    /// The spawner's saved continuation (`*mut Context` as u64), written
-    /// by `spawn_tramp` on the way into the child and published by
-    /// `child_main` from the child's stack per [I12]. 0 for the root.
-    parent_ctx: u64,
+    /// The spawner's saved continuation: the slot of the spawn's
+    /// `switch_to_fresh`, written on the way into the child and
+    /// published by `child_main` from the child's stack per [I12]. Null
+    /// for the root.
+    parent_ctx: *mut Context,
     /// The block the task reports its completion to.
     join: *const JoinBlock,
     /// Trace task id (0 when the run is untraced).
@@ -302,7 +310,7 @@ fn place_record<K, F: FnOnce() -> K>(
             hdr: TaskHeader {
                 entry: child_main::<K, F>,
                 sp: sp as *mut u8,
-                parent_ctx: 0,
+                parent_ctx: std::ptr::null_mut(),
                 join,
                 task_id,
                 stack: ManuallyDrop::new(stack),
@@ -367,10 +375,23 @@ where
         place_record(stack, jb, task_id, frame, f)
     };
     jb.announce();
-    // SAFETY: [I5] spawn_tramp never returns normally; the continuation saved
-    // here is resumed exactly once (by the child's pop or by a thief).
+    // [I12]: the continuation goes into the child's record, not into
+    // the deque — this frame lives on the very stack it points into,
+    // and a thief resuming it would overwrite the frame while it still
+    // executes. `child_main` publishes it from the child's fresh stack.
+    // SAFETY: [I5][I9][I18][I19] the record is exclusively the
+    // spawner's until this switch hands it to the child; `sp` is
+    // 16-byte aligned inside a fresh pooled stack, below the record,
+    // with nothing live below it; `entry` diverges; the continuation
+    // saved here is resumed exactly once (by the child's pop or by a
+    // thief).
     unsafe {
-        save_context_and_call(std::ptr::null_mut(), spawn_tramp, rec as *mut c_void);
+        switch_to_fresh(
+            &raw mut (*rec).parent_ctx,
+            (*rec).sp,
+            (*rec).entry,
+            rec as *mut c_void,
+        );
     }
     // Resumed — possibly on a different worker thread.
     let w = collect_retired();
@@ -378,25 +399,6 @@ where
     unsafe {
         (*w).trace.on_resumed();
     }
-}
-
-unsafe extern "C" fn spawn_tramp(ctx: *mut Context, arg: *mut c_void) {
-    // [I12]: do NOT publish `ctx` here — this frame lives on the very
-    // stack `ctx` points into, and a thief resuming the continuation
-    // would overwrite it while we still execute. Stash the continuation
-    // in the child's record and leave this stack first; `child_main`
-    // publishes it from the child's fresh stack.
-    let hdr = arg as *mut TaskHeader;
-    // SAFETY: [I18] the record is exclusively the spawner's until the
-    // switch below hands it to the child.
-    let (entry, sp) = unsafe {
-        (*hdr).parent_ctx = ctx as u64;
-        ((*hdr).entry, (*hdr).sp)
-    };
-    // SAFETY: [I6][I9][I19] `sp` is 16-byte aligned inside a fresh
-    // pooled stack, below the record, with nothing live below it;
-    // `entry` diverges.
-    unsafe { switch_stack_and_call(sp, entry, arg) }
 }
 
 unsafe extern "C" fn child_main<K, F: FnOnce() -> K>(arg: *mut c_void) -> ! {
@@ -422,14 +424,14 @@ unsafe extern "C" fn child_main<K, F: FnOnce() -> K>(arg: *mut c_void) -> ! {
             // on. Safe here per [I12] — we run on the child's fresh
             // stack, and every parent-stack frame below the record is
             // already dead.
-            if parent_ctx != 0 {
+            if !parent_ctx.is_null() {
                 // Trace: register the continuation *before* the push
                 // makes it stealable, so a thief's commit always finds
                 // the publication. `cur_task` is still the parent's id:
                 // `on_task_begin` below is what makes the child current.
                 let parent = wr.trace.cur_task();
-                wr.trace.on_publish(parent_ctx, parent);
-                wr.shared.deques[wr.id].push(parent_ctx);
+                wr.trace.on_publish(parent_ctx as u64, parent);
+                wr.shared.deques[wr.id].push(parent_ctx as u64);
             }
             // Trace/metrics: the fiber body starts here; the begin
             // stamps are Copy locals so they survive any migration of
@@ -512,21 +514,32 @@ pub(crate) fn join_all(jb: &JoinBlock) {
     if jb.is_done() {
         return;
     }
-    // Trace: charge the park attempt to the suspend bucket.
-    // SAFETY: [I7] exclusive worker access on this thread.
-    unsafe {
-        (*current()).trace.on_suspend();
-    }
-    // SAFETY: [I5] join_tramp hands this continuation to the scheduler,
-    // which parks it (resumed exactly once by the last child) or resumes
-    // it inline.
-    unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            join_tramp,
-            jb as *const JoinBlock as *mut c_void,
-        );
-    }
+    let w = current();
+    // SAFETY: [I7][I8] exclusive worker access on this thread, the
+    // borrow ends before the switch below; the block outlives the join.
+    let (slot, sched) = unsafe {
+        let wr = &mut *w;
+        // Trace: charge the park attempt to the suspend bucket, and
+        // record who is about to park *before* `park` can expose the
+        // slot to the last child (which reads it to name `JoinReady`).
+        wr.trace.on_suspend();
+        if wr.trace.enabled() {
+            jb.waiter_task.store(wr.trace.cur_task(), Ordering::Relaxed);
+        }
+        (wr.pending_join.hand_over(jb), wr.sched_ctx)
+    };
+    // [I12]: parking publishes the continuation — the last child can
+    // push it and a thief can resume it the next instant, overwriting
+    // this very frame. So don't park here: hand it to the scheduler,
+    // which runs on the worker's OS stack. Until the scheduler's `park`
+    // the continuation is invisible to every other thread, so this
+    // stack is still private.
+    // SAFETY: [I5][I9] the slot is this worker's own, read only by the
+    // scheduler this switches to; the scheduler context is parked in
+    // its loop and resumed exactly once per lineage; the continuation
+    // saved here is resumed exactly once, by the last child's worker or
+    // inline by the scheduler.
+    unsafe { switch_to(slot, sched) };
     let w = collect_retired();
     // Trace: name the resume edge if the join actually parked (the
     // enabling child recorded itself; taken, so the block's next join
@@ -559,35 +572,6 @@ impl<T> JoinHandle<T> {
     pub fn is_done(&self) -> bool {
         self.cell.block.is_done()
     }
-}
-
-unsafe extern "C" fn join_tramp(ctx: *mut Context, arg: *mut c_void) {
-    let jb = arg as *const JoinBlock;
-    // [I12]: parking publishes `ctx` — the last child can push it and a
-    // thief can resume it the next instant, overwriting this very frame
-    // (it lives on `ctx`'s stack). So don't park here: hand it to the
-    // scheduler, which runs on the worker's OS stack. Until the
-    // scheduler's `park`, `ctx` is invisible to every other thread, so
-    // this stack is still private.
-    let w = current();
-    // SAFETY: [I7][I8] exclusive worker access, the borrow ends before
-    // the resume below; the block outlives the join.
-    let sched = unsafe {
-        let wr = &mut *w;
-        // Trace: record who is about to park *before* `park` can expose
-        // the slot to the last child (which reads it to name `JoinReady`).
-        if wr.trace.enabled() {
-            (*jb)
-                .waiter_task
-                .store(wr.trace.cur_task(), Ordering::Relaxed);
-        }
-        debug_assert!(wr.pending_join.is_none());
-        wr.pending_join = Some((jb, ctx as u64));
-        wr.sched_ctx
-    };
-    // SAFETY: [I5] the scheduler context is parked in its loop and is
-    // resumed exactly once per lineage; only Copy locals are live here.
-    unsafe { resume_context(sched) }
 }
 
 /// The multi-worker runtime.
@@ -922,7 +906,7 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
         rng: SplitMix64::new(0x5EED ^ id as u64),
         sched_ctx: std::ptr::null_mut(),
         pending_retire: None,
-        pending_join: None,
+        pending_join: PendingJoin::NONE,
         trace: WorkerTracer::new(shared.trace_shared(), id),
         metrics: WorkerMetrics::new(&shared.metrics, id),
     };
@@ -962,19 +946,15 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
             (*w).metrics.on_loop();
         }
         // Scheduler-side join park [I12]: a fiber that suspended on a
-        // join handed us its (block, ctx); park it from this OS stack.
-        // If every child had completed first, the fiber never really
-        // parked — continue it right away.
-        // SAFETY: [I7] exclusive worker access; scoped borrow.
-        if let Some((jb, ctx)) = unsafe { (*w).pending_join.take() } {
-            // SAFETY: [I8][I16] the suspended fiber's frame holds the
-            // block (or the JoinHandle whose cell does), and that frame
-            // stays suspended until `ctx` is resumed — which only
-            // `park`'s outcome can cause.
-            if !unsafe { (*jb).park(ctx) } {
-                run_ctx(ctx as *mut Context);
-                continue;
-            }
+        // join handed it to us; park it from this OS stack. If every
+        // child had completed first, the fiber never really parked —
+        // continue it right away.
+        // SAFETY: [I7][I8][I16] exclusive worker access, scoped borrow;
+        // the suspended fiber's frame holds the block (or the
+        // JoinHandle whose cell does) until its continuation is resumed.
+        if let Some(ctx) = unsafe { (*w).pending_join.park() } {
+            run_ctx(ctx);
+            continue;
         }
         // SAFETY: [I7] as above.
         unsafe {
@@ -1073,47 +1053,31 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
 /// Run a ready continuation, saving the scheduler's own context so tasks
 /// can bail back to this loop.
 fn run_ctx(target: *mut Context) {
-    // SAFETY: [I5] run_tramp diverges into `target`; the saved scheduler
-    // context is resumed exactly once (by whichever task runs out of
-    // local work on this worker).
-    unsafe {
-        save_context_and_call(std::ptr::null_mut(), run_tramp, target as *mut c_void);
-    }
-    collect_retired();
-}
-
-unsafe extern "C" fn run_tramp(sched_ctx: *mut Context, arg: *mut c_void) {
     let w = current();
-    // SAFETY: [I7] exclusive worker access; borrow scoped.
-    unsafe {
-        (&mut *w).sched_ctx = sched_ctx;
-    }
-    // SAFETY: [I5] arg is a live continuation handed to us by the deque.
-    unsafe { resume_context(arg as *mut Context) }
+    // SAFETY: [I5][I7][I9] the slot is this worker's own, on a stack
+    // that never migrates; `target` is a live continuation handed to us
+    // by the deque; the saved scheduler context is resumed exactly once
+    // (by whichever task runs out of local work on this worker).
+    unsafe { switch_to(&raw mut (*w).sched_ctx, target) };
+    collect_retired();
 }
 
 /// Start a brand-new thread (no saved context yet) from the scheduler.
 fn run_fresh(rec: *mut TaskHeader) {
-    // SAFETY: [I5] fresh_tramp diverges into the task; scheduler context saved
-    // as in run_ctx.
+    let w = current();
+    // SAFETY: [I5][I7][I9][I18][I19] scheduler context saved as in
+    // `run_ctx`; the record is ours until this switch hands it to the
+    // task, its `sp` 16-byte aligned above a fresh stack and below the
+    // record; `entry` diverges.
     unsafe {
-        save_context_and_call(std::ptr::null_mut(), fresh_tramp, rec as *mut c_void);
+        switch_to_fresh(
+            &raw mut (*w).sched_ctx,
+            (*rec).sp,
+            (*rec).entry,
+            rec as *mut c_void,
+        );
     }
     collect_retired();
-}
-
-unsafe extern "C" fn fresh_tramp(sched_ctx: *mut Context, arg: *mut c_void) {
-    let w = current();
-    // SAFETY: [I7][I18] exclusive worker access; the record is ours
-    // until the switch below hands it to the task.
-    let (entry, sp) = unsafe {
-        (&mut *w).sched_ctx = sched_ctx;
-        let hdr = arg as *mut TaskHeader;
-        ((*hdr).entry, (*hdr).sp)
-    };
-    // SAFETY: [I6][I9][I19] fresh stack below the 16-byte-aligned `sp`,
-    // itself below the record; `entry` diverges.
-    unsafe { switch_stack_and_call(sp, entry, arg) }
 }
 
 #[cfg(test)]

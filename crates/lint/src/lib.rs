@@ -5,8 +5,9 @@
 //! the scanner is deliberately conservative in what it claims):
 //!
 //! - **Rule A — TLS across context switches** (the PR 6 bug class). A
-//!   fiber may suspend inside `save_context_and_call` and resume on a
-//!   *different OS thread* (steal migration), so a thread-local address
+//!   fiber may suspend inside a context-saving routine
+//!   ([`CROSSING_MARKERS`]) and resume on a *different OS thread*
+//!   (steal migration), so a thread-local address
 //!   computed before the switch is a dangling worker's after it. The
 //!   compiler caches TLS addresses when it can see both accesses in one
 //!   function body, so the safe pattern is to confine every TLS access
@@ -62,12 +63,13 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Function names whose call transfers control off the current stack in
-/// a way that may resume on a different OS thread (fiber suspension).
-/// `resume_context` / `switch_stack_and_call` are *worker-side* entry
-/// points (the worker's own stack stays put and never migrates), so
-/// they are deliberately not listed.
-pub const CROSSING_MARKERS: &[&str] = &["save_context_and_call"];
+/// Function names whose call saves the caller's continuation and
+/// transfers control off the current stack, so that the caller may
+/// resume on a different OS thread (fiber suspension): the paper's
+/// listing, and the two transfers both runtimes make. `resume_context`
+/// / `switch_stack_and_call` save nothing — nobody comes back from them
+/// — so they are deliberately not listed.
+pub const CROSSING_MARKERS: &[&str] = &["save_context_and_call", "switch_to", "switch_to_fresh"];
 
 /// Atomic methods whose call sites rule B inspects.
 const ATOMIC_METHODS: &[&str] = &[
@@ -476,7 +478,8 @@ fn rule_tls(files: &[FileScan], findings: &mut Vec<Finding>) {
         file: &'a FileScan,
         func: &'a Func,
         tls_access: Option<usize>,
-        crossing: bool,
+        /// The [`CROSSING_MARKERS`] entry the body calls, if any.
+        crossing: Option<&'static str>,
     }
     let mut infos: Vec<Info> = Vec::new();
     for file in files {
@@ -502,7 +505,7 @@ fn rule_tls(files: &[FileScan], findings: &mut Vec<Finding>) {
                     }
                 }
             }
-            let crossing = CROSSING_MARKERS.iter().any(|m| {
+            let crossing = CROSSING_MARKERS.iter().copied().find(|m| {
                 ident_positions(body, m).iter().any(|&p| {
                     enclosing(&file.funcs, func.body.0 + p)
                         .map(|f| std::ptr::eq(f, func))
@@ -520,7 +523,7 @@ fn rule_tls(files: &[FileScan], findings: &mut Vec<Finding>) {
 
     // A2: both in one body.
     for i in &infos {
-        if let (Some(pos), true) = (i.tls_access, i.crossing) {
+        if let (Some(pos), Some(marker)) = (i.tls_access, i.crossing) {
             findings.push(Finding {
                 rule: Rule::TlsInCrossingFn,
                 file: i.file.path.clone(),
@@ -530,7 +533,7 @@ fn rule_tls(files: &[FileScan], findings: &mut Vec<Finding>) {
                      (calls {}); the TLS address can be cached across the \
                      switch and the fiber may resume on another thread — \
                      route the access through an #[inline(never)] accessor",
-                    i.func.name, CROSSING_MARKERS[0],
+                    i.func.name, marker,
                 ),
             });
         }
@@ -539,12 +542,12 @@ fn rule_tls(files: &[FileScan], findings: &mut Vec<Finding>) {
     // A4: inlinable TLS helper called from a crossing function.
     let crossing_bodies: Vec<(&FileScan, &Func)> = infos
         .iter()
-        .filter(|i| i.crossing)
+        .filter(|i| i.crossing.is_some())
         .map(|i| (i.file, i.func))
         .collect();
     for i in &infos {
         let Some(pos) = i.tls_access else { continue };
-        if i.func.inline_never || i.crossing {
+        if i.func.inline_never || i.crossing.is_some() {
             continue; // crossing case already reported above
         }
         let called_by: Vec<&str> = crossing_bodies
@@ -970,10 +973,17 @@ fn suspends() {
     use_it(x);
 }
 "#;
-        let f = lint_one(src, RuleSet::all());
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::TlsInCrossingFn);
-        assert_eq!(f[0].line, 4);
+        // Whichever routine saves the continuation, and named.
+        for marker in CROSSING_MARKERS {
+            let f = lint_one(
+                &src.replace("save_context_and_call", marker),
+                RuleSet::all(),
+            );
+            assert_eq!(f.len(), 1, "{marker}: {f:?}");
+            assert_eq!(f[0].rule, Rule::TlsInCrossingFn);
+            assert_eq!(f[0].line, 4);
+            assert!(f[0].message.contains(&format!("(calls {marker})")), "{f:?}");
+        }
     }
 
     #[test]
@@ -984,12 +994,15 @@ thread_local! { static CURRENT: usize = 0; }
 fn current() -> usize { CURRENT.with(|c| *c) }
 fn suspends() { let x = current(); save_context_and_call(p, f, a); use_it(x); }
 "#;
-        assert!(lint_one(good, RuleSet::all()).is_empty());
+        for marker in CROSSING_MARKERS {
+            let good = good.replace("save_context_and_call", marker);
+            assert!(lint_one(&good, RuleSet::all()).is_empty(), "{marker}");
 
-        let bad = good.replace("#[inline(never)]\n", "");
-        let f = lint_one(&bad, RuleSet::all());
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::TlsHelperInlinable);
+            let bad = good.replace("#[inline(never)]\n", "");
+            let f = lint_one(&bad, RuleSet::all());
+            assert_eq!(f.len(), 1, "{marker}: {f:?}");
+            assert_eq!(f[0].rule, Rule::TlsHelperInlinable);
+        }
     }
 
     #[test]

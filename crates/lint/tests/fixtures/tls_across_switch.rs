@@ -6,7 +6,10 @@
 //! resume that lands on a different OS thread, LLVM's CSE of the TLS
 //! address hands the code the *previous* thread's state. The lint must
 //! flag both the direct access (tls-in-crossing-fn) and the inlinable
-//! helper (tls-helper-inlinable).
+//! helper (tls-helper-inlinable) — and the same for the two transfers
+//! the runtimes make instead (`switch_to`, `switch_to_fresh`), while
+//! the shape the runtimes actually have (an `#[inline(never)]`
+//! accessor, re-called after the switch) passes.
 //!
 //! NOT compiled into the crate — parsed by tests/lint.rs only.
 
@@ -24,6 +27,13 @@ fn current() -> *mut u8 {
 
 unsafe extern "C" {
     fn save_context_and_call(ctx: *mut u8, f: extern "C" fn(*mut u8), arg: *mut u8);
+    fn switch_to(slot: *mut *mut u8, target: *mut u8);
+    fn switch_to_fresh(
+        slot: *mut *mut u8,
+        sp: *mut u8,
+        entry: extern "C" fn(*mut u8),
+        arg: *mut u8,
+    );
 }
 
 extern "C" fn tramp(_arg: *mut u8) {}
@@ -40,4 +50,38 @@ pub fn suspend_and_touch_tls() {
     let after = current();
     let direct = CURRENT_WORKER.with(|c| c.get());
     assert_eq!(after, direct);
+}
+
+/// BAD: a parking join that caches the worker across `switch_to` — the
+/// runtime's `join_all` with the accessor inlined by hand.
+pub fn park_and_touch_tls(sched: *mut u8) {
+    let before = CURRENT_WORKER.with(|c| c.get());
+    let mut slot = std::ptr::null_mut();
+    // SAFETY: [I5] fixture only; never executed.
+    unsafe { switch_to(&mut slot, sched) };
+    assert_eq!(before, CURRENT_WORKER.with(|c| c.get()));
+}
+
+/// BAD: a spawn that does the same across `switch_to_fresh`.
+pub fn spawn_and_touch_tls(sp: *mut u8) {
+    let before = CURRENT_WORKER.with(|c| c.get());
+    let mut slot = std::ptr::null_mut();
+    // SAFETY: [I5] fixture only; never executed.
+    unsafe { switch_to_fresh(&mut slot, sp, tramp, before) };
+    assert_eq!(before, CURRENT_WORKER.with(|c| c.get()));
+}
+
+// GOOD: the TLS access is confined to a never-inlined accessor...
+#[inline(never)]
+fn current_fresh() -> *mut u8 {
+    CURRENT_WORKER.with(|c| c.get())
+}
+
+/// ...which the crossing function calls again after the switch.
+pub fn park_and_rederive(sched: *mut u8) {
+    let before = current_fresh();
+    let mut slot = std::ptr::null_mut();
+    // SAFETY: [I5] fixture only; never executed.
+    unsafe { switch_to(&mut slot, sched) };
+    let _migrated = before != current_fresh();
 }

@@ -47,6 +47,34 @@ fn seeded_tls_fixture_is_flagged_by_both_tls_rules() {
 }
 
 #[test]
+fn seeded_tls_fixture_is_flagged_across_switch_to_and_switch_to_fresh() {
+    let findings = lint_paths(&[fixture("tls_across_switch.rs")], RuleSet::all()).unwrap();
+    // The runtimes cross through `switch_to` / `switch_to_fresh`, not
+    // the paper's listing: a TLS read cached across either is flagged,
+    // and the finding names the routine it matched.
+    for (func, marker) in [
+        ("park_and_touch_tls", "(calls switch_to)"),
+        ("spawn_and_touch_tls", "(calls switch_to_fresh)"),
+    ] {
+        assert!(
+            findings.iter().any(|f| f.rule == Rule::TlsInCrossingFn
+                && f.message.contains(func)
+                && f.message.contains(marker)),
+            "missing tls-in-crossing-fn for {func} {marker}: {findings:#?}"
+        );
+    }
+    // The shape the runtimes have — a never-inlined accessor, called
+    // again after the switch — passes.
+    assert!(
+        !findings
+            .iter()
+            .any(|f| f.message.contains("park_and_rederive")
+                || f.message.contains("current_fresh")),
+        "the #[inline(never)] accessor pattern must pass: {findings:#?}"
+    );
+}
+
+#[test]
 fn real_fiber_and_deque_trees_are_clean() {
     let findings = lint_paths(&real_tree(), RuleSet::all()).unwrap();
     assert!(

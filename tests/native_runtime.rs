@@ -276,3 +276,33 @@ fn an_empty_run_returns_promptly() {
         "an empty run took {median:?} (median of 20; all: {walls:?})"
     );
 }
+
+#[test]
+fn a_backtrace_from_inside_a_task_ends_at_the_task() {
+    // A task is entered with a zero return address, the mark a stack
+    // walk stops at: `child_main` is the walk's outermost frame, here
+    // and in a panicking task's abort message. Entered by a `call`
+    // from the stack-switch routine, the walk runs on through it into
+    // a frame whose "return address" is read from above the task's
+    // record.
+    fn walk() -> String {
+        std::backtrace::Backtrace::force_capture().to_string()
+    }
+    let (root, child) = Runtime::new(2).run(|| {
+        let child = fiber::spawn(walk).join();
+        (walk(), child)
+    });
+    for (who, walked) in [("root", root), ("child", child)] {
+        // Frame lines are `  N: symbol` (an inlined symbol has no `N:`),
+        // each optionally followed by an `at file:line` line.
+        let outermost = walked
+            .lines()
+            .map(str::trim_start)
+            .rfind(|l| !l.is_empty() && !l.starts_with("at "))
+            .unwrap_or_default();
+        assert!(
+            outermost.contains("child_main"),
+            "{who}: the walk ends in {outermost:?}, not in the task's entry:\n{walked}"
+        );
+    }
+}
