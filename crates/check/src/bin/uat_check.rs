@@ -1,5 +1,5 @@
-//! CLI for the interleaving checker: the THE-protocol steal path and
-//! the runtime's termination scan.
+//! CLI for the interleaving checker: the THE-protocol steal path, the
+//! runtime's termination scan and its join protocol.
 //!
 //! ```text
 //! uat_check                        # clean suite under SC: zero violations
@@ -20,6 +20,7 @@
 //! flag; the flag selects which *clean* suite runs.
 
 use std::process::ExitCode;
+use uat_check::join::{self, JoinMutation};
 use uat_check::model::{Family, Mutation};
 use uat_check::scenarios::{mutation_demos, sleep_set_scenarios, standard_suite, weak_suite};
 use uat_check::termination::{self, ScanMutation};
@@ -63,11 +64,32 @@ impl ScenarioStat {
             }),
         }
     }
+
+    fn of_join(r: &join::Report) -> Self {
+        ScenarioStat {
+            name: r.scenario,
+            states: r.states,
+            transitions: r.transitions,
+            interleavings: r.interleavings,
+            finals: 0,
+            violation: r.violation.as_ref().map(|v| {
+                let what = v.lines().nth(1).unwrap_or_default();
+                what.trim().trim_start_matches("VIOLATION: ").to_string()
+            }),
+        }
+    }
+}
+
+/// A seeded regression, from whichever model carries it.
+#[derive(Clone, Copy)]
+enum Seeded {
+    Deque(Mutation),
+    Scan(ScanMutation),
+    Join(JoinMutation),
 }
 
 fn main() -> ExitCode {
-    let mut mutate: Option<Mutation> = None;
-    let mut mutate_scan: Option<ScanMutation> = None;
+    let mut mutate: Option<Seeded> = None;
     let mut replay_cap: usize = 2000;
     let mut model = MemModel::Sc;
     let mut json_path: Option<String> = None;
@@ -76,12 +98,17 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--mutate" => {
                 let name = args.next().unwrap_or_default();
-                mutate = MUTATIONS.iter().copied().find(|m| m.name() == name);
-                mutate_scan = termination::MUTATIONS
+                mutate = MUTATIONS
                     .iter()
-                    .copied()
-                    .find(|m| m.name() == name);
-                if mutate.is_none() && mutate_scan.is_none() {
+                    .map(|&m| (m.name(), Seeded::Deque(m)))
+                    .chain(
+                        termination::MUTATIONS
+                            .iter()
+                            .map(|&m| (m.name(), Seeded::Scan(m))),
+                    )
+                    .chain(join::MUTATIONS.iter().map(|&m| (m.name(), Seeded::Join(m))))
+                    .find_map(|(n, m)| (n == name).then_some(m));
+                if mutate.is_none() {
                     eprintln!("unknown mutation `{name}`; try --list-mutations");
                     return ExitCode::FAILURE;
                 }
@@ -91,6 +118,9 @@ fn main() -> ExitCode {
                     println!("{}", m.name());
                 }
                 for m in termination::MUTATIONS {
+                    println!("{}", m.name());
+                }
+                for m in join::MUTATIONS {
                     println!("{}", m.name());
                 }
                 return ExitCode::SUCCESS;
@@ -126,10 +156,11 @@ fn main() -> ExitCode {
         }
     }
 
-    match (mutate, mutate_scan) {
-        (Some(m), _) => run_mutation_demo(m, json_path.as_deref()),
-        (None, Some(m)) => run_scan_mutation_demo(m, json_path.as_deref()),
-        (None, None) => run_clean_suite(model, replay_cap, json_path.as_deref()),
+    match mutate {
+        Some(Seeded::Deque(m)) => run_mutation_demo(m, json_path.as_deref()),
+        Some(Seeded::Scan(m)) => run_scan_mutation_demo(m, json_path.as_deref()),
+        Some(Seeded::Join(m)) => run_join_mutation_demo(m, json_path.as_deref()),
+        None => run_clean_suite(model, replay_cap, json_path.as_deref()),
     }
 }
 
@@ -197,6 +228,25 @@ fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) 
             failed = true;
         }
         stats.push(ScenarioStat::of_termination(&report));
+    }
+
+    // The join protocol, on the same memory machine.
+    for sc in join::suite(model, JoinMutation::None) {
+        let report = sc.explore();
+        println!(
+            "{:<22} {:>10} {:>12} {:>16} {:>8}",
+            report.scenario, report.states, report.transitions, report.interleavings, "-"
+        );
+        total_interleavings += report.interleavings;
+        total_states += report.states;
+        if let Some(v) = &report.violation {
+            println!("{v}");
+            failed = true;
+        } else if report.passes == 0 {
+            println!("{}: no join ever passed — the scenario is vacuous", sc.name);
+            failed = true;
+        }
+        stats.push(ScenarioStat::of_join(&report));
     }
 
     // Sleep-set cross-check + differential replay on the scenarios whose
@@ -337,6 +387,25 @@ fn run_scan_mutation_demo(m: ScanMutation, json_path: Option<&str>) -> ExitCode 
         stats.push(ScenarioStat::of_termination(&report));
     }
     finish_mutation_demo(m.name(), model, &stats, json_path)
+}
+
+/// A seeded join mutation: caught if any of the three shapes yields a
+/// counterexample under the weakest model that shows it.
+fn run_join_mutation_demo(m: JoinMutation, json_path: Option<&str>) -> ExitCode {
+    println!("uat-check: seeded mutation `{}`", m.name());
+    let mut stats: Vec<ScenarioStat> = Vec::new();
+    for sc in join::suite(m.model(), m) {
+        let report = sc.explore();
+        match &report.violation {
+            Some(v) => println!("{v}"),
+            None => println!(
+                "{}: no violation found ({} interleavings) — mutation not observable here",
+                sc.name, report.interleavings
+            ),
+        }
+        stats.push(ScenarioStat::of_join(&report));
+    }
+    finish_mutation_demo(m.name(), m.model(), &stats, json_path)
 }
 
 /// Minimal JSON escaping: the strings we emit are scenario names,

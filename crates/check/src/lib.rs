@@ -35,7 +35,10 @@
 //! Beyond the deque, [`termination`] puts the runtime's two-pass
 //! termination scan on the same memory machine (SC and RA), with its own
 //! invariant — a scan that passes does so after every task's completion
-//! tick — and its own two seeded mutations.
+//! tick — and its own two seeded mutations; [`join`] does the same for
+//! the join protocol both real runtimes share (exactly-once resume,
+//! results visible at every passed join, no touch after the joiner left,
+//! no stranded park), with six.
 //!
 //! Run `cargo run -p uat-check --bin uat_check` for the suite, or
 //! `--mutate <name>` for a counterexample demo; see the README for how
@@ -44,6 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod explore;
+pub mod join;
 pub mod memory;
 pub mod model;
 pub mod replay;

@@ -65,17 +65,19 @@ pub enum MemOrd {
     Acquire,
     /// `Ordering::Release` (stores).
     Release,
+    /// `Ordering::AcqRel` (read-modify-writes).
+    AcqRel,
     /// `Ordering::SeqCst`.
     SeqCst,
 }
 
 impl MemOrd {
     fn acquires(self) -> bool {
-        matches!(self, MemOrd::Acquire | MemOrd::SeqCst)
+        matches!(self, MemOrd::Acquire | MemOrd::AcqRel | MemOrd::SeqCst)
     }
 
     fn releases(self) -> bool {
-        matches!(self, MemOrd::Release | MemOrd::SeqCst)
+        matches!(self, MemOrd::Release | MemOrd::AcqRel | MemOrd::SeqCst)
     }
 
     /// Stable name for traces and reports.
@@ -84,6 +86,7 @@ impl MemOrd {
             MemOrd::Relaxed => "Relaxed",
             MemOrd::Acquire => "Acquire",
             MemOrd::Release => "Release",
+            MemOrd::AcqRel => "AcqRel",
             MemOrd::SeqCst => "SeqCst",
         }
     }
@@ -340,12 +343,13 @@ impl Mem {
         }
     }
 
-    /// Fetch-and-add, same atomicity rules as [`cas`](Self::cas). Used
-    /// only by the `SimPhase` machine (SC mode), where the fabric
-    /// linearizes the FAA at its issue instant.
+    /// Wrapping fetch-and-add, same atomicity rules as
+    /// [`cas`](Self::cas) (`add.wrapping_neg()` subtracts): the
+    /// `SimPhase` machine's lock FAA (SC mode, linearized at its issue
+    /// instant) and the join block's counter.
     pub fn faa(&mut self, th: usize, loc: usize, add: u64, ord: MemOrd) -> u64 {
         let old = self.latest(loc);
-        let (got, ok) = self.cas(th, loc, old, old + add, ord);
+        let (got, ok) = self.cas(th, loc, old, old.wrapping_add(add), ord);
         debug_assert!(ok && got == old, "faa read the latest by construction");
         old
     }
@@ -427,6 +431,23 @@ mod tests {
         // even though thread 1's CAS wasn't release.
         let f = m.load(2, L, MemOrd::Acquire, 2);
         assert_eq!(f.val, 1);
+        assert_eq!(m.load_choices(2, D, MemOrd::Relaxed), 1);
+    }
+
+    /// An AcqRel RMW does both halves: it publishes what its thread
+    /// wrote before it, and shows what the RMW it read published — and
+    /// a wrapping subtract below zero is one more message.
+    #[test]
+    fn acqrel_rmw_acquires_and_releases() {
+        let mut m = ra(3);
+        m.store(0, D, MemOrd::Relaxed, 7);
+        assert_eq!(m.faa(0, L, 1u64.wrapping_neg(), MemOrd::AcqRel), 0);
+        // Thread 1's RMW reads thread 0's: the data floor is fresh.
+        assert_eq!(m.faa(1, L, 1, MemOrd::AcqRel), u64::MAX);
+        assert_eq!(m.load_choices(1, D, MemOrd::Relaxed), 1);
+        // Thread 2 acquires thread 1's message: the chain carries
+        // thread 0's data too.
+        assert_eq!(m.load(2, L, MemOrd::Acquire, 2).val, 0);
         assert_eq!(m.load_choices(2, D, MemOrd::Relaxed), 1);
     }
 

@@ -558,6 +558,34 @@ mod tests {
         }
     }
 
+    /// [I21] on the interpreter's path (`spawn_on` + `join_all` on a
+    /// frame-local block): one worker, so nothing is stolen, and no
+    /// task's block sees a read-modify-write.
+    #[test]
+    fn an_unstolen_task_never_touches_its_join_block() {
+        let w = BinTree {
+            depth: 10,
+            work: 0,
+            frame: 64,
+        };
+        let root = w.root();
+        let env = Arc::new(Env {
+            w,
+            rows: Box::new([AcctRow::default()]),
+            bufs: Box::new([BufList(UnsafeCell::new(Vec::new()))]),
+            work_divisor: 1,
+        });
+        let held = Arc::clone(&env);
+        let rmws = Runtime::new(1).run(move || {
+            let t0 = crate::join::rmws();
+            exec(EnvRef(Arc::as_ptr(&held)), &root, 0, 0);
+            crate::join::rmws() - t0
+        });
+        assert_eq!(rmws, 0, "join-block RMWs across a 2 047-task tree");
+        let s = AcctRow::totals(env.rows.iter(), NativeRunStats::default());
+        assert_eq!(s.total_tasks, (1 << 11) - 1);
+    }
+
     #[test]
     fn work_is_accounted_undivided() {
         let w = BinTree {

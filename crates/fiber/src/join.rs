@@ -1,27 +1,31 @@
 //! The join protocol, defined once for both real backends (DESIGN.md
-//! [I16], §13.3).
+//! [I16], [I21], §13.3) and model-checked (`uat-check`'s `join.rs`).
 //!
-//! A [`JoinBlock`] counts a joiner's outstanding children and holds at
-//! most one parked continuation — the joiner's own. It lives wherever
-//! the joiner keeps it alive: a local of the interpreter's task frame
-//! (a pooled stack under threads, a shared-region slot stack across
-//! processes) or the `Arc` cell behind a [`JoinHandle`](crate::JoinHandle).
-//! The joiner [`announce`](JoinBlock::announce)s each child and passes
-//! when [`is_done`](JoinBlock::is_done); each child calls
-//! [`complete`](JoinBlock::complete) as it exits; the joiner's scheduler
-//! calls [`park`](JoinBlock::park) from the worker's own stack ([I12]).
+//! A [`JoinBlock`] counts a joiner's outstanding *stolen-from* children
+//! and holds at most one parked continuation — the joiner's own. It
+//! lives wherever the joiner keeps it alive: a local of the
+//! interpreter's task frame (a pooled stack under threads, a
+//! shared-region slot stack across processes) or the `Arc` cell behind
+//! a [`JoinHandle`](crate::JoinHandle).
+//!
+//! Only a steal makes a child count. A child whose exit pop returns its
+//! parent resumes it where it spawned, finished, and neither touches the
+//! block ([I21]). A spawner resumed on another worker was stolen: it
+//! [`announce`](JoinBlock::announce)s the child, which, its pop empty,
+//! calls [`complete`](JoinBlock::complete). The joiner passes when
+//! [`is_done`](JoinBlock::is_done); its scheduler calls
+//! [`park`](JoinBlock::park) from the worker's own stack ([I12]).
 //!
 //! Who resumes a parked joiner is decided by the modification order of
 //! `pending` alone: `park` adds [`PARKED`], children subtract 1, and
 //! whichever read-modify-write comes second sees the other — the last
-//! child reads `PARKED | 1`, the scheduler reads 0. PR 10's protocol
-//! arbitrated across two words (store `waiter`, load `pending` against
-//! decrement `pending`, swap `waiter`): a Dekker shape that needed
-//! SeqCst throughout, and whose last child touched the block *after*
-//! the decrement that lets an unparked joiner leave the frame the block
-//! lives in. Here a child that is not handed the waiter never touches
-//! the block after its decrement, and Release/Acquire on `pending` is
-//! all the ordering there is to get right.
+//! child reads `PARKED | 1`, the scheduler reads 0. (A child may
+//! subtract before its thief announces it: the count wraps, unread — the
+//! joiner cannot reach `is_done` or `park` before it has announced.) A
+//! child not handed the waiter never touches the block after its
+//! decrement, which is what lets the block live in the joiner's frame;
+//! the two-word protocol this one replaced, which read `waiter` after
+//! it, could not.
 
 use crate::ctx::Context;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +38,7 @@ const PARKED: u64 = 1 << 63;
 #[repr(C)]
 pub(crate) struct JoinBlock {
     /// Children announced and not yet completed, plus [`PARKED`].
-    pending: AtomicU64,
+    pending: Pending,
     /// The parked joiner's continuation (`*mut Context` as u64); only
     /// meaningful while `pending` carries [`PARKED`].
     waiter: AtomicU64,
@@ -51,16 +55,17 @@ pub(crate) struct JoinBlock {
 impl JoinBlock {
     pub(crate) const fn new() -> Self {
         JoinBlock {
-            pending: AtomicU64::new(0),
+            pending: Pending::new(0),
             waiter: AtomicU64::new(0),
             waiter_task: AtomicU64::new(0),
             enabler: AtomicU64::new(0),
         }
     }
 
-    /// Joiner: one more child outstanding; must precede the child's
-    /// start. Relaxed: the count publishes nothing, and the child's own
-    /// decrement follows it in `pending`'s modification order.
+    /// Joiner, resumed by a thief: the child it spawned last is
+    /// outstanding. Relaxed: a decrement that child made first is not
+    /// lost, and this RMW continues its release sequence, so the
+    /// joiner's next Acquire load still synchronises with it.
     #[inline]
     pub(crate) fn announce(&self) {
         self.pending.fetch_add(1, Ordering::Relaxed);
@@ -74,9 +79,10 @@ impl JoinBlock {
         self.pending.load(Ordering::Acquire) == 0
     }
 
-    /// Child: this child is finished. Returns the parked joiner's
-    /// continuation iff this was the last child *and* the joiner had
-    /// parked; the caller then owns it and must make it runnable once.
+    /// Announced child: this child is finished. Returns the parked
+    /// joiner's continuation iff this was the last child *and* the
+    /// joiner had parked; the caller then owns it and must resume it
+    /// once.
     ///
     /// On `None` the decrement was the child's last access to the block
     /// — the joiner may already have left and reused the memory. On
@@ -157,10 +163,58 @@ impl PendingJoin {
     }
 }
 
+// `pending` is a plain atomic, or in test builds one that counts its
+// read-modify-writes.
+#[cfg(not(test))]
+use std::sync::atomic::AtomicU64 as Pending;
+#[cfg(test)]
+pub(crate) use tests::{rmws, Pending};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::atomic::AtomicBool;
+
+    thread_local!(static RMWS: Cell<u64> = const { Cell::new(0) });
+
+    /// The read-modify-writes this thread has made on any join block.
+    #[inline(never)]
+    pub(crate) fn rmws() -> u64 {
+        RMWS.with(Cell::get)
+    }
+
+    /// `pending` in test builds: an `AtomicU64` that counts its
+    /// read-modify-writes per thread — the measure of [I21]'s claim
+    /// that a child nobody stole never touches its block.
+    #[repr(transparent)]
+    pub(crate) struct Pending(AtomicU64);
+
+    impl Pending {
+        pub(crate) const fn new(v: u64) -> Self {
+            Pending(AtomicU64::new(v))
+        }
+
+        pub(crate) fn load(&self, order: Ordering) -> u64 {
+            self.0.load(order)
+        }
+
+        pub(crate) fn store(&self, v: u64, order: Ordering) {
+            self.0.store(v, order);
+        }
+
+        #[inline(never)]
+        pub(crate) fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
+            RMWS.with(|n| n.set(n.get() + 1));
+            self.0.fetch_add(v, order)
+        }
+
+        #[inline(never)]
+        pub(crate) fn fetch_sub(&self, v: u64, order: Ordering) -> u64 {
+            RMWS.with(|n| n.set(n.get() + 1));
+            self.0.fetch_sub(v, order)
+        }
+    }
 
     #[test]
     fn sequential_outcomes() {
@@ -170,6 +224,11 @@ mod tests {
         jb.announce();
         assert!(!jb.is_done());
         assert_eq!(jb.complete(), None);
+        assert!(jb.is_done());
+        // A stolen child completes before its thief announces it: the
+        // count wraps, and the announce brings it back.
+        assert_eq!(jb.complete(), None);
+        jb.announce();
         assert!(jb.is_done());
         // Park after the children are gone: the scheduler keeps the ctx.
         jb.announce();
@@ -201,15 +260,27 @@ mod tests {
         }
     }
 
+    /// When a round's joiner counts its children.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Count {
+        /// Never: each child popped the joiner back itself.
+        Inline,
+        /// Before letting the children thread complete them.
+        Before,
+        /// After they have completed, as a thief that resumes the
+        /// spawner late does: the count wraps below zero first.
+        After,
+    }
+
     /// Drives the two racing halves of the protocol from two plain OS
     /// threads, with no fibers involved: a "joiner + its scheduler"
-    /// thread (announce, fast-path check, else `park`) against a
-    /// "children" thread (`complete` once or twice per round), one
-    /// block reused for every round as the interpreter reuses a task's
-    /// block for every `JoinAll`. Each round's token must come back
-    /// exactly once — from the last child if the park won, from `park`
-    /// returning false if the children won — or not at all if the
-    /// fast path saw them done.
+    /// thread (count, fast-path check, else `park`) against a
+    /// "children" thread (`complete` once or twice per counted round),
+    /// one block reused for every round as the interpreter reuses a
+    /// task's block for every `JoinAll`. Each round's token must come
+    /// back exactly once — from the last child if the park won, from
+    /// `park` returning false if the children won — or not at all if
+    /// the fast path saw them done.
     ///
     /// On the fast path the joiner immediately scribbles `POISON` over
     /// the waiter slot, standing in for a frame that has been left and
@@ -223,7 +294,8 @@ mod tests {
     /// hardware will not expose a downgrade here — that is the point
     /// of arbitrating on one word (the Dekker version failed on TSO
     /// with anything below SeqCst). TSan checks the pairing instead;
-    /// this module is in the CI TSan job's filter list.
+    /// this module is in the CI TSan job's filter list, and the model
+    /// checker explores every downgrade (`uat-check`'s `join.rs`).
     #[test]
     fn two_thread_stress_resumes_every_parked_token_exactly_once() {
         const ROUNDS: u64 = 1_000_000;
@@ -231,10 +303,17 @@ mod tests {
         static JB: JoinBlock = JoinBlock::new();
         // Round the children thread may run (joiner → children).
         static GO: AtomicU64 = AtomicU64::new(0);
+        // Round the children thread has finished (children → joiner).
+        static DONE: AtomicU64 = AtomicU64::new(0);
         // Token handed out by a last child (children → joiner); 0 = none.
         static HANDED: AtomicU64 = AtomicU64::new(0);
         static FAILED: AtomicBool = AtomicBool::new(false);
-        let kids = |round: u64| 1 + (round & 1);
+        let count =
+            |round: u64| [Count::Inline, Count::Before, Count::After][(round / 2 % 3) as usize];
+        let kids = move |round: u64| match count(round) {
+            Count::Inline => 0,
+            _ => 1 + (round & 1),
+        };
         let token = |round: u64| round << 4;
 
         let children = std::thread::spawn(move || {
@@ -251,16 +330,24 @@ mod tests {
                         }
                     }
                 }
+                DONE.store(round, Ordering::Release);
             }
             handed
         });
 
         let (mut fast, mut inline, mut parked) = (0u64, 0u64, 0u64);
         for round in 1..=ROUNDS {
-            for _ in 0..kids(round) {
-                JB.announce();
+            let announce = || (0..kids(round)).for_each(|_| JB.announce());
+            if count(round) == Count::Before {
+                announce();
             }
             GO.store(round, Ordering::Release);
+            if count(round) == Count::After {
+                wait_until(|| DONE.load(Ordering::Acquire) >= round);
+                let wrapped = JB.pending.load(Ordering::Relaxed);
+                assert_eq!(wrapped, kids(round).wrapping_neg(), "round {round}");
+                announce();
+            }
             if JB.is_done() {
                 fast += 1;
                 JB.waiter.store(POISON, Ordering::Relaxed);

@@ -38,7 +38,8 @@
 //!   heartbeat stall watchdog (stubs when the `metrics` feature is
 //!   off).
 //! - `join`: the join protocol both real backends share — a per-joiner
-//!   pending count plus one waiter slot, arbitrated on a single word.
+//!   count of the children whose spawn was stolen plus one waiter slot,
+//!   arbitrated on a single word.
 //! - `frame`: the frame claim both real backends share — where below
 //!   its record a task's body starts, bound-checked against the stack.
 //! - `idle`: the idle path both real backends share — spin, then nap;

@@ -44,9 +44,10 @@
 //! task and its parent.
 //!
 //! A steal is therefore exactly the paper's: one-sided loads/stores/CAS
-//! on the victim's deque words, a one-sided `fetch_add` when a
-//! completing child decrements a (possibly remote) parent's join block,
-//! and a direct resume of the stolen thread at its original address.
+//! on the victim's deque words, a one-sided `fetch_add` when a child
+//! whose parent was stolen decrements that parent's join block — the
+//! only children the block ever counts ([I21]) — and a direct resume of
+//! the stolen thread at its original address.
 //!
 //! # Fork safety (invariant [I15])
 //!
@@ -254,6 +255,13 @@ impl RegionLayout {
         MP_BASE + self.metrics_off + (w * MC_STRIDE + c) * 8
     }
 
+    /// Add 1 to worker `w`'s metrics-segment cell `c`, from worker `w`:
+    /// its row is single-writer, so a plain load + store.
+    #[inline]
+    fn tick(&self, w: usize, c: usize, order: Ordering) {
+        bump(cell(self.metrics_cell_addr(w, c)), 1, order);
+    }
+
     /// Worker `w`'s accounting row in the stats bank.
     fn stats_row(&self, w: usize) -> &'static AcctRow {
         debug_assert!(w < self.workers);
@@ -412,20 +420,12 @@ fn mp_proc() -> *mut MpProc {
     }
 }
 
-/// Add 1 to a metrics-segment cell of the *current* worker (its own
-/// row: single-writer, so a plain load + store).
+/// Free the slot retired by the previously completed task, if any, and
+/// return the worker control landed on. Must run at every point control
+/// can land after a completion (mirrors the thread runtime's
+/// `collect_retired`).
 #[inline]
-fn mcell_inc(c: usize, order: Ordering) {
-    // SAFETY: [I15] mp_proc() is this process's live state.
-    let p = unsafe { &*mp_proc() };
-    bump(cell(p.layout.metrics_cell_addr(p.worker, c)), 1, order);
-}
-
-/// Free the slot retired by the previously completed task, if any. Must
-/// run at every point control can land after a completion (mirrors the
-/// thread runtime's `collect_retired`).
-#[inline]
-fn mp_collect_retired() {
+fn mp_collect_retired() -> usize {
     // SAFETY: [I15] exclusive access by this process's only thread.
     let p = unsafe { &mut *mp_proc() };
     if p.pending_retire != 0 {
@@ -433,6 +433,7 @@ fn mp_collect_retired() {
         p.pending_retire = 0;
         free_slot(&p.layout, p.worker, idx);
     }
+    p.worker
 }
 
 // ---------------------------------------------------------------------
@@ -709,9 +710,9 @@ where
     unsafe { mp_worker_loop::<W>() }
 }
 
-/// The scheduler loop: seed the root (worker 0), then pop-own /
-/// steal-random until shutdown. Never returns — the worker process
-/// leaves via `_exit(0)`.
+/// The scheduler loop: seed the root (worker 0), then steal from random
+/// victims until shutdown. Never returns — the worker process leaves
+/// via `_exit(0)`.
 unsafe fn mp_worker_loop<W>() -> !
 where
     W: Workload,
@@ -750,7 +751,7 @@ where
     let mut idle = Idle::default();
     loop {
         mp_collect_retired();
-        mcell_inc(MC_HEARTBEATS, Ordering::Relaxed);
+        layout.tick(id, MC_HEARTBEATS, Ordering::Relaxed);
 
         // Scheduler-side join park [I12]: a fiber that suspended on a
         // join handed it to us; park it from this OS stack. If every
@@ -765,19 +766,20 @@ where
             continue;
         }
 
-        // Own deque first, then a random victim (the one-sided steal:
-        // the victim process's CPU is not involved).
-        let target = layout.deque(id).pop().or_else(|| {
-            if n == 1 {
-                return None;
-            }
+        // Nothing of our own is left to run [I21]: steal from a random
+        // victim (one-sided: the victim process's CPU is not involved).
+        debug_assert!(layout.deque(id).is_empty());
+        let target = if n == 1 {
+            None
+        } else {
             // SAFETY: [I15] exclusive per-process rng.
             let mut v = unsafe { (*mp_proc()).rng.below(n as u64 - 1) as usize };
             if v >= id {
                 v += 1;
             }
             let got = layout.deque(v).steal();
-            mcell_inc(
+            layout.tick(
+                id,
                 if got.is_some() {
                     MC_STEALS_COMPLETED
                 } else {
@@ -786,11 +788,11 @@ where
                 Ordering::Relaxed,
             );
             got
-        });
+        };
         match target {
             Some(ctx) => {
                 if idle.found() {
-                    mcell_inc(MC_UNPARKS, Ordering::Relaxed);
+                    layout.tick(id, MC_UNPARKS, Ordering::Relaxed);
                 }
                 mp_run_ctx(ctx as *mut Context);
             }
@@ -804,7 +806,7 @@ where
                 // coordinator.
                 if idle.missed(
                     || mp_quiescent(&layout),
-                    || mcell_inc(MC_PARKS, Ordering::Relaxed),
+                    || layout.tick(id, MC_PARKS, Ordering::Relaxed),
                 ) {
                     ctrl.shutdown_flag.store(1, Ordering::Release);
                     idle::futex_wake(&ctrl.shutdown_flag);
@@ -879,41 +881,36 @@ where
             libc::_exit(101)
         }
     }
-    // Completion. Retire our own stack (freed once control left it),
-    // then the one-sided join decrement on the (possibly remote)
-    // parent.
+    // Completion. Retire our own stack (freed once control left it).
     // SAFETY: [I15] exclusive per-process state (the worker this fiber
     // *ended* on, re-derived).
-    let (layout, id) = unsafe {
+    let (layout, id, sched) = unsafe {
         let p = &mut *mp_proc();
         debug_assert_eq!(p.pending_retire, 0);
         p.pending_retire = slot as u64 + 1;
-        (p.layout, p.worker)
+        (p.layout, p.worker, p.sched_ctx)
     };
-    if join != 0 {
+    // Figure 4 lines 13-15: pop the parent continuation — our own
+    // parent, which never counted us [I21]. If it was stolen, the thief
+    // did: the one-sided join decrement on the (possibly remote)
+    // parent, which, parked and waiting for us last, we resume here.
+    let target = match layout.deque(id).pop() {
+        Some(c) => {
+            debug_assert_eq!(c, parent_ctx as u64, "[I21] popped another's parent");
+            Some(c)
+        }
         // SAFETY: [I16] the parent's join block outlives this call:
         // the parent cannot leave its JoinAll scope before our
         // decrement, and cannot run at all if we are handed its ctx.
-        let jb = unsafe { &*(join as *const JoinBlock) };
-        if let Some(waiter) = jb.complete() {
-            // The parked parent becomes runnable here, on the last
-            // child's worker — and immediately stealable by anyone.
-            layout.deque(id).push(waiter);
-        }
-    }
+        None if join != 0 => unsafe { &*(join as *const JoinBlock) }.complete(),
+        None => None,
+    };
     // The task's last act, on the worker it ended on: the Release tick
     // of this worker's `completed` cell (see `mp_quiescent`).
-    mcell_inc(MC_TASKS, Ordering::Release);
-    // Figure 4 lines 13-15: pop the parent continuation; if stolen,
-    // fall back to the scheduler.
-    let target = match layout.deque(id).pop() {
-        Some(c) => c as *mut Context,
-        // SAFETY: [I15] this process's parked scheduler context.
-        None => unsafe { (*mp_proc()).sched_ctx },
-    };
+    layout.tick(id, MC_TASKS, Ordering::Release);
     // SAFETY: [I5] target is resumed exactly once; only Copy locals
     // live here.
-    unsafe { resume_context(target) }
+    unsafe { resume_context(target.map_or(sched, |c| c as *mut Context)) }
 }
 
 /// Interpret one task on its shm fiber stack: expand the program into
@@ -1014,7 +1011,6 @@ where
         let p = &*mp_proc();
         (p.layout, p.worker)
     };
-    jb.announce();
     let slot = alloc_slot(&layout, worker);
     let hdr = layout
         .place_header(slot, jb as *const JoinBlock as u64, chain, frame, desc)
@@ -1040,8 +1036,12 @@ where
             hdr as *mut c_void,
         );
     }
-    // Resumed — possibly in a different process.
-    mp_collect_retired();
+    // Resumed. In this process, by the child's exit pop: the child has
+    // finished and was never counted. In another, by a thief: count the
+    // child now, before anything here can look at `jb` [I21].
+    if mp_collect_retired() != worker {
+        jb.announce();
+    }
 }
 
 /// Join every child spawned on `jb` so far: one pending-count load on

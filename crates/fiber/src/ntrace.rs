@@ -267,9 +267,9 @@ mod real {
             t.instant(at, EventKind::DequePublish { task, seq });
         }
 
-        /// This worker popped `ctx` from its own deque: unregister it
-        /// and make its task current (no event — a local pop is not a
-        /// steal).
+        /// This worker popped `ctx` from its own deque, or was handed
+        /// it by a join: unregister it and make its task current (no
+        /// event — a local resume is not a steal).
         #[inline]
         pub fn on_local_pop(&mut self, ctx: u64) {
             let Some(t) = self.0.as_deref_mut() else {

@@ -74,14 +74,16 @@ use uat_deque::NativeDeque;
 /// the one allocation such a spawn makes.
 struct JoinCell<T> {
     block: JoinBlock,
-    /// Written once by the child before its `block.complete()`, taken
-    /// once by the joiner after `block.is_done()`.
+    /// Written once by the child before it completes, taken once by the
+    /// joiner after `block.is_done()`.
     result: UnsafeCell<Option<T>>,
 }
 
 // SAFETY: [I8] `block` is atomics; `result`'s one write happens-before
-// its one read through the block's Release/Acquire (or the termination
-// scan's, for the root). `T: Send`: the value changes threads.
+// its one read through the block's Release/Acquire if the spawner was
+// stolen, program order on one worker if the child resumed it [I21],
+// or the termination scan's, for the root. `T: Send`: the value
+// changes threads.
 unsafe impl<T: Send> Sync for JoinCell<T> {}
 
 impl<T> JoinCell<T> {
@@ -106,7 +108,9 @@ impl<T> JoinCell<T> {
 
 /// Handle to a spawned thread; [`join`](JoinHandle::join) returns its
 /// result (the `task<T>`/`join` API of Figure 2). Dropping the handle
-/// detaches the thread; [`Runtime::run`] still waits for it.
+/// detaches the thread; [`Runtime::run`] still waits for it. Join it
+/// from the task that spawned it: a task that would block joining any
+/// other thread aborts the run, naming the mistake.
 pub struct JoinHandle<T> {
     cell: Arc<JoinCell<T>>,
 }
@@ -343,11 +347,12 @@ where
 
 /// The one spawn primitive: start a child running `f` right now on a
 /// fresh pooled stack, `frame` bytes of it claimed ahead of the body
-/// (Figure 4's allocation "just below the parent", by arithmetic [I19])
-/// and counted on `jb`; the caller's continuation becomes stealable and
-/// this returns once somebody resumes it. What `f` returns is the
-/// child's keep-alive, dropped only after the child's last access to
-/// `jb`. No allocator call in steady state.
+/// (Figure 4's allocation "just below the parent", by arithmetic [I19]);
+/// the caller's continuation becomes stealable and this returns once
+/// somebody resumes it — the child, finished, or a thief, which counts
+/// the child on `jb` [I21]. What `f` returns is the child's keep-alive,
+/// dropped only after the child's last access to `jb`. No allocator
+/// call in steady state.
 ///
 /// # Safety
 ///
@@ -374,7 +379,6 @@ where
         bump(&wr.shared.progress[wr.id].spawned, 1, Ordering::Release);
         place_record(stack, jb, task_id, frame, f)
     };
-    jb.announce();
     // [I12]: the continuation goes into the child's record, not into
     // the deque — this frame lives on the very stack it points into,
     // and a thief resuming it would overwrite the frame while it still
@@ -393,16 +397,19 @@ where
             rec as *mut c_void,
         );
     }
-    // Resumed — possibly on a different worker thread.
-    let w = collect_retired();
-    // SAFETY: [I7] exclusive worker access; scoped borrow.
-    unsafe {
-        (*w).trace.on_resumed();
+    // Resumed. On this worker, by the child's exit pop: the child has
+    // finished and was never counted. On another, by a thief: count the
+    // child now, before anything here can look at `jb` [I21].
+    let now = collect_retired();
+    if now != w {
+        jb.announce();
     }
+    // SAFETY: [I7] exclusive worker access; scoped borrow.
+    unsafe { (*now).trace.on_resumed() };
 }
 
 unsafe extern "C" fn child_main<K, F: FnOnce() -> K>(arg: *mut c_void) -> ! {
-    let w = {
+    let target = {
         let rec = arg as *mut TaskRecord<F>;
         // SAFETY: [I18] `arg` is the record `place_record::<K, F>` wrote
         // (its `entry` names this instantiation), now solely the
@@ -445,38 +452,48 @@ unsafe extern "C" fn child_main<K, F: FnOnce() -> K>(arg: *mut c_void) -> ! {
             std::process::abort();
         };
         let w = current();
-        // Retire our own stack; freed once control is off it.
-        // SAFETY: [I6][I7][I18] exclusive worker access on this thread,
-        // borrow scoped to this block; the stack is moved out of the
-        // record exactly once, here.
-        unsafe {
+        // Retire our own stack, freed once control is off it. Then,
+        // Figure 4 lines 13-15, pop the parent continuation: what a pop
+        // returns is our own parent, which never counted us [I21]; if it
+        // was stolen, the thief did — count down the block, and resume
+        // the joiner right here if it parked and we are the last child.
+        // SAFETY: [I5][I6][I7][I16][I18][I21] exclusive worker access on
+        // this thread, borrow scoped to this block; the stack is moved
+        // out of the record exactly once, here; a popped context is live
+        // and ours to resume; the block outlives `complete` (the joiner
+        // cannot pass `join_all` before it, or `keep` owns it), and
+        // handed the waiter, the parked continuation is ours and its
+        // block stays put until we resume it.
+        let target = unsafe {
             let wr = &mut *w;
             debug_assert!(wr.pending_retire.is_none());
             wr.pending_retire = Some(ManuallyDrop::take(&mut (*rec).hdr.stack));
             wr.trace.on_task_end(task, born);
             wr.metrics.on_task_end(mborn);
-        }
-        // Thread exit: count down the joiner's block, and make the
-        // joiner runnable if it parked and we are the last child.
-        // SAFETY: [I16] the block outlives this call: the joiner's
-        // frame cannot pass `join_all` before it, or `keep` owns it.
-        if let Some(waiter) = unsafe { (*join).complete() } {
-            // SAFETY: [I5][I7][I16] exclusive worker access; handed the
-            // waiter, the parked continuation is ours exactly here and
-            // the joiner's block stays put until the push.
-            unsafe {
-                let wr = &mut *w;
-                // Trace: name the join edge and register the waiter's
-                // continuation *before* the push makes it stealable.
-                if wr.trace.enabled() {
-                    let parent = (*join).waiter_task.load(Ordering::Relaxed);
-                    (*join).enabler.store(task, Ordering::Relaxed);
-                    wr.trace.on_join_ready(parent);
-                    wr.trace.on_publish(waiter, parent);
+            match wr.shared.deques[wr.id].pop() {
+                Some(c) => {
+                    debug_assert_eq!(c, parent_ctx as u64, "[I21] popped another's parent");
+                    wr.trace.on_local_pop(c);
+                    c
                 }
-                wr.shared.deques[wr.id].push(waiter);
+                None => match (*join).complete() {
+                    Some(waiter) => {
+                        // Trace: name the join edge; the waiter becomes
+                        // the current task as if it had been pushed and
+                        // popped back.
+                        if wr.trace.enabled() {
+                            let parent = (*join).waiter_task.load(Ordering::Relaxed);
+                            (*join).enabler.store(task, Ordering::Relaxed);
+                            wr.trace.on_join_ready(parent);
+                            wr.trace.on_publish(waiter, parent);
+                            wr.trace.on_local_pop(waiter);
+                        }
+                        waiter
+                    }
+                    None => wr.sched_ctx as u64,
+                },
             }
-        }
+        };
         // Only now, after the last access to the block [I18].
         drop(keep);
         // Last act of the task: everything it did (every `spawn` it
@@ -487,22 +504,9 @@ unsafe extern "C" fn child_main<K, F: FnOnce() -> K>(arg: *mut c_void) -> ! {
             let wr = &*w;
             bump(&wr.shared.progress[wr.id].completed, 1, Ordering::Release);
         }
-        w
+        target as *mut Context
     };
     // Nothing with a destructor is live from here: we abandon this stack.
-    // Figure 4 lines 13-15: pop the parent continuation; if stolen, go
-    // to the scheduler.
-    // SAFETY: [I5][I7] worker alive; contexts in the deque are live by protocol.
-    let target = unsafe {
-        let wr = &mut *w;
-        match wr.shared.deques[wr.id].pop() {
-            Some(c) => {
-                wr.trace.on_local_pop(c);
-                c as *mut Context
-            }
-            None => wr.sched_ctx,
-        }
-    };
     // SAFETY: [I5] target is resumed exactly once; only Copy locals live here.
     unsafe { resume_context(target) }
 }
@@ -519,6 +523,14 @@ pub(crate) fn join_all(jb: &JoinBlock) {
     // borrow ends before the switch below; the block outlives the join.
     let (slot, sched) = unsafe {
         let wr = &mut *w;
+        // [I21] holds only if nothing is left behind on this deque: a
+        // task that joins its own children blocks with its spawners'
+        // continuations all stolen. Anything else would strand one here.
+        assert!(
+            wr.shared.deques[wr.id].is_empty(),
+            "uat-fiber: a task blocked joining a thread it did not spawn; \
+             join a handle from the task that spawned it"
+        );
         // Trace: charge the park attempt to the suspend bucket, and
         // record who is about to park *before* `park` can expose the
         // slot to the last child (which reads it to name `JoinReady`).
@@ -529,7 +541,7 @@ pub(crate) fn join_all(jb: &JoinBlock) {
         (wr.pending_join.hand_over(jb), wr.sched_ctx)
     };
     // [I12]: parking publishes the continuation — the last child can
-    // push it and a thief can resume it the next instant, overwriting
+    // resume it on another thread the next instant, overwriting
     // this very frame. So don't park here: hand it to the scheduler,
     // which runs on the worker's OS stack. Until the scheduler's `park`
     // the continuation is invisible to every other thread, so this
@@ -772,7 +784,8 @@ impl Runtime {
         let metrics = Arc::new(MetricsShared::new());
         // The root is an ordinary task record on an ordinary stack, with
         // no continuation to publish; it reports to a cell this frame
-        // keeps a handle on, exactly like a public `spawn`.
+        // keeps a handle on, like a public `spawn` whose spawner was
+        // stolen — no exit pop can resume a caller, so it is counted.
         let cell = JoinCell::new();
         cell.block.announce();
         let root_task = {
@@ -960,51 +973,43 @@ fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
         unsafe {
             (*w).trace.on_idle();
         }
-        // Own deque first (ready waiters and un-stolen parents)...
-        let target = shared.deques[id]
-            .pop()
-            .inspect(|&c| {
-                // SAFETY: [I7] as above.
-                unsafe {
-                    (*w).trace.on_local_pop(c);
-                }
-            })
-            .or_else(|| {
-                // ...then random stealing.
-                if n == 1 {
-                    return None;
-                }
-                // SAFETY: [I7] as above.
-                let mut v = unsafe { (*w).rng.below(n as u64 - 1) as usize };
-                if v >= id {
-                    v += 1;
-                }
-                // Traced and metered runs take the phase-stamped steal
-                // so lock/entry time lands in the right buckets and the
-                // latency histogram; plain runs keep the bare protocol
-                // with counter-only accounting.
-                // SAFETY: [I7] as above.
-                let clk = unsafe { (*w).trace.clock().or_else(|| (*w).metrics.clock()) };
-                match clk {
-                    Some(clk) => {
-                        let (got, ph) = shared.deques[v].steal_phased(|| clk.now_cycles());
-                        // SAFETY: [I7] as above.
-                        unsafe {
-                            (*w).trace.on_steal_attempt(v, got, &ph);
-                            (*w).metrics.on_steal_phased(v, got.is_some(), &ph);
-                        }
-                        got
+        // Nothing of our own is left to run [I21]: a task ends or blocks
+        // here only once its worker's deque is empty. Steal.
+        debug_assert!(shared.deques[id].is_empty());
+        let target = if n == 1 {
+            None
+        } else {
+            // SAFETY: [I7] as above.
+            let mut v = unsafe { (*w).rng.below(n as u64 - 1) as usize };
+            if v >= id {
+                v += 1;
+            }
+            // Traced and metered runs take the phase-stamped steal so
+            // lock/entry time lands in the right buckets and the latency
+            // histogram; plain runs keep the bare protocol with
+            // counter-only accounting.
+            // SAFETY: [I7] as above.
+            let clk = unsafe { (*w).trace.clock().or_else(|| (*w).metrics.clock()) };
+            match clk {
+                Some(clk) => {
+                    let (got, ph) = shared.deques[v].steal_phased(|| clk.now_cycles());
+                    // SAFETY: [I7] as above.
+                    unsafe {
+                        (*w).trace.on_steal_attempt(v, got, &ph);
+                        (*w).metrics.on_steal_phased(v, got.is_some(), &ph);
                     }
-                    None => {
-                        let got = shared.deques[v].steal();
-                        // SAFETY: [I7] as above.
-                        unsafe {
-                            (*w).metrics.on_steal_untimed(got.is_some());
-                        }
-                        got
-                    }
+                    got
                 }
-            });
+                None => {
+                    let got = shared.deques[v].steal();
+                    // SAFETY: [I7] as above.
+                    unsafe {
+                        (*w).metrics.on_steal_untimed(got.is_some());
+                    }
+                    got
+                }
+            }
+        };
         match target {
             Some(ctx) => {
                 if idle.found() {
@@ -1091,12 +1096,23 @@ mod tests {
         assert_eq!(out, 42);
     }
 
+    fn fib(n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let a = spawn(move || fib(n - 1));
+        let b = fib(n - 2);
+        a.join() + b
+    }
+
     #[test]
     fn spawn_join_single_worker() {
         let rt = Runtime::new(1);
         let out = rt.run(|| {
             let a = spawn(|| 10);
             let b = spawn(|| 20);
+            // Nobody stole the caller: each child returned into it done.
+            assert!(a.is_done() && b.is_done());
             a.join() + b.join() + 12
         });
         assert_eq!(out, 42);
@@ -1104,28 +1120,28 @@ mod tests {
 
     #[test]
     fn nested_fib_single_worker() {
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let a = spawn(move || fib(n - 1));
-            let b = fib(n - 2);
-            a.join() + b
-        }
         let rt = Runtime::new(1);
         assert_eq!(rt.run(|| fib(15)), 610);
     }
 
+    /// [I21]: a child nobody stole completes by returning — neither it
+    /// nor its spawner touches the join block. Only the root is counted
+    /// (no exit pop can resume its caller): its `announce` here, its
+    /// `complete` on the worker, after the body measured below.
+    #[test]
+    fn an_unstolen_child_never_touches_a_join_block() {
+        let before = crate::join::rmws();
+        let (out, rmws) = Runtime::new(1).run(|| {
+            let t0 = crate::join::rmws();
+            (fib(15), crate::join::rmws() - t0)
+        });
+        assert_eq!(out, 610);
+        assert_eq!(rmws, 0, "join-block RMWs across fib(15)'s 986 spawns");
+        assert_eq!(crate::join::rmws() - before, 1, "the root's announce");
+    }
+
     #[test]
     fn fib_multi_worker() {
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let a = spawn(move || fib(n - 1));
-            let b = fib(n - 2);
-            a.join() + b
-        }
         let rt = Runtime::new(3);
         assert_eq!(rt.run(|| fib(18)), 2584);
     }

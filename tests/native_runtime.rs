@@ -209,6 +209,57 @@ fn handle_joined_on_another_worker_drops_once() {
     });
 }
 
+/// A task that blocks joining its sibling while their spawner's
+/// continuation still sits on its worker's deque would strand the
+/// spawner there (DESIGN.md [I21]): the run aborts, naming the mistake.
+/// The abort takes the process with it, so the scenario runs in a copy
+/// of this test binary.
+#[test]
+fn blocking_on_a_sibling_with_the_spawner_unstolen_aborts_by_name() {
+    const CHILD: &str = "UAT_TEST_JOIN_A_SIBLING";
+    if std::env::var_os(CHILD).is_some() {
+        Runtime::new(2).run(|| {
+            let go = Arc::new(AtomicBool::new(false));
+            let seen = Arc::clone(&go);
+            let sibling = fiber::spawn(move || {
+                while !seen.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                // Outlast the joiner's done-check by far.
+                let t0 = Instant::now();
+                while t0.elapsed() < Duration::from_millis(200) {
+                    std::hint::spin_loop();
+                }
+            });
+            // Only a thief gets here, the sibling holding the other
+            // worker; this child pushes the root onto the thief's deque
+            // and blocks on the sibling with it there.
+            fiber::spawn(move || {
+                go.store(true, Ordering::Release);
+                sibling.join();
+            })
+            .join();
+        });
+        unreachable!("the blocking join must abort the run");
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "--exact",
+            "blocking_on_a_sibling_with_the_spawner_unstolen_aborts_by_name",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env(CHILD, "1")
+        .output()
+        .expect("re-run the test binary");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{err}");
+    assert!(
+        err.contains("a task blocked joining a thread it did not spawn"),
+        "{err}"
+    );
+}
+
 #[test]
 fn creation_strategies_all_work_under_load() {
     use uni_address_threads::fiber::{measure_creation, CreationStrategy};
