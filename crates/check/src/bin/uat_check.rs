@@ -1,5 +1,6 @@
 //! CLI for the interleaving checker: the THE-protocol steal path, the
-//! runtime's termination scan and its join protocol.
+//! runtime's termination scan, its join protocol and the multiprocess
+//! runtime's free-slot supply.
 //!
 //! ```text
 //! uat_check                        # clean suite under SC: zero violations
@@ -23,6 +24,7 @@ use std::process::ExitCode;
 use uat_check::join::{self, JoinMutation};
 use uat_check::model::{Family, Mutation};
 use uat_check::scenarios::{mutation_demos, sleep_set_scenarios, standard_suite, weak_suite};
+use uat_check::slots::{self, SlotMutation};
 use uat_check::termination::{self, ScanMutation};
 use uat_check::{replay, Explorer, MemModel};
 
@@ -72,12 +74,26 @@ impl ScenarioStat {
             transitions: r.transitions,
             interleavings: r.interleavings,
             finals: 0,
-            violation: r.violation.as_ref().map(|v| {
-                let what = v.lines().nth(1).unwrap_or_default();
-                what.trim().trim_start_matches("VIOLATION: ").to_string()
-            }),
+            violation: r.violation.as_deref().map(violation_line),
         }
     }
+
+    fn of_slots(r: &slots::Report) -> Self {
+        ScenarioStat {
+            name: r.scenario,
+            states: r.states,
+            transitions: r.transitions,
+            interleavings: r.interleavings,
+            finals: 0,
+            violation: r.violation.as_deref().map(violation_line),
+        }
+    }
+}
+
+/// The one-line `VIOLATION:` of a rendered counterexample.
+fn violation_line(v: &str) -> String {
+    let what = v.lines().nth(1).unwrap_or_default();
+    what.trim().trim_start_matches("VIOLATION: ").to_string()
 }
 
 /// A seeded regression, from whichever model carries it.
@@ -86,6 +102,7 @@ enum Seeded {
     Deque(Mutation),
     Scan(ScanMutation),
     Join(JoinMutation),
+    Slots(SlotMutation),
 }
 
 fn main() -> ExitCode {
@@ -107,6 +124,11 @@ fn main() -> ExitCode {
                             .map(|&m| (m.name(), Seeded::Scan(m))),
                     )
                     .chain(join::MUTATIONS.iter().map(|&m| (m.name(), Seeded::Join(m))))
+                    .chain(
+                        slots::MUTATIONS
+                            .iter()
+                            .map(|&m| (m.name(), Seeded::Slots(m))),
+                    )
                     .find_map(|(n, m)| (n == name).then_some(m));
                 if mutate.is_none() {
                     eprintln!("unknown mutation `{name}`; try --list-mutations");
@@ -121,6 +143,9 @@ fn main() -> ExitCode {
                     println!("{}", m.name());
                 }
                 for m in join::MUTATIONS {
+                    println!("{}", m.name());
+                }
+                for m in slots::MUTATIONS {
                     println!("{}", m.name());
                 }
                 return ExitCode::SUCCESS;
@@ -160,6 +185,7 @@ fn main() -> ExitCode {
         Some(Seeded::Deque(m)) => run_mutation_demo(m, json_path.as_deref()),
         Some(Seeded::Scan(m)) => run_scan_mutation_demo(m, json_path.as_deref()),
         Some(Seeded::Join(m)) => run_join_mutation_demo(m, json_path.as_deref()),
+        Some(Seeded::Slots(m)) => run_slots_mutation_demo(m, json_path.as_deref()),
         None => run_clean_suite(model, replay_cap, json_path.as_deref()),
     }
 }
@@ -247,6 +273,28 @@ fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) 
             failed = true;
         }
         stats.push(ScenarioStat::of_join(&report));
+    }
+
+    // The free-slot supply, on the same memory machine.
+    for sc in slots::suite(model, SlotMutation::None) {
+        let report = sc.explore();
+        println!(
+            "{:<22} {:>10} {:>12} {:>16} {:>8}",
+            report.scenario, report.states, report.transitions, report.interleavings, "-"
+        );
+        total_interleavings += report.interleavings;
+        total_states += report.states;
+        if let Some(v) = &report.violation {
+            println!("{v}");
+            failed = true;
+        } else if report.raids == 0 || report.raided == 0 {
+            println!(
+                "{}: no raid ever met a fast path — the scenario is vacuous",
+                sc.name
+            );
+            failed = true;
+        }
+        stats.push(ScenarioStat::of_slots(&report));
     }
 
     // Sleep-set cross-check + differential replay on the scenarios whose
@@ -404,6 +452,25 @@ fn run_join_mutation_demo(m: JoinMutation, json_path: Option<&str>) -> ExitCode 
             ),
         }
         stats.push(ScenarioStat::of_join(&report));
+    }
+    finish_mutation_demo(m.name(), m.model(), &stats, json_path)
+}
+
+/// A seeded slot-supply mutation: caught if either shape yields a
+/// counterexample under the weakest model that shows it.
+fn run_slots_mutation_demo(m: SlotMutation, json_path: Option<&str>) -> ExitCode {
+    println!("uat-check: seeded mutation `{}`", m.name());
+    let mut stats: Vec<ScenarioStat> = Vec::new();
+    for sc in slots::suite(m.model(), m) {
+        let report = sc.explore();
+        match &report.violation {
+            Some(v) => println!("{v}"),
+            None => println!(
+                "{}: no violation found ({} interleavings) — mutation not observable here",
+                sc.name, report.interleavings
+            ),
+        }
+        stats.push(ScenarioStat::of_slots(&report));
     }
     finish_mutation_demo(m.name(), m.model(), &stats, json_path)
 }

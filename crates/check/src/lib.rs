@@ -38,7 +38,11 @@
 //! tick — and its own two seeded mutations; [`join`] does the same for
 //! the join protocol both real runtimes share (exactly-once resume,
 //! results visible at every passed join, no touch after the joiner left,
-//! no stranded park), with six.
+//! no stranded park), with six; and [`slots`] for the multiprocess
+//! runtime's free-slot supply (owner fast paths with no read-modify-write,
+//! a pool lock, and a raid that closes them with one `membarrier`:
+//! conservation, no double hand-out, no false exhaustion, no deadlock),
+//! with six more.
 //!
 //! Run `cargo run -p uat-check --bin uat_check` for the suite, or
 //! `--mutate <name>` for a counterexample demo; see the README for how
@@ -52,6 +56,7 @@ pub mod memory;
 pub mod model;
 pub mod replay;
 pub mod scenarios;
+pub mod slots;
 pub mod termination;
 
 pub use explore::{Explorer, Report, StepRecord, Violation, ViolationKind};

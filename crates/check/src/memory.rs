@@ -262,6 +262,16 @@ impl Mem {
         }
     }
 
+    /// The value [`load`](Self::load) with these arguments would return,
+    /// without performing it (a spin-wait's model asks which choices end
+    /// the spin).
+    pub fn peek(&self, th: usize, loc: usize, ord: MemOrd, choice: u32) -> u64 {
+        match self {
+            Mem::Sc(vals) => vals[loc],
+            Mem::Weak(w) => w.hist[loc][(Self::floor(w, th, loc, ord) + choice) as usize].val,
+        }
+    }
+
     /// Append a store.
     pub fn store(&mut self, th: usize, loc: usize, ord: MemOrd, val: u64) {
         match self {
@@ -352,6 +362,26 @@ impl Mem {
         let (got, ok) = self.cas(th, loc, old, old.wrapping_add(add), ord);
         debug_assert!(ok && got == old, "faa read the latest by construction");
         old
+    }
+
+    /// `membarrier(2)` issued by `th`: every other thread behaves as if it
+    /// had executed a full fence at that instant. `th`'s view absorbs
+    /// every thread's — whatever any of them stored or read before is
+    /// visible to `th` from here on — and every thread's view absorbs
+    /// `th`'s as it was at the call. The others do not absorb each other:
+    /// the kernel's barriers land on their CPUs at different instants, so
+    /// only the edges to and from the caller are promised. A no-op under
+    /// SC, where every load already reads the latest store.
+    pub fn membarrier(&mut self, th: usize) {
+        if let Mem::Weak(w) = self {
+            let before = w.views[th].clone();
+            let mut all = before.clone();
+            for v in w.views.iter_mut() {
+                join(&mut all, v);
+                join(v, &before);
+            }
+            w.views[th] = all;
+        }
     }
 }
 
@@ -449,6 +479,83 @@ mod tests {
         // thread 0's data too.
         assert_eq!(m.load(2, L, MemOrd::Acquire, 2).val, 0);
         assert_eq!(m.load_choices(2, D, MemOrd::Relaxed), 1);
+    }
+
+    /// Store buffering with one side fenced by the compiler only — the
+    /// slot cache's owner: `X := 1` Relaxed, then an Acquire load of `Y`
+    /// — against `Y := 1` Relaxed, an optional `membarrier`, then an
+    /// Acquire load of `X`. Every outcome `(r_owner, r_other)` over every
+    /// interleaving and every reads-from choice.
+    fn store_buffering(membarrier: bool) -> std::collections::BTreeSet<(u64, u64)> {
+        #[derive(Clone, Copy)]
+        enum Op {
+            Store(usize),
+            Membarrier,
+            Load(usize),
+        }
+        let programs = [
+            vec![Op::Store(L), Op::Load(D)],
+            [
+                Some(Op::Store(D)),
+                membarrier.then_some(Op::Membarrier),
+                Some(Op::Load(L)),
+            ]
+            .into_iter()
+            .flatten()
+            .collect::<Vec<_>>(),
+        ];
+        fn go(
+            m: &Mem,
+            pcs: [usize; 2],
+            reads: [u64; 2],
+            programs: &[Vec<Op>; 2],
+            out: &mut std::collections::BTreeSet<(u64, u64)>,
+        ) {
+            if pcs[0] == programs[0].len() && pcs[1] == programs[1].len() {
+                out.insert((reads[0], reads[1]));
+            }
+            for t in 0..2 {
+                let Some(&op) = programs[t].get(pcs[t]) else {
+                    continue;
+                };
+                let mut pcs = pcs;
+                pcs[t] += 1;
+                match op {
+                    Op::Store(loc) => {
+                        let mut m = m.clone();
+                        m.store(t, loc, MemOrd::Relaxed, 1);
+                        go(&m, pcs, reads, programs, out);
+                    }
+                    Op::Membarrier => {
+                        let mut m = m.clone();
+                        m.membarrier(t);
+                        go(&m, pcs, reads, programs, out);
+                    }
+                    Op::Load(loc) => {
+                        for choice in 0..m.load_choices(t, loc, MemOrd::Acquire) {
+                            let mut m = m.clone();
+                            let mut reads = reads;
+                            reads[t] = m.load(t, loc, MemOrd::Acquire, choice).val;
+                            go(&m, pcs, reads, programs, out);
+                        }
+                    }
+                }
+            }
+        }
+        let mut out = std::collections::BTreeSet::new();
+        go(&ra(2), [0, 0], [0, 0], &programs, &mut out);
+        out
+    }
+
+    /// Without the barrier RA lets both loads miss the other's store —
+    /// the store-load reordering a compiler fence does not prevent; a
+    /// `membarrier` on the other side forbids exactly that outcome.
+    #[test]
+    fn membarrier_forbids_store_buffering_against_a_compiler_fence() {
+        assert!(store_buffering(false).contains(&(0, 0)));
+        let fenced = store_buffering(true);
+        assert!(!fenced.contains(&(0, 0)), "{fenced:?}");
+        assert_eq!(fenced.len(), 3, "the other three outcomes stay: {fenced:?}");
     }
 
     /// SC mode is single-valued and choice-free.

@@ -104,6 +104,7 @@ impl ShmDeque {
     /// across processes — mapped `MAP_SHARED` at this same virtual
     /// address in every participating process. No memory in the block
     /// may be accessed except through THE-protocol operations.
+    #[inline]
     pub unsafe fn from_raw(base: *mut u8, capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         assert!(
@@ -158,6 +159,7 @@ impl ShmDeque {
     /// Panics on overflow (the runtime sizes queues for the maximum
     /// outstanding task count, as the paper sizes the uni-address
     /// region).
+    #[inline]
     pub fn push(&self, value: u64) {
         let h = self.hdr();
         let b = h.bottom.load(Ordering::Relaxed);
@@ -180,6 +182,7 @@ impl ShmDeque {
     }
 
     /// Owner-only: pop the youngest entry (THE protocol).
+    #[inline]
     pub fn pop(&self) -> Option<u64> {
         let h = self.hdr();
         let b = h.bottom.load(Ordering::Relaxed);

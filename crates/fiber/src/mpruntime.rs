@@ -26,10 +26,12 @@
 //!   with no RPC;
 //! - the **stats bank** (one single-writer accounting row per worker)
 //!   and the **slot pool** (a locked LIFO of free stack slots behind
-//!   one small cache per worker);
-//! - the **control block**: shutdown flag, the two give-up flags (slot
-//!   pool exhausted, frame too large for a slot's stack), and the
-//!   allocation-probe readings — nothing a task ever writes.
+//!   one small cache per worker, which only its owner touches but for
+//!   a rare raid, [I22]);
+//! - the **control block**: shutdown flag, raid flag, the two give-up
+//!   flags (slot pool exhausted, frame too large for a slot's stack),
+//!   and the allocation-probe readings — nothing a task writes on its
+//!   fast path.
 //!
 //! The coordinator decides nothing and polls nothing. The first idle
 //! worker whose termination scan passes (`idle.rs`, shared
@@ -41,7 +43,8 @@
 //! Creating, running and finishing a task that nobody steals writes
 //! only lines its own worker owns ([I17]): the worker's deque, its
 //! accounting and metrics rows, its slot cache, and the stacks of the
-//! task and its parent.
+//! task and its parent — the slot cache with plain loads and stores, no
+//! lock ([I22]).
 //!
 //! A steal is therefore exactly the paper's: one-sided loads/stores/CAS
 //! on the victim's deque words, a one-sided `fetch_add` when a child
@@ -96,7 +99,7 @@ use std::ffi::c_void;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::addr_of_mut;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use uat_base::{SplitMix64, WorkerId};
 use uat_deque::ShmDeque;
@@ -139,14 +142,20 @@ const MC_STRIDE: usize = 8;
 /// looks for a worker that died without raising it.
 const LIVENESS_SWEEP: std::time::Duration = std::time::Duration::from_millis(10);
 
-/// Shared control block, at the very start of the region. No task ever
-/// writes it ([I17]): an idle worker's loop reads `shutdown_flag`, and
-/// the one whose termination scan passes raises it.
+/// Shared control block, at the very start of the region. No task
+/// writes it on its fast path ([I17]): an idle worker's loop reads
+/// `shutdown_flag`, and the one whose termination scan passes raises
+/// it; every slot-cache fast path reads `raid`, and only a raid writes
+/// it.
 #[repr(C)]
 struct Ctrl {
     /// Terminating worker → every worker loop (exit) and the
     /// coordinator, which sleeps on this word as a futex ([I20]).
     shutdown_flag: AtomicU32,
+    /// Non-zero while a worker raids the slot caches ([I22]): every
+    /// cache fast path loads it, only a raid (under the pool lock)
+    /// stores it.
+    raid: AtomicU32,
     /// Set by a worker that found no free stack slot anywhere, just
     /// before it exits; read by the coordinator when it finds a worker
     /// dead, to name the failure.
@@ -246,8 +255,10 @@ impl RegionLayout {
         }
     }
 
-    fn ctrl(&self) -> *const Ctrl {
-        MP_BASE as *const Ctrl
+    fn ctrl(&self) -> &'static Ctrl {
+        // SAFETY: [I16] the region's first page, inside the live mapping
+        // (see `cell`); zero-filled is a valid `Ctrl`, made of atomics.
+        unsafe { &*(MP_BASE as *const Ctrl) }
     }
 
     fn metrics_cell_addr(&self, w: usize, c: usize) -> usize {
@@ -273,6 +284,7 @@ impl RegionLayout {
     }
 
     /// The machine-wide free-slot stack.
+    #[inline]
     fn slot_pool(&self) -> SlotStack {
         // SAFETY: [I16] `pool_off` starts a block of
         // `block_size(slots)` bytes inside the live mapping.
@@ -280,6 +292,7 @@ impl RegionLayout {
     }
 
     /// Worker `w`'s free-slot cache.
+    #[inline]
     fn slot_cache(&self, w: usize) -> SlotStack {
         debug_assert!(w < self.workers);
         let base = MP_BASE
@@ -293,6 +306,7 @@ impl RegionLayout {
 
     /// Worker `w`'s deque handle (any process may construct any
     /// worker's handle — thieves do).
+    #[inline]
     fn deque(&self, w: usize) -> ShmDeque {
         debug_assert!(w < self.workers);
         let base = MP_BASE + self.deques_off + w * ShmDeque::block_size(DEQ_CAP);
@@ -437,34 +451,46 @@ fn mp_collect_retired() -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Slot pool: one locked LIFO of free slot indices for the machine, one
-// small one per worker in front of it.
+// Slot pool: one locked LIFO of free slot indices for the machine, and in
+// front of it one small LIFO per worker that only its owner touches — but
+// for a raid ([I22]).
 // ---------------------------------------------------------------------
 
-/// Lock and length of a [`SlotStack`], on a cache line of their own.
+/// `busy` and length of a [`SlotStack`], on a cache line of their own.
 #[repr(C, align(64))]
 struct SlotStackHdr {
-    /// TTAS spinlock over `len` and the entries.
+    /// The pool's TTAS spinlock; a cache's "owner inside a fast path".
     busy: AtomicU64,
     len: AtomicU64,
 }
 
-/// A view of one locked LIFO of free slot indices in the shared region:
-/// a [`SlotStackHdr`] line followed by the entries, oldest first. Zero
+/// A view of one LIFO of free slot indices in the shared region: a
+/// [`SlotStackHdr`] line followed by the entries, oldest first. Zero
 /// bytes are a valid empty stack.
 ///
-/// Every method but [`acquire`](Self::acquire) requires the caller to
-/// hold the lock. Lock order, wherever more than one is held: worker
-/// caches by ascending worker id, then the pool.
-///
-/// A worker's cache is only ever locked by another worker on the
-/// [`reclaim_slot`] path, so on the task fast path its header line stays
-/// in the owner's cache and the lock is an uncontended local
-/// operation ([I17]).
+/// The pool's entries and length are touched only under its lock. A
+/// worker's cache is touched by its owner with plain loads and stores
+/// inside [`owned`](Self::owned), and otherwise only under the pool
+/// lock: by the owner's slow paths, and by a [`raid`], which first
+/// closes every owner's fast path.
 #[derive(Clone, Copy)]
 struct SlotStack {
     hdr: &'static SlotStackHdr,
     entries: &'static [AtomicU32],
+}
+
+/// Spin until `ready`, giving the CPU away every 64 rounds: the party
+/// waited for may be preempted (more workers than CPUs).
+fn spin_until(ready: impl Fn() -> bool) {
+    let mut spins = 0u32;
+    while !ready() {
+        spins += 1;
+        if spins.is_multiple_of(64) {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
 }
 
 impl SlotStack {
@@ -482,6 +508,7 @@ impl SlotStack {
     /// `base` must be 64-byte aligned and start `block_size(cap)` bytes
     /// of the live shared mapping that nothing but `SlotStack` views
     /// touch.
+    #[inline]
     unsafe fn at(base: usize, cap: usize) -> SlotStack {
         debug_assert!(base.is_multiple_of(64));
         let entries = (base + std::mem::size_of::<SlotStackHdr>()) as *const AtomicU32;
@@ -495,43 +522,55 @@ impl SlotStack {
         }
     }
 
+    /// Take the pool's lock — the only lock on any slot stack.
     fn acquire(&self) {
-        let mut spins = 0u32;
-        loop {
-            if self.hdr.busy.load(Ordering::Relaxed) == 0
-                && self
-                    .hdr
-                    .busy
+        #[cfg(test)]
+        tests::POOL_LOCKS.with(|n| n.set(n.get() + 1));
+        let busy = &self.hdr.busy;
+        spin_until(|| {
+            busy.load(Ordering::Relaxed) == 0
+                && busy
                     .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
-            {
-                return;
-            }
-            // The holder may have been preempted (more workers than
-            // CPUs): give it the CPU instead of burning the quantum.
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
+        });
     }
 
     fn release(&self) {
         self.hdr.busy.store(0, Ordering::Release);
     }
 
+    /// Run `op` on this cache as its owner, with plain loads and stores,
+    /// unless a raid is on ([I22]): `busy` raised by a store, then — a
+    /// compiler fence apart; the raider's `membarrier` is the hardware
+    /// half — `raid` loaded. `None` if a raid was on or `op` declined.
+    #[inline]
+    fn owned<R>(&self, raid: &AtomicU32, op: impl FnOnce(&Self) -> Option<R>) -> Option<R> {
+        self.hdr.busy.store(1, Ordering::Relaxed);
+        compiler_fence(Ordering::SeqCst);
+        // Acquire: on 0 from a finished raid, its moves out of this cache.
+        let got = if raid.load(Ordering::Acquire) == 0 {
+            op(self)
+        } else {
+            None
+        };
+        // Release: `op`'s writes, to a raider whose Acquire sees 0 here.
+        self.hdr.busy.store(0, Ordering::Release);
+        got
+    }
+
+    #[inline]
     fn len(&self) -> usize {
         self.hdr.len.load(Ordering::Relaxed) as usize
     }
 
+    #[inline]
     fn push(&self, slot: usize) {
         let n = self.len();
         self.entries[n].store(slot as u32, Ordering::Relaxed);
         self.hdr.len.store(n as u64 + 1, Ordering::Relaxed);
     }
 
+    #[inline]
     fn pop(&self) -> Option<usize> {
         let n = self.len().checked_sub(1)?;
         self.hdr.len.store(n as u64, Ordering::Relaxed);
@@ -560,68 +599,92 @@ impl SlotStack {
 
 /// Take a free slot for a task spawned on worker `me`: the top of the
 /// worker's own cache — the stack it freed last, still warm in its CPU
-/// cache — refilled a batch at a time from the pool.
+/// cache — with no `lock`-prefixed instruction ([I22]).
+#[inline]
 fn alloc_slot(layout: &RegionLayout, me: usize) -> usize {
     let cache = layout.slot_cache(me);
-    cache.acquire();
-    if cache.len() == 0 {
-        let pool = layout.slot_pool();
-        pool.acquire();
-        pool.move_to(&cache, pool.len().min(layout.slot_batch), false);
-        pool.release();
-    }
-    let got = cache.pop();
-    cache.release();
-    got.unwrap_or_else(|| reclaim_slot(layout, me))
+    cache
+        .owned(&layout.ctrl().raid, SlotStack::pop)
+        .unwrap_or_else(|| alloc_slot_slow(layout, me))
 }
 
-/// Return a dead task's slot to worker `me`'s cache, spilling the
-/// batch the worker has left unused longest when the cache is full.
+/// Return a dead task's slot to worker `me`'s cache.
+#[inline]
 fn free_slot(layout: &RegionLayout, me: usize, slot: usize) {
     let cache = layout.slot_cache(me);
-    cache.acquire();
-    if cache.len() == 2 * layout.slot_batch {
-        let pool = layout.slot_pool();
-        pool.acquire();
-        cache.move_to(&pool, layout.slot_batch, true);
-        pool.release();
+    let room = |c: &SlotStack| (c.len() < 2 * layout.slot_batch).then(|| c.push(slot));
+    if cache.owned(&layout.ctrl().raid, room).is_none() {
+        free_slot_slow(layout, me, slot);
     }
-    cache.push(slot);
-    cache.release();
 }
 
-/// Worker `me`'s cache and the pool were both empty: before giving the
-/// run up, look in the other workers' caches. Holding every lock at
-/// once makes the verdict exact — if nothing turns up, no slot was free
-/// anywhere at that instant and the pool really is exhausted.
-fn reclaim_slot(layout: &RegionLayout, me: usize) -> usize {
-    let caches = || (0..layout.workers).map(|w| layout.slot_cache(w));
-    let pool = layout.slot_pool();
-    let mine = layout.slot_cache(me);
-    caches().for_each(|c| c.acquire());
+/// The cache was empty, or a raid was on: under the pool lock, refill a
+/// batch of the pool's newest — or, the pool empty too, [`raid`] a peer.
+#[cold]
+#[inline(never)]
+fn alloc_slot_slow(layout: &RegionLayout, me: usize) -> usize {
+    let (pool, mine) = (layout.slot_pool(), layout.slot_cache(me));
     pool.acquire();
-    // Our own cache or the pool may have been fed since we looked.
     if mine.len() == 0 {
         if pool.len() > 0 {
             pool.move_to(&mine, pool.len().min(layout.slot_batch), false);
         } else {
-            // The fullest cache gives up its older half (nothing, if
-            // every cache is as empty as ours).
-            let victim = caches()
-                .max_by_key(|c| c.len())
-                .expect("at least one worker");
-            victim.move_to(&mine, victim.len().div_ceil(2), true);
+            raid(layout, me);
         }
     }
     let got = mine.pop();
     pool.release();
-    caches().for_each(|c| c.release());
     got.unwrap_or_else(|| {
-        // SAFETY: [I16] ctrl is the mapped control block.
-        let ctrl = unsafe { &*layout.ctrl() };
         let msg = b"uat-fiber(mp): stack slot pool exhausted; worker exiting\n";
-        die(&ctrl.slots_exhausted, 1, msg, 103)
+        die(&layout.ctrl().slots_exhausted, 1, msg, 103)
     })
+}
+
+/// The cache was full, or a raid was on: under the pool lock, spill the
+/// batch the worker has left unused longest, then push.
+#[cold]
+#[inline(never)]
+fn free_slot_slow(layout: &RegionLayout, me: usize, slot: usize) {
+    let (pool, mine) = (layout.slot_pool(), layout.slot_cache(me));
+    pool.acquire();
+    if mine.len() == 2 * layout.slot_batch {
+        mine.move_to(&pool, layout.slot_batch, true);
+    }
+    mine.push(slot);
+    pool.release();
+}
+
+/// Worker `me`'s cache and the pool are empty and `me` holds the pool
+/// lock: move the older half of the fullest other cache into `me`'s.
+/// First every fast path is closed ([I22]) — `raid` raised, one
+/// `membarrier`, every other `busy` seen clear — so the free-slot state
+/// is frozen, and finding nothing means no slot was free anywhere.
+fn raid(layout: &RegionLayout, me: usize) {
+    let raid = &layout.ctrl().raid;
+    // Relaxed: the barrier publishes it, and drains every owner's store
+    // of `busy` before the loads below.
+    raid.store(1, Ordering::Relaxed);
+    let barrier = membarrier(libc::MEMBARRIER_CMD_GLOBAL_EXPEDITED);
+    assert_eq!(barrier, 0, "no barrier: the raid cannot exclude owners");
+    let peers = || {
+        (0..layout.workers)
+            .filter(move |&w| w != me)
+            .map(|w| layout.slot_cache(w))
+    };
+    for c in peers() {
+        spin_until(|| c.hdr.busy.load(Ordering::Acquire) == 0);
+    }
+    if let Some(victim) = peers().max_by_key(|c| c.len()) {
+        victim.move_to(&layout.slot_cache(me), victim.len().div_ceil(2), true);
+    }
+    // Release: the move, to the victim's next fast path.
+    raid.store(0, Ordering::Release);
+}
+
+/// `membarrier(2)`: one raw syscall.
+fn membarrier(cmd: i32) -> i64 {
+    // SAFETY: [I22] the command takes no pointer; flags and cpu id 0.
+    unsafe { libc::syscall(libc::SYS_membarrier, cmd, 0u32, 0i32) }
 }
 
 /// Give the run up from a worker: tell the coordinator why (`why`,
@@ -702,8 +765,7 @@ where
             prog_buf: (0, 0),
         });
     }
-    // SAFETY: [I16] ctrl is the mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
+    let ctrl = layout.ctrl();
     ctrl.bootstrap_allocs[id].store(probe_allocs().wrapping_sub(before), Ordering::Release);
     // Window closed: from here on allocation is permitted again.
     // SAFETY: [I15] state initialised just above.
@@ -723,8 +785,7 @@ where
         let p = &*mp_proc();
         (p.layout, p.worker)
     };
-    // SAFETY: [I16] mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
+    let ctrl = layout.ctrl();
     let allocs_at_entry = probe_allocs();
 
     if id == 0 {
@@ -1015,10 +1076,8 @@ where
     let hdr = layout
         .place_header(slot, jb as *const JoinBlock as u64, chain, frame, desc)
         .unwrap_or_else(|e| {
-            // SAFETY: [I16] ctrl is the mapped control block.
-            let ctrl = unsafe { &*layout.ctrl() };
             let msg = b"uat-fiber(mp): task frame exceeds the slot stack; worker exiting\n";
-            die(&ctrl.frame_too_large, e.frame, msg, 104)
+            die(&layout.ctrl().frame_too_large, e.frame, msg, 104)
         });
     // [I12]: the continuation goes into the child's header, not into
     // the deque — this frame lives on the very stack it points into.
@@ -1159,7 +1218,8 @@ impl MultiProcessRunner {
 
     /// Probe whether this host can run the multiprocess backend: a
     /// `memfd` + `MAP_FIXED_NOREPLACE` mapping at [`MP_BASE`] must
-    /// succeed. Returns the reason when it cannot (callers should treat
+    /// succeed, and `membarrier` must offer the expedited global barrier
+    /// the slot caches' raid relies on ([I22]). Returns the reason when it cannot (callers should treat
     /// that as "skip", mirroring the ipc probes).
     pub fn probe_support() -> Result<(), String> {
         // Serialize with live runs: the probe maps a page at MP_BASE,
@@ -1232,8 +1292,7 @@ impl MultiProcessRunner {
             };
             assert_eq!(rc, 0, "mprotect(slot guard) failed");
         }
-        // SAFETY: [I16] freshly mapped (zeroed) control block.
-        let ctrl = unsafe { &*layout.ctrl() };
+        let ctrl = layout.ctrl();
         // Every slot but the root's (slot 0) starts in the pool, lowest
         // index on top; the workers' caches start empty. Pre-fork and
         // single-threaded, so the pool's lock is not needed.
@@ -1439,9 +1498,18 @@ impl Drop for Region {
     }
 }
 
-/// Create the memfd-backed shared mapping at [`MP_BASE`]. Errors (not
-/// panics) on hosts that cannot, so callers can skip with a reason.
+/// Create the memfd-backed shared mapping at [`MP_BASE`], and register
+/// this process for the raid's barrier, which every worker forked from
+/// it inherits ([I22]). Errors (not panics) on hosts that cannot, so
+/// callers can skip with a reason.
 fn map_region(total: usize) -> Result<Region, String> {
+    let cmds = membarrier(libc::MEMBARRIER_CMD_QUERY);
+    if cmds < 0
+        || cmds & libc::MEMBARRIER_CMD_GLOBAL_EXPEDITED as i64 == 0
+        || membarrier(libc::MEMBARRIER_CMD_REGISTER_GLOBAL_EXPEDITED) != 0
+    {
+        return Err("membarrier(MEMBARRIER_CMD_GLOBAL_EXPEDITED) unavailable".into());
+    }
     // SAFETY: [I10] memfd + MAP_SHARED|MAP_FIXED_NOREPLACE at an
     // address chosen to be free; NOREPLACE turns a collision into an
     // error instead of a clobber. Every result is checked.
@@ -1487,6 +1555,11 @@ mod tests {
     use super::*;
     use uat_model::testutil::BinTree;
     use uat_model::{join_tree_fingerprint, sequential_profile};
+
+    thread_local! {
+        /// Slot-stack lock acquisitions made by this thread.
+        pub(super) static POOL_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn runner(workers: usize) -> MultiProcessRunner {
         MultiProcessRunner::new(workers).with_work_divisor(u64::MAX)
@@ -1568,6 +1641,34 @@ mod tests {
                 .run(w.clone());
             assert_eq!(s.total_tasks, p.tasks, "workers={workers}");
             assert_eq!(s.join_fingerprint, p.join_fingerprint);
+        }
+    }
+
+    #[test]
+    fn a_starved_pool_runs_exact_trees() {
+        if !supported() {
+            return;
+        }
+        // Four workers run at most four leaves of the live tree, which in
+        // a depth-10 binary tree share at least its top two levels:
+        // 1 + 2 + 4 + 4 × 8 = 39 live tasks, and one finished task per
+        // other worker whose slot is not collected yet — 42 slots at
+        // most, 44 here. Heavy leaves keep the thieves busy, so the live
+        // tree comes within a few slots of that bound: on two CPUs the
+        // same runs can exhaust a pool of 37.
+        let w = BinTree {
+            depth: 10,
+            work: 20_000,
+            frame: 256,
+        };
+        let p = sequential_profile(&w);
+        for run in 0..20 {
+            let s = MultiProcessRunner::new(4)
+                .with_work_divisor(1)
+                .with_slots(44)
+                .run(w.clone());
+            assert_eq!(s.total_tasks, p.tasks, "run {run}");
+            assert_eq!(s.join_fingerprint, p.join_fingerprint, "run {run}");
         }
     }
 
@@ -1761,6 +1862,127 @@ mod tests {
             free_slot(&layout, 1, s);
         }
         assert_eq!((pool.len(), layout.slot_cache(1).len()), (4, 5));
+    }
+
+    /// A warm cache takes no lock ([I22]): 10 000 alloc/free pairs on
+    /// one worker acquire no slot-stack lock — the pool's TTAS, counted
+    /// here, is the only read-modify-write on any slot-stack header —
+    /// where the per-cache lock this replaced was taken twice a pair.
+    #[test]
+    fn warm_pairs_take_no_lock() {
+        if !supported() {
+            return;
+        }
+        let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let layout = RegionLayout::new(2, 33, PAGE);
+        let _region = map_region(layout.total).expect("probe passed");
+        let pool = layout.slot_pool();
+        for s in (1..layout.slots).rev() {
+            pool.push(s);
+        }
+        // The first allocation refills the empty cache, under the lock.
+        let warm = alloc_slot(&layout, 0);
+        free_slot(&layout, 0, warm);
+        let cache = layout.slot_cache(0);
+        let locks = || POOL_LOCKS.with(|n| n.get());
+        let before = (cache.len(), locks());
+        assert_eq!(before.1, 1);
+        for _ in 0..10_000 {
+            let s = alloc_slot(&layout, 0);
+            assert_eq!(s, warm, "LIFO: the stack freed last");
+            free_slot(&layout, 0, s);
+        }
+        assert_eq!((cache.len(), locks()), before);
+        assert_eq!(cache.hdr.busy.load(Ordering::Relaxed), 0);
+    }
+
+    /// An owner hammers its cache — fast paths, refills, spills — in a
+    /// process of its own, forked like a worker, while this one raids it
+    /// 20 000 times, each after a round of the owner's: no slot is handed
+    /// out twice, and at the end every slot is in exactly one stack
+    /// ([I22]).
+    #[test]
+    fn raids_conserve_slots_against_a_busy_owner() {
+        if !supported() {
+            return;
+        }
+        let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let layout = RegionLayout::new(2, 33, PAGE);
+        let _region = map_region(layout.total).expect("probe passed");
+        let pool = layout.slot_pool();
+        for s in (1..layout.slots).rev() {
+            pool.push(s);
+        }
+        let (done, rounds) = (
+            &layout.ctrl().shutdown_flag,
+            cell(layout.metrics_cell_addr(1, 0)),
+        );
+        // SAFETY: [I10][I15] the child runs only the allocation- and
+        // lock-free loop below and leaves by `_exit`.
+        let pid = unsafe { libc::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            // Worker 1 holds at most 4 of the 32, so the pool it refills
+            // from never runs dry and it never raids cache 0 itself.
+            let mut held = [false; 33];
+            while done.load(Ordering::Relaxed) == 0 {
+                let got: [usize; 4] = std::array::from_fn(|_| alloc_slot(&layout, 1));
+                for s in got {
+                    if std::mem::replace(&mut held[s], true) {
+                        // SAFETY: [I10] async-signal-safe exit.
+                        unsafe { libc::_exit(1) }
+                    }
+                }
+                for s in got {
+                    held[s] = false;
+                    free_slot(&layout, 1, s);
+                }
+                rounds.store(rounds.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            }
+            // SAFETY: [I10] async-signal-safe exit.
+            unsafe { libc::_exit(0) }
+        }
+        /// Stops and reaps the owner however this test ends.
+        struct Reap(libc::pid_t, i32);
+        impl Drop for Reap {
+            fn drop(&mut self) {
+                // SAFETY: [I10] killing and reaping our own child.
+                unsafe {
+                    libc::kill(self.0, libc::SIGKILL);
+                    libc::waitpid(self.0, &mut self.1, 0);
+                }
+            }
+        }
+        let mut owner = Reap(pid, 0);
+        // Worker 0 raids, and passes what it took on to the pool.
+        let (mine, mut raided, mut seen) = (layout.slot_cache(0), 0, 0);
+        for _ in 0..20_000 {
+            while rounds.load(Ordering::Relaxed) == seen {
+                // SAFETY: [I10] status poll of our own child.
+                let gone = unsafe { libc::waitpid(pid, &mut owner.1, libc::WNOHANG) };
+                assert_eq!(gone, 0, "the owner exited, status {:#x}", owner.1);
+            }
+            seen = rounds.load(Ordering::Relaxed);
+            pool.acquire();
+            raid(&layout, 0);
+            raided += mine.len();
+            mine.move_to(&pool, mine.len(), false);
+            pool.release();
+        }
+        done.store(1, Ordering::Relaxed);
+        // SAFETY: [I10] reaping our own child.
+        assert_eq!(unsafe { libc::waitpid(pid, &mut owner.1, 0) }, pid);
+        assert_eq!(owner.1, 0, "the owner saw a slot handed out twice");
+        std::mem::forget(owner);
+        assert!(raided > 0, "no raid found a slot");
+        let mut seen = vec![0u32; layout.slots];
+        for st in [pool, layout.slot_cache(0), layout.slot_cache(1)] {
+            for e in &st.entries[..st.len()] {
+                seen[e.load(Ordering::Relaxed) as usize] += 1;
+            }
+        }
+        assert_eq!(seen[0], 0, "the root's slot is never free");
+        assert!(seen[1..].iter().all(|&n| n == 1), "{seen:?}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Offline stand-in for the `libc` crate, declaring only what `uat-fiber`
 //! uses: anonymous/stack/shared mappings, page protection, fork/waitpid,
-//! `memfd_create` and `futex` via `syscall`, and `process_vm_readv`. Values are the
+//! `memfd_create`, `futex` and `membarrier` via `syscall`, and
+//! `process_vm_readv`. Values are the
 //! x86-64 Linux ABI constants (the only target `uat-fiber` supports —
 //! its context switch is x86-64 assembly).
 
@@ -60,6 +61,17 @@ pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
 pub const SYS_memfd_create: c_long = 319;
 /// `futex` syscall number (x86-64).
 pub const SYS_futex: c_long = 202;
+/// `membarrier` syscall number (x86-64).
+pub const SYS_membarrier: c_long = 324;
+
+/// `membarrier`: the mask of commands this kernel supports.
+pub const MEMBARRIER_CMD_QUERY: c_int = 0;
+/// `membarrier`: a memory barrier on every running thread of every
+/// process registered for it.
+pub const MEMBARRIER_CMD_GLOBAL_EXPEDITED: c_int = 1 << 1;
+/// `membarrier`: register this process for
+/// [`MEMBARRIER_CMD_GLOBAL_EXPEDITED`].
+pub const MEMBARRIER_CMD_REGISTER_GLOBAL_EXPEDITED: c_int = 1 << 2;
 
 /// `waitpid`: return immediately when no child has changed state.
 pub const WNOHANG: c_int = 1;
@@ -104,7 +116,8 @@ extern "C" {
     pub fn write(fd: c_int, buf: *const c_void, count: size_t) -> ssize_t;
     /// Terminate immediately without running atexit handlers.
     pub fn _exit(status: c_int) -> !;
-    /// Raw syscall entry (used for `memfd_create` and `futex`).
+    /// Raw syscall entry (used for `memfd_create`, `futex` and
+    /// `membarrier`).
     pub fn syscall(num: c_long, ...) -> c_long;
     /// Read another process's memory (one-sided, like an RDMA READ).
     pub fn process_vm_readv(
