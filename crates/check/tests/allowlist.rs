@@ -3,7 +3,9 @@
 //! side of the contract — every ordering `OrdSpec::native()` assigns to
 //! a control-word access must be listed in the allowlist for that
 //! (field, operation). The lint (`uat-lint`, rule B) pins the code's
-//! side by scanning `native.rs` against the same table.
+//! side by scanning `native.rs` against the same table; that file holds
+//! the one protocol body both `NativeDeque` and the multiprocess
+//! backend's `ShmDeque` run, so the model describes both.
 
 use uat_check::{MemOrd, OrdSpec};
 use uat_deque::layout::ORDERING_ALLOWLIST;

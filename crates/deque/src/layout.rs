@@ -11,13 +11,15 @@
 //! ```
 //!
 //! [`SimDeque`](crate::SimDeque) realises this layout in simulated
-//! registered RDMA memory (every thief access is `base + OFF_*`);
-//! [`NativeDeque`](crate::NativeDeque) realises the three control words
-//! as `#[repr(C)]` atomics at the same offsets (asserted at compile
-//! time; its entries live behind a pointer rather than inline, which is
-//! fine intra-process where nothing computes remote addresses); and the
-//! `uat-check` interleaving model derives its location bit-masks from
-//! these offsets via [`loc_bit`]. Change the layout here and every
+//! registered RDMA memory (every thief access is `base + OFF_*`); the
+//! real-atomics [`TheDeque`](crate::TheDeque) realises the three control
+//! words as `#[repr(C)]` atomics at the same offsets (asserted at compile
+//! time) under both its constructors — [`ShmDeque`](crate::ShmDeque)
+//! with `u64` entries inline at `OFF_ENTRIES`, the owning
+//! [`NativeDeque`](crate::NativeDeque) with its entries behind a pointer
+//! (fine intra-process, where nothing computes remote addresses); and
+//! the `uat-check` interleaving model derives its location bit-masks
+//! from these offsets via [`loc_bit`]. Change the layout here and every
 //! consumer moves together — or fails to compile.
 
 /// Byte offset of the lock word.
@@ -43,12 +45,14 @@ pub const fn loc_bit(off: u64) -> u32 {
 /// `(field, operation, allowed orderings)`.
 ///
 /// This is the static face of the memory-model catalogue (DESIGN.md
-/// §11): the union, over every access site in `NativeDeque`, of the
-/// orderings the `uat-check` release/acquire explorer proved sufficient
-/// (clean RA suite) and necessary (each seeded downgrade outside this
-/// table produces a counterexample trace). The `uat-lint` tool scans
-/// `native.rs` and flags any atomic access on a THE-layout word whose
-/// ordering is not listed here; `uat-check` cross-checks its model's
+/// §11): the union, over every access site in the one THE protocol body
+/// ([`TheDeque`](crate::TheDeque), which both the owning and the placed
+/// deque run), of the orderings the `uat-check` release/acquire explorer
+/// proved sufficient (clean RA suite) and necessary (each seeded
+/// downgrade outside this table produces a counterexample trace). The
+/// `uat-lint` tool scans the deque, fiber and rdma sources and flags any
+/// atomic access on a THE-layout word whose ordering is not listed here;
+/// `uat-check` cross-checks its model's
 /// `OrdSpec::native()` against the same table, so the model, the code,
 /// and the lint cannot drift apart silently.
 ///

@@ -13,13 +13,13 @@
 //!   RDMA READs + 1 RDMA WRITE), unlock (1 RDMA WRITE) — each phase
 //!   returning its completion instant so the cluster simulator can
 //!   interleave other workers in between.
-//! - [`native`]: the same protocol on real atomics, used by the native
-//!   fiber runtime (`uat-fiber`) for intra-process work stealing.
-//! - [`shm`]: the same protocol again, as a *placement* construction
-//!   path — a `Copy` handle onto a caller-provided block (entries
-//!   inline at `OFF_ENTRIES`) inside a shared mapping, so the
-//!   multiprocess backend's thieves operate on a peer process's deque
-//!   with plain loads/stores/CAS at `base + OFF_*`.
+//! - [`native`]: the same protocol on real atomics, written once
+//!   ([`TheDeque`]) with two constructors — [`NativeDeque`] owns its
+//!   storage (the thread runtime's deques), [`ShmDeque`] is a `Copy`
+//!   handle placed over a caller's block (entries inline at
+//!   `OFF_ENTRIES`) inside a shared mapping, so the multiprocess
+//!   backend's thieves operate on a peer process's deque with plain
+//!   loads/stores/CAS at `base + OFF_*`.
 //!
 //! Both sides steal from the **top** (FIFO — oldest, typically
 //! coarsest-grained task) while the owner works at the **bottom** (LIFO),
@@ -31,10 +31,8 @@
 pub mod entry;
 pub mod layout;
 pub mod native;
-pub mod shm;
 pub mod sim;
 
 pub use entry::TaskqEntry;
-pub use native::{NativeDeque, StealAttemptOutcome, StealPhases};
-pub use shm::ShmDeque;
+pub use native::{NativeDeque, ShmDeque, StealAttemptOutcome, StealPhases, Storage, TheDeque};
 pub use sim::{DequeSnapshot, PopOutcome, SimDeque, StealOutcome};

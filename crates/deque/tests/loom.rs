@@ -1,5 +1,7 @@
-//! Loom harness for `NativeDeque` (ISSUE 8 satellite). Compiled and run
-//! only under `RUSTFLAGS="--cfg loom"`:
+//! Loom harness for the THE deque, each scenario on both constructors
+//! (`native::*` over `NativeDeque`, `shm::*` over a `ShmDeque` placed on
+//! an owned zeroed block). Compiled and run only under
+//! `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p uat-deque --test loom --release
@@ -16,24 +18,39 @@
 
 #![cfg(loom)]
 
+// The lock-word hook serves `the.rs`'s held-lock case only.
+#[allow(dead_code)]
+#[macro_use]
+mod fixture;
+
+use fixture::Subject;
 use loom::sync::Arc;
 use loom::thread;
-use uat_deque::NativeDeque;
+
+on_both!(
+    last_entry_exactly_one_winner,
+    publish_steal_conservation,
+    two_thieves_drain,
+    wraparound_reuse_race,
+);
+
+/// A thief thread running `steals` steals on `s`'s deque, returning what
+/// it kept.
+fn thief<D: Subject>(s: &Arc<D>, steals: usize) -> thread::JoinHandle<Vec<u64>> {
+    let s = Arc::clone(s);
+    thread::spawn(move || (0..steals).filter_map(|_| s.deque().steal()).collect())
+}
 
 /// The last-entry race: one entry, owner pop vs thief steal; exactly one
 /// side may keep it (the race `uat-check` catches in 12 steps when the
 /// owner's fast-path bound is relaxed to `t <= nb`).
-#[test]
-fn last_entry_exactly_one_winner() {
+fn last_entry_exactly_one_winner<D: Subject>() {
     loom::model(|| {
-        let d = Arc::new(NativeDeque::new(2));
-        d.push(7u64);
-        let thief = {
-            let d = Arc::clone(&d);
-            thread::spawn(move || d.steal())
-        };
-        let popped = d.pop();
-        let stolen = thief.join().unwrap();
+        let s = Arc::new(D::with_capacity(2));
+        s.deque().push(7);
+        let t = thief(&s, 1);
+        let popped = s.deque().pop();
+        let stolen = t.join().unwrap().pop();
         assert!(
             popped.is_some() != stolen.is_some(),
             "last entry claimed by both sides or lost: popped={popped:?} stolen={stolen:?}"
@@ -44,56 +61,39 @@ fn last_entry_exactly_one_winner() {
 
 /// The publication edge: a steal racing the pushes must only ever see
 /// fully published entries, and conservation holds across pop + steal.
-#[test]
-fn publish_steal_conservation() {
+fn publish_steal_conservation<D: Subject>() {
     loom::model(|| {
-        let d = Arc::new(NativeDeque::new(3));
-        let thief = {
-            let d = Arc::clone(&d);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                for _ in 0..2 {
-                    if let Some(v) = d.steal() {
-                        got.push(v);
-                    }
-                }
-                got
-            })
-        };
-        d.push(1u64);
+        let s = Arc::new(D::with_capacity(3));
+        let t = thief(&s, 2);
+        let d = s.deque();
+        d.push(1);
         d.push(2);
-        let mut kept = Vec::new();
+        let mut all = Vec::new();
         while let Some(v) = d.pop() {
-            kept.push(v);
+            all.push(v);
         }
-        let mut all = thief.join().unwrap();
-        all.extend(kept);
+        all.extend(t.join().unwrap());
         all.sort_unstable();
-        assert_eq!(all, [1, 2], "value lost or duplicated: {all:?}");
         for v in &all {
             assert!((1..=2).contains(v), "phantom value {v} (stale slot read)");
         }
+        assert_eq!(all, [1, 2], "value lost or duplicated: {all:?}");
     });
 }
 
 /// Two thieves contending on the lock while the owner drains: every
 /// entry consumed exactly once, lock hand-off included.
-#[test]
-fn two_thieves_drain() {
+fn two_thieves_drain<D: Subject>() {
     loom::model(|| {
-        let d = Arc::new(NativeDeque::new(3));
-        d.push(1u64);
-        d.push(2);
-        let spawn_thief = |d: &Arc<NativeDeque<u64>>| {
-            let d = Arc::clone(d);
-            thread::spawn(move || d.steal())
-        };
-        let t1 = spawn_thief(&d);
-        let t2 = spawn_thief(&d);
-        let mut all: Vec<u64> = [t1.join().unwrap(), t2.join().unwrap(), d.pop(), d.pop()]
-            .into_iter()
-            .flatten()
-            .collect();
+        let s = Arc::new(D::with_capacity(3));
+        s.deque().push(1);
+        s.deque().push(2);
+        let t1 = thief(&s, 1);
+        let t2 = thief(&s, 1);
+        let mut all: Vec<u64> = t1.join().unwrap();
+        all.extend(t2.join().unwrap());
+        all.extend(s.deque().pop());
+        all.extend(s.deque().pop());
         all.sort_unstable();
         assert_eq!(all, [1, 2], "conservation violated: {all:?}");
     });
@@ -103,31 +103,17 @@ fn two_thieves_drain() {
 /// a 2-slot buffer while a thief reads — the scenario where a premature
 /// slot reuse (capacity-check bug) would hand the thief a new value at
 /// an old position.
-#[test]
-fn wraparound_reuse_race() {
+fn wraparound_reuse_race<D: Subject>() {
     loom::model(|| {
-        let d = Arc::new(NativeDeque::new(2));
-        let thief = {
-            let d = Arc::clone(&d);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                for _ in 0..3 {
-                    if let Some(v) = d.steal() {
-                        got.push(v);
-                    }
-                }
-                got
-            })
-        };
-        let mut kept = Vec::new();
+        let s = Arc::new(D::with_capacity(2));
+        let t = thief(&s, 3);
+        let d = s.deque();
+        let mut all = Vec::new();
         for round in 0..3u64 {
             d.push(round + 1);
-            if let Some(v) = d.pop() {
-                kept.push(v);
-            }
+            all.extend(d.pop());
         }
-        let mut all = thief.join().unwrap();
-        all.extend(kept);
+        all.extend(t.join().unwrap());
         all.sort_unstable();
         assert_eq!(all, [1, 2, 3], "conservation violated: {all:?}");
     });

@@ -9,8 +9,10 @@
 //! address* — the uni-address region. Everything the protocol touches
 //! lives inside it:
 //!
-//! - the **THE deques** ([`uat_deque::ShmDeque`] placement blocks at the
-//!   canonical `uat_deque::layout` offsets, one per worker);
+//! - the **THE deques**, one per worker, 128 bytes apart or more: the
+//!   thread runtime's deque — the same protocol body — placed over a
+//!   block at the canonical `uat_deque::layout` offsets
+//!   ([`uat_deque::ShmDeque`]);
 //! - every **fiber stack** (fixed slots with guard pages), so a
 //!   continuation's frames are already present in the thief's address
 //!   space — a cross-process steal is deque atomics plus
@@ -113,6 +115,11 @@ pub const MP_BASE: usize = 0x7e00_0000_0000;
 
 /// Entries per worker deque (matches the thread runtime's sizing).
 const DEQ_CAP: usize = 8192;
+/// Bytes from one worker's deque block to the next: the block rounded up
+/// to a 128-byte line pair, so a worker's control words share no line —
+/// nor the line x86 prefetches with it — with its neighbour's entry
+/// slots (the rule `NativeDeque`'s `align(128)` header keeps).
+const DEQ_STRIDE: usize = ShmDeque::block_size(DEQ_CAP).next_multiple_of(128);
 /// Bytes at the top of each slot for the task header + program area.
 /// One task's whole program must fit: with 16-byte actions that is
 /// about 8 190 of them, so a `Chain::fig10(n)` root (`2n` actions) runs
@@ -236,8 +243,7 @@ impl RegionLayout {
         let pool_off = stats_off + round_page(workers * std::mem::size_of::<AcctRow>());
         let pool_bytes = SlotStack::block_size(slots) + workers * SlotStack::CACHE_BLOCK;
         let deques_off = pool_off + round_page(pool_bytes);
-        let deq_block = ShmDeque::block_size(DEQ_CAP);
-        let slots_off = deques_off + round_page(workers * deq_block);
+        let slots_off = deques_off + round_page(workers * DEQ_STRIDE);
         let slot_size = PAGE + round_page(stack_size) + PROG_BYTES;
         RegionLayout {
             workers,
@@ -309,9 +315,10 @@ impl RegionLayout {
     #[inline]
     fn deque(&self, w: usize) -> ShmDeque {
         debug_assert!(w < self.workers);
-        let base = MP_BASE + self.deques_off + w * ShmDeque::block_size(DEQ_CAP);
+        let base = MP_BASE + self.deques_off + w * DEQ_STRIDE;
+        debug_assert!(base.is_multiple_of(128));
         // SAFETY: [I14] the block is inside the zero-initialised shared
-        // mapping (same virtual address in every process), 8-byte
+        // mapping (same virtual address in every process), 128-byte
         // aligned by construction, and only ever accessed through
         // THE-protocol operations.
         unsafe { ShmDeque::from_raw(base as *mut u8, DEQ_CAP) }

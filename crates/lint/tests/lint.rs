@@ -75,6 +75,24 @@ fn seeded_tls_fixture_is_flagged_across_switch_to_and_switch_to_fresh() {
 }
 
 #[test]
+fn seeded_ordering_fixture_is_flagged_through_the_words_accessor() {
+    let findings = lint_paths(&[fixture("ordering_outside_allowlist.rs")], RuleSet::all()).unwrap();
+    // Both downgrades are found through `self.store.words().field` and a
+    // bound `w.field` alike — the shapes of the deque's one body — each
+    // named by field, operation and ordering; the allowed accesses beside
+    // them stay quiet.
+    for (access, ord) in [("top.store", "Release"), ("bottom.load", "AcqRel")] {
+        assert!(
+            findings.iter().any(|f| f.rule == Rule::OrderingAllowlist
+                && f.message
+                    .contains(&format!("`{access}` with Ordering::{ord}"))),
+            "missing ordering-allowlist finding for {access} {ord}: {findings:#?}"
+        );
+    }
+    assert_eq!(findings.len(), 2, "{findings:#?}");
+}
+
+#[test]
 fn real_fiber_and_deque_trees_are_clean() {
     let findings = lint_paths(&real_tree(), RuleSet::all()).unwrap();
     assert!(
