@@ -5,7 +5,12 @@
 //! Both real backends decide "the run is over" from per-worker monotonic
 //! cells: `spawned[w]` counts the spawns made on worker `w`,
 //! `completed[w]` the tasks that finished there, every tick a Release
-//! store by the cell's one writer. A scan Acquire-loads every
+//! store by the cell's one writer. Both make exactly these ticks, from
+//! the one worker body they share (`uat_fiber`'s `sched.rs`): every
+//! `spawn_on` ticks its worker's `spawned` once, before the child runs,
+//! and every completion its worker's `completed` as the task's last act
+//! — the cells are a thread-runtime `Progress` row, or two cells of the
+//! worker's metrics row in the multiprocess region. A scan Acquire-loads every
 //! `completed` cell, *then* every `spawned` cell, and passes iff
 //! `Σ completed == 1 + Σ spawned` (the root is spawned by nobody). Since
 //! every idle worker runs the scan before each nap — not one

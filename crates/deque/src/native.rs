@@ -311,8 +311,9 @@ impl<S: Storage> TheDeque<S> {
         w.bottom.store(b + 1, Ordering::Release);
     }
 
-    /// Owner-only: pop the youngest entry (THE protocol).
-    #[inline]
+    /// Owner-only: pop the youngest entry (THE protocol). Always
+    /// inlined: it is the last step of every task both runtimes run.
+    #[inline(always)]
     pub fn pop(&self) -> Option<S::Entry> {
         let w = self.store.words();
         let b = w.bottom.load(Ordering::Relaxed);

@@ -1,17 +1,19 @@
 //! Native interpreter for the backend-neutral task model: run any
-//! `uat-model` [`Workload`] on real fibers.
+//! `uat-model` [`Workload`] on real fibers — one `exec`, on both real
+//! backends: the thread runtime ([`NativeRunner`]) and the
+//! multiprocess one ([`MultiProcessRunner`](crate::MultiProcessRunner)),
+//! through the worker body they share.
 //!
-//! This is the second backend of the workspace (the first is the
-//! discrete-event simulator in `uat-cluster`): the *same* `Action`
-//! programs the simulator times against the FX10 cost model execute here
-//! on real x86-64 lightweight threads with real work stealing —
+//! The *same* `Action` programs the discrete-event simulator in
+//! `uat-cluster` times against the FX10 cost model execute here on real
+//! x86-64 lightweight threads with real work stealing —
 //!
 //! - [`Action::Work`]`(c)` is calibrated spinning of `c` timestamp-counter
 //!   ticks ([`tsc::spin_cycles`]), optionally scaled down for tests;
 //! - [`Action::Spawn`]`(d)` is a child-first fiber creation (the
 //!   runtime's spawn primitive): the child's interpreter starts
 //!   immediately on a fresh stack while the parent's continuation is
-//!   pushed on the `NativeDeque`, stealable by any idle worker;
+//!   pushed on its worker's THE deque, stealable by any idle worker;
 //! - [`Action::JoinAll`] joins every child spawned so far on the task's
 //!   one join block — one pending-count load on the fast path, else one
 //!   Figure 7 suspend, resumed by the last child, while the worker
@@ -31,50 +33,13 @@
 //! `tests/differential.rs`.
 
 use crate::join::JoinBlock;
-use crate::runtime::{bump, current_worker_id, join_all, spawn_on, Runtime, SchedStats};
+use crate::runtime::{Runtime, Threads};
+use crate::sched::{bump, current, join_all, spawn_on, Place};
 use crate::tsc;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uat_model::{task_shape_hash, Action, Workload};
-
-/// Everything one task contributes to the run accounting, computed from
-/// its expanded program before it executes — so the whole contribution
-/// is recorded in one go, on one worker, ahead of the task's first
-/// migration point.
-pub(crate) struct TaskAcct {
-    frame: u64,
-    units: u64,
-    work_cycles: u64,
-    joins: u64,
-    spawns: u64,
-}
-
-impl TaskAcct {
-    /// `frame` is what the task's spawner claimed for it.
-    pub(crate) fn of<W: Workload>(
-        w: &W,
-        d: &W::Desc,
-        frame: u64,
-        prog: &[Action<W::Desc>],
-    ) -> TaskAcct {
-        let mut a = TaskAcct {
-            frame,
-            units: w.units(d),
-            work_cycles: 0,
-            joins: 0,
-            spawns: 0,
-        };
-        for step in prog {
-            match step {
-                Action::Work(c) => a.work_cycles += c,
-                Action::Spawn(_) => a.spawns += 1,
-                Action::JoinAll => a.joins += 1,
-            }
-        }
-        a
-    }
-}
 
 /// One worker's run accounting: exactly one cache line that only its
 /// owner writes [I17], summed over workers once the run is over. All
@@ -87,10 +52,7 @@ pub(crate) struct AcctRow {
     units: AtomicU64,
     work_cycles: AtomicU64,
     joins: AtomicU64,
-    /// Children announced by the tasks that *started* here. Monotonic,
-    /// and stored with Release: the multiprocess termination scan reads
-    /// it as this worker's `spawned` cell.
-    pub(crate) spawns: AtomicU64,
+    spawns: AtomicU64,
     frame_bytes_total: AtomicU64,
     join_fingerprint: AtomicU64,
     /// Deepest root→task frame chain among the tasks that started here.
@@ -100,21 +62,36 @@ pub(crate) struct AcctRow {
 const _: () = assert!(std::mem::size_of::<AcctRow>() == 64);
 
 impl AcctRow {
-    /// Record a starting task whose frame chain (its own frame included)
-    /// is `chain` bytes deep. Owner-only.
+    /// Record, owner-only, the whole contribution of a task of `w`
+    /// starting with `prog`, whose spawner claimed `frame` for it and
+    /// whose frame chain (its own frame included) is `chain` bytes deep —
+    /// in one go, on one worker, ahead of its first migration point.
     #[inline]
-    pub(crate) fn record(&self, a: &TaskAcct, chain: u64) {
+    fn record<W: Workload>(
+        &self,
+        w: &W,
+        d: &W::Desc,
+        frame: u64,
+        prog: &[Action<W::Desc>],
+        chain: u64,
+    ) {
+        let (mut work, mut spawns, mut joins) = (0, 0, 0);
+        for step in prog {
+            match step {
+                Action::Work(c) => work += c,
+                Action::Spawn(_) => spawns += 1,
+                Action::JoinAll => joins += 1,
+            }
+        }
+        let units = w.units(d);
         bump(&self.tasks, 1, Ordering::Relaxed);
-        bump(&self.units, a.units, Ordering::Relaxed);
-        bump(&self.work_cycles, a.work_cycles, Ordering::Relaxed);
-        bump(&self.joins, a.joins, Ordering::Relaxed);
-        bump(&self.spawns, a.spawns, Ordering::Release);
-        bump(&self.frame_bytes_total, a.frame, Ordering::Relaxed);
-        bump(
-            &self.join_fingerprint,
-            task_shape_hash(a.spawns, a.units, a.frame),
-            Ordering::Relaxed,
-        );
+        bump(&self.units, units, Ordering::Relaxed);
+        bump(&self.work_cycles, work, Ordering::Relaxed);
+        bump(&self.joins, joins, Ordering::Relaxed);
+        bump(&self.spawns, spawns, Ordering::Relaxed);
+        bump(&self.frame_bytes_total, frame, Ordering::Relaxed);
+        let shape = task_shape_hash(spawns, units, frame);
+        bump(&self.join_fingerprint, shape, Ordering::Relaxed);
         if chain > self.peak_chain.load(Ordering::Relaxed) {
             self.peak_chain.store(chain, Ordering::Relaxed);
         }
@@ -146,7 +123,8 @@ impl AcctRow {
 
 /// One worker's free list of program buffers, on a line of its own.
 /// Single-writer like a `StackPool`: a task takes a buffer from the
-/// worker it starts on and returns it to the worker it ends on.
+/// worker it starts on and returns it to the worker it ends on — or,
+/// where the program waits in a [`Place::program_area`], right away.
 #[repr(align(64))]
 struct BufList<D>(UnsafeCell<Vec<Vec<Action<D>>>>);
 
@@ -155,20 +133,42 @@ struct BufList<D>(UnsafeCell<Vec<Vec<Action<D>>>>);
 // workers with the tasks that hold them, hence `D: Send`.
 unsafe impl<D: Send> Sync for BufList<D> {}
 
-/// What every task of one native run reads: the workload, one
-/// accounting row and one program-buffer free list per worker, and the
-/// work divisor. Tasks reach it through an [`EnvRef`].
-struct Env<W: Workload> {
-    w: W,
+/// What every task of one run reads: the workload, one program-buffer
+/// free list per worker, and the work divisor — plus, under threads,
+/// the workers' accounting rows. Tasks reach it through an [`EnvRef`].
+/// The multiprocess coordinator builds it before `fork`, so it sits,
+/// copy-on-write, at the same address in every worker process.
+pub(crate) struct Env<W: Workload> {
+    pub(crate) w: W,
+    /// The workers' accounting rows, under threads; a multiprocess run
+    /// records into the shared region's instead.
     rows: Box<[AcctRow]>,
     bufs: Box<[BufList<W::Desc>]>,
     work_divisor: u64,
 }
 
-/// `Copy` pointer to the run's [`Env`], captured by every task closure.
-/// Not an `Arc`: a clone per spawn is an atomic read-modify-write on a
+impl<W: Workload> Env<W> {
+    /// The environment of a `workers`-worker run that keeps `rows`.
+    pub(crate) fn new(w: W, rows: Box<[AcctRow]>, workers: usize, work_divisor: u64) -> Self {
+        Env {
+            w,
+            rows,
+            bufs: (0..workers)
+                .map(|_| BufList(UnsafeCell::new(Vec::new())))
+                .collect(),
+            work_divisor,
+        }
+    }
+}
+
+/// `Copy` pointers to the run's [`Env`] and to worker 0's accounting
+/// row (the others follow it), captured by every task closure. Not an
+/// `Arc`: a clone per spawn is an atomic read-modify-write on a
 /// refcount line all workers share [I17].
-struct EnvRef<W: Workload>(*const Env<W>);
+pub(crate) struct EnvRef<W: Workload> {
+    pub(crate) env: *const Env<W>,
+    pub(crate) rows: *const AcctRow,
+}
 
 impl<W: Workload> Clone for EnvRef<W> {
     fn clone(&self) -> Self {
@@ -178,26 +178,34 @@ impl<W: Workload> Clone for EnvRef<W> {
 impl<W: Workload> Copy for EnvRef<W> {}
 
 // SAFETY: [I7][I8] an EnvRef is only ever dereferenced to a shared
-// `&Env`, whose fields are `W` (required `Sync` below), atomics, a
+// `&Env`, whose fields are `W` (required `Sync` below), the rows and a
 // plain integer, and the buffer lists, each touched only by its own
-// worker; the pointee outlives every task (see `run_with`).
+// worker — as is each row; both pointees outlive every task (see
+// `NativeRunner::run_with` and `MultiProcessRunner::run_mapped`).
 unsafe impl<W: Workload + Sync> Send for EnvRef<W> {}
 
 /// Interpret one task: expand its program and execute it on this fiber.
 /// `frame` is the task's own `frame_size`, already claimed below its
 /// record by whoever spawned it; `chain_above` is the summed
 /// `frame_size` of its ancestors.
-fn exec<W>(env: EnvRef<W>, d: &W::Desc, frame: u64, chain_above: u64)
-where
-    W: Workload + Send + Sync + 'static,
-    W::Desc: 'static,
-{
-    // SAFETY: [I8] the root task's closure owns an `Arc` of the Env and
-    // ends only after every descendant — this task included — has been
-    // joined (see `run_with`).
-    let e = unsafe { &*env.0 };
+// Always inlined into the task entry, which reaches it from two
+// closures (the root's and every child's): a task's whole body is then
+// one function, which across processes calls nothing out of line but
+// the slot pool's slow paths and a parking join.
+#[inline(always)]
+pub(crate) fn exec<P: Place, W: Workload>(
+    env: EnvRef<W>,
+    d: &W::Desc,
+    frame: u64,
+    chain_above: u64,
+) {
+    // SAFETY: [I8] the runner keeps the Env and the rows alive until
+    // every task — this one included — has completed.
+    let e = unsafe { &*env.env };
     // The worker is looked up once, before the first migration point.
-    let me = current_worker_id();
+    let w = current::<P>();
+    // SAFETY: [I7] one immutable field of the worker we run on.
+    let me = unsafe { (*w).id };
     // A recycled buffer (empty, capacity kept): no allocation per task
     // once the lists are warm.
     // SAFETY: [I7] we run on `me`; the borrow ends with the statement.
@@ -206,12 +214,39 @@ where
         .unwrap_or_default();
     e.w.program(d, &mut prog);
     let chain = chain_above + frame;
-    e.rows[me].record(&TaskAcct::of(&e.w, d, frame, &prog), chain);
+    // SAFETY: [I7][I17] `me`'s row, written only by `me`, alive as `e`.
+    unsafe { &*env.rows.add(me) }.record(&e.w, d, frame, &prog, chain);
+
+    // Where the program waits across the spawns and joins below: in
+    // the buffer itself, which travels with the task, or copied into
+    // the place's area, the buffer handed back before any migration
+    // point — no private-heap pointer may ride a stack that migrates
+    // between processes [I16].
+    let n = prog.len();
+    // Each action is moved out once, below or into the area.
+    // SAFETY: [I16] the buffer keeps them, unowned, until then.
+    unsafe { prog.set_len(0) };
+    // SAFETY: [I7] as above.
+    let (at, keep) = match unsafe { (*w).place.program_area::<W::Desc>(n) } {
+        Some(area) => {
+            for i in 0..n {
+                // SAFETY: [I16] `program_area` vouched for `n` actions,
+                // and the buffer holds `n`.
+                unsafe { area.add(i).write(prog.as_ptr().add(i).read()) };
+            }
+            // SAFETY: [I7] still on `me`: nothing since `pop` migrates.
+            unsafe { &mut *e.bufs[me].0.get() }.push(prog);
+            (area.cast_const(), None)
+        }
+        None => (prog.as_ptr(), Some(prog)),
+    };
 
     // The task's one join block, a local of this frame: every child
     // counts on it, every `JoinAll` waits on it.
     let jb = JoinBlock::new();
-    for a in prog.drain(..) {
+    for i in 0..n {
+        // SAFETY: [I16] the i-th action placed above, read exactly once.
+        let a = unsafe { at.add(i).read() };
         match a {
             Action::Work(cycles) => tsc::spin_cycles(cycles / e.work_divisor),
             // Child-first: `exec(child)` starts right now on a fresh
@@ -219,19 +254,22 @@ where
             // continuation (the rest of this loop) becomes stealable.
             Action::Spawn(child) => {
                 let claim = e.w.frame_size(&child);
+                let body = move || exec::<P, W>(env, &child, claim, chain);
                 // SAFETY: [I16] `jb` is joined below before this frame
                 // ends; `env` outlives every task.
-                unsafe { spawn_on(&jb, claim, move || exec(env, &child, claim, chain)) };
+                unsafe { spawn_on::<P, _, _>(&jb, claim, body) };
             }
-            Action::JoinAll => join_all(&jb),
+            Action::JoinAll => join_all::<P>(&jb),
         }
     }
     // Fork-join programs end with every child joined (the simulator
     // asserts as much); join stragglers anyway so a malformed workload
     // cannot leak running tasks past its own completion.
-    join_all(&jb);
-    // SAFETY: [I7] as above, on the worker this task *ends* on.
-    unsafe { &mut *e.bufs[current_worker_id()].0.get() }.push(prog);
+    join_all::<P>(&jb);
+    if let Some(prog) = keep {
+        // SAFETY: [I7] on the worker this task *ends* on.
+        unsafe { &mut *e.bufs[(*current::<P>()).id].0.get() }.push(prog);
+    }
 }
 
 /// Result of one native run — the fiber backend's counterpart of the
@@ -318,8 +356,8 @@ impl NativeRunStats {
 /// Driver that runs any [`Workload`] on the native fiber runtime.
 #[derive(Clone, Debug)]
 pub struct NativeRunner {
-    workers: usize,
-    stack_size: usize,
+    /// The runtime each run is driven on.
+    rt: Runtime,
     work_divisor: u64,
     /// Per-worker event-ring capacity for [`run_traced`]
     /// (`None` = the runtime default).
@@ -327,32 +365,16 @@ pub struct NativeRunner {
     /// [`run_traced`]: Self::run_traced
     #[cfg(feature = "trace")]
     ring_capacity: Option<usize>,
-    /// Caller-supplied metrics registry (turns on the timed tier).
-    #[cfg(feature = "metrics")]
-    registry: Option<Arc<uat_metrics::Registry>>,
-    /// Sampler tick, when a sampler thread is wanted.
-    #[cfg(feature = "metrics")]
-    sampler: Option<std::time::Duration>,
-    /// Stall-watchdog configuration, when armed.
-    #[cfg(feature = "metrics")]
-    watchdog: Option<crate::nmetrics::WatchdogCfg>,
 }
 
 impl NativeRunner {
     /// A runner with `workers` OS-thread workers.
     pub fn new(workers: usize) -> Self {
         NativeRunner {
-            workers,
-            stack_size: 128 << 10,
+            rt: Runtime::new(workers),
             work_divisor: 1,
             #[cfg(feature = "trace")]
             ring_capacity: None,
-            #[cfg(feature = "metrics")]
-            registry: None,
-            #[cfg(feature = "metrics")]
-            sampler: None,
-            #[cfg(feature = "metrics")]
-            watchdog: None,
         }
     }
 
@@ -370,7 +392,7 @@ impl NativeRunner {
     /// included.
     #[cfg(feature = "metrics")]
     pub fn with_metrics(mut self, registry: Arc<uat_metrics::Registry>) -> Self {
-        self.registry = Some(registry);
+        self.rt = self.rt.with_metrics(registry);
         self
     }
 
@@ -378,7 +400,7 @@ impl NativeRunner {
     /// `interval`. Implies the timed metrics tier.
     #[cfg(feature = "metrics")]
     pub fn with_sampler(mut self, interval: std::time::Duration) -> Self {
-        self.sampler = Some(interval);
+        self.rt = self.rt.with_sampler(interval);
         self
     }
 
@@ -386,7 +408,7 @@ impl NativeRunner {
     /// at the default interval unless one is configured).
     #[cfg(feature = "metrics")]
     pub fn with_watchdog(mut self, cfg: crate::nmetrics::WatchdogCfg) -> Self {
-        self.watchdog = Some(cfg);
+        self.rt = self.rt.with_watchdog(cfg);
         self
     }
 
@@ -394,7 +416,7 @@ impl NativeRunner {
     /// the workload's largest `frame_size` (a run panics, naming both,
     /// if it does not) with room for the interpreter's own frames.
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
+        self.rt = self.rt.with_stack_size(bytes);
         self
     }
 
@@ -407,37 +429,13 @@ impl NativeRunner {
         self
     }
 
-    /// The configured [`Runtime`] for one run.
-    fn runtime(&self) -> Runtime {
-        let rt = Runtime::new(self.workers).with_stack_size(self.stack_size);
-        #[cfg(feature = "metrics")]
-        let rt = {
-            let mut rt = rt;
-            if let Some(reg) = &self.registry {
-                rt = rt.with_metrics(Arc::clone(reg));
-            }
-            if let Some(interval) = self.sampler {
-                rt = rt.with_sampler(interval);
-            }
-            if let Some(cfg) = &self.watchdog {
-                rt = rt.with_watchdog(cfg.clone());
-            }
-            rt
-        };
-        rt
-    }
-
     /// Run `w` to completion on real fibers and report its accounting.
     pub fn run<W>(&self, w: W) -> NativeRunStats
     where
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
-        self.run_with(w, |rt, root| {
-            let ((), sched) = rt.run_counted(root);
-            (sched, 0, ())
-        })
-        .0
+        self.run_with(w, |rt, root| (rt.run_counted(root).1, ())).0
     }
 
     /// Like [`run`](Self::run) with the timed metrics tier forced on,
@@ -452,7 +450,7 @@ impl NativeRunner {
     {
         self.run_with(w, |rt, root| {
             let ((), sched, snapshot) = rt.run_metered(root);
-            (sched, 0, snapshot)
+            (sched, snapshot)
         })
     }
 
@@ -473,33 +471,33 @@ impl NativeRunner {
                 rt = rt.with_tracing(cap);
             }
             let ((), sched, trace) = rt.run_traced(root);
-            let dropped = trace.data.workers.iter().map(|r| r.dropped()).sum();
-            (sched, dropped, trace)
+            let trace_dropped = trace.data.workers.iter().map(|r| r.dropped()).sum();
+            (
+                NativeRunStats {
+                    trace_dropped,
+                    ..sched
+                },
+                trace,
+            )
         })
     }
 
     /// Run `w`'s root task through `drive` (one of the runtime's run
-    /// entry points, which reports the scheduler counters, the dropped
-    /// trace events and its own extra output) and fold the workers'
-    /// accounting rows into the stats.
+    /// entry points, which reports the run's scheduler fields and its
+    /// own extra output) and add the workers' accounting rows.
     fn run_with<W, X>(
         &self,
         w: W,
-        drive: impl FnOnce(Runtime, Box<dyn FnOnce() + Send>) -> (SchedStats, u64, X),
+        drive: impl FnOnce(Runtime, Box<dyn FnOnce() + Send>) -> (NativeRunStats, X),
     ) -> (NativeRunStats, X)
     where
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
         let workload = w.name();
-        let env = Arc::new(Env {
-            w,
-            rows: (0..self.workers).map(|_| AcctRow::default()).collect(),
-            bufs: (0..self.workers)
-                .map(|_| BufList(UnsafeCell::new(Vec::new())))
-                .collect(),
-            work_divisor: self.work_divisor,
-        });
+        let workers = self.rt.nworkers;
+        let rows = (0..workers).map(|_| AcctRow::default()).collect();
+        let env = Arc::new(Env::new(w, rows, workers, self.work_divisor));
         let root = env.w.root();
         let root_frame = env.w.frame_size(&root);
         // The root task's closure owns the one other handle on the Env.
@@ -507,21 +505,15 @@ impl NativeRunner {
         // closure — dropped when the root's body ends — outlives every
         // `EnvRef` dereference, whatever happens to this frame.
         let held = Arc::clone(&env);
-        let root = Box::new(move || exec(EnvRef(Arc::as_ptr(&held)), &root, root_frame, 0));
-        let (sched, trace_dropped, extra) = drive(self.runtime().with_root_frame(root_frame), root);
-        let stats = AcctRow::totals(
-            env.rows.iter(),
-            NativeRunStats {
-                workload,
-                workers: self.workers as u32,
-                steals: sched.steals,
-                parks: sched.parks,
-                unparks: sched.unparks,
-                trace_dropped,
-                wall: sched.wall,
-                ..NativeRunStats::default()
-            },
-        );
+        let root = Box::new(move || {
+            let env = EnvRef {
+                env: &*held,
+                rows: held.rows.as_ptr(),
+            };
+            exec::<Threads, W>(env, &root, root_frame, 0);
+        });
+        let (sched, extra) = drive(self.rt.clone().with_root_frame(root_frame), root);
+        let stats = AcctRow::totals(env.rows.iter(), NativeRunStats { workload, ..sched });
         (stats, extra)
     }
 }
@@ -569,16 +561,15 @@ mod tests {
             frame: 64,
         };
         let root = w.root();
-        let env = Arc::new(Env {
-            w,
-            rows: Box::new([AcctRow::default()]),
-            bufs: Box::new([BufList(UnsafeCell::new(Vec::new()))]),
-            work_divisor: 1,
-        });
+        let env = Arc::new(Env::new(w, Box::new([AcctRow::default()]), 1, 1));
         let held = Arc::clone(&env);
         let rmws = Runtime::new(1).run(move || {
             let t0 = crate::join::rmws();
-            exec(EnvRef(Arc::as_ptr(&held)), &root, 0, 0);
+            let env = EnvRef {
+                env: &*held,
+                rows: held.rows.as_ptr(),
+            };
+            exec::<Threads, _>(env, &root, 0, 0);
             crate::join::rmws() - t0
         });
         assert_eq!(rmws, 0, "join-block RMWs across a 2 047-task tree");

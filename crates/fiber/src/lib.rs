@@ -18,16 +18,21 @@
 //!   transfers), and
 //!   `seq_call` (Cilk-like fast clone: push, plain call, pop) — each
 //!   timed with `rdtsc`.
-//! - [`runtime`]: a multi-worker work-stealing executor (stack-pool
-//!   strategy + the THE deque from `uat-deque`), demonstrating genuine
+//! - `sched`: the one worker body both real backends run — child-first
+//!   spawn, the steal loop, the Figure 7 join, the task entry — generic
+//!   over a `Place` that names only what the backends do differently
+//!   (stack supply, where the deques and termination cells live, where a
+//!   task's program waits, how a worker gives up, what it records).
+//! - [`runtime`]: that body on OS-thread workers (stack-pool strategy +
+//!   the THE deque from `uat-deque`), demonstrating genuine
 //!   steal-a-started-thread semantics in the shared-memory degenerate
 //!   case the paper notes in Section 2 ("migrating a task ... can be
 //!   done simply by passing the address of the stack").
 //! - [`interp`]: the native backend of the backend-neutral task model —
-//!   an interpreter that runs any `uat-model` `Workload` (`Work` /
-//!   `Spawn` / `JoinAll` programs) on real fibers, each task's frame
-//!   claimed at its spawn, reporting the same unit accounting as the
-//!   simulator.
+//!   one interpreter, on both real backends, that runs any `uat-model`
+//!   `Workload` (`Work` / `Spawn` / `JoinAll` programs) on real fibers,
+//!   each task's frame claimed at its spawn, reporting the same unit
+//!   accounting as the simulator.
 //! - [`ntrace`]: native observability — per-worker TSC-stamped event
 //!   rings, `TimeAccount` buckets, and steal-phase spans feeding the
 //!   same `uat-trace` exporters and profiler the simulator uses
@@ -51,7 +56,8 @@
 //!   words, a one-sided `process_vm_readv` stack transfer, and
 //!   `resume_context` of a started thread on the other process.
 //! - [`mpruntime`]: the demonstration promoted to a full third backend —
-//!   a process-per-worker driver ([`MultiProcessRunner`]) that maps
+//!   the same worker body in forked processes ([`MultiProcessRunner`])
+//!   that maps
 //!   deques, fiber stacks, join blocks, and the metrics segment into one
 //!   `memfd` region at the same fixed address everywhere, so a
 //!   cross-process steal is deque atomics plus `resume_context` and the
@@ -79,6 +85,7 @@ pub mod mpruntime;
 pub mod nmetrics;
 pub mod ntrace;
 pub mod runtime;
+mod sched;
 pub mod stack;
 pub mod tsc;
 
@@ -92,6 +99,6 @@ pub use mpruntime::{set_bootstrap_alloc_probe, MpReport, MultiProcessRunner};
 pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};
 #[cfg(feature = "trace")]
 pub use ntrace::{NativeTrace, DEFAULT_RING_CAPACITY};
-pub use runtime::{current_worker_id, spawn, JoinHandle, Runtime, SchedStats};
+pub use runtime::{current_worker_id, spawn, JoinHandle, Runtime};
 pub use stack::{Stack, StackPool};
 pub use tsc::{ClockSource, RunClock};

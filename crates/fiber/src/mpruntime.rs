@@ -19,28 +19,37 @@
 //!   `resume_context`, zero messages *and* zero copies (the shared
 //!   mapping is the transfer; compare [`ipc`](crate::ipc), where
 //!   private mappings force a real `process_vm_readv`);
-//! - each task's **program area** and its parent's **join block**, so
+//! - each task's **record**, at the top of its slot's stack, its
+//!   **program area** just above, and its parent's **join block**, so
 //!   no private-heap pointer is ever reachable from a migratable stack
 //!   (invariant [I16]);
 //! - the **metrics segment** ([`uat_metrics::shm`] layout), per-worker
 //!   counter cells the parent reads back through
 //!   [`uat_rdma::OneSidedFabric`] windows — per-worker metrics export
-//!   with no RPC;
+//!   with no RPC — whose rows also hold each worker's termination cells;
 //! - the **stats bank** (one single-writer accounting row per worker)
 //!   and the **slot pool** (a locked LIFO of free stack slots behind
 //!   one small cache per worker, which only its owner touches but for
 //!   a rare raid, [I22]);
-//! - the **control block**: shutdown flag, raid flag, the two give-up
-//!   flags (slot pool exhausted, frame too large for a slot's stack),
-//!   and the allocation-probe readings — nothing a task writes on its
-//!   fast path.
+//! - the **control block**: shutdown word, raid flag, the three give-up
+//!   flags (slot pool exhausted, frame too large for a slot's stack,
+//!   program too large for a slot's program area), the block the root
+//!   reports to, and the allocation-probe readings — nothing a task
+//!   writes on its fast path.
+//!
+//! The workers run the one worker body the thread runtime runs
+//! (`sched.rs`); what is this backend's own is its `Place` (`Mp`):
+//! slots from `alloc_slot` instead of a stack pool, `ShmDeque`s,
+//! termination cells in the metrics rows, a program area per slot,
+//! giving up by `Ctrl` flag and `_exit`, and segment ticks for
+//! observability — and how its workers come to exist, by `fork`.
 //!
 //! The coordinator decides nothing and polls nothing. The first idle
-//! worker whose termination scan passes (`idle.rs`, shared
-//! with the thread runtime) raises the shutdown flag and wakes the
-//! coordinator, which has been asleep on that word as a futex since the
-//! last fork; its 10 ms timeout exists only to sweep for a worker that
-//! died without a word, which nobody else could ever notice.
+//! worker whose termination scan passes (`idle.rs`, shared with the
+//! thread runtime) raises the shutdown word and wakes the coordinator,
+//! which has been asleep on that word as a futex since the last fork;
+//! its 10 ms timeout exists only to sweep for a worker that died without
+//! a word, which nobody else could ever notice.
 //!
 //! Creating, running and finishing a task that nobody steals writes
 //! only lines its own worker owns ([I17]): the worker's deque, its
@@ -60,50 +69,32 @@
 //! allocate or take any lock between `fork` and its worker-loop entry
 //! (another thread could hold the allocator lock at fork time; glibc's
 //! `fork` re-initialises malloc, but the runtime does not rely on it
-//! during the window). The bootstrap path ([`mp_bootstrap`]) touches
-//! only shared-region atomics and per-process statics; `uat-lint`'s
-//! `fork-safety` rule scans it (and its callees) for alloc/lock
-//! constructs, and the `mp_fork_safety` integration test counts
-//! allocations across the window with a probing global allocator.
-//! After the worker loop is entered, allocation is permitted, but the
-//! task path makes none in steady state: programs expand through one
-//! recycled per-process buffer, taken and handed back with no migration
-//! point in between ([I16]).
-//!
-//! # Control transfers
-//!
-//! The thread runtime's, call for call: a spawn and the root's start
-//! are `switch_to_fresh`, a parking join and the scheduler's resume are
-//! `switch_to`, a task leaves through an inlined `resume_context`
-//! ([`ctx`](crate::ctx)). Each names the slot its continuation is saved
-//! to — the child's header, this process's `sched_ctx`, the ctx half of
-//! `pending_join` — so nothing runs between the save and the switch.
-//!
-//! # Per-process state
-//!
-//! Worker identity, the scheduler context, and the retire/join hand-off
-//! live in a per-process `static` behind the `#[inline(never)]`
-//! accessor [`mp_proc`]. The indirection is load-bearing exactly like
-//! the thread runtime's TLS accessor: a fiber migrates *between
-//! processes* at every suspension point, and any value loaded before
-//! the switch and kept in a callee-saved register is restored from the
-//! context record with the *previous* process's value. Every access
-//! after a potential migration re-derives through the opaque call.
+//! during the window). The bootstrap path (`mp_bootstrap`) builds its
+//! worker on its own stack, touching only shared-region atomics, and
+//! enters the shared `worker_loop`, which finds the worker through the
+//! same thread-local the thread runtime uses: a worker process has one
+//! thread, `fork` copied its TLS block, and setting a `const`-initialised
+//! `Cell` allocates nothing. `uat-lint`'s `fork-safety` rule scans
+//! `mp_bootstrap` and its callees (the worker loop included) for
+//! alloc/lock constructs, and the `mp_fork_safety` integration test
+//! counts allocations across the window with a probing global
+//! allocator. After the worker loop is entered, allocation is
+//! permitted, but the task path makes none in steady state: programs
+//! expand through one recycled per-process buffer, handed back before
+//! the task's first migration point ([I16]).
 
-use crate::ctx::{resume_context, switch_to, switch_to_fresh, Context};
-use crate::frame::{self, FrameTooLarge, PAGE};
-use crate::idle::{self, Idle};
-use crate::interp::{AcctRow, NativeRunStats, TaskAcct};
-use crate::join::{JoinBlock, PendingJoin};
-use crate::runtime::bump;
-use crate::tsc;
+use crate::frame::{FrameTooLarge, PAGE};
+use crate::idle;
+use crate::interp::{self, AcctRow, Env, EnvRef, NativeRunStats};
+use crate::join::JoinBlock;
+use crate::sched::{bump, place_record, worker_loop, Event, Place, TaskHeader, Worker};
+use std::borrow::Borrow;
 use std::ffi::c_void;
-use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::ptr::addr_of_mut;
 use std::sync::atomic::{compiler_fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
-use uat_base::{SplitMix64, WorkerId};
+use uat_base::WorkerId;
+use uat_deque::native::Placed;
 use uat_deque::ShmDeque;
 use uat_model::{Action, Workload};
 use uat_rdma::{OneSidedFabric, ShmFabric};
@@ -120,12 +111,11 @@ const DEQ_CAP: usize = 8192;
 /// nor the line x86 prefetches with it — with its neighbour's entry
 /// slots (the rule `NativeDeque`'s `align(128)` header keeps).
 const DEQ_STRIDE: usize = ShmDeque::block_size(DEQ_CAP).next_multiple_of(128);
-/// Bytes at the top of each slot for the task header + program area.
-/// One task's whole program must fit: with 16-byte actions that is
-/// about 8 190 of them, so a `Chain::fig10(n)` root (`2n` actions) runs
-/// up to `n ≈ 4 000` and `fig10(20000)` does not — `exec_mp` asserts
-/// the capacity. The mapping is sparse, so unused program pages cost
-/// nothing.
+/// Bytes above each slot's stack for the program area of the task on
+/// it. One task's whole program must fit: with 16-byte actions that is
+/// 8 192 of them, so a `Chain::fig10(n)` root (`2n` actions) runs up to
+/// `n = 4 096` and `fig10(20000)` is refused by name. The mapping is
+/// sparse, so unused program pages cost nothing.
 const PROG_BYTES: usize = 128 << 10;
 /// Hard cap on worker processes (sizes the control block).
 pub const MAX_WORKERS: usize = 64;
@@ -144,6 +134,9 @@ const MC_PARKS: usize = 3;
 const MC_UNPARKS: usize = 4;
 const MC_TASKS: usize = 5;
 const MC_STRIDE: usize = 8;
+// Unnamed in the exported segment: spawns made by the worker — with
+// `MC_TASKS` (completions), its termination cells.
+const MC_SPAWNED: usize = 6;
 
 /// How long the coordinator sleeps on `Ctrl::shutdown_flag` between
 /// looks for a worker that died without raising it.
@@ -168,8 +161,16 @@ struct Ctrl {
     /// dead, to name the failure.
     slots_exhausted: AtomicU64,
     /// Likewise, by a worker asked to spawn a task whose frame does not
-    /// fit a slot's stack: that frame's size (never 0).
+    /// fit a slot's stack: that frame's size (never 0) — and, stored
+    /// first, the room it did not fit.
     frame_too_large: AtomicU64,
+    frame_room: AtomicU64,
+    /// Likewise, by a worker whose task's program does not fit its
+    /// slot's program area: the program's action count.
+    program_too_large: AtomicU64,
+    /// The block the root reports its completion to, announced by the
+    /// coordinator before `fork`.
+    root: JoinBlock,
     /// Per-worker allocation count observed across the fork-safety
     /// window, written once at worker-loop entry (0 when no probe is
     /// installed; see [`set_bootstrap_alloc_probe`]).
@@ -181,33 +182,12 @@ struct Ctrl {
 
 const _: () = assert!(std::mem::size_of::<Ctrl>() <= PAGE);
 
-/// Per-task header at the top of its stack slot (just below the
-/// program area). `repr(C)` plain-old-data: it lives in the shared
-/// region and crosses process boundaries by address.
-#[repr(C)]
-struct MpHeader<D> {
-    /// The parent's [`JoinBlock`] (`*const JoinBlock` as u64; 0 for the
-    /// root), a local on the *parent's* shm stack — valid in every
-    /// process per [I16]; the child's decrement of it is the protocol's
-    /// one-sided remote fetch-and-add.
-    join: u64,
-    /// Summed `frame_size` of this task's ancestors — the frame chain
-    /// its lineage has built so far, carried parent→child so the peak
-    /// needs no machine-wide gauge.
-    chain_above: u64,
-    /// The spawner's saved continuation: the slot of the spawn's
-    /// `switch_to_fresh`, written on the way into the child and
-    /// published by the child per [I12]. Null for the root.
-    parent_ctx: *mut Context,
-    /// This slot's index (so code on the slot's stack can retire it).
-    slot_idx: u64,
-    /// The task's `frame_size`, evaluated once, by its spawner.
-    frame: u64,
-    /// Where the body starts: `frame` bytes below this header, as
-    /// [`frame::claim`] checked it against the slot's stack [I19].
-    sp: u64,
-    /// The task descriptor (`Copy` plain data; [I16]).
-    desc: MaybeUninit<D>,
+/// The control block of the mapped region.
+fn ctrl() -> &'static Ctrl {
+    // SAFETY: [I16] the region's first page, inside the live mapping
+    // (see `RegionLayout::metrics_cell`); zero-filled is a valid `Ctrl`,
+    // made of atomics.
+    unsafe { &*(MP_BASE as *const Ctrl) }
 }
 
 /// Byte map of the region: every address any process computes comes
@@ -220,7 +200,7 @@ struct RegionLayout {
     /// Slots a worker's cache takes from / returns to the pool at a
     /// time; the cache holds at most twice that.
     slot_batch: usize,
-    /// Whole slot: guard page + stack + header/program area.
+    /// Whole slot: guard page + stack + program area.
     slot_size: usize,
     metrics_off: usize,
     stats_off: usize,
@@ -261,22 +241,20 @@ impl RegionLayout {
         }
     }
 
-    fn ctrl(&self) -> &'static Ctrl {
-        // SAFETY: [I16] the region's first page, inside the live mapping
-        // (see `cell`); zero-filled is a valid `Ctrl`, made of atomics.
-        unsafe { &*(MP_BASE as *const Ctrl) }
-    }
-
     fn metrics_cell_addr(&self, w: usize, c: usize) -> usize {
         debug_assert!(w < self.workers && c < MC_STRIDE);
         MP_BASE + self.metrics_off + (w * MC_STRIDE + c) * 8
     }
 
-    /// Add 1 to worker `w`'s metrics-segment cell `c`, from worker `w`:
-    /// its row is single-writer, so a plain load + store.
+    /// Worker `w`'s metrics-segment cell `c`, a process-shared atomic
+    /// only `w` writes.
     #[inline]
-    fn tick(&self, w: usize, c: usize, order: Ordering) {
-        bump(cell(self.metrics_cell_addr(w, c)), 1, order);
+    fn metrics_cell(&self, w: usize, c: usize) -> &'static AtomicU64 {
+        let addr = self.metrics_cell_addr(w, c);
+        // SAFETY: [I16] an 8-aligned cell inside the live mapping; the
+        // region outlives every worker's use of it (the coordinator
+        // unmaps only after reaping).
+        unsafe { &*(addr as *const AtomicU64) }
     }
 
     /// Worker `w`'s accounting row in the stats bank.
@@ -285,7 +263,7 @@ impl RegionLayout {
         let addr = MP_BASE + self.stats_off + w * std::mem::size_of::<AcctRow>();
         // SAFETY: [I16] a 64-byte-aligned row inside the live mapping
         // (zero-filled = a valid empty row), made of atomics only; the
-        // region outlives every use (see `cell`).
+        // region outlives every use (see `metrics_cell`).
         unsafe { &*(addr as *const AcctRow) }
     }
 
@@ -329,132 +307,111 @@ impl RegionLayout {
         MP_BASE + self.slots_off + slot * self.slot_size
     }
 
-    /// Top of the slot's stack == base of its header/program area.
-    fn slot_stack_top(&self, slot: usize) -> usize {
-        self.slot_base(slot) + self.slot_size - PROG_BYTES
+    /// The slot's stack: its top — the base of the slot's program area,
+    /// with the task's record just below — and its lowest usable
+    /// address, just above its guard page.
+    fn slot_span(&self, slot: usize) -> (usize, usize) {
+        let base = self.slot_base(slot);
+        (base + self.slot_size - PROG_BYTES, base + PAGE)
     }
 
-    /// Lowest usable address of the slot's stack (just above its guard
-    /// page).
-    fn slot_stack_limit(&self, slot: usize) -> usize {
-        self.slot_base(slot) + PAGE
-    }
-
-    fn header<D>(&self, slot: usize) -> *mut MpHeader<D> {
-        self.slot_stack_top(slot) as *mut MpHeader<D>
-    }
-
-    /// Write the header of a task about to start on the free slot
-    /// `slot`, its frame claimed below it; refused if the slot's stack
-    /// cannot hold the frame.
-    fn place_header<D>(
-        &self,
-        slot: usize,
-        join: u64,
-        chain_above: u64,
-        frame: u64,
-        desc: D,
-    ) -> Result<*mut MpHeader<D>, FrameTooLarge> {
-        let hdr = self.header::<D>(slot);
-        let sp = frame::claim(hdr as usize, self.slot_stack_limit(slot), frame)?;
-        // SAFETY: [I16] a free slot's header is exclusively the
-        // caller's until the task it starts publishes or retires it.
-        unsafe {
-            hdr.write(MpHeader {
-                join,
-                chain_above,
-                parent_ctx: std::ptr::null_mut(),
-                slot_idx: slot as u64,
-                frame,
-                sp: sp as u64,
-                desc: MaybeUninit::new(desc),
-            });
-        }
-        Ok(hdr)
-    }
-
-    /// First `Action<D>` of the slot's program area (just after the
-    /// header, aligned).
-    fn prog_ptr<D>(&self, slot: usize) -> *mut Action<D> {
-        let a = std::mem::align_of::<Action<D>>();
-        let off = std::mem::size_of::<MpHeader<D>>().div_ceil(a) * a;
-        (self.slot_stack_top(slot) + off) as *mut Action<D>
-    }
-
-    /// `Action<D>`s the program area can hold.
-    fn prog_capacity<D>(&self) -> usize {
-        let a = std::mem::align_of::<Action<D>>();
-        let off = std::mem::size_of::<MpHeader<D>>().div_ceil(a) * a;
-        (PROG_BYTES - off) / std::mem::size_of::<Action<D>>()
+    /// `Action<D>`s a slot's program area holds.
+    fn prog_capacity<D>() -> usize {
+        PROG_BYTES / std::mem::size_of::<Action<D>>()
     }
 }
 
-/// A cell of the region interpreted as a process-shared atomic.
-#[inline]
-fn cell(addr: usize) -> &'static AtomicU64 {
-    debug_assert!(addr.is_multiple_of(8));
-    // SAFETY: [I16] every `cell` call site passes an address computed by
-    // `RegionLayout` inside the live mapping; the region outlives every
-    // worker's use of it (the coordinator unmaps only after reaping).
-    unsafe { &*(addr as *const AtomicU64) }
-}
-
 // ---------------------------------------------------------------------
-// Per-process state.
+// The worker body's place, per process.
 // ---------------------------------------------------------------------
 
-struct MpProc {
-    worker: usize,
+/// The multiprocess backend's [`Place`]: its worker's id and the
+/// region's layout. Plain per-process memory on the worker's own stack;
+/// every worker process is single-threaded, and the parent never
+/// touches it.
+struct Mp {
+    me: usize,
     layout: RegionLayout,
-    /// This process's parked scheduler context (worker OS stack).
-    sched_ctx: *mut Context,
-    /// Slot retired by the previously completed task (+1; 0 = none).
-    pending_retire: u64,
-    /// Join park hand-off per [I12].
-    pending_join: PendingJoin,
-    rng: SplitMix64,
-    divisor: u64,
-    /// The workload, by pre-fork pointer (copy-on-write read-only data,
-    /// same virtual address in every worker).
-    env: u64,
-    /// Raw parts (pointer, capacity) of this process's recycled program
-    /// buffer, an empty `Vec<Action<W::Desc>>` between tasks; (0, 0)
-    /// until the first task, so bootstrap allocates nothing [I15].
-    prog_buf: (usize, usize),
+    /// The slot of the task that started here last: whose program area
+    /// `program_area` hands out.
+    running: usize,
 }
 
-/// The worker process's state. Plain per-process memory: every worker
-/// process is single-threaded, and the parent never touches it.
-static mut MP_PROC: Option<MpProc> = None;
+impl Place for Mp {
+    const KIND: u8 = 2;
+    type Stack = usize;
+    type Store = Placed;
 
-/// Re-derive the per-process state. `inline(never)` is load-bearing for
-/// the same reason as the thread runtime's TLS accessor (see the module
-/// docs): fibers resume in *other processes*, where this static holds
-/// different values, so no load may be CSE'd across a context switch.
-#[inline(never)]
-fn mp_proc() -> *mut MpProc {
-    // SAFETY: [I15] MP_PROC is written once during single-threaded
-    // bootstrap and only ever accessed from that process's only thread.
-    match unsafe { &mut *addr_of_mut!(MP_PROC) } {
-        Some(p) => p as *mut MpProc,
-        None => panic!("multiprocess operation outside a worker process"),
+    #[inline]
+    fn take_stack(&mut self) -> (usize, (usize, usize)) {
+        let slot = alloc_slot(&self.layout, self.me);
+        (slot, self.layout.slot_span(slot))
     }
-}
 
-/// Free the slot retired by the previously completed task, if any, and
-/// return the worker control landed on. Must run at every point control
-/// can land after a completion (mirrors the thread runtime's
-/// `collect_retired`).
-#[inline]
-fn mp_collect_retired() -> usize {
-    // SAFETY: [I15] exclusive access by this process's only thread.
-    let p = unsafe { &mut *mp_proc() };
-    if p.pending_retire != 0 {
-        let idx = (p.pending_retire - 1) as usize;
-        p.pending_retire = 0;
-        free_slot(&p.layout, p.worker, idx);
+    #[inline]
+    fn retire_stack(&mut self, slot: usize) {
+        free_slot(&self.layout, self.me, slot);
     }
-    p.worker
+
+    #[inline]
+    fn deque(&self, w: usize) -> impl Borrow<ShmDeque> + '_ {
+        self.layout.deque(w)
+    }
+
+    #[inline]
+    fn progress(&self, w: usize) -> (&AtomicU64, &AtomicU64) {
+        let at = |c| self.layout.metrics_cell(w, c);
+        (at(MC_SPAWNED), at(MC_TASKS))
+    }
+
+    fn shutdown(&self) -> &AtomicU32 {
+        &ctrl().shutdown_flag
+    }
+
+    /// The slot's own area, above its stack: the task's program is
+    /// copied there so that it migrates with the slot, not with a
+    /// process-private heap [I16].
+    #[inline]
+    fn program_area<D>(&self, actions: usize) -> Option<*mut Action<D>> {
+        if actions > RegionLayout::prog_capacity::<D>() {
+            let n = actions as u64;
+            ctrl().program_too_large.store(n, Ordering::Release);
+            die(b"uat-fiber(mp): program too large; worker exiting\n", 105)
+        }
+        Some(self.layout.slot_span(self.running).0 as *mut Action<D>)
+    }
+
+    fn refuse_frame(e: FrameTooLarge, _slot: usize) -> ! {
+        let ctrl = ctrl();
+        ctrl.frame_room.store(e.room as u64, Ordering::Relaxed);
+        ctrl.frame_too_large.store(e.frame, Ordering::Release);
+        die(b"uat-fiber(mp): frame too large; worker exiting\n", 104)
+    }
+
+    /// The coordinator turns the exit status into a run failure.
+    fn task_panicked() -> ! {
+        die(b"uat-fiber(mp): task panicked; worker exiting\n", 101)
+    }
+
+    /// Scheduler counts, into this worker's metrics-segment row.
+    #[inline]
+    fn record(&mut self, e: Event<'_>) {
+        let c = match e {
+            Event::Loop => MC_HEARTBEATS,
+            Event::Steal(_, Some(_), _) => MC_STEALS_COMPLETED,
+            Event::Steal(..) => MC_STEALS_FAILED,
+            Event::Park => MC_PARKS,
+            Event::Unpark => MC_UNPARKS,
+            _ => return,
+        };
+        bump(self.layout.metrics_cell(self.me, c), 1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn on_task_begin(&mut self, _task: u64, slot: &usize) -> [u64; 2] {
+        self.running = *slot;
+        [0; 2]
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -611,7 +568,7 @@ impl SlotStack {
 fn alloc_slot(layout: &RegionLayout, me: usize) -> usize {
     let cache = layout.slot_cache(me);
     cache
-        .owned(&layout.ctrl().raid, SlotStack::pop)
+        .owned(&ctrl().raid, SlotStack::pop)
         .unwrap_or_else(|| alloc_slot_slow(layout, me))
 }
 
@@ -620,7 +577,7 @@ fn alloc_slot(layout: &RegionLayout, me: usize) -> usize {
 fn free_slot(layout: &RegionLayout, me: usize, slot: usize) {
     let cache = layout.slot_cache(me);
     let room = |c: &SlotStack| (c.len() < 2 * layout.slot_batch).then(|| c.push(slot));
-    if cache.owned(&layout.ctrl().raid, room).is_none() {
+    if cache.owned(&ctrl().raid, room).is_none() {
         free_slot_slow(layout, me, slot);
     }
 }
@@ -642,8 +599,8 @@ fn alloc_slot_slow(layout: &RegionLayout, me: usize) -> usize {
     let got = mine.pop();
     pool.release();
     got.unwrap_or_else(|| {
-        let msg = b"uat-fiber(mp): stack slot pool exhausted; worker exiting\n";
-        die(&layout.ctrl().slots_exhausted, 1, msg, 103)
+        ctrl().slots_exhausted.store(1, Ordering::Release);
+        die(b"uat-fiber(mp): slot pool exhausted; worker exiting\n", 103)
     })
 }
 
@@ -667,7 +624,7 @@ fn free_slot_slow(layout: &RegionLayout, me: usize, slot: usize) {
 /// `membarrier`, every other `busy` seen clear — so the free-slot state
 /// is frozen, and finding nothing means no slot was free anywhere.
 fn raid(layout: &RegionLayout, me: usize) {
-    let raid = &layout.ctrl().raid;
+    let raid = &ctrl().raid;
     // Relaxed: the barrier publishes it, and drains every owner's store
     // of `busy` before the loads below.
     raid.store(1, Ordering::Relaxed);
@@ -694,13 +651,12 @@ fn membarrier(cmd: i32) -> i64 {
     unsafe { libc::syscall(libc::SYS_membarrier, cmd, 0u32, 0i32) }
 }
 
-/// Give the run up from a worker: tell the coordinator why (`why`,
-/// non-zero, into `flag` of the control block) and exit with `status`.
-/// No `panic!` — its hook takes the stderr lock and allocates, and
-/// either may be held by a parent thread that did not survive `fork`;
-/// a worker that hung here would hang the run.
-fn die(flag: &AtomicU64, why: u64, msg: &[u8], status: i32) -> ! {
-    flag.store(why, Ordering::Release);
+/// Give the run up from a worker, having told the coordinator why in
+/// its flag of the control block: say so on stderr and exit with
+/// `status`. No `panic!` — its hook takes the stderr lock and
+/// allocates, and either may be held by a parent thread that did not
+/// survive `fork`; a worker that hung here would hang the run.
+fn die(msg: &[u8], status: i32) -> ! {
     // SAFETY: [I10] async-signal-safe raw write + process exit.
     unsafe {
         libc::write(2, msg.as_ptr() as *const c_void, msg.len());
@@ -739,403 +695,37 @@ fn probe_allocs() -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// The per-worker scheduler (runs in each worker process).
+// The worker process.
 // ---------------------------------------------------------------------
 
-/// Worker bootstrap: everything between `fork` and the scheduler loop.
+/// Worker bootstrap: everything between `fork` and the scheduler loop,
+/// then the loop — worker 0 starts the root, whose record the
+/// coordinator wrote — then `_exit`.
 ///
-/// **Fork-safety window [I15]**: from entry until `mp_worker_loop`
-/// records the probe delta, this path must not allocate, take any lock,
-/// or call anything that might (the parent is multithreaded; another
-/// thread may hold the allocator lock at fork time). `uat-lint`'s
-/// `fork-safety` rule enforces the discipline statically over this
-/// function and its direct callees; the `mp_fork_safety` test enforces
-/// it dynamically.
-unsafe fn mp_bootstrap<W>(id: usize, layout: RegionLayout, env: *const W, divisor: u64) -> !
-where
-    W: Workload,
-    W::Desc: Copy,
-{
+/// **Fork-safety window [I15]**: from entry until the probe delta is
+/// recorded, this path must not allocate, take any lock, or call
+/// anything that might (the parent is multithreaded; another thread may
+/// hold the allocator lock at fork time). `uat-lint`'s `fork-safety`
+/// rule enforces the discipline statically over this function and its
+/// direct callees; the `mp_fork_safety` test enforces it dynamically.
+fn mp_bootstrap(id: usize, layout: RegionLayout, root: *mut TaskHeader<usize>) -> ! {
     let before = probe_allocs();
-    // SAFETY: [I15] single-threaded fresh child; first and only
-    // initialisation of this process's state. In-place write, no heap.
-    unsafe {
-        *addr_of_mut!(MP_PROC) = Some(MpProc {
-            worker: id,
-            layout,
-            sched_ctx: std::ptr::null_mut(),
-            pending_retire: 0,
-            pending_join: PendingJoin::NONE,
-            rng: SplitMix64::new(0x5EED ^ id as u64),
-            divisor,
-            env: env as u64,
-            prog_buf: (0, 0),
-        });
-    }
-    let ctrl = layout.ctrl();
+    let place = Mp {
+        me: id,
+        layout,
+        running: 0,
+    };
+    let mut worker = Worker::new(id, layout.workers, place);
+    let ctrl = ctrl();
     ctrl.bootstrap_allocs[id].store(probe_allocs().wrapping_sub(before), Ordering::Release);
     // Window closed: from here on allocation is permitted again.
-    // SAFETY: [I15] state initialised just above.
-    unsafe { mp_worker_loop::<W>() }
-}
-
-/// The scheduler loop: seed the root (worker 0), then steal from random
-/// victims until shutdown. Never returns — the worker process leaves
-/// via `_exit(0)`.
-unsafe fn mp_worker_loop<W>() -> !
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I15] our own per-process state.
-    let (layout, id) = unsafe {
-        let p = &*mp_proc();
-        (p.layout, p.worker)
-    };
-    let ctrl = layout.ctrl();
-    let allocs_at_entry = probe_allocs();
-
-    if id == 0 {
-        // Seed the root task (its header was written pre-fork by the
-        // coordinator into slot 0).
-        let hdr = layout.header::<W::Desc>(0);
-        // SAFETY: [I5][I9][I15][I19] the slot is this process's own;
-        // [I16] the root's header was written pre-fork by the
-        // coordinator, its `sp` inside the mapped, fresh slot stack
-        // below the header; mp_child_main diverges; the scheduler
-        // context saved here is resumed exactly once.
-        unsafe {
-            switch_to_fresh(
-                &raw mut (*mp_proc()).sched_ctx,
-                (*hdr).sp as *mut u8,
-                mp_child_main::<W>,
-                hdr as *mut c_void,
-            );
-        }
-        mp_collect_retired();
-    }
-
-    let n = layout.workers;
-    let mut idle = Idle::default();
-    loop {
-        mp_collect_retired();
-        layout.tick(id, MC_HEARTBEATS, Ordering::Relaxed);
-
-        // Scheduler-side join park [I12]: a fiber that suspended on a
-        // join handed it to us; park it from this OS stack. If every
-        // child already finished, resume it right away (exactly one
-        // side ever owns the ctx: the last child's `complete` or this
-        // `park`).
-        // SAFETY: [I15][I16] exclusive per-process state; the block
-        // lives on the parked parent's shm stack, which stays live
-        // until the parent is resumed.
-        if let Some(ctx) = unsafe { (*mp_proc()).pending_join.park() } {
-            mp_run_ctx(ctx);
-            continue;
-        }
-
-        // Nothing of our own is left to run [I21]: steal from a random
-        // victim (one-sided: the victim process's CPU is not involved).
-        debug_assert!(layout.deque(id).is_empty());
-        let target = if n == 1 {
-            None
-        } else {
-            // SAFETY: [I15] exclusive per-process rng.
-            let mut v = unsafe { (*mp_proc()).rng.below(n as u64 - 1) as usize };
-            if v >= id {
-                v += 1;
-            }
-            let got = layout.deque(v).steal();
-            layout.tick(
-                id,
-                if got.is_some() {
-                    MC_STEALS_COMPLETED
-                } else {
-                    MC_STEALS_FAILED
-                },
-                Ordering::Relaxed,
-            );
-            got
-        };
-        match target {
-            Some(ctx) => {
-                if idle.found() {
-                    layout.tick(id, MC_UNPARKS, Ordering::Relaxed);
-                }
-                mp_run_ctx(ctx as *mut Context);
-            }
-            None => {
-                if ctrl.shutdown_flag.load(Ordering::Acquire) != 0 {
-                    break;
-                }
-                // Nothing to run and about to nap: the party that pays
-                // for termination detection. A pass means every task
-                // has completed; tell the other idle loops, and wake the
-                // coordinator.
-                if idle.missed(
-                    || mp_quiescent(&layout),
-                    || layout.tick(id, MC_PARKS, Ordering::Relaxed),
-                ) {
-                    ctrl.shutdown_flag.store(1, Ordering::Release);
-                    idle::futex_wake(&ctrl.shutdown_flag);
-                    break;
-                }
-            }
-        }
-    }
-    ctrl.run_allocs[id].store(
-        probe_allocs().wrapping_sub(allocs_at_entry),
-        Ordering::Release,
-    );
+    let at_entry = probe_allocs();
+    worker_loop(&mut worker, (id == 0).then_some(root));
+    ctrl.run_allocs[id].store(probe_allocs().wrapping_sub(at_entry), Ordering::Release);
     // SAFETY: [I10] _exit skips atexit handlers and destructors — the
     // worker owns nothing outside the shared region worth destructing,
     // and must not run the parent's cloned cleanup.
     unsafe { libc::_exit(0) }
-}
-
-/// Resume a ready continuation, saving this scheduler's own context so
-/// fibers can bail back to the loop.
-fn mp_run_ctx(ctx: *mut Context) {
-    // SAFETY: [I5][I9][I15] the slot is this process's own, on a stack
-    // that never migrates; `ctx` is a live continuation handed out by a
-    // deque; the saved scheduler context is resumed exactly once (by
-    // whichever fiber next runs out of local work in this process).
-    unsafe { switch_to(&raw mut (*mp_proc()).sched_ctx, ctx) };
-    mp_collect_retired();
-}
-
-// ---------------------------------------------------------------------
-// Task execution on shm fiber stacks.
-// ---------------------------------------------------------------------
-
-unsafe extern "C" fn mp_child_main<W>(arg: *mut c_void) -> !
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I16] the header is this task's slot memory, ours until
-    // retirement; reads of POD fields.
-    let hdr = unsafe { &*(arg as *const MpHeader<W::Desc>) };
-    let (slot, join, parent_ctx) = (hdr.slot_idx as usize, hdr.join, hdr.parent_ctx);
-    if !parent_ctx.is_null() {
-        // Publish the spawner's continuation: stealable (by any
-        // process) from now on. Safe here per [I12] — we run on the
-        // child's fresh stack; every parent-stack frame below the
-        // record is already dead.
-        // SAFETY: [I15] own process state for the deque handle.
-        let (layout, id) = unsafe {
-            let p = &*mp_proc();
-            (p.layout, p.worker)
-        };
-        layout.deque(id).push(parent_ctx as u64);
-    }
-    if catch_unwind(AssertUnwindSafe(|| {
-        // SAFETY: [I15][I16] slot header and env are live; exec_mp is
-        // entered exactly once per task.
-        unsafe { exec_mp::<W>(slot) }
-    }))
-    .is_err()
-    {
-        // Unwinding across a context switch is UB; mirror the thread
-        // runtime (and the paper's C++ runtime) and die loudly. The
-        // coordinator turns the exit status into a run failure.
-        // eprintln! would take the stderr lock, which another parent
-        // thread may have held at fork time — only async-signal-safe
-        // calls are allowed here, so write(2) raw.
-        let msg = b"uat-fiber(mp): task panicked; worker exiting\n";
-        // SAFETY: [I10] async-signal-safe raw write + process exit.
-        unsafe {
-            libc::write(2, msg.as_ptr() as *const c_void, msg.len());
-            libc::_exit(101)
-        }
-    }
-    // Completion. Retire our own stack (freed once control left it).
-    // SAFETY: [I15] exclusive per-process state (the worker this fiber
-    // *ended* on, re-derived).
-    let (layout, id, sched) = unsafe {
-        let p = &mut *mp_proc();
-        debug_assert_eq!(p.pending_retire, 0);
-        p.pending_retire = slot as u64 + 1;
-        (p.layout, p.worker, p.sched_ctx)
-    };
-    // Figure 4 lines 13-15: pop the parent continuation — our own
-    // parent, which never counted us [I21]. If it was stolen, the thief
-    // did: the one-sided join decrement on the (possibly remote)
-    // parent, which, parked and waiting for us last, we resume here.
-    let target = match layout.deque(id).pop() {
-        Some(c) => {
-            debug_assert_eq!(c, parent_ctx as u64, "[I21] popped another's parent");
-            Some(c)
-        }
-        // SAFETY: [I16] the parent's join block outlives this call:
-        // the parent cannot leave its JoinAll scope before our
-        // decrement, and cannot run at all if we are handed its ctx.
-        None if join != 0 => unsafe { &*(join as *const JoinBlock) }.complete(),
-        None => None,
-    };
-    // The task's last act, on the worker it ended on: the Release tick
-    // of this worker's `completed` cell (see `mp_quiescent`).
-    layout.tick(id, MC_TASKS, Ordering::Release);
-    // SAFETY: [I5] target is resumed exactly once; only Copy locals
-    // live here.
-    unsafe { resume_context(target.map_or(sched, |c| c as *mut Context)) }
-}
-
-/// Interpret one task on its shm fiber stack: expand the program into
-/// the slot's program area, then execute it.
-unsafe fn exec_mp<W>(slot: usize)
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I15] exclusive per-process state, scoped borrow: Copy
-    // snapshots, and the recycled program buffer's parts, taken.
-    let (layout, worker, divisor, env, buf) = unsafe {
-        let p = &mut *mp_proc();
-        let buf = std::mem::take(&mut p.prog_buf);
-        (p.layout, p.worker, p.divisor, p.env, buf)
-    };
-    // SAFETY: [I16] the workload was constructed before fork and is
-    // read-only for the whole run: the copy-on-write pages hold the
-    // same bytes at the same address in every process.
-    let w = unsafe { &*(env as *const W) };
-    // SAFETY: [I16] the slot header is ours, written whole by the
-    // spawner (or the coordinator, for the root).
-    let (d, frame, chain_above) = unsafe {
-        let hdr = &*layout.header::<W::Desc>(slot);
-        (hdr.desc.assume_init(), hdr.frame, hdr.chain_above)
-    };
-
-    // Expand the program through this process's recycled buffer, then
-    // copy it into the slot's program area and hand the buffer back —
-    // no private-heap pointer may survive to the first migration point
-    // below [I16].
-    let mut prog: Vec<Action<W::Desc>> = match buf {
-        (_, 0) => Vec::new(),
-        // SAFETY: [I15] the parts of an empty `Vec<Action<W::Desc>>` put
-        // back below by an earlier task of this process, which runs one
-        // `W`; taken above, so a panicking `program` frees the buffer
-        // exactly once.
-        (ptr, cap) => unsafe { Vec::from_raw_parts(ptr as *mut Action<W::Desc>, 0, cap) },
-    };
-    w.program(&d, &mut prog);
-    let n = prog.len();
-    assert!(
-        n <= layout.prog_capacity::<W::Desc>(),
-        "task program ({n} actions) exceeds the slot program area \
-         ({} actions of {} bytes)",
-        layout.prog_capacity::<W::Desc>(),
-        std::mem::size_of::<Action<W::Desc>>(),
-    );
-    // The task's whole accounting, recorded on the worker it starts on
-    // before its first migration point.
-    let chain = chain_above + frame;
-    layout
-        .stats_row(worker)
-        .record(&TaskAcct::of(w, &d, frame, &prog), chain);
-    let prog_ptr = layout.prog_ptr::<W::Desc>(slot);
-    for (i, a) in prog.drain(..).enumerate() {
-        // SAFETY: [I16] i < prog_capacity (asserted); the program area
-        // is this slot's memory.
-        unsafe { prog_ptr.add(i).write(a) };
-    }
-    let mut prog = ManuallyDrop::new(prog);
-    // SAFETY: [I15] still the process the buffer was taken in: nothing
-    // since then can migrate.
-    unsafe { (*mp_proc()).prog_buf = (prog.as_mut_ptr() as usize, prog.capacity()) };
-
-    // The join block is a local of this frame — on the shm stack, so a
-    // child completing in another process reaches it at the same
-    // address [I16]. It lives exactly as long as the task.
-    let jb = JoinBlock::new();
-
-    for i in 0..n {
-        // SAFETY: [I16] reading back the i-th action we wrote above;
-        // Desc is Copy so the read copy has no drop obligations.
-        let a: Action<W::Desc> = unsafe { prog_ptr.add(i).read() };
-        match a {
-            Action::Work(cycles) => tsc::spin_cycles(cycles / divisor),
-            Action::Spawn(child) => mp_spawn::<W>(child, w.frame_size(&child), &jb, chain),
-            Action::JoinAll => mp_join(&jb),
-        }
-    }
-    // Join stragglers so a malformed workload cannot leak running
-    // tasks past its own completion (mirrors the thread interp).
-    mp_join(&jb);
-}
-
-/// Spawn a child task, child-first: the child starts right now on a
-/// fresh slot stack, `frame` bytes of it claimed ahead of the body, and
-/// the caller's continuation becomes stealable by every process.
-/// `chain` is the spawner's frame chain, its own frame included.
-fn mp_spawn<W>(desc: W::Desc, frame: u64, jb: &JoinBlock, chain: u64)
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I15] per-process state snapshot (of the process this
-    // fiber runs in *now*).
-    let (layout, worker) = unsafe {
-        let p = &*mp_proc();
-        (p.layout, p.worker)
-    };
-    let slot = alloc_slot(&layout, worker);
-    let hdr = layout
-        .place_header(slot, jb as *const JoinBlock as u64, chain, frame, desc)
-        .unwrap_or_else(|e| {
-            let msg = b"uat-fiber(mp): task frame exceeds the slot stack; worker exiting\n";
-            die(&layout.ctrl().frame_too_large, e.frame, msg, 104)
-        });
-    // [I12]: the continuation goes into the child's header, not into
-    // the deque — this frame lives on the very stack it points into.
-    // mp_child_main publishes it from the child's stack.
-    // SAFETY: [I5][I9][I16][I19] the header is the child's slot,
-    // exclusively ours until this switch hands it to mp_child_main,
-    // which diverges; `sp` is inside the fresh slot stack below the
-    // header; the continuation saved here is resumed exactly once (by
-    // the child's pop or by a thief in any process).
-    unsafe {
-        switch_to_fresh(
-            &raw mut (*hdr).parent_ctx,
-            (*hdr).sp as *mut u8,
-            mp_child_main::<W>,
-            hdr as *mut c_void,
-        );
-    }
-    // Resumed. In this process, by the child's exit pop: the child has
-    // finished and was never counted. In another, by a thief: count the
-    // child now, before anything here can look at `jb` [I21].
-    if mp_collect_retired() != worker {
-        jb.announce();
-    }
-}
-
-/// Join every child spawned on `jb` so far: one pending-count load on
-/// the fast path, else suspend and let this worker find other work
-/// (Figure 7).
-fn mp_join(jb: &JoinBlock) {
-    if jb.is_done() {
-        return;
-    }
-    // [I12]: publishing the continuation in the waiter slot from here
-    // would let the last child resume it while this very frame still
-    // runs on its stack. Hand the park to the scheduler on the worker's
-    // OS stack.
-    // SAFETY: [I15] exclusive per-process state; borrow ends before the
-    // switch.
-    let (slot, sched) = unsafe {
-        let p = &mut *mp_proc();
-        (p.pending_join.hand_over(jb), p.sched_ctx)
-    };
-    // SAFETY: [I5][I9] the slot is this process's own, read only by the
-    // scheduler this switches to, which is parked in its loop and
-    // resumed exactly once per lineage; the continuation saved here is
-    // resumed exactly once, by the last child's worker or inline by
-    // the scheduler.
-    unsafe { switch_to(slot, sched) };
-    // Resumed — possibly in a different process, with all children done.
-    mp_collect_retired();
-    debug_assert!(jb.is_done());
 }
 
 // ---------------------------------------------------------------------
@@ -1289,7 +879,7 @@ impl MultiProcessRunner {
         W: Workload,
         W::Desc: Copy,
     {
-        let workload = w.name();
+        let (workload, capacity) = (w.name(), RegionLayout::prog_capacity::<W::Desc>());
         // Guard pages: PROT_NONE at the low end of every slot,
         // established once before fork and inherited by every worker.
         for s in 0..layout.slots {
@@ -1299,7 +889,7 @@ impl MultiProcessRunner {
             };
             assert_eq!(rc, 0, "mprotect(slot guard) failed");
         }
-        let ctrl = layout.ctrl();
+        let ctrl = ctrl();
         // Every slot but the root's (slot 0) starts in the pool, lowest
         // index on top; the workers' caches start empty. Pre-fork and
         // single-threaded, so the pool's lock is not needed.
@@ -1307,12 +897,23 @@ impl MultiProcessRunner {
         for s in (1..layout.slots).rev() {
             pool.push(s);
         }
-        // Root task header into slot 0: joined by nobody, its frame
-        // checked here, where a refusal can still be an ordinary panic.
-        let root = w.root();
-        if let Err(e) = layout.place_header(0, 0, 0, w.frame_size(&root), root) {
-            panic!("multiprocess: {e} (the root's)");
-        }
+        // The run's environment, built before `fork`: copy-on-write, it
+        // sits at the same address in every worker; the accounting rows
+        // it points the tasks at are the region's.
+        let env = Env::new(w, Box::new([]), layout.workers, self.work_divisor);
+        let env_ref = EnvRef {
+            env: &env,
+            rows: layout.stats_row(0),
+        };
+        // The root is an ordinary record in slot 0, counted on a block
+        // of its own; its frame is checked here, where a refusal can
+        // still be an ordinary panic.
+        let root = env.w.root();
+        let frame = env.w.frame_size(&root);
+        ctrl.root.announce();
+        let body = move || interp::exec::<Mp, W>(env_ref, &root, frame, 0);
+        let root = place_record::<Mp, (), _>(0, layout.slot_span(0), &ctrl.root, 0, frame, body)
+            .unwrap_or_else(|(e, _)| panic!("multiprocess: {e} (the root's)"));
 
         // Flush inherited stdio buffers so workers cannot re-emit them.
         use std::io::Write as _;
@@ -1329,10 +930,7 @@ impl MultiProcessRunner {
             assert!(pid >= 0, "fork failed");
             if pid == 0 {
                 // ----- worker process -----
-                let exit = catch_unwind(AssertUnwindSafe(|| {
-                    // SAFETY: [I15] fresh single-threaded child.
-                    unsafe { mp_bootstrap::<W>(id, *layout, &w as *const W, self.work_divisor) }
-                }));
+                let exit = catch_unwind(AssertUnwindSafe(|| mp_bootstrap(id, *layout, root)));
                 // Reached only if bootstrap/scheduler panicked.
                 let _ = exit;
                 // SAFETY: [I10] async-signal-safe process exit.
@@ -1366,7 +964,7 @@ impl MultiProcessRunner {
                 // Status 0 is a worker that saw (or raised) shutdown,
                 // even if our own look at the flag came just before.
                 if !(libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0) {
-                    fail_run(ctrl, layout, &live, pid, status);
+                    fail_run(ctrl, layout, capacity, &live, pid, status);
                 }
             }
         }
@@ -1376,30 +974,18 @@ impl MultiProcessRunner {
         // each worker's segment row as that worker's RDMA window and
         // READs the cells through the fabric — per-worker metrics with
         // no RPC and no pipes.
-        let mut fabric = ShmFabric::new();
-        let mut metric_words = vec![0u64; layout.workers * MC_STRIDE];
+        let (mut fabric, parent) = (ShmFabric::new(), WorkerId(layout.workers as u32));
+        let mut metric_words = Vec::with_capacity(layout.workers * MC_STRIDE);
         for wk in 0..layout.workers {
-            let row = layout.metrics_cell_addr(wk, 0);
+            let (row, id) = (layout.metrics_cell_addr(wk, 0) as u64, WorkerId(wk as u32));
+            let mut buf = [0u8; MC_STRIDE * 8];
             // SAFETY: [I13] the row is inside the live mapping, shared
             // with worker `wk` at this same address; the workers have
             // exited, so no location is concurrently written.
-            unsafe {
-                fabric
-                    .register_region(WorkerId(wk as u32), row as u64, MC_STRIDE * 8)
-                    .expect("register metrics window");
-            }
-            let mut buf = [0u8; MC_STRIDE * 8];
-            fabric
-                .read(
-                    WorkerId(layout.workers as u32),
-                    WorkerId(wk as u32),
-                    row as u64,
-                    &mut buf,
-                )
-                .expect("fabric read of metrics row");
-            for c in 0..MC_STRIDE {
-                metric_words[wk * MC_STRIDE + c] =
-                    u64::from_le_bytes(buf[c * 8..(c + 1) * 8].try_into().unwrap());
+            unsafe { fabric.register_region(id, row, buf.len()) }.expect("register metrics window");
+            fabric.read(parent, id, row, &mut buf).expect("metrics row");
+            for c in buf.chunks_exact(8) {
+                metric_words.push(u64::from_le_bytes(c.try_into().unwrap()));
             }
         }
         let msum = |c: usize| -> u64 {
@@ -1429,9 +1015,14 @@ impl MultiProcessRunner {
         );
         // What the termination scan summed must be what ran: every
         // task started exactly once, completed exactly once, and every
-        // one but the root was announced by its parent.
+        // one but the root was spawned.
         assert_eq!(msum(MC_TASKS), stats.total_tasks, "completed != started");
-        assert_eq!(stats.spawns + 1, stats.total_tasks, "spawned != started");
+        assert_eq!(
+            msum(MC_SPAWNED) + 1,
+            stats.total_tasks,
+            "spawned != started"
+        );
+        debug_assert!(ctrl.root.is_done());
         MpReport {
             stats,
             bootstrap_allocs: probed(&ctrl.bootstrap_allocs),
@@ -1444,10 +1035,11 @@ impl MultiProcessRunner {
 /// A worker is gone with the run unfinished: kill and reap the
 /// survivors — they would idle forever on tasks that can no longer
 /// complete — and fail the run, by the dead worker's own word if it
-/// left one in `ctrl`.
+/// left one in `ctrl` (`capacity`: the actions a program area holds).
 fn fail_run(
     ctrl: &Ctrl,
     layout: &RegionLayout,
+    capacity: usize,
     live: &[libc::pid_t],
     pid: libc::pid_t,
     status: i32,
@@ -1468,26 +1060,17 @@ fn fail_run(
     }
     let frame = ctrl.frame_too_large.load(Ordering::Acquire);
     if frame != 0 {
-        let room = layout.slot_stack_top(0) - layout.slot_stack_limit(0);
+        let room = ctrl.frame_room.load(Ordering::Relaxed) as usize;
         panic!("multiprocess: {}", FrameTooLarge { frame, room });
     }
+    let actions = ctrl.program_too_large.load(Ordering::Acquire);
+    if actions != 0 {
+        panic!(
+            "multiprocess: a task program of {actions} actions exceeds the \
+             {capacity}-action program area of a stack slot"
+        );
+    }
     panic!("multiprocess worker {pid} died mid-run (status {status:#x})");
-}
-
-/// Termination detection, [`idle::quiescent`] over this backend's cells:
-/// worker `w`'s `completed` cell is its metrics-row `tasks` counter,
-/// ticked (Release) as a task's last act on the worker it *ended* on;
-/// its `spawned` cell is its accounting row's `spawns`, which a task
-/// raises (Release) by its whole child count as it *starts* — earlier
-/// than each `mp_spawn`, so still before any child runs and before the
-/// task's own completion tick, which is all the proof there needs.
-fn mp_quiescent(layout: &RegionLayout) -> bool {
-    let completed = |w| cell(layout.metrics_cell_addr(w, MC_TASKS));
-    let spawned = |w| &layout.stats_row(w).spawns;
-    idle::quiescent(
-        (0..layout.workers).map(completed),
-        (0..layout.workers).map(spawned),
-    )
 }
 
 /// The mapping [`map_region`] made; dropping it unmaps.
@@ -1562,6 +1145,7 @@ mod tests {
     use super::*;
     use uat_model::testutil::BinTree;
     use uat_model::{join_tree_fingerprint, sequential_profile};
+    use uat_workloads::chain::{Chain, ChainDesc};
 
     thread_local! {
         /// Slot-stack lock acquisitions made by this thread.
@@ -1771,10 +1355,17 @@ mod tests {
             (2, 64 + 48 * 1024)
         );
         // A child's frame is refused in the worker about to spawn it,
-        // which tells the coordinator and exits.
+        // which tells the coordinator and exits — with the room below
+        // the child's record, which sits at the top of the stack.
         let msg = message(run(STACK + 1).expect_err("one byte over the stack"));
         assert!(msg.contains("a task frame of 65537 bytes"), "{msg}");
-        assert!(msg.contains("does not fit the 65536 bytes"), "{msg}");
+        let room: u64 = msg
+            .split("does not fit the ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no room named: {msg}"));
+        assert!((STACK - 256..STACK).contains(&room), "{msg}");
         // The root's is refused before any worker is forked.
         let fat_root = BinTree {
             depth: 1,
@@ -1787,6 +1378,43 @@ mod tests {
         assert!(msg.contains("(the root's)"), "{msg}");
         // The failed runs left nothing behind: the region maps again.
         assert_eq!(run(0).expect("an empty frame fits").total_tasks, 2);
+    }
+
+    #[test]
+    fn too_large_program_fails_by_name_in_bounded_time() {
+        if !supported() {
+            return;
+        }
+        // The root's 10 000 actions are over what a slot's program area
+        // holds: refused in the worker that starts it — by flag and
+        // `_exit`, not by a panic, whose hook could hang a forked child
+        // (see the next test) — and named by the coordinator.
+        let chain = Chain {
+            rounds: 5_000,
+            frame: 64,
+            leaf_work: 0,
+        };
+        let capacity = RegionLayout::prog_capacity::<ChainDesc>();
+        assert!(capacity < 10_000);
+        for workers in [1usize, 2] {
+            let t0 = std::time::Instant::now();
+            let err = catch_unwind(|| runner(workers).run(chain.clone()))
+                .expect_err("a 10 000-action program cannot fit a program area");
+            let took = t0.elapsed();
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("panic payload is a message");
+            let want = format!(
+                "a task program of 10000 actions exceeds the {capacity}-action program area"
+            );
+            assert!(msg.contains(&want), "workers={workers}: {msg}");
+            assert!(
+                took < std::time::Duration::from_secs(1),
+                "workers={workers}: the refusal took {took:?}"
+            );
+        }
+        // The failed runs left nothing behind: the region maps again.
+        MultiProcessRunner::probe_support().expect("the region maps again");
     }
 
     #[test]
@@ -1920,10 +1548,7 @@ mod tests {
         for s in (1..layout.slots).rev() {
             pool.push(s);
         }
-        let (done, rounds) = (
-            &layout.ctrl().shutdown_flag,
-            cell(layout.metrics_cell_addr(1, 0)),
-        );
+        let (done, rounds) = (&ctrl().shutdown_flag, layout.metrics_cell(1, 0));
         // SAFETY: [I10][I15] the child runs only the allocation- and
         // lock-free loop below and leaves by `_exit`.
         let pid = unsafe { libc::fork() };

@@ -34,13 +34,14 @@
 //! segfault, and the dump says who and what it was last doing.
 //!
 //! With the `metrics` cargo feature off, everything here compiles to
-//! plain-atomic stand-ins that keep [`crate::SchedStats`] working and
-//! cost the hook sites nothing else.
+//! plain-atomic stand-ins that keep a run's scheduler counts
+//! ([`crate::NativeRunStats`]'s `steals`, `parks`, `unparks`) working
+//! and cost the hook sites nothing else.
 
 #[cfg(feature = "metrics")]
 mod real {
     use crate::tsc::RunClock;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
     use uat_base::json::{Json, ToJson};
@@ -471,7 +472,7 @@ mod real {
     pub fn sampler_loop(
         ms: &Arc<MetricsShared>,
         deques: &[Arc<NativeDeque<u64>>],
-        stop: &AtomicBool,
+        stop: &AtomicU32,
         interval: Duration,
         watchdog: Option<&WatchdogCfg>,
     ) {
@@ -493,14 +494,14 @@ mod real {
             // the sampling work — dominates the sampler's overhead.
             let mut slept = Duration::ZERO;
             while slept < interval {
-                if stop.load(Ordering::Acquire) {
+                if stop.load(Ordering::Acquire) != 0 {
                     return;
                 }
                 let chunk = (interval - slept).min(Duration::from_millis(10));
                 std::thread::sleep(chunk);
                 slept += chunk;
             }
-            if stop.load(Ordering::Acquire) {
+            if stop.load(Ordering::Acquire) != 0 {
                 return;
             }
             for (i, d) in deques.iter().enumerate() {
@@ -512,7 +513,7 @@ mod real {
             let epochs = ms.heartbeats.per_worker();
             // Epochs read after the flag went up may show workers that
             // have left: only ones read before it are evidence.
-            if stop.load(Ordering::Acquire) {
+            if stop.load(Ordering::Acquire) != 0 {
                 return;
             }
             // A worker's pulse: scheduler-loop iterations plus tasks
@@ -587,7 +588,7 @@ pub use real::{
 };
 
 /// Plain-atomic stand-ins when the `metrics` feature is off: the shared
-/// scheduler counters [`crate::SchedStats`] reports survive, every other
+/// scheduler counters a run reports survive, every other
 /// hook is an empty `#[inline(always)]` body, and `uat-metrics` is not
 /// linked.
 #[cfg(not(feature = "metrics"))]
@@ -596,7 +597,7 @@ mod stub {
     use std::sync::Arc;
     use uat_deque::StealPhases;
 
-    /// Minimal run-wide counters (what [`crate::SchedStats`] needs).
+    /// Minimal run-wide counters (what a run's stats need).
     #[derive(Default)]
     pub struct MetricsShared {
         steals: AtomicU64,

@@ -583,8 +583,11 @@ mod stub {
     /// Placeholder for the run-wide trace state (never constructed).
     pub struct TraceShared;
 
+    #[allow(missing_docs)]
     impl TraceShared {
-        /// Unused; exists so call sites type-check.
+        pub fn new(_workers: usize, _ring_capacity: usize) -> Arc<Self> {
+            unreachable!("tracing is compiled out")
+        }
         pub fn alloc_task(&self) -> u64 {
             0
         }

@@ -295,6 +295,29 @@ fn ident_positions(code: &str, word: &str) -> Vec<usize> {
     out
 }
 
+/// Whether `body` (comment/literal-blanked) calls `name`: the
+/// identifier followed by `(`, or by a turbofish `::<…>` and then `(` —
+/// the way generic code names its callees (`current::<P>()`).
+fn calls(body: &str, name: &str) -> bool {
+    ident_positions(body, name).iter().any(|&p| {
+        let mut rest = body[p + name.len()..].trim_start();
+        if let Some(args) = rest.strip_prefix("::<") {
+            let mut depth = 1;
+            let close = args.char_indices().find_map(|(i, c)| {
+                depth += match c {
+                    '<' => 1,
+                    '>' => -1,
+                    _ => 0,
+                };
+                (depth == 0).then_some(i + 1)
+            });
+            let Some(close) = close else { return false };
+            rest = args[close..].trim_start();
+        }
+        rest.starts_with('(')
+    })
+}
+
 // ---------------------------------------------------------------------
 // Function extraction.
 // ---------------------------------------------------------------------
@@ -552,12 +575,7 @@ fn rule_tls(files: &[FileScan], findings: &mut Vec<Finding>) {
         }
         let called_by: Vec<&str> = crossing_bodies
             .iter()
-            .filter(|(file, cf)| {
-                let body = &file.code[cf.body.0..cf.body.1];
-                ident_positions(body, &i.func.name)
-                    .iter()
-                    .any(|&p| body[p + i.func.name.len()..].trim_start().starts_with('('))
-            })
+            .filter(|(file, cf)| calls(&file.code[cf.body.0..cf.body.1], &i.func.name))
             .map(|(_, cf)| cf.name.as_str())
             .collect();
         if !called_by.is_empty() {
@@ -825,10 +843,7 @@ fn rule_fork_safety(files: &[FileScan], findings: &mut Vec<Finding>) {
                 if fun.name.starts_with("mp_bootstrap") || def_count[fun.name.as_str()] != 1 {
                     continue;
                 }
-                let called = ident_positions(body, &fun.name)
-                    .iter()
-                    .any(|&p| body[p + fun.name.len()..].trim_start().starts_with('('));
-                if called {
+                if calls(body, &fun.name) {
                     window.push((file, fun, format!("is called from `{}`", root.name)));
                 }
             }
@@ -1003,6 +1018,24 @@ fn suspends() { let x = current(); save_context_and_call(p, f, a); use_it(x); }
             assert_eq!(f.len(), 1, "{marker}: {f:?}");
             assert_eq!(f[0].rule, Rule::TlsHelperInlinable);
         }
+    }
+
+    #[test]
+    fn a_turbofish_call_is_a_call() {
+        let body =
+            "let w = current::<P>(); spawn_on::<P, Vec<u8>, _>(jb, 0, f); current; x.current(); ";
+        assert!(calls(body, "current"));
+        assert!(calls(body, "spawn_on"));
+        assert!(!calls("current::<P>; let c = current;", "current"));
+        // An inlinable accessor is flagged through a generic caller too.
+        let src = r#"
+thread_local! { static CURRENT: usize = 0; }
+fn current<P>() -> usize { CURRENT.with(|c| *c) }
+fn suspends<P>() { let x = current::<P>(); switch_to(p, t); use_it(x); }
+"#;
+        let f = lint_one(src, RuleSet::all());
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::TlsHelperInlinable);
     }
 
     #[test]

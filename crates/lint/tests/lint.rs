@@ -3,7 +3,7 @@
 //! regression in either direction fails `cargo test`).
 
 use std::path::{Path, PathBuf};
-use uat_lint::{lint_paths, Rule, RuleSet};
+use uat_lint::{lint_paths, lint_sources, Finding, Rule, RuleSet};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -103,6 +103,94 @@ fn real_fiber_and_deque_trees_are_clean() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// Lint a copy of the real tree whose `fiber/src/<file>` went through
+/// `seed` (which must change it).
+fn real_tree_seeded(file: &str, seed: impl Fn(&str) -> String) -> Vec<Finding> {
+    fn walk(dir: &Path, out: &mut Vec<(PathBuf, String)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push((path.clone(), std::fs::read_to_string(&path).unwrap()));
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for root in real_tree() {
+        walk(&root, &mut files);
+    }
+    let target = real_tree()[0].join(file);
+    let (_, src) = files.iter_mut().find(|(p, _)| *p == target).unwrap();
+    let seeded = seed(src);
+    assert_ne!(&seeded, src, "the seed did not apply to {file}");
+    *src = seeded;
+    let refs: Vec<(&Path, &str)> = files
+        .iter()
+        .map(|(p, s)| (p.as_path(), s.as_str()))
+        .collect();
+    lint_sources(&refs, RuleSet::all())
+}
+
+#[test]
+fn rule_a_flags_the_one_worker_accessor_losing_inline_never() {
+    // Both backends find their worker through `sched::current`, called
+    // with a turbofish from the generic suspending functions.
+    let findings = real_tree_seeded("sched.rs", |src| {
+        src.replace(
+            "#[inline(never)]\npub(crate) fn current<",
+            "pub(crate) fn current<",
+        )
+    });
+    let hit = findings
+        .iter()
+        .find(|f| f.rule == Rule::TlsHelperInlinable && f.message.contains("`current`"))
+        .unwrap_or_else(|| panic!("missing tls-helper-inlinable for current(): {findings:#?}"));
+    for caller in ["spawn_on", "join_all", "run_ctx", "run_fresh"] {
+        assert!(hit.message.contains(caller), "{caller}: {hit}");
+    }
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+}
+
+#[test]
+fn rule_a_flags_a_generic_crossing_function_reading_the_tls() {
+    let findings = real_tree_seeded("sched.rs", |src| {
+        format!(
+            "{src}\nfn park_cached<P: Place>(slot: *mut *mut Context, to: *mut Context) {{\n    \
+             let w = CURRENT.with(Cell::get);\n    \
+             // SAFETY: [I9] seeded.\n    unsafe {{ switch_to(slot, to) }};\n    \
+             let _ = w;\n}}\n"
+        )
+    });
+    assert!(
+        findings.len() == 1
+            && findings[0].rule == Rule::TlsInCrossingFn
+            && findings[0].message.contains("`park_cached`")
+            && findings[0].message.contains("(calls switch_to)"),
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn rule_d_scans_the_generic_worker_loop_from_the_bootstrap() {
+    // `mp_bootstrap` enters the loop both backends run: the loop is in
+    // the fork window, and an allocation seeded into it is flagged.
+    let findings = real_tree_seeded("sched.rs", |src| {
+        src.replace(
+            "    let mut idle = Idle::default();\n",
+            "    let mut idle = Idle::default();\n    let _seed: Vec<u8> = Vec::new();\n",
+        )
+    });
+    assert!(
+        findings.len() == 1
+            && findings[0].rule == Rule::ForkSafety
+            && findings[0]
+                .message
+                .contains("`worker_loop` is called from `mp_bootstrap`"),
+        "{findings:#?}"
     );
 }
 
