@@ -196,7 +196,6 @@ fn multiprocess_section(quick: bool) -> Json {
 
 /// Best-of rates and the robust overhead estimate of an instrumented
 /// configuration over its baseline.
-#[cfg(any(feature = "trace", feature = "metrics"))]
 struct Paired {
     base_best: f64,
     with_best: f64,
@@ -214,7 +213,6 @@ struct Paired {
 /// loud-window rejection). Comparing global best-of rates instead
 /// proved bimodal: whichever configuration caught the one quiet window
 /// "won" by several percent.
-#[cfg(any(feature = "trace", feature = "metrics"))]
 fn paired_overhead(
     reps: usize,
     mut base: impl FnMut() -> f64,
@@ -306,7 +304,6 @@ fn hook_overhead_entry(_quick: bool) -> (Json, Option<String>) {
 /// 5% tasks/sec. The sim side is recorded but ungated — the
 /// simulator's single-threaded event loop is ~2x noisier than its
 /// metrics cost.
-#[cfg(feature = "metrics")]
 fn metrics_overhead_entry(quick: bool) -> (Json, Option<String>) {
     let reps = if quick { 3 } else { 5 };
     let rate = |n: u64, wall_s: f64| n as f64 / wall_s;
@@ -378,11 +375,6 @@ fn metrics_overhead_entry(quick: bool) -> (Json, Option<String>) {
         ("sim_overhead_pct", Json::Num(sim_pct)),
     ]);
     (entry, fail)
-}
-
-#[cfg(not(feature = "metrics"))]
-fn metrics_overhead_entry(_quick: bool) -> (Json, Option<String>) {
-    (Json::Null, None)
 }
 
 /// The native-backend section of the engine artifact: the same `Action`

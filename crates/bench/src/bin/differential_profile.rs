@@ -121,7 +121,6 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 #[cfg(feature = "trace")]
 fn real_main() {
     let flags = OutFlags::parse();
-    uat_bench::require_metrics_feature(&flags);
     let backend_given = flags
         .rest
         .iter()
@@ -177,24 +176,12 @@ where
             cfg.core.iso_stacks_per_worker = 512;
             cfg.max_events = 100_000_000;
             let engine = uat_cluster::Engine::new(cfg, w);
-            #[cfg(feature = "metrics")]
-            {
-                if uat_bench::wants_metrics(flags) {
-                    let registry =
-                        std::sync::Arc::new(uat_metrics::Registry::new(a.workers as usize));
-                    let stats = engine.with_metrics(&registry).run();
-                    assert_eq!(stats.total_tasks, p.tasks, "sim dropped tasks: {name}");
-                    println!(
-                        "sim: makespan {} cycles  tasks={} steals={}",
-                        stats.makespan.get(),
-                        stats.total_tasks,
-                        stats.steals_completed
-                    );
-                    uat_bench::emit_metrics(flags, &[("sim", registry.snapshot())]);
-                    return;
-                }
-            }
-            let stats = engine.run();
+            let registry = uat_bench::wants_metrics(flags)
+                .then(|| std::sync::Arc::new(uat_metrics::Registry::new(a.workers as usize)));
+            let stats = match &registry {
+                Some(r) => engine.with_metrics(r).run(),
+                None => engine.run(),
+            };
             assert_eq!(stats.total_tasks, p.tasks, "sim dropped tasks: {name}");
             println!(
                 "sim: makespan {} cycles  tasks={} steals={}",
@@ -202,21 +189,21 @@ where
                 stats.total_tasks,
                 stats.steals_completed
             );
+            if let Some(r) = &registry {
+                uat_bench::emit_metrics(flags, &[("sim", r.snapshot())]);
+            }
         }
         Backend::Native => {
-            #[cfg(feature = "metrics")]
-            {
-                if uat_bench::wants_metrics(flags) {
-                    let p = uat_model::sequential_profile(&w);
-                    let (stats, snap) = uat_fiber::NativeRunner::new(a.workers as usize)
-                        .with_work_divisor(a.divisor)
-                        .run_metered(w);
-                    assert_eq!(stats.total_tasks, p.tasks, "native dropped tasks: {name}");
-                    assert_eq!(stats.join_fingerprint, p.join_fingerprint, "{name}");
-                    println!("{}", stats.summary_line());
-                    uat_bench::emit_metrics(flags, &[("native", snap)]);
-                    return;
-                }
+            if uat_bench::wants_metrics(flags) {
+                let p = uat_model::sequential_profile(&w);
+                let (stats, snap) = uat_fiber::NativeRunner::new(a.workers as usize)
+                    .with_work_divisor(a.divisor)
+                    .run_metered(w);
+                assert_eq!(stats.total_tasks, p.tasks, "native dropped tasks: {name}");
+                assert_eq!(stats.join_fingerprint, p.join_fingerprint, "{name}");
+                println!("{}", stats.summary_line());
+                uat_bench::emit_metrics(flags, &[("native", snap)]);
+                return;
             }
             uat_bench::run_real_backend(backend, a.workers as usize, a.divisor, w);
         }
@@ -247,7 +234,6 @@ where
                 stats.workers,
                 stats.steals
             );
-            #[cfg(feature = "metrics")]
             if uat_bench::wants_metrics(flags) {
                 // The snapshot below was assembled from the shared
                 // segment the parent read through its fabric windows.
@@ -336,7 +322,6 @@ where
 
     // One registry per backend: the metric names are shared, so merging
     // them into one registry would conflate the two clock domains.
-    #[cfg(feature = "metrics")]
     let (sim_reg, nat_reg) = {
         let mk = || std::sync::Arc::new(uat_metrics::Registry::new(a.workers as usize));
         match uat_bench::wants_metrics(flags) {
@@ -351,7 +336,6 @@ where
     cfg.core.iso_stacks_per_worker = 512;
     cfg.max_events = 100_000_000;
     let sim_engine = uat_cluster::Engine::new(cfg, w.clone());
-    #[cfg(feature = "metrics")]
     let sim_engine = match &sim_reg {
         Some(r) => sim_engine.with_metrics(r),
         None => sim_engine,
@@ -371,7 +355,6 @@ where
     let runner = uat_fiber::NativeRunner::new(a.workers as usize)
         .with_work_divisor(a.divisor)
         .with_tracing(native_ring);
-    #[cfg(feature = "metrics")]
     let runner = match &nat_reg {
         Some(r) => runner.with_metrics(std::sync::Arc::clone(r)),
         None => runner,
@@ -561,7 +544,6 @@ where
             "native Chrome trace",
         );
     }
-    #[cfg(feature = "metrics")]
     if let (Some(s), Some(n)) = (&sim_reg, &nat_reg) {
         uat_bench::emit_metrics(flags, &[("sim", s.snapshot()), ("native", n.snapshot())]);
     }

@@ -14,10 +14,7 @@
 
 use uat_base::json::ToJson;
 use uat_base::{CostModel, Cycles, Topology};
-use uat_bench::{
-    deviation, kcycles, paper, require_metrics_feature, require_trace_feature, write_output,
-    OutFlags,
-};
+use uat_bench::{deviation, kcycles, paper, require_trace_feature, write_output, OutFlags};
 use uat_cluster::{Engine, SimConfig};
 use uat_core::StealPhase;
 use uat_workloads::Chain;
@@ -25,7 +22,6 @@ use uat_workloads::Chain;
 fn main() {
     let flags = OutFlags::parse();
     require_trace_feature(&flags);
-    require_metrics_feature(&flags);
     let (backend, _rest) = match uat_bench::backend_flag(&flags.rest) {
         Ok(x) => x,
         Err(e) => {
@@ -53,12 +49,10 @@ fn main() {
     cfg.topo = Topology::new(2, 1);
     cfg.core.verify_stack_bytes = true;
     let links = 2_000;
-    #[cfg(feature = "metrics")]
     let registry = uat_bench::wants_metrics(&flags).then(|| {
         std::sync::Arc::new(uat_metrics::Registry::new(cfg.topo.total_workers() as usize))
     });
     let engine = Engine::new(cfg, Chain::fig10(links));
-    #[cfg(feature = "metrics")]
     let engine = match &registry {
         Some(r) => engine.with_metrics(r),
         None => engine,
@@ -176,7 +170,6 @@ fn main() {
     if let Some(path) = &flags.json {
         write_output(path, &uat_trace::jsonl([stats.to_json()]), "JSONL results");
     }
-    #[cfg(feature = "metrics")]
     if let Some(r) = &registry {
         uat_bench::emit_metrics(&flags, &[("sim", r.snapshot())]);
     }

@@ -65,7 +65,6 @@ fn run_pair<W: Workload + Send, F: Fn(u32) -> W + Sync>(
 
 /// One metered run of the sweep's smallest machine; its final registry
 /// snapshot is what `--metrics`/`--metrics-json` export.
-#[cfg(feature = "metrics")]
 fn metered_run<W: Workload>(flags: &OutFlags, nodes: u32, w: W) {
     let cfg = compact_config(nodes);
     let registry =
@@ -117,7 +116,6 @@ fn real_sweep(backend: uat_bench::Backend, which: &str) {
 fn main() {
     let flags = OutFlags::parse();
     require_trace_feature(&flags);
-    uat_bench::require_metrics_feature(&flags);
     let (backend, rest) = match uat_bench::backend_flag(&flags.rest) {
         Ok(x) => x,
         Err(e) => {
@@ -206,7 +204,6 @@ fn main() {
             _ => write_trace(path, nodes[0], Btc::new(btc1.0, 1)),
         }
     }
-    #[cfg(feature = "metrics")]
     if uat_bench::wants_metrics(&flags) {
         match which.as_str() {
             "btc2" => metered_run(&flags, nodes[0], Btc::new(btc2.0, 2)),

@@ -51,7 +51,6 @@ fn run<W: Workload>(
 fn main() {
     let flags = OutFlags::parse();
     require_trace_feature(&flags);
-    uat_bench::require_metrics_feature(&flags);
     let nodes: u32 = flags
         .rest
         .first()
@@ -86,14 +85,12 @@ fn main() {
     // thread count.
     let captured: Mutex<Option<TraceData>> = Mutex::new(None);
     let capture = flags.trace.is_some().then_some(&captured);
-    #[cfg(feature = "metrics")]
     let registry = uat_bench::wants_metrics(&flags).then(|| {
         std::sync::Arc::new(uat_metrics::Registry::new(cfg.topo.total_workers() as usize))
     });
     let results = run_indexed(4, sweep_threads(), |i| match i {
         0 => {
             let engine = Engine::new(cfg.clone(), Btc::new(22, 1));
-            #[cfg(feature = "metrics")]
             let engine = match &registry {
                 Some(r) => engine.with_metrics(r),
                 None => engine,
@@ -209,7 +206,6 @@ fn main() {
     if let (Some(path), Some(trace)) = (&flags.trace, &captured) {
         write_output(path, &uat_trace::chrome_trace_json(trace), "Chrome trace");
     }
-    #[cfg(feature = "metrics")]
     if let Some(r) = &registry {
         uat_bench::emit_metrics(&flags, &[("sim", r.snapshot())]);
     }

@@ -114,24 +114,11 @@ pub fn wants_metrics(flags: &OutFlags) -> bool {
     flags.metrics || flags.metrics_json.is_some()
 }
 
-/// Exit with a clear error if `--metrics`/`--metrics-json` was
-/// requested but the binary was built without the `metrics` feature.
-pub fn require_metrics_feature(flags: &OutFlags) {
-    if cfg!(not(feature = "metrics")) && wants_metrics(flags) {
-        eprintln!(
-            "error: --metrics/--metrics-json require the `metrics` feature; \
-             rebuild without `--no-default-features`"
-        );
-        std::process::exit(2);
-    }
-}
-
 /// Emit the end-of-run registry snapshots that `--metrics` /
 /// `--metrics-json` asked for: Prometheus text to stderr (one comment
 /// header per backend, so sim and native snapshots stay tellable
 /// apart) and, to the given path, one JSON object keyed by backend
 /// name.
-#[cfg(feature = "metrics")]
 pub fn emit_metrics(flags: &OutFlags, snapshots: &[(&str, uat_metrics::Snapshot)]) {
     use uat_base::json::{Json, ToJson};
     if flags.metrics {

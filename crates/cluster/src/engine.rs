@@ -223,7 +223,6 @@ impl<W: Workload> Engine<W> {
     /// same metric names ([`uat_metrics::names`]) the native runtime
     /// exports. The registry must be built for at least this machine's
     /// worker count; snapshot it after [`run`](Engine::run).
-    #[cfg(feature = "metrics")]
     pub fn with_metrics(mut self, registry: &std::sync::Arc<uat_metrics::Registry>) -> Self {
         self.metrics =
             crate::smetrics::SimMetrics::attach(registry, self.cfg.topo.total_workers() as usize);

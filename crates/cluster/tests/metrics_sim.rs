@@ -5,7 +5,7 @@
 //! resolution — the acceptance bar for the sim side of the live-metrics
 //! layer, checked at the paper's 64-worker UTS point.
 
-#![cfg(all(feature = "metrics", feature = "trace"))]
+#![cfg(feature = "trace")]
 
 use std::sync::Arc;
 use uat_base::Topology;

@@ -390,7 +390,6 @@ impl NativeRunner {
     /// shards) with the timed metrics tier on; snapshot it afterwards.
     /// Composes with any run method, [`run_traced`](Self::run_traced)
     /// included.
-    #[cfg(feature = "metrics")]
     pub fn with_metrics(mut self, registry: Arc<uat_metrics::Registry>) -> Self {
         self.rt = self.rt.with_metrics(registry);
         self
@@ -398,7 +397,6 @@ impl NativeRunner {
 
     /// Start a deque-depth sampler thread on every run, ticking each
     /// `interval`. Implies the timed metrics tier.
-    #[cfg(feature = "metrics")]
     pub fn with_sampler(mut self, interval: std::time::Duration) -> Self {
         self.rt = self.rt.with_sampler(interval);
         self
@@ -406,7 +404,6 @@ impl NativeRunner {
 
     /// Arm the heartbeat stall watchdog on every run (implies a sampler
     /// at the default interval unless one is configured).
-    #[cfg(feature = "metrics")]
     pub fn with_watchdog(mut self, cfg: crate::nmetrics::WatchdogCfg) -> Self {
         self.rt = self.rt.with_watchdog(cfg);
         self
@@ -442,7 +439,6 @@ impl NativeRunner {
     /// additionally returning the run's metrics snapshot (sharded
     /// scheduler counters plus steal-latency / task-run /
     /// park-duration histograms).
-    #[cfg(feature = "metrics")]
     pub fn run_metered<W>(&self, w: W) -> (NativeRunStats, uat_metrics::Snapshot)
     where
         W: Workload + Send + Sync + 'static,

@@ -40,8 +40,7 @@
 //! - [`nmetrics`]: online metrics and runtime health — sharded
 //!   scheduler counters, HDR tail-latency histograms, per-worker
 //!   flight-recorder rings, a deque-depth sampler thread, and the
-//!   heartbeat stall watchdog (stubs when the `metrics` feature is
-//!   off).
+//!   heartbeat stall watchdog.
 //! - `join`: the join protocol both real backends share — a per-joiner
 //!   count of the children whose spawn was stolen plus one waiter slot,
 //!   arbitrated on a single word.
@@ -95,7 +94,6 @@ pub use ipc::{
     probe_fixed_noreplace, probe_process_vm_readv, steal_between_processes, steal_with_retries,
 };
 pub use mpruntime::{set_bootstrap_alloc_probe, MpReport, MultiProcessRunner};
-#[cfg(feature = "metrics")]
 pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};
 #[cfg(feature = "trace")]
 pub use ntrace::{NativeTrace, DEFAULT_RING_CAPACITY};

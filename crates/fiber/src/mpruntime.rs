@@ -23,10 +23,12 @@
 //!   **program area** just above, and its parent's **join block**, so
 //!   no private-heap pointer is ever reachable from a migratable stack
 //!   (invariant [I16]);
-//! - the **metrics segment** ([`uat_metrics::shm`] layout), per-worker
-//!   counter cells the parent reads back through
-//!   [`uat_rdma::OneSidedFabric`] windows — per-worker metrics export
-//!   with no RPC — whose rows also hold each worker's termination cells;
+//! - the **metrics segment**, per-worker counter cells the parent reads
+//!   back through [`uat_rdma::OneSidedFabric`] windows — per-worker
+//!   metrics export with no RPC. [`uat_metrics::shm`] owns its layout
+//!   (row stride, which counter sits in which cell); a row's one cell
+//!   past the named ones counts spawns, so with `shm::TASKS` the row
+//!   also holds the worker's termination cells;
 //! - the **stats bank** (one single-writer accounting row per worker)
 //!   and the **slot pool** (a locked LIFO of free stack slots behind
 //!   one small cache per worker, which only its owner touches but for
@@ -96,6 +98,7 @@ use std::sync::Mutex;
 use uat_base::WorkerId;
 use uat_deque::native::Placed;
 use uat_deque::ShmDeque;
+use uat_metrics::shm::{self, SegmentLayout, ROW_STRIDE};
 use uat_model::{Action, Workload};
 use uat_rdma::{OneSidedFabric, ShmFabric};
 
@@ -124,19 +127,11 @@ pub const MAX_WORKERS: usize = 64;
 /// actually uses is `2 * RegionLayout::slot_batch`, at most this.
 const SLOT_CACHE_MAX: usize = 64;
 
-// Per-worker cells of the exported metrics segment. Indices MUST match
-// `uat_metrics::shm::SEGMENT_COUNTERS` order (asserted by a test below)
-// so the parent-side snapshot names each cell correctly.
-const MC_HEARTBEATS: usize = 0;
-const MC_STEALS_COMPLETED: usize = 1;
-const MC_STEALS_FAILED: usize = 2;
-const MC_PARKS: usize = 3;
-const MC_UNPARKS: usize = 4;
-const MC_TASKS: usize = 5;
-const MC_STRIDE: usize = 8;
-// Unnamed in the exported segment: spawns made by the worker — with
-// `MC_TASKS` (completions), its termination cells.
+/// The metrics-segment cell, unnamed in the export, counting spawns made
+/// by the worker — with `shm::TASKS` (completions), its termination
+/// cells.
 const MC_SPAWNED: usize = 6;
+const _: () = assert!(MC_SPAWNED >= shm::SEGMENT_COUNTERS.len() && MC_SPAWNED < ROW_STRIDE);
 
 /// How long the coordinator sleeps on `Ctrl::shutdown_flag` between
 /// looks for a worker that died without raising it.
@@ -219,7 +214,7 @@ impl RegionLayout {
         assert!((1..=MAX_WORKERS).contains(&workers));
         assert!(slots > workers, "need at least one slot per worker");
         let metrics_off = PAGE;
-        let stats_off = metrics_off + round_page(workers * MC_STRIDE * 8);
+        let stats_off = metrics_off + round_page(SegmentLayout::new(workers).bytes());
         let pool_off = stats_off + round_page(workers * std::mem::size_of::<AcctRow>());
         let pool_bytes = SlotStack::block_size(slots) + workers * SlotStack::CACHE_BLOCK;
         let deques_off = pool_off + round_page(pool_bytes);
@@ -242,8 +237,8 @@ impl RegionLayout {
     }
 
     fn metrics_cell_addr(&self, w: usize, c: usize) -> usize {
-        debug_assert!(w < self.workers && c < MC_STRIDE);
-        MP_BASE + self.metrics_off + (w * MC_STRIDE + c) * 8
+        debug_assert!(w < self.workers && c < ROW_STRIDE);
+        MP_BASE + self.metrics_off + (w * ROW_STRIDE + c) * 8
     }
 
     /// Worker `w`'s metrics-segment cell `c`, a process-shared atomic
@@ -361,7 +356,7 @@ impl Place for Mp {
     #[inline]
     fn progress(&self, w: usize) -> (&AtomicU64, &AtomicU64) {
         let at = |c| self.layout.metrics_cell(w, c);
-        (at(MC_SPAWNED), at(MC_TASKS))
+        (at(MC_SPAWNED), at(shm::TASKS))
     }
 
     fn shutdown(&self) -> &AtomicU32 {
@@ -397,11 +392,11 @@ impl Place for Mp {
     #[inline]
     fn record(&mut self, e: Event<'_>) {
         let c = match e {
-            Event::Loop => MC_HEARTBEATS,
-            Event::Steal(_, Some(_), _) => MC_STEALS_COMPLETED,
-            Event::Steal(..) => MC_STEALS_FAILED,
-            Event::Park => MC_PARKS,
-            Event::Unpark => MC_UNPARKS,
+            Event::Loop => shm::HEARTBEATS,
+            Event::Steal(_, Some(_), _) => shm::STEALS_COMPLETED,
+            Event::Steal(..) => shm::STEALS_FAILED,
+            Event::Park => shm::PARKS,
+            Event::Unpark => shm::UNPARKS,
             _ => return,
         };
         bump(self.layout.metrics_cell(self.me, c), 1, Ordering::Relaxed);
@@ -750,12 +745,10 @@ pub struct MpReport {
     pub metric_words: Vec<u64>,
 }
 
-#[cfg(feature = "metrics")]
 impl MpReport {
     /// The run's metrics as an ordinary registry snapshot.
     pub fn metrics_snapshot(&self) -> uat_metrics::Snapshot {
-        uat_metrics::shm::SegmentLayout::new(self.stats.workers as usize)
-            .snapshot(&self.metric_words)
+        SegmentLayout::new(self.stats.workers as usize).snapshot(&self.metric_words)
     }
 }
 
@@ -841,7 +834,6 @@ impl MultiProcessRunner {
 
     /// Like [`run`](Self::run), additionally returning the run's
     /// metrics snapshot assembled from the shared segment.
-    #[cfg(feature = "metrics")]
     pub fn run_metered<W>(&self, w: W) -> (NativeRunStats, uat_metrics::Snapshot)
     where
         W: Workload,
@@ -862,9 +854,8 @@ impl MultiProcessRunner {
     {
         // One multiprocess run at a time per OS process (fixed-address
         // region). A poisoned lock just means another test's run
-        // panicked; the region was unmapped on that panic path is NOT
-        // guaranteed, but the mapping attempt below will fail loudly
-        // rather than corrupt anything (NOREPLACE).
+        // panicked, and its region was unmapped on the way out (the
+        // `_region` guard below).
         let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let layout = RegionLayout::new(self.workers, self.slots, self.stack_size);
         // Dropped (unmapped) on the way out of a panicking run too — a
@@ -975,10 +966,10 @@ impl MultiProcessRunner {
         // READs the cells through the fabric — per-worker metrics with
         // no RPC and no pipes.
         let (mut fabric, parent) = (ShmFabric::new(), WorkerId(layout.workers as u32));
-        let mut metric_words = Vec::with_capacity(layout.workers * MC_STRIDE);
+        let mut metric_words = Vec::with_capacity(layout.workers * ROW_STRIDE);
         for wk in 0..layout.workers {
             let (row, id) = (layout.metrics_cell_addr(wk, 0) as u64, WorkerId(wk as u32));
-            let mut buf = [0u8; MC_STRIDE * 8];
+            let mut buf = [0u8; SegmentLayout::row_bytes()];
             // SAFETY: [I13] the row is inside the live mapping, shared
             // with worker `wk` at this same address; the workers have
             // exited, so no location is concurrently written.
@@ -990,7 +981,7 @@ impl MultiProcessRunner {
         }
         let msum = |c: usize| -> u64 {
             (0..layout.workers)
-                .map(|wk| metric_words[wk * MC_STRIDE + c])
+                .map(|wk| metric_words[wk * ROW_STRIDE + c])
                 .sum()
         };
         let probed = |cells: &[AtomicU64]| -> Vec<u64> {
@@ -1006,9 +997,9 @@ impl MultiProcessRunner {
             NativeRunStats {
                 workload,
                 workers: layout.workers as u32,
-                steals: msum(MC_STEALS_COMPLETED),
-                parks: msum(MC_PARKS),
-                unparks: msum(MC_UNPARKS),
+                steals: msum(shm::STEALS_COMPLETED),
+                parks: msum(shm::PARKS),
+                unparks: msum(shm::UNPARKS),
                 wall,
                 ..NativeRunStats::default()
             },
@@ -1016,7 +1007,7 @@ impl MultiProcessRunner {
         // What the termination scan summed must be what ran: every
         // task started exactly once, completed exactly once, and every
         // one but the root was spawned.
-        assert_eq!(msum(MC_TASKS), stats.total_tasks, "completed != started");
+        assert_eq!(msum(shm::TASKS), stats.total_tasks, "completed != started");
         assert_eq!(
             msum(MC_SPAWNED) + 1,
             stats.total_tasks,
@@ -1163,27 +1154,6 @@ mod tests {
                 eprintln!("skipping multiprocess test: {e}");
                 false
             }
-        }
-    }
-
-    /// The metrics-cell indices hard-coded here must match the shared
-    /// segment layout the exporter names cells by.
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn metrics_cell_indices_match_segment_layout() {
-        use uat_metrics::{names, shm};
-        assert_eq!(MC_STRIDE, shm::ROW_STRIDE);
-        let expect = [
-            (MC_HEARTBEATS, names::HEARTBEATS),
-            (MC_STEALS_COMPLETED, names::STEALS_COMPLETED),
-            (MC_STEALS_FAILED, names::STEALS_FAILED),
-            (MC_PARKS, names::PARKS),
-            (MC_UNPARKS, names::UNPARKS),
-            (MC_TASKS, names::TASKS),
-        ];
-        assert_eq!(shm::SEGMENT_COUNTERS.len(), expect.len());
-        for (idx, name) in expect {
-            assert_eq!(shm::SEGMENT_COUNTERS[idx].0, name, "cell {idx}");
         }
     }
 
@@ -1651,21 +1621,18 @@ mod tests {
             work: 100,
             frame: 128,
         };
-        let report = runner(2).try_run(w).unwrap();
-        assert_eq!(report.bootstrap_allocs.len(), 2);
-        assert!(report.bootstrap_allocs.iter().all(|&a| a == 0));
-        // No probe installed: nothing observed over the worker loops.
-        assert_eq!(report.run_allocs, vec![0, 0]);
-        // Tasks exported through the fabric-read segment agree with the
-        // stats bank.
-        let tasks: u64 = (0..2)
-            .map(|wk| report.metric_words[wk * MC_STRIDE + MC_TASKS])
-            .sum();
-        assert_eq!(tasks, report.stats.total_tasks);
-        #[cfg(feature = "metrics")]
-        {
+        for workers in [1, 2, 4] {
+            let report = runner(workers).try_run(w.clone()).unwrap();
+            assert_eq!(report.bootstrap_allocs, vec![0; workers]);
+            // No probe installed: nothing observed over the worker loops.
+            assert_eq!(report.run_allocs, vec![0; workers]);
+            // Tasks exported through the fabric-read segment agree with
+            // the stats bank.
             let snap = report.metrics_snapshot();
-            assert_eq!(snap.total(uat_metrics::names::TASKS), tasks);
+            assert_eq!(
+                snap.total(uat_metrics::names::TASKS),
+                report.stats.total_tasks
+            );
         }
     }
 }

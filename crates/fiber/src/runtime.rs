@@ -103,8 +103,7 @@ struct Shared {
     progress: Box<[Progress]>,
     /// Run-wide metrics state: sharded scheduler counters (steals,
     /// parks, heartbeats, …), tail-latency histograms, and the flight
-    /// rings. With the `metrics` feature off this degrades to the three
-    /// plain atomics the run's stats need.
+    /// rings.
     metrics: Arc<MetricsShared>,
     /// The root's task record, started (once) by worker 0; from then on
     /// only an address.
@@ -316,19 +315,14 @@ pub struct Runtime {
     /// Per-worker event-ring capacity when tracing; `None` = untraced.
     trace_rings: Option<usize>,
     /// Caller-supplied registry to record into; `None` = per-run owned.
-    #[cfg(feature = "metrics")]
     registry: Option<Arc<uat_metrics::Registry>>,
     /// Whether the timed metrics tier (histograms, flight rings) is on.
-    #[cfg(feature = "metrics")]
     metered: bool,
     /// Sampler tick; `None` with a watchdog set falls back to the
     /// default interval.
-    #[cfg(feature = "metrics")]
     sampler: Option<std::time::Duration>,
-    #[cfg(feature = "metrics")]
     watchdog: Option<crate::nmetrics::WatchdogCfg>,
     /// Watchdog-test sabotage: this worker never heartbeats.
-    #[cfg(feature = "metrics")]
     sabotage: Option<usize>,
 }
 
@@ -341,15 +335,10 @@ impl Runtime {
             stack_size: 128 << 10,
             root_frame: 0,
             trace_rings: None,
-            #[cfg(feature = "metrics")]
             registry: None,
-            #[cfg(feature = "metrics")]
             metered: false,
-            #[cfg(feature = "metrics")]
             sampler: None,
-            #[cfg(feature = "metrics")]
             watchdog: None,
-            #[cfg(feature = "metrics")]
             sabotage: None,
         }
     }
@@ -379,7 +368,6 @@ impl Runtime {
     /// runtime's worker count) and turn on the timed metrics tier:
     /// steal-latency / task-run / park-duration histograms and the
     /// per-worker flight rings. Snapshot the registry after the run.
-    #[cfg(feature = "metrics")]
     pub fn with_metrics(mut self, registry: Arc<uat_metrics::Registry>) -> Self {
         self.registry = Some(registry);
         self.metered = true;
@@ -389,7 +377,6 @@ impl Runtime {
     /// Start a sampler thread on subsequent runs: every `interval` it
     /// samples each worker's deque depth into the registry (and drives
     /// the watchdog, if one is configured). Implies the timed tier.
-    #[cfg(feature = "metrics")]
     pub fn with_sampler(mut self, interval: std::time::Duration) -> Self {
         self.sampler = Some(interval);
         self.metered = true;
@@ -402,7 +389,6 @@ impl Runtime {
     /// worker's flight ring and apply `cfg.action` (abort by default).
     /// Implies a sampler (at the default interval unless
     /// [`with_sampler`](Self::with_sampler) set one) and the timed tier.
-    #[cfg(feature = "metrics")]
     pub fn with_watchdog(mut self, cfg: crate::nmetrics::WatchdogCfg) -> Self {
         self.watchdog = Some(cfg);
         self.metered = true;
@@ -413,7 +399,6 @@ impl Runtime {
     /// heartbeating) so watchdog tests can exercise a stall on demand.
     /// Worker 0 seeds the root task and must stay live.
     #[doc(hidden)]
-    #[cfg(feature = "metrics")]
     pub fn with_stalled_worker(mut self, id: usize) -> Self {
         assert!(id != 0, "worker 0 seeds the root task; cannot stall it");
         assert!(id < self.nworkers);
@@ -466,7 +451,6 @@ impl Runtime {
     /// Like [`run_counted`](Self::run_counted) with the timed metrics
     /// tier forced on (into the configured registry, or a fresh one),
     /// additionally returning the run's metrics snapshot.
-    #[cfg(feature = "metrics")]
     pub fn run_metered<T, F>(&self, root: F) -> (T, NativeRunStats, uat_metrics::Snapshot)
     where
         T: Send + 'static,
@@ -490,15 +474,12 @@ impl Runtime {
         let trace = self
             .trace_rings
             .map(|cap| TraceShared::new(self.nworkers, cap));
-        #[cfg(feature = "metrics")]
         let metrics = Arc::new(MetricsShared::new(
             self.nworkers,
             self.registry.clone(),
             self.metered,
             self.sabotage,
         ));
-        #[cfg(not(feature = "metrics"))]
-        let metrics = Arc::new(MetricsShared::new());
         // The root is an ordinary task record on an ordinary stack, with
         // no continuation to publish; it reports to a cell this frame
         // keeps a handle on, like a public `spawn` whose spawner was
@@ -562,7 +543,6 @@ impl Runtime {
         // flag is the run's shutdown word: workers stop heartbeating
         // once they see it, and the watchdog must never mistake an
         // orderly exit for a stall.
-        #[cfg(feature = "metrics")]
         let sampler = (self.sampler.is_some() || self.watchdog.is_some()).then(|| {
             let shared = Arc::clone(&shared);
             let interval = self
@@ -592,13 +572,12 @@ impl Runtime {
         }
         let wall = t0.elapsed();
         debug_assert!(cell.block.is_done());
-        #[cfg(feature = "metrics")]
         if let Some(handle) = sampler {
             handle.join().expect("sampler thread");
         }
         // Every worker has deposited its ring; surface the drop counts
         // in the registry alongside the scheduler counters.
-        #[cfg(all(feature = "trace", feature = "metrics"))]
+        #[cfg(feature = "trace")]
         if let Some(t) = shared.trace.as_ref() {
             for (i, dropped) in t.dropped_per_worker().into_iter().enumerate() {
                 if dropped > 0 {

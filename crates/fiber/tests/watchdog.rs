@@ -10,8 +10,6 @@
 //! epoch — exactly the signature of the `fib_across_worker_counts`
 //! segfault precursor the watchdog exists to catch.
 
-#![cfg(feature = "metrics")]
-
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use uat_fiber::runtime::{spawn, Runtime};

@@ -21,33 +21,48 @@
 use crate::names;
 use crate::registry::{MetricSnapshot, Snapshot, ValueSnapshot};
 
-/// The per-worker counters the multiprocess runtime publishes, in cell
-/// order. Index in this table == cell index within a worker's row
-/// (asserted against the runtime's hard-coded indices by a `uat-fiber`
-/// test, so the two cannot drift apart silently).
-pub const SEGMENT_COUNTERS: &[(&str, &str)] = &[
-    (
+/// Cell of [`names::HEARTBEATS`] within a worker's row.
+pub const HEARTBEATS: usize = 0;
+/// Cell of [`names::STEALS_COMPLETED`] within a worker's row.
+pub const STEALS_COMPLETED: usize = 1;
+/// Cell of [`names::STEALS_FAILED`] within a worker's row.
+pub const STEALS_FAILED: usize = 2;
+/// Cell of [`names::PARKS`] within a worker's row.
+pub const PARKS: usize = 3;
+/// Cell of [`names::UNPARKS`] within a worker's row.
+pub const UNPARKS: usize = 4;
+/// Cell of [`names::TASKS`] within a worker's row, the last named one;
+/// cells past it, up to [`ROW_STRIDE`], are the runtime's own.
+pub const TASKS: usize = 5;
+
+/// The per-worker counters the multiprocess runtime publishes, indexed
+/// by cell: the runtime bumps the cells above and the exporter names
+/// them from this table, so the two cannot disagree.
+pub const SEGMENT_COUNTERS: [(&str, &str); TASKS + 1] = {
+    let mut t = [("", ""); TASKS + 1];
+    t[HEARTBEATS] = (
         names::HEARTBEATS,
         "Scheduler loop iterations per worker (heartbeat epochs)",
-    ),
-    (
+    );
+    t[STEALS_COMPLETED] = (
         names::STEALS_COMPLETED,
         "Steal attempts that took an entry and resumed the stolen thread",
-    ),
-    (
+    );
+    t[STEALS_FAILED] = (
         names::STEALS_FAILED,
         "Steal attempts that aborted (victim empty, lock busy, or raced)",
-    ),
-    (
+    );
+    t[PARKS] = (
         names::PARKS,
         "Workers that crossed the idle spin threshold into a sleep cycle",
-    ),
-    (
+    );
+    t[UNPARKS] = (
         names::UNPARKS,
         "Parked workers that subsequently found work",
-    ),
-    (names::TASKS, "Tasks run to completion"),
-];
+    );
+    t[TASKS] = (names::TASKS, "Tasks run to completion");
+    t
+};
 
 /// Cells per worker row, padded so each worker's row is its own
 /// 64-byte cache line (single-writer rows must not false-share).
@@ -154,9 +169,9 @@ mod tests {
         let l = SegmentLayout::new(2);
         let mut words = vec![0u64; l.words()];
         // worker 0: 7 tasks; worker 1: 5 tasks, 2 steals.
-        words[l.cell(0, 5)] = 7;
-        words[l.cell(1, 5)] = 5;
-        words[l.cell(1, 1)] = 2;
+        words[l.cell(0, TASKS)] = 7;
+        words[l.cell(1, TASKS)] = 5;
+        words[l.cell(1, STEALS_COMPLETED)] = 2;
         let snap = l.snapshot(&words);
         assert_eq!(snap.total(names::TASKS), 12);
         assert_eq!(snap.per_worker(names::TASKS).unwrap(), &[7, 5]);

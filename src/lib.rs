@@ -24,7 +24,7 @@
 //!   runtime built on the paper's Appendix A context-switching assembly,
 //!   with real multi-worker work stealing and an interpreter
 //!   (`fiber::interp`) that runs any [`model`] workload on real fibers.
-//! - [`metrics`] (`uat-metrics`, feature `metrics`) — the live-metrics
+//! - [`metrics`] (`uat-metrics`) — the live-metrics
 //!   layer: per-worker sharded counters, log-bucketed latency
 //!   histograms, and Prometheus-text/JSON exporters that both backends
 //!   stream into while running.
@@ -67,7 +67,6 @@ pub use uat_cluster as cluster;
 pub use uat_core as core;
 pub use uat_deque as deque;
 pub use uat_fiber as fiber;
-#[cfg(feature = "metrics")]
 pub use uat_metrics as metrics;
 pub use uat_model as model;
 pub use uat_rdma as rdma;
