@@ -9,8 +9,9 @@
 //! the one worker body they share (`uat_fiber`'s `sched.rs`): every
 //! `spawn_on` ticks its worker's `spawned` once, before the child runs,
 //! and every completion its worker's `completed` as the task's last act
-//! — the cells are a thread-runtime `Progress` row, or two cells of the
-//! worker's metrics row in the multiprocess region. A scan Acquire-loads every
+//! — the cells are the `SPAWNED` and `TASKS` cells of the worker's
+//! counter row (`uat_metrics::shm::Row`), on the heap under threads and
+//! in the metrics segment across processes. A scan Acquire-loads every
 //! `completed` cell, *then* every `spawned` cell, and passes iff
 //! `Σ completed == 1 + Σ spawned` (the root is spawned by nobody). Since
 //! every idle worker runs the scan before each nap — not one

@@ -546,11 +546,10 @@ mod tests {
         }
     }
 
-    /// [I21] on the interpreter's path (`spawn_on` + `join_all` on a
-    /// frame-local block): one worker, so nothing is stolen, and no
-    /// task's block sees a read-modify-write.
-    #[test]
-    fn an_unstolen_task_never_touches_its_join_block() {
+    /// Run a 2 047-task tree on one worker — so nothing is stolen —
+    /// metered or not, and return how far `count`, a tally of the
+    /// worker thread's, moved across it.
+    fn across_a_tree(metered: bool, count: fn() -> u64) -> u64 {
         let w = BinTree {
             depth: 10,
             work: 0,
@@ -559,18 +558,46 @@ mod tests {
         let root = w.root();
         let env = Arc::new(Env::new(w, Box::new([AcctRow::default()]), 1, 1));
         let held = Arc::clone(&env);
-        let rmws = Runtime::new(1).run(move || {
-            let t0 = crate::join::rmws();
+        let body = move || {
+            let t0 = count();
             let env = EnvRef {
                 env: &*held,
                 rows: held.rows.as_ptr(),
             };
             exec::<Threads, _>(env, &root, 0, 0);
-            crate::join::rmws() - t0
-        });
-        assert_eq!(rmws, 0, "join-block RMWs across a 2 047-task tree");
+            count() - t0
+        };
+        let rt = Runtime::new(1);
+        let moved = if metered {
+            rt.run_metered(body).0
+        } else {
+            rt.run(body)
+        };
         let s = AcctRow::totals(env.rows.iter(), NativeRunStats::default());
         assert_eq!(s.total_tasks, (1 << 11) - 1);
+        moved
+    }
+
+    /// [I21] on the interpreter's path (`spawn_on` + `join_all` on a
+    /// frame-local block): no task's block sees a read-modify-write.
+    #[test]
+    fn an_unstolen_task_never_touches_its_join_block() {
+        let rmws = across_a_tree(false, crate::join::rmws);
+        assert_eq!(rmws, 0, "join-block RMWs across a 2 047-task tree");
+    }
+
+    /// A run neither traced nor metered never gets past the place's
+    /// observation flag: its tasks pay for their counters and nothing
+    /// else. The same tree metered does enter the observers.
+    #[test]
+    fn an_unobserved_task_never_enters_an_observer() {
+        let hooks = crate::runtime::tests::hooks;
+        assert_eq!(
+            across_a_tree(false, hooks),
+            0,
+            "observer entries across an unobserved 2 047-task tree"
+        );
+        assert!(across_a_tree(true, hooks) > 0, "a metered tree is observed");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! - `sched`: the one worker body both real backends run — child-first
 //!   spawn, the steal loop, the Figure 7 join, the task entry — generic
 //!   over a `Place` that names only what the backends do differently
-//!   (stack supply, where the deques and termination cells live, where a
-//!   task's program waits, how a worker gives up, what it records).
+//!   (stack supply, where the deques and counter rows live, where a
+//!   task's program waits, how a worker gives up, what it observes).
 //! - [`runtime`]: that body on OS-thread workers (stack-pool strategy +
 //!   the THE deque from `uat-deque`), demonstrating genuine
 //!   steal-a-started-thread semantics in the shared-memory degenerate
@@ -36,11 +36,11 @@
 //! - [`ntrace`]: native observability — per-worker TSC-stamped event
 //!   rings, `TimeAccount` buckets, and steal-phase spans feeding the
 //!   same `uat-trace` exporters and profiler the simulator uses
-//!   (zero-cost stubs when the `trace` feature is off).
-//! - [`nmetrics`]: online metrics and runtime health — sharded
-//!   scheduler counters, HDR tail-latency histograms, per-worker
-//!   flight-recorder rings, a deque-depth sampler thread, and the
-//!   heartbeat stall watchdog.
+//!   (placeholders when the `trace` feature is off).
+//! - [`nmetrics`]: online metrics and runtime health — the registry view
+//!   of the per-worker counter rows both backends keep, HDR tail-latency
+//!   histograms, per-worker flight-recorder rings, a deque-depth sampler
+//!   thread, and the heartbeat stall watchdog.
 //! - `join`: the join protocol both real backends share — a per-joiner
 //!   count of the children whose spawn was stolen plus one waiter slot,
 //!   arbitrated on a single word.

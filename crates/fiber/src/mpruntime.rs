@@ -23,12 +23,13 @@
 //!   **program area** just above, and its parent's **join block**, so
 //!   no private-heap pointer is ever reachable from a migratable stack
 //!   (invariant [I16]);
-//! - the **metrics segment**, per-worker counter cells the parent reads
-//!   back through [`uat_rdma::OneSidedFabric`] windows — per-worker
-//!   metrics export with no RPC. [`uat_metrics::shm`] owns its layout
-//!   (row stride, which counter sits in which cell); a row's one cell
-//!   past the named ones counts spawns, so with `shm::TASKS` the row
-//!   also holds the worker's termination cells;
+//! - the **metrics segment**: the bank of per-worker counter rows
+//!   ([`uat_metrics::shm::Row`], the row the thread runtime keeps on its
+//!   heap), which the worker body bumps and the parent reads back
+//!   through [`uat_rdma::OneSidedFabric`] windows — per-worker metrics
+//!   export with no RPC. [`uat_metrics::shm`] owns its layout (row
+//!   stride, which counter sits in which cell); a row's `TASKS` and
+//!   `SPAWNED` cells are also the worker's termination cells;
 //! - the **stats bank** (one single-writer accounting row per worker)
 //!   and the **slot pool** (a locked LIFO of free stack slots behind
 //!   one small cache per worker, which only its owner touches but for
@@ -41,10 +42,11 @@
 //!
 //! The workers run the one worker body the thread runtime runs
 //! (`sched.rs`); what is this backend's own is its `Place` (`Mp`):
-//! slots from `alloc_slot` instead of a stack pool, `ShmDeque`s,
-//! termination cells in the metrics rows, a program area per slot,
-//! giving up by `Ctrl` flag and `_exit`, and segment ticks for
-//! observability — and how its workers come to exist, by `fork`.
+//! slots from `alloc_slot` instead of a stack pool, `ShmDeque`s and
+//! counter rows placed in the region, a program area per slot, and
+//! giving up by `Ctrl` flag and `_exit` — and how its workers come to
+//! exist, by `fork`. It observes nothing beyond the rows, so its
+//! `record` is the trait's empty default.
 //!
 //! The coordinator decides nothing and polls nothing. The first idle
 //! worker whose termination scan passes (`idle.rs`, shared with the
@@ -89,7 +91,7 @@ use crate::frame::{FrameTooLarge, PAGE};
 use crate::idle;
 use crate::interp::{self, AcctRow, Env, EnvRef, NativeRunStats};
 use crate::join::JoinBlock;
-use crate::sched::{bump, place_record, worker_loop, Event, Place, TaskHeader, Worker};
+use crate::sched::{place_record, worker_loop, Place, TaskHeader, Worker};
 use std::borrow::Borrow;
 use std::ffi::c_void;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -98,7 +100,7 @@ use std::sync::Mutex;
 use uat_base::WorkerId;
 use uat_deque::native::Placed;
 use uat_deque::ShmDeque;
-use uat_metrics::shm::{self, SegmentLayout, ROW_STRIDE};
+use uat_metrics::shm::{self, Row, SegmentLayout, ROW_STRIDE};
 use uat_model::{Action, Workload};
 use uat_rdma::{OneSidedFabric, ShmFabric};
 
@@ -126,12 +128,6 @@ pub const MAX_WORKERS: usize = 64;
 /// region, so the cache needs no allocation ([I15]); the bound a run
 /// actually uses is `2 * RegionLayout::slot_batch`, at most this.
 const SLOT_CACHE_MAX: usize = 64;
-
-/// The metrics-segment cell, unnamed in the export, counting spawns made
-/// by the worker — with `shm::TASKS` (completions), its termination
-/// cells.
-const MC_SPAWNED: usize = 6;
-const _: () = assert!(MC_SPAWNED >= shm::SEGMENT_COUNTERS.len() && MC_SPAWNED < ROW_STRIDE);
 
 /// How long the coordinator sleeps on `Ctrl::shutdown_flag` between
 /// looks for a worker that died without raising it.
@@ -180,7 +176,7 @@ const _: () = assert!(std::mem::size_of::<Ctrl>() <= PAGE);
 /// The control block of the mapped region.
 fn ctrl() -> &'static Ctrl {
     // SAFETY: [I16] the region's first page, inside the live mapping
-    // (see `RegionLayout::metrics_cell`); zero-filled is a valid `Ctrl`,
+    // (see `RegionLayout::metrics_row`); zero-filled is a valid `Ctrl`,
     // made of atomics.
     unsafe { &*(MP_BASE as *const Ctrl) }
 }
@@ -236,20 +232,21 @@ impl RegionLayout {
         }
     }
 
-    fn metrics_cell_addr(&self, w: usize, c: usize) -> usize {
-        debug_assert!(w < self.workers && c < ROW_STRIDE);
-        MP_BASE + self.metrics_off + (w * ROW_STRIDE + c) * 8
+    fn metrics_row_addr(&self, w: usize) -> usize {
+        debug_assert!(w < self.workers);
+        MP_BASE + self.metrics_off + w * SegmentLayout::row_bytes()
     }
 
-    /// Worker `w`'s metrics-segment cell `c`, a process-shared atomic
-    /// only `w` writes.
+    /// Worker `w`'s counter row in the metrics segment, process-shared
+    /// atomics only `w` writes.
     #[inline]
-    fn metrics_cell(&self, w: usize, c: usize) -> &'static AtomicU64 {
-        let addr = self.metrics_cell_addr(w, c);
-        // SAFETY: [I16] an 8-aligned cell inside the live mapping; the
-        // region outlives every worker's use of it (the coordinator
-        // unmaps only after reaping).
-        unsafe { &*(addr as *const AtomicU64) }
+    fn metrics_row(&self, w: usize) -> &'static Row {
+        let addr = self.metrics_row_addr(w);
+        // SAFETY: [I16] a 64-byte-aligned row inside the live mapping
+        // (zero-filled = an empty row), made of atomics only; the region
+        // outlives every worker's use of it (the coordinator unmaps only
+        // after reaping).
+        unsafe { &*(addr as *const Row) }
     }
 
     /// Worker `w`'s accounting row in the stats bank.
@@ -258,7 +255,7 @@ impl RegionLayout {
         let addr = MP_BASE + self.stats_off + w * std::mem::size_of::<AcctRow>();
         // SAFETY: [I16] a 64-byte-aligned row inside the live mapping
         // (zero-filled = a valid empty row), made of atomics only; the
-        // region outlives every use (see `metrics_cell`).
+        // region outlives every use (see `metrics_row`).
         unsafe { &*(addr as *const AcctRow) }
     }
 
@@ -354,9 +351,8 @@ impl Place for Mp {
     }
 
     #[inline]
-    fn progress(&self, w: usize) -> (&AtomicU64, &AtomicU64) {
-        let at = |c| self.layout.metrics_cell(w, c);
-        (at(MC_SPAWNED), at(shm::TASKS))
+    fn row(&self, w: usize) -> &Row {
+        self.layout.metrics_row(w)
     }
 
     fn shutdown(&self) -> &AtomicU32 {
@@ -386,20 +382,6 @@ impl Place for Mp {
     /// The coordinator turns the exit status into a run failure.
     fn task_panicked() -> ! {
         die(b"uat-fiber(mp): task panicked; worker exiting\n", 101)
-    }
-
-    /// Scheduler counts, into this worker's metrics-segment row.
-    #[inline]
-    fn record(&mut self, e: Event<'_>) {
-        let c = match e {
-            Event::Loop => shm::HEARTBEATS,
-            Event::Steal(_, Some(_), _) => shm::STEALS_COMPLETED,
-            Event::Steal(..) => shm::STEALS_FAILED,
-            Event::Park => shm::PARKS,
-            Event::Unpark => shm::UNPARKS,
-            _ => return,
-        };
-        bump(self.layout.metrics_cell(self.me, c), 1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -968,7 +950,7 @@ impl MultiProcessRunner {
         let (mut fabric, parent) = (ShmFabric::new(), WorkerId(layout.workers as u32));
         let mut metric_words = Vec::with_capacity(layout.workers * ROW_STRIDE);
         for wk in 0..layout.workers {
-            let (row, id) = (layout.metrics_cell_addr(wk, 0) as u64, WorkerId(wk as u32));
+            let (row, id) = (layout.metrics_row_addr(wk) as u64, WorkerId(wk as u32));
             let mut buf = [0u8; SegmentLayout::row_bytes()];
             // SAFETY: [I13] the row is inside the live mapping, shared
             // with worker `wk` at this same address; the workers have
@@ -1009,7 +991,7 @@ impl MultiProcessRunner {
         // one but the root was spawned.
         assert_eq!(msum(shm::TASKS), stats.total_tasks, "completed != started");
         assert_eq!(
-            msum(MC_SPAWNED) + 1,
+            msum(shm::SPAWNED) + 1,
             stats.total_tasks,
             "spawned != started"
         );
@@ -1518,7 +1500,7 @@ mod tests {
         for s in (1..layout.slots).rev() {
             pool.push(s);
         }
-        let (done, rounds) = (&ctrl().shutdown_flag, layout.metrics_cell(1, 0));
+        let (done, rounds) = (&ctrl().shutdown_flag, &layout.metrics_row(1)[0]);
         // SAFETY: [I10][I15] the child runs only the allocation- and
         // lock-free loop below and leaves by `_exit`.
         let pid = unsafe { libc::fork() };
@@ -1609,6 +1591,41 @@ mod tests {
             }
         }
         assert!(stole > 0, "no cross-process steals across 3 runs");
+    }
+
+    /// Both backends keep one row layout: a metered run of either names
+    /// the same counters in the same order, and they count the run its
+    /// stats report. The multiprocess half skips where the host cannot
+    /// map the region.
+    #[test]
+    fn counters_match_the_thread_backend() {
+        use uat_metrics::{names, Snapshot, ValueSnapshot};
+        let w = BinTree {
+            depth: 8,
+            work: 1_000,
+            frame: 256,
+        };
+        let counters = |backend: &str, s: &NativeRunStats, snap: &Snapshot| -> Vec<String> {
+            assert_eq!(snap.total(names::TASKS), s.total_tasks, "{backend}");
+            assert_eq!(snap.total(names::SPAWNED) + 1, s.total_tasks, "{backend}");
+            assert_eq!(snap.total(names::STEALS_COMPLETED), s.steals, "{backend}");
+            assert_eq!(snap.total(names::PARKS), s.parks, "{backend}");
+            assert_eq!(snap.total(names::UNPARKS), s.unparks, "{backend}");
+            snap.metrics
+                .iter()
+                .filter(|m| matches!(m.value, ValueSnapshot::Counter { .. }))
+                .map(|m| m.name.clone())
+                .collect()
+        };
+        let (s, snap) = crate::NativeRunner::new(2).run_metered(w.clone());
+        let threads = counters("threads", &s, &snap);
+        let table: Vec<&str> = shm::SEGMENT_COUNTERS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(threads, table);
+        if !supported() {
+            return;
+        }
+        let (s, snap) = MultiProcessRunner::new(2).run_metered(w);
+        assert_eq!(counters("processes", &s, &snap), threads);
     }
 
     #[test]

@@ -1,45 +1,49 @@
-//! Native-runtime metrics: the `uat-metrics` layers wired into real
-//! fibers, plus the stall watchdog.
+//! Native-runtime metrics: the timed tier of the thread runtime, the
+//! registry its counters are reported in, and the stall watchdog.
 //!
-//! Mirrors [`crate::ntrace`]'s shape: each worker OS thread owns a
-//! [`WorkerMetrics`] handle whose hot-path hooks are relaxed adds on
-//! per-worker [`uat_metrics::Counter`] shards; the run-wide
-//! [`MetricsShared`] holds the [`uat_metrics::Registry`], the
-//! tail-latency histograms, and one [`uat_metrics::EventRing`]
-//! flight-recorder ring per worker.
+//! The counters themselves are not here. Both real backends keep one
+//! [`uat_metrics::shm::Row`] per worker — heartbeats, steals completed
+//! and failed, parks, unparks, tasks and spawns — which the worker body
+//! (`sched.rs`) bumps itself with single-writer stores; the thread
+//! runtime keeps its rows on the heap, the multiprocess one in its
+//! shared region. What this module adds, for the thread runtime:
 //!
-//! Instrumentation comes in two tiers:
-//!
-//! - **Counters** (steals, parks, tasks, heartbeats) are always live:
-//!   a relaxed load + store on a cache line no other core writes.
-//! - **Timed** instrumentation — TSC-stamped steal latency, task run
-//!   length, park duration, and the flight ring — activates only on
-//!   *metered* runs ([`crate::Runtime::with_metrics`] /
-//!   [`crate::Runtime::run_metered`] / a sampler or watchdog). Traced
-//!   runs also feed the steal-latency histogram, because the deque's
-//!   phased steal already produced the timestamps.
+//! - **The timed tier**: TSC-stamped steal latency, task run length,
+//!   park duration, and one [`uat_metrics::EventRing`] flight-recorder
+//!   ring per worker. It is on only for *metered* runs
+//!   ([`crate::Runtime::with_metrics`] / [`crate::Runtime::run_metered`]
+//!   / a sampler or watchdog). Its per-worker half, `WorkerMetrics`, is
+//!   reached only behind the place's one observation flag, so an
+//!   unobserved task pays nothing for it.
+//! - **The registry view**: `MetricsShared::snapshot` assembles the
+//!   rows with `SegmentLayout::snapshot`, as the multiprocess report
+//!   does, followed by the registry's own instruments; at the end of a
+//!   run `MetricsShared::deposit` adds the rows into the registry's
+//!   counters, for a caller that snapshots its registry itself.
 //!
 //! The **watchdog** rides the sampler thread: every worker bumps its
-//! heartbeat shard once per scheduler-loop iteration (parked workers
-//! still iterate every sleep cycle, so a live worker's epoch always
-//! advances between samples). A busy worker need not visit that loop —
-//! the last child to finish is handed its parked parent, so a worker can
-//! inherit parent after parent for as long as there is work — which is
-//! why a completed task counts as a pulse too. If one worker shows
-//! neither for the whole stall window while other workers keep
-//! advancing, the watchdog dumps a metrics snapshot plus every worker's flight ring and — by
-//! default — aborts the process. This targets precisely the
+//! heartbeat cell once per scheduler-loop iteration (parked workers
+//! still iterate every nap, so a live worker's epoch always advances
+//! between samples). A busy worker need not visit that loop — the last
+//! child to finish is handed its parked parent, so a worker can inherit
+//! parent after parent for as long as there is work — which is why a
+//! completed task counts as a pulse too. If one worker shows neither for
+//! the whole stall window while other workers keep advancing, the
+//! watchdog dumps a metrics snapshot plus every worker's flight ring and
+//! — by default — aborts the process. This targets precisely the
 //! `fib_across_worker_counts` flake precursor: a worker wedged on a
 //! resumed-into-garbage context stops heartbeating long before the
 //! segfault, and the dump says who and what it was last doing.
 
+use crate::sched::Event;
 use crate::tsc::RunClock;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use uat_base::json::{Json, ToJson};
-use uat_deque::{NativeDeque, StealPhases};
-use uat_metrics::{names, Counter, EventRing, Gauge, LogHistogram, Registry, Snapshot};
+use uat_deque::NativeDeque;
+use uat_metrics::shm::{self, Row, SegmentLayout, SEGMENT_COUNTERS};
+use uat_metrics::{names, CachePadded, EventRing, Gauge, LogHistogram, Registry, Snapshot};
 
 /// Per-worker flight-ring capacity (entries; 16 bytes each).
 pub const FLIGHT_CAPACITY: usize = 4096;
@@ -51,7 +55,8 @@ pub const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(10);
 /// Default stall window before the watchdog trips. Generous enough
 /// that an oversubscribed single-CPU CI host never false-positives:
 /// a live worker bumps its heartbeat every scheduler iteration
-/// (parked ones every ~20µs sleep cycle), so a full second of
+/// (parked ones every nap, which asks for 20 µs and returns after
+/// ≈ 85 µs under the default timer slack), so a full second of
 /// silence while siblings advance means genuinely wedged.
 pub const DEFAULT_STALL_AFTER: Duration = Duration::from_secs(1);
 
@@ -85,43 +90,32 @@ pub mod flight_code {
     }
 }
 
-/// Run-wide metrics state shared by all workers of one run.
-pub struct MetricsShared {
-    /// The registry every instrument below is registered in
-    /// (caller-supplied via `Runtime::with_metrics`, else owned).
-    pub registry: Arc<Registry>,
-    /// Scheduler-loop heartbeat epochs (the watchdog's pulse).
-    pub heartbeats: Arc<Counter>,
-    /// Completed steals.
-    pub steals_ok: Arc<Counter>,
-    /// Aborted steal attempts.
-    pub steals_failed: Arc<Counter>,
-    /// Park episodes entered.
-    pub parks: Arc<Counter>,
-    /// Park episodes that ended in found work.
-    pub unparks: Arc<Counter>,
-    /// Tasks run to completion.
-    pub tasks: Arc<Counter>,
-    /// Trace events evicted from full rings (filled at run end).
-    pub trace_dropped: Arc<Counter>,
+/// Run-wide state of the thread runtime's timed tier and registry view.
+pub(crate) struct MetricsShared {
+    /// The registry the instruments below are registered in
+    /// (caller-supplied via `Runtime::with_metrics`, else owned), which
+    /// also receives the rows' counts when the run ends.
+    pub(crate) registry: Arc<Registry>,
     /// End-to-end steal-attempt latency (cycles).
-    pub steal_latency: Arc<LogHistogram>,
+    steal_latency: Arc<LogHistogram>,
     /// Task run length (cycles).
-    pub task_run: Arc<LogHistogram>,
+    task_run: Arc<LogHistogram>,
     /// Park episode duration (cycles).
-    pub park_duration: Arc<LogHistogram>,
+    park_duration: Arc<LogHistogram>,
     /// Sampled deque depths.
-    pub deque_depth: Arc<LogHistogram>,
+    deque_depth: Arc<LogHistogram>,
     /// Last sampled deque depth per worker.
-    pub deque_depth_now: Arc<Gauge>,
-    /// Per-worker flight-recorder rings.
-    pub flight: Vec<Arc<EventRing>>,
+    deque_depth_now: Arc<Gauge>,
+    /// Per-worker flight-recorder rings, each head on a line of its own.
+    flight: Vec<CachePadded<EventRing>>,
     /// The run's metrics clock (its own epoch; latencies are
     /// differences, so it never needs to agree with the trace
     /// clock's).
-    pub clock: RunClock,
-    metered: bool,
-    sabotage: Option<usize>,
+    clock: RunClock,
+    /// Whether the timed tier (histogram stamps, flight rings) is on.
+    pub(crate) metered: bool,
+    /// The worker deliberately wedged (watchdog tests only).
+    pub(crate) sabotage: Option<usize>,
 }
 
 impl MetricsShared {
@@ -129,7 +123,7 @@ impl MetricsShared {
     /// external registry (must be built for at least `workers`
     /// shards); `metered` turns on the timed tier; `sabotage`
     /// deliberately wedges one worker (watchdog tests only).
-    pub fn new(
+    pub(crate) fn new(
         workers: usize,
         registry: Option<Arc<Registry>>,
         metered: bool,
@@ -141,29 +135,12 @@ impl MetricsShared {
             "metrics registry built for {} shards but the runtime has {workers} workers",
             registry.workers(),
         );
+        // The row counters first, in row order: a registry snapshot then
+        // lists them as the multiprocess report does.
+        for (name, help) in SEGMENT_COUNTERS {
+            registry.counter(name, help);
+        }
         MetricsShared {
-            heartbeats: registry.counter(
-                names::HEARTBEATS,
-                "Scheduler loop iterations (watchdog heartbeat epochs)",
-            ),
-            steals_ok: registry.counter(
-                names::STEALS_COMPLETED,
-                "Steal attempts that took an entry and resumed the stolen thread",
-            ),
-            steals_failed: registry.counter(
-                names::STEALS_FAILED,
-                "Steal attempts that aborted (victim empty, lock busy, or raced)",
-            ),
-            parks: registry.counter(
-                names::PARKS,
-                "Workers that crossed the idle spin threshold into a sleep cycle",
-            ),
-            unparks: registry.counter(names::UNPARKS, "Parked workers that found work again"),
-            tasks: registry.counter(names::TASKS, "Tasks run to completion"),
-            trace_dropped: registry.counter(
-                names::TRACE_DROPPED,
-                "Trace events evicted from full per-worker rings",
-            ),
             steal_latency: registry.histogram(
                 names::STEAL_LATENCY,
                 "End-to-end steal-attempt latency in TSC cycles",
@@ -178,7 +155,7 @@ impl MetricsShared {
             deque_depth_now: registry
                 .gauge(names::DEQUE_DEPTH_NOW, "Most recently sampled deque depth"),
             flight: (0..workers.max(1))
-                .map(|_| Arc::new(EventRing::new(FLIGHT_CAPACITY)))
+                .map(|_| CachePadded(EventRing::new(FLIGHT_CAPACITY)))
                 .collect(),
             clock: RunClock::start(),
             registry,
@@ -187,174 +164,101 @@ impl MetricsShared {
         }
     }
 
-    /// Whether the timed tier (histogram stamps, flight ring) is on.
-    #[inline]
-    pub fn metered(&self) -> bool {
-        self.metered
+    /// The run's metrics as they are now: the workers' `rows`, assembled
+    /// as the multiprocess report assembles its segment, then the
+    /// registry's own instruments (not its row counters, which the rows
+    /// stand in for until [`deposit`](Self::deposit)).
+    pub(crate) fn snapshot(&self, rows: &[Row]) -> Snapshot {
+        let words: Vec<u64> = rows.iter().flat_map(Row::words).collect();
+        let mut snap = SegmentLayout::new(rows.len()).snapshot(&words);
+        let own = self.registry.snapshot().metrics.into_iter();
+        snap.metrics
+            .extend(own.filter(|m| SEGMENT_COUNTERS.iter().all(|(n, _)| *n != m.name)));
+        snap
     }
 
-    /// Whether `worker` is the deliberately wedged one.
-    #[inline]
-    pub fn is_sabotaged(&self, worker: usize) -> bool {
-        self.sabotage == Some(worker)
-    }
-
-    /// Completed steals across all workers.
-    pub fn steals_total(&self) -> u64 {
-        self.steals_ok.total()
-    }
-
-    /// Park episodes across all workers.
-    pub fn parks_total(&self) -> u64 {
-        self.parks.total()
-    }
-
-    /// Unparks across all workers.
-    pub fn unparks_total(&self) -> u64 {
-        self.unparks.total()
+    /// Add a finished run's `rows` into the registry's counters: the
+    /// registry then reports the run (plus whatever earlier runs it
+    /// recorded) to a caller that snapshots it directly.
+    pub(crate) fn deposit(&self, rows: &[Row]) {
+        for (c, (name, help)) in SEGMENT_COUNTERS.iter().enumerate() {
+            let counter = self.registry.counter(name, help);
+            for (w, row) in rows.iter().enumerate() {
+                counter.add(w, row[c].load(Ordering::Relaxed));
+            }
+        }
     }
 }
 
-struct Wm {
+/// One worker's half of the timed tier, on a metered run only, and
+/// reached only behind the place's observation flag.
+pub(crate) struct WorkerMetrics {
     id: usize,
     shared: Arc<MetricsShared>,
-    /// Metrics-clock stamp of the open park episode (0 = none).
+    /// Metrics-clock stamp of the open park episode.
     park_started: u64,
 }
 
-impl Wm {
-    /// Push a flight-ring event stamped `at`. The stamp is passed in
-    /// so hooks that already read the metrics clock (task begin/end,
-    /// park/unpark) reuse it instead of paying a second TSC read on
-    /// the per-task hot path.
-    #[inline]
-    fn flight(&self, at: u64, code: u8, payload: u64) {
-        self.shared.flight[self.id].push(at, code, payload);
-    }
-}
-
-/// Per-worker metrics handle living inside the runtime's `Worker`.
-pub struct WorkerMetrics(Box<Wm>);
-
 impl WorkerMetrics {
     /// Handle for worker `id`.
-    pub fn new(shared: &Arc<MetricsShared>, id: usize) -> Self {
-        WorkerMetrics(Box::new(Wm {
+    pub(crate) fn new(shared: &Arc<MetricsShared>, id: usize) -> Self {
+        WorkerMetrics {
             id,
             shared: Arc::clone(shared),
             park_started: 0,
-        }))
-    }
-
-    /// One scheduler-loop iteration: bump the heartbeat epoch.
-    #[inline]
-    pub fn on_loop(&mut self) {
-        let m = &*self.0;
-        m.shared.heartbeats.inc(m.id);
-    }
-
-    /// The metrics clock, iff this run wants untraced steals to take
-    /// the phase-stamped path (the trace clock wins when both are
-    /// live — either epoch works, latency is a difference).
-    #[inline]
-    pub fn clock(&self) -> Option<RunClock> {
-        let m = &*self.0;
-        m.shared.metered.then_some(m.shared.clock)
-    }
-
-    /// A phase-stamped steal attempt finished: count the outcome and
-    /// record the end-to-end latency (the timestamps are already
-    /// paid for, so traced-but-unmetered runs feed the histogram
-    /// too).
-    #[inline]
-    pub fn on_steal_phased(&mut self, victim: usize, ok: bool, ph: &StealPhases) {
-        let m = &*self.0;
-        if ok {
-            m.shared.steals_ok.inc(m.id);
-        } else {
-            m.shared.steals_failed.inc(m.id);
-        }
-        m.shared
-            .steal_latency
-            .record(ph.end.saturating_sub(ph.start));
-        if m.shared.metered {
-            let code = if ok {
-                flight_code::STEAL_OK
-            } else {
-                flight_code::STEAL_FAIL
-            };
-            // Steals are rare relative to tasks; a fresh clock read
-            // keeps the ring stamp in the metrics-clock epoch (the
-            // phase stamps may be the trace clock's).
-            m.flight(m.shared.clock.now_cycles(), code, victim as u64);
         }
     }
 
-    /// An unstamped steal attempt finished (untraced, unmetered
-    /// run): count the outcome only.
-    #[inline]
-    pub fn on_steal_untimed(&mut self, ok: bool) {
-        let m = &*self.0;
-        if ok {
-            m.shared.steals_ok.inc(m.id);
-        } else {
-            m.shared.steals_failed.inc(m.id);
-        }
-    }
-
-    /// The worker crossed the spin threshold and is going to sleep.
-    #[inline]
-    pub fn on_park(&mut self) {
-        let m = &mut *self.0;
-        m.shared.parks.inc(m.id);
-        if m.shared.metered {
-            m.park_started = m.shared.clock.now_cycles();
-            m.flight(m.park_started, flight_code::PARK, 0);
-        }
-    }
-
-    /// The worker found work after having parked.
-    #[inline]
-    pub fn on_unpark(&mut self) {
-        let m = &mut *self.0;
-        m.shared.unparks.inc(m.id);
-        if m.shared.metered {
-            let now = m.shared.clock.now_cycles();
-            m.shared
-                .park_duration
-                .record(now.saturating_sub(m.park_started));
-            m.park_started = 0;
-            m.flight(now, flight_code::UNPARK, 0);
-        }
+    /// The metrics clock, for phase-stamped steals (the trace clock wins
+    /// when both are live — either epoch works, latency is a
+    /// difference).
+    pub(crate) fn clock(&self) -> RunClock {
+        self.shared.clock
     }
 
     /// A fiber body is about to start. Returns the begin stamp the
-    /// task-end hook wants (0 when unmetered); a `Copy` local, so it
-    /// survives the task's stack migrating between workers.
-    #[inline]
-    pub fn on_task_begin(&mut self) -> u64 {
-        let m = &*self.0;
-        if !m.shared.metered {
-            return 0;
-        }
-        let now = m.shared.clock.now_cycles();
-        m.flight(now, flight_code::TASK_BEGIN, 0);
+    /// task-end event carries back; a `Copy` local, so it survives the
+    /// task's stack migrating between workers.
+    pub(crate) fn on_task_begin(&mut self) -> u64 {
+        let now = self.shared.clock.now_cycles();
+        self.shared.flight[self.id]
+            .0
+            .push(now, flight_code::TASK_BEGIN, 0);
         now
     }
 
-    /// A fiber body returned (possibly on a different worker than it
-    /// began on): count the task, record its run length.
-    #[inline]
-    pub fn on_task_end(&mut self, born: u64) {
-        let m = &*self.0;
-        m.shared.tasks.inc(m.id);
-        if m.shared.metered {
-            let now = m.shared.clock.now_cycles();
-            if born != 0 {
-                m.shared.task_run.record(now.saturating_sub(born));
+    /// Time one scheduler event: steal latency, park duration, task run
+    /// length, and the flight ring.
+    pub(crate) fn record(&mut self, e: &Event<'_>) {
+        let m = &*self.shared;
+        let stamp = || m.clock.now_cycles();
+        let (at, code, payload) = match *e {
+            Event::Steal(victim, got, Some(ref ph)) => {
+                m.steal_latency.record(ph.end.saturating_sub(ph.start));
+                let code = match got {
+                    Some(_) => flight_code::STEAL_OK,
+                    None => flight_code::STEAL_FAIL,
+                };
+                (stamp(), code, victim as u64)
             }
-            m.flight(now, flight_code::TASK_END, 0);
-        }
+            Event::Park => {
+                self.park_started = stamp();
+                (self.park_started, flight_code::PARK, 0)
+            }
+            Event::Unpark => {
+                let now = stamp();
+                m.park_duration
+                    .record(now.saturating_sub(self.park_started));
+                (now, flight_code::UNPARK, 0)
+            }
+            Event::TaskEnd { born, .. } => {
+                let now = stamp();
+                m.task_run.record(now.saturating_sub(born[1]));
+                (now, flight_code::TASK_END, 0)
+            }
+            _ => return,
+        };
+        m.flight[self.id].0.push(at, code, payload);
     }
 }
 
@@ -415,7 +319,8 @@ pub struct StallDump {
     pub worker: usize,
     /// Heartbeat epochs per worker at trip time.
     pub heartbeats: Vec<u64>,
-    /// Frozen view of the whole registry.
+    /// Frozen view of the run's metrics: every worker's row counters,
+    /// then the registry's instruments.
     pub snapshot: Snapshot,
     /// Per-worker flight rings, oldest event first.
     pub flight: Vec<Vec<uat_metrics::FlightEvent>>,
@@ -456,14 +361,15 @@ impl StallDump {
 
 /// The sampler thread body: every `interval`, sample each worker's
 /// deque depth into the gauge + histogram and — when `watchdog` is
-/// set — check the heartbeat epochs for a stalled worker. Returns
-/// when `stop` is raised. The runtime passes the run's shutdown
-/// flag, which a worker raises and on which every worker stops
-/// heartbeating: the watchdog stands down the moment it can see the
-/// flag, so an orderly exit is never read as a stall.
-pub fn sampler_loop(
-    ms: &Arc<MetricsShared>,
-    deques: &[Arc<NativeDeque<u64>>],
+/// set — check the workers' `rows` for a stalled worker. Returns when
+/// `stop` is raised. The runtime passes the run's shutdown flag, which
+/// a worker raises and on which every worker stops heartbeating: the
+/// watchdog stands down the moment it can see the flag, so an orderly
+/// exit is never read as a stall.
+pub(crate) fn sampler_loop(
+    ms: &MetricsShared,
+    deques: &[NativeDeque<u64>],
+    rows: &[Row],
     stop: &AtomicU32,
     interval: Duration,
     watchdog: Option<&WatchdogCfg>,
@@ -478,6 +384,8 @@ pub fn sampler_loop(
     let mut stalled = vec![0u32; workers];
     let mut others = vec![0u32; workers];
     let mut armed = watchdog.is_some();
+    let cell =
+        |c: usize| -> Vec<u64> { rows.iter().map(|r| r[c].load(Ordering::Relaxed)).collect() };
     loop {
         // Sleep in bounded chunks so a raised stop flag is honored
         // within ~10ms even under second-scale intervals. The chunk
@@ -502,15 +410,15 @@ pub fn sampler_loop(
             ms.deque_depth.record(depth);
         }
         let Some(wd) = watchdog else { continue };
-        let epochs = ms.heartbeats.per_worker();
-        // Epochs read after the flag went up may show workers that
+        let epochs = cell(shm::HEARTBEATS);
+        // A worker's pulse: scheduler-loop iterations plus tasks
+        // completed (a busy worker may go long without the former).
+        let tasks = cell(shm::TASKS);
+        // Cells read after the flag went up may show workers that
         // have left: only ones read before it are evidence.
         if stop.load(Ordering::Acquire) != 0 {
             return;
         }
-        // A worker's pulse: scheduler-loop iterations plus tasks
-        // completed (a busy worker may go long without the former).
-        let tasks = ms.tasks.per_worker();
         let pulse: Vec<u64> = epochs.iter().zip(&tasks).map(|(e, t)| e + t).collect();
         if armed {
             let advanced: Vec<bool> = pulse.iter().zip(&prev).map(|(a, b)| a != b).collect();
@@ -528,7 +436,7 @@ pub fn sampler_loop(
                 // those ticks saw some *other* worker advance (so the
                 // machine is running — `i` alone is wedged).
                 if stalled[i] >= ticks_needed && others[i] >= ticks_needed {
-                    trip(ms, i, &epochs, wd);
+                    trip(ms, rows, i, &epochs, wd);
                     armed = false;
                     break;
                 }
@@ -539,12 +447,12 @@ pub fn sampler_loop(
 }
 
 /// Dump the post-mortem and apply the configured action.
-fn trip(ms: &Arc<MetricsShared>, worker: usize, epochs: &[u64], wd: &WatchdogCfg) {
+fn trip(ms: &MetricsShared, rows: &[Row], worker: usize, epochs: &[u64], wd: &WatchdogCfg) {
     let dump = StallDump {
         worker,
         heartbeats: epochs.to_vec(),
-        snapshot: ms.registry.snapshot(),
-        flight: ms.flight.iter().map(|r| r.snapshot()).collect(),
+        snapshot: ms.snapshot(rows),
+        flight: ms.flight.iter().map(|r| r.0.snapshot()).collect(),
     };
     eprintln!(
         "uat-fiber watchdog: worker {worker} heartbeat stalled for {:?} \

@@ -22,12 +22,14 @@
 //! buckets tile `[0, makespan)` exactly — the invariant the profiler's
 //! DAG builder checks before accepting a trace.
 //!
-//! With the `trace` cargo feature off, everything here compiles to unit
-//! structs with empty `#[inline(always)]` methods: the runtime's hook
-//! sites cost literally nothing.
+//! A worker reaches its tracer only behind its place's observation flag
+//! (`runtime::Threads::observe`), so the tracer itself keeps no "am I
+//! on?" test: it exists only on a traced run. With the `trace` cargo
+//! feature off, no run is traced and the types here are placeholders.
 
 #[cfg(feature = "trace")]
 mod real {
+    use crate::sched::Event;
     use crate::tsc::{ClockSource, RunClock};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,7 +103,10 @@ mod real {
         }
     }
 
-    struct Wt {
+    /// One traced worker's tracer, living in its place's observers and
+    /// touched only by its own thread: the open slice, the monotone
+    /// clock clamp and the task running now, over a ring and an account.
+    pub struct WorkerTracer {
         shared: Arc<TraceShared>,
         worker: WorkerId,
         ring: RingBuffer,
@@ -116,7 +121,21 @@ mod real {
         cur_task: u64,
     }
 
-    impl Wt {
+    impl WorkerTracer {
+        /// Tracer for worker `id` of the run `shared` traces.
+        pub(crate) fn new(shared: &Arc<TraceShared>, id: usize) -> Self {
+            WorkerTracer {
+                shared: Arc::clone(shared),
+                worker: WorkerId(id as u32),
+                ring: RingBuffer::new(shared.ring_capacity),
+                account: TimeAccount::new(),
+                bucket: Bucket::Idle,
+                since: 0,
+                latest: 0,
+                cur_task: 0,
+            }
+        }
+
         #[inline]
         fn now(&mut self) -> u64 {
             let raw = self.shared.clock.now_cycles();
@@ -157,284 +176,190 @@ mod real {
             let t = self.now();
             self.switch_at(t, bucket);
         }
-    }
-
-    /// Per-worker tracing handle living inside the runtime's `Worker`.
-    /// All methods are no-ops when the run is untraced.
-    #[derive(Default)]
-    pub struct WorkerTracer(Option<Box<Wt>>);
-
-    impl WorkerTracer {
-        /// Tracer for worker `id`, active iff `shared` is set.
-        pub fn new(shared: Option<&Arc<TraceShared>>, id: usize) -> Self {
-            WorkerTracer(shared.map(|s| {
-                Box::new(Wt {
-                    shared: Arc::clone(s),
-                    worker: WorkerId(id as u32),
-                    ring: RingBuffer::new(s.ring_capacity),
-                    account: TimeAccount::new(),
-                    bucket: Bucket::Idle,
-                    since: 0,
-                    latest: 0,
-                    cur_task: 0,
-                })
-            }))
-        }
-
-        /// Whether tracing is active on this worker.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            self.0.is_some()
-        }
-
-        /// Task id of the fiber currently running here (0 if untraced).
-        #[inline]
-        pub fn cur_task(&self) -> u64 {
-            self.0.as_ref().map_or(0, |t| t.cur_task)
-        }
 
         /// The run's epoch clock, for stamping steal phases inside the
-        /// deque; `None` when untraced (take the unphased steal path).
-        #[inline]
-        pub fn clock(&self) -> Option<RunClock> {
-            self.0.as_ref().map(|t| t.shared.clock)
+        /// deque.
+        pub(crate) fn clock(&self) -> RunClock {
+            self.shared.clock
         }
 
         /// A fiber body is about to start: emit `TaskBegin`, make `task`
         /// current, open a `Work` slice. Returns the begin timestamp
-        /// (the task-end hook wants it for the run length).
-        #[inline]
-        pub fn on_task_begin(&mut self, task: u64) -> u64 {
-            let Some(t) = self.0.as_deref_mut() else {
-                return 0;
-            };
-            let at = t.now();
-            t.switch_at(at, Bucket::Work);
-            t.cur_task = task;
-            t.instant(at, EventKind::TaskBegin { task });
+        /// (the task-end event carries it back for the run length).
+        pub(crate) fn on_task_begin(&mut self, task: u64) -> u64 {
+            let at = self.now();
+            self.switch_at(at, Bucket::Work);
+            self.cur_task = task;
+            self.instant(at, EventKind::TaskBegin { task });
             at
-        }
-
-        /// A fiber body returned: emit `TaskEnd` and fall into the
-        /// suspend/resume bucket for the completion epilogue.
-        #[inline]
-        pub fn on_task_end(&mut self, task: u64, born: u64) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
-            let at = t.now();
-            t.switch_at(at, Bucket::SuspendResume);
-            t.instant(
-                at,
-                EventKind::TaskEnd {
-                    task,
-                    run: Cycles(at.saturating_sub(born)),
-                },
-            );
         }
 
         /// `spawn()` entered on the parent fiber: charge the spawn path,
         /// allocate and announce the child. Returns the child task id.
-        #[inline]
-        pub fn on_spawn(&mut self) -> u64 {
-            let Some(t) = self.0.as_deref_mut() else {
-                return 0;
-            };
-            let at = t.now();
-            t.switch_at(at, Bucket::Spawn);
-            let child = t.shared.alloc_task();
-            t.instant(
-                at,
-                EventKind::Spawn {
-                    parent: t.cur_task,
-                    child,
-                },
-            );
+        pub(crate) fn on_spawn(&mut self) -> u64 {
+            let at = self.now();
+            self.switch_at(at, Bucket::Spawn);
+            let child = self.shared.alloc_task();
+            let parent = self.cur_task;
+            self.instant(at, EventKind::Spawn { parent, child });
             child
+        }
+
+        /// Trace one scheduler event (every kind but `Exit`, which is
+        /// [`finish`](Self::finish)).
+        pub(crate) fn record(&mut self, e: &Event<'_>) {
+            match *e {
+                Event::Steal(victim, got, Some(ref ph)) => self.steal_attempt(victim, got, ph),
+                // A traced run stamps every steal.
+                Event::Steal(_, _, None) | Event::Exit => {}
+                Event::Idle => self.switch(Bucket::Idle),
+                Event::Park => {
+                    let at = self.now();
+                    self.instant(at, EventKind::Park);
+                }
+                Event::Unpark => {
+                    let at = self.now();
+                    self.instant(at, EventKind::Unpark);
+                }
+                // Registered *before* the push makes it stealable, so a
+                // thief's commit always finds the publication; the
+                // current task is still the parent.
+                Event::Publish(ctx) => self.publish(ctx, self.cur_task),
+                // The body returned: fall into the suspend/resume bucket
+                // for the completion epilogue.
+                Event::TaskEnd { task, born } => {
+                    let at = self.now();
+                    self.switch_at(at, Bucket::SuspendResume);
+                    let run = Cycles(at.saturating_sub(born[0]));
+                    self.instant(at, EventKind::TaskEnd { task, run });
+                }
+                Event::LocalPop(ctx) => self.local_pop(ctx),
+                // The join edge: the waiter becomes the current task as
+                // if it had been pushed and popped back.
+                Event::JoinReady(jb, child, waiter) => {
+                    let parent = jb.waiter_task.load(Ordering::Relaxed);
+                    jb.enabler.store(child, Ordering::Relaxed);
+                    let at = self.now();
+                    let child = self.cur_task;
+                    self.instant(at, EventKind::JoinReady { parent, child });
+                    self.publish(waiter, parent);
+                    self.local_pop(waiter);
+                }
+                // Charged to the suspend bucket; who parks is recorded
+                // *before* `park` can expose the slot to the last child,
+                // which reads it to name `JoinReady`.
+                Event::Suspend(jb) => {
+                    let at = self.now();
+                    self.switch_at(at, Bucket::SuspendResume);
+                    let task = self.cur_task;
+                    self.instant(at, EventKind::Suspend { task });
+                    jb.waiter_task.store(task, Ordering::Relaxed);
+                }
+                // The resume edge, if the join parked (the enabling child
+                // recorded itself; taken, so the block's next join
+                // starts clean); otherwise the work slice just reopens.
+                Event::Resumed(Some(jb)) => match jb.enabler.swap(0, Ordering::Relaxed) {
+                    0 => self.switch(Bucket::Work),
+                    child => {
+                        let at = self.now();
+                        let parent = self.cur_task;
+                        self.switch_at(at, Bucket::Work);
+                        self.instant(at, EventKind::JoinResume { parent, child });
+                        self.instant(at, EventKind::Resume { task: parent });
+                    }
+                },
+                Event::Resumed(None) => self.switch(Bucket::Work),
+            }
         }
 
         /// A continuation belonging to `task` was pushed into this
         /// worker's deque (stealable from now on): register it and emit
         /// `DequePublish`.
-        #[inline]
-        pub fn on_publish(&mut self, ctx: u64, task: u64) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
-            let seq = t.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-            t.shared.ctx_map.lock().unwrap().insert(ctx, (task, seq));
-            let at = t.now();
-            t.instant(at, EventKind::DequePublish { task, seq });
+        fn publish(&mut self, ctx: u64, task: u64) {
+            let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
+            self.shared.ctx_map.lock().unwrap().insert(ctx, (task, seq));
+            let at = self.now();
+            self.instant(at, EventKind::DequePublish { task, seq });
         }
 
         /// This worker popped `ctx` from its own deque, or was handed
         /// it by a join: unregister it and make its task current (no
         /// event — a local resume is not a steal).
-        #[inline]
-        pub fn on_local_pop(&mut self, ctx: u64) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
-            if let Some((task, _seq)) = t.shared.ctx_map.lock().unwrap().remove(&ctx) {
-                t.cur_task = task;
+        fn local_pop(&mut self, ctx: u64) {
+            if let Some((task, _seq)) = self.shared.ctx_map.lock().unwrap().remove(&ctx) {
+                self.cur_task = task;
             }
         }
 
-        /// A parked/popped/stolen continuation resumed into fiber code:
-        /// back to the `Work` bucket.
-        #[inline]
-        pub fn on_resumed(&mut self) {
-            if let Some(t) = self.0.as_deref_mut() {
-                t.switch(Bucket::Work);
-            }
-        }
-
-        /// The current fiber is about to park at a blocked join.
-        #[inline]
-        pub fn on_suspend(&mut self) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
-            let at = t.now();
-            t.switch_at(at, Bucket::SuspendResume);
-            let task = t.cur_task;
-            t.instant(at, EventKind::Suspend { task });
-        }
-
-        /// The completion of `child` (current task) unparked `parent`'s
-        /// continuation: emit `JoinReady` (the publish of the waiter is
-        /// reported separately via [`Self::on_publish`]).
-        #[inline]
-        pub fn on_join_ready(&mut self, parent: u64) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
-            let at = t.now();
-            let child = t.cur_task;
-            t.instant(at, EventKind::JoinReady { parent, child });
-        }
-
-        /// The parent resumed past a parked join that `child` enabled.
-        #[inline]
-        pub fn on_join_resume(&mut self, child: u64) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
-            let at = t.now();
-            let parent = t.cur_task;
-            t.switch_at(at, Bucket::Work);
-            t.instant(at, EventKind::JoinResume { parent, child });
-            t.instant(at, EventKind::Resume { task: parent });
-        }
-
-        /// The scheduler loop is searching for work.
-        #[inline]
-        pub fn on_idle(&mut self) {
-            if let Some(t) = self.0.as_deref_mut() {
-                t.switch(Bucket::Idle);
-            }
-        }
-
-        /// One instrumented steal attempt finished: emit the phase spans
-        /// (charged to the matching steal buckets), the outcome, and —
-        /// on success — the `StealCommit` naming the stolen task, whose
-        /// id this returns.
-        pub fn on_steal_attempt(&mut self, victim: usize, ctx: Option<u64>, ph: &StealPhases) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
+        /// One phase-stamped steal attempt finished: emit the phase
+        /// spans (charged to the matching steal buckets), the outcome,
+        /// and — on success — the `StealCommit` naming the stolen task.
+        fn steal_attempt(&mut self, victim: usize, ctx: Option<u64>, ph: &StealPhases) {
             let victim = WorkerId(victim as u32);
             // Clamp the deque's raw clock readings into this worker's
             // monotone timeline.
-            let start = ph.start.clamp(t.latest, u64::MAX);
+            let start = ph.start.clamp(self.latest, u64::MAX);
             let checked = ph.checked.clamp(start, u64::MAX);
             let locked = ph.locked.clamp(checked, u64::MAX);
             let end = ph.end.clamp(locked, u64::MAX);
-            t.latest = end;
+            self.latest = end;
             // Close the open (idle) slice at the attempt start, then
             // tile the attempt with its phases.
-            t.switch_at(start, Bucket::Idle);
+            self.switch_at(start, Bucket::Idle);
+            let worker = self.worker;
             let mut phase_span = |from: u64, to: u64, phase: StealPhaseId, bucket: Bucket| {
                 if to > from {
-                    t.ring.push(TraceEvent::span(
-                        Cycles(from),
-                        Cycles(to - from),
-                        t.worker,
-                        EventKind::StealPhase { victim, phase },
-                    ));
-                    t.ring.push(TraceEvent::span(
-                        Cycles(from),
-                        Cycles(to - from),
-                        t.worker,
-                        EventKind::Slice { bucket },
-                    ));
-                    t.account.charge(bucket, Cycles(to - from));
+                    let dur = Cycles(to - from);
+                    let phase = EventKind::StealPhase { victim, phase };
+                    self.ring
+                        .push(TraceEvent::span(Cycles(from), dur, worker, phase));
+                    let slice = EventKind::Slice { bucket };
+                    self.ring
+                        .push(TraceEvent::span(Cycles(from), dur, worker, slice));
+                    self.account.charge(bucket, dur);
                 }
             };
             phase_span(start, checked, StealPhaseId::EmptyCheck, Bucket::StealEmpty);
             phase_span(checked, locked, StealPhaseId::Lock, Bucket::StealLock);
             phase_span(locked, end, StealPhaseId::Steal, Bucket::StealEntry);
-            t.since = end;
-            t.bucket = Bucket::Idle;
+            self.since = end;
+            self.bucket = Bucket::Idle;
             let outcome = match ph.outcome {
                 StealAttemptOutcome::Taken => StealOutcome::Completed,
                 StealAttemptOutcome::Empty => StealOutcome::AbortEmpty,
                 StealAttemptOutcome::LockBusy => StealOutcome::AbortLock,
                 StealAttemptOutcome::Raced => StealOutcome::AbortRaced,
             };
-            t.instant(
+            let latency = Cycles(end - start);
+            self.instant(
                 end,
                 EventKind::StealResult {
                     victim,
                     outcome,
-                    latency: Cycles(end - start),
+                    latency,
                 },
             );
             if let Some(ctx) = ctx {
-                let hit = t.shared.ctx_map.lock().unwrap().remove(&ctx);
+                let hit = self.shared.ctx_map.lock().unwrap().remove(&ctx);
                 if let Some((task, seq)) = hit {
-                    t.cur_task = task;
-                    t.instant(end, EventKind::StealCommit { task, seq });
+                    self.cur_task = task;
+                    self.instant(end, EventKind::StealCommit { task, seq });
                 }
             }
         }
 
-        /// The idle backoff crossed its spin threshold: the worker is
-        /// going to sleep.
-        #[inline]
-        pub fn on_park(&mut self) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
-            let at = t.now();
-            t.instant(at, EventKind::Park);
-        }
-
-        /// The worker found work after having parked.
-        #[inline]
-        pub fn on_unpark(&mut self) {
-            let Some(t) = self.0.as_deref_mut() else {
-                return;
-            };
-            let at = t.now();
-            t.instant(at, EventKind::Unpark);
-        }
-
         /// The worker loop exited: close the last slice and deposit this
         /// worker's timeline into the shared state.
-        pub fn finish(&mut self) {
-            let Some(mut t) = self.0.take() else {
-                return;
-            };
-            let end = t.now();
-            t.switch_at(end, Bucket::Idle);
+        pub(crate) fn finish(mut self) {
+            let end = self.now();
+            self.switch_at(end, Bucket::Idle);
             let deposit = WorkerDeposit {
-                ring: t.ring,
-                account: t.account,
+                ring: self.ring,
+                account: self.account,
                 end,
             };
-            let idx = t.worker.index();
-            let mut deps = t.shared.deposits.lock().unwrap();
+            let idx = self.worker.index();
+            let mut deps = self.shared.deposits.lock().unwrap();
             if let Some(slot) = deps.get_mut(idx) {
                 *slot = Some(deposit);
             }
@@ -573,12 +498,14 @@ pub use real::{
     finalize, NativeTrace, TraceShared, WorkerDeposit, WorkerTracer, DEFAULT_RING_CAPACITY,
 };
 
-/// Zero-cost stand-ins when the `trace` feature is off: the runtime's
-/// hook sites compile against the same names and vanish entirely.
+/// Stand-ins when the `trace` feature is off: no run is traced, so
+/// neither is ever constructed, and the observers' trace half is always
+/// `None`.
 #[cfg(not(feature = "trace"))]
 mod stub {
+    use crate::sched::Event;
+    use crate::tsc::RunClock;
     use std::sync::Arc;
-    use uat_deque::StealPhases;
 
     /// Placeholder for the run-wide trace state (never constructed).
     pub struct TraceShared;
@@ -593,60 +520,24 @@ mod stub {
         }
     }
 
-    /// No-op tracer: every hook is an empty `#[inline(always)]` body.
-    #[derive(Default)]
+    /// Placeholder for a worker's tracer (never constructed).
     pub struct WorkerTracer;
 
-    #[allow(missing_docs)]
     impl WorkerTracer {
-        #[inline(always)]
-        pub fn new(_shared: Option<&Arc<TraceShared>>, _id: usize) -> Self {
+        pub(crate) fn new(_shared: &Arc<TraceShared>, _id: usize) -> Self {
             WorkerTracer
         }
-        #[inline(always)]
-        pub fn enabled(&self) -> bool {
-            false
+        pub(crate) fn clock(&self) -> RunClock {
+            unreachable!("tracing is compiled out")
         }
-        #[inline(always)]
-        pub fn cur_task(&self) -> u64 {
+        pub(crate) fn on_task_begin(&mut self, _task: u64) -> u64 {
             0
         }
-        #[inline(always)]
-        pub fn clock(&self) -> Option<crate::tsc::RunClock> {
-            None
-        }
-        #[inline(always)]
-        pub fn on_task_begin(&mut self, _task: u64) -> u64 {
+        pub(crate) fn on_spawn(&mut self) -> u64 {
             0
         }
-        #[inline(always)]
-        pub fn on_task_end(&mut self, _task: u64, _born: u64) {}
-        #[inline(always)]
-        pub fn on_spawn(&mut self) -> u64 {
-            0
-        }
-        #[inline(always)]
-        pub fn on_publish(&mut self, _ctx: u64, _task: u64) {}
-        #[inline(always)]
-        pub fn on_local_pop(&mut self, _ctx: u64) {}
-        #[inline(always)]
-        pub fn on_resumed(&mut self) {}
-        #[inline(always)]
-        pub fn on_suspend(&mut self) {}
-        #[inline(always)]
-        pub fn on_join_ready(&mut self, _parent: u64) {}
-        #[inline(always)]
-        pub fn on_join_resume(&mut self, _child: u64) {}
-        #[inline(always)]
-        pub fn on_idle(&mut self) {}
-        #[inline(always)]
-        pub fn on_steal_attempt(&mut self, _victim: usize, _ctx: Option<u64>, _ph: &StealPhases) {}
-        #[inline(always)]
-        pub fn on_park(&mut self) {}
-        #[inline(always)]
-        pub fn on_unpark(&mut self) {}
-        #[inline(always)]
-        pub fn finish(&mut self) {}
+        pub(crate) fn record(&mut self, _e: &Event<'_>) {}
+        pub(crate) fn finish(self) {}
     }
 }
 

@@ -11,10 +11,18 @@
 //! its pooled stack. The scheduler — child-first spawn, FIFO stealing,
 //! the Figure 7 join — is the body the multiprocess backend runs too;
 //! what is this backend's own is its `Place` (`Threads`: a
-//! `StackPool`, the run's `NativeDeque`s and termination cells, and the
-//! tracer and metrics hooks), how its workers come to exist
+//! `StackPool`, the run's `NativeDeque`s and counter rows, and the
+//! tracer and the timed metrics tier), how its workers come to exist
 //! (`thread::spawn`), and the public API on top: [`spawn`],
 //! [`JoinHandle`] and [`Runtime`].
+//!
+//! A task costs here what it costs on the multiprocess backend: its
+//! counters are its worker's `uat_metrics::shm::Row`, bumped by the
+//! worker body; a worker reaches any worker's row and deque by an add
+//! from bases it resolved when it started, as `RegionLayout` does; and
+//! the tracer and the timed metrics tier sit behind one flag on the
+//! place (`Threads::observe`), so a run neither traced nor metered
+//! never enters them.
 //!
 //! Nobody polls for the end of a run: the first worker whose
 //! termination scan passes raises the shutdown word, and the thread that
@@ -33,10 +41,11 @@ use crate::stack::{Stack, StackPool};
 use crate::tsc::RunClock;
 use std::borrow::Borrow;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Arc;
 use uat_deque::native::Owned;
 use uat_deque::NativeDeque;
+use uat_metrics::shm::{self, Row};
 
 /// What a public [`spawn`] shares between the child and its handle —
 /// the one allocation such a spawn makes.
@@ -83,42 +92,51 @@ pub struct JoinHandle<T> {
     cell: Arc<JoinCell<T>>,
 }
 
-/// One worker's termination-detection cells, on a cache line only that
-/// worker writes [I17]. Both are monotonic: `spawned` counts the
-/// `spawn` calls made on this worker, `completed` the tasks that
-/// *finished* here (a task may start on one worker and finish on
-/// another). The root is spawned by nobody: it is the scan's `1 +`.
-#[derive(Default)]
-#[repr(align(64))]
-struct Progress {
-    spawned: AtomicU64,
-    completed: AtomicU64,
-}
-
 struct Shared {
-    deques: Vec<Arc<NativeDeque<u64>>>,
+    deques: Box<[NativeDeque<u64>]>,
+    /// One counter row per worker, on a line only that worker writes
+    /// [I17]; the termination scan sums their `TASKS` and `SPAWNED`.
+    rows: Box<[Row]>,
     /// Raised by the first idle worker whose termination scan passes;
     /// every worker loop, and the sampler, leaves when it reads it.
     shutdown: AtomicU32,
-    progress: Box<[Progress]>,
-    /// Run-wide metrics state: sharded scheduler counters (steals,
-    /// parks, heartbeats, …), tail-latency histograms, and the flight
-    /// rings.
+    /// The timed metrics tier and the registry the rows are reported in.
     metrics: Arc<MetricsShared>,
     /// The root's task record, started (once) by worker 0; from then on
     /// only an address.
     seed_task: AtomicPtr<TaskHeader<Stack>>,
-    /// Run-wide trace state; `None` = untraced (hooks early-out).
+    /// Run-wide trace state; `None` = untraced.
     trace: Option<Arc<TraceShared>>,
 }
 
-/// The thread backend's [`Place`]: one worker thread's stack pool and
-/// hooks, beside the run's shared state.
+/// The thread backend's [`Place`]: one worker thread's stack pool, its
+/// way into the run's rows and deques, and its observers.
 pub(crate) struct Threads {
-    shared: Arc<Shared>,
+    /// Worker 0's row and deque, resolved once at worker start: worker
+    /// `w`'s are `w` further on.
+    rows: *const Row,
+    deques: *const NativeDeque<u64>,
     pool: StackPool,
-    trace: WorkerTracer,
-    metrics: WorkerMetrics,
+    /// The tracer and the timed metrics tier, on a run that has either:
+    /// the one flag every per-task hook tests.
+    observe: Option<Box<Observers>>,
+    /// Keeps the rows, the deques and the shutdown word alive.
+    shared: Arc<Shared>,
+}
+
+impl Threads {
+    fn new(shared: Arc<Shared>, id: usize, stack_size: usize) -> Self {
+        let trace = shared.trace.as_ref().map(|t| WorkerTracer::new(t, id));
+        let metered = shared.metrics.metered;
+        let metrics = metered.then(|| WorkerMetrics::new(&shared.metrics, id));
+        Threads {
+            rows: shared.rows.as_ptr(),
+            deques: shared.deques.as_ptr(),
+            pool: StackPool::new(stack_size),
+            observe: (trace.is_some() || metered).then(|| Box::new(Observers { trace, metrics })),
+            shared,
+        }
+    }
 }
 
 impl Place for Threads {
@@ -140,13 +158,19 @@ impl Place for Threads {
 
     #[inline]
     fn deque(&self, w: usize) -> impl Borrow<NativeDeque<u64>> + '_ {
-        &*self.shared.deques[w]
+        debug_assert!(w < self.shared.deques.len());
+        // SAFETY: [I7] the worker body passes only `w < n` — its own id,
+        // a victim `rng.below(n - 1)` shifted past itself, or a scan
+        // index — and `run_core` builds both banks, and every `Worker`'s
+        // `n`, from `nworkers`; `shared` keeps the bank alive.
+        unsafe { &*self.deques.add(w) }
     }
 
     #[inline]
-    fn progress(&self, w: usize) -> (&AtomicU64, &AtomicU64) {
-        let p = &self.shared.progress[w];
-        (&p.spawned, &p.completed)
+    fn row(&self, w: usize) -> &Row {
+        debug_assert!(w < self.shared.rows.len());
+        // SAFETY: [I7] `w < n`, the bank's length, as in `deque`.
+        unsafe { &*self.rows.add(w) }
     }
 
     fn shutdown(&self) -> &AtomicU32 {
@@ -170,84 +194,85 @@ impl Place for Threads {
 
     #[inline]
     fn record(&mut self, e: Event<'_>) {
-        let (t, m) = (&mut self.trace, &mut self.metrics);
-        match e {
-            Event::Loop => m.on_loop(),
-            Event::Steal(victim, got, Some(ph)) => {
-                t.on_steal_attempt(victim, got, &ph);
-                m.on_steal_phased(victim, got.is_some(), &ph);
-            }
-            Event::Steal(_, got, None) => m.on_steal_untimed(got.is_some()),
-            Event::Park => {
-                t.on_park();
-                m.on_park();
-            }
-            Event::Unpark => {
-                t.on_unpark();
-                m.on_unpark();
-            }
-            Event::TaskEnd { task, born } => {
-                t.on_task_end(task, born[0]);
-                m.on_task_end(born[1]);
-            }
-            // The rest only names trace events.
-            _ if !t.enabled() => {}
-            Event::Idle => t.on_idle(),
-            // Registered *before* the push makes it stealable, so a
-            // thief's commit always finds the publication; the current
-            // task is still the parent.
-            Event::Publish(ctx) => {
-                let parent = t.cur_task();
-                t.on_publish(ctx, parent);
-            }
-            Event::LocalPop(ctx) => t.on_local_pop(ctx),
-            // The join edge: the waiter becomes the current task as if
-            // it had been pushed and popped back.
-            Event::JoinReady(jb, child, waiter) => {
-                let parent = jb.waiter_task.load(Ordering::Relaxed);
-                jb.enabler.store(child, Ordering::Relaxed);
-                t.on_join_ready(parent);
-                t.on_publish(waiter, parent);
-                t.on_local_pop(waiter);
-            }
-            // Charged to the suspend bucket; who parks is recorded
-            // *before* `park` can expose the slot to the last child,
-            // which reads it to name `JoinReady`.
-            Event::Suspend(jb) => {
-                t.on_suspend();
-                jb.waiter_task.store(t.cur_task(), Ordering::Relaxed);
-            }
-            // The resume edge, if the join parked (the enabling child
-            // recorded itself; taken, so the block's next join starts
-            // clean); otherwise the work slice just reopens.
-            Event::Resumed(Some(jb)) => match jb.enabler.swap(0, Ordering::Relaxed) {
-                0 => t.on_resumed(),
-                child => t.on_join_resume(child),
-            },
-            Event::Resumed(None) => t.on_resumed(),
-            // Deposit this worker's timeline.
-            Event::Exit => t.finish(),
+        if let Some(o) = &mut self.observe {
+            o.record(e);
         }
     }
 
-    /// Traced and metered runs take the phase-stamped steal so lock and
-    /// entry time land in the right buckets and the latency histogram.
+    /// Observed runs take the phase-stamped steal so lock and entry time
+    /// land in the right trace buckets and the latency histogram.
     fn clock(&self) -> Option<RunClock> {
-        self.trace.clock().or_else(|| self.metrics.clock())
+        let o = self.observe.as_ref()?;
+        o.trace
+            .as_ref()
+            .map(WorkerTracer::clock)
+            .or_else(|| o.metrics.as_ref().map(WorkerMetrics::clock))
     }
 
-    /// Close the parent's Work slice, open Spawn, allocate and announce
-    /// the child id.
     #[inline]
     fn on_spawn(&mut self) -> u64 {
-        self.trace.on_spawn()
+        match &mut self.observe {
+            Some(o) => o.on_spawn(),
+            None => 0,
+        }
+    }
+
+    #[inline]
+    fn on_task_begin(&mut self, task: u64, _stack: &Stack) -> [u64; 2] {
+        match &mut self.observe {
+            Some(o) => o.on_task_begin(task),
+            None => [0; 2],
+        }
+    }
+}
+
+/// What an observed worker adds to its counters: the tracer, on a
+/// traced run, and the timed metrics tier, on a metered one. Entered out
+/// of line, so an unobserved task's code is the multiprocess backend's
+/// plus one test per hook.
+struct Observers {
+    trace: Option<WorkerTracer>,
+    metrics: Option<WorkerMetrics>,
+}
+
+impl Observers {
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, e: Event<'_>) {
+        #[cfg(test)]
+        tests::entered();
+        if let Some(m) = &mut self.metrics {
+            m.record(&e);
+        }
+        match (e, &mut self.trace) {
+            (_, None) => {}
+            // Deposit this worker's timeline.
+            (Event::Exit, t) => t.take().expect("traced").finish(),
+            (e, Some(t)) => t.record(&e),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn on_spawn(&mut self) -> u64 {
+        #[cfg(test)]
+        tests::entered();
+        self.trace.as_mut().map_or(0, WorkerTracer::on_spawn)
     }
 
     /// The begin stamps are `Copy` locals of the task, so they survive
     /// its stack migrating between workers.
-    #[inline]
-    fn on_task_begin(&mut self, task: u64, _stack: &Stack) -> [u64; 2] {
-        [self.trace.on_task_begin(task), self.metrics.on_task_begin()]
+    #[cold]
+    #[inline(never)]
+    fn on_task_begin(&mut self, task: u64) -> [u64; 2] {
+        #[cfg(test)]
+        tests::entered();
+        [
+            self.trace.as_mut().map_or(0, |t| t.on_task_begin(task)),
+            self.metrics
+                .as_mut()
+                .map_or(0, WorkerMetrics::on_task_begin),
+        ]
     }
 }
 
@@ -494,11 +519,9 @@ impl Runtime {
             place_record::<Threads, _, _>(stack, at, &cell.block, root_task, self.root_frame, task)
                 .unwrap_or_else(|(e, s)| Threads::refuse_frame(e, s));
         let shared = Arc::new(Shared {
-            deques: (0..self.nworkers)
-                .map(|_| Arc::new(NativeDeque::new(8192)))
-                .collect(),
+            deques: (0..self.nworkers).map(|_| NativeDeque::new(8192)).collect(),
+            rows: (0..self.nworkers).map(|_| Row::default()).collect(),
             shutdown: AtomicU32::new(0),
-            progress: (0..self.nworkers).map(|_| Progress::default()).collect(),
             metrics,
             seed_task: AtomicPtr::new(seed),
             trace,
@@ -512,19 +535,14 @@ impl Runtime {
                     .name(format!("uat-worker-{id}"))
                     .spawn(move || {
                         let root = (id == 0).then(|| shared.seed_task.load(Ordering::Acquire));
-                        let place = Threads {
-                            pool: StackPool::new(stack_size),
-                            trace: WorkerTracer::new(shared.trace.as_ref(), id),
-                            metrics: WorkerMetrics::new(&shared.metrics, id),
-                            shared,
-                        };
+                        let place = Threads::new(shared, id, stack_size);
                         let mut worker = Worker::new(id, workers, place);
                         // Watchdog-test sabotage: stay alive (so the run
                         // is otherwise healthy) but never enter the
                         // scheduler loop, so this worker's heartbeat
                         // epoch stays frozen while the others advance.
                         let shared = &worker.place.shared;
-                        if shared.metrics.is_sabotaged(id) {
+                        if shared.metrics.sabotage == Some(id) {
                             while shared.shutdown.load(Ordering::Acquire) == 0 {
                                 std::thread::sleep(std::time::Duration::from_millis(2));
                             }
@@ -555,6 +573,7 @@ impl Runtime {
                     crate::nmetrics::sampler_loop(
                         &shared.metrics,
                         &shared.deques,
+                        &shared.rows,
                         &shared.shutdown,
                         interval,
                         watchdog.as_ref(),
@@ -575,14 +594,18 @@ impl Runtime {
         if let Some(handle) = sampler {
             handle.join().expect("sampler thread");
         }
-        // Every worker has deposited its ring; surface the drop counts
-        // in the registry alongside the scheduler counters.
+        // Every worker has left: the rows are final. Report them in the
+        // registry, and, every worker having deposited its ring, the
+        // trace's drop counts beside them.
+        shared.metrics.deposit(&shared.rows);
         #[cfg(feature = "trace")]
         if let Some(t) = shared.trace.as_ref() {
-            for (i, dropped) in t.dropped_per_worker().into_iter().enumerate() {
-                if dropped > 0 {
-                    shared.metrics.trace_dropped.add(i, dropped);
-                }
+            let dropped = shared.metrics.registry.counter(
+                uat_metrics::names::TRACE_DROPPED,
+                "Trace events evicted from full per-worker rings",
+            );
+            for (i, n) in t.dropped_per_worker().into_iter().enumerate() {
+                dropped.add(i, n);
             }
         }
         // The root dropped its reference before its completion tick, which
@@ -593,11 +616,18 @@ impl Runtime {
             .result
             .into_inner()
             .expect("root set its result");
+        let sum = |c: usize| -> u64 {
+            shared
+                .rows
+                .iter()
+                .map(|r| r[c].load(Ordering::Relaxed))
+                .sum()
+        };
         let stats = NativeRunStats {
             workers: self.nworkers as u32,
-            steals: shared.metrics.steals_total(),
-            parks: shared.metrics.parks_total(),
-            unparks: shared.metrics.unparks_total(),
+            steals: sum(shm::STEALS_COMPLETED),
+            parks: sum(shm::PARKS),
+            unparks: sum(shm::UNPARKS),
             wall,
             ..NativeRunStats::default()
         };
@@ -606,10 +636,24 @@ impl Runtime {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sched::TaskRecord;
+    use std::cell::Cell;
     use std::sync::atomic::AtomicBool;
+
+    thread_local!(static ENTERED: Cell<u64> = const { Cell::new(0) });
+
+    /// Count one entry into an observer past the place's flag.
+    pub(super) fn entered() {
+        ENTERED.with(|n| n.set(n.get() + 1));
+    }
+
+    /// The observer entries this thread has made.
+    #[inline(never)]
+    pub(crate) fn hooks() -> u64 {
+        ENTERED.with(Cell::get)
+    }
 
     #[test]
     fn root_only() {

@@ -7,7 +7,12 @@
 //! differently; the rest is shared: this body, the join protocol
 //! (`join.rs`), the frame claim (`frame.rs`), the idle policy and
 //! termination scan (`idle.rs`), the two transfers (`ctx.rs`), the deque
-//! body (`uat_deque::TheDeque`) and the accounting row (`interp.rs`).
+//! body (`uat_deque::TheDeque`), the accounting row (`interp.rs`) and the
+//! counter row (`uat_metrics::shm::Row`), whose cells this body bumps
+//! itself — heartbeats, steal outcomes, parks, unparks, and the tasks
+//! and spawns the termination scan sums. What a place may add on top is
+//! observation: the tracer and the timed metrics tier, which the thread
+//! backend keeps behind one flag.
 //!
 //! Control changes stacks in four places, through the two transfers of
 //! [`ctx`](crate::ctx) — a spawn and the scheduler starting the root
@@ -70,6 +75,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use uat_base::SplitMix64;
 use uat_deque::{StealPhases, Storage, TheDeque};
+use uat_metrics::shm::{self, Row};
 use uat_model::Action;
 
 /// Single-writer add on a per-worker cell: a plain load + store (no
@@ -81,10 +87,10 @@ pub(crate) fn bump(cell: &AtomicU64, v: u64, order: Ordering) {
 }
 
 /// What the two real backends do differently — and nothing else: where
-/// stacks come from, where the deques and the termination cells live,
-/// where a task's program waits across its migration points, how a
-/// worker gives up, and what it records on the way. How workers come to
-/// exist, region mapping and the coordinator stay in the two runners.
+/// stacks come from, where the deques and the counter rows live, where a
+/// task's program waits across its migration points, how a worker gives
+/// up, and what it observes on the way. How workers come to exist,
+/// region mapping and the coordinator stay in the two runners.
 ///
 /// One `Place` value is one worker's part of that state, owned by its
 /// [`Worker`] and touched only by the worker's own thread ([I7]).
@@ -107,9 +113,10 @@ pub(crate) trait Place: Sized {
 
     /// Worker `w`'s deque: one `TheDeque` body on both backends.
     fn deque(&self, w: usize) -> impl Borrow<TheDeque<Self::Store>> + '_;
-    /// Worker `w`'s termination cells, `(spawned, completed)`, on a line
-    /// only `w` writes ([I17]; `idle::quiescent` scans them).
-    fn progress(&self, w: usize) -> (&AtomicU64, &AtomicU64);
+    /// Worker `w`'s counter row, a line only `w` writes ([I17]). This
+    /// body bumps its cells; its `TASKS` and `SPAWNED` cells are the
+    /// termination scan's (`idle::quiescent`).
+    fn row(&self, w: usize) -> &Row;
     /// The run's shutdown word: raised once, by the first worker whose
     /// termination scan passes ([I20]).
     fn shutdown(&self) -> &AtomicU32;
@@ -129,7 +136,8 @@ pub(crate) trait Place: Sized {
     /// switch is undefined behaviour, so the worker goes, loudly.
     fn task_panicked() -> !;
 
-    /// Record `e`, if this backend observes it.
+    /// Record `e` for the tracer or the timed metrics tier, if this
+    /// backend has either on (the counters are this body's own).
     fn record(&mut self, _e: Event<'_>) {}
     /// A clock for phase-stamped steals; `None` takes the bare steal.
     fn clock(&self) -> Option<RunClock> {
@@ -146,10 +154,10 @@ pub(crate) trait Place: Sized {
     }
 }
 
-/// The scheduler events a backend may record ([`Place::record`]).
+/// The scheduler events a backend may record ([`Place::record`]). Most
+/// fields are for the tracer, which a build without `trace` lacks.
+#[cfg_attr(not(feature = "trace"), allow(dead_code))]
 pub(crate) enum Event<'a> {
-    /// One scheduler-loop iteration.
-    Loop,
     /// The scheduler is out of local work and about to steal.
     Idle,
     /// A steal attempt on victim `.0` ended with `.1`, with its phase
@@ -346,10 +354,9 @@ pub(crate) unsafe fn spawn_on<P: Place, K, F: FnOnce() -> K>(jb: &JoinBlock, fra
         let wr = &mut *w;
         let (stack, span) = wr.place.take_stack();
         let task_id = wr.place.on_spawn();
-        // Announce the child before it can run: its `completed` tick
-        // then happens-after this one, which the termination scan
-        // relies on.
-        bump(wr.place.progress(wr.id).0, 1, Ordering::Release);
+        // Announce the child before it can run: its `TASKS` tick then
+        // happens-after this one, which the termination scan relies on.
+        bump(&wr.place.row(wr.id)[shm::SPAWNED], 1, Ordering::Release);
         let rec = place_record::<P, K, F>(stack, span, jb, task_id, frame, f)
             .unwrap_or_else(|(e, s)| P::refuse_frame(e, s));
         (wr.id, rec)
@@ -433,8 +440,13 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void)
         // block stays put until we resume it.
         let target = unsafe {
             let wr = &mut *w;
-            debug_assert!(wr.pending_retire.is_none());
-            wr.pending_retire = Some(ManuallyDrop::take(&mut (*rec).hdr.stack));
+            // The slot is empty — whatever landed here last collected
+            // it — so this drops nothing (and calls no destructor).
+            let prev = wr
+                .pending_retire
+                .replace(ManuallyDrop::take(&mut (*rec).hdr.stack));
+            debug_assert!(prev.is_none());
+            std::mem::forget(prev);
             wr.place.record(Event::TaskEnd { task, born });
             let popped = wr.place.deque(wr.id).borrow().pop();
             match popped {
@@ -459,7 +471,7 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void)
         // SAFETY: [I7][I8] `w` is this worker's, alive for its loop.
         unsafe {
             let wr = &*w;
-            bump(wr.place.progress(wr.id).1, 1, Ordering::Release);
+            bump(&wr.place.row(wr.id)[shm::TASKS], 1, Ordering::Release);
         }
         target as *mut Context
     };
@@ -530,7 +542,7 @@ pub(crate) fn worker_loop<P: Place>(
         let (id, n) = (wr.id, wr.n);
         // Heartbeat: once per iteration. Parked workers iterate every
         // nap, so only a wedged (or task-monopolised) worker's freezes.
-        wr.place.record(Event::Loop);
+        bump(&wr.place.row(id)[shm::HEARTBEATS], 1, Ordering::Relaxed);
         // Scheduler-side join park [I12]: a fiber that suspended on a
         // join handed it to us; park it from this OS stack. If every
         // child had completed first, the fiber never really parked —
@@ -563,11 +575,17 @@ pub(crate) fn worker_loop<P: Place>(
                 }
                 None => (p.deque(victim).borrow().steal(), None),
             };
+            let c = match got {
+                Some(_) => shm::STEALS_COMPLETED,
+                None => shm::STEALS_FAILED,
+            };
+            bump(&p.row(id)[c], 1, Ordering::Relaxed);
             p.record(Event::Steal(victim, got, phases));
             got
         };
         if let Some(ctx) = target {
             if idle.found() {
+                bump(&wr.place.row(id)[shm::UNPARKS], 1, Ordering::Relaxed);
                 wr.place.record(Event::Unpark);
             }
             run_ctx::<P>(ctx as *mut Context);
@@ -584,12 +602,16 @@ pub(crate) fn worker_loop<P: Place>(
         // hook: one borrow of the place at a time.
         let scan = || unsafe {
             idle::quiescent(
-                (0..n).map(|v| (*p).progress(v).1),
-                (0..n).map(|v| (*p).progress(v).0),
+                (0..n).map(|v| &(*p).row(v)[shm::TASKS]),
+                (0..n).map(|v| &(*p).row(v)[shm::SPAWNED]),
             )
         };
         // SAFETY: [I7] as above.
-        if idle.missed(scan, || unsafe { (*p).record(Event::Park) }) {
+        let park = || unsafe {
+            bump(&(*p).row(id)[shm::PARKS], 1, Ordering::Relaxed);
+            (*p).record(Event::Park);
+        };
+        if idle.missed(scan, park) {
             let shutdown = wr.place.shutdown();
             shutdown.store(1, Ordering::Release);
             idle::futex_wake(shutdown);

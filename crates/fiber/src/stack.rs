@@ -97,14 +97,21 @@ impl StackPool {
     }
 
     /// Take a stack (reuse or map a fresh one).
+    #[inline]
     pub fn take(&mut self) -> Stack {
-        self.free.pop().unwrap_or_else(|| {
-            self.created += 1;
-            Stack::new(self.size)
-        })
+        self.free.pop().unwrap_or_else(|| self.map_one())
+    }
+
+    /// The pool is dry: map a fresh stack, out of the spawn path.
+    #[cold]
+    #[inline(never)]
+    fn map_one(&mut self) -> Stack {
+        self.created += 1;
+        Stack::new(self.size)
     }
 
     /// Return a stack for reuse.
+    #[inline]
     pub fn put(&mut self, s: Stack) {
         self.free.push(s);
     }

@@ -66,7 +66,22 @@ fn sabotaged_worker_trips_watchdog() {
     // flight ring per worker, and it renders to JSON.
     assert_eq!(dump.flight.len(), 4);
     assert!(dump.snapshot.total(names::TASKS) > 0);
-    assert!(dump.snapshot.get(names::HEARTBEATS).is_some());
+    // Its counters are the workers' rows as they were mid-run: the
+    // wedged worker never ran a task nor heartbeat, and a healthy one
+    // did both.
+    let per_worker = |name| {
+        dump.snapshot
+            .per_worker(name)
+            .unwrap_or_else(|| panic!("{name} per worker"))
+            .to_vec()
+    };
+    let (tasks, beats) = (per_worker(names::TASKS), per_worker(names::HEARTBEATS));
+    assert_eq!((tasks.len(), beats.len()), (4, 4));
+    assert_eq!((tasks[2], beats[2]), (0, 0), "the wedged worker's row");
+    assert!(
+        (0..4).any(|w| w != 2 && tasks[w] > 0 && beats[w] > 0),
+        "no healthy worker both ran tasks and heartbeat: tasks {tasks:?}, heartbeats {beats:?}"
+    );
     let doc = dump.to_json().pretty();
     assert!(doc.contains("stalled_worker"));
     uat_base::json::Json::parse(&doc).expect("dump JSON round-trips");

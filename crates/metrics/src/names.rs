@@ -26,6 +26,9 @@ pub const UNPARKS: &str = "uat_unparks_total";
 /// Tasks run to completion.
 pub const TASKS: &str = "uat_tasks_total";
 
+/// Tasks spawned (every task but the root).
+pub const SPAWNED: &str = "uat_spawned_total";
+
 /// Trace events evicted from full per-worker rings.
 pub const TRACE_DROPPED: &str = "uat_trace_dropped_total";
 

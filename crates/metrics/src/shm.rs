@@ -1,25 +1,29 @@
-//! Shared-memory metrics segment: the layout contract between the
-//! multiprocess runtime and the parent-side exporter.
+//! The per-worker counter rows both real runtimes keep, and the layout
+//! contract between the multiprocess runtime and the parent-side
+//! exporter.
 //!
-//! The multiprocess backend cannot hand a [`Registry`](crate::Registry)
-//! across `fork` — its shards are heap cells of one address space. It
-//! instead reserves a *segment* of the shared uni-address region as a
-//! bank of per-worker `u64` counter cells, laid out by
-//! [`SegmentLayout`]. Workers bump their own cells with process-shared
-//! atomics (single-writer, like registry shards); the parent reads the
-//! cells — through its RDMA-window abstraction
-//! (`uat_rdma::OneSidedFabric`), no RPC, no pipes — and rebuilds an
-//! ordinary [`Snapshot`](crate::Snapshot) with
-//! [`SegmentLayout::snapshot`], so every downstream exporter
-//! (Prometheus text, JSON, deltas) works on multiprocess runs
-//! unchanged.
+//! Every worker of a real run owns one [`Row`]: [`ROW_STRIDE`] `u64`
+//! cells on a cache line of its own, bumped by the worker body itself
+//! with single-writer stores — heartbeats, steal outcomes, parks,
+//! unparks, and the two termination cells, tasks completed and tasks
+//! spawned. The thread runtime keeps its rows on the heap; the
+//! multiprocess runtime cannot hand a heap across `fork`, so it reserves
+//! a *segment* of the shared uni-address region as the bank of rows,
+//! laid out by [`SegmentLayout`], and the parent reads the cells back
+//! through its RDMA-window abstraction (`uat_rdma::OneSidedFabric`), no
+//! RPC, no pipes. Either way the rows become an ordinary
+//! [`Snapshot`](crate::Snapshot) through [`SegmentLayout::snapshot`], so
+//! every downstream exporter (Prometheus text, JSON, deltas) sees the
+//! same counters, in the same order, on both backends.
 //!
-//! This module is pure layout arithmetic and snapshot assembly — it
-//! never touches the mapping itself (this crate forbids `unsafe`; the
-//! mapped-memory side lives with the runtime in `uat-fiber`).
+//! This module is layout arithmetic, the row type and snapshot assembly
+//! — it never touches a mapping itself (this crate forbids `unsafe`;
+//! placing rows in mapped memory is the runtime's business, in
+//! `uat-fiber`).
 
 use crate::names;
 use crate::registry::{MetricSnapshot, Snapshot, ValueSnapshot};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cell of [`names::HEARTBEATS`] within a worker's row.
 pub const HEARTBEATS: usize = 0;
@@ -31,15 +35,18 @@ pub const STEALS_FAILED: usize = 2;
 pub const PARKS: usize = 3;
 /// Cell of [`names::UNPARKS`] within a worker's row.
 pub const UNPARKS: usize = 4;
-/// Cell of [`names::TASKS`] within a worker's row, the last named one;
-/// cells past it, up to [`ROW_STRIDE`], are the runtime's own.
+/// Cell of [`names::TASKS`] within a worker's row: the tasks that
+/// *finished* on the worker, its termination scan's `completed` cell.
 pub const TASKS: usize = 5;
+/// Cell of [`names::SPAWNED`] within a worker's row: the spawns made on
+/// the worker, its termination scan's `spawned` cell. The last one.
+pub const SPAWNED: usize = 6;
 
-/// The per-worker counters the multiprocess runtime publishes, indexed
-/// by cell: the runtime bumps the cells above and the exporter names
-/// them from this table, so the two cannot disagree.
-pub const SEGMENT_COUNTERS: [(&str, &str); TASKS + 1] = {
-    let mut t = [("", ""); TASKS + 1];
+/// The per-worker counters a row holds, indexed by cell: the runtimes
+/// bump the cells above and the exporter names them from this table, so
+/// the two cannot disagree.
+pub const SEGMENT_COUNTERS: [(&str, &str); SPAWNED + 1] = {
+    let mut t = [("", ""); SPAWNED + 1];
     t[HEARTBEATS] = (
         names::HEARTBEATS,
         "Scheduler loop iterations per worker (heartbeat epochs)",
@@ -61,6 +68,7 @@ pub const SEGMENT_COUNTERS: [(&str, &str); TASKS + 1] = {
         "Parked workers that subsequently found work",
     );
     t[TASKS] = (names::TASKS, "Tasks run to completion");
+    t[SPAWNED] = (names::SPAWNED, "Tasks spawned (every task but the root)");
     t
 };
 
@@ -70,17 +78,43 @@ pub const ROW_STRIDE: usize = 8;
 
 const _: () = assert!(SEGMENT_COUNTERS.len() <= ROW_STRIDE);
 
-/// Shape of one run's shared metrics segment: `workers` rows of
-/// [`ROW_STRIDE`] `u64` cells, worker-major (worker `w`'s cells are the
-/// contiguous row starting at word `w * ROW_STRIDE`), counters within a
-/// row ordered as [`SEGMENT_COUNTERS`].
+/// One worker's row: [`ROW_STRIDE`] counter cells, indexed by the cell
+/// constants above, on a cache line only that worker writes. All zeroes
+/// is the empty row, so a row may sit in zero-filled shared memory as it
+/// is.
+#[derive(Debug, Default)]
+#[repr(C, align(64))]
+pub struct Row([AtomicU64; ROW_STRIDE]);
+
+const _: () = assert!(std::mem::size_of::<Row>() == ROW_STRIDE * 8);
+
+impl Row {
+    /// The row's cells as they are now.
+    pub fn words(&self) -> [u64; ROW_STRIDE] {
+        std::array::from_fn(|c| self.0[c].load(Ordering::Relaxed))
+    }
+}
+
+impl std::ops::Index<usize> for Row {
+    type Output = AtomicU64;
+
+    #[inline]
+    fn index(&self, c: usize) -> &AtomicU64 {
+        &self.0[c]
+    }
+}
+
+/// Shape of one run's bank of rows: `workers` rows of [`ROW_STRIDE`]
+/// `u64` cells, worker-major (worker `w`'s cells are the contiguous row
+/// starting at word `w * ROW_STRIDE`), counters within a row ordered as
+/// [`SEGMENT_COUNTERS`].
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentLayout {
     workers: usize,
 }
 
 impl SegmentLayout {
-    /// Layout for a run with `workers` worker processes.
+    /// Layout for a run with `workers` workers.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "segment needs at least one worker");
         SegmentLayout { workers }
@@ -122,10 +156,10 @@ impl SegmentLayout {
     }
 
     /// Assemble an ordinary registry [`Snapshot`] from the segment's
-    /// cell values (`words` must be the whole segment, [`words`] long,
-    /// as read by the parent). Cell order and naming come from
-    /// [`SEGMENT_COUNTERS`], so exporters cannot tell a multiprocess
-    /// snapshot from an in-process one.
+    /// cell values (`words` must be the whole segment, [`words`] long:
+    /// as read by the parent, or as [`Row::words`] reads a bank of
+    /// rows). Cell order and naming come from [`SEGMENT_COUNTERS`], so
+    /// exporters cannot tell one backend's snapshot from the other's.
     ///
     /// [`words`]: Self::words
     pub fn snapshot(&self, words: &[u64]) -> Snapshot {
@@ -162,6 +196,8 @@ mod tests {
         assert_eq!(l.cell(0, 0), 0);
         assert_eq!(l.cell(1, 0), ROW_STRIDE);
         assert_eq!(l.cell(2, 5), 2 * ROW_STRIDE + 5);
+        assert_eq!(std::mem::size_of::<Row>(), SegmentLayout::row_bytes());
+        assert_eq!(std::mem::align_of::<Row>(), 64);
     }
 
     #[test]
@@ -180,6 +216,20 @@ mod tests {
         // The snapshot is a plain registry snapshot: exporters work.
         let text = snap.prometheus_text();
         assert!(text.contains(names::TASKS));
+    }
+
+    #[test]
+    fn rows_snapshot_like_a_segment() {
+        let rows: Vec<Row> = (0..2).map(|_| Row::default()).collect();
+        rows[1][SPAWNED].store(4, Ordering::Relaxed);
+        rows[0][HEARTBEATS].store(9, Ordering::Relaxed);
+        let words: Vec<u64> = rows.iter().flat_map(Row::words).collect();
+        let snap = SegmentLayout::new(2).snapshot(&words);
+        assert_eq!(snap.per_worker(names::SPAWNED).unwrap(), &[0, 4]);
+        assert_eq!(snap.per_worker(names::HEARTBEATS).unwrap(), &[9, 0]);
+        let order: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
+        let table: Vec<&str> = SEGMENT_COUNTERS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(order, table);
     }
 
     #[test]
