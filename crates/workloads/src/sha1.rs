@@ -6,71 +6,109 @@
 //! predict without traversal [Olivier et al., LCPC'06]. SHA-1 is broken
 //! for cryptography but that is irrelevant here; it is a high-quality
 //! splittable hash, and implementing it keeps the workload dependency-free.
+//!
+//! Every executor pays one hash per UTS node, so the hash allocates
+//! nothing: [`sha1`] compresses whole chunks in place and pads its tail
+//! into one or two stack blocks, and [`uts_child`], whose 24-byte message
+//! always fits one padded block, builds that block and compresses once.
+//! The tests pin both to reference digests (`tests/sha1.rs`).
 
 /// A 20-byte SHA-1 digest.
 pub type Digest = [u8; 20];
 
-/// Compute the SHA-1 digest of `data`.
-pub fn sha1(data: &[u8]) -> Digest {
-    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+/// The initial hash state (FIPS 180-4 §5.3.1).
+const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
-    // Message padding: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64) * 8;
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+/// One round on state `[a, b, c, d, e]` with round function value `f`,
+/// constant `k` and schedule word `w`.
+#[inline(always)]
+fn round([a, b, c, d, e]: [u32; 5], f: u32, k: u32, w: u32) -> [u32; 5] {
+    let t = a
+        .rotate_left(5)
+        .wrapping_add(f)
+        .wrapping_add(e)
+        .wrapping_add(k)
+        .wrapping_add(w);
+    [t, a, b.rotate_left(30), c, d]
+}
 
+/// The SHA-1 compression function: fold one 64-byte block into `h`.
+fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
     let mut w = [0u32; 80];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
+    for (wi, word) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(word.try_into().expect("4 bytes"));
     }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    // Four 20-round stages, each with its own round function and constant.
+    let mut s = *h;
+    for &wi in &w[..20] {
+        let [_, b, c, d, _] = s;
+        s = round(s, (b & c) | (!b & d), 0x5A827999, wi);
+    }
+    for &wi in &w[20..40] {
+        let [_, b, c, d, _] = s;
+        s = round(s, b ^ c ^ d, 0x6ED9EBA1, wi);
+    }
+    for &wi in &w[40..60] {
+        let [_, b, c, d, _] = s;
+        s = round(s, (b & c) | (b & d) | (c & d), 0x8F1BBCDC, wi);
+    }
+    for &wi in &w[60..] {
+        let [_, b, c, d, _] = s;
+        s = round(s, b ^ c ^ d, 0xCA62C1D6, wi);
+    }
+    for (hi, si) in h.iter_mut().zip(s) {
+        *hi = hi.wrapping_add(si);
+    }
+}
 
+/// The big-endian bytes of a final state.
+fn digest(h: [u32; 5]) -> Digest {
     let mut out = [0u8; 20];
-    for (i, word) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    for (bytes, word) in out.chunks_exact_mut(4).zip(h) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
     out
 }
 
+/// Compute the SHA-1 digest of `data`.
+pub fn sha1(data: &[u8]) -> Digest {
+    let mut h = H0;
+    let mut chunks = data.chunks_exact(64);
+    for chunk in &mut chunks {
+        compress(&mut h, chunk.try_into().expect("64 bytes"));
+    }
+    // Padding: the tail, 0x80, zeros, then the 64-bit big-endian bit
+    // length in the last 8 bytes — in a second block if the tail leaves
+    // no room for it.
+    let tail = chunks.remainder();
+    let mut block = [0u8; 64];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    if tail.len() >= 56 {
+        compress(&mut h, &block);
+        block = [0u8; 64];
+    }
+    block[56..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    compress(&mut h, &block);
+    digest(h)
+}
+
 /// UTS child derivation: hash of (parent digest ‖ child index, big-endian).
+///
+/// The message is 24 bytes, so its padded form is one block: parent,
+/// index, `0x80`, zeros, and the bit length 192 in bytes 56..64.
 pub fn uts_child(parent: &Digest, index: u32) -> Digest {
-    let mut buf = [0u8; 24];
-    buf[..20].copy_from_slice(parent);
-    buf[20..].copy_from_slice(&index.to_be_bytes());
-    sha1(&buf)
+    let mut block = [0u8; 64];
+    block[..20].copy_from_slice(parent);
+    block[20..24].copy_from_slice(&index.to_be_bytes());
+    block[24] = 0x80;
+    block[56..].copy_from_slice(&(24u64 * 8).to_be_bytes());
+    let mut h = H0;
+    compress(&mut h, &block);
+    digest(h)
 }
 
 /// UTS root descriptor from a seed (`-r` on the UTS command line).
@@ -82,71 +120,4 @@ pub fn uts_root(seed: u32) -> Digest {
 /// variate UTS draws its branching decisions from.
 pub fn digest_u64(d: &Digest) -> u64 {
     u64::from_be_bytes(d[..8].try_into().expect("8 bytes"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hex(d: &Digest) -> String {
-        d.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    #[test]
-    fn fips_vectors() {
-        // FIPS 180-1 / RFC 3174 reference vectors.
-        assert_eq!(
-            hex(&sha1(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(
-            hex(&sha1(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
-        assert_eq!(hex(&sha1(b"")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-    }
-
-    #[test]
-    fn million_a() {
-        let m = vec![b'a'; 1_000_000];
-        assert_eq!(hex(&sha1(&m)), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
-    }
-
-    #[test]
-    fn multi_block_boundaries() {
-        // 55/56/63/64/65 bytes cross the padding boundary cases.
-        for n in [55usize, 56, 63, 64, 65, 119, 120] {
-            let data = vec![0x5a; n];
-            let d1 = sha1(&data);
-            let d2 = sha1(&data);
-            assert_eq!(d1, d2);
-            // Flipping one byte changes the digest.
-            let mut other = data.clone();
-            other[n / 2] ^= 1;
-            assert_ne!(sha1(&other), d1, "n={n}");
-        }
-    }
-
-    #[test]
-    fn child_derivation_is_splittable() {
-        let root = uts_root(0);
-        let c0 = uts_child(&root, 0);
-        let c1 = uts_child(&root, 1);
-        assert_ne!(c0, c1);
-        // Grandchildren from different parents differ.
-        assert_ne!(uts_child(&c0, 0), uts_child(&c1, 0));
-        // And the derivation is deterministic.
-        assert_eq!(uts_child(&root, 0), c0);
-    }
-
-    #[test]
-    fn digest_u64_spreads() {
-        let root = uts_root(0);
-        let a = digest_u64(&uts_child(&root, 0));
-        let b = digest_u64(&uts_child(&root, 1));
-        assert_ne!(a, b);
-        assert!(a > 0 && b > 0);
-    }
 }

@@ -17,7 +17,8 @@
 //! a multiprocess task makes no allocator call in steady state either:
 //! its record and program live in its stack slot, its join block in its
 //! parent's frame, and programs expand through one recycled buffer per
-//! process — the twin of `tests/native_alloc.rs`.
+//! process — the twin of `tests/native_alloc.rs`, with a UTS case whose
+//! SHA-1 child naming must pad on the stack too.
 //!
 //! Also here, because it is the coordinator's other duty to its forked
 //! workers: it must sleep through the run, not poll them.
@@ -28,7 +29,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use uni_address_threads::fiber::{set_bootstrap_alloc_probe, MultiProcessRunner};
 use uni_address_threads::model::testutil::BinTree;
-use uni_address_threads::workloads::Btc;
+use uni_address_threads::model::{sequential_profile, Workload};
+use uni_address_threads::workloads::{Btc, Uts};
 
 /// Counts every allocation in this binary (and, after `fork`, in each
 /// worker — the counter is plain process memory, so each child counts
@@ -59,19 +61,40 @@ fn probe() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Allocator calls the workers of a 2-process run of a depth-`depth`
-/// tree made inside their worker loops, and the tasks they ran.
-fn worker_loop_allocs(depth: u32) -> (u64, u64) {
+/// Allocator calls the workers of a 2-process run of `w` made inside
+/// their worker loops, and the tasks they ran.
+fn worker_loop_allocs<W>(w: W) -> (u64, u64)
+where
+    W: Workload,
+    W::Desc: Copy,
+{
+    let tasks = sequential_profile(&w).tasks;
     let report = MultiProcessRunner::new(2)
         .with_work_divisor(u64::MAX)
-        .try_run(BinTree {
-            depth,
-            work: 100,
-            frame: 128,
-        })
+        .try_run(w)
         .expect("probe passed; the run must complete");
     assert_eq!(report.bootstrap_allocs, vec![0u64; 2]);
-    (report.run_allocs.iter().sum(), report.stats.total_tasks)
+    assert_eq!(report.stats.total_tasks, tasks);
+    (report.run_allocs.iter().sum(), tasks)
+}
+
+/// Two runs of trees at least 16x apart in tasks allocate alike: each
+/// worker grows one program buffer to the largest program it meets,
+/// whatever the tree's size.
+fn assert_zero_allocs_per_task<W>(name: &str, shallow: W, deep: W)
+where
+    W: Workload,
+    W::Desc: Copy,
+{
+    let (few_allocs, few_tasks) = worker_loop_allocs(shallow);
+    let (many_allocs, many_tasks) = worker_loop_allocs(deep);
+    assert!(many_tasks >= 16 * few_tasks, "{name}: trees too close");
+    assert!(
+        many_allocs <= few_allocs + 8,
+        "{name}: {} more tasks cost {many_allocs} allocator calls against {few_allocs}: \
+         the multiprocess task path allocates per task",
+        many_tasks - few_tasks
+    );
 }
 
 #[test]
@@ -81,17 +104,15 @@ fn tasks_allocate_nothing_in_steady_state() {
         return;
     }
     set_bootstrap_alloc_probe(probe);
-    let (few_allocs, few_tasks) = worker_loop_allocs(8);
-    let (many_allocs, many_tasks) = worker_loop_allocs(13);
-    assert_eq!(many_tasks, 32 * few_tasks + 31);
-    // Each worker grows one program buffer to the largest program it
-    // meets, whatever the tree's size.
-    assert!(
-        many_allocs <= few_allocs + 8,
-        "{} more tasks cost {many_allocs} allocator calls against {few_allocs}: \
-         the multiprocess task path allocates per task",
-        many_tasks - few_tasks
-    );
+    let bintree = |depth| BinTree {
+        depth,
+        work: 100,
+        frame: 128,
+    };
+    assert_zero_allocs_per_task("BinTree", bintree(8), bintree(13));
+    // A UTS node names its children by SHA-1, so this case holds only
+    // while the hash allocates nothing.
+    assert_zero_allocs_per_task("Uts", Uts::geometric(5), Uts::geometric(8));
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! per-worker buffer (DESIGN.md [I18]), so in steady state an
 //! interpreted task makes **no** allocator call and a public
 //! `spawn(..).join()` makes exactly one (the `Arc` cell the handle and
-//! the child share). This test counts calls with a counting
+//! the child share). The interpreted cases are `BinTree`, `Btc` and UTS,
+//! whose nodes hash their children's names with a SHA-1 that pads on
+//! the stack. This test counts calls with a counting
 //! `#[global_allocator]`, as `tests/mp_fork_safety.rs` does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -13,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use uni_address_threads::fiber::{self, NativeRunner, Runtime};
 use uni_address_threads::model::testutil::BinTree;
 use uni_address_threads::model::{sequential_profile, Workload};
-use uni_address_threads::workloads::Btc;
+use uni_address_threads::workloads::{Btc, Uts};
 
 /// Counts every call that can obtain memory, from any thread.
 struct CountingAlloc;
@@ -96,6 +98,11 @@ fn interpreted_tasks_allocate_nothing_in_steady_state() {
     };
     assert_zero_allocs_per_task("BinTree", (8, bintree(8)), (13, bintree(13)));
     assert_zero_allocs_per_task("Btc", (8, Btc::new(8, 1)), (13, Btc::new(13, 1)));
+    // A UTS node names its children by SHA-1, so this case holds only
+    // while the hash allocates nothing. One tree level is up to three
+    // task levels of a lineage: node, split, singleton split.
+    let uts = |cutoff| (3 * cutoff, Uts::geometric(cutoff));
+    assert_zero_allocs_per_task("Uts", uts(5), uts(8));
 }
 
 fn public_spawn_join_allocates_once() {
