@@ -9,8 +9,8 @@
 //!
 //! Every executor pays one hash per UTS node, so the hash allocates
 //! nothing: [`sha1`] compresses whole chunks in place and pads its tail
-//! into one or two stack blocks, and [`uts_child`], whose 24-byte message
-//! always fits one padded block, builds that block and compresses once.
+//! into one or two stack blocks; a [`uts_child`] message is 24 bytes, so
+//! it takes one block and one compression.
 //! The tests pin both to reference digests (`tests/sha1.rs`).
 
 /// A 20-byte SHA-1 digest.
@@ -98,17 +98,13 @@ pub fn sha1(data: &[u8]) -> Digest {
 
 /// UTS child derivation: hash of (parent digest ‖ child index, big-endian).
 ///
-/// The message is 24 bytes, so its padded form is one block: parent,
-/// index, `0x80`, zeros, and the bit length 192 in bytes 56..64.
+/// The 24-byte message pads into a single stack block, so this is one
+/// call of the compression function.
 pub fn uts_child(parent: &Digest, index: u32) -> Digest {
-    let mut block = [0u8; 64];
-    block[..20].copy_from_slice(parent);
-    block[20..24].copy_from_slice(&index.to_be_bytes());
-    block[24] = 0x80;
-    block[56..].copy_from_slice(&(24u64 * 8).to_be_bytes());
-    let mut h = H0;
-    compress(&mut h, &block);
-    digest(h)
+    let mut message = [0u8; 24];
+    message[..20].copy_from_slice(parent);
+    message[20..].copy_from_slice(&index.to_be_bytes());
+    sha1(&message)
 }
 
 /// UTS root descriptor from a seed (`-r` on the UTS command line).
