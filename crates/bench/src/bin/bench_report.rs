@@ -80,9 +80,7 @@ fn time_case<W: Workload>(
 
 /// Critical-path profile of one pinned traced case (uts11 on the
 /// 60-worker machine), so the trajectory records *where* the makespan
-/// goes, not just how fast the simulator replays it. `Null` in
-/// hook-free (`--no-default-features`) builds.
-#[cfg(feature = "trace")]
+/// goes, not just how fast the simulator replays it.
 fn critical_path_entry() -> Json {
     let (stats, trace) = Engine::new(SimConfig::fx10(4), Uts::geometric(11))
         .with_tracing(1 << 20)
@@ -104,11 +102,6 @@ fn critical_path_entry() -> Json {
         ("makespan", Json::UInt(stats.makespan.get())),
         ("summary", cp.summary().to_json()),
     ])
-}
-
-#[cfg(not(feature = "trace"))]
-fn critical_path_entry() -> Json {
-    Json::Null
 }
 
 /// Run one pinned workload on the native fiber backend, cross-check its
@@ -240,13 +233,12 @@ fn paired_overhead(
 
 /// Traced-vs-untraced native throughput on one pinned case, single
 /// worker for determinism (no steal races in the comparison). The
-/// untraced side still compiles the hooks — this build has the `trace`
-/// feature on but installs no sink, so it measures the dormant-hook
-/// path the tentpole promises is near-free. Gated: installing the sink
-/// may cost at most 5% tasks/sec (pairwise median over N reps). A trip
-/// is reported to `main`, which still writes the artifacts — the
-/// measurement is the evidence — before exiting non-zero.
-#[cfg(feature = "trace")]
+/// untraced side still compiles the hooks but installs no sink, so it
+/// measures the dormant-hook path against the traced one. Gated:
+/// installing the sink may cost at most 5% tasks/sec (pairwise median
+/// over N reps). A trip is reported to `main`, which still writes the
+/// artifacts — the measurement is the evidence — before exiting
+/// non-zero.
 fn hook_overhead_entry(quick: bool) -> (Json, Option<String>) {
     let reps = if quick { 5 } else { 9 };
     // Size the ring to the case: nqueens7 on one worker is a ~12ms run
@@ -286,11 +278,6 @@ fn hook_overhead_entry(quick: bool) -> (Json, Option<String>) {
         ("overhead_pct", Json::Num(overhead_pct)),
     ]);
     (entry, fail)
-}
-
-#[cfg(not(feature = "trace"))]
-fn hook_overhead_entry(_quick: bool) -> (Json, Option<String>) {
-    (Json::Null, None)
 }
 
 /// Metered-vs-plain throughput with the live-metrics layer on, both
@@ -378,11 +365,8 @@ fn metrics_overhead_entry(quick: bool) -> (Json, Option<String>) {
 }
 
 /// The native-backend section of the engine artifact: the same `Action`
-/// programs the simulator times, executed for real on fibers. `hooks`
-/// records whether this build compiled the trace hooks, so trajectory
-/// diffs can compare hook-free and hooked builds of the same cases (the
-/// zero-cost-stub check); `hook_overhead` gates the in-build cost of
-/// actually installing a sink.
+/// programs the simulator times, executed for real on fibers;
+/// `hook_overhead` gates the cost of installing a trace sink.
 fn native_section(quick: bool, host_threads: usize, gates: &mut Vec<String>) -> Json {
     // Steal dynamics need >1 worker even on single-CPU hosts.
     let workers = host_threads.clamp(2, 4);
@@ -396,11 +380,7 @@ fn native_section(quick: bool, host_threads: usize, gates: &mut Vec<String>) -> 
     ]);
     let (hook_overhead, fail) = hook_overhead_entry(quick);
     gates.extend(fail);
-    Json::obj([
-        ("hooks", Json::Bool(cfg!(feature = "trace"))),
-        ("cases", cases),
-        ("hook_overhead", hook_overhead),
-    ])
+    Json::obj([("cases", cases), ("hook_overhead", hook_overhead)])
 }
 
 /// Load an artifact, returning its entries (empty on first run).

@@ -40,31 +40,12 @@
 //! registry to each backend (same metric names, different clock
 //! domains) and export both final snapshots side by side.
 
-#[cfg(feature = "trace")]
 use uat_base::json::{Json, ToJson};
-#[cfg(feature = "trace")]
 use uat_bench::{write_output, OutFlags};
-#[cfg(feature = "trace")]
 use uat_cluster::{SimConfig, Workload};
-#[cfg(feature = "trace")]
 use uat_trace::TimeAccount;
-#[cfg(feature = "trace")]
 use uat_workloads::{Btc, Chain, Fib, NQueens, Uts};
 
-#[cfg(not(feature = "trace"))]
-fn main() {
-    eprintln!(
-        "error: differential_profile requires the `trace` feature; rebuild without --no-default-features"
-    );
-    std::process::exit(2);
-}
-
-#[cfg(feature = "trace")]
-fn main() {
-    real_main()
-}
-
-#[cfg(feature = "trace")]
 struct Args {
     bench: String,
     size: Option<u32>,
@@ -75,7 +56,6 @@ struct Args {
     divisor: u64,
 }
 
-#[cfg(feature = "trace")]
 fn parse_args(rest: &[String]) -> Result<Args, String> {
     let mut a = Args {
         bench: "nqueens".into(),
@@ -113,13 +93,11 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
     Ok(a)
 }
 
-#[cfg(feature = "trace")]
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("not a number: `{s}`"))
 }
 
-#[cfg(feature = "trace")]
-fn real_main() {
+fn main() {
     let flags = OutFlags::parse();
     let backend_given = flags
         .rest
@@ -156,7 +134,6 @@ fn real_main() {
 
 /// `--backend B` mode: run exactly one executor and report its stats
 /// against the sequential ground truth.
-#[cfg(feature = "trace")]
 fn single_backend<W>(a: &Args, backend: uat_bench::Backend, w: W, size: u32, flags: &OutFlags)
 where
     W: Workload + Clone + Send + Sync + 'static,
@@ -244,7 +221,6 @@ where
 }
 
 /// One backend's profile, reduced to what the comparison needs.
-#[cfg(feature = "trace")]
 struct Profiled {
     makespan: uat_base::Cycles,
     /// Aggregate over per-worker accounts (total = makespan × workers
@@ -256,7 +232,6 @@ struct Profiled {
 
 /// Build the DAG + critical path for one backend's trace, enforcing the
 /// invariant the profiler promises: path total == makespan exactly.
-#[cfg(feature = "trace")]
 fn profile_one(
     label: &str,
     trace: &uat_trace::TraceData,
@@ -298,12 +273,10 @@ fn profile_one(
     }
 }
 
-#[cfg(feature = "trace")]
 fn share(c: uat_base::Cycles, total: uat_base::Cycles) -> f64 {
     100.0 * c.get() as f64 / total.get().max(1) as f64
 }
 
-#[cfg(feature = "trace")]
 fn diff<W, F>(a: &Args, make: F, size: u32, flags: &OutFlags, mode: Option<uat_bench::Backend>)
 where
     W: Workload + Clone + Send + Sync + 'static,

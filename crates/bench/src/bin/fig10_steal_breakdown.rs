@@ -14,16 +14,17 @@
 
 use uat_base::json::ToJson;
 use uat_base::{CostModel, Cycles, Topology};
-use uat_bench::{deviation, kcycles, paper, require_trace_feature, write_output, OutFlags};
+use uat_bench::{deviation, kcycles, paper, write_output, OutFlags};
 use uat_cluster::{Engine, SimConfig};
 use uat_core::StealPhase;
 use uat_workloads::Chain;
 
 fn main() {
     let flags = OutFlags::parse();
-    require_trace_feature(&flags);
-    let (backend, _rest) = match uat_bench::backend_flag(&flags.rest) {
-        Ok(x) => x,
+    let backend = uat_bench::backend_flag(&flags.rest)
+        .and_then(|(b, _)| uat_bench::check_output_flags(&flags, b).map(|()| b));
+    let backend = match backend {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
@@ -58,7 +59,6 @@ fn main() {
         None => engine,
     };
 
-    #[cfg(feature = "trace")]
     let (stats, trace) = if flags.trace.is_some() {
         // A ring deep enough to hold the whole run, so exported
         // steal-phase sums match the breakdown exactly.
@@ -67,8 +67,6 @@ fn main() {
     } else {
         (engine.run(), None)
     };
-    #[cfg(not(feature = "trace"))]
-    let stats = engine.run();
 
     println!("# Figure 10 — breakdown of inter-node work stealing (3,055-byte stack)\n");
     println!(
@@ -156,7 +154,6 @@ fn main() {
         Cycles(stats.makespan.get())
     );
 
-    #[cfg(feature = "trace")]
     if let (Some(path), Some(trace)) = (&flags.trace, &trace) {
         if trace.dropped() > 0 {
             eprintln!(

@@ -30,7 +30,7 @@
 //! figure's throughput axis.
 
 use uat_base::json::{Json, ToJson};
-use uat_bench::{compact_config, require_trace_feature, write_output, OutFlags};
+use uat_bench::{compact_config, write_output, OutFlags};
 use uat_cluster::sweep::{render, sweep};
 use uat_cluster::Workload;
 use uat_workloads::{Btc, NQueens, Uts};
@@ -77,7 +77,6 @@ fn metered_run<W: Workload>(flags: &OutFlags, nodes: u32, w: W) {
 
 /// One traced run of the sweep's smallest machine, exported for
 /// Perfetto.
-#[cfg(feature = "trace")]
 fn write_trace<W: Workload>(path: &std::path::Path, nodes: u32, w: W) {
     // A bounded ring per worker: big sweeps run millions of tasks, so
     // keep the newest window of events (the ring drops oldest first)
@@ -115,8 +114,11 @@ fn real_sweep(backend: uat_bench::Backend, which: &str) {
 
 fn main() {
     let flags = OutFlags::parse();
-    require_trace_feature(&flags);
-    let (backend, rest) = match uat_bench::backend_flag(&flags.rest) {
+    let parsed = uat_bench::backend_flag(&flags.rest).and_then(|(b, rest)| {
+        uat_bench::check_output_flags(&flags, b)?;
+        Ok((b, rest))
+    });
+    let (backend, rest) = match parsed {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {e}");
@@ -195,7 +197,6 @@ fn main() {
     if let Some(path) = &flags.json {
         write_output(path, &uat_trace::jsonl(lines), "JSONL sweep points");
     }
-    #[cfg(feature = "trace")]
     if let Some(path) = &flags.trace {
         match which.as_str() {
             "btc2" => write_trace(path, nodes[0], Btc::new(btc2.0, 2)),

@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 use uat_base::json::{Json, ToJson};
-use uat_bench::{compact_config, paper, require_trace_feature, write_output, OutFlags};
+use uat_bench::{compact_config, paper, write_output, OutFlags};
 use uat_cluster::{run_indexed, sweep_threads, Engine, RunStats, Workload};
 use uat_trace::TraceData;
 use uat_workloads::{btc::BTC_FRAME, nqueens, uts, Btc, NQueens, Uts};
@@ -27,7 +27,6 @@ fn run<W: Workload>(
     capture: Option<&Mutex<Option<TraceData>>>,
 ) -> (RunStats, Option<u64>) {
     match capture {
-        #[cfg(feature = "trace")]
         Some(slot) => {
             // A bounded ring per worker: Table 4 runs execute millions
             // of tasks, so keep the newest window of events (the ring
@@ -37,10 +36,6 @@ fn run<W: Workload>(
             *slot.lock().expect("trace slot poisoned") = Some(trace);
             (stats, None)
         }
-        // `require_trace_feature` already rejected `--trace` without the
-        // feature, so a capture slot cannot reach this arm.
-        #[cfg(not(feature = "trace"))]
-        Some(_) => unreachable!("--trace without the trace feature"),
         None => {
             let (stats, resident) = engine.run_with_resident_bytes();
             (stats, Some(resident))
@@ -50,7 +45,6 @@ fn run<W: Workload>(
 
 fn main() {
     let flags = OutFlags::parse();
-    require_trace_feature(&flags);
     let nodes: u32 = flags
         .rest
         .first()

@@ -24,31 +24,12 @@
 //! flow-annotated Chrome trace (steal arrows across worker tracks);
 //! `--json` a machine-readable JSONL summary.
 
-#[cfg(feature = "trace")]
 use uat_base::json::{Json, ToJson};
-#[cfg(feature = "trace")]
 use uat_base::Topology;
-#[cfg(feature = "trace")]
 use uat_bench::{compact_config, write_output, OutFlags};
-#[cfg(feature = "trace")]
 use uat_cluster::{SimConfig, Workload};
-#[cfg(feature = "trace")]
 use uat_workloads::{Btc, NQueens, Uts};
 
-#[cfg(not(feature = "trace"))]
-fn main() {
-    eprintln!(
-        "error: uat_profile requires the `trace` feature; rebuild without --no-default-features"
-    );
-    std::process::exit(2);
-}
-
-#[cfg(feature = "trace")]
-fn main() {
-    real_main()
-}
-
-#[cfg(feature = "trace")]
 struct Args {
     bench: String,
     size: Option<u32>,
@@ -60,7 +41,6 @@ struct Args {
     validate: bool,
 }
 
-#[cfg(feature = "trace")]
 fn parse_args(rest: &[String]) -> Result<Args, String> {
     let mut a = Args {
         bench: "btc1".into(),
@@ -105,12 +85,10 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
     Ok(a)
 }
 
-#[cfg(feature = "trace")]
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("not a number: `{s}`"))
 }
 
-#[cfg(feature = "trace")]
 fn parse_what_if(s: &str) -> Result<(uat_trace::CostClass, f64), String> {
     let (name, factor) = s
         .split_once('=')
@@ -122,7 +100,6 @@ fn parse_what_if(s: &str) -> Result<(uat_trace::CostClass, f64), String> {
     Ok((class, parse_num(factor)?))
 }
 
-#[cfg(feature = "trace")]
 fn config(a: &Args) -> SimConfig {
     let mut cfg = compact_config(a.nodes);
     cfg.topo = Topology::new(a.nodes, a.wpn);
@@ -132,8 +109,7 @@ fn config(a: &Args) -> SimConfig {
     cfg
 }
 
-#[cfg(feature = "trace")]
-fn real_main() {
+fn main() {
     let flags = OutFlags::parse();
     let a = match parse_args(&flags.rest) {
         Ok(a) => a,
@@ -154,7 +130,6 @@ fn real_main() {
     }
 }
 
-#[cfg(feature = "trace")]
 fn profile<W: Workload, F: Fn(u32) -> W>(a: &Args, make: F, size: u32, flags: &OutFlags) {
     use uat_trace::profile::EdgeKind;
 

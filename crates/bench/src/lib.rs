@@ -97,18 +97,6 @@ impl OutFlags {
     }
 }
 
-/// Exit with a clear error if `--trace` was requested but the binary
-/// was built without the `trace` feature (`--no-default-features`).
-pub fn require_trace_feature(flags: &OutFlags) {
-    if cfg!(not(feature = "trace")) && flags.trace.is_some() {
-        eprintln!(
-            "error: --trace requires the `trace` feature; rebuild without \
-             `--no-default-features`"
-        );
-        std::process::exit(2);
-    }
-}
-
 /// True when the user asked for any end-of-run metrics output.
 pub fn wants_metrics(flags: &OutFlags) -> bool {
     flags.metrics || flags.metrics_json.is_some()
@@ -270,6 +258,35 @@ pub fn backend_flag(rest: &[String]) -> Result<(Backend, Vec<String>), String> {
     Ok((backend, out))
 }
 
+/// Refuse the output flags a figure binary cannot honour on `backend`.
+///
+/// The figure binaries export traces, JSONL and metrics from the
+/// simulator only; their `native` and `multiprocess` paths print a
+/// summary and nothing else. Rather than drop such a flag silently, the
+/// error names every one given.
+pub fn check_output_flags(flags: &OutFlags, backend: Backend) -> Result<(), String> {
+    if backend == Backend::Sim {
+        return Ok(());
+    }
+    let given: Vec<&str> = [
+        ("--trace", flags.trace.is_some()),
+        ("--json", flags.json.is_some()),
+        ("--metrics", flags.metrics),
+        ("--metrics-json", flags.metrics_json.is_some()),
+    ]
+    .into_iter()
+    .filter_map(|(name, on)| on.then_some(name))
+    .collect();
+    if given.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} not supported with --backend {}: this binary exports from the sim backend only",
+        given.join(", "),
+        backend.name()
+    ))
+}
+
 /// Run `w` on one of the *real* executors (`native` threads or
 /// `multiprocess` worker processes), verify its accounting against the
 /// sequential ground truth, and print a throughput summary. Returns
@@ -397,6 +414,24 @@ mod tests {
         assert_eq!(backend_flag(&[]).unwrap().0, Backend::Sim);
         assert!(backend_flag(&["--backend".to_string()]).is_err());
         assert!(backend_flag(&["--backend=bogus".to_string()]).is_err());
+    }
+
+    #[test]
+    fn real_backends_refuse_output_flags_by_name() {
+        let all = parse(&["--trace=t", "--json=j", "--metrics", "--metrics-json=m"]).unwrap();
+        assert_eq!(check_output_flags(&all, Backend::Sim), Ok(()));
+        for backend in [Backend::Native, Backend::Multiprocess] {
+            let e = check_output_flags(&all, backend).unwrap_err();
+            assert!(
+                e.starts_with("--trace, --json, --metrics, --metrics-json not supported"),
+                "{e}"
+            );
+            assert!(e.contains(backend.name()), "{e}");
+            let e = check_output_flags(&parse(&["--json=j"]).unwrap(), backend).unwrap_err();
+            assert!(e.starts_with("--json not supported"), "{e}");
+            let plain = parse(&["btc1"]).unwrap();
+            assert_eq!(check_output_flags(&plain, backend), Ok(()));
+        }
     }
 
     #[test]

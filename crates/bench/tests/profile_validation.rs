@@ -10,8 +10,6 @@
 //! spells out the caveats; the steal-dominated regime is exercised with
 //! a looser bound below).
 
-#![cfg(feature = "trace")]
-
 use proptest::prelude::*;
 use uat_base::Topology;
 use uat_bench::compact_config;

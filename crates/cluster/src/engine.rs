@@ -264,7 +264,7 @@ impl<W: Workload> Engine<W> {
         // Flight recorder: under audit, make sure a bounded ring is
         // recording so an invariant violation has a post-mortem to dump
         // (runs that already installed a sink keep their capacity).
-        #[cfg(all(feature = "audit", feature = "trace"))]
+        #[cfg(feature = "audit")]
         if !self.trace.has_sink() {
             let workers = self.cfg.topo.total_workers() as usize;
             self.trace.install_sink(workers, Self::FLIGHT_RING_CAPACITY);
@@ -310,23 +310,18 @@ impl<W: Workload> Engine<W> {
             }
             // Under the audit feature, re-validate every global invariant
             // after every event (skipped once the root has completed:
-            // in-flight state is abandoned wherever it stands). With
-            // tracing compiled in, a violation first dumps the flight
-            // recording, then resumes the panic.
+            // in-flight state is abandoned wherever it stands). A
+            // violation first dumps the flight recording, then resumes
+            // the panic.
             #[cfg(feature = "audit")]
             if self.finished_at.is_none() {
-                #[cfg(feature = "trace")]
-                {
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.audit_invariants()
-                    }));
-                    if let Err(payload) = caught {
-                        self.dump_flight_recording(Cycles(t), payload.as_ref());
-                        std::panic::resume_unwind(payload);
-                    }
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.audit_invariants()
+                }));
+                if let Err(payload) = caught {
+                    self.dump_flight_recording(Cycles(t), payload.as_ref());
+                    std::panic::resume_unwind(payload);
                 }
-                #[cfg(not(feature = "trace"))]
-                self.audit_invariants();
             }
         }
 
@@ -811,19 +806,15 @@ impl<W: Workload> Engine<W> {
         self.trace
             .steal_phase(w, victim, StealPhaseId::EmptyCheck, phase_start, elapsed);
         self.workers[w.index()].phase_start = t;
-        #[cfg(feature = "trace")]
         let faa_before = self.fabric.stats().faa_queue_cycles;
         let vdeque = self.mgrs[victim.index()].deque();
         let outcome = vdeque
             .remote_try_lock(&mut self.fabric, t, w)
             .expect("lock");
-        #[cfg(feature = "trace")]
-        {
-            // Queueing at the victim node's software FAA server happens
-            // at the start of the lock span; split it out of the bucket.
-            let wait = self.fabric.stats().faa_queue_cycles - faa_before;
-            self.trace.carry(w, Bucket::FaaQueue, Cycles(wait));
-        }
+        // Queueing at the victim node's software FAA server happens at
+        // the start of the lock span; split it out of the bucket.
+        let wait = self.fabric.stats().faa_queue_cycles - faa_before;
+        self.trace.carry(w, Bucket::FaaQueue, Cycles(wait));
         match outcome {
             StealOutcome::Ok(done) => self.set(
                 w,
@@ -1064,7 +1055,7 @@ impl<W: Workload> Engine<W> {
 /// Where the flight recorder writes the post-mortem for a violation
 /// caught on a thread named `name` (tests run on a thread named after
 /// the test): `<target>/flight/<sanitized name>.trace.json`.
-#[cfg(all(feature = "audit", feature = "trace"))]
+#[cfg(feature = "audit")]
 pub fn flight_path(name: &str) -> std::path::PathBuf {
     let target = std::env::var_os("CARGO_TARGET_DIR")
         .map(std::path::PathBuf::from)
@@ -1232,7 +1223,7 @@ impl<W: Workload> Engine<W> {
     }
 }
 
-#[cfg(all(feature = "audit", feature = "trace"))]
+#[cfg(feature = "audit")]
 impl<W: Workload> Engine<W> {
     /// Per-worker ring capacity of the always-on flight recorder in
     /// audit builds: big enough to reconstruct the last few protocol
@@ -1275,15 +1266,14 @@ impl<W: Workload> Engine<W> {
     }
 }
 
-#[cfg(feature = "trace")]
 impl<W: Workload> Engine<W> {
     /// Default per-worker ring capacity for [`Engine::run_traced`].
     pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
     /// Install a structured-event sink (one bounded ring of
     /// `ring_capacity` events per worker) and enable fabric-level RDMA
-    /// tracing. Without this, a `trace`-feature build still fills the
-    /// per-worker time accounts and histograms but keeps no event log.
+    /// tracing. Without this, a run still fills the per-worker time
+    /// accounts and histograms but keeps no event log.
     pub fn with_tracing(mut self, ring_capacity: usize) -> Self {
         let workers = self.cfg.topo.total_workers() as usize;
         self.trace.install_sink(workers, ring_capacity);
@@ -1460,7 +1450,6 @@ mod tests {
         /// Seed a deliberate task-table corruption mid-run and check the
         /// flight recorder leaves a Perfetto-openable trace carrying the
         /// violation message before the panic propagates.
-        #[cfg(feature = "trace")]
         #[test]
         fn seeded_violation_dumps_flight_recording() {
             let mut cfg = SimConfig::tiny(4)
@@ -1496,7 +1485,6 @@ mod tests {
 
     /// Cross-checks between the tracing layer and the engine's own
     /// accumulators — the tentpole invariants of the trace subsystem.
-    #[cfg(feature = "trace")]
     mod trace_checks {
         use super::*;
         use uat_trace::Bucket;

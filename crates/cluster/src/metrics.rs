@@ -7,9 +7,7 @@ use uat_core::{SchemeKind, StealBreakdown};
 use uat_rdma::FabricStats;
 use uat_trace::{Bucket, CriticalPathSummary, TimeAccount};
 
-/// One worker's slice of a run, from the tracing layer. Populated only
-/// when the `trace` feature is enabled (the default); otherwise
-/// `RunStats::per_worker` is simply empty.
+/// One worker's slice of a run, from the tracing layer.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct WorkerSummary {
     /// Worker id.
@@ -106,8 +104,7 @@ pub struct RunStats {
     pub fabric: FabricStats,
     /// Discrete events processed (simulator diagnostics).
     pub events: u64,
-    /// Per-worker timeline accounts and histograms (empty when the
-    /// `trace` feature is disabled).
+    /// Per-worker timeline accounts and histograms.
     pub per_worker: Vec<WorkerSummary>,
     /// Machine-wide steal-attempt latency digest.
     pub steal_latency: HistSummary,
@@ -166,7 +163,7 @@ impl RunStats {
     }
 
     /// Machine-wide fraction of worker time spent idle, from the
-    /// per-worker accounts (0 when tracing was compiled out).
+    /// per-worker accounts.
     pub fn idle_fraction(&self) -> f64 {
         let total: u64 = self
             .per_worker

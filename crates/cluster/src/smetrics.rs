@@ -31,9 +31,8 @@ struct Handles {
     tasks: Arc<Counter>,
     steal_latency: Arc<LogHistogram>,
     task_run: Arc<LogHistogram>,
-    /// Birth stamps of live tasks, for the run-length histogram —
-    /// kept here (not in the trace layer) so metrics work with the
-    /// `trace` feature off. Indexed by the task id's slab slot (its
+    /// Birth stamps of live tasks, for the run-length histogram.
+    /// Indexed by the task id's slab slot (its
     /// low 32 bits): slots are dense and bounded by peak live tasks,
     /// and a slot's begin always precedes its end within one
     /// generation, so a plain `Vec` replaces a hash map on the

@@ -1,12 +1,12 @@
 //! Engine-side tracing state: the glue between the event loop and
 //! `uat-trace`.
 //!
-//! [`TraceCtl`] owns everything the `trace` feature adds to a run: the
-//! per-worker [`TimeAccount`]s (every simulated cycle charged to one
-//! [`Bucket`]), the steal-latency and task-run-length histograms, and an
-//! optional [`RingSink`] of structured events. When the feature is off a
-//! field-less stub with empty `#[inline(always)]` methods takes its
-//! place, so the hot path compiles to exactly the untraced engine.
+//! [`TraceCtl`] owns everything tracing adds to a run: the per-worker
+//! [`TimeAccount`]s (every simulated cycle charged to one [`Bucket`]),
+//! the steal-latency and task-run-length histograms, and an optional
+//! [`RingSink`] of structured events. The accounts and histograms are
+//! kept on every run; the sink, and with it every structured event, is
+//! present only when `Engine::with_tracing` installed one.
 //!
 //! # Charging model
 //!
@@ -22,15 +22,12 @@
 
 use crate::metrics::WorkerSummary;
 use crate::task::TaskId64;
-#[cfg(feature = "trace")]
-use uat_base::Histogram;
-use uat_base::{Cycles, HistSummary, WorkerId};
-use uat_trace::{Bucket, StealOutcome, StealPhaseId};
-#[cfg(feature = "trace")]
-use uat_trace::{EventKind, RingBuffer, RingSink, TraceEvent, TraceSink};
+use uat_base::{Cycles, HistSummary, Histogram, WorkerId};
+use uat_trace::{
+    Bucket, EventKind, RingBuffer, RingSink, StealOutcome, StealPhaseId, TraceEvent, TraceSink,
+};
 
-/// Tracing state for one run (real variant, `trace` feature on).
-#[cfg(feature = "trace")]
+/// Tracing state for one run.
 pub(crate) struct TraceCtl {
     sink: Option<RingSink>,
     accounts: Vec<uat_trace::TimeAccount>,
@@ -55,7 +52,6 @@ pub(crate) struct TraceCtl {
     dropped: Vec<u64>,
 }
 
-#[cfg(feature = "trace")]
 impl TraceCtl {
     pub fn new(workers: usize) -> Self {
         TraceCtl {
@@ -358,101 +354,7 @@ impl TraceCtl {
     }
 }
 
-/// Zero-cost stand-in when the `trace` feature is off: every method is
-/// an empty `#[inline(always)]` body, so the engine's hook sites
-/// disappear entirely from the compiled hot path.
-#[cfg(not(feature = "trace"))]
-pub(crate) struct TraceCtl;
-
-#[cfg(not(feature = "trace"))]
-#[allow(clippy::unused_self)]
-impl TraceCtl {
-    #[inline(always)]
-    pub fn new(_workers: usize) -> Self {
-        TraceCtl
-    }
-
-    #[inline(always)]
-    pub fn set_bucket(&mut self, _w: WorkerId, _bucket: Bucket) {}
-
-    #[inline(always)]
-    pub fn carry(&mut self, _w: WorkerId, _bucket: Bucket, _span: Cycles) {}
-
-    #[inline(always)]
-    pub fn charge(&mut self, _w: WorkerId, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn finalize(&mut self, _makespan: Cycles) {}
-
-    #[inline(always)]
-    pub fn task_begin(
-        &mut self,
-        _w: WorkerId,
-        _task: TaskId64,
-        _at: Cycles,
-        _parent: Option<TaskId64>,
-    ) {
-    }
-
-    #[inline(always)]
-    pub fn task_end(&mut self, _w: WorkerId, _task: TaskId64, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn task_suspend(&mut self, _w: WorkerId, _task: TaskId64, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn task_resume(&mut self, _w: WorkerId, _task: TaskId64, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn deque_publish(&mut self, _w: WorkerId, _task: TaskId64, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn steal_commit(&mut self, _w: WorkerId, _task: TaskId64, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn join_ready(&mut self, _w: WorkerId, _parent: TaskId64, _child: TaskId64, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn join_resume(&mut self, _w: WorkerId, _parent: TaskId64, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn steal_attempt(&mut self, _w: WorkerId) {}
-
-    #[inline(always)]
-    pub fn steal_phase(
-        &mut self,
-        _w: WorkerId,
-        _victim: WorkerId,
-        _phase: StealPhaseId,
-        _at: Cycles,
-        _dur: Cycles,
-    ) {
-    }
-
-    #[inline(always)]
-    pub fn steal_result(
-        &mut self,
-        _w: WorkerId,
-        _victim: WorkerId,
-        _outcome: StealOutcome,
-        _t: Cycles,
-        _latency: Cycles,
-    ) {
-    }
-
-    #[inline(always)]
-    pub fn idle_poll(&mut self, _w: WorkerId, _t: Cycles) {}
-
-    #[inline(always)]
-    pub fn collect_summaries(
-        &self,
-        _tasks_run: &[u64],
-    ) -> (Vec<WorkerSummary>, HistSummary, HistSummary) {
-        (Vec::new(), HistSummary::default(), HistSummary::default())
-    }
-}
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -5,8 +5,6 @@
 //! resolution — the acceptance bar for the sim side of the live-metrics
 //! layer, checked at the paper's 64-worker UTS point.
 
-#![cfg(feature = "trace")]
-
 use std::sync::Arc;
 use uat_base::Topology;
 use uat_cluster::{Engine, SimConfig};

@@ -363,7 +363,6 @@ pub struct NativeRunner {
     /// (`None` = the runtime default).
     ///
     /// [`run_traced`]: Self::run_traced
-    #[cfg(feature = "trace")]
     ring_capacity: Option<usize>,
 }
 
@@ -373,14 +372,12 @@ impl NativeRunner {
         NativeRunner {
             rt: Runtime::new(workers),
             work_divisor: 1,
-            #[cfg(feature = "trace")]
             ring_capacity: None,
         }
     }
 
     /// Override the per-worker event-ring capacity used by
     /// [`run_traced`](Self::run_traced).
-    #[cfg(feature = "trace")]
     pub fn with_tracing(mut self, ring_capacity: usize) -> Self {
         self.ring_capacity = Some(ring_capacity);
         self
@@ -455,7 +452,6 @@ impl NativeRunner {
     /// (exportable `TraceData` + per-worker bucket accounts).
     ///
     /// [`NativeTrace`]: crate::ntrace::NativeTrace
-    #[cfg(feature = "trace")]
     pub fn run_traced<W>(&self, w: W) -> (NativeRunStats, crate::ntrace::NativeTrace)
     where
         W: Workload + Send + Sync + 'static,
@@ -631,7 +627,6 @@ mod tests {
         assert!(msg.contains("a task frame of 16384 bytes"), "{msg}");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_run_tiles_the_makespan() {
         let w = BinTree {

@@ -35,8 +35,7 @@
 //!   accounting as the simulator.
 //! - [`ntrace`]: native observability — per-worker TSC-stamped event
 //!   rings, `TimeAccount` buckets, and steal-phase spans feeding the
-//!   same `uat-trace` exporters and profiler the simulator uses
-//!   (placeholders when the `trace` feature is off).
+//!   same `uat-trace` exporters and profiler the simulator uses.
 //! - [`nmetrics`]: online metrics and runtime health — the registry view
 //!   of the per-worker counter rows both backends keep, HDR tail-latency
 //!   histograms, per-worker flight-recorder rings, a deque-depth sampler
@@ -95,7 +94,6 @@ pub use ipc::{
 };
 pub use mpruntime::{set_bootstrap_alloc_probe, MpReport, MultiProcessRunner};
 pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};
-#[cfg(feature = "trace")]
 pub use ntrace::{NativeTrace, DEFAULT_RING_CAPACITY};
 pub use runtime::{current_worker_id, spawn, JoinHandle, Runtime};
 pub use stack::{Stack, StackPool};

@@ -383,7 +383,6 @@ impl Runtime {
 
     /// Trace subsequent runs with `ring_capacity`-event per-worker
     /// rings; collect results with [`run_traced`](Self::run_traced).
-    #[cfg(feature = "trace")]
     pub fn with_tracing(mut self, ring_capacity: usize) -> Self {
         self.trace_rings = Some(ring_capacity);
         self
@@ -457,7 +456,6 @@ impl Runtime {
     /// Like [`run_counted`](Self::run_counted) with tracing forced on
     /// (at the configured or default ring capacity), additionally
     /// returning the finalized per-worker trace.
-    #[cfg(feature = "trace")]
     pub fn run_traced<T, F>(&self, root: F) -> (T, NativeRunStats, crate::ntrace::NativeTrace)
     where
         T: Send + 'static,
@@ -598,7 +596,6 @@ impl Runtime {
         // registry, and, every worker having deposited its ring, the
         // trace's drop counts beside them.
         shared.metrics.deposit(&shared.rows);
-        #[cfg(feature = "trace")]
         if let Some(t) = shared.trace.as_ref() {
             let dropped = shared.metrics.registry.counter(
                 uat_metrics::names::TRACE_DROPPED,

@@ -155,8 +155,7 @@ pub(crate) trait Place: Sized {
 }
 
 /// The scheduler events a backend may record ([`Place::record`]). Most
-/// fields are for the tracer, which a build without `trace` lacks.
-#[cfg_attr(not(feature = "trace"), allow(dead_code))]
+/// fields are for the tracer.
 pub(crate) enum Event<'a> {
     /// The scheduler is out of local work and about to steal.
     Idle,

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use uat_base::json::{FromJson, Json, JsonError, ToJson};
 use uat_base::{CostModel, Cycles, Topology, WorkerId};
-#[cfg(feature = "trace")]
 use uat_trace::{EventKind, RdmaOpKind, RingBuffer, TraceEvent};
 
 /// Errors from fabric operations.
@@ -367,7 +366,6 @@ pub struct Fabric {
     server_busy: Vec<Cycles>,
     stats: FabricStats,
     /// Op-level trace ring; `None` (the default) records nothing.
-    #[cfg(feature = "trace")]
     trace: Option<RingBuffer>,
 }
 
@@ -381,19 +379,16 @@ impl Fabric {
             lat: LatencyCache::new(&cost),
             cost,
             stats: FabricStats::default(),
-            #[cfg(feature = "trace")]
             trace: None,
         }
     }
 
     /// Start recording op-level trace events into a ring of `capacity`.
-    #[cfg(feature = "trace")]
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(RingBuffer::new(capacity));
     }
 
     /// Stop tracing and take the recorded events (oldest first).
-    #[cfg(feature = "trace")]
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace
             .take()
@@ -402,7 +397,6 @@ impl Fabric {
     }
 
     /// Record one completed operation into the trace ring, if tracing.
-    #[cfg(feature = "trace")]
     fn trace_op(
         &mut self,
         now: Cycles,
@@ -470,7 +464,6 @@ impl Fabric {
         self.stats.read_bytes += buf.len() as u64;
         let intra = self.topo.same_node(initiator, target);
         let done = now + self.lat.read(buf.len(), intra);
-        #[cfg(feature = "trace")]
         self.trace_op(
             now,
             done,
@@ -500,7 +493,6 @@ impl Fabric {
         self.stats.write_bytes += data.len() as u64;
         let intra = self.topo.same_node(initiator, target);
         let done = now + self.lat.write(data.len(), intra);
-        #[cfg(feature = "trace")]
         self.trace_op(
             now,
             done,
@@ -524,7 +516,7 @@ impl Fabric {
     pub fn fetch_add_u64(
         &mut self,
         now: Cycles,
-        _initiator: WorkerId,
+        initiator: WorkerId,
         target: WorkerId,
         remote_addr: u64,
         delta: u64,
@@ -549,21 +541,19 @@ impl Fabric {
             self.stats.faa_queue_cycles += wait.get();
             let served = start + Cycles(self.cost.faa_service);
             *busy = served;
-            #[cfg(feature = "trace")]
             if wait.get() > 0 {
                 if let Some(ring) = self.trace.as_mut() {
                     ring.push(TraceEvent::span(
                         arrival,
                         wait,
-                        _initiator,
+                        initiator,
                         EventKind::FaaQueueWait { wait, server: node },
                     ));
                 }
             }
             served + Cycles(self.cost.faa_notice_latency)
         };
-        #[cfg(feature = "trace")]
-        self.trace_op(now, done, _initiator, RdmaOpKind::FetchAdd, target, 8);
+        self.trace_op(now, done, initiator, RdmaOpKind::FetchAdd, target, 8);
         Ok((old, done))
     }
 
@@ -763,11 +753,8 @@ mod tests {
         assert_eq!(back, s);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn tracing_records_ops_and_faa_queue_waits() {
-        use uat_trace::{EventKind, RdmaOpKind};
-
         let mut f = fabric2();
         f.enable_trace(1024);
         f.register(W2, 0x1000, 128).unwrap();

@@ -8,9 +8,7 @@
 //!   outcome), FAA-queue waits at the software comm server, and idle
 //!   polls — stamped with simulated [`Cycles`](uat_base::Cycles) and
 //!   stored in bounded per-worker [`RingBuffer`]s behind a
-//!   [`TraceSink`]. The default [`NullSink`] discards everything; the
-//!   engine's hot path additionally compiles the hooks out entirely
-//!   when its `trace` cargo feature is off.
+//!   [`TraceSink`]. The default [`NullSink`] discards everything.
 //! - **Accounting** ([`TimeAccount`] / [`Bucket`]): every simulated
 //!   cycle of every worker charged to exactly one bucket (work, spawn,
 //!   suspend/resume, the five steal phases, FAA queueing, idle), so a

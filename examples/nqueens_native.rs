@@ -57,7 +57,6 @@ fn main() {
     );
 }
 
-#[cfg(feature = "trace")]
 fn run_traced(
     runner: &NativeRunner,
     w: &NQueens,
@@ -81,14 +80,4 @@ fn run_traced(
         trace.data.makespan.get()
     );
     stats
-}
-
-#[cfg(not(feature = "trace"))]
-fn run_traced(
-    _runner: &NativeRunner,
-    _w: &NQueens,
-    _path: &str,
-) -> uni_address_threads::fiber::NativeRunStats {
-    eprintln!("error: --trace requires the `trace` feature; rebuild without --no-default-features");
-    std::process::exit(2);
 }

@@ -6,7 +6,7 @@
 //! the always-on counters and histograms report the same run the
 //! offline trace proves happened.
 
-#![cfg(all(feature = "trace", target_arch = "x86_64"))]
+#![cfg(target_arch = "x86_64")]
 
 use std::sync::Arc;
 use uni_address_threads::fiber::{nmetrics::DEFAULT_SAMPLE_INTERVAL, NativeRunner};

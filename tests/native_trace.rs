@@ -18,7 +18,7 @@
 //! `Dag::build` refuses lossy traces, while the online accounts stay
 //! within epsilon of the makespan.
 
-#![cfg(all(feature = "trace", target_arch = "x86_64"))]
+#![cfg(target_arch = "x86_64")]
 
 use uni_address_threads::fiber::NativeRunner;
 use uni_address_threads::model::Workload;
