@@ -150,7 +150,7 @@ where
         s.join_fingerprint, p.join_fingerprint,
         "mp join-tree shape diverged: {name}"
     );
-    println!("{}", s.summary_line_as("MultiProc"));
+    println!("{}", s.summary_line());
     Json::obj([
         ("name", Json::str(name)),
         ("workload", Json::str(s.workload.as_str())),

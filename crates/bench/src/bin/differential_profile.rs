@@ -7,11 +7,13 @@
 //!
 //! Without `--backend`, the classic side-by-side profile below runs
 //! (sim + native, traced). With `--backend B`, exactly one executor
-//! runs the workload and reports its stats verified against the
-//! sequential ground truth — `multiprocess` selects the
+//! runs the workload, untraced, and reports its stats verified against
+//! the sequential ground truth — `multiprocess` selects the
 //! process-per-worker uni-address backend, whose `--metrics` snapshot
 //! is read back from the shared-memory segment (skipped with a reason
-//! on kernels that cannot map it).
+//! on kernels that cannot map it). That mode honours `--metrics` and
+//! `--metrics-json`, and refuses `--trace`, `--json` and `--ring` by
+//! name (exit 2).
 //!
 //! Runs the same backend-neutral `Workload` through the deterministic
 //! simulator (`uat-cluster`, 1 node × W workers, simulated cycles) and
@@ -111,7 +113,11 @@ fn main() {
         }
     };
     let mode = backend_given.then_some(backend);
-    let a = match parse_args(&rest) {
+    let checked = parse_args(&rest).and_then(|a| match mode {
+        Some(b) => uat_bench::check_single_backend_flags(&flags, a.ring.is_some(), b).map(|()| a),
+        None => Ok(a),
+    });
+    let a = match checked {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -170,52 +176,8 @@ where
                 uat_bench::emit_metrics(flags, &[("sim", r.snapshot())]);
             }
         }
-        Backend::Native => {
-            if uat_bench::wants_metrics(flags) {
-                let p = uat_model::sequential_profile(&w);
-                let (stats, snap) = uat_fiber::NativeRunner::new(a.workers as usize)
-                    .with_work_divisor(a.divisor)
-                    .run_metered(w);
-                assert_eq!(stats.total_tasks, p.tasks, "native dropped tasks: {name}");
-                assert_eq!(stats.join_fingerprint, p.join_fingerprint, "{name}");
-                println!("{}", stats.summary_line());
-                uat_bench::emit_metrics(flags, &[("native", snap)]);
-                return;
-            }
-            uat_bench::run_real_backend(backend, a.workers as usize, a.divisor, w);
-        }
-        Backend::Multiprocess => {
-            let p = uat_model::sequential_profile(&w);
-            let runner =
-                uat_fiber::MultiProcessRunner::new(a.workers as usize).with_work_divisor(a.divisor);
-            let report = match runner.try_run(w) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("multiprocess backend unavailable here: {e}");
-                    return;
-                }
-            };
-            let stats = &report.stats;
-            assert_eq!(
-                stats.total_tasks, p.tasks,
-                "multiprocess dropped tasks: {name}"
-            );
-            assert_eq!(
-                stats.join_fingerprint, p.join_fingerprint,
-                "multiprocess join-tree fingerprint diverges: {name}"
-            );
-            println!("{}", stats.summary_line_as("MultiProc"));
-            println!(
-                "  throughput: {:.0} tasks/s on {} worker processes ({} cross-process steals)",
-                stats.throughput(),
-                stats.workers,
-                stats.steals
-            );
-            if uat_bench::wants_metrics(flags) {
-                // The snapshot below was assembled from the shared
-                // segment the parent read through its fabric windows.
-                uat_bench::emit_metrics(flags, &[("multiprocess", report.metrics_snapshot())]);
-            }
+        Backend::Native | Backend::Multiprocess => {
+            uat_bench::run_real_backend(backend, a.workers as usize, a.divisor, w, flags);
         }
     }
 }

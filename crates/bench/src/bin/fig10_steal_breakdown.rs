@@ -37,7 +37,8 @@ fn main() {
             "# Figure 10 setup on the {} backend — 2 workers, Chain::fig10(2000)",
             backend.name()
         );
-        if let Some(stats) = uat_bench::run_real_backend(backend, 2, 1, Chain::fig10(2_000)) {
+        if let Some(stats) = uat_bench::run_real_backend(backend, 2, 1, Chain::fig10(2_000), &flags)
+        {
             println!(
                 "steal-driven links: {} steals over {} joins (phase breakdown is sim-only)",
                 stats.steals, stats.joins

@@ -88,7 +88,7 @@ fn write_trace<W: Workload>(path: &std::path::Path, nodes: u32, w: W) {
 }
 
 /// `--backend native|multiprocess`: the single-node real-executor sweep.
-fn real_sweep(backend: uat_bench::Backend, which: &str) {
+fn real_sweep(backend: uat_bench::Backend, which: &str, flags: &OutFlags) {
     println!(
         "# Figure 11 on the {} backend — worker sweep on this machine (measured tasks/s)",
         backend.name()
@@ -98,16 +98,16 @@ fn real_sweep(backend: uat_bench::Backend, which: &str) {
     for workers in [1usize, 2, 4] {
         println!("## {workers} worker(s)");
         if which == "btc1" || which == "all" {
-            uat_bench::run_real_backend(backend, workers, 1, Btc::new(16, 1));
+            uat_bench::run_real_backend(backend, workers, 1, Btc::new(16, 1), flags);
         }
         if which == "btc2" || which == "all" {
-            uat_bench::run_real_backend(backend, workers, 1, Btc::new(9, 2));
+            uat_bench::run_real_backend(backend, workers, 1, Btc::new(9, 2), flags);
         }
         if which == "uts" || which == "all" {
-            uat_bench::run_real_backend(backend, workers, 1, Uts::geometric(11));
+            uat_bench::run_real_backend(backend, workers, 1, Uts::geometric(11), flags);
         }
         if which == "nqueens" || which == "all" {
-            uat_bench::run_real_backend(backend, workers, 1, NQueens::new(8));
+            uat_bench::run_real_backend(backend, workers, 1, NQueens::new(8), flags);
         }
     }
 }
@@ -132,7 +132,7 @@ fn main() {
         .unwrap_or_else(|| "all".into());
     let big = rest.iter().any(|a| a == "--big");
     if backend != uat_bench::Backend::Sim {
-        real_sweep(backend, &which);
+        real_sweep(backend, &which, &flags);
         return;
     }
 

@@ -258,6 +258,19 @@ pub fn backend_flag(rest: &[String]) -> Result<(Backend, Vec<String>), String> {
     Ok((backend, out))
 }
 
+/// Refuse, by name, every flag of `given` that was set: the error lists
+/// them in order, then says `why`.
+fn refuse(given: &[(&str, bool)], why: &str) -> Result<(), String> {
+    let set: Vec<&str> = given
+        .iter()
+        .filter_map(|&(name, on)| on.then_some(name))
+        .collect();
+    if set.is_empty() {
+        return Ok(());
+    }
+    Err(format!("{} {why}", set.join(", ")))
+}
+
 /// Refuse the output flags a figure binary cannot honour on `backend`.
 ///
 /// The figure binaries export traces, JSONL and metrics from the
@@ -268,30 +281,67 @@ pub fn check_output_flags(flags: &OutFlags, backend: Backend) -> Result<(), Stri
     if backend == Backend::Sim {
         return Ok(());
     }
-    let given: Vec<&str> = [
-        ("--trace", flags.trace.is_some()),
-        ("--json", flags.json.is_some()),
-        ("--metrics", flags.metrics),
-        ("--metrics-json", flags.metrics_json.is_some()),
-    ]
-    .into_iter()
-    .filter_map(|(name, on)| on.then_some(name))
-    .collect();
-    if given.is_empty() {
-        return Ok(());
-    }
-    Err(format!(
-        "{} not supported with --backend {}: this binary exports from the sim backend only",
-        given.join(", "),
-        backend.name()
-    ))
+    refuse(
+        &[
+            ("--trace", flags.trace.is_some()),
+            ("--json", flags.json.is_some()),
+            ("--metrics", flags.metrics),
+            ("--metrics-json", flags.metrics_json.is_some()),
+        ],
+        &format!(
+            "not supported with --backend {}: this binary exports from the sim backend only",
+            backend.name()
+        ),
+    )
+}
+
+/// Refuse the flags `differential_profile --backend B` cannot honour,
+/// on every backend, `sim` included: that mode runs one executor
+/// untraced, so it has no trace to write (`--trace`), no profile to
+/// summarise (`--json`) and no ring to size (`--ring`, given as
+/// `ring`). It does honour `--metrics` and `--metrics-json`.
+pub fn check_single_backend_flags(
+    flags: &OutFlags,
+    ring: bool,
+    backend: Backend,
+) -> Result<(), String> {
+    refuse(
+        &[
+            ("--trace", flags.trace.is_some()),
+            ("--json", flags.json.is_some()),
+            ("--ring", ring),
+        ],
+        &format!(
+            "not supported with --backend {}: it runs one executor untraced \
+             (drop --backend for the traced side-by-side profile)",
+            backend.name()
+        ),
+    )
+}
+
+/// A real-backend run's throughput line: tasks per wall-clock second,
+/// the rate its label names. (`NativeRunStats::throughput` is *units*
+/// per second, which is what `summary_line`'s `thr=` reports.)
+pub fn throughput_line(stats: &uat_fiber::NativeRunStats) -> String {
+    let secs = stats.wall.as_secs_f64();
+    let tasks_per_s = if secs > 0.0 {
+        stats.total_tasks as f64 / secs
+    } else {
+        0.0
+    };
+    format!(
+        "  throughput: {tasks_per_s:.0} tasks/s on {} workers ({} steals, {} parks)",
+        stats.workers, stats.steals, stats.parks
+    )
 }
 
 /// Run `w` on one of the *real* executors (`native` threads or
 /// `multiprocess` worker processes), verify its accounting against the
-/// sequential ground truth, and print a throughput summary. Returns
-/// `None` — after printing the reason — when the host cannot run the
-/// multiprocess backend (treat as "skip", like the ipc probes).
+/// sequential ground truth, print its summary and throughput, and emit
+/// the metrics snapshot `flags` ask for (`--metrics`, `--metrics-json`,
+/// keyed by [`Backend::name`]) from a metered run. Returns `None` —
+/// after printing the reason — when the host cannot run the
+/// multiprocess backend (treat as "skip").
 ///
 /// # Panics
 /// On accounting divergence (a backend bug), or if called with
@@ -301,26 +351,35 @@ pub fn run_real_backend<W>(
     workers: usize,
     divisor: u64,
     w: W,
+    flags: &OutFlags,
 ) -> Option<uat_fiber::NativeRunStats>
 where
     W: uat_model::Workload + Clone + Send + Sync + 'static,
     W::Desc: Copy + 'static,
 {
+    assert!(
+        backend != Backend::Sim,
+        "run_real_backend drives native/multiprocess only"
+    );
+    if backend == Backend::Multiprocess {
+        if let Err(e) = uat_fiber::MultiProcessRunner::probe_support() {
+            eprintln!("multiprocess backend unavailable here: {e}");
+            return None;
+        }
+    }
     let p = uat_model::sequential_profile(&w);
-    let stats = match backend {
-        Backend::Sim => panic!("run_real_backend drives native/multiprocess only"),
-        Backend::Native => uat_fiber::NativeRunner::new(workers)
-            .with_work_divisor(divisor)
-            .run(w),
-        Backend::Multiprocess => {
-            let runner = uat_fiber::MultiProcessRunner::new(workers).with_work_divisor(divisor);
-            match runner.try_run(w) {
-                Ok(report) => report.stats,
-                Err(e) => {
-                    eprintln!("multiprocess backend unavailable here: {e}");
-                    return None;
-                }
-            }
+    let native = || uat_fiber::NativeRunner::new(workers).with_work_divisor(divisor);
+    let mp = || uat_fiber::MultiProcessRunner::new(workers).with_work_divisor(divisor);
+    let (stats, snapshot) = match (backend == Backend::Native, wants_metrics(flags)) {
+        (true, false) => (native().run(w), None),
+        (false, false) => (mp().run(w), None),
+        (true, true) => {
+            let (stats, snapshot) = native().run_metered(w);
+            (stats, Some(snapshot))
+        }
+        (false, true) => {
+            let (stats, snapshot) = mp().run_metered(w);
+            (stats, Some(snapshot))
         }
     };
     assert_eq!(
@@ -337,20 +396,11 @@ where
         stats.workload,
         backend.name()
     );
-    println!(
-        "{}",
-        stats.summary_line_as(match backend {
-            Backend::Multiprocess => "MultiProc",
-            _ => "Native",
-        })
-    );
-    println!(
-        "  throughput: {:.0} tasks/s on {} workers ({} steals, {} parks)",
-        stats.throughput(),
-        stats.workers,
-        stats.steals,
-        stats.parks
-    );
+    println!("{}", stats.summary_line());
+    println!("{}", throughput_line(&stats));
+    if let Some(snapshot) = snapshot {
+        emit_metrics(flags, &[(backend.name(), snapshot)]);
+    }
     Some(stats)
 }
 
@@ -432,6 +482,43 @@ mod tests {
             let plain = parse(&["btc1"]).unwrap();
             assert_eq!(check_output_flags(&plain, backend), Ok(()));
         }
+    }
+
+    #[test]
+    fn single_backend_mode_refuses_trace_json_and_ring_by_name() {
+        let all = parse(&["--trace=t", "--json=j", "--metrics", "--metrics-json=m"]).unwrap();
+        for backend in [Backend::Sim, Backend::Native, Backend::Multiprocess] {
+            let e = check_single_backend_flags(&all, true, backend).unwrap_err();
+            assert!(
+                e.starts_with("--trace, --json, --ring not supported"),
+                "{e}"
+            );
+            assert!(e.contains(backend.name()), "{e}");
+            let e = check_single_backend_flags(&all, false, backend).unwrap_err();
+            assert!(e.starts_with("--trace, --json not supported"), "{e}");
+            let plain = parse(&["btc1"]).unwrap();
+            let e = check_single_backend_flags(&plain, true, backend).unwrap_err();
+            assert!(e.starts_with("--ring not supported"), "{e}");
+            // The mode honours the metrics flags.
+            let metrics = parse(&["--metrics", "--metrics-json=m"]).unwrap();
+            assert_eq!(check_single_backend_flags(&metrics, false, backend), Ok(()));
+        }
+    }
+
+    #[test]
+    fn throughput_line_reports_tasks_not_units() {
+        // `differential_profile uts --size 6 --workers 2`: 6 274 tasks
+        // reporting 2 626 units in 6.8 ms.
+        let stats = uat_fiber::NativeRunStats {
+            workers: 2,
+            total_tasks: 6_274,
+            total_units: 2_626,
+            wall: std::time::Duration::from_micros(6_800),
+            ..Default::default()
+        };
+        let line = throughput_line(&stats);
+        assert!(line.contains(" 922647 tasks/s on 2 workers"), "{line}");
+        assert_eq!(stats.throughput().round(), 386_176.0, "units/s");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! with `resume_context(ctx)`, which lands at the same epilogue.
 //! `switch_stack_and_call` is Figure 7's `CALL_WITH_SAFE_SP`. The two
 //! are kept instruction for instruction for what they are: Table 2's
-//! Figure 4 row ([`creation`](crate::creation)) and the cross-process
-//! demonstration ([`ipc`](crate::ipc)) run them. This is the entire
+//! Figure 4 row ([`creation`](crate::creation)) and the root package's
+//! `cross_process_steal` example run them. This is the entire
 //! machinery the paper needs from assembly ("The library is implemented
 //! in C++ and a few assembly codes", Section 7).
 //!

@@ -25,15 +25,16 @@
 //!   not fit is refused by name), so stack-depth behaviour (and
 //!   guard-page faults on deeper overflow) are genuine.
 //!
-//! The run reports [`NativeRunStats`] with the same unit accounting as
-//! the simulator's `RunStats` (`total_units`, `total_tasks`,
-//! `total_work_cycles`), plus a schedule-independent
-//! [join-tree fingerprint](uat_model::join_tree_fingerprint) — the basis
-//! of the differential sim-vs-native harness in the root package's
+//! Both runners report one [`NativeRunStats`], which names its runner,
+//! with the same unit accounting as the simulator's `RunStats`
+//! (`total_units`, `total_tasks`, `total_work_cycles`), plus a
+//! schedule-independent [join-tree
+//! fingerprint](uat_model::join_tree_fingerprint) — the basis of the
+//! differential sim-vs-native harness in the root package's
 //! `tests/differential.rs`.
 
 use crate::join::JoinBlock;
-use crate::runtime::{Runtime, Threads};
+use crate::runtime::{Observe, Observed, Runtime, Threads};
 use crate::sched::{bump, current, join_all, spawn_on, Place};
 use crate::tsc;
 use std::cell::UnsafeCell;
@@ -181,7 +182,7 @@ impl<W: Workload> Copy for EnvRef<W> {}
 // `&Env`, whose fields are `W` (required `Sync` below), the rows and a
 // plain integer, and the buffer lists, each touched only by its own
 // worker — as is each row; both pointees outlive every task (see
-// `NativeRunner::run_with` and `MultiProcessRunner::run_mapped`).
+// `NativeRunner::run_observing` and `MultiProcessRunner::run_mapped`).
 unsafe impl<W: Workload + Sync> Send for EnvRef<W> {}
 
 /// Interpret one task: expand its program and execute it on this fiber.
@@ -280,7 +281,13 @@ pub(crate) fn exec<P: Place, W: Workload>(
 pub struct NativeRunStats {
     /// Workload name.
     pub workload: String,
-    /// Worker OS threads.
+    /// The runner that produced these stats, as [`summary_line`] names
+    /// it: `"Native"` ([`NativeRunner`]) or `"MultiProc"`
+    /// ([`MultiProcessRunner`](crate::MultiProcessRunner)).
+    ///
+    /// [`summary_line`]: Self::summary_line
+    pub backend: &'static str,
+    /// Workers: OS threads, or worker processes.
     pub workers: u32,
     /// Tasks executed (= the sim's `total_tasks`).
     pub total_tasks: u64,
@@ -315,6 +322,17 @@ pub struct NativeRunStats {
     pub trace_dropped: u64,
     /// Real elapsed time.
     pub wall: std::time::Duration,
+    /// Allocations each worker process observed between `fork` and
+    /// worker-loop entry: all 0 unless a probe caught a fork-safety
+    /// regression ([`set_bootstrap_alloc_probe`]). Empty on the thread
+    /// runner.
+    ///
+    /// [`set_bootstrap_alloc_probe`]: crate::set_bootstrap_alloc_probe
+    pub bootstrap_allocs: Vec<u64>,
+    /// Allocations each worker process observed over its whole worker
+    /// loop (same probe): a small constant, its program buffer's
+    /// growth, not per task. Empty on the thread runner.
+    pub run_allocs: Vec<u64>,
 }
 
 impl NativeRunStats {
@@ -327,18 +345,12 @@ impl NativeRunStats {
         self.total_units as f64 / s
     }
 
-    /// One-line summary for harness output.
+    /// One-line summary for harness output, naming the runner.
     pub fn summary_line(&self) -> String {
-        self.summary_line_as("Native")
-    }
-
-    /// [`summary_line`](Self::summary_line) with an explicit backend
-    /// label — the same stats type serves both real executors (native
-    /// threads and multiprocess workers).
-    pub fn summary_line_as(&self, backend: &str) -> String {
         format!(
-            "{:<24} {backend} w={:<3} tasks={:<10} units={:<10} wall={:>9.4}s thr={:>12.0}/s steals={} parks={} unparks={} drop={} peak_frames={}B",
+            "{:<24} {} w={:<3} tasks={:<10} units={:<10} wall={:>9.4}s thr={:>12.0}/s steals={} parks={} unparks={} drop={} peak_frames={}B",
             self.workload,
+            self.backend,
             self.workers,
             self.total_tasks,
             self.total_units,
@@ -359,11 +371,10 @@ pub struct NativeRunner {
     /// The runtime each run is driven on.
     rt: Runtime,
     work_divisor: u64,
-    /// Per-worker event-ring capacity for [`run_traced`]
-    /// (`None` = the runtime default).
+    /// Per-worker event-ring capacity of a [`run_traced`] run.
     ///
     /// [`run_traced`]: Self::run_traced
-    ring_capacity: Option<usize>,
+    ring_capacity: usize,
 }
 
 impl NativeRunner {
@@ -372,14 +383,14 @@ impl NativeRunner {
         NativeRunner {
             rt: Runtime::new(workers),
             work_divisor: 1,
-            ring_capacity: None,
+            ring_capacity: crate::ntrace::DEFAULT_RING_CAPACITY,
         }
     }
 
     /// Override the per-worker event-ring capacity used by
     /// [`run_traced`](Self::run_traced).
     pub fn with_tracing(mut self, ring_capacity: usize) -> Self {
-        self.ring_capacity = Some(ring_capacity);
+        self.ring_capacity = ring_capacity;
         self
     }
 
@@ -429,7 +440,7 @@ impl NativeRunner {
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
-        self.run_with(w, |rt, root| (rt.run_counted(root).1, ())).0
+        self.run_observing(w, Observe::default()).0
     }
 
     /// Like [`run`](Self::run) with the timed metrics tier forced on,
@@ -441,10 +452,12 @@ impl NativeRunner {
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
-        self.run_with(w, |rt, root| {
-            let ((), sched, snapshot) = rt.run_metered(root);
-            (sched, snapshot)
-        })
+        let metered = Observe {
+            trace: None,
+            metrics: true,
+        };
+        let (stats, observed) = self.run_observing(w, metered);
+        (stats, observed.metrics.expect("a metered run"))
     }
 
     /// Like [`run`](Self::run) with per-worker event tracing on,
@@ -457,31 +470,18 @@ impl NativeRunner {
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
-        let ring_capacity = self.ring_capacity;
-        self.run_with(w, |mut rt, root| {
-            if let Some(cap) = ring_capacity {
-                rt = rt.with_tracing(cap);
-            }
-            let ((), sched, trace) = rt.run_traced(root);
-            let trace_dropped = trace.data.workers.iter().map(|r| r.dropped()).sum();
-            (
-                NativeRunStats {
-                    trace_dropped,
-                    ..sched
-                },
-                trace,
-            )
-        })
+        let traced = Observe {
+            trace: Some(self.ring_capacity),
+            metrics: false,
+        };
+        let (stats, observed) = self.run_observing(w, traced);
+        (stats, observed.trace.expect("a traced run"))
     }
 
-    /// Run `w`'s root task through `drive` (one of the runtime's run
-    /// entry points, which reports the run's scheduler fields and its
-    /// own extra output) and add the workers' accounting rows.
-    fn run_with<W, X>(
-        &self,
-        w: W,
-        drive: impl FnOnce(Runtime, Box<dyn FnOnce() + Send>) -> (NativeRunStats, X),
-    ) -> (NativeRunStats, X)
+    /// The one run path: `w`'s root task on the runtime, observing what
+    /// `observe` asks, with the workers' accounting rows added to the
+    /// run's scheduler fields.
+    fn run_observing<W>(&self, w: W, observe: Observe) -> (NativeRunStats, Observed)
     where
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
@@ -495,18 +495,19 @@ impl NativeRunner {
         // The root task's closure owns the one other handle on the Env.
         // Every task joins its children before it returns, so that
         // closure — dropped when the root's body ends — outlives every
-        // `EnvRef` dereference, whatever happens to this frame.
+        // `EnvRef` dereference, whatever happens to this frame. Boxed,
+        // so every workload's root enters through one task body.
         let held = Arc::clone(&env);
-        let root = Box::new(move || {
+        let root: Box<dyn FnOnce() + Send> = Box::new(move || {
             let env = EnvRef {
                 env: &*held,
                 rows: held.rows.as_ptr(),
             };
             exec::<Threads, W>(env, &root, root_frame, 0);
         });
-        let (sched, extra) = drive(self.rt.clone().with_root_frame(root_frame), root);
+        let ((), sched, observed) = self.rt.run_observing(root, root_frame, observe);
         let stats = AcctRow::totals(env.rows.iter(), NativeRunStats { workload, ..sched });
-        (stats, extra)
+        (stats, observed)
     }
 }
 
@@ -565,7 +566,8 @@ mod tests {
         };
         let rt = Runtime::new(1);
         let moved = if metered {
-            rt.run_metered(body).0
+            rt.with_metrics(Arc::new(uat_metrics::Registry::new(1)))
+                .run(body)
         } else {
             rt.run(body)
         };

@@ -48,18 +48,22 @@
 //! - `idle`: the idle path both real backends share — spin, then nap;
 //!   the termination scan an idle worker runs before each nap; and the
 //!   futex the multiprocess coordinator sleeps on meanwhile.
-//! - [`ipc`]: the faithful **cross-address-space** demonstration —
-//!   process-per-core via `fork`, the uni-address region at the same
-//!   fixed virtual address in each process, shared-memory task-queue
-//!   words, a one-sided `process_vm_readv` stack transfer, and
-//!   `resume_context` of a started thread on the other process.
-//! - [`mpruntime`]: the demonstration promoted to a full third backend —
-//!   the same worker body in forked processes ([`MultiProcessRunner`])
-//!   that maps
-//!   deques, fiber stacks, join blocks, and the metrics segment into one
-//!   `memfd` region at the same fixed address everywhere, so a
-//!   cross-process steal is deque atomics plus `resume_context` and the
-//!   parent exports per-worker metrics through `uat-rdma` fabric reads.
+//! - [`mpruntime`]: the third backend — the same worker body in forked
+//!   processes ([`MultiProcessRunner`]) that maps deques, fiber stacks,
+//!   join blocks, and the metrics segment into one `memfd` region at the
+//!   same fixed address everywhere, so a cross-process steal is deque
+//!   atomics plus `resume_context` and the parent exports per-worker
+//!   metrics through `uat-rdma` fabric reads. (The root package's
+//!   `cross_process_steal` example shows the mechanism once with
+//!   private regions: a started thread's frames copied to another
+//!   process by `process_vm_readv` and resumed there.)
+//!
+//! Each runner has one run path. [`Runtime::run`] runs a closure;
+//! [`NativeRunner`] runs a `uat-model` workload on it, as `run`,
+//! `run_metered` or `run_traced`; [`MultiProcessRunner`] runs one as
+//! `run` or `run_metered`, after [`MultiProcessRunner::probe_support`]
+//! where a caller must skip on a host that cannot. Both workload
+//! runners report in one [`NativeRunStats`], which names its runner.
 //!
 //! # Safety
 //!
@@ -77,7 +81,6 @@ pub mod ctx;
 mod frame;
 mod idle;
 pub mod interp;
-pub mod ipc;
 mod join;
 pub mod mpruntime;
 pub mod nmetrics;
@@ -89,10 +92,7 @@ pub mod tsc;
 
 pub use creation::{measure_creation, CreationStrategy};
 pub use interp::{NativeRunStats, NativeRunner};
-pub use ipc::{
-    probe_fixed_noreplace, probe_process_vm_readv, steal_between_processes, steal_with_retries,
-};
-pub use mpruntime::{set_bootstrap_alloc_probe, MpReport, MultiProcessRunner};
+pub use mpruntime::{set_bootstrap_alloc_probe, MultiProcessRunner};
 pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};
 pub use ntrace::{NativeTrace, DEFAULT_RING_CAPACITY};
 pub use runtime::{current_worker_id, spawn, JoinHandle, Runtime};

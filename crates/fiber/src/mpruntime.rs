@@ -1,8 +1,9 @@
 //! The multiprocess uni-address backend: one **process** per worker,
 //! the paper's actual deployment model, as a first-class runtime.
 //!
-//! [`ipc`](crate::ipc) demonstrates the mechanism once (fork + fixed
-//! mapping + one steal); this module makes it a driver. The coordinator
+//! The `cross_process_steal` example demonstrates the mechanism once
+//! (fork + fixed mapping + one steal); this module makes it a driver,
+//! [`MultiProcessRunner`]. The coordinator
 //! (parent) creates a single `memfd` and maps it `MAP_SHARED` at
 //! [`MP_BASE`] with `MAP_FIXED_NOREPLACE` **before forking**, so every
 //! worker process inherits *the same physical pages at the same virtual
@@ -17,8 +18,8 @@
 //!   continuation's frames are already present in the thief's address
 //!   space — a cross-process steal is deque atomics plus
 //!   `resume_context`, zero messages *and* zero copies (the shared
-//!   mapping is the transfer; compare [`ipc`](crate::ipc), where
-//!   private mappings force a real `process_vm_readv`);
+//!   mapping is the transfer; compare the example, where private
+//!   mappings force a real `process_vm_readv`);
 //! - each task's **record**, at the top of its slot's stack, its
 //!   **program area** just above, and its parent's **join block**, so
 //!   no private-heap pointer is ever reachable from a migratable stack
@@ -105,8 +106,8 @@ use uat_model::{Action, Workload};
 use uat_rdma::{OneSidedFabric, ShmFabric};
 
 /// Fixed virtual address of the multiprocess uni-address region (same
-/// in every worker process; distinct from [`crate::ipc::UNI_BASE`] so
-/// the two demonstrations can coexist in one test binary).
+/// in every worker process; distinct from the `cross_process_steal`
+/// example's region, so the two can coexist in one process).
 pub const MP_BASE: usize = 0x7e00_0000_0000;
 
 /// Entries per worker deque (matches the thread runtime's sizing).
@@ -653,7 +654,7 @@ static BOOTSTRAP_PROBE: AtomicU64 = AtomicU64::new(0);
 /// allocator's counter read). Each worker samples it immediately after
 /// `fork` and again at worker-loop entry; the difference — which must
 /// be 0 — lands in the shared control block and is reported as
-/// [`MpReport::bootstrap_allocs`]. The probe must itself be
+/// [`NativeRunStats::bootstrap_allocs`]. The probe must itself be
 /// allocation-free and async-fork-safe (a plain atomic read).
 pub fn set_bootstrap_alloc_probe(probe: fn() -> u64) {
     BOOTSTRAP_PROBE.store(probe as usize as u64, Ordering::SeqCst);
@@ -708,31 +709,6 @@ fn mp_bootstrap(id: usize, layout: RegionLayout, root: *mut TaskHeader<usize>) -
 // ---------------------------------------------------------------------
 // The coordinator-side driver.
 // ---------------------------------------------------------------------
-
-/// One multiprocess run's full report: the backend-invariant stats plus
-/// the fork-safety probe readings and the raw metrics-segment cells the
-/// parent read back through its fabric windows.
-#[derive(Clone, Debug)]
-pub struct MpReport {
-    /// Same accounting as a [`NativeRunner`](crate::NativeRunner) run.
-    pub stats: NativeRunStats,
-    /// Allocations each worker observed between `fork` and worker-loop
-    /// entry (all 0 unless a probe caught a fork-safety regression).
-    pub bootstrap_allocs: Vec<u64>,
-    /// Allocations each worker observed over its whole worker loop: a
-    /// small constant (its program buffer's growth), not per task.
-    pub run_allocs: Vec<u64>,
-    /// The metrics segment's cells, worker-major with
-    /// `uat_metrics::shm` layout, read via `uat_rdma::OneSidedFabric`.
-    pub metric_words: Vec<u64>,
-}
-
-impl MpReport {
-    /// The run's metrics as an ordinary registry snapshot.
-    pub fn metrics_snapshot(&self) -> uat_metrics::Snapshot {
-        SegmentLayout::new(self.stats.workers as usize).snapshot(&self.metric_words)
-    }
-}
 
 /// Serialises multiprocess runs within one OS process: the region lives
 /// at a fixed virtual address, so two concurrent runs (e.g. parallel
@@ -791,8 +767,9 @@ impl MultiProcessRunner {
     /// Probe whether this host can run the multiprocess backend: a
     /// `memfd` + `MAP_FIXED_NOREPLACE` mapping at [`MP_BASE`] must
     /// succeed, and `membarrier` must offer the expedited global barrier
-    /// the slot caches' raid relies on ([I22]). Returns the reason when it cannot (callers should treat
-    /// that as "skip", mirroring the ipc probes).
+    /// the slot caches' raid relies on ([I22]). Returns the reason when
+    /// it cannot: callers that must skip rather than panic in
+    /// [`run`](Self::run) ask here first.
     pub fn probe_support() -> Result<(), String> {
         // Serialize with live runs: the probe maps a page at MP_BASE,
         // so an unlocked probe can both fail spuriously against a
@@ -802,16 +779,15 @@ impl MultiProcessRunner {
         map_region(PAGE).map(drop)
     }
 
-    /// Run `w` to completion across worker processes; panics on
-    /// unsupported hosts (use [`try_run`](Self::try_run) to skip).
+    /// Run `w` to completion across worker processes. Panics, with
+    /// the reason, on a host that cannot map the region: call
+    /// [`probe_support`](Self::probe_support) first to skip instead.
     pub fn run<W>(&self, w: W) -> NativeRunStats
     where
         W: Workload,
         W::Desc: Copy,
     {
-        self.try_run(w)
-            .expect("multiprocess backend unavailable")
-            .stats
+        self.run_mapped(w).0
     }
 
     /// Like [`run`](Self::run), additionally returning the run's
@@ -821,15 +797,16 @@ impl MultiProcessRunner {
         W: Workload,
         W::Desc: Copy,
     {
-        let report = self.try_run(w).expect("multiprocess backend unavailable");
-        let snap = report.metrics_snapshot();
-        (report.stats, snap)
+        let (stats, words) = self.run_mapped(w);
+        let snapshot = SegmentLayout::new(self.workers).snapshot(&words);
+        (stats, snapshot)
     }
 
-    /// Run `w`, reporting `Err` (instead of panicking) when the host
-    /// cannot map the region — sandboxes without `memfd_create` or with
-    /// the fixed address range occupied.
-    pub fn try_run<W>(&self, w: W) -> Result<MpReport, String>
+    /// The one run path: map the region, fork the workers, wait them
+    /// out, and report the run with the metrics segment's cells,
+    /// worker-major in `uat_metrics::shm` layout, as the parent read
+    /// them through `uat_rdma::OneSidedFabric` windows.
+    fn run_mapped<W>(&self, w: W) -> (NativeRunStats, Vec<u64>)
     where
         W: Workload,
         W::Desc: Copy,
@@ -839,19 +816,12 @@ impl MultiProcessRunner {
         // panicked, and its region was unmapped on the way out (the
         // `_region` guard below).
         let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let layout = RegionLayout::new(self.workers, self.slots, self.stack_size);
+        let layout = &RegionLayout::new(self.workers, self.slots, self.stack_size);
         // Dropped (unmapped) on the way out of a panicking run too — a
         // dead worker, an exhausted slot pool — or the next run in this
         // process could not map the region.
-        let _region = map_region(layout.total)?;
-        Ok(self.run_mapped(&layout, w))
-    }
-
-    fn run_mapped<W>(&self, layout: &RegionLayout, w: W) -> MpReport
-    where
-        W: Workload,
-        W::Desc: Copy,
-    {
+        let _region = map_region(layout.total)
+            .unwrap_or_else(|e| panic!("multiprocess backend unavailable: {e}"));
         let (workload, capacity) = (w.name(), RegionLayout::prog_capacity::<W::Desc>());
         // Guard pages: PROT_NONE at the low end of every slot,
         // established once before fork and inherited by every worker.
@@ -978,11 +948,14 @@ impl MultiProcessRunner {
             (0..layout.workers).map(|wk| layout.stats_row(wk)),
             NativeRunStats {
                 workload,
+                backend: "MultiProc",
                 workers: layout.workers as u32,
                 steals: msum(shm::STEALS_COMPLETED),
                 parks: msum(shm::PARKS),
                 unparks: msum(shm::UNPARKS),
                 wall,
+                bootstrap_allocs: probed(&ctrl.bootstrap_allocs),
+                run_allocs: probed(&ctrl.run_allocs),
                 ..NativeRunStats::default()
             },
         );
@@ -996,12 +969,7 @@ impl MultiProcessRunner {
             "spawned != started"
         );
         debug_assert!(ctrl.root.is_done());
-        MpReport {
-            stats,
-            bootstrap_allocs: probed(&ctrl.bootstrap_allocs),
-            run_allocs: probed(&ctrl.run_allocs),
-            metric_words,
-        }
+        (stats, metric_words)
     }
 }
 
@@ -1392,7 +1360,7 @@ mod tests {
         for workers in [2usize, 4] {
             let t0 = std::time::Instant::now();
             let err = catch_unwind(|| {
-                runner(workers).try_run(OneLeaf {
+                runner(workers).run(OneLeaf {
                     leaf_frame: 64,
                     leaf_aborts: true,
                 })
@@ -1639,17 +1607,31 @@ mod tests {
             frame: 128,
         };
         for workers in [1, 2, 4] {
-            let report = runner(workers).try_run(w.clone()).unwrap();
-            assert_eq!(report.bootstrap_allocs, vec![0; workers]);
+            let (stats, snap) = runner(workers).run_metered(w.clone());
+            assert_eq!(stats.bootstrap_allocs, vec![0; workers]);
             // No probe installed: nothing observed over the worker loops.
-            assert_eq!(report.run_allocs, vec![0; workers]);
+            assert_eq!(stats.run_allocs, vec![0; workers]);
             // Tasks exported through the fabric-read segment agree with
             // the stats bank.
-            let snap = report.metrics_snapshot();
-            assert_eq!(
-                snap.total(uat_metrics::names::TASKS),
-                report.stats.total_tasks
-            );
+            assert_eq!(snap.total(uat_metrics::names::TASKS), stats.total_tasks);
         }
+    }
+
+    /// A run's summary names the runner that made it: the two real
+    /// runners report in one type.
+    #[test]
+    fn summary_line_names_the_backend() {
+        let w = BinTree {
+            depth: 3,
+            work: 0,
+            frame: 64,
+        };
+        let threads = crate::NativeRunner::new(1).run(w.clone()).summary_line();
+        assert!(threads.contains(" Native w=1 "), "{threads}");
+        if !supported() {
+            return;
+        }
+        let processes = runner(2).run(w).summary_line();
+        assert!(processes.contains(" MultiProc w=2 "), "{processes}");
     }
 }

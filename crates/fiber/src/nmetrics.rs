@@ -10,16 +10,17 @@
 //!
 //! - **The timed tier**: TSC-stamped steal latency, task run length,
 //!   park duration, and one [`uat_metrics::EventRing`] flight-recorder
-//!   ring per worker. It is on only for *metered* runs
-//!   ([`crate::Runtime::with_metrics`] / [`crate::Runtime::run_metered`]
-//!   / a sampler or watchdog). Its per-worker half, `WorkerMetrics`, is
-//!   reached only behind the place's one observation flag, so an
-//!   unobserved task pays nothing for it.
+//!   ring per worker. It is on only for *metered* runs (`with_metrics`,
+//!   `NativeRunner::run_metered`, a sampler or a watchdog). Its
+//!   per-worker half, `WorkerMetrics`, is reached only behind the
+//!   place's one observation flag, so an unobserved task pays nothing.
 //! - **The registry view**: `MetricsShared::snapshot` assembles the
-//!   rows with `SegmentLayout::snapshot`, as the multiprocess report
-//!   does, followed by the registry's own instruments; at the end of a
-//!   run `MetricsShared::deposit` adds the rows into the registry's
-//!   counters, for a caller that snapshots its registry itself.
+//!   rows with `SegmentLayout::snapshot`, as
+//!   [`crate::MultiProcessRunner::run_metered`] does, followed by the
+//!   registry's own instruments; at the end of a run
+//!   `MetricsShared::deposit` adds the rows into the registry's
+//!   counters, which `NativeRunner::run_metered` then snapshots, and so
+//!   can a caller that passed its own registry to `with_metrics`.
 //!
 //! The **watchdog** rides the sampler thread: every worker bumps its
 //! heartbeat cell once per scheduler-loop iteration (parked workers
@@ -165,7 +166,7 @@ impl MetricsShared {
     }
 
     /// The run's metrics as they are now: the workers' `rows`, assembled
-    /// as the multiprocess report assembles its segment, then the
+    /// as the multiprocess runner assembles its segment, then the
     /// registry's own instruments (not its row counters, which the rows
     /// stand in for until [`deposit`](Self::deposit)).
     pub(crate) fn snapshot(&self, rows: &[Row]) -> Snapshot {

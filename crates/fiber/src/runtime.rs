@@ -27,13 +27,14 @@
 //! Nobody polls for the end of a run: the first worker whose
 //! termination scan passes raises the shutdown word, and the thread that
 //! called [`Runtime::run`] sleeps in the workers' `join`s from the
-//! moment it has spawned them (`idle.rs`).
+//! moment it has spawned them (`idle.rs`). That is the one run path;
+//! `NativeRunner` enters it too, telling it what to trace or meter.
 
 use crate::frame::FrameTooLarge;
 use crate::interp::NativeRunStats;
 use crate::join::JoinBlock;
 use crate::nmetrics::{MetricsShared, WorkerMetrics};
-use crate::ntrace::{TraceShared, WorkerTracer};
+use crate::ntrace::{NativeTrace, TraceShared, WorkerTracer};
 use crate::sched::{
     current, join_all, place_record, spawn_on, worker_loop, Event, Place, TaskHeader, Worker,
 };
@@ -161,8 +162,8 @@ impl Place for Threads {
         debug_assert!(w < self.shared.deques.len());
         // SAFETY: [I7] the worker body passes only `w < n` — its own id,
         // a victim `rng.below(n - 1)` shifted past itself, or a scan
-        // index — and `run_core` builds both banks, and every `Worker`'s
-        // `n`, from `nworkers`; `shared` keeps the bank alive.
+        // index — and `run_observing` builds both banks, and every
+        // `Worker`'s `n`, from `nworkers`; `shared` keeps the bank alive.
         unsafe { &*self.deques.add(w) }
     }
 
@@ -334,11 +335,6 @@ impl<T> JoinHandle<T> {
 pub struct Runtime {
     pub(crate) nworkers: usize,
     stack_size: usize,
-    /// The root task's frame claim (every other task's comes with its
-    /// `spawn_on`).
-    root_frame: u64,
-    /// Per-worker event-ring capacity when tracing; `None` = untraced.
-    trace_rings: Option<usize>,
     /// Caller-supplied registry to record into; `None` = per-run owned.
     registry: Option<Arc<uat_metrics::Registry>>,
     /// Whether the timed metrics tier (histograms, flight rings) is on.
@@ -351,6 +347,22 @@ pub struct Runtime {
     sabotage: Option<usize>,
 }
 
+/// What one run observes beyond its counter rows and the runtime's own
+/// metrics configuration: the runner that starts the run says.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Observe {
+    /// Trace the run, with rings of this many events per worker.
+    pub(crate) trace: Option<usize>,
+    /// Turn the timed metrics tier on, and snapshot the registry after.
+    pub(crate) metrics: bool,
+}
+
+/// What an observed run hands back: each part [`Observe`] asked for.
+pub(crate) struct Observed {
+    pub(crate) trace: Option<NativeTrace>,
+    pub(crate) metrics: Option<uat_metrics::Snapshot>,
+}
+
 impl Runtime {
     /// A runtime with `nworkers` OS-thread workers.
     pub fn new(nworkers: usize) -> Self {
@@ -358,8 +370,6 @@ impl Runtime {
         Runtime {
             nworkers,
             stack_size: 128 << 10,
-            root_frame: 0,
-            trace_rings: None,
             registry: None,
             metered: false,
             sampler: None,
@@ -371,20 +381,6 @@ impl Runtime {
     /// Override the per-task stack size (default 128 KiB).
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
-        self
-    }
-
-    /// Start the root task of subsequent runs `bytes` below its record,
-    /// as `spawn_on` does for every other task.
-    pub(crate) fn with_root_frame(mut self, bytes: u64) -> Self {
-        self.root_frame = bytes;
-        self
-    }
-
-    /// Trace subsequent runs with `ring_capacity`-event per-worker
-    /// rings; collect results with [`run_traced`](Self::run_traced).
-    pub fn with_tracing(mut self, ring_capacity: usize) -> Self {
-        self.trace_rings = Some(ring_capacity);
         self
     }
 
@@ -437,70 +433,31 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.run_counted(root).0
+        self.run_observing(root, 0, Observe::default()).0
     }
 
-    /// Like [`run`](Self::run), additionally reporting the run's
-    /// scheduler fields — `workers`, `steals`, `parks`, `unparks` and
-    /// `wall` — in a [`NativeRunStats`] (the native workload
-    /// interpreter adds its accounting to them).
-    pub fn run_counted<T, F>(&self, root: F) -> (T, NativeRunStats)
+    /// The one run path: run `root`, its body started `root_frame`
+    /// bytes below its record as `spawn_on` starts every other task's,
+    /// observing what `observe` asks. Reports the run's scheduler fields
+    /// in a [`NativeRunStats`], to which `NativeRunner` adds the
+    /// workload's accounting.
+    pub(crate) fn run_observing<T, F>(
+        &self,
+        root: F,
+        root_frame: u64,
+        observe: Observe,
+    ) -> (T, NativeRunStats, Observed)
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let (out, sched, _shared) = self.run_core(root);
-        (out, sched)
-    }
-
-    /// Like [`run_counted`](Self::run_counted) with tracing forced on
-    /// (at the configured or default ring capacity), additionally
-    /// returning the finalized per-worker trace.
-    pub fn run_traced<T, F>(&self, root: F) -> (T, NativeRunStats, crate::ntrace::NativeTrace)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let mut rt = self.clone();
-        rt.trace_rings = Some(
-            self.trace_rings
-                .unwrap_or(crate::ntrace::DEFAULT_RING_CAPACITY),
-        );
-        let (out, sched, shared) = rt.run_core(root);
-        let trace = crate::ntrace::finalize(shared.trace.as_ref().expect("tracing enabled"));
-        (out, sched, trace)
-    }
-
-    /// Like [`run_counted`](Self::run_counted) with the timed metrics
-    /// tier forced on (into the configured registry, or a fresh one),
-    /// additionally returning the run's metrics snapshot.
-    pub fn run_metered<T, F>(&self, root: F) -> (T, NativeRunStats, uat_metrics::Snapshot)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let mut rt = self.clone();
-        rt.metered = true;
-        if rt.registry.is_none() {
-            rt.registry = Some(Arc::new(uat_metrics::Registry::new(self.nworkers)));
-        }
-        let (out, sched, shared) = rt.run_core(root);
-        let snapshot = shared.metrics.registry.snapshot();
-        (out, sched, snapshot)
-    }
-
-    fn run_core<T, F>(&self, root: F) -> (T, NativeRunStats, Arc<Shared>)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let trace = self
-            .trace_rings
+        let trace = observe
+            .trace
             .map(|cap| TraceShared::new(self.nworkers, cap));
         let metrics = Arc::new(MetricsShared::new(
             self.nworkers,
             self.registry.clone(),
-            self.metered,
+            self.metered || observe.metrics,
             self.sabotage,
         ));
         // The root is an ordinary task record on an ordinary stack, with
@@ -514,7 +471,7 @@ impl Runtime {
         let at = (stack.top() as usize, stack.limit() as usize);
         let task = JoinCell::task(Arc::clone(&cell), root);
         let seed =
-            place_record::<Threads, _, _>(stack, at, &cell.block, root_task, self.root_frame, task)
+            place_record::<Threads, _, _>(stack, at, &cell.block, root_task, root_frame, task)
                 .unwrap_or_else(|(e, s)| Threads::refuse_frame(e, s));
         let shared = Arc::new(Shared {
             deques: (0..self.nworkers).map(|_| NativeDeque::new(8192)).collect(),
@@ -596,6 +553,7 @@ impl Runtime {
         // registry, and, every worker having deposited its ring, the
         // trace's drop counts beside them.
         shared.metrics.deposit(&shared.rows);
+        let mut trace_dropped = 0;
         if let Some(t) = shared.trace.as_ref() {
             let dropped = shared.metrics.registry.counter(
                 uat_metrics::names::TRACE_DROPPED,
@@ -603,6 +561,7 @@ impl Runtime {
             );
             for (i, n) in t.dropped_per_worker().into_iter().enumerate() {
                 dropped.add(i, n);
+                trace_dropped += n;
             }
         }
         // The root dropped its reference before its completion tick, which
@@ -621,14 +580,20 @@ impl Runtime {
                 .sum()
         };
         let stats = NativeRunStats {
+            backend: "Native",
             workers: self.nworkers as u32,
             steals: sum(shm::STEALS_COMPLETED),
             parks: sum(shm::PARKS),
             unparks: sum(shm::UNPARKS),
+            trace_dropped,
             wall,
             ..NativeRunStats::default()
         };
-        (out, stats, shared)
+        let observed = Observed {
+            trace: shared.trace.as_ref().map(crate::ntrace::finalize),
+            metrics: observe.metrics.then(|| shared.metrics.registry.snapshot()),
+        };
+        (out, stats, observed)
     }
 }
 
@@ -817,8 +782,9 @@ pub(crate) mod tests {
         // every spawn's, on the calling thread (in a task the panic
         // aborts the process, after the same message).
         let rt = Runtime::new(1).with_stack_size(16 << 10);
-        assert_eq!(rt.clone().with_root_frame(12 << 10).run(|| 7), 7);
-        let err = std::panic::catch_unwind(move || rt.with_root_frame(16 << 10).run(|| 7))
+        let run = |frame| rt.run_observing(|| 7, frame, Observe::default()).0;
+        assert_eq!(run(12 << 10), 7);
+        let err = std::panic::catch_unwind(|| run(16 << 10))
             .expect_err("a 16 KiB frame cannot fit below the record on a 16 KiB stack");
         let msg = err.downcast_ref::<String>().expect("a formatted message");
         assert!(msg.contains("a task frame of 16384 bytes"), "{msg}");
@@ -840,18 +806,17 @@ pub(crate) mod tests {
             std::hint::black_box(&local) as *const u8 as usize
         }
         for frame in [0u64, 1, 1_120, 3 * 4096] {
-            let rt = Runtime::new(1).with_root_frame(frame);
-            let ((root_local, child_local, child_rec), _, shared) = rt.run_core(move || {
+            let root = move || {
                 let root_local = addr_of_a_local();
                 // One worker, a LIFO pool: the next spawn runs on the
                 // stack put back last.
                 // SAFETY: [I7] exclusive worker access; scoped borrow.
-                let top = unsafe {
-                    let pool = &mut (*current::<Threads>()).place.pool;
-                    let stack = pool.take();
+                let (top, root_rec) = unsafe {
+                    let place = &mut (*current::<Threads>()).place;
+                    let stack = place.pool.take();
                     let top = stack.top() as usize;
-                    pool.put(stack);
-                    top
+                    place.pool.put(stack);
+                    (top, place.shared.seed_task.load(Ordering::Relaxed) as usize)
                 };
                 let jb = JoinBlock::new();
                 let seen = AtomicUsize::new(0);
@@ -861,9 +826,11 @@ pub(crate) mod tests {
                 // frame, which joins the child before it ends.
                 unsafe { spawn_on::<Threads, _, _>(&jb, frame, body) };
                 join_all::<Threads>(&jb);
-                (root_local, seen.load(Ordering::Relaxed), rec)
-            });
-            let root_rec = shared.seed_task.load(Ordering::Relaxed) as usize;
+                (root_local, root_rec, seen.load(Ordering::Relaxed), rec)
+            };
+            let (root_local, root_rec, child_local, child_rec) = Runtime::new(1)
+                .run_observing(root, frame, Observe::default())
+                .0;
             for (who, local, rec) in [
                 ("root", root_local, root_rec),
                 ("child", child_local, child_rec),

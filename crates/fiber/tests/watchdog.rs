@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use uat_fiber::runtime::{spawn, Runtime};
 use uat_fiber::{WatchdogAction, WatchdogCfg, WatchdogReport};
-use uat_metrics::names;
+use uat_metrics::{names, Registry};
 
 /// A worker without a CPU is, to the watchdog, a worker that does not
 /// advance — rightly. These tests each load every CPU, so they take
@@ -99,7 +99,9 @@ fn clean_run_never_trips() {
     }
     let _turn = my_turn();
     let report = Arc::new(WatchdogReport::default());
+    let registry = Arc::new(Registry::new(4));
     let rt = Runtime::new(4)
+        .with_metrics(Arc::clone(&registry))
         .with_sampler(Duration::from_millis(2))
         .with_watchdog(WatchdogCfg {
             // Wide enough that OS scheduling jitter on an oversubscribed
@@ -108,7 +110,7 @@ fn clean_run_never_trips() {
             stall_after: Duration::from_millis(500),
             action: WatchdogAction::Report(Arc::clone(&report)),
         });
-    let (out, _sched, snap) = rt.run_metered(|| {
+    let out = rt.run(|| {
         let t0 = Instant::now();
         let mut acc = 0u64;
         while t0.elapsed() < Duration::from_millis(1_500) {
@@ -117,6 +119,7 @@ fn clean_run_never_trips() {
         acc
     });
     assert!(out > 0);
+    let snap = registry.snapshot();
     assert!(!report.tripped(), "watchdog tripped on a healthy run");
     assert!(report.take().is_none());
     // The sampler ran: heartbeats advanced and deque depths were
@@ -143,17 +146,20 @@ fn orderly_exit_is_never_read_as_a_stall() {
     let _turn = my_turn();
     for round in 0..200u64 {
         let report = Arc::new(WatchdogReport::default());
+        let registry = Arc::new(Registry::new(3));
         let rt = Runtime::new(3)
+            .with_metrics(Arc::clone(&registry))
             .with_sampler(Duration::from_micros(100))
             .with_watchdog(WatchdogCfg {
                 stall_after: Duration::ZERO,
                 action: WatchdogAction::Report(Arc::clone(&report)),
             });
-        let (out, _sched, snap) = rt.run_metered(move || {
+        let out = rt.run(move || {
             let handles: Vec<_> = (0..4).map(|i| spawn(move || round + i)).collect();
             handles.into_iter().map(|h| h.join()).sum::<u64>()
         });
         assert_eq!(out, 4 * round + 6);
+        let snap = registry.snapshot();
         // A window this tight also catches a live worker that went two
         // ticks without a CPU (a thread the OS has yet to start, most
         // often) while its peers spun — rightly, and not this test's

@@ -69,13 +69,12 @@ where
     W::Desc: Copy,
 {
     let tasks = sequential_profile(&w).tasks;
-    let report = MultiProcessRunner::new(2)
+    let stats = MultiProcessRunner::new(2)
         .with_work_divisor(u64::MAX)
-        .try_run(w)
-        .expect("probe passed; the run must complete");
-    assert_eq!(report.bootstrap_allocs, vec![0u64; 2]);
-    assert_eq!(report.stats.total_tasks, tasks);
-    (report.run_allocs.iter().sum(), tasks)
+        .run(w);
+    assert_eq!(stats.bootstrap_allocs, vec![0u64; 2]);
+    assert_eq!(stats.total_tasks, tasks);
+    (stats.run_allocs.iter().sum(), tasks)
 }
 
 /// Two runs of trees at least 16x apart in tasks allocate alike: each
@@ -122,17 +121,16 @@ fn bootstrap_window_performs_no_allocations() {
         return;
     }
     set_bootstrap_alloc_probe(probe);
-    let report = MultiProcessRunner::new(4)
+    let stats = MultiProcessRunner::new(4)
         .with_work_divisor(u64::MAX)
-        .try_run(BinTree {
+        .run(BinTree {
             depth: 6,
             work: 500,
             frame: 512,
-        })
-        .expect("probe passed; the run must complete");
-    assert_eq!(report.stats.total_tasks, (1 << 7) - 1);
+        });
+    assert_eq!(stats.total_tasks, (1 << 7) - 1);
     assert_eq!(
-        report.bootstrap_allocs,
+        stats.bootstrap_allocs,
         vec![0u64; 4],
         "a worker allocated between fork and worker-loop entry ([I15])"
     );
