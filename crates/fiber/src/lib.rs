@@ -67,9 +67,10 @@
 //!
 //! # Safety
 //!
-//! This crate is the workspace's designated home for `unsafe` (plus
-//! `uat-rdma`'s single registration boundary, which is
-//! `#![deny(unsafe_code)]` with one documented allow); everything else
+//! This crate is the workspace's designated home for `unsafe`, with
+//! `uat-deque`; the others are `uat-rdma`'s single registration boundary
+//! and `uat-workloads`' single entry into its hardware SHA-1, both
+//! `#![deny(unsafe_code)]` with one documented allow. Everything else
 //! in the workspace is `#![forbid(unsafe_code)]`.
 
 #![warn(missing_docs)]

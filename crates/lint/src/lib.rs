@@ -885,8 +885,8 @@ fn rule_fork_safety(files: &[FileScan], findings: &mut Vec<Finding>) {
 // Entry points.
 // ---------------------------------------------------------------------
 
-/// Which rule families to run (rule C only applies to the two unsafe
-/// crates; running it over fixture directories is the tests' business).
+/// Which rule families to run (rule C only applies to the crates with
+/// `unsafe`; running it over fixture directories is the tests' business).
 #[derive(Clone, Copy)]
 pub struct RuleSet {
     pub tls: bool,
