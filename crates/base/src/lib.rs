@@ -5,7 +5,7 @@
 //! the deterministic [`rng`] used throughout the simulator, running
 //! [`stats`], and the calibrated [`cost`] model that maps protocol
 //! operations of the paper (RDMA ops, page faults, context switches) to
-//! cycle costs.
+//! cycle costs, and the [`steal`] protocol's phase and outcome names.
 //!
 //! Nothing in here knows about stacks, deques, or RDMA semantics; those
 //! live in `uat-vmem`, `uat-deque`, `uat-rdma` and `uat-core`.
@@ -18,6 +18,7 @@ pub mod ids;
 pub mod json;
 pub mod rng;
 pub mod stats;
+pub mod steal;
 pub mod time;
 
 pub use cost::CostModel;
@@ -25,4 +26,5 @@ pub use ids::{NodeId, TaskId, Topology, WorkerId};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::SplitMix64;
 pub use stats::{HistSummary, Histogram, OnlineStats, Summary};
+pub use steal::{StealOutcome, StealPhase};
 pub use time::Cycles;

@@ -299,7 +299,7 @@ fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) 
 
     // Sleep-set cross-check + differential replay on the scenarios whose
     // path space is small enough to walk path-by-path (SC only: the
-    // sleep-set prover and the SimDeque replay target are SC artifacts).
+    // sleep-set prover and the fabric-deque replay target are SC artifacts).
     if model == MemModel::Sc {
         for sc in &suite {
             if !sleep_set_scenarios().contains(&sc.name) {
@@ -325,7 +325,7 @@ fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) 
             assert_eq!(sc.family, Family::SimPhase);
             match replay::replay_schedules(sc, &sleepy.schedules) {
                 Ok(n) => println!(
-                    "{:<22} sleep-sets: {} executions ({} pruned), replayed {} against SimDeque: conform",
+                    "{:<22} sleep-sets: {} executions ({} pruned), replayed {} against the fabric deque: conform",
                     sc.name, sleepy.interleavings, sleepy.sleep_pruned, n
                 ),
                 Err(e) => {

@@ -3,9 +3,10 @@
 //!
 //! The paper's correctness story (Figure 6, Table 3) rests on the THE
 //! deque tolerating concurrent owner pops and one-sided remote steals.
-//! This crate models both implementations the workspace carries —
-//! `SimDeque` at simulator-event atomicity and `NativeDeque` at
-//! per-atomic-access granularity — as explicit small-step state machines
+//! This crate models the one THE body, `TheDeque`, at both the
+//! granularities it runs at — simulator-event atomicity for the deque
+//! placed in fabric memory, per-atomic-access for the real-atomics
+//! placements — as explicit small-step state machines
 //! over the shared words (lock, top, bottom, slots), and explores every
 //! interleaving with DFS:
 //!
@@ -14,8 +15,8 @@
 //!   exact number of distinct interleavings by dynamic programming;
 //! - **sleep-set mode** walks concrete executions with Godefroid-style
 //!   sleep sets plus stutter pruning, feeding the differential replay
-//!   that re-runs explored schedules against the real `SimDeque` over a
-//!   real `Fabric`;
+//!   that re-runs explored schedules against the real body placed in a
+//!   real `Fabric` (`FabricDeque`);
 //! - **weak-memory mode** ([`memory`], `--memory-model ra`) re-explores
 //!   the `NativeOp` machine under C11 release/acquire semantics: each
 //!   shared word keeps its full modification order, each thread a view

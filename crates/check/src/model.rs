@@ -2,8 +2,8 @@
 //!
 //! The shared state is the deque's four memory regions — the lock word,
 //! `top`, `bottom`, and the entry slots — exactly the words of the
-//! canonical `uat_deque::layout` that `SimDeque` lays out in fabric
-//! memory and `NativeDeque` keeps in atomics (the location bit-masks
+//! canonical `uat_deque::layout` that the one THE body, `TheDeque`,
+//! keeps in fabric memory and in atomics (the location bit-masks
 //! below are derived from those offsets). Two thread kinds step over it:
 //!
 //! - the **owner**, running a fixed script of `push`/`pop` ops, and
@@ -762,7 +762,8 @@ impl Sys {
                     )
                 }
                 OwnerOp::Pop => {
-                    // Mirrors SimDeque::pop at event atomicity. The
+                    // Mirrors `TheDeque::pop_in` in fabric memory, whose
+                    // pop is atomic (`Placement::ATOMIC_POP`): the
                     // enabledness check already excluded Contended.
                     let (b, t) = (self.bottom(), self.top());
                     if b == t {
@@ -778,7 +779,7 @@ impl Sys {
                     let conflict = t > nb && sc.mutation != Mutation::SkipOwnerTopRecheck;
                     assert!(
                         !conflict,
-                        "SimDeque pop conflict path is unreachable at event atomicity \
+                        "the fabric pop's conflict path is unreachable at event atomicity \
                          (top cannot move inside an atomic pop)"
                     );
                     self.mem.store(ti, IDX_BOTTOM, MemOrd::Relaxed, nb);

@@ -1,16 +1,18 @@
-//! Differential replay: drive the real `SimDeque` over a real `Fabric`
+//! Differential replay: drive the real THE body — `TheDeque`, the one all
+//! three executors run — placed in a real `Fabric` ([`FabricDeque`]),
 //! with schedules the explorer proved reachable, in lockstep with the
 //! model, and fail on any divergence in outcome or final shared state.
 //!
 //! This closes the model-fidelity gap: the [`crate::model`] machines
-//! claim to mirror `SimDeque`'s phase semantics; replay makes the
-//! simulator itself vouch for that claim on every explored interleaving
-//! (up to the schedule cap). Only [`Family::SimPhase`] scenarios replay —
-//! a schedule at phase atomicity maps 1:1 onto real `SimDeque` calls.
+//! claim to mirror the simulator's phase semantics; replay makes the
+//! simulator's deque itself vouch for that claim on every explored
+//! interleaving (up to the schedule cap). Only [`Family::SimPhase`]
+//! scenarios replay — a schedule at phase atomicity maps 1:1 onto the
+//! body's pop, push and four steal phases.
 
 use crate::model::{Family, OpEvent, OwnerOp, Scenario, Sys};
 use uat_base::{CostModel, Cycles, Topology, WorkerId};
-use uat_deque::{PopOutcome, SimDeque, StealOutcome, TaskqEntry};
+use uat_deque::{FabricDeque, PopOutcome, TaskqEntry};
 use uat_rdma::Fabric;
 
 const BASE: u64 = 0x10_000;
@@ -32,7 +34,7 @@ pub fn replay_schedules(sc: &Scenario, schedules: &[Vec<usize>]) -> Result<u64, 
     assert_eq!(
         sc.family,
         Family::SimPhase,
-        "only phase-granularity schedules map onto SimDeque calls"
+        "only phase-granularity schedules map onto the body's phases"
     );
     for (si, sched) in schedules.iter().enumerate() {
         replay_one(sc, sched).map_err(|e| format!("schedule {si}: {e}"))?;
@@ -43,22 +45,15 @@ pub fn replay_schedules(sc: &Scenario, schedules: &[Vec<usize>]) -> Result<u64, 
 fn replay_one(sc: &Scenario, sched: &[usize]) -> Result<(), String> {
     let workers = 1 + sc.thieves.len();
     let mut fabric = Fabric::new(Topology::new(workers as u32, 1), CostModel::fx10());
-    fabric
-        .register(OWNER, BASE, SimDeque::footprint(sc.capacity) as usize)
-        .map_err(|e| format!("register: {e:?}"))?;
-    let deque = SimDeque::init(&mut fabric, OWNER, BASE, sc.capacity)
+    let deque = FabricDeque::init(&mut fabric, OWNER, BASE, sc.capacity)
         .map_err(|e| format!("init: {e:?}"))?;
 
     // Prologue: the model applied it serially; do the same for real.
     for &op in &sc.prologue {
         match op {
-            OwnerOp::Push(v) => deque
-                .push(&mut fabric, entry_for(v))
-                .map_err(|e| format!("prologue push: {e:?}"))?,
+            OwnerOp::Push(v) => deque.push_in(&mut fabric, entry_for(v)),
             OwnerOp::Pop => {
-                let r = deque
-                    .pop(&mut fabric)
-                    .map_err(|e| format!("prologue pop: {e:?}"))?;
+                let r = deque.pop_in(&mut fabric);
                 if !matches!(r, PopOutcome::Entry(_)) {
                     return Err(format!("prologue pop expected an entry, got {r:?}"));
                 }
@@ -79,7 +74,7 @@ fn replay_one(sc: &Scenario, sched: &[usize]) -> Result<(), String> {
         let thief = WorkerId(t as u32);
         let divergence = |got: &str| {
             Err(format!(
-                "step {i} ({}): model did `{}` but SimDeque returned {got}",
+                "step {i} ({}): model did `{}` but the deque returned {got}",
                 t, out.label
             ))
         };
@@ -89,11 +84,9 @@ fn replay_one(sc: &Scenario, sched: &[usize]) -> Result<(), String> {
                     "step {i}: micro-step in a phase-granularity schedule"
                 ))
             }
-            OpEvent::PushDone(v) => deque
-                .push(&mut fabric, entry_for(*v))
-                .map_err(|e| format!("push: {e:?}"))?,
+            OpEvent::PushDone(v) => deque.push_in(&mut fabric, entry_for(*v)),
             OpEvent::PopDone(expect) => {
-                let r = deque.pop(&mut fabric).map_err(|e| format!("pop: {e:?}"))?;
+                let r = deque.pop_in(&mut fabric);
                 match (expect, r) {
                     (Some(v), PopOutcome::Entry(e)) if e.task == *v => {}
                     (None, PopOutcome::Empty) => {}
@@ -101,48 +94,35 @@ fn replay_one(sc: &Scenario, sched: &[usize]) -> Result<(), String> {
                 }
             }
             OpEvent::EmptyCheck { empty } => {
-                let r = deque
-                    .remote_empty_check(&mut fabric, now, thief)
-                    .map_err(|e| format!("empty-check: {e:?}"))?;
-                match (empty, &r) {
-                    (true, StealOutcome::Empty(t)) | (false, StealOutcome::Ok(t)) => now = *t,
-                    (_, got) => return divergence(&format!("{got:?}")),
+                let (nonempty, t) = deque.steal_check(&mut fabric, thief, now);
+                if nonempty == *empty {
+                    return divergence(&format!("non-empty = {nonempty}"));
                 }
+                now = t;
             }
             OpEvent::LockTry { acquired } => {
-                let r = deque
-                    .remote_try_lock(&mut fabric, now, thief)
-                    .map_err(|e| format!("try-lock: {e:?}"))?;
-                match (acquired, &r) {
-                    (true, StealOutcome::Ok(t)) | (false, StealOutcome::LockBusy(t)) => now = *t,
-                    (_, got) => return divergence(&format!("{got:?}")),
+                let (won, t) = deque.steal_lock(&mut fabric, thief, now);
+                if won != *acquired {
+                    return divergence(&format!("lock won = {won}"));
                 }
+                now = t;
             }
             OpEvent::StealPhase(expect) => {
-                let r = deque
-                    .remote_steal_entry(&mut fabric, now, thief)
-                    .map_err(|e| format!("steal-entry: {e:?}"))?;
-                match (expect, &r) {
-                    (Some(v), StealOutcome::Ok((e, t))) if e.task == *v => now = *t,
-                    (None, StealOutcome::Empty(t)) => now = *t,
-                    (_, got) => return divergence(&format!("{got:?}")),
+                let (got, t) = deque.steal_take(&mut fabric, thief, now);
+                if got.map(|e| e.task) != *expect {
+                    return divergence(&format!("{got:?}"));
                 }
+                now = t;
             }
-            OpEvent::Unlock => {
-                now = deque
-                    .remote_unlock(&mut fabric, now, thief)
-                    .map_err(|e| format!("unlock: {e:?}"))?;
-            }
+            OpEvent::Unlock => now = deque.steal_unlock(&mut fabric, thief, now),
         }
     }
 
     // Final shared state must agree word for word.
-    let snap = deque
-        .snapshot(&fabric)
-        .map_err(|e| format!("snapshot: {e:?}"))?;
+    let snap = deque.snapshot(&fabric);
     if (snap.lock, snap.top, snap.bottom) != (sys.lock(), sys.top(), sys.bottom()) {
         return Err(format!(
-            "final state diverged: SimDeque (lock={} top={} bottom={}) vs model (lock={} top={} bottom={})",
+            "final state diverged: deque (lock={} top={} bottom={}) vs model (lock={} top={} bottom={})",
             snap.lock, snap.top, snap.bottom, sys.lock(), sys.top(), sys.bottom()
         ));
     }
@@ -152,7 +132,7 @@ fn replay_one(sc: &Scenario, sched: &[usize]) -> Result<(), String> {
         .collect();
     if real != model {
         return Err(format!(
-            "final entries diverged: SimDeque {real:?} vs model {model:?}"
+            "final entries diverged: deque {real:?} vs model {model:?}"
         ));
     }
     Ok(())

@@ -1,7 +1,8 @@
 //! The checker checking itself: the clean suite must verify every
 //! reachable state with zero violations, the sleep-set mode must agree
 //! with brute force, differential replay must conform against the real
-//! `SimDeque`, and each seeded mutation must be caught with a trace.
+//! THE body placed in fabric memory, and each seeded mutation must be
+//! caught with a trace.
 
 use uat_check::scenarios::{mutation_demos, sleep_set_scenarios, standard_suite};
 use uat_check::{replay, Explorer, Mutation, ViolationKind};
@@ -66,7 +67,7 @@ fn sleep_set_exploration_agrees_with_brute_force() {
 }
 
 #[test]
-fn sleep_set_schedules_replay_against_real_simdeque() {
+fn sleep_set_schedules_replay_against_the_fabric_deque() {
     let suite = standard_suite();
     for name in sleep_set_scenarios() {
         let sc = suite.iter().find(|s| s.name == *name).unwrap();

@@ -37,9 +37,9 @@ use crate::tracing::TraceCtl;
 use crate::workload::{Action, Workload};
 use uat_base::{CostModel, Cycles, SplitMix64, WorkerId};
 use uat_core::{transfer_stolen, StackMgr, StealBreakdown, StealPhase};
-use uat_deque::{PopOutcome, StealOutcome, TaskqEntry};
+use uat_deque::{PopOutcome, TaskqEntry};
 use uat_rdma::Fabric;
-use uat_trace::{Bucket, StealOutcome as StealEnd, StealPhaseId};
+use uat_trace::{Bucket, StealOutcome};
 
 /// What a worker's next event means.
 #[derive(Clone, Copy, Debug)]
@@ -451,8 +451,7 @@ impl<W: Workload> Engine<W> {
                     };
                     self.mgrs[w.index()]
                         .deque()
-                        .push(&mut self.fabric, entry)
-                        .expect("deque push");
+                        .push_in(&mut self.fabric, entry);
                     // The parent's continuation is stealable from this
                     // instant: the victim side of a potential steal edge.
                     self.trace.deque_publish(w, task, t);
@@ -556,7 +555,7 @@ impl<W: Workload> Engine<W> {
     fn post_complete(&mut self, w: WorkerId, t: Cycles) {
         let cost = self.hot;
         let deque = self.mgrs[w.index()].deque();
-        match deque.pop(&mut self.fabric).expect("own deque") {
+        match deque.pop_in(&mut self.fabric) {
             PopOutcome::Entry(e) => {
                 // The direct parent: resume it where it sits.
                 let rec = self.tasks.get_mut(e.task);
@@ -640,7 +639,7 @@ impl<W: Workload> Engine<W> {
             }
         }
         let deque = self.mgrs[w.index()].deque();
-        match deque.pop(&mut self.fabric).expect("own deque") {
+        match deque.pop_in(&mut self.fabric) {
             PopOutcome::Entry(e) => {
                 // A ready ancestor. Vacate the blocked joiner below it
                 // (Figure 7 line 22: suspend current, resume popped),
@@ -702,24 +701,13 @@ impl<W: Workload> Engine<W> {
         ctl.attempt_start = t;
         ctl.phase_start = t;
         let vdeque = self.mgrs[victim.index()].deque();
-        match vdeque
-            .remote_empty_check(&mut self.fabric, t, w)
-            .expect("empty check")
-        {
-            StealOutcome::Ok(done) => self.set(
-                w,
-                Pending::StealEmpty { victim, ok: true },
-                done,
-                Bucket::StealEmpty,
-            ),
-            StealOutcome::Empty(done) => self.set(
-                w,
-                Pending::StealEmpty { victim, ok: false },
-                done,
-                Bucket::StealEmpty,
-            ),
-            StealOutcome::LockBusy(_) => unreachable!("empty check takes no lock"),
-        }
+        let (ok, done) = vdeque.steal_check(&mut self.fabric, w, t);
+        self.set(
+            w,
+            Pending::StealEmpty { victim, ok },
+            done,
+            Bucket::StealEmpty,
+        );
     }
 
     /// Step 3: wait-queue resume, else idle poll with backoff.
@@ -790,94 +778,71 @@ impl<W: Workload> Engine<W> {
     // Steal phases (Figure 6)
     // ------------------------------------------------------------------
 
+    /// `w`'s steal from `victim` ended at `t` without an entry.
+    fn steal_aborted(&mut self, w: WorkerId, victim: WorkerId, outcome: StealOutcome, t: Cycles) {
+        match outcome {
+            StealOutcome::AbortEmpty => self.breakdown.aborted_empty += 1,
+            StealOutcome::AbortLock => self.breakdown.aborted_lock += 1,
+            _ => self.breakdown.aborted_raced += 1,
+        }
+        let latency = t.since(self.workers[w.index()].attempt_start);
+        self.metrics.on_steal_result(w.index(), false, latency);
+        self.trace.steal_result(w, victim, outcome, t, latency);
+    }
+
+    /// `phase` of `w`'s steal from `victim` completed at `t`, where the
+    /// next one starts.
+    fn steal_phase_done(&mut self, w: WorkerId, victim: WorkerId, phase: StealPhase, t: Cycles) {
+        let phase_start = self.workers[w.index()].phase_start;
+        let elapsed = t.since(phase_start);
+        self.breakdown.record(phase, elapsed);
+        self.trace
+            .steal_phase(w, victim, phase, phase_start, elapsed);
+        self.workers[w.index()].phase_start = t;
+    }
+
     fn steal_after_empty(&mut self, w: WorkerId, victim: WorkerId, ok: bool, t: Cycles) {
         if !ok {
-            self.breakdown.aborted_empty += 1;
-            let latency = t.since(self.workers[w.index()].attempt_start);
-            self.metrics.on_steal_result(w.index(), false, latency);
-            self.trace
-                .steal_result(w, victim, StealEnd::AbortEmpty, t, latency);
+            self.steal_aborted(w, victim, StealOutcome::AbortEmpty, t);
             self.sched_wait_step(w, t);
             return;
         }
-        let phase_start = self.workers[w.index()].phase_start;
-        let elapsed = t.since(phase_start);
-        self.breakdown.record(StealPhase::EmptyCheck, elapsed);
-        self.trace
-            .steal_phase(w, victim, StealPhaseId::EmptyCheck, phase_start, elapsed);
-        self.workers[w.index()].phase_start = t;
+        self.steal_phase_done(w, victim, StealPhase::EmptyCheck, t);
         let faa_before = self.fabric.stats().faa_queue_cycles;
         let vdeque = self.mgrs[victim.index()].deque();
-        let outcome = vdeque
-            .remote_try_lock(&mut self.fabric, t, w)
-            .expect("lock");
+        let (ok, done) = vdeque.steal_lock(&mut self.fabric, w, t);
         // Queueing at the victim node's software FAA server happens at
         // the start of the lock span; split it out of the bucket.
         let wait = self.fabric.stats().faa_queue_cycles - faa_before;
         self.trace.carry(w, Bucket::FaaQueue, Cycles(wait));
-        match outcome {
-            StealOutcome::Ok(done) => self.set(
-                w,
-                Pending::StealLock { victim, ok: true },
-                done,
-                Bucket::StealLock,
-            ),
-            StealOutcome::LockBusy(done) => self.set(
-                w,
-                Pending::StealLock { victim, ok: false },
-                done,
-                Bucket::StealLock,
-            ),
-            StealOutcome::Empty(_) => unreachable!("lock does not observe emptiness"),
-        }
+        self.set(
+            w,
+            Pending::StealLock { victim, ok },
+            done,
+            Bucket::StealLock,
+        );
     }
 
     fn steal_after_lock(&mut self, w: WorkerId, victim: WorkerId, ok: bool, t: Cycles) {
         if !ok {
-            self.breakdown.aborted_lock += 1;
-            let latency = t.since(self.workers[w.index()].attempt_start);
-            self.metrics.on_steal_result(w.index(), false, latency);
-            self.trace
-                .steal_result(w, victim, StealEnd::AbortLock, t, latency);
+            self.steal_aborted(w, victim, StealOutcome::AbortLock, t);
             self.sched_wait_step(w, t);
             return;
         }
-        let phase_start = self.workers[w.index()].phase_start;
-        let elapsed = t.since(phase_start);
-        self.breakdown.record(StealPhase::Lock, elapsed);
-        self.trace
-            .steal_phase(w, victim, StealPhaseId::Lock, phase_start, elapsed);
-        self.workers[w.index()].phase_start = t;
+        self.steal_phase_done(w, victim, StealPhase::Lock, t);
         let vdeque = self.mgrs[victim.index()].deque();
-        match vdeque
-            .remote_steal_entry(&mut self.fabric, t, w)
-            .expect("steal entry")
-        {
-            StealOutcome::Ok((e, done)) => {
-                // The continuation is ours from this instant (top moved);
-                // its frames stay on the victim until the transfer.
-                self.tasks.get_mut(e.task).at = TaskWhere::InFlight;
-                self.set(
-                    w,
-                    Pending::StealEntry {
-                        victim,
-                        entry: Some(e),
-                    },
-                    done,
-                    Bucket::StealEntry,
-                )
-            }
-            StealOutcome::Empty(done) => self.set(
-                w,
-                Pending::StealEntry {
-                    victim,
-                    entry: None,
-                },
-                done,
-                Bucket::StealEntry,
-            ),
-            StealOutcome::LockBusy(_) => unreachable!("we hold the lock"),
+        let (entry, done) = vdeque.steal_take(&mut self.fabric, w, t);
+        if let Some(e) = entry {
+            // The continuation is ours from this instant (top moved);
+            // its frames stay on the victim until the transfer.
+            self.tasks.get_mut(e.task).at = TaskWhere::InFlight;
         }
+        self.set(
+            w,
+            Pending::StealEntry { victim, entry },
+            done,
+            Bucket::StealEntry,
+        );
     }
 
     fn steal_after_entry(
@@ -890,27 +855,17 @@ impl<W: Workload> Engine<W> {
         let vdeque = self.mgrs[victim.index()].deque();
         let Some(e) = entry else {
             // Drained while we were locking; unlock and give up.
-            self.breakdown.aborted_raced += 1;
-            let latency = t.since(self.workers[w.index()].attempt_start);
-            self.metrics.on_steal_result(w.index(), false, latency);
-            self.trace
-                .steal_result(w, victim, StealEnd::AbortRaced, t, latency);
-            let done = vdeque
-                .remote_unlock(&mut self.fabric, t, w)
-                .expect("unlock");
+            self.steal_aborted(w, victim, StealOutcome::AbortRaced, t);
+            let done = vdeque.steal_unlock(&mut self.fabric, w, t);
             self.set(w, Pending::StealAbortUnlock, done, Bucket::StealUnlock);
             return;
         };
-        let phase_start = self.workers[w.index()].phase_start;
-        let elapsed = t.since(phase_start);
-        self.breakdown.record(StealPhase::Steal, elapsed);
-        self.trace
-            .steal_phase(w, victim, StealPhaseId::Steal, phase_start, elapsed);
+        self.steal_phase_done(w, victim, StealPhase::Steal, t);
         // Figure 6 line 19: suspend whatever this worker still holds
         // before bringing in the stolen frames.
         let parked = self.park_blocked(w, true, t);
         self.trace
-            .steal_phase(w, victim, StealPhaseId::Suspend, t, parked);
+            .steal_phase(w, victim, StealPhase::Suspend, t, parked);
         self.trace.carry(w, Bucket::SuspendResume, parked);
         self.mgrs[w.index()].on_pop_empty();
         let t = t + parked;
@@ -943,16 +898,9 @@ impl<W: Workload> Engine<W> {
         entry: TaskqEntry,
         t: Cycles,
     ) {
-        let phase_start = self.workers[w.index()].phase_start;
-        let elapsed = t.since(phase_start);
-        self.breakdown.record(StealPhase::StackTransfer, elapsed);
-        self.trace
-            .steal_phase(w, victim, StealPhaseId::StackTransfer, phase_start, elapsed);
-        self.workers[w.index()].phase_start = t;
+        self.steal_phase_done(w, victim, StealPhase::StackTransfer, t);
         let vdeque = self.mgrs[victim.index()].deque();
-        let done = vdeque
-            .remote_unlock(&mut self.fabric, t, w)
-            .expect("unlock");
+        let done = vdeque.steal_unlock(&mut self.fabric, w, t);
         self.set(
             w,
             Pending::StealUnlock { victim, entry },
@@ -963,21 +911,17 @@ impl<W: Workload> Engine<W> {
 
     fn steal_after_unlock(&mut self, w: WorkerId, victim: WorkerId, entry: TaskqEntry, t: Cycles) {
         let cost = self.hot;
-        let phase_start = self.workers[w.index()].phase_start;
-        let elapsed = t.since(phase_start);
-        self.breakdown.record(StealPhase::Unlock, elapsed);
-        self.trace
-            .steal_phase(w, victim, StealPhaseId::Unlock, phase_start, elapsed);
+        self.steal_phase_done(w, victim, StealPhase::Unlock, t);
         self.breakdown
             .record(StealPhase::Resume, Cycles(cost.resume_base));
         self.trace
-            .steal_phase(w, victim, StealPhaseId::Resume, t, Cycles(cost.resume_base));
+            .steal_phase(w, victim, StealPhase::Resume, t, Cycles(cost.resume_base));
         self.breakdown.completed += 1;
         self.steals_completed += 1;
         let latency = t.since(self.workers[w.index()].attempt_start) + Cycles(cost.resume_base);
         self.metrics.on_steal_result(w.index(), true, latency);
         self.trace
-            .steal_result(w, victim, StealEnd::Completed, t, latency);
+            .steal_result(w, victim, StealOutcome::Completed, t, latency);
         let rec = self.tasks.get_mut(entry.task);
         debug_assert_eq!(rec.at, TaskWhere::InFlight);
         rec.at = TaskWhere::Running(w);

@@ -24,7 +24,7 @@ use crate::metrics::WorkerSummary;
 use crate::task::TaskId64;
 use uat_base::{Cycles, HistSummary, Histogram, WorkerId};
 use uat_trace::{
-    Bucket, EventKind, RingBuffer, RingSink, StealOutcome, StealPhaseId, TraceEvent, TraceSink,
+    Bucket, EventKind, RingBuffer, RingSink, StealOutcome, StealPhase, TraceEvent, TraceSink,
 };
 
 /// Tracing state for one run.
@@ -287,7 +287,7 @@ impl TraceCtl {
         &mut self,
         w: WorkerId,
         victim: WorkerId,
-        phase: StealPhaseId,
+        phase: StealPhase,
         at: Cycles,
         dur: Cycles,
     ) {

@@ -2,65 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use uat_base::json::{FromJson, Json, JsonError, ToJson};
-use uat_base::{Cycles, OnlineStats, Summary};
-
-/// The seven phases of a work steal, in protocol order (Table 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StealPhase {
-    /// RDMA READ of (top, bottom): is the victim's queue non-empty?
-    EmptyCheck,
-    /// Remote fetch-and-add acquiring the queue lock.
-    Lock,
-    /// Two RDMA READs + one RDMA WRITE taking the queue entry.
-    Steal,
-    /// Thief-side `suspend()` of whatever it was running.
-    Suspend,
-    /// RDMA READ of the stolen thread's frames into the thief's
-    /// uni-address region.
-    StackTransfer,
-    /// RDMA WRITE of 0 releasing the queue lock.
-    Unlock,
-    /// `resume_context` of the stolen thread.
-    Resume,
-}
-
-impl StealPhase {
-    /// All phases in protocol order.
-    pub const ALL: [StealPhase; 7] = [
-        StealPhase::EmptyCheck,
-        StealPhase::Lock,
-        StealPhase::Steal,
-        StealPhase::Suspend,
-        StealPhase::StackTransfer,
-        StealPhase::Unlock,
-        StealPhase::Resume,
-    ];
-
-    /// Human-readable name matching the paper's Figure 10 legend.
-    pub fn name(self) -> &'static str {
-        match self {
-            StealPhase::EmptyCheck => "empty check",
-            StealPhase::Lock => "lock",
-            StealPhase::Steal => "steal",
-            StealPhase::Suspend => "suspend",
-            StealPhase::StackTransfer => "stack transfer",
-            StealPhase::Unlock => "unlock",
-            StealPhase::Resume => "resume",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            StealPhase::EmptyCheck => 0,
-            StealPhase::Lock => 1,
-            StealPhase::Steal => 2,
-            StealPhase::Suspend => 3,
-            StealPhase::StackTransfer => 4,
-            StealPhase::Unlock => 5,
-            StealPhase::Resume => 6,
-        }
-    }
-}
+use uat_base::{Cycles, OnlineStats, StealPhase, Summary};
 
 /// Accumulated per-phase timings over many successful steals.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]

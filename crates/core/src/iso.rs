@@ -26,7 +26,7 @@ use crate::heap::SavedHandle;
 use crate::uni::pattern;
 use std::collections::{HashMap, VecDeque};
 use uat_base::{CostModel, Cycles, WorkerId};
-use uat_deque::SimDeque;
+use uat_deque::FabricDeque;
 use uat_rdma::Fabric;
 use uat_vmem::{AddressSpace, MemStats, PAGE_SIZE};
 
@@ -58,7 +58,7 @@ pub struct IsoMgr {
     /// reservation (memory accounting).
     pub space: AddressSpace,
     /// This worker's work-stealing queue.
-    pub deque: SimDeque,
+    pub deque: FabricDeque,
     stack_size: u64,
     slab_base: u64,
     slab_end: u64,
@@ -93,13 +93,12 @@ impl IsoMgr {
         let slab_size = cfg.iso_stacks_per_worker * cfg.iso_stack_size;
         let slab_base = ISO_BASE + id.0 as u64 * slab_size;
 
-        let dq_bytes = SimDeque::footprint(cfg.deque_capacity);
-        let dq_r = space.reserve(dq_bytes).expect("deque region");
+        let dq_r = space
+            .reserve(FabricDeque::footprint(cfg.deque_capacity))
+            .expect("deque region");
         space.pin(dq_r.base, dq_r.len).expect("pin deque");
-        fabric
-            .register(id, dq_r.base, dq_bytes as usize)
-            .expect("register deque");
-        let deque = SimDeque::init(fabric, id, dq_r.base, cfg.deque_capacity).expect("init deque");
+        let deque =
+            FabricDeque::init(fabric, id, dq_r.base, cfg.deque_capacity).expect("init deque");
 
         IsoMgr {
             id,
@@ -358,7 +357,7 @@ impl IsoMgr {
         }
 
         // Deque shared words; every live entry's task has a resident stack.
-        let snap = self.deque.snapshot(fabric).expect("own deque snapshot");
+        let snap = self.deque.snapshot(fabric);
         assert!(
             snap.top <= snap.bottom,
             "worker {}: deque indices inverted (top {} > bottom {})",
@@ -367,7 +366,7 @@ impl IsoMgr {
             snap.bottom
         );
         assert!(
-            snap.bottom - snap.top <= self.deque.capacity(),
+            snap.bottom - snap.top <= self.deque.capacity() as u64,
             "worker {}: deque holds {} entries over capacity {}",
             self.id,
             snap.bottom - snap.top,

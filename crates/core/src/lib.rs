@@ -47,10 +47,11 @@ pub mod mgr;
 pub mod region;
 pub mod uni;
 
-pub use breakdown::{StealBreakdown, StealPhase};
+pub use breakdown::StealBreakdown;
 pub use config::CoreConfig;
 pub use heap::{RdmaHeap, SavedContext, SavedHandle};
 pub use iso::IsoMgr;
 pub use mgr::{transfer_stolen, ResumeInfo, SchemeKind, StackMgr, TransferInfo};
 pub use region::{RegionError, Segment, UniRegion};
+pub use uat_base::StealPhase;
 pub use uni::UniMgr;

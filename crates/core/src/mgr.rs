@@ -10,7 +10,7 @@ use crate::heap::SavedHandle;
 use crate::iso::IsoMgr;
 use crate::uni::UniMgr;
 use uat_base::{CostModel, Cycles, WorkerId};
-use uat_deque::SimDeque;
+use uat_deque::FabricDeque;
 use uat_rdma::Fabric;
 use uat_vmem::MemStats;
 
@@ -97,7 +97,7 @@ impl StackMgr {
     }
 
     /// The worker's work-stealing queue handle.
-    pub fn deque(&self) -> SimDeque {
+    pub fn deque(&self) -> FabricDeque {
         match self {
             StackMgr::Uni(m) => m.deque,
             StackMgr::Iso(m) => m.deque,

@@ -5,7 +5,7 @@ use crate::heap::{RdmaHeap, SavedContext, SavedHandle};
 use crate::region::UniRegion;
 use std::collections::VecDeque;
 use uat_base::{Cycles, SplitMix64, WorkerId};
-use uat_deque::SimDeque;
+use uat_deque::FabricDeque;
 use uat_rdma::Fabric;
 use uat_vmem::{AddressSpace, MemStats};
 
@@ -22,7 +22,7 @@ pub struct UniMgr {
     /// Pinned heap for suspended stacks.
     pub heap: RdmaHeap,
     /// This worker's work-stealing queue (in registered memory).
-    pub deque: SimDeque,
+    pub deque: FabricDeque,
     /// Wait queue of suspended threads (Figure 7), FIFO.
     wait_queue: VecDeque<SavedHandle>,
     verify: bool,
@@ -55,13 +55,12 @@ impl UniMgr {
             .expect("register rdma region");
 
         // The work-stealing queue.
-        let dq_bytes = SimDeque::footprint(cfg.deque_capacity);
-        let dq_r = space.reserve(dq_bytes).expect("deque region");
+        let dq_r = space
+            .reserve(FabricDeque::footprint(cfg.deque_capacity))
+            .expect("deque region");
         space.pin(dq_r.base, dq_r.len).expect("pin deque");
-        fabric
-            .register(id, dq_r.base, dq_bytes as usize)
-            .expect("register deque");
-        let deque = SimDeque::init(fabric, id, dq_r.base, cfg.deque_capacity).expect("init deque");
+        let deque =
+            FabricDeque::init(fabric, id, dq_r.base, cfg.deque_capacity).expect("init deque");
 
         UniMgr {
             id,
@@ -319,7 +318,7 @@ impl UniMgr {
         // Deque shared words, and every live entry's frames present as a
         // matching region segment (the reverse need not hold: the running
         // task and stale stolen frames have no entry).
-        let snap = self.deque.snapshot(fabric).expect("own deque snapshot");
+        let snap = self.deque.snapshot(fabric);
         assert!(
             snap.top <= snap.bottom,
             "worker {}: deque indices inverted (top {} > bottom {})",
@@ -328,7 +327,7 @@ impl UniMgr {
             snap.bottom
         );
         assert!(
-            snap.bottom - snap.top <= self.deque.capacity(),
+            snap.bottom - snap.top <= self.deque.capacity() as u64,
             "worker {}: deque holds {} entries over capacity {}",
             self.id,
             snap.bottom - snap.top,
@@ -477,7 +476,7 @@ mod tests {
         // machine size — the scheme's headline property.
         let expect = cfg.uni_region_size
             + cfg.rdma_heap_size
-            + uat_vmem::AddressSpace::page_align(SimDeque::footprint(cfg.deque_capacity));
+            + uat_vmem::AddressSpace::page_align(FabricDeque::footprint(cfg.deque_capacity));
         assert_eq!(s.reserved, expect);
         // Everything is pinned and pre-faulted: zero runtime page faults.
         assert_eq!(s.faults, 0);

@@ -10,17 +10,19 @@
 //! base + OFF_ENTRIES  entries  capacity × 32-byte TaskqEntry
 //! ```
 //!
-//! [`SimDeque`](crate::SimDeque) realises this layout in simulated
-//! registered RDMA memory (every thief access is `base + OFF_*`); the
-//! real-atomics [`TheDeque`](crate::TheDeque) realises the three control
-//! words as `#[repr(C)]` atomics at the same offsets (asserted at compile
-//! time) under both its constructors — [`ShmDeque`](crate::ShmDeque)
-//! with `u64` entries inline at `OFF_ENTRIES`, the owning
-//! [`NativeDeque`](crate::NativeDeque) with its entries behind a pointer
-//! (fine intra-process, where nothing computes remote addresses); and
-//! the `uat-check` interleaving model derives its location bit-masks
-//! from these offsets via [`loc_bit`]. Change the layout here and every
-//! consumer moves together — or fails to compile.
+//! The one protocol body, [`TheDeque`](crate::TheDeque), names the
+//! words by [`Word`](crate::Word), whose offsets are these, and each of
+//! its placements realises the layout: [`FabricDeque`](crate::FabricDeque)
+//! in simulated registered RDMA memory (every thief access is
+//! `base + OFF_*`); on real atomics, the three control words as
+//! `#[repr(C)]` atomics at the same offsets (asserted at compile time),
+//! with `u64` entries inline at `OFF_ENTRIES` in a
+//! [`ShmDeque`](crate::ShmDeque) and behind a pointer in the owning
+//! [`NativeDeque`](crate::NativeDeque) (fine intra-process, where
+//! nothing computes remote addresses); and the `uat-check` interleaving
+//! model derives its location bit-masks from these offsets via
+//! [`loc_bit`]. Change the layout here and every consumer moves
+//! together — or fails to compile.
 
 /// Byte offset of the lock word.
 pub const OFF_LOCK: u64 = 0;
@@ -46,8 +48,8 @@ pub const fn loc_bit(off: u64) -> u32 {
 ///
 /// This is the static face of the memory-model catalogue (DESIGN.md
 /// §11): the union, over every access site in the one THE protocol body
-/// ([`TheDeque`](crate::TheDeque), which both the owning and the placed
-/// deque run), of the orderings the `uat-check` release/acquire explorer
+/// ([`TheDeque`](crate::TheDeque), which every placement runs), of the
+/// orderings the `uat-check` release/acquire explorer
 /// proved sufficient (clean RA suite) and necessary (each seeded
 /// downgrade outside this table produces a counterexample trace). The
 /// `uat-lint` tool scans the deque, fiber and rdma sources and flags any

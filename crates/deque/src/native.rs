@@ -1,11 +1,10 @@
-//! The THE-protocol deque on real atomics: one protocol body, two
-//! constructors.
+//! The THE protocol, written once ([`TheDeque`]), and its placements.
 //!
 //! The Cilk-5 THE protocol verbatim: the owner pushes/pops at the bottom
-//! without locks; thieves steal at the top under a spin lock; the owner
-//! takes the lock only when it races a thief for the last entry. It is
-//! written once, in [`TheDeque`], generic over the [`Storage`] holding
-//! the control words and entries:
+//! without locks; thieves steal at the top under a lock; the owner
+//! takes the lock only when it races a thief for the last entry. The
+//! body runs over a [`Placement`], the word and slot operations it
+//! performs, and three placements run it:
 //!
 //! - [`NativeDeque<T>`] owns its storage ([`Owned`]) — the thread
 //!   runtime's per-worker deque;
@@ -13,16 +12,19 @@
 //!   laid out as [`crate::layout`] specifies, so a peer computes every
 //!   word's address from the block base alone — the multiprocess
 //!   runtime's deque, in a `MAP_SHARED` mapping at one address in every
-//!   worker process, where the same lock-free atomics arbitrate processes.
+//!   worker process, where the same lock-free atomics arbitrate processes;
+//! - [`FabricDeque`](crate::FabricDeque) places the same layout in a
+//!   worker's simulated registered RDMA memory — the simulator's deque.
 //!
-//! `uat-check`'s `OrdSpec::native()`, the loom harness, Miri, TSan and
-//! the `uat-lint` ordering allowlist therefore all verify the code both
-//! runtimes run.
+//! `uat-check`'s `OrdSpec::native()`, the loom harness, Miri, TSan and the
+//! `uat-lint` ordering allowlist verify the body on the first two, real
+//! atomics ([`Storage`]); `uat-check`'s replay holds it, in fabric memory,
+//! to the model's phase semantics.
 //!
 //! # Safety
 //!
-//! This module holds the crate's only `unsafe` code: raw slot accesses,
-//! and a placed deque's dereference of the block its caller vouched for
+//! This module holds the crate's `unsafe` code: raw slot accesses, and a
+//! placed deque's dereference of the block its caller vouched for
 //! (`[I14]`). The THE protocol is what makes the slot accesses sound:
 //!
 //! - slot `i % cap` is written only by the owner's `push` at position
@@ -38,6 +40,7 @@
 use crate::layout::{OFF_BOTTOM, OFF_ENTRIES, OFF_LOCK, OFF_TOP};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
+use uat_base::StealOutcome;
 
 // Under `RUSTFLAGS="--cfg loom"` the control words become loom atomics
 // (see shims/loom), `repr(transparent)` over the std atomic, so the
@@ -46,6 +49,366 @@ use std::mem::MaybeUninit;
 use loom::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A THE control word, as the body names it; `word as u64` is its byte
+/// offset in the [`crate::layout`].
+#[repr(u64)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Word {
+    /// The lock word.
+    Lock = OFF_LOCK,
+    /// `top`, the steal end.
+    Top = OFF_TOP,
+    /// `bottom`, the owner end.
+    Bottom = OFF_BOTTOM,
+}
+
+/// Where a THE deque's words and entries live, as the operations the
+/// body performs on them: owner-side ones are local accesses; thief-side
+/// ones are one-sided, issued by a [`Thief`](Self::Thief) at an instant,
+/// and return the instant they complete. The orderings are the body's; a
+/// placement without a weak memory model ignores them. What the
+/// placements really differ in is named by the items in bold.
+///
+/// # Safety
+///
+/// `capacity()` is positive and never changes; the slot operations at
+/// position `p` address one slot per `p % capacity()`, disjoint from the
+/// words and from each other; and neither the words nor the slots are
+/// touched except through [`TheDeque`]'s operations.
+pub unsafe trait Placement {
+    /// What one entry is.
+    type Entry: Copy;
+    /// What every operation goes through: nothing natively, where the
+    /// placement holds its words; the fabric whose memory holds them.
+    type Mem;
+    /// Who issues a thief's operations: nobody natively, a worker on the
+    /// fabric.
+    type Thief: Copy;
+    /// **Completion instants.** When a thief's operation completes:
+    /// nothing natively (a real access is done when it returns), the
+    /// cost model's instant on the fabric (the op linearizes at issue).
+    type Instant: Copy;
+    /// **Pop atomicity.** Whether a whole owner pop is atomic against
+    /// thief phases, so none can fall between its decrement and its
+    /// re-read. Then the relaxed last-entry bound `t <= nb`, taken
+    /// lock-free, is sound: a thief holding the lock has not read the
+    /// indices yet and will find the deque drained. A simulated pop is
+    /// one event; a native pop is not, and there the strict `t < nb` is
+    /// required — with `t <= nb` the owner and a thief that already read
+    /// `top = t, bottom > t` under the lock both keep entry `t`, the
+    /// 12-step double claim `uat-check`'s op-granularity model finds
+    /// (DESIGN.md section 7).
+    const ATOMIC_POP: bool;
+    /// **An owner that meets a held lock.** `true`: its pop gives up with
+    /// [`PopOutcome::Contended`] and the caller retries later — also on
+    /// an empty deque, because "my last entry was stolen" may be
+    /// concluded only once the thief unlocks, after its stack transfer
+    /// (Figure 6). `false`: the owner spins in
+    /// [`owner_lock`](Self::owner_lock), and an empty deque is empty.
+    const OWNER_YIELDS: bool;
+
+    /// Maximum simultaneous entries.
+    fn capacity(&self) -> usize;
+    /// Owner: read `word`.
+    fn load(&self, mem: &Self::Mem, word: Word, ord: Ordering) -> u64;
+    /// Owner: write `word`.
+    fn store(&self, mem: &mut Self::Mem, word: Word, value: u64, ord: Ordering);
+    /// Owner: read the entry at `position`.
+    ///
+    /// # Safety
+    ///
+    /// The owner owns `position` under the protocol (`[I3]`).
+    unsafe fn read(&self, mem: &Self::Mem, position: u64) -> Self::Entry;
+    /// Owner: write the entry at `position`.
+    ///
+    /// # Safety
+    ///
+    /// `position` is unpublished and its slot free (`[I1][I2]`).
+    unsafe fn write(&self, mem: &mut Self::Mem, position: u64, entry: Self::Entry);
+    /// **The lock**, owner side, to arbitrate the last entry. Returns
+    /// `false`, without it, only where [`OWNER_YIELDS`](Self::OWNER_YIELDS)
+    /// and a thief holds it. The owner releases it with a Release store
+    /// of 0, a thief with [`put`](Self::put).
+    fn owner_lock(&self, mem: &mut Self::Mem) -> bool;
+    /// **The lock**, thief side: one attempt, which never queues.
+    /// Returns whether it was won.
+    fn try_lock(
+        &self,
+        mem: &mut Self::Mem,
+        by: Self::Thief,
+        at: Self::Instant,
+    ) -> (bool, Self::Instant);
+    /// Thief: read `(top, bottom)`. By default, as in shared memory, a
+    /// thief's op is the owner's and completes at once.
+    #[inline(always)]
+    fn fetch_ends(
+        &self,
+        mem: &mut Self::Mem,
+        _: Self::Thief,
+        at: Self::Instant,
+        top: Ordering,
+        bottom: Ordering,
+    ) -> (u64, u64, Self::Instant) {
+        (
+            self.load(mem, Word::Top, top),
+            self.load(mem, Word::Bottom, bottom),
+            at,
+        )
+    }
+    /// Thief: read the entry at `position`.
+    ///
+    /// # Safety
+    ///
+    /// The thief holds the lock and read `top == position < bottom`
+    /// under it (`[I2][I3][I4]`).
+    #[inline(always)]
+    unsafe fn fetch(
+        &self,
+        mem: &mut Self::Mem,
+        _: Self::Thief,
+        at: Self::Instant,
+        position: u64,
+    ) -> (Self::Entry, Self::Instant) {
+        // SAFETY: [I2][I3][I4] the caller's position is ours under the lock.
+        (unsafe { self.read(mem, position) }, at)
+    }
+    /// Thief: write `word`.
+    #[inline(always)]
+    fn put(
+        &self,
+        mem: &mut Self::Mem,
+        _: Self::Thief,
+        at: Self::Instant,
+        word: Word,
+        value: u64,
+        ord: Ordering,
+    ) -> Self::Instant {
+        self.store(mem, word, value, ord);
+        at
+    }
+}
+
+/// A fixed-capacity THE-protocol work-stealing deque over placement `S`.
+///
+/// Owner/thief discipline is by convention: only the owning worker
+/// pushes and pops; any thread — or, for a placed deque, any process
+/// mapping the block — may steal.
+#[repr(transparent)]
+#[derive(Clone, Copy, Debug)]
+pub struct TheDeque<S> {
+    pub(crate) store: S,
+}
+
+/// Result of an owner pop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PopOutcome<E> {
+    /// Got the youngest entry (the parent was not stolen).
+    Entry(E),
+    /// Deque empty — the parent was stolen (Figure 4 line 15 `!ok`).
+    Empty,
+    /// A thief holds the lock: retry after its critical section (only
+    /// where [`Placement::OWNER_YIELDS`]).
+    Contended,
+}
+
+impl<S: Placement> TheDeque<S> {
+    /// Owner-only: push an entry at the bottom.
+    ///
+    /// Panics on overflow (the runtimes size queues for the maximum
+    /// outstanding task count, as the paper sizes the uni-address region).
+    #[inline]
+    pub fn push_in(&self, mem: &mut S::Mem, value: S::Entry) {
+        let s = &self.store;
+        let b = s.load(mem, Word::Bottom, Ordering::Relaxed);
+        // `t <= b` whenever the owner is between ops: a thief only
+        // advances top over an entry it may keep (t < bottom, and the
+        // owner's last-entry pops go through the lock), and the owner's
+        // own pops restore bottom before returning.
+        let t = s.load(mem, Word::Top, Ordering::Acquire);
+        assert!(
+            b - t < s.capacity() as u64,
+            "task queue overflow (capacity {})",
+            s.capacity()
+        );
+        // SAFETY: [I1][I2] position `b` is not visible to thieves until the bottom
+        // store below, and the capacity check guarantees the slot's
+        // previous occupant was consumed: reuse of a slot a thief is
+        // reading (position `t + cap`) would need the loaded top to
+        // exceed `t`, which cannot happen while that thief's critical
+        // section holds top static at `t`.
+        unsafe { s.write(mem, b, value) };
+        // Publish: Release (not SeqCst) orders the slot write before the
+        // bump for the thief's Acquire pre-check or SeqCst locked load;
+        // push is no side of the pop/steal Dekker handshake. uat-check's
+        // RA mode passes with Release and catches `push-publish-weak`
+        // (Relaxed) with a stale-slot counterexample (DESIGN.md §11).
+        s.store(mem, Word::Bottom, b + 1, Ordering::Release);
+    }
+
+    /// Owner-only: pop the youngest entry (THE protocol). Always
+    /// inlined: it is the last step of every task the runtimes run.
+    #[inline(always)]
+    pub fn pop_in(&self, mem: &mut S::Mem) -> PopOutcome<S::Entry> {
+        let s = &self.store;
+        let b = s.load(mem, Word::Bottom, Ordering::Relaxed);
+        let t = s.load(mem, Word::Top, Ordering::Relaxed);
+        if t >= b {
+            // A thief that took the last entry may still be reading its
+            // frames until it unlocks.
+            if S::OWNER_YIELDS && s.load(mem, Word::Lock, Ordering::Relaxed) != 0 {
+                return PopOutcome::Contended;
+            }
+            return PopOutcome::Empty;
+        }
+        let nb = b - 1;
+        // T--; fence; read H — SeqCst gives the store-load ordering the
+        // protocol's proof needs.
+        s.store(mem, Word::Bottom, nb, Ordering::SeqCst);
+        let t = s.load(mem, Word::Top, Ordering::SeqCst);
+        if t < nb || (S::ATOMIC_POP && t == nb) {
+            // Fast path — position nb cannot be any thief's target: a
+            // thief in its critical section steals exactly the position
+            // it loaded as top, which is <= t < nb (or, with an atomic
+            // pop, it has not loaded it yet; see `ATOMIC_POP`).
+            //
+            // SAFETY: [I3] no thief can consume or claim position nb (above),
+            // and slot reuse requires the position to be consumed first;
+            // we own position nb exclusively.
+            return PopOutcome::Entry(unsafe { s.read(mem, nb) });
+        }
+        // Last entry (t == nb) or a thief already overtook the
+        // decrement: restore and arbitrate under the lock (a native
+        // victim spins, exactly as Cilk's victim does).
+        s.store(mem, Word::Bottom, b, Ordering::SeqCst);
+        if !s.owner_lock(mem) {
+            return PopOutcome::Contended;
+        }
+        let t = s.load(mem, Word::Top, Ordering::Relaxed);
+        let result = if t >= b {
+            // The thief won the last entry.
+            PopOutcome::Empty
+        } else {
+            s.store(mem, Word::Bottom, b - 1, Ordering::Relaxed);
+            // SAFETY: [I3][I4] under the lock with top < b, position b-1 is ours.
+            PopOutcome::Entry(unsafe { s.read(mem, b - 1) })
+        };
+        s.store(mem, Word::Lock, 0, Ordering::Release);
+        result
+    }
+
+    /// Thief phase 1, the *empty check*: whether the deque holds an
+    /// entry; if not, the steal aborts.
+    #[inline(always)]
+    pub fn steal_check(
+        &self,
+        mem: &mut S::Mem,
+        by: S::Thief,
+        at: S::Instant,
+    ) -> (bool, S::Instant) {
+        let (t, b, done) = self
+            .store
+            .fetch_ends(mem, by, at, Ordering::Acquire, Ordering::Acquire);
+        (t < b, done)
+    }
+
+    /// Thief phase 2, the *lock*: if another thief holds it, the steal
+    /// aborts rather than queue (Figure 6 lines 11-12).
+    #[inline(always)]
+    pub fn steal_lock(&self, mem: &mut S::Mem, by: S::Thief, at: S::Instant) -> (bool, S::Instant) {
+        self.store.try_lock(mem, by, at)
+    }
+
+    /// Thief phase 3, the *take*: read the indices, the top entry, and
+    /// advance `top`. `None`: the owner drained the deque since the
+    /// check. Either way the lock stays held.
+    #[inline(always)]
+    pub fn steal_take(
+        &self,
+        mem: &mut S::Mem,
+        by: S::Thief,
+        at: S::Instant,
+    ) -> (Option<S::Entry>, S::Instant) {
+        let s = &self.store;
+        // SeqCst on bottom pairs with the pop's decrement.
+        let (t, b, read) = s.fetch_ends(mem, by, at, Ordering::Relaxed, Ordering::SeqCst);
+        if t >= b {
+            return (None, read);
+        }
+        // Under the lock `top` is static at t (only locked thieves write
+        // it), and the owner never consumes t concurrently: its fast
+        // path takes only positions above t, its last-entry path takes
+        // this lock. So claiming after the read needs no Dekker
+        // validation of bottom (which a pop + re-push would ABA).
+        //
+        // SAFETY: [I2][I3][I4] position t is live (t < b) and cannot be consumed
+        // or its slot reused while top == t (push at position t+cap
+        // fails the capacity check until top advances), so the read
+        // observes a fully initialised entry that only we will keep.
+        let (v, read) = unsafe { s.fetch(mem, by, read, t) };
+        let done = s.put(mem, by, read, Word::Top, t + 1, Ordering::SeqCst);
+        (Some(v), done)
+    }
+
+    /// Thief phase 4, the *unlock*: after the stack transfer in the
+    /// simulator (Figure 6), right after the take natively.
+    #[inline(always)]
+    pub fn steal_unlock(&self, mem: &mut S::Mem, by: S::Thief, at: S::Instant) -> S::Instant {
+        self.store
+            .put(mem, by, at, Word::Lock, 0, Ordering::Release)
+    }
+
+    /// A whole steal: the four phases back to back, the take's lock
+    /// release being the unlock phase, with phase-boundary timestamps
+    /// from `clock`. The returned [`StealPhases`] brackets them the way
+    /// the paper's Table 3 brackets the RDMA protocol's phases.
+    #[inline]
+    pub fn steal_phased_in<C: FnMut() -> u64>(
+        &self,
+        mem: &mut S::Mem,
+        by: S::Thief,
+        at: S::Instant,
+        mut clock: C,
+    ) -> (Option<S::Entry>, StealPhases) {
+        let start = clock();
+        let (nonempty, at) = self.steal_check(mem, by, at);
+        let checked = clock();
+        let phases = move |locked, end, outcome| StealPhases {
+            start,
+            checked,
+            locked,
+            end,
+            outcome,
+        };
+        if !nonempty {
+            return (None, phases(checked, checked, StealOutcome::AbortEmpty));
+        }
+        let (won, at) = self.steal_lock(mem, by, at);
+        let locked = clock();
+        if !won {
+            return (None, phases(locked, locked, StealOutcome::AbortLock));
+        }
+        let (got, at) = self.steal_take(mem, by, at);
+        let outcome = match got {
+            Some(_) => StealOutcome::Completed,
+            None => StealOutcome::AbortRaced,
+        };
+        self.steal_unlock(mem, by, at);
+        (got, phases(locked, clock(), outcome))
+    }
+
+    /// Entries currently in the deque (racy snapshot).
+    pub fn len_in(&self, mem: &S::Mem) -> u64 {
+        let t = self.store.load(mem, Word::Top, Ordering::Acquire);
+        let b = self.store.load(mem, Word::Bottom, Ordering::Acquire);
+        b.saturating_sub(t)
+    }
+
+    /// Maximum simultaneous entries.
+    pub fn capacity(&self) -> usize {
+        self.store.capacity()
+    }
+}
 
 /// The three THE control words, at the canonical [`crate::layout`]
 /// offsets (`repr(C)`, asserted below). All zero is an empty, unlocked
@@ -65,8 +428,19 @@ const _: () = {
     assert!(std::mem::size_of::<Words>() as u64 == OFF_ENTRIES);
 };
 
-/// Where a deque's control words and entries live — the one thing its
-/// two constructors differ in.
+impl Words {
+    #[inline(always)]
+    fn get(&self, word: Word) -> &AtomicU64 {
+        match word {
+            Word::Lock => &self.lock,
+            Word::Top => &self.top,
+            Word::Bottom => &self.bottom,
+        }
+    }
+}
+
+/// Real memory holding a deque's control words and entries: every
+/// `Storage` is a [`Placement`] on real atomics.
 ///
 /// # Safety
 ///
@@ -86,16 +460,137 @@ pub unsafe trait Storage {
     fn slot(&self, position: u64) -> *mut Self::Entry;
 }
 
-/// A fixed-capacity THE-protocol work-stealing deque over storage `S`.
-///
-/// Owner/thief discipline is by convention: only the owning worker calls
-/// [`push`](Self::push)/[`pop`](Self::pop); any thread — or, for a
-/// placed deque, any process mapping the block — may call
-/// [`steal`](Self::steal).
-#[repr(transparent)]
+// SAFETY: [I1][I2][I3][I4] `Storage`'s contract is `Placement`'s, over
+// real memory; the ops below are single atomic accesses and raw slot
+// accesses whose callers carry the protocol's obligations.
+unsafe impl<S: Storage> Placement for S {
+    type Entry = S::Entry;
+    type Mem = ();
+    type Thief = ();
+    type Instant = ();
+    const ATOMIC_POP: bool = false;
+    const OWNER_YIELDS: bool = false;
+
+    #[inline(always)]
+    fn capacity(&self) -> usize {
+        Storage::capacity(self)
+    }
+
+    #[inline(always)]
+    fn load(&self, _: &(), word: Word, ord: Ordering) -> u64 {
+        self.words().get(word).load(ord)
+    }
+
+    #[inline(always)]
+    fn store(&self, _: &mut (), word: Word, value: u64, ord: Ordering) {
+        self.words().get(word).store(value, ord)
+    }
+
+    #[inline(always)]
+    unsafe fn read(&self, _: &(), position: u64) -> S::Entry {
+        // SAFETY: [I3] the caller owns `position`.
+        unsafe { self.slot(position).read() }
+    }
+
+    #[inline(always)]
+    unsafe fn write(&self, _: &mut (), position: u64, entry: S::Entry) {
+        // SAFETY: [I1][I2] the caller's position is unpublished and free.
+        unsafe { self.slot(position).write(entry) }
+    }
+
+    /// A test-and-test-and-set spin: critical sections are a handful of
+    /// loads and stores, so the victim spins, as Cilk's does.
+    #[inline]
+    fn owner_lock(&self, _: &mut ()) -> bool {
+        let w = self.words();
+        loop {
+            if w.lock.load(Ordering::Relaxed) == 0
+                && w.lock
+                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// A CAS 0 → 1: Acquire on success heads the hand-off chain from
+    /// the previous holder's Release unlock.
+    #[inline(always)]
+    fn try_lock(&self, _: &mut (), _: (), _: ()) -> (bool, ()) {
+        let won = self
+            .words()
+            .lock
+            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok();
+        (won, ())
+    }
+}
+
+/// How each phase of one [`TheDeque::steal_phased`] attempt was
+/// bracketed by clock readings: `[start, checked)` is the empty
+/// pre-check, `[checked, locked)` the lock acquisition, `[locked, end)`
+/// the entry take and unlock. On an abort the later boundaries collapse
+/// onto the point the attempt ended.
 #[derive(Clone, Copy, Debug)]
-pub struct TheDeque<S> {
-    store: S,
+pub struct StealPhases {
+    /// Clock at attempt start.
+    pub start: u64,
+    /// Clock after the empty pre-check.
+    pub checked: u64,
+    /// Clock after the lock CAS resolved.
+    pub locked: u64,
+    /// Clock after the entry was taken (or the attempt aborted) and the
+    /// lock released.
+    pub end: u64,
+    /// How the attempt ended.
+    pub outcome: StealOutcome,
+}
+
+impl<S: Storage> TheDeque<S> {
+    /// Owner-only: [`push_in`](Self::push_in).
+    #[inline]
+    pub fn push(&self, value: S::Entry) {
+        self.push_in(&mut (), value)
+    }
+
+    /// Owner-only: pop the youngest entry; `None` once the deque is
+    /// empty (a native owner never sees [`PopOutcome::Contended`]).
+    #[inline(always)]
+    pub fn pop(&self) -> Option<S::Entry> {
+        match self.pop_in(&mut ()) {
+            PopOutcome::Entry(v) => Some(v),
+            PopOutcome::Empty | PopOutcome::Contended => None,
+        }
+    }
+
+    /// Thief: steal the oldest entry (FIFO end). Returns `None` if the
+    /// deque is empty or another thief holds the lock (abort, as the
+    /// paper's RDMA thieves do, rather than queue up).
+    #[inline]
+    pub fn steal(&self) -> Option<S::Entry> {
+        // A constant clock: inlined, the stamps are dead code.
+        self.steal_phased(|| 0).0
+    }
+
+    /// [`steal`](Self::steal) with phase-boundary timestamps from
+    /// `clock`, for tracing thieves; see
+    /// [`steal_phased_in`](Self::steal_phased_in).
+    #[inline]
+    pub fn steal_phased<C: FnMut() -> u64>(&self, clock: C) -> (Option<S::Entry>, StealPhases) {
+        self.steal_phased_in(&mut (), (), (), clock)
+    }
+
+    /// Entries currently in the deque (racy snapshot).
+    pub fn len(&self) -> u64 {
+        self.len_in(&())
+    }
+
+    /// Whether the deque appears empty (racy snapshot).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// The THE deque that owns its storage. `T` must be `Copy`: entries are
@@ -125,7 +620,7 @@ pub struct Owned<T> {
 }
 
 // The layout contract: control words at `base + OFF_*`, exactly as the
-// simulated deque lays them out in fabric memory.
+// fabric placement lays them out in simulated registered memory.
 const _: () = {
     assert!(std::mem::offset_of!(NativeDeque<u64>, store.words.lock) as u64 == OFF_LOCK);
     assert!(std::mem::offset_of!(NativeDeque<u64>, store.words.top) as u64 == OFF_TOP);
@@ -253,228 +748,4 @@ impl ShmDeque {
         };
         TheDeque { store }
     }
-}
-
-impl<S: Storage> TheDeque<S> {
-    #[inline]
-    fn acquire_lock(&self) {
-        // Test-and-test-and-set spin lock; critical sections are a handful
-        // of loads/stores so spinning is appropriate.
-        let w = self.store.words();
-        loop {
-            if w.lock.load(Ordering::Relaxed) == 0
-                && w.lock
-                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    #[inline]
-    fn release_lock(&self) {
-        self.store.words().lock.store(0, Ordering::Release);
-    }
-
-    /// Owner-only: push an entry at the bottom.
-    ///
-    /// Panics on overflow (the runtimes size queues for the maximum
-    /// outstanding task count, as the paper sizes the uni-address region).
-    #[inline]
-    pub fn push(&self, value: S::Entry) {
-        let w = self.store.words();
-        let b = w.bottom.load(Ordering::Relaxed);
-        // `t <= b` whenever the owner is between ops: a thief only
-        // advances top over an entry it may keep (t < bottom, and the
-        // owner's last-entry pops go through the lock), and the owner's
-        // own pops restore bottom before returning.
-        let t = w.top.load(Ordering::Acquire);
-        assert!(
-            b - t < self.capacity() as u64,
-            "task queue overflow (capacity {})",
-            self.capacity()
-        );
-        // SAFETY: [I1][I2] position `b` is not visible to thieves until the bottom
-        // store below, and the capacity check guarantees the slot's
-        // previous occupant was consumed: reuse of a slot a thief is
-        // reading (position `t + cap`) would need the loaded top to
-        // exceed `t`, which cannot happen while that thief's critical
-        // section holds top static at `t`.
-        unsafe { self.store.slot(b).write(value) };
-        // Publish: Release (not SeqCst) orders the slot write before the
-        // bump for the thief's Acquire pre-check or SeqCst locked load;
-        // push is no side of the pop/steal Dekker handshake. uat-check's
-        // RA mode passes with Release and catches `push-publish-weak`
-        // (Relaxed) with a stale-slot counterexample (DESIGN.md §11).
-        w.bottom.store(b + 1, Ordering::Release);
-    }
-
-    /// Owner-only: pop the youngest entry (THE protocol). Always
-    /// inlined: it is the last step of every task both runtimes run.
-    #[inline(always)]
-    pub fn pop(&self) -> Option<S::Entry> {
-        let w = self.store.words();
-        let b = w.bottom.load(Ordering::Relaxed);
-        let t = w.top.load(Ordering::Relaxed);
-        if t >= b {
-            return None;
-        }
-        let nb = b - 1;
-        // T--; fence; read H — SeqCst gives the store-load ordering the
-        // protocol's proof needs.
-        w.bottom.store(nb, Ordering::SeqCst);
-        let t = w.top.load(Ordering::SeqCst);
-        if t < nb {
-            // Fast path — strictly more than one entry beyond top, so
-            // position nb cannot be any thief's target: a thief in its
-            // critical section steals exactly the position it loaded as
-            // top, which is <= t < nb.
-            //
-            // The bound must be strict: with `t <= nb` the owner takes
-            // nb == t lock-free while a thief that read `top = t,
-            // bottom > t` under the lock steals it too — the 12-step
-            // double claim `uat-check`'s op-granularity model finds
-            // (DESIGN.md section 7). SimDeque keeps the relaxed bound
-            // soundly only because its engine events make the whole pop
-            // atomic against whole steal phases.
-            //
-            // SAFETY: [I3] no thief can consume or claim position nb (above),
-            // and slot reuse requires the position to be consumed first;
-            // we own position nb exclusively.
-            return Some(unsafe { self.store.slot(nb).read() });
-        }
-        // Last entry (t == nb) or a thief already overtook the
-        // decrement: restore and arbitrate under the lock (victim
-        // spins, exactly as Cilk's victim does).
-        w.bottom.store(b, Ordering::SeqCst);
-        self.acquire_lock();
-        let t = w.top.load(Ordering::Relaxed);
-        let result = if t >= b {
-            // The thief won the last entry.
-            None
-        } else {
-            w.bottom.store(b - 1, Ordering::Relaxed);
-            // SAFETY: [I3][I4] under the lock with top < b, position b-1 is ours.
-            Some(unsafe { self.store.slot(b - 1).read() })
-        };
-        self.release_lock();
-        result
-    }
-
-    /// Thief: steal the oldest entry (FIFO end). Returns `None` if the
-    /// deque is empty or another thief holds the lock (abort, as the
-    /// paper's RDMA thieves do, rather than queue up).
-    #[inline]
-    pub fn steal(&self) -> Option<S::Entry> {
-        // A constant clock: inlined, the stamps are dead code.
-        self.steal_phased(|| 0).0
-    }
-
-    /// [`steal`](Self::steal) with phase-boundary timestamps from
-    /// `clock`, for tracing thieves: the returned [`StealPhases`] brackets
-    /// the empty pre-check, the lock acquisition, and the entry take the
-    /// same way the paper's Table 3 brackets the RDMA protocol's phases.
-    #[inline]
-    pub fn steal_phased<C: FnMut() -> u64>(&self, mut clock: C) -> (Option<S::Entry>, StealPhases) {
-        let w = self.store.words();
-        let start = clock();
-        // Empty pre-check (the RDMA protocol's phase 1).
-        let t = w.top.load(Ordering::Acquire);
-        let b = w.bottom.load(Ordering::Acquire);
-        let checked = clock();
-        let phases = move |locked, end, outcome| StealPhases {
-            start,
-            checked,
-            locked,
-            end,
-            outcome,
-        };
-        if t >= b {
-            return (None, phases(checked, checked, StealAttemptOutcome::Empty));
-        }
-        let won = w
-            .lock
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        let locked = clock();
-        if !won {
-            return (None, phases(locked, locked, StealAttemptOutcome::LockBusy));
-        }
-        let t = w.top.load(Ordering::Relaxed);
-        // SeqCst pairs with the pop's bottom store.
-        let b = w.bottom.load(Ordering::SeqCst);
-        let (result, outcome) = if t >= b {
-            (None, StealAttemptOutcome::Raced)
-        } else {
-            // Under the lock `top` is static at t (only locked thieves
-            // write it), and the owner never consumes t concurrently: its
-            // fast path takes only positions above t, its last-entry path
-            // takes this lock. So claiming after the read needs no Dekker
-            // validation of bottom (which a pop + re-push would ABA).
-            //
-            // SAFETY: [I2][I3][I4] position t is live (t < b) and cannot be consumed
-            // or its slot reused while top == t (push at position t+cap
-            // fails the capacity check until top advances), so the read
-            // observes a fully initialised entry that only we will keep.
-            let v = unsafe { self.store.slot(t).read() };
-            w.top.store(t + 1, Ordering::SeqCst);
-            (Some(v), StealAttemptOutcome::Taken)
-        };
-        self.release_lock();
-        (result, phases(locked, clock(), outcome))
-    }
-
-    /// Entries currently in the deque (racy snapshot).
-    pub fn len(&self) -> u64 {
-        let w = self.store.words();
-        let t = w.top.load(Ordering::Acquire);
-        let b = w.bottom.load(Ordering::Acquire);
-        b.saturating_sub(t)
-    }
-
-    /// Whether the deque appears empty (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum simultaneous entries.
-    pub fn capacity(&self) -> usize {
-        self.store.capacity()
-    }
-}
-
-/// How an instrumented steal attempt ended (the native analogue of the
-/// trace layer's `StealOutcome`, kept local so `uat-deque` stays at the
-/// bottom of the dependency graph).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StealAttemptOutcome {
-    /// An entry was taken.
-    Taken,
-    /// The pre-check saw an empty deque.
-    Empty,
-    /// Another thief held the lock; aborted without queuing.
-    LockBusy,
-    /// Locked successfully but the deque had drained (lost the race).
-    Raced,
-}
-
-/// Clock readings bracketing the phases of one [`TheDeque::steal_phased`]
-/// attempt: `[start, checked)` is the empty pre-check, `[checked, locked)`
-/// the lock acquisition, `[locked, end)` the entry take and unlock. On an
-/// abort the later boundaries collapse onto the point the attempt ended.
-#[derive(Clone, Copy, Debug)]
-pub struct StealPhases {
-    /// Clock at attempt start.
-    pub start: u64,
-    /// Clock after the empty pre-check.
-    pub checked: u64,
-    /// Clock after the lock CAS resolved.
-    pub locked: u64,
-    /// Clock after the entry was taken (or the attempt aborted) and the
-    /// lock released.
-    pub end: u64,
-    /// How the attempt ended.
-    pub outcome: StealAttemptOutcome,
 }

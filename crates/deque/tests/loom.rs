@@ -1,6 +1,6 @@
-//! Loom harness for the THE deque, each scenario on both constructors
-//! (`native::*` over `NativeDeque`, `shm::*` over a `ShmDeque` placed on
-//! an owned zeroed block). Compiled and run only under
+//! Loom harness for the THE deque, each scenario on both real-atomics
+//! placements (`native::*` over `NativeDeque`, `shm::*` over a `ShmDeque`
+//! placed on an owned zeroed block). Compiled and run only under
 //! `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```text
@@ -18,7 +18,7 @@
 
 #![cfg(loom)]
 
-// The lock-word hook serves `the.rs`'s held-lock case only.
+// The fabric subject and the lock hook serve `the.rs` only.
 #[allow(dead_code)]
 #[macro_use]
 mod fixture;
@@ -27,29 +27,33 @@ use fixture::Subject;
 use loom::sync::Arc;
 use loom::thread;
 
-on_both!(
-    last_entry_exactly_one_winner,
-    publish_steal_conservation,
-    two_thieves_drain,
-    wraparound_reuse_race,
+on_all!(
+    sequential: [],
+    threaded: [
+        last_entry_exactly_one_winner,
+        publish_steal_conservation,
+        two_thieves_drain,
+        wraparound_reuse_race,
+    ],
+    fabric: [],
 );
 
 /// A thief thread running `steals` steals on `s`'s deque, returning what
 /// it kept.
-fn thief<D: Subject>(s: &Arc<D>, steals: usize) -> thread::JoinHandle<Vec<u64>> {
+fn thief<D: Subject + Send + Sync>(s: &Arc<D>, steals: usize) -> thread::JoinHandle<Vec<u64>> {
     let s = Arc::clone(s);
-    thread::spawn(move || (0..steals).filter_map(|_| s.deque().steal()).collect())
+    thread::spawn(move || (0..steals).filter_map(|_| s.steal()).collect())
 }
 
 /// The last-entry race: one entry, owner pop vs thief steal; exactly one
 /// side may keep it (the race `uat-check` catches in 12 steps when the
 /// owner's fast-path bound is relaxed to `t <= nb`).
-fn last_entry_exactly_one_winner<D: Subject>() {
+fn last_entry_exactly_one_winner<D: Subject + Send + Sync>() {
     loom::model(|| {
         let s = Arc::new(D::with_capacity(2));
-        s.deque().push(7);
+        s.push(7);
         let t = thief(&s, 1);
-        let popped = s.deque().pop();
+        let popped = s.pop();
         let stolen = t.join().unwrap().pop();
         assert!(
             popped.is_some() != stolen.is_some(),
@@ -61,11 +65,11 @@ fn last_entry_exactly_one_winner<D: Subject>() {
 
 /// The publication edge: a steal racing the pushes must only ever see
 /// fully published entries, and conservation holds across pop + steal.
-fn publish_steal_conservation<D: Subject>() {
+fn publish_steal_conservation<D: Subject + Send + Sync>() {
     loom::model(|| {
         let s = Arc::new(D::with_capacity(3));
         let t = thief(&s, 2);
-        let d = s.deque();
+        let d = &*s;
         d.push(1);
         d.push(2);
         let mut all = Vec::new();
@@ -83,17 +87,17 @@ fn publish_steal_conservation<D: Subject>() {
 
 /// Two thieves contending on the lock while the owner drains: every
 /// entry consumed exactly once, lock hand-off included.
-fn two_thieves_drain<D: Subject>() {
+fn two_thieves_drain<D: Subject + Send + Sync>() {
     loom::model(|| {
         let s = Arc::new(D::with_capacity(3));
-        s.deque().push(1);
-        s.deque().push(2);
+        s.push(1);
+        s.push(2);
         let t1 = thief(&s, 1);
         let t2 = thief(&s, 1);
         let mut all: Vec<u64> = t1.join().unwrap();
         all.extend(t2.join().unwrap());
-        all.extend(s.deque().pop());
-        all.extend(s.deque().pop());
+        all.extend(s.pop());
+        all.extend(s.pop());
         all.sort_unstable();
         assert_eq!(all, [1, 2], "conservation violated: {all:?}");
     });
@@ -103,11 +107,11 @@ fn two_thieves_drain<D: Subject>() {
 /// a 2-slot buffer while a thief reads — the scenario where a premature
 /// slot reuse (capacity-check bug) would hand the thief a new value at
 /// an old position.
-fn wraparound_reuse_race<D: Subject>() {
+fn wraparound_reuse_race<D: Subject + Send + Sync>() {
     loom::model(|| {
         let s = Arc::new(D::with_capacity(2));
         let t = thief(&s, 3);
-        let d = s.deque();
+        let d = &*s;
         let mut all = Vec::new();
         for round in 0..3u64 {
             d.push(round + 1);

@@ -32,10 +32,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use uat_base::{Cycles, WorkerId};
-use uat_deque::{StealAttemptOutcome, StealPhases};
-use uat_trace::{
-    Bucket, EventKind, RingBuffer, StealOutcome, StealPhaseId, TimeAccount, TraceEvent,
-};
+use uat_deque::StealPhases;
+use uat_trace::{Bucket, EventKind, RingBuffer, StealPhase, TimeAccount, TraceEvent};
 
 /// Default per-worker ring capacity for traced native runs.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
@@ -304,7 +302,7 @@ impl WorkerTracer {
         // tile the attempt with its phases.
         self.switch_at(start, Bucket::Idle);
         let worker = self.worker;
-        let mut phase_span = |from: u64, to: u64, phase: StealPhaseId, bucket: Bucket| {
+        let mut phase_span = |from: u64, to: u64, phase: StealPhase, bucket: Bucket| {
             if to > from {
                 let dur = Cycles(to - from);
                 let phase = EventKind::StealPhase { victim, phase };
@@ -316,23 +314,17 @@ impl WorkerTracer {
                 self.account.charge(bucket, dur);
             }
         };
-        phase_span(start, checked, StealPhaseId::EmptyCheck, Bucket::StealEmpty);
-        phase_span(checked, locked, StealPhaseId::Lock, Bucket::StealLock);
-        phase_span(locked, end, StealPhaseId::Steal, Bucket::StealEntry);
+        phase_span(start, checked, StealPhase::EmptyCheck, Bucket::StealEmpty);
+        phase_span(checked, locked, StealPhase::Lock, Bucket::StealLock);
+        phase_span(locked, end, StealPhase::Steal, Bucket::StealEntry);
         self.since = end;
         self.bucket = Bucket::Idle;
-        let outcome = match ph.outcome {
-            StealAttemptOutcome::Taken => StealOutcome::Completed,
-            StealAttemptOutcome::Empty => StealOutcome::AbortEmpty,
-            StealAttemptOutcome::LockBusy => StealOutcome::AbortLock,
-            StealAttemptOutcome::Raced => StealOutcome::AbortRaced,
-        };
         let latency = Cycles(end - start);
         self.instant(
             end,
             EventKind::StealResult {
                 victim,
-                outcome,
+                outcome: ph.outcome,
                 latency,
             },
         );

@@ -20,7 +20,9 @@
 //!     inlining re-creates the window the helper was meant to close.
 //!
 //! - **Rule B — THE-word ordering allowlist**. Every atomic access to a
-//!   THE-layout control word (`lock` / `top` / `bottom`) must use an
+//!   THE-layout control word (`lock` / `top` / `bottom`) — an atomic
+//!   method on the word's field, or a deque placement op naming it as
+//!   `Word::Top` — must use an
 //!   ordering listed in [`uat_deque::layout::ORDERING_ALLOWLIST`] — the
 //!   table distilled from what the `uat-check` release/acquire explorer
 //!   proved sufficient. An access outside the table is either a
@@ -611,79 +613,84 @@ fn allowed_orderings(field: &str, op: &str) -> Option<&'static [&'static str]> {
         .map(|(_, _, a)| *a)
 }
 
+/// Rule B over both forms of a THE-word access: an atomic method on the
+/// word's field (`w.top.load(Ordering::Acquire)`), and a placement op
+/// (`uat_deque::Placement`) that names its word — `load(mem, Word::Top,
+/// Ordering::Acquire)`, `store(…, Word::Bottom, b, Ordering::Release)`,
+/// `put(…, Word::Top, t, Ordering::SeqCst)` — or reads both ends,
+/// `fetch_ends(…, Ordering::Relaxed, Ordering::SeqCst)` (top's load, then
+/// bottom's).
 fn rule_ordering(files: &[FileScan], findings: &mut Vec<Finding>) {
     let fields: std::collections::BTreeSet<&str> = uat_deque::layout::ORDERING_ALLOWLIST
         .iter()
         .map(|(f, _, _)| *f)
         .collect();
+    let ident = |c: &u8| is_ident(*c);
     for file in files {
         let code = &file.code;
-        let b = code.as_bytes();
-        for field in &fields {
-            for pos in ident_positions(code, field) {
-                // Must be a field access: `.field.method(`.
-                if pos == 0 || b[pos - 1] != b'.' {
-                    continue;
-                }
-                let after = &code[pos + field.len()..];
-                if !after.starts_with('.') {
-                    continue;
-                }
-                let method: String = after[1..]
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if !ATOMIC_METHODS.contains(&method.as_str()) {
-                    continue;
-                }
-                // Argument span: matching parens after the method name.
-                let open_rel = pos + field.len() + 1 + method.len();
-                let Some(paren_rel) = code[open_rel..].find('(') else {
+        for method in ATOMIC_METHODS.iter().chain(&["put", "fetch_ends"]) {
+            for pos in ident_positions(code, method) {
+                // A method call, `recv.method(args)`.
+                let Some(recv) = code[..pos].strip_suffix('.') else {
                     continue;
                 };
-                let open = open_rel + paren_rel;
-                let mut depth = 0i32;
-                let mut close = open;
-                for (j, &c) in b.iter().enumerate().skip(open) {
-                    match c {
-                        b'(' => depth += 1,
-                        b')' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                close = j;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
+                let recv = recv.trim_end();
+                let open = pos + method.len();
+                if !code[open..].starts_with('(') {
+                    continue;
                 }
-                let args = &code[open..close];
-                let allowed = allowed_orderings(field, &method);
-                let mut from = 0;
-                while let Some(off) = args[from..].find("Ordering::") {
-                    let start = from + off + "Ordering::".len();
-                    let ord: String = args[start..]
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric())
-                        .collect();
-                    from = start;
-                    let ok = allowed.map(|a| a.contains(&ord.as_str())).unwrap_or(false);
-                    if !ok {
-                        findings.push(Finding {
-                            rule: Rule::OrderingAllowlist,
-                            file: file.path.clone(),
-                            line: line_of(code, pos),
-                            message: format!(
-                                "`{field}.{method}` with Ordering::{ord} is not in the \
-                                 layout allowlist ({}); if intentional, prove it with \
-                                 `uat_check --memory-model ra` and extend \
-                                 uat_deque::layout::ORDERING_ALLOWLIST",
-                                allowed
-                                    .map(|a| a.join("/"))
-                                    .unwrap_or_else(|| "no entry for this op".into()),
-                            ),
-                        });
+                let mut depth = 0;
+                let Some(close) = code[open..].find(|c| {
+                    depth += (c == '(') as i32 - (c == ')') as i32;
+                    depth == 0
+                }) else {
+                    continue;
+                };
+                let args = &code[open..open + close];
+                // The word: the receiver's field, both ends, or the
+                // `Word::X` argument.
+                let field_len = recv.bytes().rev().take_while(ident).count();
+                let field = &recv[recv.len() - field_len..];
+                let word = args.find("Word::").map(|w| {
+                    let name = &args[w + "Word::".len()..];
+                    name[..name.bytes().take_while(ident).count()].to_lowercase()
+                });
+                let words: Vec<String> =
+                    if fields.contains(field) && recv[..recv.len() - field_len].ends_with('.') {
+                        vec![field.to_string(); 2]
+                    } else if *method == "fetch_ends" {
+                        vec!["top".into(), "bottom".into()]
+                    } else if let Some(word) = word.filter(|w| fields.contains(w.as_str())) {
+                        vec![word; 2]
+                    } else {
+                        continue;
+                    };
+                let op = match *method {
+                    "put" => "store",
+                    "fetch_ends" => "load",
+                    m => m,
+                };
+                let ords = args.split("Ordering::").skip(1);
+                for (field, ord) in words.iter().zip(ords) {
+                    let ord = &ord[..ord.bytes().take_while(ident).count()];
+                    let allowed = allowed_orderings(field, op);
+                    if allowed.is_some_and(|a| a.contains(&ord)) {
+                        continue;
                     }
+                    findings.push(Finding {
+                        rule: Rule::OrderingAllowlist,
+                        file: file.path.clone(),
+                        line: line_of(code, pos),
+                        message: format!(
+                            "`{field}.{op}` with Ordering::{ord} is not in the \
+                             layout allowlist ({}); if intentional, prove it with \
+                             `uat_check --memory-model ra` and extend \
+                             uat_deque::layout::ORDERING_ALLOWLIST",
+                            allowed
+                                .map(|a| a.join("/"))
+                                .unwrap_or_else(|| "no entry for this op".into()),
+                        ),
+                    });
                 }
             }
         }
@@ -1069,6 +1076,50 @@ fn f(d: &D) {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, Rule::OrderingAllowlist);
         assert!(f[0].message.contains("top.store"));
+    }
+
+    #[test]
+    fn placement_ops_are_checked_by_the_word_they_name() {
+        // The deque body's form: the word is an argument.
+        let src = r#"
+fn f(s: &S, mem: &mut M) {
+    let t = s.load(mem, Word::Top, Ordering::Acquire);
+    s.store(mem, Word::Bottom, t, Ordering::Release);
+    s.put(mem, by, at, Word::Top, t + 1, Ordering::SeqCst);
+    s.fetch_ends(mem, by, at, Ordering::Relaxed, Ordering::SeqCst);
+    w.lock
+        .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed);
+}
+"#;
+        assert!(lint_one(src, RuleSet::all()).is_empty());
+        for (good, bad, access) in [
+            (
+                "Word::Top, t + 1, Ordering::SeqCst",
+                "Word::Top, t + 1, Ordering::Relaxed",
+                "top.store",
+            ),
+            (
+                "Word::Bottom, t, Ordering::Release",
+                "Word::Bottom, t, Ordering::AcqRel",
+                "bottom.store",
+            ),
+            (
+                "Ordering::Relaxed, Ordering::SeqCst",
+                "Ordering::Relaxed, Ordering::Release",
+                "bottom.load",
+            ),
+            // A field access split across lines is still one.
+            (
+                "Ordering::Acquire, Ordering::Relaxed",
+                "Ordering::Release, Ordering::Relaxed",
+                "lock.compare_exchange",
+            ),
+        ] {
+            let f = lint_one(&src.replace(good, bad), RuleSet::all());
+            assert_eq!(f.len(), 1, "{bad}: {f:?}");
+            assert_eq!(f[0].rule, Rule::OrderingAllowlist);
+            assert!(f[0].message.contains(&format!("`{access}`")), "{f:?}");
+        }
     }
 
     #[test]

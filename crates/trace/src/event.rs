@@ -7,7 +7,7 @@
 //! the comm server, and idle polls.
 
 use serde::{Deserialize, Serialize};
-use uat_base::{Cycles, NodeId, WorkerId};
+use uat_base::{Cycles, NodeId, StealOutcome, StealPhase, WorkerId};
 
 /// One trace record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,7 +88,7 @@ pub enum EventKind {
         /// The worker being robbed.
         victim: WorkerId,
         /// Which protocol phase.
-        phase: StealPhaseId,
+        phase: StealPhase,
     },
     /// A steal attempt finished.
     StealResult {
@@ -176,7 +176,7 @@ impl EventKind {
             EventKind::Suspend { .. } => "suspend",
             EventKind::Resume { .. } => "resume",
             EventKind::Slice { bucket } => bucket.name(),
-            EventKind::StealPhase { phase, .. } => phase.name(),
+            EventKind::StealPhase { phase, .. } => phase.track(),
             EventKind::StealResult { .. } => "steal-result",
             EventKind::DequePublish { .. } => "deque-publish",
             EventKind::StealCommit { .. } => "steal-commit",
@@ -205,85 +205,6 @@ impl EventKind {
             EventKind::StealResult { .. } => "steal-result",
             EventKind::FaaQueueWait { .. } | EventKind::RdmaOp { .. } => "rdma",
             EventKind::IdlePoll | EventKind::Park | EventKind::Unpark => "sched",
-        }
-    }
-}
-
-/// The seven steal phases of Table 3, as the trace layer names them.
-///
-/// This mirrors `uat_core::StealPhase`; the trace crate sits below
-/// `uat-core` in the dependency graph (the RDMA fabric records into it),
-/// so it carries its own copy of the enum rather than importing it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StealPhaseId {
-    /// RDMA READ of (top, bottom): is the victim's queue non-empty?
-    EmptyCheck,
-    /// Remote fetch-and-add acquiring the queue lock.
-    Lock,
-    /// Two RDMA READs + one RDMA WRITE taking the queue entry.
-    Steal,
-    /// Thief-side suspend of whatever it was running.
-    Suspend,
-    /// RDMA READ of the stolen thread's frames.
-    StackTransfer,
-    /// RDMA WRITE of 0 releasing the queue lock.
-    Unlock,
-    /// `resume_context` of the stolen thread.
-    Resume,
-}
-
-impl StealPhaseId {
-    /// All phases in protocol order.
-    pub const ALL: [StealPhaseId; 7] = [
-        StealPhaseId::EmptyCheck,
-        StealPhaseId::Lock,
-        StealPhaseId::Steal,
-        StealPhaseId::Suspend,
-        StealPhaseId::StackTransfer,
-        StealPhaseId::Unlock,
-        StealPhaseId::Resume,
-    ];
-
-    /// Name matching `uat_core::StealPhase::name`, prefixed for tracks.
-    pub fn name(self) -> &'static str {
-        match self {
-            StealPhaseId::EmptyCheck => "steal-phase: empty check",
-            StealPhaseId::Lock => "steal-phase: lock",
-            StealPhaseId::Steal => "steal-phase: steal",
-            StealPhaseId::Suspend => "steal-phase: suspend",
-            StealPhaseId::StackTransfer => "steal-phase: stack transfer",
-            StealPhaseId::Unlock => "steal-phase: unlock",
-            StealPhaseId::Resume => "steal-phase: resume",
-        }
-    }
-
-    /// The bare phase name as `uat_core::StealPhase::name` spells it.
-    pub fn phase_name(self) -> &'static str {
-        self.name().trim_start_matches("steal-phase: ")
-    }
-}
-
-/// Terminal states of a steal attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StealOutcome {
-    /// The thief took an entry and resumed the stolen thread.
-    Completed,
-    /// Aborted: the victim's queue looked empty.
-    AbortEmpty,
-    /// Aborted: the victim's queue was locked by someone else.
-    AbortLock,
-    /// Aborted: locked successfully but the queue had drained (race).
-    AbortRaced,
-}
-
-impl StealOutcome {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StealOutcome::Completed => "completed",
-            StealOutcome::AbortEmpty => "abort-empty",
-            StealOutcome::AbortLock => "abort-lock",
-            StealOutcome::AbortRaced => "abort-raced",
         }
     }
 }

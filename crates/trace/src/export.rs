@@ -78,16 +78,12 @@ impl TraceData {
     }
 
     /// Sum of `dur` over steal-phase events, by phase index
-    /// (protocol order, as in `StealPhaseId::ALL`).
+    /// (protocol order, as in `StealPhase::ALL`).
     pub fn steal_phase_totals(&self) -> [u64; 7] {
         let mut totals = [0u64; 7];
         for ev in self.events() {
             if let EventKind::StealPhase { phase, .. } = ev.kind {
-                let idx = crate::StealPhaseId::ALL
-                    .iter()
-                    .position(|&p| p == phase)
-                    .unwrap();
-                totals[idx] += ev.dur.get();
+                totals[phase.index()] += ev.dur.get();
             }
         }
         totals
@@ -304,7 +300,7 @@ pub fn jsonl<I: IntoIterator<Item = Json>>(lines: I) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RingSink, StealPhaseId, TraceSink};
+    use crate::{RingSink, StealPhase, TraceSink};
     use uat_base::{NodeId, WorkerId};
 
     fn sample_data() -> TraceData {
@@ -331,7 +327,7 @@ mod tests {
             WorkerId(1),
             EventKind::StealPhase {
                 victim: WorkerId(0),
-                phase: StealPhaseId::Lock,
+                phase: StealPhase::Lock,
             },
         ));
         TraceData {
@@ -413,11 +409,7 @@ mod tests {
     fn steal_phase_totals_sum_durations() {
         let data = sample_data();
         let totals = data.steal_phase_totals();
-        let lock_idx = StealPhaseId::ALL
-            .iter()
-            .position(|&p| p == StealPhaseId::Lock)
-            .unwrap();
-        assert_eq!(totals[lock_idx], 300);
+        assert_eq!(totals[StealPhase::Lock.index()], 300);
         assert_eq!(totals.iter().sum::<u64>(), 300);
     }
 

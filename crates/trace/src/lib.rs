@@ -38,10 +38,11 @@ pub mod ring;
 pub mod sink;
 
 pub use account::{Bucket, TimeAccount};
-pub use event::{EventKind, RdmaOpKind, StealOutcome, StealPhaseId, TraceEvent};
+pub use event::{EventKind, RdmaOpKind, TraceEvent};
 pub use export::{
     chrome_trace, chrome_trace_json, flight_trace_json, jsonl, ClockSource, TraceData,
 };
 pub use profile::{critical_path, CostClass, CriticalPath, CriticalPathSummary, Dag, ProfileError};
 pub use ring::RingBuffer;
 pub use sink::{NullSink, RingSink, TraceSink};
+pub use uat_base::{StealOutcome, StealPhase};

@@ -1,6 +1,6 @@
 //! The THE deque's suite, run from the root package so `cargo test` at
 //! the top cannot pass with a broken protocol: every scenario runs on
-//! both constructors of the one body the two real runtimes share, and
+//! the placements of the one body all three executors share, and
 //! the model checker explores the protocol itself — its clean suite
 //! under sequential consistency (`exhaustive`) and release/acquire
 //! (`weak`) with every seeded mutation caught, and the model's

@@ -1,9 +1,10 @@
-//! The model-checked protocols the one worker body runs, from the root
-//! package, so `cargo test` at the top cannot pass with a broken join,
-//! termination scan or slot-cache raid: each suite explores the
-//! protocol under sequential consistency and release/acquire and
-//! requires every seeded mutation to be caught, as `tests/deque.rs`
-//! does for the THE deque.
+//! The protocols the one worker body runs, from the root package, so
+//! `cargo test` at the top cannot pass with a broken join, idle policy,
+//! termination scan or slot-cache raid. The model-checked suites explore
+//! each protocol under sequential consistency and release/acquire and
+//! require every seeded mutation to be caught, as `tests/deque.rs` does
+//! for the THE deque; the join block and the idle policy also run their
+//! own unit suites on the code itself.
 
 #[path = "../crates/check/tests/join.rs"]
 mod join;
@@ -11,3 +12,15 @@ mod join;
 mod slots;
 #[path = "../crates/check/tests/termination.rs"]
 mod termination;
+
+// The runtime's join block and idle policy, with their unit tests. The
+// join block names `crate::ctx::Context`, here the public one.
+#[allow(dead_code)]
+#[path = "../crates/fiber/src/idle.rs"]
+mod idle;
+#[allow(dead_code, unused_imports)]
+#[path = "../crates/fiber/src/join.rs"]
+mod join_block;
+mod ctx {
+    pub use uni_address_threads::fiber::ctx::Context;
+}

@@ -9,7 +9,7 @@
 
 use uni_address_threads::base::json::ToJson;
 use uni_address_threads::cluster::{Engine, SimConfig};
-use uni_address_threads::deque::SimDeque;
+use uni_address_threads::deque::FabricDeque;
 use uni_address_threads::vmem::AddressSpace;
 use uni_address_threads::workloads::Btc;
 
@@ -19,7 +19,7 @@ const WORKERS: u64 = 3_840;
 fn paper_scale_machine_registers_gigabytes_and_holds_megabytes() {
     let cfg = SimConfig::fx10(256);
     let core = cfg.core.clone();
-    let deque = SimDeque::footprint(core.deque_capacity);
+    let deque = FabricDeque::footprint(core.deque_capacity);
     let engine = Engine::new(cfg, Btc::new(10, 1));
     assert_eq!(
         engine.registered_bytes(),
