@@ -1132,6 +1132,44 @@ mod tests {
     }
 
     #[test]
+    fn chain_at_full_leaf_work_hands_off_through_the_stolen_exit() {
+        if !supported() {
+            return;
+        }
+        // Undivided leaves outlast a steal, so nearly every round ends
+        // in the child's stolen-exit arm (pop empty, complete, resume
+        // the parked joiner) across processes.
+        let w = Chain {
+            rounds: 200,
+            frame: 3_055,
+            leaf_work: 50_000,
+        };
+        let p = sequential_profile(&w);
+        // A run is a few milliseconds: on a loaded host the idle worker
+        // may not get a CPU in one, so a run that stole nothing is
+        // repeated.
+        let mut steals = 0;
+        for _ in 0..10 {
+            let s = MultiProcessRunner::new(2).run(w.clone());
+            assert_eq!(s.total_tasks, p.tasks);
+            assert_eq!(s.total_units, p.units);
+            assert_eq!(s.total_work_cycles, p.work_cycles);
+            assert_eq!(s.join_fingerprint, p.join_fingerprint);
+            steals = s.steals;
+            if steals > 0 {
+                break;
+            }
+        }
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+            assert!(
+                steals > 0,
+                "two workers, ten runs of {} rounds, no steal",
+                p.joins
+            );
+        }
+    }
+
+    #[test]
     fn small_pool_runs_a_tree_that_fits() {
         if !supported() {
             return;

@@ -67,6 +67,7 @@ use crate::frame::{self, FrameTooLarge};
 use crate::idle::{self, Idle};
 use crate::join::{JoinBlock, PendingJoin};
 use crate::tsc::RunClock;
+use std::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0, _MM_HINT_T0};
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::ffi::c_void;
@@ -454,13 +455,20 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void)
                     wr.place.record(Event::LocalPop(c));
                     c
                 }
-                None => match (*join).complete() {
-                    Some(waiter) => {
-                        wr.place.record(Event::JoinReady(&*join, task, waiter));
-                        waiter
+                None => {
+                    // Stolen: the thief wrote the deque's ends, the block
+                    // and the joiner's record last. Fetch the block and
+                    // the record now, in the pop's shadow, not one after
+                    // the other (DESIGN.md §13.3, "The hand-off").
+                    prefetch_handoff(join, (*rec).hdr.parent_ctx);
+                    match (*join).complete() {
+                        Some(waiter) => {
+                            wr.place.record(Event::JoinReady(&*join, task, waiter));
+                            waiter
+                        }
+                        None => wr.sched_ctx as u64,
                     }
-                    None => wr.sched_ctx as u64,
-                },
+                }
             }
         };
         // Only now, after the last access to the block [I18].
@@ -477,6 +485,35 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void)
     // Nothing with a destructor is live from here: we abandon this stack.
     // SAFETY: [I5] target is resumed exactly once; only Copy locals live here.
     unsafe { resume_context(target) }
+}
+
+/// Prefetch what a child whose parent was stolen touches next: `join`,
+/// which its `complete` decrements, with write intent (`_MM_HINT_ET0`:
+/// `prefetchw` where the build enables `prfchw`, `prefetcht0` in a
+/// baseline x86-64 build), and the joiner's record, which it may
+/// resume. Only `parent_ctx` is known here, not the record, but a
+/// stolen spawner that blocks saves that record from the frame its
+/// spawn saved `parent_ctx` from — 0 bytes lower on threads and 32 on
+/// processes in the benchmark's build (EXPERIMENTS.md) — so the lines
+/// of `[parent_ctx - 64, parent_ctx + size_of::<Context>())` hold it.
+/// A record is 8-byte aligned, so three lines cover that window. Where
+/// codegen puts the record elsewhere, the prefetch is wasted, not
+/// wrong.
+#[inline(always)]
+fn prefetch_handoff(join: *const JoinBlock, parent_ctx: *mut Context) {
+    const _: () = assert!(std::mem::size_of::<Context>() <= 64 + 8);
+    // SAFETY: [I11] a prefetch names an address but never accesses it:
+    // it cannot fault, and changes nothing but this core's caches.
+    unsafe {
+        _mm_prefetch::<_MM_HINT_ET0>(join.cast());
+        // The root's record has no parent, and no joiner waits on it.
+        if !parent_ctx.is_null() {
+            let p = parent_ctx as *const i8;
+            _mm_prefetch::<_MM_HINT_T0>(p.wrapping_sub(64));
+            _mm_prefetch::<_MM_HINT_T0>(p);
+            _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(64));
+        }
+    }
 }
 
 /// Wait until every child announced on `jb` has completed (Figure 7's

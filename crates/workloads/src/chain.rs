@@ -5,11 +5,18 @@
 //! dynamics with one *iterating* root thread: each round it spawns a leaf
 //! child (child-first: the leaf runs, the root's continuation becomes
 //! stealable) whose work outlasts a steal, so the idle worker steals the
-//! root, resumes it, hits the join, suspends it (the 3,055-byte suspend
-//! of Figure 10), and later resumes it from the wait queue to start the
-//! next round — at which point the roles of the two workers have
-//! swapped. Steady state is exactly one steal and one suspend/resume of
-//! a 3,055-byte thread per round.
+//! root, resumes it, hits the join and suspends it (the 3,055-byte
+//! suspend of Figure 10). Steady state is exactly one steal and one
+//! suspend/resume of a 3,055-byte thread per round.
+//!
+//! Who resumes the root differs by executor. The simulator (Figure 7's
+//! runtime) parks it on the wait queue of the worker it suspended on,
+//! which resumes it from there to start the next round, so the two
+//! workers swap roles every round. The real backends (`uat-fiber`'s
+//! shared worker body) hand the parked root to the worker whose leaf
+//! completes last, which resumes it directly: the root's next leaf runs
+//! on that same worker, so the victim stays the victim and the thief
+//! stays the thief.
 
 use uat_model::{Action, Workload};
 

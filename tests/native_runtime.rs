@@ -8,8 +8,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uni_address_threads::fiber::{self, NativeRunner, Runtime};
+use uni_address_threads::model::sequential_profile;
 use uni_address_threads::workloads::nqueens::Board;
-use uni_address_threads::workloads::{Btc, NQueens};
+use uni_address_threads::workloads::{Btc, Chain, NQueens};
 
 fn fib_fiber(n: u64) -> u64 {
     if n < 2 {
@@ -258,6 +259,41 @@ fn blocking_on_a_sibling_with_the_spawner_unstolen_aborts_by_name() {
         err.contains("a task blocked joining a thread it did not spawn"),
         "{err}"
     );
+}
+
+#[test]
+fn chain_at_full_leaf_work_hands_off_through_the_stolen_exit() {
+    // Leaves long enough to outlast a steal, so nearly every round ends
+    // in the child's stolen-exit arm: pop empty, complete the block,
+    // resume the parked joiner. (The differential harness divides `Work`
+    // down to nothing, so its chains rarely get there.)
+    let w = Chain {
+        rounds: 200,
+        frame: 3_055,
+        leaf_work: 50_000,
+    };
+    let p = sequential_profile(&w);
+    // A run is a few milliseconds: on a loaded host the idle worker may
+    // not get a CPU in one, so a run that stole nothing is repeated.
+    let mut steals = 0;
+    for _ in 0..10 {
+        let s = NativeRunner::new(2).run(w.clone());
+        assert_eq!(s.total_tasks, p.tasks);
+        assert_eq!(s.total_units, p.units);
+        assert_eq!(s.total_work_cycles, p.work_cycles);
+        assert_eq!(s.join_fingerprint, p.join_fingerprint);
+        steals = s.steals;
+        if steals > 0 {
+            break;
+        }
+    }
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        assert!(
+            steals > 0,
+            "two workers, ten runs of {} rounds, no steal",
+            p.joins
+        );
+    }
 }
 
 #[test]
