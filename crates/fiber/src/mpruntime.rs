@@ -14,7 +14,10 @@
 //!   thread runtime's deque — the same protocol body — placed over a
 //!   block at the canonical `uat_deque::layout` offsets
 //!   ([`uat_deque::ShmDeque`]);
-//! - every **fiber stack** (fixed slots with guard pages), so a
+//! - every **fiber stack** (fixed slots, each with a guard page below
+//!   its stack: a page-table marker that each worker installs in its
+//!   own page tables where the kernel takes one, so the region stays
+//!   one mapping, and otherwise `mprotect`ed by the coordinator), so a
 //!   continuation's frames are already present in the thief's address
 //!   space — a cross-process steal is deque atomics plus
 //!   `resume_context`, zero messages *and* zero copies (the shared
@@ -74,9 +77,10 @@
 //! allocate or take any lock between `fork` and its worker-loop entry
 //! (another thread could hold the allocator lock at fork time; glibc's
 //! `fork` re-initialises malloc, but the runtime does not rely on it
-//! during the window). The bootstrap path (`mp_bootstrap`) builds its
-//! worker on its own stack, touching only shared-region atomics, and
-//! enters the shared `worker_loop`, which finds the worker through the
+//! during the window). The bootstrap path (`mp_bootstrap`) installs its
+//! slot guard markers by plain syscalls, builds its worker on its own
+//! stack, touching only shared-region atomics, and enters the shared
+//! `worker_loop`, which finds the worker through the
 //! same thread-local the thread runtime uses: a worker process has one
 //! thread, `fork` copied its TLS block, and setting a `const`-initialised
 //! `Cell` allocates nothing. `uat-lint`'s `fork-safety` rule scans
@@ -88,7 +92,7 @@
 //! expand through one recycled per-process buffer, handed back before
 //! the task's first migration point ([I16]).
 
-use crate::frame::{FrameTooLarge, PAGE};
+use crate::frame::{guard_page, FrameTooLarge, Guard, PAGE};
 use crate::idle;
 use crate::interp::{self, AcctRow, Env, EnvRef, NativeRunStats};
 use crate::join::JoinBlock;
@@ -629,6 +633,10 @@ fn membarrier(cmd: i32) -> i64 {
     unsafe { libc::syscall(libc::SYS_membarrier, cmd, 0u32, 0i32) }
 }
 
+/// A worker's exit status when the kernel refused one of its slot guard
+/// markers (`mp_bootstrap`); `fail_run` names it.
+const GUARD_FAILED: i32 = 106;
+
 /// Give the run up from a worker, having told the coordinator why in
 /// its flag of the control block: say so on stderr and exit with
 /// `status`. No `panic!` — its hook takes the stderr lock and
@@ -678,7 +686,10 @@ fn probe_allocs() -> u64 {
 
 /// Worker bootstrap: everything between `fork` and the scheduler loop,
 /// then the loop — worker 0 starts the root, whose record the
-/// coordinator wrote — then `_exit`.
+/// coordinator wrote — then `_exit`. Where the run's slot guards are
+/// markers (`guards`), the worker first installs one below every slot's
+/// stack: a marker lives in the page tables of the process that
+/// installed it, and this worker may run a task on any slot.
 ///
 /// **Fork-safety window [I15]**: from entry until the probe delta is
 /// recorded, this path must not allocate, take any lock, or call
@@ -686,8 +697,16 @@ fn probe_allocs() -> u64 {
 /// hold the allocator lock at fork time). `uat-lint`'s `fork-safety`
 /// rule enforces the discipline statically over this function and its
 /// direct callees; the `mp_fork_safety` test enforces it dynamically.
-fn mp_bootstrap(id: usize, layout: RegionLayout, root: *mut TaskHeader<usize>) -> ! {
+fn mp_bootstrap(id: usize, layout: RegionLayout, guards: Guard, root: *mut TaskHeader<usize>) -> ! {
     let before = probe_allocs();
+    if guards == Guard::Marker
+        && !(0..layout.slots).all(|s| Guard::Marker.install(layout.slot_base(s)))
+    {
+        die(
+            b"uat-fiber(mp): a slot guard marker was refused; worker exiting\n",
+            GUARD_FAILED,
+        )
+    }
     let place = Mp {
         me: id,
         layout,
@@ -823,15 +842,7 @@ impl MultiProcessRunner {
         let _region = map_region(layout.total)
             .unwrap_or_else(|e| panic!("multiprocess backend unavailable: {e}"));
         let (workload, capacity) = (w.name(), RegionLayout::prog_capacity::<W::Desc>());
-        // Guard pages: PROT_NONE at the low end of every slot,
-        // established once before fork and inherited by every worker.
-        for s in 0..layout.slots {
-            // SAFETY: [I10] each guard page is inside our fresh mapping.
-            let rc = unsafe {
-                libc::mprotect(layout.slot_base(s) as *mut c_void, PAGE, libc::PROT_NONE)
-            };
-            assert_eq!(rc, 0, "mprotect(slot guard) failed");
-        }
+        let guards = guard_slots(layout);
         let ctrl = ctrl();
         // Every slot but the root's (slot 0) starts in the pool, lowest
         // index on top; the workers' caches start empty. Pre-fork and
@@ -873,7 +884,8 @@ impl MultiProcessRunner {
             assert!(pid >= 0, "fork failed");
             if pid == 0 {
                 // ----- worker process -----
-                let exit = catch_unwind(AssertUnwindSafe(|| mp_bootstrap(id, *layout, root)));
+                let exit =
+                    catch_unwind(AssertUnwindSafe(|| mp_bootstrap(id, *layout, guards, root)));
                 // Reached only if bootstrap/scheduler panicked.
                 let _ = exit;
                 // SAFETY: [I10] async-signal-safe process exit.
@@ -973,6 +985,26 @@ impl MultiProcessRunner {
     }
 }
 
+/// Guard the page at the low end of every slot's stack, or decide that
+/// each worker will. Slot 0's guard is the probe: where the kernel takes
+/// it as a marker, the coordinator's region stays one mapping, `fork`
+/// copies nothing extra, and each worker installs the rest in its own
+/// page tables (`mp_bootstrap`). Otherwise every guard is `mprotect`ed
+/// here, before `fork`, and every worker inherits them.
+fn guard_slots(layout: &RegionLayout) -> Guard {
+    let guards = guard_page(layout.slot_base(0));
+    if guards == Guard::Protect {
+        for s in 1..layout.slots {
+            assert!(
+                Guard::Protect.install(layout.slot_base(s)),
+                "mprotect(slot guard) failed: {}",
+                std::io::Error::last_os_error()
+            );
+        }
+    }
+    guards
+}
+
 /// A worker is gone with the run unfinished: kill and reap the
 /// survivors — they would idle forever on tasks that can no longer
 /// complete — and fail the run, by the dead worker's own word if it
@@ -1011,7 +1043,31 @@ fn fail_run(
              {capacity}-action program area of a stack slot"
         );
     }
-    panic!("multiprocess worker {pid} died mid-run (status {status:#x})");
+    panic!(
+        "multiprocess worker {pid} died mid-run ({})",
+        how_it_ended(status)
+    );
+}
+
+/// How a worker process ended, from its `waitpid` status, in words.
+fn how_it_ended(status: i32) -> String {
+    if libc::WIFSIGNALED(status) {
+        let sig = libc::WTERMSIG(status);
+        let name = match sig {
+            libc::SIGABRT => "SIGABRT",
+            libc::SIGBUS => "SIGBUS",
+            libc::SIGKILL => "SIGKILL",
+            libc::SIGSEGV => "SIGSEGV",
+            _ => "unnamed",
+        };
+        return format!("killed by signal {sig} ({name})");
+    }
+    match libc::WEXITSTATUS(status) {
+        GUARD_FAILED => {
+            format!("exit status {GUARD_FAILED}: the kernel refused a slot guard marker")
+        }
+        code => format!("exit status {code}"),
+    }
 }
 
 /// The mapping [`map_region`] made; dropping it unmaps.
@@ -1256,7 +1312,18 @@ mod tests {
     #[derive(Clone)]
     struct OneLeaf {
         leaf_frame: u64,
-        leaf_aborts: bool,
+        leaf: LeafEnd,
+    }
+
+    /// How [`OneLeaf`]'s leaf ends.
+    #[derive(Clone, Copy)]
+    enum LeafEnd {
+        Returns,
+        /// By `abort()`: its worker dies of SIGABRT, without a word.
+        Aborts,
+        /// By reading the guard page below its own slot's stack, in a
+        /// region laid out as given: its worker dies of SIGSEGV.
+        HitsGuard(RegionLayout),
     }
 
     impl Workload for OneLeaf {
@@ -1269,8 +1336,22 @@ mod tests {
         fn program(&self, leaf: &bool, out: &mut Vec<Action<bool>>) {
             if !leaf {
                 out.extend([Action::Spawn(true), Action::JoinAll]);
-            } else if self.leaf_aborts {
-                std::process::abort();
+                return;
+            }
+            match self.leaf {
+                LeafEnd::Returns => {}
+                LeafEnd::Aborts => std::process::abort(),
+                LeafEnd::HitsGuard(layout) => {
+                    // This frame is on the leaf's slot's stack.
+                    let here = std::hint::black_box(&out) as *const _ as usize;
+                    let slot = (here - MP_BASE - layout.slots_off) / layout.slot_size;
+                    // SAFETY: [I10] a worker about to die on purpose
+                    // leaves no core dump behind.
+                    unsafe { libc::prctl(libc::PR_SET_DUMPABLE, 0) };
+                    // SAFETY: [I10] inside the live region; the slot's
+                    // guard page, which must fault — what is tested.
+                    unsafe { std::ptr::read_volatile(layout.slot_base(slot) as *const u8) };
+                }
             }
         }
 
@@ -1302,7 +1383,7 @@ mod tests {
             catch_unwind(move || {
                 runner(2).with_stack_size(STACK as usize).run(OneLeaf {
                     leaf_frame,
-                    leaf_aborts: false,
+                    leaf: LeafEnd::Returns,
                 })
             })
         };
@@ -1395,20 +1476,30 @@ mod tests {
         // would hang inside the hook, alive, and this test with it.
         // Swapping the hook out is process-wide too, and would race
         // every other test's output.
+        dies_by_name_in_bounded_time(|_| LeafEnd::Aborts, "killed by signal 6 (SIGABRT)");
+    }
+
+    /// Runs [`OneLeaf`] on 2 and 4 workers, its leaf ending as
+    /// `leaf(workers)`: the run must fail inside a second, the dead
+    /// worker's end named as `how`, with no child left and the region
+    /// free to map again.
+    fn dies_by_name_in_bounded_time(leaf: impl Fn(usize) -> LeafEnd, how: &str) {
         for workers in [2usize, 4] {
             let t0 = std::time::Instant::now();
+            let leaf = leaf(workers);
             let err = catch_unwind(|| {
                 runner(workers).run(OneLeaf {
                     leaf_frame: 64,
-                    leaf_aborts: true,
+                    leaf,
                 })
             })
-            .expect_err("a run whose leaf aborts cannot complete");
+            .expect_err("a run whose leaf kills its worker cannot complete");
             let took = t0.elapsed();
             let msg = err
                 .downcast_ref::<String>()
                 .expect("panic payload is a message");
             assert!(msg.contains("died mid-run"), "workers={workers}: {msg}");
+            assert!(msg.contains(how), "workers={workers}: {msg}");
             assert!(
                 took < std::time::Duration::from_secs(1),
                 "workers={workers}: the death took {took:?} to notice"
@@ -1422,6 +1513,86 @@ mod tests {
             // again.
             MultiProcessRunner::probe_support().expect("the region maps again");
         }
+    }
+
+    /// The guard mechanism a run on this host uses, read the way the
+    /// coordinator reads it: by guarding a page of a fresh region.
+    fn region_guards() -> Guard {
+        let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _region = map_region(PAGE).expect("probe passed");
+        let guards = guard_page(MP_BASE);
+        eprintln!("multiprocess slot guards: {guards:?}");
+        guards
+    }
+
+    #[test]
+    fn a_leaf_that_reads_its_guard_page_fails_the_run_by_name() {
+        if !supported() {
+            return;
+        }
+        // Whoever runs the leaf has the guard below its slot's stack,
+        // in either mode: its worker dies of the fault, and only the
+        // coordinator's liveness sweep ends the run.
+        region_guards();
+        dies_by_name_in_bounded_time(
+            |workers| LeafEnd::HitsGuard(RegionLayout::new(workers, 1024, 128 << 10)),
+            "killed by signal 11 (SIGSEGV)",
+        );
+    }
+
+    /// A one-task workload whose root records how many mappings the
+    /// coordinator's region is made of: the coordinator evaluates
+    /// `root()` once it has guarded the region, before any `fork`.
+    #[derive(Clone)]
+    struct CountsRegionMappings {
+        total: usize,
+        seen: std::sync::Arc<AtomicU64>,
+    }
+
+    impl Workload for CountsRegionMappings {
+        type Desc = ();
+
+        fn root(&self) {
+            let maps = std::fs::read_to_string("/proc/self/maps").expect("maps");
+            let inside = maps
+                .lines()
+                .filter_map(|l| l.split('-').next())
+                .filter_map(|start| usize::from_str_radix(start, 16).ok())
+                .filter(|start| (MP_BASE..MP_BASE + self.total).contains(start))
+                .count();
+            self.seen.store(inside as u64, Ordering::Relaxed);
+        }
+
+        fn program(&self, _: &(), _: &mut Vec<Action<()>>) {}
+
+        fn frame_size(&self, _: &()) -> u64 {
+            64
+        }
+
+        fn name(&self) -> String {
+            "counts-region-mappings".into()
+        }
+    }
+
+    #[test]
+    fn marker_guards_leave_the_coordinators_region_one_mapping() {
+        if !supported() {
+            return;
+        }
+        let slots = 1024;
+        let w = CountsRegionMappings {
+            total: RegionLayout::new(2, slots, 128 << 10).total,
+            seen: Default::default(),
+        };
+        assert_eq!(runner(2).with_slots(slots).run(w.clone()).total_tasks, 1);
+        // `mprotect` splits the region around every guard page: one
+        // mapping up to the first slot, then per slot its guard page
+        // and the rest of the slot.
+        let want = match region_guards() {
+            Guard::Marker => 1,
+            Guard::Protect => 1 + 2 * slots as u64,
+        };
+        assert_eq!(w.seen.load(Ordering::Relaxed), want);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! The stack-pool creation strategy (and the runtime) give every thread
 //! its own stack, as MassiveThreads does. Stacks come from `mmap` with a
-//! `PROT_NONE` guard page at the low end so overflow faults instead of
-//! corrupting a neighbour, and are recycled through a free list because
-//! `mmap`/`munmap` per spawn would dwarf the 100-cycle budget.
+//! guard page at the low end so overflow faults instead of corrupting a
+//! neighbour — a page-table marker where the kernel takes one, so a stack
+//! stays one mapping, `PROT_NONE` otherwise (`frame::guard_page`) — and
+//! are recycled through a free list because `mmap`/`munmap` per spawn
+//! would dwarf the 100-cycle budget.
 
-use crate::frame::PAGE;
+use crate::frame::{guard_page, PAGE};
 use std::ptr::NonNull;
 
 /// One task stack.
@@ -40,9 +42,7 @@ impl Stack {
         };
         assert!(base != libc::MAP_FAILED, "mmap failed for a task stack");
         // Guard page at the low end (stacks grow down).
-        // SAFETY: [I10] base..base+PAGE is inside our fresh mapping.
-        let rc = unsafe { libc::mprotect(base, PAGE, libc::PROT_NONE) };
-        assert_eq!(rc, 0, "mprotect(guard) failed");
+        guard_page(base as usize);
         Stack {
             base: NonNull::new(base as *mut u8).expect("mmap returned null"),
             len,

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `libc` crate, declaring only what `uat-fiber`
-//! uses: anonymous/stack/shared mappings, page protection, fork/waitpid,
-//! `memfd_create`, `futex` and `membarrier` via `syscall`, and
-//! `process_vm_readv`. Values are the
+//! uses: anonymous/stack/shared mappings, page protection and advice,
+//! fork/waitpid and how a child ended, `prctl`, `memfd_create`, `futex`
+//! and `membarrier` via `syscall`, and `process_vm_readv`. Values are the
 //! x86-64 Linux ABI constants (the only target `uat-fiber` supports —
 //! its context switch is x86-64 assembly).
 
@@ -73,10 +73,19 @@ pub const MEMBARRIER_CMD_GLOBAL_EXPEDITED: c_int = 1 << 1;
 /// [`MEMBARRIER_CMD_GLOBAL_EXPEDITED`].
 pub const MEMBARRIER_CMD_REGISTER_GLOBAL_EXPEDITED: c_int = 1 << 2;
 
+/// `prctl`: set whether this process may dump core (0: it may not).
+pub const PR_SET_DUMPABLE: c_int = 4;
+
 /// `waitpid`: return immediately when no child has changed state.
 pub const WNOHANG: c_int = 1;
+/// Abort, as raised by `abort(3)`.
+pub const SIGABRT: c_int = 6;
+/// Bus error.
+pub const SIGBUS: c_int = 7;
 /// Uncatchable termination signal.
 pub const SIGKILL: c_int = 9;
+/// Invalid memory access, a guard page's included.
+pub const SIGSEGV: c_int = 11;
 
 /// Did the child terminate normally (via `exit`/`_exit`)?
 pub fn WIFEXITED(status: c_int) -> bool {
@@ -86,6 +95,17 @@ pub fn WIFEXITED(status: c_int) -> bool {
 /// The child's exit status (meaningful only when [`WIFEXITED`]).
 pub fn WEXITSTATUS(status: c_int) -> c_int {
     (status >> 8) & 0xff
+}
+
+/// Was the child terminated by a signal?
+pub fn WIFSIGNALED(status: c_int) -> bool {
+    ((status & 0x7f) + 1) as i8 >= 2
+}
+
+/// The signal that terminated the child (meaningful only when
+/// [`WIFSIGNALED`]).
+pub fn WTERMSIG(status: c_int) -> c_int {
+    status & 0x7f
 }
 
 extern "C" {
@@ -102,6 +122,10 @@ extern "C" {
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
     /// Change page protection.
     pub fn mprotect(addr: *mut c_void, len: size_t, prot: c_int) -> c_int;
+    /// Give the kernel advice about a range of pages.
+    pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
+    /// Operate on this process (`PR_SET_DUMPABLE`, …).
+    pub fn prctl(option: c_int, ...) -> c_int;
     /// Close a file descriptor.
     pub fn close(fd: c_int) -> c_int;
     /// Create a child process.
