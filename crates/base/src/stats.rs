@@ -3,8 +3,8 @@
 //! The paper reports means with 95% confidence intervals (Section 6:
 //! "Confidence intervals in the following figures are calculated with 95%
 //! confidence level"), so [`OnlineStats`] exposes exactly that via
-//! Welford's algorithm, plus a small fixed-bucket [`Histogram`] used for
-//! latency breakdowns.
+//! Welford's algorithm. Distributions (latency tails, run lengths) are
+//! histogrammed by `uat_metrics::LogHistogram`, not here.
 
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use serde::{Deserialize, Serialize};
@@ -164,190 +164,6 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// Power-of-two bucketed histogram for latency-like quantities.
-///
-/// Bucket `i` covers `[2^i, 2^(i+1))`; bucket 0 also covers 0.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Empty histogram covering the full u64 range (64 buckets).
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            total: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile; `q` in `[0, 1]` (clamped).
-    ///
-    /// For `q > 0` this returns the inclusive upper bound of the bucket
-    /// containing the `ceil(q·n)`-th smallest observation; `q = 0`
-    /// returns the lower bound of the first non-empty bucket (the
-    /// tightest lower bound on the minimum the histogram can give).
-    /// An empty histogram returns 0 for every `q`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        if q == 0.0 {
-            let first = self.buckets.iter().position(|&c| c > 0).unwrap();
-            return Self::bucket_lower(first);
-        }
-        // ceil never rounds a value ≤ total above it, and q > 0 makes the
-        // target at least 1, so the scan below always terminates inside
-        // the loop; the fallthrough only guards float pathology.
-        let target = ((self.total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if c > 0 && seen >= target {
-                return Self::bucket_upper(i);
-            }
-        }
-        Self::bucket_upper(63)
-    }
-
-    /// Inclusive lower bound of bucket `i`.
-    fn bucket_lower(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << i
-        }
-    }
-
-    /// Inclusive upper bound of bucket `i`.
-    fn bucket_upper(i: usize) -> u64 {
-        if i >= 63 {
-            u64::MAX
-        } else {
-            (2u64 << i) - 1
-        }
-    }
-
-    /// Add every observation of `other` into this histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        self.total += other.total;
-    }
-
-    /// Compact snapshot (count plus p50/p90/p99/max bucket bounds).
-    pub fn summary(&self) -> HistSummary {
-        HistSummary {
-            count: self.total,
-            p50: self.quantile(0.5),
-            p90: self.quantile(0.9),
-            p99: self.quantile(0.99),
-            max: self.quantile(1.0),
-        }
-    }
-
-    /// Iterate over non-empty `(bucket_lower_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_lower(i), c))
-    }
-}
-
-/// Compact quantile snapshot of a [`Histogram`].
-///
-/// Quantiles are bucket upper bounds (see [`Histogram::quantile`]), so
-/// they over-estimate by at most 2× — good enough for the latency
-/// distributions the tracing layer reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Median bucket bound.
-    pub p50: u64,
-    /// 90th-percentile bucket bound.
-    pub p90: u64,
-    /// 99th-percentile bucket bound.
-    pub p99: u64,
-    /// Bound of the bucket holding the largest observation.
-    pub max: u64,
-}
-
-impl ToJson for HistSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::UInt(self.count)),
-            ("p50", Json::UInt(self.p50)),
-            ("p90", Json::UInt(self.p90)),
-            ("p99", Json::UInt(self.p99)),
-            ("max", Json::UInt(self.max)),
-        ])
-    }
-}
-
-impl FromJson for HistSummary {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(HistSummary {
-            count: v.field("count")?.as_u64()?,
-            p50: v.field("p50")?.as_u64()?,
-            p90: v.field("p90")?.as_u64()?,
-            p99: v.field("p99")?.as_u64()?,
-            max: v.field("max")?.as_u64()?,
-        })
-    }
-}
-
-impl ToJson for Histogram {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("total", Json::UInt(self.total)),
-            ("buckets", self.buckets.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Histogram {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let buckets: Vec<u64> = Vec::from_json(v.field("buckets")?)?;
-        if buckets.len() != 64 {
-            return Err(JsonError {
-                msg: format!("histogram needs 64 buckets, got {}", buckets.len()),
-            });
-        }
-        Ok(Histogram {
-            total: v.field("total")?.as_u64()?,
-            buckets,
-        })
-    }
-}
-
 impl ToJson for OnlineStats {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -486,103 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 1, 2, 3, 4, 7, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 9);
-        // Median falls in the [2,4) or [4,8) region for this data.
-        let q50 = h.quantile(0.5);
-        assert!((3..=7).contains(&q50), "q50={q50}");
-        assert!(h.quantile(1.0) >= 1024);
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        assert!(buckets.iter().any(|&(lo, _)| lo == 1024));
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_zero() {
-        let h = Histogram::new();
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(h.quantile(q), 0);
-        }
-        assert_eq!(h.summary(), HistSummary::default());
-    }
-
-    #[test]
-    fn histogram_quantile_zero_is_min_bound() {
-        let mut h = Histogram::new();
-        h.record(100); // bucket [64, 128)
-        h.record(5000); // bucket [4096, 8192)
-        assert_eq!(h.quantile(0.0), 64);
-
-        let mut zeros = Histogram::new();
-        zeros.record(0);
-        assert_eq!(zeros.quantile(0.0), 0);
-    }
-
-    #[test]
-    fn histogram_quantile_one_is_max_bucket_bound() {
-        let mut h = Histogram::new();
-        for v in [1, 2, 3, 100] {
-            h.record(v);
-        }
-        // 100 lives in [64, 128); its inclusive upper bound is 127.
-        assert_eq!(h.quantile(1.0), 127);
-        h.record(u64::MAX);
-        assert_eq!(h.quantile(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_single_bucket() {
-        let mut h = Histogram::new();
-        for _ in 0..10 {
-            h.record(33); // bucket [32, 64)
-        }
-        assert_eq!(h.quantile(0.0), 32);
-        for q in [0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 63, "q={q}");
-        }
-        let s = h.summary();
-        assert_eq!((s.count, s.p50, s.max), (10, 63, 63));
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::new();
-        let mut r = crate::SplitMix64::new(7);
-        for _ in 0..1000 {
-            h.record(r.next_u64() >> (r.next_u64() % 64));
-        }
-        let mut prev = 0;
-        for i in 0..=100 {
-            let q = h.quantile(i as f64 / 100.0);
-            assert!(q >= prev, "quantile not monotone at {i}%");
-            prev = q;
-        }
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for v in [1u64, 9, 70, 300] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [2u64, 8000, 1 << 40] {
-            b.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(a.quantile(q), whole.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
     fn stats_json_round_trip() {
         use crate::json::{FromJson, Json, ToJson};
 
@@ -603,17 +322,5 @@ mod tests {
         .unwrap();
         assert_eq!(empty.count(), 0);
         assert!(empty.min().is_nan());
-
-        let mut h = Histogram::new();
-        for v in [0u64, 3, 900, u64::MAX] {
-            h.record(v);
-        }
-        let hb = Histogram::from_json(&Json::parse(&h.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(hb.count(), h.count());
-        assert_eq!(hb.quantile(1.0), h.quantile(1.0));
-
-        let sum = h.summary();
-        let sb = HistSummary::from_json(&Json::parse(&sum.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(sb, sum);
     }
 }

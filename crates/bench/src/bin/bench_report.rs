@@ -283,8 +283,8 @@ fn hook_overhead_entry(quick: bool) -> (Json, Option<String>) {
 /// Metered-vs-plain throughput with the live-metrics layer on, both
 /// backends: the native runner with the timed tier plus a sampler at
 /// the default interval (uts11, one worker — deterministic, no steal
-/// races), and the sim engine streaming the pinned `uts11_60w` case
-/// into a registry. Configurations interleave within each rep so
+/// races), and the sim engine running the pinned `uts11_60w` case
+/// with a registry attached. Configurations interleave within each rep so
 /// host-speed drift cancels instead of biasing whichever batch ran
 /// last; the gate compares the pairwise-median ratio, like
 /// `hook_overhead`. Gated: the native hooks + sampler may cost at most

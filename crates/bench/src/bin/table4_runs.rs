@@ -72,8 +72,8 @@ fn main() {
     }
 
     // Under `--trace` the first row (BTC iter=1) is the traced run, and
-    // under `--metrics` it is also the row that streams into the
-    // registry. All four rows are independent simulations, so they run
+    // under `--metrics` it is also the row that fills the registry.
+    // All four rows are independent simulations, so they run
     // concurrently on the harness pool; each row's stats are a pure
     // function of its own config, so the table is identical at any
     // thread count.

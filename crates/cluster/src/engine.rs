@@ -36,7 +36,7 @@ use crate::task::{TaskId64, TaskTable, TaskWhere};
 use crate::tracing::TraceCtl;
 use crate::workload::{Action, Workload};
 use uat_base::{CostModel, Cycles, SplitMix64, WorkerId};
-use uat_core::{transfer_stolen, StackMgr, StealBreakdown, StealPhase};
+use uat_core::{transfer_stolen, StackMgr, StealPhase};
 use uat_deque::{PopOutcome, TaskqEntry};
 use uat_rdma::Fabric;
 use uat_trace::{Bucket, StealOutcome};
@@ -121,15 +121,12 @@ struct WorkerCtl {
     current: Option<TaskId64>,
     /// Consecutive fruitless scheduler iterations (for idle backoff).
     fails: u32,
-    /// When the current steal attempt started (for breakdown totals).
-    attempt_start: Cycles,
     /// When the current steal phase started.
     phase_start: Cycles,
     /// A task sitting in the region at an unsatisfied join (Figure 7's
     /// `while (!try_join)` loop keeps it in place; it is suspended — with
     /// the copy-out — only when the worker switches to other work).
     blocked: Option<TaskId64>,
-    tasks_run: u64,
 }
 
 /// The simulation engine for one run.
@@ -151,14 +148,9 @@ pub struct Engine<W: Workload> {
     // accumulators
     total_work: u64,
     total_units: u64,
-    steals_completed: u64,
-    steal_attempts: u64,
-    breakdown: StealBreakdown,
     page_faults: u64,
+    /// The run's one observer: accounts, counts, histograms, events.
     trace: TraceCtl,
-    /// Live-metrics registry wiring (inert unless
-    /// [`with_metrics`](Engine::with_metrics) attached a registry).
-    metrics: crate::smetrics::SimMetrics,
     /// Tests only: after this many events, deliberately corrupt one
     /// task-table record so the auditor trips (exercises the flight
     /// recorder end to end). See [`Engine::seed_audit_violation`].
@@ -185,10 +177,8 @@ impl<W: Workload> Engine<W> {
                 pending: Pending::Sched,
                 current: None,
                 fails: 0,
-                attempt_start: Cycles::ZERO,
                 phase_start: Cycles::ZERO,
                 blocked: None,
-                tasks_run: 0,
             })
             .collect();
         let hot = HotCosts::new(&cfg.cost);
@@ -207,25 +197,22 @@ impl<W: Workload> Engine<W> {
             root: None,
             total_work: 0,
             total_units: 0,
-            steals_completed: 0,
-            steal_attempts: 0,
-            breakdown: StealBreakdown::new(),
             page_faults: 0,
             trace: TraceCtl::new(topo.total_workers() as usize),
-            metrics: crate::smetrics::SimMetrics::default(),
             #[cfg(feature = "audit")]
             sabotage_after: None,
         }
     }
 
-    /// Stream this run's scheduler-health metrics (steal outcomes and
-    /// latency, task counts and run lengths) into `registry`, under the
-    /// same metric names ([`uat_metrics::names`]) the native runtime
-    /// exports. The registry must be built for at least this machine's
-    /// worker count; snapshot it after [`run`](Engine::run).
+    /// Add this run's scheduler-health metrics (steal outcomes and
+    /// latency, task counts and run lengths, in simulated cycles) into
+    /// `registry`, under the same metric names ([`uat_metrics::names`])
+    /// the native runtime exports. The registry is filled once, when the
+    /// run finishes, from the same samples [`RunStats`] reports; nothing
+    /// is streamed while it runs. It must be built for at least this
+    /// machine's worker count; snapshot it after [`run`](Engine::run).
     pub fn with_metrics(mut self, registry: &std::sync::Arc<uat_metrics::Registry>) -> Self {
-        self.metrics =
-            crate::smetrics::SimMetrics::attach(registry, self.cfg.topo.total_workers() as usize);
+        self.trace.attach_registry(registry);
         self
     }
 
@@ -272,10 +259,8 @@ impl<W: Workload> Engine<W> {
         }
         // Materialize and start the root on worker 0.
         let w0 = WorkerId(0);
-        let root = self.spawn_task(w0, &self.workload.root(), None);
+        let root = self.spawn_task(w0, &self.workload.root(), None, Cycles::ZERO);
         self.root = Some(root);
-        self.metrics.on_task_begin(root, Cycles::ZERO);
-        self.trace.task_begin(w0, root, Cycles::ZERO, None);
         self.workers[0].current = Some(root);
         self.workers[0].pending = Pending::TaskStep(root);
         self.trace.set_bucket(w0, Bucket::Work);
@@ -373,19 +358,27 @@ impl<W: Workload> Engine<W> {
     // Task execution
     // ------------------------------------------------------------------
 
-    /// Create a task record + stack frames for `desc` on worker `w`.
-    /// Returns the id. (Page-fault cost, nonzero only under iso, is
-    /// returned through `self.page_faults` and the spawn path's timing.)
-    fn spawn_task(&mut self, w: WorkerId, desc: &W::Desc, parent: Option<TaskId64>) -> TaskId64 {
+    /// Create a task record + stack frames for `desc` on worker `w`,
+    /// born at `at`: the one place a task's birth is recorded. Returns
+    /// the id. (Page-fault cost, nonzero only under iso, is returned
+    /// through `self.page_faults` and the spawn path's timing.)
+    fn spawn_task(
+        &mut self,
+        w: WorkerId,
+        desc: &W::Desc,
+        parent: Option<TaskId64>,
+        at: Cycles,
+    ) -> TaskId64 {
         let mut program = self.program_pool.pop().unwrap_or_default();
         self.workload.program(desc, &mut program);
         self.total_units += self.workload.units(desc);
         let frame = self.workload.frame_size(desc).max(16);
         let id = self
             .tasks
-            .spawn(program, parent, TaskWhere::Running(w), frame);
+            .spawn(program, parent, TaskWhere::Running(w), frame, at);
         let (_base, faults) = self.mgrs[w.index()].spawn_frame(&mut self.fabric, id, frame);
         self.page_faults += faults;
+        self.trace.task_begin(w, id, at, parent);
         id
     }
 
@@ -437,31 +430,27 @@ impl<W: Workload> Engine<W> {
                             }
                         }
                     };
-                    {
-                        let rec = self.tasks.get_mut(task);
-                        rec.pc += 1;
-                        rec.at = TaskWhere::InDeque(w);
-                        rec.outstanding += 1;
-                    }
+                    let rec = self.tasks.get_mut(task);
+                    rec.pc += 1;
+                    rec.at = TaskWhere::InDeque(w);
+                    rec.outstanding += 1;
+                    // The parent's continuation is stealable from the
+                    // push below, at `t`: the victim side of a potential
+                    // steal edge.
+                    self.trace.deque_publish(w, task, &mut rec.pub_seq, t);
                     let entry = TaskqEntry {
                         task,
-                        ctx: self.tasks.get(task).pc as u64,
+                        ctx: rec.pc as u64,
                         frame_base,
                         frame_size,
                     };
                     self.mgrs[w.index()]
                         .deque()
                         .push_in(&mut self.fabric, entry);
-                    // The parent's continuation is stealable from this
-                    // instant: the victim side of a potential steal edge.
-                    self.trace.deque_publish(w, task, t);
                     let faults_before = self.page_faults;
-                    let child = self.spawn_task(w, &desc, Some(task));
-                    self.metrics.on_task_begin(child, t);
-                    self.trace.task_begin(w, child, t, Some(task));
+                    let child = self.spawn_task(w, &desc, Some(task), t);
                     let fault_cost = Cycles((self.page_faults - faults_before) * cost.page_fault);
                     self.workers[w.index()].current = Some(child);
-                    self.workers[w.index()].tasks_run += 1;
                     // Half of the Figure 4 creation overhead: the context
                     // save and queue push. The pop half is charged when
                     // the child returns (post_complete), so a full
@@ -512,9 +501,8 @@ impl<W: Workload> Engine<W> {
     /// by other workers — causality instants must carry that stamp, or a
     /// polling joiner could record its resume *before* the ready.
     fn complete_task(&mut self, w: WorkerId, task: TaskId64, t: Cycles, noticed: Cycles) {
-        self.metrics.on_task_end(w.index(), task, t);
-        self.trace.task_end(w, task, t);
         let mut rec = self.tasks.free(task);
+        self.trace.task_end(w, task, rec.born, t);
         debug_assert!(
             rec.outstanding == 0,
             "a task cannot exit with live children"
@@ -529,17 +517,15 @@ impl<W: Workload> Engine<W> {
             // Completion notification: the done-flag write is a posted
             // one-sided RDMA WRITE when the parent is remote; it does not
             // block the child, so the decrement is applied immediately.
-            let outstanding = {
-                let p = self.tasks.get_mut(parent);
-                p.outstanding -= 1;
-                p.outstanding
-            };
-            if outstanding == 0 {
+            let p = self.tasks.get_mut(parent);
+            p.outstanding -= 1;
+            if p.outstanding == 0 {
                 // This completion made the parent's join ready — the
                 // child side of a potential join edge. Stamped at the
                 // fire time (`noticed`), not the nominal task end: the
                 // decrement above is observable from this event on.
-                self.trace.join_ready(w, parent, task, noticed);
+                self.trace
+                    .join_ready(w, parent, task, noticed, &mut p.join_enabler);
             }
         } else {
             // The root finished: the program is done.
@@ -597,14 +583,10 @@ impl<W: Workload> Engine<W> {
 
     /// Park the blocked (in-region, join-waiting) thread, if any: the
     /// Figure 8 suspend — copy the frames out to the RDMA region and
-    /// queue the saved context on the wait queue. Returns the cost, and
-    /// records it in the Figure 10 "suspend" bar when `for_steal`.
-    fn park_blocked(&mut self, w: WorkerId, for_steal: bool, now: Cycles) -> Cycles {
+    /// queue the saved context on the wait queue. Returns the cost.
+    fn park_blocked(&mut self, w: WorkerId, now: Cycles) -> Cycles {
         let cost = self.cfg.cost.clone();
         let Some(task) = self.workers[w.index()].blocked.take() else {
-            if for_steal {
-                self.breakdown.record(StealPhase::Suspend, Cycles::ZERO);
-            }
             return Cycles::ZERO;
         };
         self.trace.task_suspend(w, task, now);
@@ -612,9 +594,6 @@ impl<W: Workload> Engine<W> {
         let (h, c) = self.mgrs[w.index()].suspend_current(&mut self.fabric, task, pc, &cost);
         self.mgrs[w.index()].wait_push(h);
         self.tasks.get_mut(task).at = TaskWhere::Waiting(w);
-        if for_steal {
-            self.breakdown.record(StealPhase::Suspend, c);
-        }
         c
     }
 
@@ -627,13 +606,13 @@ impl<W: Workload> Engine<W> {
         // paper's "typical case" where join only confirms termination.
         if let Some(task) = self.workers[w.index()].blocked {
             let t = t + Cycles(cost.try_join);
-            if self.tasks.get(task).outstanding == 0 {
+            let rec = self.tasks.get_mut(task);
+            if rec.outstanding == 0 {
+                self.trace.task_resume(w, task, t, rec.join_enabler.take());
                 let ctl = &mut self.workers[w.index()];
                 ctl.blocked = None;
                 ctl.current = Some(task);
                 ctl.fails = 0;
-                self.trace.task_resume(w, task, t);
-                self.trace.join_resume(w, task, t);
                 self.set(w, Pending::TaskStep(task), t, Bucket::SuspendResume);
                 return;
             }
@@ -645,14 +624,14 @@ impl<W: Workload> Engine<W> {
                 // (Figure 7 line 22: suspend current, resume popped),
                 // then resume the ancestor in place: it is the bottom
                 // live segment now.
-                let parked = self.park_blocked(w, false, t);
+                let parked = self.park_blocked(w, t);
                 let rec = self.tasks.get_mut(e.task);
                 debug_assert_eq!(rec.at, TaskWhere::InDeque(w));
                 rec.at = TaskWhere::Running(w);
                 rec.pc = e.ctx as u32;
                 self.workers[w.index()].current = Some(e.task);
                 self.workers[w.index()].fails = 0;
-                self.trace.task_resume(w, e.task, t + parked);
+                self.trace.task_resume(w, e.task, t + parked, None);
                 self.trace.carry(w, Bucket::SuspendResume, parked);
                 self.set(
                     w,
@@ -692,14 +671,11 @@ impl<W: Workload> Engine<W> {
             v += 1;
         }
         let victim = WorkerId(v);
-        self.steal_attempts += 1;
-        self.trace.steal_attempt(w);
+        self.trace.steal_attempt(w, t);
         // The local pop that came up empty is scheduler overhead, not
         // part of the empty-check phase.
         self.trace.carry(w, Bucket::Idle, t.since(t0));
-        let ctl = &mut self.workers[w.index()];
-        ctl.attempt_start = t;
-        ctl.phase_start = t;
+        self.workers[w.index()].phase_start = t;
         let vdeque = self.mgrs[victim.index()].deque();
         let (ok, done) = vdeque.steal_check(&mut self.fabric, w, t);
         self.set(
@@ -720,7 +696,7 @@ impl<W: Workload> Engine<W> {
         // out; Figure 7 lines 28-30).
         if self.mgrs[w.index()].wait_len() > 0 {
             let cost = self.cfg.cost.clone();
-            let parked = self.park_blocked(w, false, t);
+            let parked = self.park_blocked(w, t);
             self.mgrs[w.index()].on_pop_empty();
             let h = self.mgrs[w.index()]
                 .wait_pop()
@@ -730,15 +706,17 @@ impl<W: Workload> Engine<W> {
             debug_assert_eq!(rec.at, TaskWhere::Waiting(w));
             rec.at = TaskWhere::Running(w);
             rec.pc = info.ctx as u32;
+            // A waiter whose join is satisfied resumes past the JoinAll
+            // rather than re-parking: that closes the join edge.
+            let joined = if rec.outstanding == 0 {
+                rec.join_enabler.take()
+            } else {
+                None
+            };
+            self.trace.task_resume(w, info.task, t + parked, joined);
             let ctl = &mut self.workers[w.index()];
             ctl.current = Some(info.task);
             ctl.fails = 0;
-            self.trace.task_resume(w, info.task, t + parked);
-            if self.tasks.get(info.task).outstanding == 0 {
-                // The waiter's join is satisfied: it resumes past the
-                // JoinAll rather than re-parking — close the join edge.
-                self.trace.join_resume(w, info.task, t + parked);
-            }
             // The resumed thread re-runs its JoinAll check; if its child
             // is still outstanding it becomes the blocked thread here
             // (polling, as the paper's join loop does).
@@ -778,32 +756,19 @@ impl<W: Workload> Engine<W> {
     // Steal phases (Figure 6)
     // ------------------------------------------------------------------
 
-    /// `w`'s steal from `victim` ended at `t` without an entry.
-    fn steal_aborted(&mut self, w: WorkerId, victim: WorkerId, outcome: StealOutcome, t: Cycles) {
-        match outcome {
-            StealOutcome::AbortEmpty => self.breakdown.aborted_empty += 1,
-            StealOutcome::AbortLock => self.breakdown.aborted_lock += 1,
-            _ => self.breakdown.aborted_raced += 1,
-        }
-        let latency = t.since(self.workers[w.index()].attempt_start);
-        self.metrics.on_steal_result(w.index(), false, latency);
-        self.trace.steal_result(w, victim, outcome, t, latency);
-    }
-
     /// `phase` of `w`'s steal from `victim` completed at `t`, where the
     /// next one starts.
     fn steal_phase_done(&mut self, w: WorkerId, victim: WorkerId, phase: StealPhase, t: Cycles) {
         let phase_start = self.workers[w.index()].phase_start;
-        let elapsed = t.since(phase_start);
-        self.breakdown.record(phase, elapsed);
         self.trace
-            .steal_phase(w, victim, phase, phase_start, elapsed);
+            .steal_phase(w, victim, phase, phase_start, t.since(phase_start));
         self.workers[w.index()].phase_start = t;
     }
 
     fn steal_after_empty(&mut self, w: WorkerId, victim: WorkerId, ok: bool, t: Cycles) {
         if !ok {
-            self.steal_aborted(w, victim, StealOutcome::AbortEmpty, t);
+            self.trace
+                .steal_aborted(w, victim, StealOutcome::AbortEmpty, t);
             self.sched_wait_step(w, t);
             return;
         }
@@ -825,7 +790,8 @@ impl<W: Workload> Engine<W> {
 
     fn steal_after_lock(&mut self, w: WorkerId, victim: WorkerId, ok: bool, t: Cycles) {
         if !ok {
-            self.steal_aborted(w, victim, StealOutcome::AbortLock, t);
+            self.trace
+                .steal_aborted(w, victim, StealOutcome::AbortLock, t);
             self.sched_wait_step(w, t);
             return;
         }
@@ -855,7 +821,8 @@ impl<W: Workload> Engine<W> {
         let vdeque = self.mgrs[victim.index()].deque();
         let Some(e) = entry else {
             // Drained while we were locking; unlock and give up.
-            self.steal_aborted(w, victim, StealOutcome::AbortRaced, t);
+            self.trace
+                .steal_aborted(w, victim, StealOutcome::AbortRaced, t);
             let done = vdeque.steal_unlock(&mut self.fabric, w, t);
             self.set(w, Pending::StealAbortUnlock, done, Bucket::StealUnlock);
             return;
@@ -863,7 +830,7 @@ impl<W: Workload> Engine<W> {
         self.steal_phase_done(w, victim, StealPhase::Steal, t);
         // Figure 6 line 19: suspend whatever this worker still holds
         // before bringing in the stolen frames.
-        let parked = self.park_blocked(w, true, t);
+        let parked = self.park_blocked(w, t);
         self.trace
             .steal_phase(w, victim, StealPhase::Suspend, t, parked);
         self.trace.carry(w, Bucket::SuspendResume, parked);
@@ -910,34 +877,21 @@ impl<W: Workload> Engine<W> {
     }
 
     fn steal_after_unlock(&mut self, w: WorkerId, victim: WorkerId, entry: TaskqEntry, t: Cycles) {
-        let cost = self.hot;
+        let resume = Cycles(self.hot.resume_base);
         self.steal_phase_done(w, victim, StealPhase::Unlock, t);
-        self.breakdown
-            .record(StealPhase::Resume, Cycles(cost.resume_base));
-        self.trace
-            .steal_phase(w, victim, StealPhase::Resume, t, Cycles(cost.resume_base));
-        self.breakdown.completed += 1;
-        self.steals_completed += 1;
-        let latency = t.since(self.workers[w.index()].attempt_start) + Cycles(cost.resume_base);
-        self.metrics.on_steal_result(w.index(), true, latency);
-        self.trace
-            .steal_result(w, victim, StealOutcome::Completed, t, latency);
         let rec = self.tasks.get_mut(entry.task);
         debug_assert_eq!(rec.at, TaskWhere::InFlight);
         rec.at = TaskWhere::Running(w);
         rec.pc = entry.ctx as u32;
+        self.trace
+            .steal_completed(w, victim, entry.task, rec.pub_seq, t, resume);
         let ctl = &mut self.workers[w.index()];
         ctl.current = Some(entry.task);
         ctl.fails = 0;
-        ctl.tasks_run += 1;
-        self.trace.task_resume(w, entry.task, t);
-        // Thief side of the steal edge: pairs with the victim's
-        // deque-publish by sequence number.
-        self.trace.steal_commit(w, entry.task, t);
         self.set(
             w,
             Pending::TaskStep(entry.task),
-            t + Cycles(cost.resume_base),
+            t + resume,
             Bucket::SuspendResume,
         );
     }
@@ -966,8 +920,7 @@ impl<W: Workload> Engine<W> {
             .max()
             .unwrap_or(0);
         let committed: u64 = self.mgrs.iter().map(|m| m.mem_stats().committed).sum();
-        let tasks_run: Vec<u64> = self.workers.iter().map(|c| c.tasks_run).collect();
-        let (per_worker, steal_latency, task_run_length) = self.trace.collect_summaries(&tasks_run);
+        let obs = self.trace.finish();
         RunStats {
             workload: self.workload.name(),
             scheme: self.cfg.scheme,
@@ -978,9 +931,9 @@ impl<W: Workload> Engine<W> {
             total_units: self.total_units,
             total_work_cycles: self.total_work,
             peak_live_tasks: self.tasks.peak_live(),
-            steals_completed: self.steals_completed,
-            steal_attempts: self.steal_attempts,
-            breakdown: self.breakdown,
+            steals_completed: obs.breakdown.completed,
+            steal_attempts: obs.per_worker.iter().map(|w| w.steal_attempts).sum(),
+            breakdown: obs.breakdown,
             peak_stack_usage: peak_stack,
             reserved_va_per_worker: reserved,
             pinned_per_worker: pinned,
@@ -988,9 +941,9 @@ impl<W: Workload> Engine<W> {
             committed_total: committed,
             fabric: self.fabric.stats(),
             events: self.events,
-            per_worker,
-            steal_latency,
-            task_run_length,
+            per_worker: obs.per_worker,
+            steal_latency: obs.steal_latency,
+            task_run_length: obs.task_run_length,
             critical_path: None,
         }
     }

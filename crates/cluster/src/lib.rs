@@ -27,7 +27,6 @@ pub mod engine;
 pub mod event_heap;
 pub mod metrics;
 pub mod parallel;
-pub mod smetrics;
 pub mod sweep;
 pub mod task;
 mod tracing;

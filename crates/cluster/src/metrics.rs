@@ -2,19 +2,23 @@
 
 use serde::{Deserialize, Serialize};
 use uat_base::json::{FromJson, Json, JsonError, ToJson};
-use uat_base::{Cycles, HistSummary};
+use uat_base::Cycles;
 use uat_core::{SchemeKind, StealBreakdown};
+use uat_metrics::HistSummary;
 use uat_rdma::FabricStats;
 use uat_trace::{Bucket, CriticalPathSummary, TimeAccount};
 
-/// One worker's slice of a run, from the tracing layer.
+/// One worker's row of a run: its counts and its time account. The
+/// run's totals in [`RunStats`] are sums over these rows.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct WorkerSummary {
     /// Worker id.
     pub worker: u32,
-    /// Tasks this worker executed (spawned-and-ran plus stolen).
+    /// Task activations on this worker: children it spawned and ran,
+    /// plus continuations it stole and resumed.
     pub tasks_run: u64,
-    /// Steal attempts this worker initiated.
+    /// Steal attempts this worker issued (including any still in flight
+    /// when the root finished).
     pub steal_attempts: u64,
     /// Steal attempts that completed with a stolen thread resumed.
     pub steals_completed: u64,
@@ -26,10 +30,6 @@ pub struct WorkerSummary {
     /// Every simulated cycle of this worker, charged by bucket; totals
     /// the run's makespan exactly.
     pub account: TimeAccount,
-    /// Distribution of steal-attempt latency (issue to abort/resume).
-    pub steal_latency: HistSummary,
-    /// Distribution of task run lengths (spawn to completion).
-    pub run_length: HistSummary,
 }
 
 impl ToJson for WorkerSummary {
@@ -41,8 +41,6 @@ impl ToJson for WorkerSummary {
             ("steals_completed", Json::UInt(self.steals_completed)),
             ("dropped", Json::UInt(self.dropped)),
             ("account", self.account.to_json()),
-            ("steal_latency", self.steal_latency.to_json()),
-            ("run_length", self.run_length.to_json()),
         ])
     }
 }
@@ -56,8 +54,6 @@ impl FromJson for WorkerSummary {
             steals_completed: v.field("steals_completed")?.as_u64()?,
             dropped: v.field("dropped")?.as_u64()?,
             account: TimeAccount::from_json(v.field("account")?)?,
-            steal_latency: HistSummary::from_json(v.field("steal_latency")?)?,
-            run_length: HistSummary::from_json(v.field("run_length")?)?,
         })
     }
 }
@@ -84,11 +80,14 @@ pub struct RunStats {
     pub total_work_cycles: u64,
     /// Peak simultaneous live tasks.
     pub peak_live_tasks: u64,
-    /// Successful steals.
+    /// Successful steals (`breakdown.completed`; the sum of the
+    /// per-worker rows).
     pub steals_completed: u64,
-    /// Steal attempts (including aborts).
+    /// Steal attempts issued, including aborts and any still in flight
+    /// when the root finished (the sum of the per-worker rows).
     pub steal_attempts: u64,
-    /// Per-phase steal timing (Figure 10).
+    /// Per-phase steal timing (Figure 10) and resolved attempts by
+    /// outcome.
     pub breakdown: StealBreakdown,
     /// Max over workers of peak stack bytes (Table 4's "stack usage").
     pub peak_stack_usage: u64,
@@ -104,11 +103,13 @@ pub struct RunStats {
     pub fabric: FabricStats,
     /// Discrete events processed (simulator diagnostics).
     pub events: u64,
-    /// Per-worker timeline accounts and histograms.
+    /// Per-worker counts and timeline accounts.
     pub per_worker: Vec<WorkerSummary>,
-    /// Machine-wide steal-attempt latency digest.
+    /// Machine-wide steal-attempt latency digest, issue to abort or
+    /// resume, one sample per resolved attempt (quantiles within 3.2 %).
     pub steal_latency: HistSummary,
-    /// Machine-wide task run-length digest.
+    /// Machine-wide task run-length digest, begin to completion, one
+    /// sample per task (quantiles within 3.2 %).
     pub task_run_length: HistSummary,
     /// Critical-path digest from the causal profiler (`None` unless the
     /// run was profiled — the engine itself never fills this in; the
@@ -352,20 +353,6 @@ mod tests {
             steals_completed: 2,
             dropped: 0,
             account,
-            steal_latency: HistSummary {
-                count: 5,
-                p50: 31,
-                p90: 63,
-                p99: 63,
-                max: 63,
-            },
-            run_length: HistSummary {
-                count: 3,
-                p50: 127,
-                p90: 255,
-                p99: 255,
-                max: 255,
-            },
         }
     }
 
@@ -408,20 +395,10 @@ mod tests {
             worker_summary(0, 400_000, 100_000),
             worker_summary(1, 1, 499_999),
         ];
-        s.steal_latency = HistSummary {
-            count: 7,
-            p50: 15,
-            p90: 31,
-            p99: 31,
-            max: 31,
-        };
-        s.task_run_length = HistSummary {
-            count: 1_000,
-            p50: 511,
-            p90: 1_023,
-            p99: 2_047,
-            max: 4_095,
-        };
+        s.steal_latency =
+            uat_metrics::HistSnapshot::of_samples([9, 15, 15, 20, 31, 31, 40]).summary();
+        s.task_run_length =
+            uat_metrics::HistSnapshot::of_samples((0..1_000).map(|i| i * 4)).summary();
         let text = s.to_json().to_string();
         let back = RunStats::from_json(&uat_base::Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.workload, s.workload);

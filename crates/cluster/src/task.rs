@@ -8,7 +8,7 @@
 //! verification.
 
 use crate::workload::Action;
-use uat_base::WorkerId;
+use uat_base::{Cycles, WorkerId};
 
 /// Packed task id: `(generation << 32) | slot`.
 pub type TaskId64 = u64;
@@ -43,6 +43,14 @@ pub struct Task<D> {
     pub at: TaskWhere,
     /// Frame size in bytes.
     pub frame_size: u64,
+    /// When the task began (its run length ends at its completion).
+    pub born: Cycles,
+    /// Sequence number of this task's latest deque publication (0 when
+    /// none; set only by traced runs), paired by the steal that takes it.
+    pub pub_seq: u64,
+    /// The child whose completion last made this task's join ready
+    /// (set only by traced runs), taken when the task resumes past it.
+    pub join_enabler: Option<TaskId64>,
 }
 
 struct Slot<D> {
@@ -77,13 +85,14 @@ impl<D> TaskTable<D> {
         }
     }
 
-    /// Insert a freshly spawned task; assigns and returns its id.
+    /// Insert a task spawned at `born`; assigns and returns its id.
     pub fn spawn(
         &mut self,
         program: Vec<Action<D>>,
         parent: Option<TaskId64>,
         at: TaskWhere,
         frame_size: u64,
+        born: Cycles,
     ) -> TaskId64 {
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -105,6 +114,9 @@ impl<D> TaskTable<D> {
             parent,
             at,
             frame_size,
+            born,
+            pub_seq: 0,
+            join_enabler: None,
         });
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
@@ -188,6 +200,7 @@ mod tests {
             None,
             TaskWhere::Running(WorkerId(0)),
             100,
+            Cycles(7),
         );
         assert_eq!(t.live(), 1);
         assert_eq!(t.get(id).frame_size, 100);
@@ -195,6 +208,7 @@ mod tests {
         assert_eq!(t.get(id).pc, 1);
         let rec = t.free(id);
         assert_eq!(rec.pc, 1);
+        assert_eq!(rec.born, Cycles(7));
         assert_eq!(t.live(), 0);
         assert_eq!(t.total_spawned(), 1);
     }
@@ -202,9 +216,9 @@ mod tests {
     #[test]
     fn recycled_slot_gets_new_generation() {
         let mut t = table();
-        let a = t.spawn(vec![], None, TaskWhere::InFlight, 0);
+        let a = t.spawn(vec![], None, TaskWhere::InFlight, 0, Cycles::ZERO);
         t.free(a);
-        let b = t.spawn(vec![], None, TaskWhere::InFlight, 0);
+        let b = t.spawn(vec![], None, TaskWhere::InFlight, 0, Cycles::ZERO);
         assert_ne!(a, b, "generation differs");
         assert_eq!(a & 0xffff_ffff, b & 0xffff_ffff, "same slot reused");
         assert!(t.try_get(a).is_none(), "stale id rejected");
@@ -215,9 +229,9 @@ mod tests {
     #[should_panic(expected = "stale task id")]
     fn stale_free_panics() {
         let mut t = table();
-        let a = t.spawn(vec![], None, TaskWhere::InFlight, 0);
+        let a = t.spawn(vec![], None, TaskWhere::InFlight, 0, Cycles::ZERO);
         t.free(a);
-        t.spawn(vec![], None, TaskWhere::InFlight, 0);
+        t.spawn(vec![], None, TaskWhere::InFlight, 0, Cycles::ZERO);
         t.free(a);
     }
 
@@ -225,12 +239,12 @@ mod tests {
     fn peak_live_tracks() {
         let mut t = table();
         let ids: Vec<_> = (0..5)
-            .map(|_| t.spawn(vec![], None, TaskWhere::InFlight, 0))
+            .map(|_| t.spawn(vec![], None, TaskWhere::InFlight, 0, Cycles::ZERO))
             .collect();
         for id in ids {
             t.free(id);
         }
-        t.spawn(vec![], None, TaskWhere::InFlight, 0);
+        t.spawn(vec![], None, TaskWhere::InFlight, 0, Cycles::ZERO);
         assert_eq!(t.peak_live(), 5);
         assert_eq!(t.total_spawned(), 6);
     }
@@ -238,8 +252,9 @@ mod tests {
     #[test]
     fn parent_links() {
         let mut t = table();
-        let p = t.spawn(vec![], None, TaskWhere::Running(WorkerId(1)), 10);
-        let c = t.spawn(vec![], Some(p), TaskWhere::Running(WorkerId(1)), 10);
+        let at = TaskWhere::Running(WorkerId(1));
+        let p = t.spawn(vec![], None, at, 10, Cycles::ZERO);
+        let c = t.spawn(vec![], Some(p), at, 10, Cycles::ZERO);
         t.get_mut(p).outstanding += 1;
         assert_eq!(t.get(c).parent, Some(p));
         assert_eq!(t.get(p).outstanding, 1);

@@ -1,12 +1,22 @@
-//! Engine-side tracing state: the glue between the event loop and
-//! `uat-trace`.
+//! The engine's one observer: everything a run records about itself.
 //!
-//! [`TraceCtl`] owns everything tracing adds to a run: the per-worker
-//! [`TimeAccount`]s (every simulated cycle charged to one [`Bucket`]),
-//! the steal-latency and task-run-length histograms, and an optional
-//! [`RingSink`] of structured events. The accounts and histograms are
-//! kept on every run; the sink, and with it every structured event, is
-//! present only when `Engine::with_tracing` installed one.
+//! [`TraceCtl`] owns the per-worker [`TimeAccount`]s (every simulated
+//! cycle charged to one [`Bucket`]), one counter row per worker, the
+//! Figure 10 [`StealBreakdown`], one machine-wide steal-latency and one
+//! task-run-length histogram, and an optional [`RingSink`] of
+//! structured events. Each engine site makes one call here, and each
+//! fact is counted once, in its worker's row: `RunStats`' totals and
+//! the breakdown's outcome counts are sums over the rows. The accounts,
+//! rows and histograms are kept on every run; the sink, and with it
+//! every structured event, is present only when `Engine::with_tracing`
+//! installed one. A registry attached by `Engine::with_metrics` is
+//! filled from the rows and histograms once, when the run finishes, so
+//! the event loop itself does no atomics.
+//!
+//! Per-task state lives in the task's own record, not here: its birth
+//! stamp, the sequence number of its latest deque publication, and the
+//! child that made its join ready. The observer keeps nothing that
+//! grows with the number of tasks.
 //!
 //! # Charging model
 //!
@@ -22,33 +32,65 @@
 
 use crate::metrics::WorkerSummary;
 use crate::task::TaskId64;
-use uat_base::{Cycles, HistSummary, Histogram, WorkerId};
+use std::sync::Arc;
+use uat_base::{Cycles, WorkerId};
+use uat_core::StealBreakdown;
+use uat_metrics::{names, HistSnapshot, HistSummary, Registry};
 use uat_trace::{
     Bucket, EventKind, RingBuffer, RingSink, StealOutcome, StealPhase, TraceEvent, TraceSink,
 };
 
-/// Tracing state for one run.
+/// One worker's counts, and the stamp its open steal attempt's latency
+/// is measured from.
+#[derive(Clone, Copy, Default)]
+struct Row {
+    /// Steal attempts issued.
+    attempts: u64,
+    /// Steal attempts resolved, indexed by [`StealOutcome`].
+    outcomes: [u64; 4],
+    /// Children begun here (the root is installed, not spawned).
+    spawned: u64,
+    /// Tasks that completed here.
+    ended: u64,
+    /// When the current steal attempt was issued.
+    attempt_start: Cycles,
+}
+
+impl Row {
+    fn completed(&self) -> u64 {
+        self.outcomes[StealOutcome::Completed as usize]
+    }
+
+    fn failed(&self) -> u64 {
+        self.outcomes.iter().sum::<u64>() - self.completed()
+    }
+}
+
+/// What the observer hands `RunStats` when the run is over.
+pub(crate) struct Observed {
+    pub per_worker: Vec<WorkerSummary>,
+    pub breakdown: StealBreakdown,
+    pub steal_latency: HistSummary,
+    pub task_run_length: HistSummary,
+}
+
+/// Observation state for one run.
 pub(crate) struct TraceCtl {
     sink: Option<RingSink>,
+    registry: Option<Arc<Registry>>,
     accounts: Vec<uat_trace::TimeAccount>,
     last_fire: Vec<Cycles>,
     pending: Vec<Bucket>,
     carry: Vec<Vec<(Bucket, Cycles)>>,
-    steal_latency: Vec<Histogram>,
-    run_length: Vec<Histogram>,
-    attempts: Vec<u64>,
-    completed: Vec<u64>,
-    born: std::collections::HashMap<TaskId64, Cycles>,
-    /// Next deque-publication sequence number (unique per run).
+    rows: Vec<Row>,
+    breakdown: StealBreakdown,
+    steal_latency: HistSnapshot,
+    run_length: HistSnapshot,
+    /// Last deque-publication sequence number handed out (unique per
+    /// run; 0 means "never published").
     pub_next: u64,
-    /// Publication seq of each task currently sitting in a deque,
-    /// consumed by the thief-side `steal_commit`.
-    pub_seq: std::collections::HashMap<TaskId64, u64>,
-    /// For each joining parent, the child whose completion last dropped
-    /// its outstanding count to zero; consumed by `join_resume`.
-    join_enabler: std::collections::HashMap<TaskId64, TaskId64>,
     /// Per-worker dropped-event counts snapshotted when the rings are
-    /// taken (`collect_summaries` runs after `take_rings`).
+    /// taken (`finish` runs after `take_rings`).
     dropped: Vec<u64>,
 }
 
@@ -56,20 +98,30 @@ impl TraceCtl {
     pub fn new(workers: usize) -> Self {
         TraceCtl {
             sink: None,
+            registry: None,
             accounts: vec![uat_trace::TimeAccount::new(); workers],
             last_fire: vec![Cycles::ZERO; workers],
             pending: vec![Bucket::Idle; workers],
             carry: vec![Vec::new(); workers],
-            steal_latency: vec![Histogram::new(); workers],
-            run_length: vec![Histogram::new(); workers],
-            attempts: vec![0; workers],
-            completed: vec![0; workers],
-            born: std::collections::HashMap::new(),
+            rows: vec![Row::default(); workers],
+            breakdown: StealBreakdown::new(),
+            steal_latency: HistSnapshot::empty(),
+            run_length: HistSnapshot::empty(),
             pub_next: 0,
-            pub_seq: std::collections::HashMap::new(),
-            join_enabler: std::collections::HashMap::new(),
             dropped: vec![0; workers],
         }
+    }
+
+    /// Publish this run's counts and histograms into `registry` when it
+    /// finishes.
+    pub fn attach_registry(&mut self, registry: &Arc<Registry>) {
+        assert!(
+            registry.workers() >= self.rows.len(),
+            "registry built for {} workers, engine has {}",
+            registry.workers(),
+            self.rows.len()
+        );
+        self.registry = Some(Arc::clone(registry));
     }
 
     pub fn install_sink(&mut self, workers: usize, capacity: usize) {
@@ -171,6 +223,7 @@ impl TraceCtl {
         }
     }
 
+    /// `task` began on `w` at `at`; `parent` is `None` for the root.
     pub fn task_begin(
         &mut self,
         w: WorkerId,
@@ -178,8 +231,8 @@ impl TraceCtl {
         at: Cycles,
         parent: Option<TaskId64>,
     ) {
-        self.born.insert(task, at);
         if let Some(parent) = parent {
+            self.rows[w.index()].spawned += 1;
             self.emit(TraceEvent::instant(
                 at,
                 w,
@@ -192,13 +245,11 @@ impl TraceCtl {
         self.emit(TraceEvent::instant(at, w, EventKind::TaskBegin { task }));
     }
 
-    pub fn task_end(&mut self, w: WorkerId, task: TaskId64, t: Cycles) {
-        let run = self
-            .born
-            .remove(&task)
-            .map(|b| t.since(b))
-            .unwrap_or(Cycles::ZERO);
-        self.run_length[w.index()].record(run.get());
+    /// `task`, born at `born`, completed on `w` at `t`.
+    pub fn task_end(&mut self, w: WorkerId, task: TaskId64, born: Cycles, t: Cycles) {
+        let run = t.since(born);
+        self.rows[w.index()].ended += 1;
+        self.run_length.record(run.get());
         self.emit(TraceEvent::instant(t, w, EventKind::TaskEnd { task, run }));
     }
 
@@ -206,53 +257,63 @@ impl TraceCtl {
         self.emit(TraceEvent::instant(t, w, EventKind::Suspend { task }));
     }
 
-    pub fn task_resume(&mut self, w: WorkerId, task: TaskId64, t: Cycles) {
+    /// `task` resumed on `w`. `joined` is the child whose completion
+    /// made its join ready (the task's `join_enabler`, taken) when it
+    /// resumes past that join — the parent side of a join edge.
+    pub fn task_resume(
+        &mut self,
+        w: WorkerId,
+        task: TaskId64,
+        t: Cycles,
+        joined: Option<TaskId64>,
+    ) {
         self.emit(TraceEvent::instant(t, w, EventKind::Resume { task }));
-    }
-
-    /// A continuation entry for `task` was pushed into `w`'s own deque —
-    /// the victim side of a potential steal edge. Assigns the
-    /// publication its sequence number.
-    pub fn deque_publish(&mut self, w: WorkerId, task: TaskId64, t: Cycles) {
-        // Causality bookkeeping is only consumed through the ring events;
-        // skip the map traffic entirely when no rings are installed.
-        if self.sink.is_none() {
-            return;
-        }
-        self.pub_next += 1;
-        let seq = self.pub_next;
-        self.pub_seq.insert(task, seq);
-        self.emit(TraceEvent::instant(
-            t,
-            w,
-            EventKind::DequePublish { task, seq },
-        ));
-    }
-
-    /// A stolen continuation resumed on thief `w`; pairs with the
-    /// publication recorded by [`TraceCtl::deque_publish`]. (A task can
-    /// only be in one deque at a time, so the latest publication is the
-    /// one the thief took.)
-    pub fn steal_commit(&mut self, w: WorkerId, task: TaskId64, t: Cycles) {
-        if self.sink.is_none() {
-            return;
-        }
-        if let Some(seq) = self.pub_seq.remove(&task) {
+        if let Some(child) = joined {
             self.emit(TraceEvent::instant(
                 t,
                 w,
-                EventKind::StealCommit { task, seq },
+                EventKind::JoinResume {
+                    parent: task,
+                    child,
+                },
             ));
         }
     }
 
-    /// The completion of `child` on `w` dropped `parent`'s outstanding
-    /// count to zero.
-    pub fn join_ready(&mut self, w: WorkerId, parent: TaskId64, child: TaskId64, t: Cycles) {
+    /// A continuation entry for `task` was pushed into `w`'s own deque —
+    /// the victim side of a potential steal edge. Stamps the
+    /// publication's sequence number into `seq` (the task's `pub_seq`).
+    pub fn deque_publish(&mut self, w: WorkerId, task: TaskId64, seq: &mut u64, t: Cycles) {
+        // Causality bookkeeping is only consumed through the ring events.
         if self.sink.is_none() {
             return;
         }
-        self.join_enabler.insert(parent, child);
+        self.pub_next += 1;
+        *seq = self.pub_next;
+        self.emit(TraceEvent::instant(
+            t,
+            w,
+            EventKind::DequePublish {
+                task,
+                seq: self.pub_next,
+            },
+        ));
+    }
+
+    /// The completion of `child` on `w` dropped `parent`'s outstanding
+    /// count to zero; `enabler` is the parent's `join_enabler`.
+    pub fn join_ready(
+        &mut self,
+        w: WorkerId,
+        parent: TaskId64,
+        child: TaskId64,
+        t: Cycles,
+        enabler: &mut Option<TaskId64>,
+    ) {
+        if self.sink.is_none() {
+            return;
+        }
+        *enabler = Some(child);
         self.emit(TraceEvent::instant(
             t,
             w,
@@ -260,29 +321,15 @@ impl TraceCtl {
         ));
     }
 
-    /// `parent` resumed past a join whose readiness was recorded by
-    /// [`TraceCtl::join_ready`]. No-op if the parent never blocked on a
-    /// recorded enabler (e.g. its children finished before it joined and
-    /// the readiness was consumed by an earlier round).
-    pub fn join_resume(&mut self, w: WorkerId, parent: TaskId64, t: Cycles) {
-        if self.sink.is_none() {
-            return;
-        }
-        if let Some(child) = self.join_enabler.remove(&parent) {
-            self.emit(TraceEvent::instant(
-                t,
-                w,
-                EventKind::JoinResume { parent, child },
-            ));
-        }
+    /// `w` issued a steal attempt at `t`.
+    pub fn steal_attempt(&mut self, w: WorkerId, t: Cycles) {
+        let row = &mut self.rows[w.index()];
+        row.attempts += 1;
+        row.attempt_start = t;
     }
 
-    pub fn steal_attempt(&mut self, w: WorkerId) {
-        self.attempts[w.index()] += 1;
-    }
-
-    /// One steal phase, with exactly the duration fed to the
-    /// `StealBreakdown` accumulator — the export-side sums must match.
+    /// One steal phase: its duration feeds the Figure 10 breakdown and
+    /// the exported span alike, so the export-side sums match.
     pub fn steal_phase(
         &mut self,
         w: WorkerId,
@@ -291,6 +338,7 @@ impl TraceCtl {
         at: Cycles,
         dur: Cycles,
     ) {
+        self.breakdown.record(phase, dur);
         self.emit(TraceEvent::span(
             at,
             dur,
@@ -299,7 +347,45 @@ impl TraceCtl {
         ));
     }
 
-    pub fn steal_result(
+    /// `w`'s steal attempt on `victim` ended at `t` without an entry.
+    pub fn steal_aborted(
+        &mut self,
+        w: WorkerId,
+        victim: WorkerId,
+        outcome: StealOutcome,
+        t: Cycles,
+    ) {
+        let latency = t.since(self.rows[w.index()].attempt_start);
+        self.steal_result(w, victim, outcome, t, latency);
+    }
+
+    /// `w`'s steal of `task` from `victim` unlocked at `t` and resumes
+    /// the stolen thread, which takes `resume`. `seq` is the task's
+    /// `pub_seq`: the thief side of the steal edge pairs with the
+    /// victim's publication by it.
+    pub fn steal_completed(
+        &mut self,
+        w: WorkerId,
+        victim: WorkerId,
+        task: TaskId64,
+        seq: u64,
+        t: Cycles,
+        resume: Cycles,
+    ) {
+        self.steal_phase(w, victim, StealPhase::Resume, t, resume);
+        let latency = t.since(self.rows[w.index()].attempt_start) + resume;
+        self.steal_result(w, victim, StealOutcome::Completed, t, latency);
+        self.task_resume(w, task, t, None);
+        if seq != 0 {
+            self.emit(TraceEvent::instant(
+                t,
+                w,
+                EventKind::StealCommit { task, seq },
+            ));
+        }
+    }
+
+    fn steal_result(
         &mut self,
         w: WorkerId,
         victim: WorkerId,
@@ -307,10 +393,8 @@ impl TraceCtl {
         t: Cycles,
         latency: Cycles,
     ) {
-        if outcome == StealOutcome::Completed {
-            self.completed[w.index()] += 1;
-        }
-        self.steal_latency[w.index()].record(latency.get());
+        self.rows[w.index()].outcomes[outcome as usize] += 1;
+        self.steal_latency.record(latency.get());
         self.emit(TraceEvent::instant(
             t,
             w,
@@ -326,31 +410,70 @@ impl TraceCtl {
         self.emit(TraceEvent::instant(t, w, EventKind::IdlePoll));
     }
 
-    /// Per-worker summaries plus machine-wide latency / run-length
-    /// digests, for `RunStats`.
-    pub fn collect_summaries(
-        &self,
-        tasks_run: &[u64],
-    ) -> (Vec<WorkerSummary>, HistSummary, HistSummary) {
-        let mut all_latency = Histogram::new();
-        let mut all_run = Histogram::new();
-        let per = (0..self.accounts.len())
-            .map(|i| {
-                all_latency.merge(&self.steal_latency[i]);
-                all_run.merge(&self.run_length[i]);
-                WorkerSummary {
-                    worker: i as u32,
-                    tasks_run: tasks_run.get(i).copied().unwrap_or(0),
-                    steal_attempts: self.attempts[i],
-                    steals_completed: self.completed[i],
-                    dropped: self.dropped_for(i),
-                    account: self.accounts[i].clone(),
-                    steal_latency: self.steal_latency[i].summary(),
-                    run_length: self.run_length[i].summary(),
-                }
+    /// The run is over: per-worker summaries, the breakdown with its
+    /// outcome counts summed from the rows, and the two machine-wide
+    /// digests. Publishes into the attached registry, if any.
+    pub fn finish(self) -> Observed {
+        if let Some(registry) = &self.registry {
+            self.publish(registry);
+        }
+        let per_worker = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| WorkerSummary {
+                worker: i as u32,
+                tasks_run: row.spawned + row.completed(),
+                steal_attempts: row.attempts,
+                steals_completed: row.completed(),
+                dropped: self.dropped_for(i),
+                account: self.accounts[i].clone(),
             })
             .collect();
-        (per, all_latency.summary(), all_run.summary())
+        let mut breakdown = self.breakdown;
+        for row in &self.rows {
+            breakdown.completed += row.completed();
+            breakdown.aborted_empty += row.outcomes[StealOutcome::AbortEmpty as usize];
+            breakdown.aborted_lock += row.outcomes[StealOutcome::AbortLock as usize];
+            breakdown.aborted_raced += row.outcomes[StealOutcome::AbortRaced as usize];
+        }
+        Observed {
+            per_worker,
+            breakdown,
+            steal_latency: self.steal_latency.summary(),
+            task_run_length: self.run_length.summary(),
+        }
+    }
+
+    /// Add this run's rows and histograms into `registry`, under the
+    /// names the real backends export ([`uat_metrics::names`]).
+    fn publish(&self, registry: &Registry) {
+        let completed = registry.counter(
+            names::STEALS_COMPLETED,
+            "Steal attempts that took an entry and resumed the stolen thread",
+        );
+        let failed = registry.counter(
+            names::STEALS_FAILED,
+            "Steal attempts that aborted (victim empty, lock busy, or raced)",
+        );
+        let tasks = registry.counter(names::TASKS, "Tasks run to completion");
+        for (w, row) in self.rows.iter().enumerate() {
+            completed.add(w, row.completed());
+            failed.add(w, row.failed());
+            tasks.add(w, row.ended);
+        }
+        registry
+            .histogram(
+                names::STEAL_LATENCY,
+                "End-to-end steal-attempt latency in simulated cycles",
+            )
+            .absorb(&self.steal_latency);
+        registry
+            .histogram(
+                names::TASK_RUN,
+                "Task run length in simulated cycles, begin to completion",
+            )
+            .absorb(&self.run_length);
     }
 }
 
@@ -408,13 +531,45 @@ mod tests {
         ctl.install_sink(1, 64);
         ctl.task_begin(w, 7, Cycles(100), None);
         ctl.task_begin(w, 8, Cycles(150), Some(7));
-        ctl.task_end(w, 8, Cycles(400));
-        ctl.task_end(w, 7, Cycles(900));
-        let (per, _, run) = ctl.collect_summaries(&[2]);
-        assert_eq!(per.len(), 1);
-        assert_eq!(per[0].tasks_run, 2);
-        assert_eq!(run.count, 2);
+        ctl.task_end(w, 8, Cycles(150), Cycles(400));
+        ctl.task_end(w, 7, Cycles(100), Cycles(900));
         // Spawn + 2×TaskBegin + 2×TaskEnd landed in the ring.
         assert_eq!(ctl.sink.as_ref().unwrap().len(), 5);
+        let obs = ctl.finish();
+        assert_eq!(obs.per_worker.len(), 1);
+        // The root is installed, not spawned: one activation.
+        assert_eq!(obs.per_worker[0].tasks_run, 1);
+        assert_eq!(obs.task_run_length.count, 2);
+        assert_eq!(obs.task_run_length.sum, 250 + 800);
+    }
+
+    #[test]
+    fn each_steal_result_is_counted_once_and_published_at_the_end() {
+        let mut ctl = TraceCtl::new(2);
+        let registry = Arc::new(Registry::new(2));
+        ctl.attach_registry(&registry);
+        let (w, v) = (WorkerId(1), WorkerId(0));
+        ctl.steal_attempt(w, Cycles(10));
+        ctl.steal_aborted(w, v, StealOutcome::AbortLock, Cycles(40));
+        ctl.steal_attempt(w, Cycles(50));
+        ctl.steal_completed(w, v, 3, 0, Cycles(150), Cycles(7));
+        // In flight when the run ends: issued, never resolved.
+        ctl.steal_attempt(w, Cycles(200));
+        assert!(registry.snapshot().metrics.is_empty(), "nothing streamed");
+        let obs = ctl.finish();
+        let row = &obs.per_worker[1];
+        assert_eq!((row.steal_attempts, row.steals_completed), (3, 1));
+        assert_eq!(row.tasks_run, 1, "a completed steal is an activation");
+        assert_eq!(
+            (obs.breakdown.completed, obs.breakdown.aborted_lock),
+            (1, 1)
+        );
+        assert_eq!(obs.steal_latency.count, 2);
+        assert_eq!(obs.steal_latency.sum, 30 + 107);
+        let snap = registry.snapshot();
+        assert_eq!(snap.total(names::STEALS_COMPLETED), 1);
+        assert_eq!(snap.total(names::STEALS_FAILED), 1);
+        let hist = snap.histogram(names::STEAL_LATENCY).unwrap();
+        assert_eq!(hist.summary(), obs.steal_latency);
     }
 }

@@ -1,9 +1,11 @@
-//! Registry wiring vs. ground truth: the engine streams steal results
-//! into a `uat_metrics::Registry` while (independently) emitting exact
-//! `StealResult` trace events. The log-bucketed histogram must agree
-//! with the exact latency distribution to within its documented bucket
-//! resolution — the acceptance bar for the sim side of the live-metrics
-//! layer, checked at the paper's 64-worker UTS point.
+//! Registry wiring vs. ground truth: the engine fills a
+//! `uat_metrics::Registry` at the end of a run from the same samples it
+//! emits as exact `StealResult` trace events. The log-bucketed histogram
+//! must agree with the exact latency distribution to within its
+//! documented bucket resolution — the acceptance bar for the sim side of
+//! the live-metrics layer, checked at the paper's 64-worker UTS point.
+//! (The registry-vs-`RunStats` cross-check runs in the root package's
+//! `tests/metrics.rs`, so tier-1 covers it.)
 
 use std::sync::Arc;
 use uat_base::Topology;
@@ -81,21 +83,4 @@ fn steal_latency_quantiles_match_exact_trace_within_one_bucket() {
             "upper bound must dominate the exact value"
         );
     }
-}
-
-#[test]
-fn task_counters_match_run_stats() {
-    let cfg = SimConfig::fx10(1);
-    let workers = cfg.topo.total_workers() as usize;
-    let registry = Arc::new(Registry::new(workers));
-    let stats = Engine::new(cfg, Uts::geometric(9))
-        .with_metrics(&registry)
-        .run();
-    let snap = registry.snapshot();
-    assert_eq!(snap.total(names::TASKS), stats.total_tasks);
-    let run_hist = snap
-        .histogram(names::TASK_RUN)
-        .expect("task-run histogram registered");
-    assert_eq!(run_hist.count(), stats.total_tasks);
-    assert!(run_hist.quantile(0.5) > 0, "tasks take simulated time");
 }

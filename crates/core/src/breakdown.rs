@@ -4,7 +4,10 @@ use serde::{Deserialize, Serialize};
 use uat_base::json::{FromJson, Json, JsonError, ToJson};
 use uat_base::{Cycles, OnlineStats, StealPhase, Summary};
 
-/// Accumulated per-phase timings over many successful steals.
+/// Accumulated per-phase timings over many successful steals, and the
+/// resolved attempts by outcome. The simulator's observer records the
+/// phases as they complete and fills the outcome counts from its
+/// per-worker rows when the run ends.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct StealBreakdown {
     phases: [OnlineStats; 7],

@@ -1,20 +1,21 @@
-//! HDR-style log-bucketed histogram.
+//! HDR-style log-bucketed histogram: the workspace's one histogram.
 //!
-//! `uat_base::stats::Histogram` is a plain 64-bucket power-of-two
-//! histogram: one bucket per binary order of magnitude, so a p999 query
-//! can be off by almost 2x. This one splits every power-of-two range
-//! into `2^`[`SUB_BITS`] *linear* sub-buckets (the HdrHistogram trick),
-//! bounding any quantile's relative error by `1/2^SUB_BITS` (≤ 3.2% at
-//! the default of 5) while still covering the whole `u64` range in a
-//! fixed [`NUM_BUCKETS`]-slot array.
+//! Every power-of-two range is split into `2^`[`SUB_BITS`] *linear*
+//! sub-buckets (the HdrHistogram trick), bounding any quantile's
+//! relative error by `1/2^SUB_BITS` (≤ 3.2% at the default of 5) while
+//! still covering the whole `u64` range in a fixed [`NUM_BUCKETS`]-slot
+//! array.
 //!
 //! The live [`LogHistogram`] records with relaxed atomics (any thread
 //! may record; the runtime shards hot histograms per worker anyway);
-//! [`HistSnapshot`] is the frozen plain-array form that merges,
-//! subtracts (delta-since), and answers quantile queries.
+//! [`HistSnapshot`] is the plain-array form that merges, subtracts
+//! (delta-since), and answers quantile queries. A single-threaded owner
+//! (the simulator's engine) records into a `HistSnapshot` directly and
+//! [`absorb`](LogHistogram::absorb)s it into a registry's histogram
+//! once, at the end of a run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use uat_base::json::{Json, JsonError, ToJson};
+use uat_base::json::{FromJson, Json, JsonError, ToJson};
 
 /// Sub-bucket resolution: each power-of-two range gets `2^SUB_BITS`
 /// linear sub-buckets, so relative quantile error is ≤ `1/2^SUB_BITS`.
@@ -94,6 +95,17 @@ impl LogHistogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Add every sample of `snap` (bucket counts and sum), as if each
+    /// had been [`record`](Self::record)ed here.
+    pub fn absorb(&self, snap: &HistSnapshot) {
+        for (b, &c) in self.buckets.iter().zip(&snap.buckets) {
+            if c > 0 {
+                b.fetch_add(c, Ordering::Relaxed);
+            }
+        }
+        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
+    }
+
     /// Freeze the current contents. Concurrent `record`s may or may not
     /// be included (racy read), but each included sample is counted
     /// exactly once.
@@ -112,7 +124,8 @@ impl LogHistogram {
     }
 }
 
-/// A frozen histogram: plain counts, mergeable and subtractable.
+/// A plain histogram: frozen from a [`LogHistogram`], or recorded
+/// into directly by a single owner. Mergeable and subtractable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Total recorded samples.
@@ -143,12 +156,19 @@ impl HistSnapshot {
     pub fn of_samples(samples: impl IntoIterator<Item = u64>) -> Self {
         let mut s = Self::empty();
         for v in samples {
-            s.buckets[bucket_index(v)] += 1;
-            s.count += 1;
-            // Wrapping, to match the live histogram's atomic adds.
-            s.sum = s.sum.wrapping_add(v);
+            s.record(v);
         }
         s
+    }
+
+    /// Record one sample (the single-owner counterpart of
+    /// [`LogHistogram::record`]).
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        // Wrapping, to match the live histogram's atomic adds.
+        self.sum = self.sum.wrapping_add(v);
     }
 
     /// Total recorded samples.
@@ -277,6 +297,20 @@ impl ToJson for HistSummary {
     }
 }
 
+impl FromJson for HistSummary {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(HistSummary {
+            count: v.field("count")?.as_u64()?,
+            sum: v.field("sum")?.as_u64()?,
+            p50: v.field("p50")?.as_u64()?,
+            p90: v.field("p90")?.as_u64()?,
+            p99: v.field("p99")?.as_u64()?,
+            p999: v.field("p999")?.as_u64()?,
+            max: v.field("max")?.as_u64()?,
+        })
+    }
+}
+
 impl ToJson for HistSnapshot {
     /// Sparse encoding: only populated buckets, as
     /// `[[index, upper_bound, count], ...]`, plus the digest.
@@ -301,7 +335,7 @@ impl ToJson for HistSnapshot {
     }
 }
 
-impl uat_base::json::FromJson for HistSnapshot {
+impl FromJson for HistSnapshot {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let mut s = HistSnapshot::empty();
         for entry in v.field("buckets")?.as_arr()? {
@@ -329,7 +363,6 @@ impl uat_base::json::FromJson for HistSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uat_base::json::FromJson;
 
     #[test]
     fn bucket_bounds_partition_u64() {
@@ -427,6 +460,23 @@ mod tests {
         let s = HistSnapshot::of_samples([0u64, 1, 31, 32, 1000, u64::MAX]);
         let back = HistSnapshot::from_json(&s.to_json()).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn absorb_equals_recording_each_sample() {
+        let samples = [0u64, 5, 31, 32, 4_096, 1 << 40];
+        let live = LogHistogram::new();
+        live.record(77);
+        live.absorb(&HistSnapshot::of_samples(samples));
+        let mut want = HistSnapshot::of_samples(samples);
+        want.record(77);
+        assert_eq!(live.snapshot(), want);
+    }
+
+    #[test]
+    fn summary_json_round_trip() {
+        let s = HistSnapshot::of_samples((1..=1000).map(|v| v * 3)).summary();
+        assert_eq!(HistSummary::from_json(&s.to_json()).unwrap(), s);
     }
 
     #[test]
