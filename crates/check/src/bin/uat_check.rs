@@ -16,97 +16,154 @@
 //! clean suite, a counterexample trace for a seeded mutation. Anything
 //! else exits 1, so both modes can gate CI directly.
 //!
-//! Ordering-downgrade mutations (`*-weak`) carry their own RA demo
-//! scenarios, so `--mutate push-publish-weak` needs no `--memory-model`
-//! flag; the flag selects which *clean* suite runs.
+//! Every mutation carries its own demo scenarios under the weakest memory
+//! model that shows it, so `--mutate push-publish-weak` needs no
+//! `--memory-model` flag; the flag selects which *clean* suite runs.
 
 use std::process::ExitCode;
 use uat_check::join::{self, JoinMutation};
-use uat_check::model::{Family, Mutation};
+use uat_check::model::Family;
 use uat_check::scenarios::{mutation_demos, sleep_set_scenarios, standard_suite, weak_suite};
 use uat_check::slots::{self, SlotMutation};
 use uat_check::termination::{self, ScanMutation};
-use uat_check::{replay, Explorer, MemModel};
+use uat_check::{replay, MemModel, Protocol, Report, Seeded};
 
-const MUTATIONS: [Mutation; 10] = [
-    // Protocol mutations (visible under SC).
-    Mutation::SkipOwnerTopRecheck,
-    Mutation::SkipUnlockOnRacedEmpty,
-    Mutation::LastEntryFastPath,
-    Mutation::BatchNarrowOwnerBound,
-    // Ordering downgrades (visible only under the RA memory model).
-    Mutation::PushPublishRelaxed,
-    Mutation::PopPublishRelease,
-    Mutation::StealBottomRelaxed,
-    Mutation::UnlockRelaxed,
-    Mutation::LockCasRelaxed,
-    Mutation::ClaimTopRelease,
-];
-
-/// Per-scenario statistics accumulated for `--json`.
-struct ScenarioStat {
-    name: &'static str,
+/// The scenarios explored so far, and the run's verdict.
+#[derive(Default)]
+struct Suite {
+    /// A clean suite prints a table row per scenario and fails on any
+    /// counterexample or vacuous scenario; a mutation demo prints the
+    /// counterexample it must find.
+    clean: bool,
+    /// One `--json` object per scenario.
+    rows: Vec<String>,
     states: u64,
-    transitions: u64,
     interleavings: u128,
-    finals: usize,
-    violation: Option<String>,
+    /// Scenarios that yielded a counterexample.
+    caught: usize,
+    failed: bool,
 }
 
-impl ScenarioStat {
-    fn of_termination(r: &termination::Report) -> Self {
-        ScenarioStat {
-            name: r.scenario,
-            states: r.states,
-            transitions: r.transitions,
-            interleavings: r.interleavings,
-            finals: 0,
-            violation: r.violation.as_ref().map(|_| {
-                "early termination: a scan passed with tasks still to complete".to_string()
-            }),
+impl Suite {
+    fn explore<P: Protocol>(&mut self, p: &P) -> Report<P> {
+        let r = p.explore();
+        if self.clean {
+            println!(
+                "{:<22} {:>10} {:>12} {:>16} {:>8}",
+                p.name(),
+                r.states,
+                r.transitions,
+                r.interleavings,
+                r.finals.len()
+            );
+        }
+        if let Some(v) = &r.violation {
+            println!("{v}");
+            self.caught += 1;
+            self.failed |= self.clean;
+        } else if !self.clean {
+            println!(
+                "{}: no violation found ({} interleavings) — mutation not observable here",
+                p.name(),
+                r.interleavings
+            );
+        } else if let Some(why) = p.vacuous(&r.tally) {
+            println!("{}: {why} — the scenario is vacuous", p.name());
+            self.failed = true;
+        }
+        self.states += r.states;
+        self.interleavings += r.interleavings;
+        // The JSON `violation` is the counterexample's `VIOLATION:` line.
+        let violation = r.violation.as_ref().map(|v| json_str(&v.fault.to_string()));
+        self.rows.push(format!(
+            "{{\"name\": {}, \"states\": {}, \"transitions\": {}, \"interleavings\": {}, \"finals\": {}, \"violation\": {}}}",
+            json_str(p.name()),
+            r.states,
+            r.transitions,
+            r.interleavings,
+            r.finals.len(),
+            violation.as_deref().unwrap_or("null")
+        ));
+        r
+    }
+
+    /// Explore each of `scenarios`.
+    fn explore_all<P: Protocol>(&mut self, scenarios: &[P]) {
+        for p in scenarios {
+            self.explore(p);
         }
     }
 
-    fn of_join(r: &join::Report) -> Self {
-        ScenarioStat {
-            name: r.scenario,
-            states: r.states,
-            transitions: r.transitions,
-            interleavings: r.interleavings,
-            finals: 0,
-            violation: r.violation.as_deref().map(violation_line),
+    /// Write the `--json` stats if asked (hand-rolled: the workspace
+    /// carries no serde; CI dashboards and the lint's fixture tests read
+    /// the schema), print the verdict, and exit 0 iff the checker did its
+    /// job.
+    fn finish(
+        &self,
+        json_path: Option<&str>,
+        model: MemModel,
+        mutation: Option<&str>,
+        ok: bool,
+        verdict: &str,
+    ) -> ExitCode {
+        if let Some(path) = json_path {
+            let json = format!(
+                "{{\n  \"memory_model\": {},\n  \"mutation\": {},\n  \"ok\": {ok},\n  \
+                 \"total_states\": {},\n  \"total_interleavings\": {},\n  \
+                 \"scenarios\": [\n    {}\n  ]\n}}\n",
+                json_str(model.name()),
+                mutation.map_or("null".to_string(), json_str),
+                self.states,
+                self.interleavings,
+                self.rows.join(",\n    ")
+            );
+            if let Err(e) = std::fs::write(path, json) {
+                eprintln!("failed to write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("stats written to {path}");
         }
-    }
-
-    fn of_slots(r: &slots::Report) -> Self {
-        ScenarioStat {
-            name: r.scenario,
-            states: r.states,
-            transitions: r.transitions,
-            interleavings: r.interleavings,
-            finals: 0,
-            violation: r.violation.as_deref().map(violation_line),
+        println!("RESULT: {verdict}");
+        if ok {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
         }
     }
 }
 
-/// The one-line `VIOLATION:` of a rendered counterexample.
-fn violation_line(v: &str) -> String {
-    let what = v.lines().nth(1).unwrap_or_default();
-    what.trim().trim_start_matches("VIOLATION: ").to_string()
+/// A seeded mutation: its name, the weakest memory model that shows it,
+/// and its demo.
+type Demo = (&'static str, MemModel, Box<dyn Fn(&mut Suite)>);
+
+/// Each of `M`'s seeded mutations, demonstrated on `scenarios(m)`.
+fn demos<M: Seeded, P: Protocol + 'static>(scenarios: fn(M) -> Vec<P>) -> Vec<Demo> {
+    M::SEEDED
+        .iter()
+        .map(|&(m, name)| -> Demo {
+            let scenarios = scenarios(m);
+            (
+                name,
+                m.model(),
+                Box::new(move |s| s.explore_all(&scenarios)),
+            )
+        })
+        .collect()
 }
 
-/// A seeded regression, from whichever model carries it.
-#[derive(Clone, Copy)]
-enum Seeded {
-    Deque(Mutation),
-    Scan(ScanMutation),
-    Join(JoinMutation),
-    Slots(SlotMutation),
+/// Every seeded mutation of the four models, in `--list-mutations` order.
+fn seeded() -> Vec<Demo> {
+    let mut all = demos(mutation_demos);
+    all.extend(demos(|m: ScanMutation| {
+        termination::suite(m.model(), m).to_vec()
+    }));
+    all.extend(demos(|m: JoinMutation| join::suite(m.model(), m).to_vec()));
+    all.extend(demos(|m: SlotMutation| slots::suite(m.model(), m).to_vec()));
+    all
 }
 
 fn main() -> ExitCode {
-    let mut mutate: Option<Seeded> = None;
+    let mut mutate: Option<Demo> = None;
     let mut replay_cap: usize = 2000;
     let mut model = MemModel::Sc;
     let mut json_path: Option<String> = None;
@@ -115,38 +172,15 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--mutate" => {
                 let name = args.next().unwrap_or_default();
-                mutate = MUTATIONS
-                    .iter()
-                    .map(|&m| (m.name(), Seeded::Deque(m)))
-                    .chain(
-                        termination::MUTATIONS
-                            .iter()
-                            .map(|&m| (m.name(), Seeded::Scan(m))),
-                    )
-                    .chain(join::MUTATIONS.iter().map(|&m| (m.name(), Seeded::Join(m))))
-                    .chain(
-                        slots::MUTATIONS
-                            .iter()
-                            .map(|&m| (m.name(), Seeded::Slots(m))),
-                    )
-                    .find_map(|(n, m)| (n == name).then_some(m));
+                mutate = seeded().into_iter().find(|(n, ..)| *n == name);
                 if mutate.is_none() {
                     eprintln!("unknown mutation `{name}`; try --list-mutations");
                     return ExitCode::FAILURE;
                 }
             }
             "--list-mutations" => {
-                for m in MUTATIONS {
-                    println!("{}", m.name());
-                }
-                for m in termination::MUTATIONS {
-                    println!("{}", m.name());
-                }
-                for m in join::MUTATIONS {
-                    println!("{}", m.name());
-                }
-                for m in slots::MUTATIONS {
-                    println!("{}", m.name());
+                for (name, ..) in seeded() {
+                    println!("{name}");
                 }
                 return ExitCode::SUCCESS;
             }
@@ -182,25 +216,15 @@ fn main() -> ExitCode {
     }
 
     match mutate {
-        Some(Seeded::Deque(m)) => run_mutation_demo(m, json_path.as_deref()),
-        Some(Seeded::Scan(m)) => run_scan_mutation_demo(m, json_path.as_deref()),
-        Some(Seeded::Join(m)) => run_join_mutation_demo(m, json_path.as_deref()),
-        Some(Seeded::Slots(m)) => run_slots_mutation_demo(m, json_path.as_deref()),
+        Some(demo) => run_mutation_demo(&demo, json_path.as_deref()),
         None => run_clean_suite(model, replay_cap, json_path.as_deref()),
     }
 }
 
 fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) -> ExitCode {
-    let suite = match model {
-        MemModel::Sc => standard_suite(),
-        MemModel::Ra => weak_suite(),
-    };
-    let mut stats: Vec<ScenarioStat> = Vec::new();
-    let mut total_interleavings: u128 = 0;
-    let mut total_states: u64 = 0;
-    let mut failed = false;
     println!(
-        "uat-check: THE-protocol steal path, exhaustive exploration ({} memory model)",
+        "uat-check: the THE deque, termination scan, join protocol and slot supply, \
+         exhaustive exploration ({} memory model)",
         match model {
             MemModel::Sc => "sequentially consistent",
             MemModel::Ra => "release/acquire",
@@ -210,269 +234,82 @@ fn run_clean_suite(model: MemModel, replay_cap: usize, json_path: Option<&str>) 
         "{:<22} {:>10} {:>12} {:>16} {:>8}",
         "scenario", "states", "transitions", "interleavings", "finals"
     );
-    for sc in &suite {
-        let report = Explorer::new(sc, 0).run_exhaustive();
-        println!(
-            "{:<22} {:>10} {:>12} {:>16} {:>8}",
-            report.scenario,
-            report.states,
-            report.transitions,
-            report.interleavings,
-            report.final_states.len()
-        );
-        total_interleavings += report.interleavings;
-        total_states += report.states;
-        let violation = report.violation.as_ref().map(|v| {
-            println!("{}", v.render(sc.name));
-            failed = true;
-            v.kind.describe()
-        });
-        stats.push(ScenarioStat {
-            name: sc.name,
-            states: report.states,
-            transitions: report.transitions,
-            interleavings: report.interleavings,
-            finals: report.final_states.len(),
-            violation,
-        });
-    }
-
-    // The termination scan, on the same memory machine.
-    for sc in termination::suite(model, ScanMutation::None) {
-        let report = sc.explore();
-        println!(
-            "{:<22} {:>10} {:>12} {:>16} {:>8}",
-            report.scenario, report.states, report.transitions, report.interleavings, "-"
-        );
-        total_interleavings += report.interleavings;
-        total_states += report.states;
-        if let Some(v) = &report.violation {
-            println!("{v}");
-            failed = true;
-        } else if report.passes == 0 {
-            println!("{}: no scan ever passed — the scenario is vacuous", sc.name);
-            failed = true;
-        }
-        stats.push(ScenarioStat::of_termination(&report));
-    }
-
-    // The join protocol, on the same memory machine.
-    for sc in join::suite(model, JoinMutation::None) {
-        let report = sc.explore();
-        println!(
-            "{:<22} {:>10} {:>12} {:>16} {:>8}",
-            report.scenario, report.states, report.transitions, report.interleavings, "-"
-        );
-        total_interleavings += report.interleavings;
-        total_states += report.states;
-        if let Some(v) = &report.violation {
-            println!("{v}");
-            failed = true;
-        } else if report.passes == 0 {
-            println!("{}: no join ever passed — the scenario is vacuous", sc.name);
-            failed = true;
-        }
-        stats.push(ScenarioStat::of_join(&report));
-    }
-
-    // The free-slot supply, on the same memory machine.
-    for sc in slots::suite(model, SlotMutation::None) {
-        let report = sc.explore();
-        println!(
-            "{:<22} {:>10} {:>12} {:>16} {:>8}",
-            report.scenario, report.states, report.transitions, report.interleavings, "-"
-        );
-        total_interleavings += report.interleavings;
-        total_states += report.states;
-        if let Some(v) = &report.violation {
-            println!("{v}");
-            failed = true;
-        } else if report.raids == 0 || report.raided == 0 {
-            println!(
-                "{}: no raid ever met a fast path — the scenario is vacuous",
-                sc.name
-            );
-            failed = true;
-        }
-        stats.push(ScenarioStat::of_slots(&report));
-    }
+    let mut s = Suite {
+        clean: true,
+        ..Suite::default()
+    };
+    let deque = match model {
+        MemModel::Sc => standard_suite(),
+        MemModel::Ra => weak_suite(),
+    };
+    let deque: Vec<_> = deque.iter().map(|sc| (sc, s.explore(sc))).collect();
+    s.explore_all(&termination::suite(model, ScanMutation::None));
+    s.explore_all(&join::suite(model, JoinMutation::None));
+    s.explore_all(&slots::suite(model, SlotMutation::None));
 
     // Sleep-set cross-check + differential replay on the scenarios whose
     // path space is small enough to walk path-by-path (SC only: the
     // sleep-set prover and the fabric-deque replay target are SC artifacts).
-    if model == MemModel::Sc {
-        for sc in &suite {
-            if !sleep_set_scenarios().contains(&sc.name) {
-                continue;
-            }
-            let exhaustive = Explorer::new(sc, 0).run_exhaustive();
-            let sleepy = Explorer::new(sc, replay_cap).run_sleep_sets();
-            if let Some(v) = &sleepy.violation {
-                println!("{}", v.render(sc.name));
-                failed = true;
-                continue;
-            }
-            let agree = sleepy.final_states == exhaustive.final_states;
-            if !agree {
-                println!(
-                    "{}: sleep-set exploration reached {} quiescent states, exhaustive {} — pruning is unsound",
-                    sc.name,
-                    sleepy.final_states.len(),
-                    exhaustive.final_states.len()
-                );
-                failed = true;
-            }
-            assert_eq!(sc.family, Family::SimPhase);
-            match replay::replay_schedules(sc, &sleepy.schedules) {
-                Ok(n) => println!(
-                    "{:<22} sleep-sets: {} executions ({} pruned), replayed {} against the fabric deque: conform",
-                    sc.name, sleepy.interleavings, sleepy.sleep_pruned, n
-                ),
-                Err(e) => {
-                    println!("{}: replay divergence: {e}", sc.name);
-                    failed = true;
-                }
+    for (sc, exhaustive) in &deque {
+        if !sleep_set_scenarios().contains(&sc.name) {
+            continue;
+        }
+        let sleepy = sc.sleep_sets();
+        if let Some(v) = &sleepy.violation {
+            println!("{v}");
+            s.failed = true;
+            continue;
+        }
+        if sleepy.finals != exhaustive.finals {
+            println!(
+                "{}: sleep-set exploration reached {} quiescent states, exhaustive {} — pruning is unsound",
+                sc.name,
+                sleepy.finals.len(),
+                exhaustive.finals.len()
+            );
+            s.failed = true;
+        }
+        assert_eq!(sc.family, Family::SimPhase);
+        let schedules = &sleepy.tally.schedules;
+        let replayed = &schedules[..schedules.len().min(replay_cap)];
+        match replay::replay_schedules(sc, replayed) {
+            Ok(n) => println!(
+                "{:<22} sleep-sets: {} executions ({} pruned), replayed {} against the fabric deque: conform",
+                sc.name, sleepy.interleavings, sleepy.tally.pruned, n
+            ),
+            Err(e) => {
+                println!("{}: replay divergence: {e}", sc.name);
+                s.failed = true;
             }
         }
     }
 
     println!(
-        "total: {total_states} states verified, {total_interleavings} distinct interleavings across {} scenarios",
-        stats.len()
+        "total: {} states verified, {} distinct interleavings across {} scenarios",
+        s.states,
+        s.interleavings,
+        s.rows.len()
     );
-    if let Some(path) = json_path {
-        if let Err(e) = write_json(path, model, None, &stats, !failed) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("stats written to {path}");
-    }
-    if failed {
-        println!("RESULT: VIOLATIONS FOUND");
-        ExitCode::FAILURE
+    let verdict = if s.failed {
+        "VIOLATIONS FOUND"
     } else {
-        println!("RESULT: no invariant violations");
-        ExitCode::SUCCESS
-    }
-}
-
-fn run_mutation_demo(m: Mutation, json_path: Option<&str>) -> ExitCode {
-    let demos = mutation_demos(m);
-    let mut stats: Vec<ScenarioStat> = Vec::new();
-    println!("uat-check: seeded mutation `{}`", m.name());
-    for sc in &demos {
-        let report = Explorer::new(sc, 0).run_exhaustive();
-        let violation = match &report.violation {
-            Some(v) => {
-                println!("{}", v.render(sc.name));
-                Some(v.kind.describe())
-            }
-            None => {
-                println!(
-                    "{}: no violation found ({} interleavings) — mutation not observable here",
-                    sc.name, report.interleavings
-                );
-                None
-            }
-        };
-        stats.push(ScenarioStat {
-            name: sc.name,
-            states: report.states,
-            transitions: report.transitions,
-            interleavings: report.interleavings,
-            finals: report.final_states.len(),
-            violation,
-        });
-    }
-    let model = demos.first().map(|sc| sc.mem_model).unwrap_or(MemModel::Sc);
-    finish_mutation_demo(m.name(), model, &stats, json_path)
-}
-
-/// The verdict of a mutation run: the checker did its job iff some demo
-/// scenario produced a counterexample ("ok" in the JSON means that too).
-fn finish_mutation_demo(
-    mutation: &str,
-    model: MemModel,
-    stats: &[ScenarioStat],
-    json_path: Option<&str>,
-) -> ExitCode {
-    let bit = stats.iter().any(|s| s.violation.is_some());
-    if let Some(path) = json_path {
-        if let Err(e) = write_json(path, model, Some(mutation), stats, bit) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("stats written to {path}");
-    }
-    if bit {
-        println!("RESULT: checker caught the mutation (exit 0)");
-        ExitCode::SUCCESS
-    } else {
-        println!("RESULT: checker FAILED to catch the mutation (exit 1)");
-        ExitCode::FAILURE
-    }
-}
-
-/// A seeded scan mutation: caught if either scanner placement yields a
-/// counterexample under the weakest model that shows it (SC for the
-/// pass order, RA for the ordering downgrade).
-fn run_scan_mutation_demo(m: ScanMutation, json_path: Option<&str>) -> ExitCode {
-    let model = match m {
-        ScanMutation::CompletedWeak => MemModel::Ra,
-        _ => MemModel::Sc,
+        "no invariant violations"
     };
-    println!("uat-check: seeded mutation `{}`", m.name());
-    let mut stats: Vec<ScenarioStat> = Vec::new();
-    for sc in termination::suite(model, m) {
-        let report = sc.explore();
-        match &report.violation {
-            Some(v) => println!("{v}"),
-            None => println!(
-                "{}: no violation found ({} interleavings) — mutation not observable here",
-                sc.name, report.interleavings
-            ),
-        }
-        stats.push(ScenarioStat::of_termination(&report));
-    }
-    finish_mutation_demo(m.name(), model, &stats, json_path)
+    s.finish(json_path, model, None, !s.failed, verdict)
 }
 
-/// A seeded join mutation: caught if any of the three shapes yields a
-/// counterexample under the weakest model that shows it.
-fn run_join_mutation_demo(m: JoinMutation, json_path: Option<&str>) -> ExitCode {
-    println!("uat-check: seeded mutation `{}`", m.name());
-    let mut stats: Vec<ScenarioStat> = Vec::new();
-    for sc in join::suite(m.model(), m) {
-        let report = sc.explore();
-        match &report.violation {
-            Some(v) => println!("{v}"),
-            None => println!(
-                "{}: no violation found ({} interleavings) — mutation not observable here",
-                sc.name, report.interleavings
-            ),
-        }
-        stats.push(ScenarioStat::of_join(&report));
-    }
-    finish_mutation_demo(m.name(), m.model(), &stats, json_path)
-}
-
-/// A seeded slot-supply mutation: caught if either shape yields a
-/// counterexample under the weakest model that shows it.
-fn run_slots_mutation_demo(m: SlotMutation, json_path: Option<&str>) -> ExitCode {
-    println!("uat-check: seeded mutation `{}`", m.name());
-    let mut stats: Vec<ScenarioStat> = Vec::new();
-    for sc in slots::suite(m.model(), m) {
-        let report = sc.explore();
-        match &report.violation {
-            Some(v) => println!("{v}"),
-            None => println!(
-                "{}: no violation found ({} interleavings) — mutation not observable here",
-                sc.name, report.interleavings
-            ),
-        }
-        stats.push(ScenarioStat::of_slots(&report));
-    }
-    finish_mutation_demo(m.name(), m.model(), &stats, json_path)
+/// A seeded mutation: caught iff some demo scenario yields a
+/// counterexample ("ok" in the JSON means that too).
+fn run_mutation_demo((name, model, demo): &Demo, json_path: Option<&str>) -> ExitCode {
+    println!("uat-check: seeded mutation `{name}`");
+    let mut s = Suite::default();
+    demo(&mut s);
+    let verdict = if s.caught > 0 {
+        "checker caught the mutation (exit 0)"
+    } else {
+        "checker FAILED to catch the mutation (exit 1)"
+    };
+    s.finish(json_path, *model, Some(name), s.caught > 0, verdict)
 }
 
 /// Minimal JSON escaping: the strings we emit are scenario names,
@@ -492,51 +329,4 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Hand-rolled writer (the workspace carries no serde); the schema is
-/// consumed by CI dashboards and the lint's fixture tests.
-fn write_json(
-    path: &str,
-    model: MemModel,
-    mutation: Option<&str>,
-    stats: &[ScenarioStat],
-    ok: bool,
-) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!(
-        "  \"memory_model\": {},\n",
-        json_str(model.name())
-    ));
-    s.push_str(&format!(
-        "  \"mutation\": {},\n",
-        mutation.map_or("null".to_string(), json_str)
-    ));
-    s.push_str(&format!("  \"ok\": {ok},\n"));
-    s.push_str(&format!(
-        "  \"total_states\": {},\n",
-        stats.iter().map(|t| t.states).sum::<u64>()
-    ));
-    s.push_str(&format!(
-        "  \"total_interleavings\": {},\n",
-        stats.iter().map(|t| t.interleavings).sum::<u128>()
-    ));
-    s.push_str("  \"scenarios\": [\n");
-    for (i, st) in stats.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"states\": {}, \"transitions\": {}, \"interleavings\": {}, \"finals\": {}, \"violation\": {}}}{}\n",
-            json_str(st.name),
-            st.states,
-            st.transitions,
-            st.interleavings,
-            st.finals,
-            st.violation
-                .as_deref()
-                .map_or("null".to_string(), json_str),
-            if i + 1 == stats.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
 }

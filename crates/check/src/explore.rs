@@ -1,451 +1,266 @@
-//! DFS exploration of a [`Scenario`]'s interleaving space.
+//! One exhaustive explorer for every protocol model.
 //!
-//! Two strategies share the same step semantics and invariant checks:
+//! A model is a [`Protocol`]: a start state, a fixed set of actors, the
+//! moves each actor may make from a state, the step that makes one, and
+//! the invariants. The explorer owns everything else — the memo, the
+//! path, the counts and the counterexample.
 //!
-//! - [`Explorer::run_exhaustive`] — DFS memoized on the full system
-//!   state. The reachable state graph is finite and acyclic (every step
-//!   advances some thread's pc, and pcs are monotone within an op), so
-//!   memoization visits **every reachable state and transition exactly
-//!   once** while the number of *distinct interleavings* (root-to-leaf
-//!   paths) is counted exactly by dynamic programming — no path
-//!   enumeration needed. This is the verification mode: per-state and
-//!   per-transition invariants get full coverage.
-//! - [`Explorer::run_sleep_sets`] — stateless DFS with sleep sets
-//!   (Godefroid) over the read/write footprints in [`Access`], plus the
-//!   stutter pruning built into [`Sys::enabled`] (spin/retry steps are
-//!   disabled until they can make progress). This mode walks concrete
-//!   complete executions, which is what the differential replay consumes;
-//!   the test suite cross-checks that it reaches exactly the same set of
-//!   quiescent states as the exhaustive mode.
+//! [`Protocol::explore`] is a DFS memoized on the full system state. The
+//! reachable state graph is finite and acyclic (every step advances some
+//! actor's program), so memoization visits **every reachable state and
+//! transition exactly once** while the number of *distinct interleavings*
+//! (root-to-leaf paths) is counted exactly by dynamic programming — no
+//! path enumeration needed. Under release/acquire a load is one move per
+//! message its ordering lets it read ([`crate::Mem::load_choices`]), so
+//! the count covers every reads-from choice as well.
 //!
-//! Invariants checked on every reachable state/transition:
-//!
-//! 1. **No double claim** — a value is kept at most once (owner pop and
-//!    thief steal never both win an entry; two thieves never both win).
-//! 2. **Slack bound** — `top <= bottom + 1` (the transient `bottom =
-//!    top - 1` dip inside a pop is the only allowed overshoot).
-//! 3. **Capacity bound** — `bottom - top <= capacity`.
-//! 4. **Lock discipline** — at quiescence the lock word is 0; a wedged
-//!    system (some thread not done, none enabled) is reported as stuck,
-//!    which is how a leaked lock manifests mid-run.
-//! 5. **Conservation** — at quiescence every pushed value was either
-//!    kept exactly once or still sits in `[top, bottom)`.
+//! Invariants are checked on every transition (the step's own verdict,
+//! then [`Protocol::check`] on the state it reached) and on every state
+//! where no actor can move ([`Protocol::terminal`]: quiescence, a stuck
+//! or deadlocked system, a stranded park). The first violation ends the
+//! exploration with the interleaving that reached it.
 
 use crate::memory::MemModel;
-use crate::model::{Access, OwnerOp, Scenario, StepOut, Sys};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// A violated invariant.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ViolationKind {
-    /// A value was kept twice (pop/steal or steal/steal double claim).
-    DoubleClaim {
-        /// The twice-claimed value.
-        value: u64,
-    },
-    /// A consumer kept a value that was never pushed in the explored
-    /// window — a stale slot read that escaped (possible only when a
-    /// publication edge is broken, e.g. the `push-publish-weak`
-    /// mutation).
-    PhantomValue {
-        /// The never-pushed value that was kept.
-        value: u64,
-    },
-    /// A pushed value was neither kept nor left in the deque.
-    LostValue {
-        /// The missing value.
-        value: u64,
-    },
-    /// All threads finished but the lock word is nonzero.
-    LockLeak {
-        /// Final lock word.
-        lock: u64,
-    },
-    /// `top > bottom + 1`.
-    SlackExceeded {
-        /// Observed top.
-        top: u64,
-        /// Observed bottom.
-        bottom: u64,
-    },
-    /// `bottom - top > capacity`.
-    OverCapacity {
-        /// Observed live count.
-        live: u64,
-        /// Scenario capacity.
-        capacity: u64,
-    },
-    /// Some thread still has work but no thread can step (e.g. the owner
-    /// spinning on a lock nobody will ever release).
-    Stuck,
+/// A closed system to explore: one scenario of one protocol model.
+pub trait Protocol {
+    /// Everything a step can change: shared memory and every actor's
+    /// control state.
+    type State: Clone + Eq + Hash;
+    /// A broken invariant.
+    type Fault: fmt::Display;
+    /// Counters a step bumps, so a clean run can show it was not vacuous.
+    type Tally: Default;
+
+    /// Report name.
+    fn name(&self) -> &'static str;
+
+    /// The state exploration starts from.
+    fn start(&self) -> Self::State;
+
+    /// How many actors step; each is numbered `0..actors()`.
+    fn actors(&self) -> usize;
+
+    /// The outcomes actor `a`'s next step may have from `s` — the
+    /// reads-from choices of a load, one for anything else. Empty: the
+    /// actor cannot step now.
+    fn moves(&self, s: &Self::State, a: usize) -> Vec<u32>;
+
+    /// Take actor `a`'s next step with outcome `choice`: its label, and
+    /// the invariant the step itself broke, if any.
+    fn step(
+        &self,
+        s: &mut Self::State,
+        a: usize,
+        choice: u32,
+        tally: &mut Self::Tally,
+    ) -> (String, Option<Self::Fault>);
+
+    /// Invariants of every state a transition reaches.
+    fn check(&self, _s: &Self::State) -> Option<Self::Fault> {
+        None
+    }
+
+    /// The verdict on a state where no actor can step.
+    fn terminal(&self, _s: &Self::State) -> Option<Self::Fault> {
+        None
+    }
+
+    /// Why a clean exploration with this tally proved nothing, if it did
+    /// not.
+    fn vacuous(&self, _tally: &Self::Tally) -> Option<&'static str> {
+        None
+    }
+
+    /// Explore every interleaving and report.
+    fn explore(&self) -> Report<Self>
+    where
+        Self: Sized,
+    {
+        Explorer::new(self).run()
+    }
 }
 
-impl ViolationKind {
-    /// One-line description.
-    pub fn describe(&self) -> String {
-        match self {
-            ViolationKind::DoubleClaim { value } => {
-                format!("double claim: value v{value} was kept by two consumers")
-            }
-            ViolationKind::PhantomValue { value } => {
-                format!(
-                    "phantom task: a consumer kept v{value}, which was never pushed \
-                     (stale slot read)"
-                )
-            }
-            ViolationKind::LostValue { value } => {
-                format!("lost task: value v{value} was pushed but never delivered")
-            }
-            ViolationKind::LockLeak { lock } => {
-                format!("lock leak: all threads done but lock word = {lock}")
-            }
-            ViolationKind::SlackExceeded { top, bottom } => {
-                format!("index slack violated: top={top}, bottom={bottom} exceed the family's transient bound")
-            }
-            ViolationKind::OverCapacity { live, capacity } => {
-                format!("capacity violated: {live} live entries in a {capacity}-slot deque")
-            }
-            ViolationKind::Stuck => {
-                "stuck: unfinished threads but no enabled step (wedged on the lock)".to_string()
-            }
+/// A protocol model's seeded regressions: each must make the explorer
+/// produce a counterexample, which proves the checker bites.
+pub trait Seeded: Copy + PartialEq + 'static {
+    /// Every seeded regression, in `uat_check --list-mutations` order,
+    /// with its stable CLI / report name.
+    const SEEDED: &'static [(Self, &'static str)];
+    /// The ones only release/acquire shows: ordering downgrades, which SC
+    /// cannot see.
+    const WEAK: &'static [Self];
+
+    /// Every seeded regression.
+    fn seeded() -> impl Iterator<Item = Self> {
+        Self::SEEDED.iter().map(|s| s.0)
+    }
+
+    /// Stable CLI / report name (`none`: the protocol as shipped).
+    fn name(self) -> &'static str {
+        Self::SEEDED
+            .iter()
+            .find(|s| s.0 == self)
+            .map_or("none", |s| s.1)
+    }
+
+    /// The weakest memory model that shows the regression.
+    fn model(self) -> MemModel {
+        if Self::WEAK.contains(&self) {
+            MemModel::Ra
+        } else {
+            MemModel::Sc
         }
     }
 }
 
-/// One step of a counterexample trace.
-#[derive(Clone, Debug)]
-pub struct StepRecord {
-    /// Thread index (0 = owner).
-    pub thread: usize,
-    /// What the step did.
-    pub label: String,
-    /// Shared words after the step.
-    pub lock: u64,
-    /// Top after the step.
-    pub top: u64,
-    /// Bottom after the step.
-    pub bottom: u64,
-}
-
 /// A counterexample: the violated invariant plus the exact interleaving
-/// that reached it from the initial state.
+/// that reached it from the start state. Its `Display` is the rendered
+/// trace.
 #[derive(Clone, Debug)]
-pub struct Violation {
+pub struct Counterexample<F> {
+    /// Scenario name.
+    pub scenario: &'static str,
     /// Which invariant broke.
-    pub kind: ViolationKind,
-    /// The interleaving, oldest step first.
-    pub trace: Vec<StepRecord>,
+    pub fault: F,
+    /// Step labels, oldest first.
+    pub trace: Vec<String>,
 }
 
-impl Violation {
-    /// Render the counterexample as a numbered human-readable
-    /// interleaving.
-    pub fn render(&self, scenario: &str) -> String {
-        let mut s = format!(
-            "counterexample in scenario `{scenario}`\n  VIOLATION: {}\n  interleaving ({} steps):\n",
-            self.kind.describe(),
-            self.trace.len()
-        );
-        for (i, r) in self.trace.iter().enumerate() {
-            s.push_str(&format!(
-                "    {:>3}. {:<58} [lock={} top={} bottom={}]\n",
-                i + 1,
-                r.label,
-                r.lock,
-                r.top,
-                r.bottom
-            ));
+impl<F: fmt::Display> fmt::Display for Counterexample<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "counterexample in scenario `{}`", self.scenario)?;
+        writeln!(f, "  VIOLATION: {}", self.fault)?;
+        writeln!(f, "  interleaving ({} steps):", self.trace.len())?;
+        for (i, l) in self.trace.iter().enumerate() {
+            writeln!(f, "    {:>3}. {l}", i + 1)?;
         }
-        s
+        Ok(())
     }
 }
 
 /// Exploration statistics and outcome for one scenario.
-#[derive(Clone, Debug, Default)]
-pub struct Report {
-    /// Scenario name.
-    pub scenario: String,
-    /// Distinct reachable states (exhaustive mode).
+pub struct Report<P: Protocol> {
+    /// Distinct reachable states.
     pub states: u64,
     /// Transitions executed.
     pub transitions: u64,
-    /// Distinct complete interleavings. Exact path count via DP in
-    /// exhaustive mode; number of executions actually walked in
-    /// sleep-set mode.
+    /// Distinct complete interleavings: exact, by dynamic programming, in
+    /// the exhaustive walk (zero once a violation is found); executions
+    /// walked, in the deque's sleep-set walk.
     pub interleavings: u128,
-    /// Prefixes cut by sleep-set pruning (sleep-set mode only).
-    pub sleep_pruned: u64,
-    /// Longest interleaving seen.
-    pub max_depth: usize,
-    /// Hashes of the distinct quiescent states reached.
-    pub final_states: HashSet<u64>,
-    /// First invariant violation, if any.
-    pub violation: Option<Violation>,
-    /// Complete schedules (thread-choice sequences) collected for
-    /// differential replay (sleep-set mode, capped).
-    pub schedules: Vec<Vec<usize>>,
+    /// Hashes of the distinct states reached where no actor could step.
+    pub finals: HashSet<u64>,
+    /// What the steps counted.
+    pub tally: P::Tally,
+    /// The first counterexample, if an invariant broke.
+    pub violation: Option<Counterexample<P::Fault>>,
 }
 
-/// DFS driver over one scenario.
-pub struct Explorer<'a> {
-    sc: &'a Scenario,
-    report: Report,
-    path: Vec<StepRecord>,
-    sched: Vec<usize>,
-    schedule_cap: usize,
-    memo: HashMap<Sys, u128>,
-    /// Values the owner script pushes (phantom detection: anything else
-    /// a consumer keeps is a stale slot read that escaped).
-    pushed: Vec<u64>,
+/// The DFS over one scenario; the deque's sleep-set walk reuses its
+/// path, report and checks.
+pub(crate) struct Explorer<'a, P: Protocol> {
+    pub(crate) p: &'a P,
+    pub(crate) report: Report<P>,
+    pub(crate) path: Vec<String>,
+    memo: HashMap<P::State, u128>,
 }
 
-fn hash_sys(sys: &Sys) -> u64 {
-    let mut h = DefaultHasher::new();
-    sys.hash(&mut h);
-    h.finish()
-}
-
-impl<'a> Explorer<'a> {
-    /// A fresh explorer for `sc`. `schedule_cap` bounds how many complete
-    /// schedules the sleep-set mode records for replay (0 = none).
-    pub fn new(sc: &'a Scenario, schedule_cap: usize) -> Self {
-        let mut pushed: Vec<u64> = sc
-            .owner
-            .iter()
-            .filter_map(|op| match op {
-                OwnerOp::Push(v) => Some(*v),
-                OwnerOp::Pop => None,
-            })
-            .collect();
-        pushed.sort_unstable();
+impl<'a, P: Protocol> Explorer<'a, P> {
+    /// A fresh explorer for `p`.
+    pub(crate) fn new(p: &'a P) -> Self {
         Explorer {
-            sc,
+            p,
             report: Report {
-                scenario: sc.name.to_string(),
-                ..Report::default()
+                states: 0,
+                transitions: 0,
+                interleavings: 0,
+                finals: HashSet::new(),
+                tally: P::Tally::default(),
+                violation: None,
             },
             path: Vec::new(),
-            sched: Vec::new(),
-            schedule_cap,
             memo: HashMap::new(),
-            pushed,
         }
     }
 
-    /// Exhaustive memoized DFS (see module docs). Returns the report.
-    pub fn run_exhaustive(mut self) -> Report {
-        let init = Sys::initial(self.sc);
-        let n = self.dfs_exhaustive(&init);
+    /// Exhaustive memoized DFS (see module docs).
+    pub(crate) fn run(mut self) -> Report<P> {
+        let n = self.visit(&self.p.start());
         if self.report.violation.is_none() {
             self.report.interleavings = n;
         }
         self.report
     }
 
-    /// Stateless DFS with sleep sets. Returns the report.
-    pub fn run_sleep_sets(mut self) -> Report {
-        assert_eq!(
-            self.sc.mem_model,
-            MemModel::Sc,
-            "sleep sets assume choice-free steps; RA scenarios are \
-             explored exhaustively"
-        );
-        let init = Sys::initial(self.sc);
-        self.dfs_sleep(&init, &[]);
-        self.report
-    }
-
-    fn violate(&mut self, kind: ViolationKind) {
-        if self.report.violation.is_none() {
-            self.report.violation = Some(Violation {
-                kind,
-                trace: self.path.clone(),
-            });
-        }
-    }
-
-    /// Per-transition checks, run after every executed step.
-    fn check_step(&mut self, sys: &Sys, out: &StepOut) {
-        if let Some(v) = out.kept {
-            if out.dup {
-                self.violate(ViolationKind::DoubleClaim { value: v });
-            } else if self.pushed.binary_search(&v).is_err() {
-                self.violate(ViolationKind::PhantomValue { value: v });
-            }
-        }
-        // Tight per-family slack bounds, proved by the exploration
-        // itself: at phase atomicity indices never cross (`top <=
-        // bottom`); at per-access granularity a thief's claim published
-        // against a pre-dip `bottom` can overlap the victim's
-        // speculative bottom dip (-1, always restored), so `top <=
-        // bottom + 1` transiently and anything beyond is a bug.
-        let slack = match self.sc.family {
-            crate::model::Family::SimPhase => 0,
-            crate::model::Family::NativeOp => 1,
-        };
-        if sys.top() > sys.bottom() + slack {
-            self.violate(ViolationKind::SlackExceeded {
-                top: sys.top(),
-                bottom: sys.bottom(),
-            });
-        }
-        if sys.bottom() > sys.top() && sys.bottom() - sys.top() > self.sc.capacity {
-            self.violate(ViolationKind::OverCapacity {
-                live: sys.bottom() - sys.top(),
-                capacity: self.sc.capacity,
-            });
-        }
-    }
-
-    /// Quiescence checks, run when every thread is done.
-    fn check_quiescent(&mut self, sys: &Sys) {
-        if sys.lock() != 0 {
-            self.violate(ViolationKind::LockLeak { lock: sys.lock() });
-        }
-        // Transient overshoot must be rolled back by quiescence.
-        if sys.top() > sys.bottom() {
-            self.violate(ViolationKind::SlackExceeded {
-                top: sys.top(),
-                bottom: sys.bottom(),
-            });
-        }
-        let mut remaining: Vec<u64> = (sys.top()..sys.bottom())
-            .map(|p| sys.slot((p % sys.capacity()) as usize))
-            .collect();
-        remaining.sort_unstable();
-        for &v in &self.pushed.clone() {
-            let delivered = sys.consumed.binary_search(&v).is_ok();
-            let in_deque = remaining.binary_search(&v).is_ok();
-            if !delivered && !in_deque {
-                self.violate(ViolationKind::LostValue { value: v });
-            }
-        }
-        self.report.final_states.insert(hash_sys(sys));
-        self.report.max_depth = self.report.max_depth.max(self.path.len());
-    }
-
-    fn enabled_threads(&self, sys: &Sys) -> Vec<usize> {
-        (0..sys.threads.len())
-            .filter(|&t| sys.enabled(t, self.sc))
-            .collect()
-    }
-
-    fn all_done(&self, sys: &Sys) -> bool {
-        (0..sys.threads.len()).all(|t| sys.done(t, self.sc))
-    }
-
-    fn dfs_exhaustive(&mut self, sys: &Sys) -> u128 {
+    /// Count the complete interleavings from `s`, checking every
+    /// invariant on the way.
+    fn visit(&mut self, s: &P::State) -> u128 {
         if self.report.violation.is_some() {
             return 0;
         }
-        if let Some(&n) = self.memo.get(sys) {
+        if let Some(&n) = self.memo.get(s) {
             return n;
         }
         self.report.states += 1;
-        let enabled = self.enabled_threads(sys);
-        let count = if enabled.is_empty() {
-            if self.all_done(sys) {
-                self.check_quiescent(sys);
-            } else {
-                self.violate(ViolationKind::Stuck);
-            }
-            1u128
-        } else {
-            let mut n = 0u128;
-            'threads: for t in enabled {
-                // Under RA a load branches over every message its
-                // ordering permits; under SC every step has one choice.
-                for c in 0..sys.choices(t, self.sc) {
-                    if self.report.violation.is_some() {
-                        break 'threads;
-                    }
-                    let mut next = sys.clone();
-                    let out = next.step(t, c, self.sc);
-                    self.report.transitions += 1;
-                    self.path.push(StepRecord {
-                        thread: t,
-                        label: out.label.clone(),
-                        lock: next.lock(),
-                        top: next.top(),
-                        bottom: next.bottom(),
-                    });
-                    self.check_step(&next, &out);
-                    if self.report.violation.is_none() {
-                        n += self.dfs_exhaustive(&next);
-                    }
-                    self.path.pop();
+        let (mut n, mut stepped) = (0u128, false);
+        'actors: for a in 0..self.p.actors() {
+            for choice in self.p.moves(s, a) {
+                if self.report.violation.is_some() {
+                    break 'actors;
                 }
+                stepped = true;
+                let mut next = s.clone();
+                let (label, fault) = self.p.step(&mut next, a, choice, &mut self.report.tally);
+                self.record(&next, label, fault);
+                if self.report.violation.is_none() {
+                    n += self.visit(&next);
+                }
+                self.path.pop();
             }
-            n
-        };
-        if self.report.violation.is_none() {
-            self.memo.insert(sys.clone(), count);
         }
-        count
+        if !stepped {
+            self.end(s);
+            n = 1;
+        }
+        if self.report.violation.is_none() {
+            self.memo.insert(s.clone(), n);
+        }
+        n
     }
 
-    fn dfs_sleep(&mut self, sys: &Sys, sleep: &[(usize, Access)]) {
-        if self.report.violation.is_some() {
-            return;
+    /// Count a transition to `next`, leave its `label` on the path, and
+    /// check it.
+    pub(crate) fn record(&mut self, next: &P::State, label: String, fault: Option<P::Fault>) {
+        self.report.transitions += 1;
+        self.path.push(label);
+        if let Some(f) = fault.or_else(|| self.p.check(next)) {
+            self.violate(f);
         }
-        let enabled = self.enabled_threads(sys);
-        if enabled.is_empty() {
-            if self.all_done(sys) {
-                self.report.interleavings += 1;
-                self.check_quiescent(sys);
-                if self.report.schedules.len() < self.schedule_cap {
-                    self.report.schedules.push(self.sched.clone());
-                }
-            } else {
-                self.violate(ViolationKind::Stuck);
-            }
-            return;
+    }
+
+    /// A state where no actor can step: judge it and count it final.
+    pub(crate) fn end(&mut self, s: &P::State) {
+        if let Some(f) = self.p.terminal(s) {
+            self.violate(f);
         }
-        let explore: Vec<usize> = enabled
-            .iter()
-            .copied()
-            .filter(|t| !sleep.iter().any(|(u, _)| u == t))
-            .collect();
-        if explore.is_empty() {
-            // Every enabled step is asleep: all continuations from here
-            // are commutations of interleavings explored elsewhere.
-            self.report.sleep_pruned += 1;
-            return;
-        }
-        let mut done_here: Vec<(usize, Access)> = Vec::new();
-        for t in explore {
-            if self.report.violation.is_some() {
-                break;
-            }
-            let mut next = sys.clone();
-            let out = next.step(t, 0, self.sc);
-            self.report.transitions += 1;
-            self.path.push(StepRecord {
-                thread: t,
-                label: out.label.clone(),
-                lock: next.lock(),
-                top: next.top(),
-                bottom: next.bottom(),
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        self.report.finals.insert(h.finish());
+    }
+
+    /// Record the first counterexample: `fault`, after the current path.
+    fn violate(&mut self, fault: P::Fault) {
+        if self.report.violation.is_none() {
+            self.report.violation = Some(Counterexample {
+                scenario: self.p.name(),
+                fault,
+                trace: self.path.clone(),
             });
-            self.sched.push(t);
-            self.check_step(&next, &out);
-            if self.report.violation.is_none() {
-                // A sleeping thread stays asleep only across steps that
-                // are independent of it; its own footprint is unchanged
-                // by such steps, so the recorded Access stays valid.
-                let new_sleep: Vec<(usize, Access)> = sleep
-                    .iter()
-                    .chain(done_here.iter())
-                    .filter(|(u, acc)| *u != t && acc.independent(out.acc))
-                    .cloned()
-                    .collect();
-                self.dfs_sleep(&next, &new_sleep);
-            }
-            self.path.pop();
-            self.sched.pop();
-            done_here.push((t, out.acc));
         }
     }
 }

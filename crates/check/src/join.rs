@@ -30,25 +30,18 @@
 //! in; no terminal state has a parked joiner. [`JoinMutation`]s seed six
 //! ways to break them.
 //!
-//! Its own small DFS rather than [`crate::explore`], like
-//! [`crate::termination`]: that explorer's system, steps and invariants
-//! are the THE deque's.
+//! A [`Protocol`] of five actors: the joiner (with its worker's
+//! scheduler), child 0, child 1, and an idle worker 0 or 1 stealing the
+//! joiner's continuation.
 
+use crate::explore::{Protocol, Seeded};
 use crate::memory::{Mem, MemModel, MemOrd};
-use std::collections::HashMap;
 
 const PENDING: usize = 0;
 const WAITER: usize = 1;
 const ENTRY: [usize; 2] = [2, 3];
 const RESULT: [usize; 2] = [4, 5];
-const LOC_NAMES: [&str; 6] = [
-    "pending",
-    "waiter",
-    "entry[0]",
-    "entry[1]",
-    "result[0]",
-    "result[1]",
-];
+const LOCS: usize = 6;
 const WORKERS: usize = 2;
 
 /// `pending`'s parked bit, as in the runtime.
@@ -80,37 +73,16 @@ pub enum JoinMutation {
     KeepParked,
 }
 
-/// The seeded mutations, for `uat_check --list-mutations`.
-pub const MUTATIONS: [JoinMutation; 6] = [
-    JoinMutation::SkipAnnounce,
-    JoinMutation::InlineCompletes,
-    JoinMutation::ParkWeak,
-    JoinMutation::CompleteWeak,
-    JoinMutation::WaiterUnguarded,
-    JoinMutation::KeepParked,
-];
-
-impl JoinMutation {
-    /// Stable CLI / report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            JoinMutation::None => "none",
-            JoinMutation::SkipAnnounce => "join-skip-announce",
-            JoinMutation::InlineCompletes => "join-inline-completes",
-            JoinMutation::ParkWeak => "join-park-weak",
-            JoinMutation::CompleteWeak => "join-complete-weak",
-            JoinMutation::WaiterUnguarded => "join-waiter-unguarded",
-            JoinMutation::KeepParked => "join-keep-parked",
-        }
-    }
-
-    /// The weakest memory model that shows the mutation.
-    pub fn model(self) -> MemModel {
-        match self {
-            JoinMutation::ParkWeak | JoinMutation::CompleteWeak => MemModel::Ra,
-            _ => MemModel::Sc,
-        }
-    }
+impl Seeded for JoinMutation {
+    const SEEDED: &'static [(Self, &'static str)] = &[
+        (JoinMutation::SkipAnnounce, "join-skip-announce"),
+        (JoinMutation::InlineCompletes, "join-inline-completes"),
+        (JoinMutation::ParkWeak, "join-park-weak"),
+        (JoinMutation::CompleteWeak, "join-complete-weak"),
+        (JoinMutation::WaiterUnguarded, "join-waiter-unguarded"),
+        (JoinMutation::KeepParked, "join-keep-parked"),
+    ];
+    const WEAK: &'static [Self] = &[JoinMutation::ParkWeak, JoinMutation::CompleteWeak];
 }
 
 /// One step of the joiner's own program.
@@ -175,26 +147,16 @@ pub fn suite(mem_model: MemModel, mutation: JoinMutation) -> [Scenario; 3] {
     })
 }
 
-/// Exploration statistics and outcome for one scenario.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Distinct reachable states.
-    pub states: u64,
-    /// Transitions executed.
-    pub transitions: u64,
-    /// Distinct complete interleavings (exact, by dynamic programming).
-    pub interleavings: u128,
-    /// `JoinAll`s passed (a clean scenario must not be vacuous).
+/// What a clean scenario must show it did.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// `JoinAll`s passed.
     pub passes: u64,
     /// Parked joiners resumed by the last child.
     pub handed_out: u64,
     /// Decrements that took `pending` below zero (a stolen child
     /// completing before its thief announced it).
     pub wraps: u64,
-    /// The first counterexample, rendered, if an invariant broke.
-    pub violation: Option<String>,
 }
 
 /// Where the joiner's continuation is.
@@ -244,8 +206,10 @@ enum Kid {
     Done,
 }
 
+/// Memory, the joiner's program counter and continuation, and the
+/// children.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct Sys {
+pub struct Sys {
     mem: Mem,
     /// The joiner's next program step, and where its continuation is.
     pc: usize,
@@ -261,45 +225,21 @@ enum Actor {
     Thief(usize),
 }
 
-struct Dfs<'a> {
-    sc: &'a Scenario,
-    program: &'static [JOp],
-    memo: HashMap<Sys, u128>,
-    report: Report,
-    path: Vec<String>,
-}
+/// The actors, in the order the explorer numbers them.
+const ACTORS: [Actor; 5] = [
+    Actor::Joiner,
+    Actor::Kid(0),
+    Actor::Kid(1),
+    Actor::Thief(0),
+    Actor::Thief(1),
+];
 
-impl Scenario {
-    /// Explore every interleaving (and, under RA, every permitted
-    /// reads-from choice) and report.
-    pub fn explore(&self) -> Report {
-        let mut dfs = Dfs {
-            sc: self,
-            program: self.shape.program(),
-            memo: HashMap::new(),
-            report: Report {
-                scenario: self.name,
-                states: 0,
-                transitions: 0,
-                interleavings: 0,
-                passes: 0,
-                handed_out: 0,
-                wraps: 0,
-                violation: None,
-            },
-            path: Vec::new(),
-        };
-        let n = dfs.visit(&Sys {
-            mem: Mem::new(self.mem_model, vec![0; LOC_NAMES.len()], WORKERS),
-            pc: 0,
-            at: At::Running(0),
-            kids: [Kid::Unborn; 2],
-        });
-        if dfs.report.violation.is_none() {
-            dfs.report.interleavings = n;
-        }
-        dfs.report
-    }
+/// One actor's step in progress: the counters it bumps and the first
+/// invariant it breaks.
+struct Turn<'a> {
+    sc: &'a Scenario,
+    tally: &'a mut Tally,
+    fault: Option<String>,
 }
 
 /// The worker the joiner occupies, if it is running (or its scheduler
@@ -315,43 +255,37 @@ fn joiner_on(at: At) -> Option<usize> {
     }
 }
 
-impl Dfs<'_> {
+impl Scenario {
     fn ord(&self, shipped: MemOrd, weak: JoinMutation) -> MemOrd {
-        if self.sc.mutation == weak {
+        if self.mutation == weak {
             MemOrd::Relaxed
         } else {
             shipped
         }
     }
 
-    /// Everyone who can step from `sys`.
-    fn actors(&self, sys: &Sys) -> Vec<Actor> {
-        let mut out = Vec::new();
-        if joiner_on(sys.at).is_some() {
-            out.push(Actor::Joiner);
+    /// Whether the actor can step from `sys`.
+    fn can_step(&self, sys: &Sys, actor: Actor) -> bool {
+        match actor {
+            Actor::Joiner => joiner_on(sys.at).is_some(),
+            Actor::Kid(k) => matches!(sys.kids[k], Kid::Live { .. }),
+            Actor::Thief(w) => match sys.at {
+                At::InDeque(k) => {
+                    sys.mem.latest(ENTRY[k]) == PUSHED
+                        && !sys
+                            .kids
+                            .iter()
+                            .any(|kid| matches!(kid, Kid::Live { on, .. } if *on == w))
+                }
+                _ => false,
+            },
         }
-        for (k, kid) in sys.kids.iter().enumerate() {
-            if matches!(kid, Kid::Live { .. }) {
-                out.push(Actor::Kid(k));
-            }
-        }
-        if let At::InDeque(k) = sys.at {
-            if sys.mem.latest(ENTRY[k]) == PUSHED {
-                let busy = |w| {
-                    sys.kids
-                        .iter()
-                        .any(|kid| matches!(kid, Kid::Live { on, .. } if *on == w))
-                };
-                out.extend((0..WORKERS).filter(|&w| !busy(w)).map(Actor::Thief));
-            }
-        }
-        out
     }
 
     /// The load the actor's next step performs, if it is one.
     fn load_of(&self, sys: &Sys, actor: Actor) -> Option<(usize, usize, MemOrd)> {
         match actor {
-            Actor::Joiner => match (sys.at, self.program.get(sys.pc)) {
+            Actor::Joiner => match (sys.at, self.shape.program().get(sys.pc)) {
                 (At::Running(w), Some(JOp::JoinAll)) => Some((w, PENDING, MemOrd::Acquire)),
                 _ => None,
             },
@@ -366,119 +300,79 @@ impl Dfs<'_> {
         }
     }
 
-    /// Count the complete interleavings from `sys`, checking every
-    /// invariant on the way.
-    fn visit(&mut self, sys: &Sys) -> u128 {
-        if self.report.violation.is_some() {
-            return 0;
-        }
-        if let Some(&n) = self.memo.get(sys) {
-            return n;
-        }
-        self.report.states += 1;
-        let actors = self.actors(sys);
-        if actors.is_empty() {
-            match sys.at {
-                At::Left => {}
-                At::Parked(tok) => self.violate(&format!(
-                    "the joiner is parked (waiter {tok}) and no child is left to resume it"
-                )),
-                at => self.violate(&format!("no step is possible, joiner at {at:?}")),
-            }
-            return 1;
-        }
-        let mut n = 0u128;
-        for actor in actors {
-            // Under RA a load branches over every message its ordering
-            // permits; anything else, and any step under SC, has one
-            // outcome.
-            let choices = self
-                .load_of(sys, actor)
-                .map_or(1, |(w, loc, ord)| sys.mem.load_choices(w, loc, ord));
-            for choice in 0..choices {
-                let mut next = sys.clone();
-                let label = self.step(&mut next, actor, choice);
-                self.report.transitions += 1;
-                self.path.push(label);
-                n += self.visit(&next);
-                self.path.pop();
-            }
-        }
-        if self.report.violation.is_none() {
-            self.memo.insert(sys.clone(), n);
-        }
-        n
-    }
-
-    /// Record the first counterexample: `what`, after the current path.
-    fn violate(&mut self, what: &str) {
-        if self.report.violation.is_some() {
-            return;
-        }
-        let mut s = format!(
-            "counterexample in scenario `{}`\n  VIOLATION: {what}\n  interleaving ({} steps):\n",
-            self.sc.name,
-            self.path.len()
-        );
-        for (i, l) in self.path.iter().enumerate() {
-            s.push_str(&format!("    {:>3}. {l}\n", i + 1));
-        }
-        self.report.violation = Some(s);
-    }
-
-    /// A child touches the block: only while the joiner's frame exists.
-    fn touch(&mut self, sys: &Sys, k: usize, label: &str) {
-        if sys.at == At::Left {
-            self.path.push(label.to_string());
-            self.violate(&format!(
-                "child {k} touches the join block after the joiner left the frame it lives in"
-            ));
-            self.path.pop();
-        }
-    }
-
     /// The joiner's continuation is resumed on `on`, where it last
     /// spawned from `from`: a thief's resume announces the child.
     fn resume(&self, sys: &mut Sys, on: usize, from: usize) {
-        sys.at = if on != from && self.sc.mutation != JoinMutation::SkipAnnounce {
+        sys.at = if on != from && self.mutation != JoinMutation::SkipAnnounce {
             At::Announcing(on)
         } else {
             At::Running(on)
         };
     }
 
-    /// The joiner passes the `JoinAll` at `pc`, on worker `w`: every
-    /// child spawned before it must have written its result, visibly.
-    fn pass(&mut self, sys: &mut Sys, w: usize, label: &str) {
-        let spawned = self.program[..sys.pc]
-            .iter()
-            .filter(|op| matches!(op, JOp::Spawn(_)))
-            .count();
-        for (k, &loc) in RESULT.iter().enumerate().take(spawned) {
-            if sys.mem.latest(loc) != 1 || sys.mem.load_choices(w, loc, MemOrd::Relaxed) != 1 {
-                self.path.push(label.to_string());
-                self.violate(&format!(
-                    "the joiner passes a JoinAll on worker {w} without child {k}'s result \
-                     visible to it (result[{k}] latest = {})",
-                    sys.mem.latest(loc)
-                ));
-                self.path.pop();
-            }
-        }
-        self.report.passes += 1;
-        sys.pc += 1;
-        sys.at = if sys.pc == self.program.len() {
-            At::Left
-        } else {
-            At::Running(w)
+    /// Child `k`'s exit without a waiter: back to the parent it popped,
+    /// or to its scheduler.
+    fn finish(&self, sys: &mut Sys, k: usize, popped: bool) {
+        let Kid::Live { on, .. } = sys.kids[k] else {
+            unreachable!("only a live child finishes")
         };
+        sys.kids[k] = Kid::Done;
+        if popped {
+            self.resume(sys, on, on);
+        }
+    }
+}
+
+impl Protocol for Scenario {
+    type State = Sys;
+    type Fault = String;
+    type Tally = Tally;
+
+    fn name(&self) -> &'static str {
+        self.name
     }
 
-    /// Execute the actor's next step and describe it.
-    fn step(&mut self, sys: &mut Sys, actor: Actor, choice: u32) -> String {
-        match actor {
-            Actor::Joiner => self.joiner_step(sys, choice),
-            Actor::Kid(k) => self.kid_step(sys, k, choice),
+    fn start(&self) -> Sys {
+        Sys {
+            mem: Mem::new(self.mem_model, vec![0; LOCS], WORKERS),
+            pc: 0,
+            at: At::Running(0),
+            kids: [Kid::Unborn; 2],
+        }
+    }
+
+    fn actors(&self) -> usize {
+        ACTORS.len()
+    }
+
+    /// Under RA a load branches over every message its ordering permits;
+    /// anything else, and any step under SC, has one outcome.
+    fn moves(&self, sys: &Sys, a: usize) -> Vec<u32> {
+        let actor = ACTORS[a];
+        if !self.can_step(sys, actor) {
+            return Vec::new();
+        }
+        let choices = self
+            .load_of(sys, actor)
+            .map_or(1, |(w, loc, ord)| sys.mem.load_choices(w, loc, ord));
+        (0..choices).collect()
+    }
+
+    fn step(
+        &self,
+        sys: &mut Sys,
+        a: usize,
+        choice: u32,
+        tally: &mut Tally,
+    ) -> (String, Option<String>) {
+        let mut turn = Turn {
+            sc: self,
+            tally,
+            fault: None,
+        };
+        let label = match ACTORS[a] {
+            Actor::Joiner => turn.joiner_step(sys, choice),
+            Actor::Kid(k) => turn.kid_step(sys, k, choice),
             Actor::Thief(t) => {
                 let At::InDeque(k) = sys.at else {
                     unreachable!("a thief steps only on a published entry")
@@ -491,13 +385,77 @@ impl Dfs<'_> {
                 self.resume(sys, t, on);
                 format!("worker {t}: steals the joiner's continuation from entry[{k}]")
             }
+        };
+        (label, turn.fault)
+    }
+
+    fn terminal(&self, sys: &Sys) -> Option<String> {
+        match sys.at {
+            At::Left => None,
+            At::Parked(tok) => Some(format!(
+                "the joiner is parked (waiter {tok}) and no child is left to resume it"
+            )),
+            at => Some(format!("no step is possible, joiner at {at:?}")),
         }
+    }
+
+    fn vacuous(&self, tally: &Tally) -> Option<&'static str> {
+        if tally.passes == 0 {
+            Some("no join ever passed")
+        } else if tally.handed_out == 0 {
+            Some("no parked joiner was handed out")
+        } else if tally.wraps == 0 {
+            Some("the count never wrapped")
+        } else {
+            None
+        }
+    }
+}
+
+impl Turn<'_> {
+    /// Keep the step's first broken invariant.
+    fn violate(&mut self, what: String) {
+        self.fault.get_or_insert(what);
+    }
+
+    /// A child touches the block: only while the joiner's frame exists.
+    fn touch(&mut self, sys: &Sys, k: usize) {
+        if sys.at == At::Left {
+            self.violate(format!(
+                "child {k} touches the join block after the joiner left the frame it lives in"
+            ));
+        }
+    }
+
+    /// The joiner passes the `JoinAll` at `pc`, on worker `w`: every
+    /// child spawned before it must have written its result, visibly.
+    fn pass(&mut self, sys: &mut Sys, w: usize) {
+        let spawned = self.sc.shape.program()[..sys.pc]
+            .iter()
+            .filter(|op| matches!(op, JOp::Spawn(_)))
+            .count();
+        for (k, &loc) in RESULT.iter().enumerate().take(spawned) {
+            if sys.mem.latest(loc) != 1 || sys.mem.load_choices(w, loc, MemOrd::Relaxed) != 1 {
+                self.violate(format!(
+                    "the joiner passes a JoinAll on worker {w} without child {k}'s result \
+                     visible to it (result[{k}] latest = {})",
+                    sys.mem.latest(loc)
+                ));
+            }
+        }
+        self.tally.passes += 1;
+        sys.pc += 1;
+        sys.at = if sys.pc == self.sc.shape.program().len() {
+            At::Left
+        } else {
+            At::Running(w)
+        };
     }
 
     fn joiner_step(&mut self, sys: &mut Sys, choice: u32) -> String {
         let token = sys.pc as u64 + 1;
         match sys.at {
-            At::Running(w) => match self.program[sys.pc] {
+            At::Running(w) => match self.sc.shape.program()[sys.pc] {
                 JOp::Spawn(k) => {
                     sys.mem.store(w, ENTRY[k], MemOrd::Release, PUSHED);
                     sys.kids[k] = Kid::Live {
@@ -519,7 +477,7 @@ impl Dfs<'_> {
                         show(out.val)
                     );
                     if out.val == 0 {
-                        self.pass(sys, w, &label);
+                        self.pass(sys, w);
                         return format!("{label} and passes");
                     }
                     sys.at = At::HandedOver(w);
@@ -541,7 +499,7 @@ impl Dfs<'_> {
                 format!("worker {w}: scheduler stores waiter := {token} (Relaxed)")
             }
             At::Parking(w) => {
-                let ord = self.ord(MemOrd::AcqRel, JoinMutation::ParkWeak);
+                let ord = self.sc.ord(MemOrd::AcqRel, JoinMutation::ParkWeak);
                 let old = sys.mem.faa(w, PENDING, PARKED, ord);
                 let label = format!(
                     "worker {w}: scheduler's pending.fetch_add(PARKED) reads {} ({})",
@@ -560,7 +518,7 @@ impl Dfs<'_> {
                 let label = format!(
                     "worker {w}: scheduler clears pending := 0 (Relaxed), resumes the joiner"
                 );
-                self.pass(sys, w, &label);
+                self.pass(sys, w);
                 format!("{label}, which passes")
             }
             at => unreachable!("the joiner does not step at {at:?}"),
@@ -593,26 +551,26 @@ impl Dfs<'_> {
                     return label;
                 }
                 sys.kids[k] = Kid::Done;
-                self.resume(sys, w, w);
+                self.sc.resume(sys, w, w);
                 format!("{label}, and resumes it")
             }
             KStep::Complete { popped } => {
-                let ord = self.ord(MemOrd::AcqRel, JoinMutation::CompleteWeak);
+                let ord = self.sc.ord(MemOrd::AcqRel, JoinMutation::CompleteWeak);
                 let old = sys.mem.faa(w, PENDING, 1u64.wrapping_neg(), ord);
                 let label = format!(
                     "{who} completes: pending.fetch_sub(1) reads {} ({})",
                     show(old),
                     ord.name()
                 );
-                self.touch(sys, k, &label);
+                self.touch(sys, k);
                 if old & !PARKED == 0 {
-                    self.report.wraps += 1;
+                    self.tally.wraps += 1;
                 }
                 let handed = old == PARKED | 1;
                 if handed || self.sc.mutation == JoinMutation::WaiterUnguarded {
                     next(sys, KStep::ReadWaiter { handed, popped });
                 } else {
-                    self.finish(sys, k, popped);
+                    self.sc.finish(sys, k, popped);
                 }
                 label
             }
@@ -620,9 +578,9 @@ impl Dfs<'_> {
                 let out = sys.mem.load(w, WAITER, MemOrd::Relaxed, choice);
                 let stale = if out.stale { ", stale" } else { "" };
                 let label = format!("{who} reads waiter = {} (Relaxed{stale})", out.val);
-                self.touch(sys, k, &label);
+                self.touch(sys, k);
                 if !handed {
-                    self.finish(sys, k, popped);
+                    self.sc.finish(sys, k, popped);
                 } else if self.sc.mutation == JoinMutation::KeepParked {
                     return self.resume_waiter(sys, k, out.val, &label);
                 } else {
@@ -633,21 +591,9 @@ impl Dfs<'_> {
             KStep::Clear { waiter } => {
                 sys.mem.store(w, PENDING, MemOrd::Relaxed, 0);
                 let label = format!("{who} clears pending := 0 (Relaxed)");
-                self.touch(sys, k, &label);
+                self.touch(sys, k);
                 self.resume_waiter(sys, k, waiter, &label)
             }
-        }
-    }
-
-    /// Child `k`'s exit without a waiter: back to the parent it popped,
-    /// or to its scheduler.
-    fn finish(&self, sys: &mut Sys, k: usize, popped: bool) {
-        let Kid::Live { on, .. } = sys.kids[k] else {
-            unreachable!("only a live child finishes")
-        };
-        sys.kids[k] = Kid::Done;
-        if popped {
-            self.resume(sys, on, on);
         }
     }
 
@@ -661,16 +607,14 @@ impl Dfs<'_> {
         sys.kids[k] = Kid::Done;
         let label = format!("{label}, resumes waiter {waiter}");
         if sys.at != At::Parked(waiter) {
-            self.path.push(label.clone());
-            self.violate(&format!(
+            self.violate(format!(
                 "child {k} resumes continuation {waiter}, which is not parked (joiner at {:?})",
                 sys.at
             ));
-            self.path.pop();
             return label;
         }
-        self.report.handed_out += 1;
-        self.pass(sys, on, &label);
+        self.tally.handed_out += 1;
+        self.pass(sys, on);
         format!("{label}: the joiner passes")
     }
 }

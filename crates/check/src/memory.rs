@@ -198,14 +198,6 @@ impl Mem {
         }
     }
 
-    /// Which model this memory runs.
-    pub fn model(&self) -> MemModel {
-        match self {
-            Mem::Sc(_) => MemModel::Sc,
-            Mem::Weak(_) => MemModel::Ra,
-        }
-    }
-
     /// The newest value of `loc` (the authoritative state for invariant
     /// checks, which are claims about modification order, not views).
     pub fn latest(&self, loc: usize) -> u64 {

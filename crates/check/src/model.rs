@@ -44,7 +44,9 @@
 //! `Sc` they are invisible by construction, and the suite proves the
 //! `Ra` explorer catches every one of them.
 
+use crate::explore::{Explorer, Protocol, Report, Seeded};
 use crate::memory::{LoadOut, Mem, MemModel, MemOrd};
+use std::fmt;
 
 /// Shared-memory location classes, used for the independence relation
 /// behind sleep-set pruning. Slot indices are per-capacity (`pos % cap`).
@@ -248,37 +250,29 @@ pub enum Mutation {
     BatchNarrowOwnerBound,
 }
 
-impl Mutation {
-    /// Stable CLI / report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mutation::None => "none",
-            Mutation::SkipOwnerTopRecheck => "owner-top-recheck",
-            Mutation::SkipUnlockOnRacedEmpty => "unlock-drop",
-            Mutation::LastEntryFastPath => "last-entry-fast-path",
-            Mutation::PushPublishRelaxed => "push-publish-weak",
-            Mutation::PopPublishRelease => "pop-publish-weak",
-            Mutation::StealBottomRelaxed => "steal-bottom-weak",
-            Mutation::UnlockRelaxed => "unlock-weak",
-            Mutation::LockCasRelaxed => "lock-cas-weak",
-            Mutation::ClaimTopRelease => "claim-top-weak",
-            Mutation::BatchNarrowOwnerBound => "batch-owner-bound",
-        }
-    }
-
-    /// Whether this mutation is an ordering downgrade, observable only
-    /// under [`MemModel::Ra`].
-    pub fn is_ordering_downgrade(self) -> bool {
-        matches!(
-            self,
-            Mutation::PushPublishRelaxed
-                | Mutation::PopPublishRelease
-                | Mutation::StealBottomRelaxed
-                | Mutation::UnlockRelaxed
-                | Mutation::LockCasRelaxed
-                | Mutation::ClaimTopRelease
-        )
-    }
+impl Seeded for Mutation {
+    const SEEDED: &'static [(Self, &'static str)] = &[
+        // Protocol mutations (visible under SC).
+        (Mutation::SkipOwnerTopRecheck, "owner-top-recheck"),
+        (Mutation::SkipUnlockOnRacedEmpty, "unlock-drop"),
+        (Mutation::LastEntryFastPath, "last-entry-fast-path"),
+        (Mutation::BatchNarrowOwnerBound, "batch-owner-bound"),
+        // Ordering downgrades (visible only under the RA memory model).
+        (Mutation::PushPublishRelaxed, "push-publish-weak"),
+        (Mutation::PopPublishRelease, "pop-publish-weak"),
+        (Mutation::StealBottomRelaxed, "steal-bottom-weak"),
+        (Mutation::UnlockRelaxed, "unlock-weak"),
+        (Mutation::LockCasRelaxed, "lock-cas-weak"),
+        (Mutation::ClaimTopRelease, "claim-top-weak"),
+    ];
+    const WEAK: &'static [Self] = &[
+        Mutation::PushPublishRelaxed,
+        Mutation::PopPublishRelease,
+        Mutation::StealBottomRelaxed,
+        Mutation::UnlockRelaxed,
+        Mutation::LockCasRelaxed,
+        Mutation::ClaimTopRelease,
+    ];
 }
 
 /// One owner-script operation.
@@ -465,10 +459,9 @@ pub struct StepOut {
     pub label: String,
     /// Read/write footprint (drives sleep-set independence).
     pub acc: Access,
-    /// Value kept by this step, if any.
-    pub kept: Option<u64>,
-    /// True if `kept` was already consumed — a double claim.
-    pub dup: bool,
+    /// What keeping a value broke, if this step kept one: a double claim
+    /// or a phantom.
+    pub fault: Option<ViolationKind>,
     /// Protocol-visible completion, for differential replay.
     pub event: OpEvent,
 }
@@ -684,22 +677,11 @@ impl Sys {
         }
     }
 
-    /// Number of distinct next steps for thread `ti`: the reads-from
-    /// choices of its pending load (1 under SC or for stores/RMWs). The
-    /// explorer branches over `0..choices`.
-    pub fn choices(&self, ti: usize, sc: &Scenario) -> u32 {
-        match self.pending_load(ti, sc) {
-            Some((loc, ord)) => self.mem.load_choices(ti, loc, ord),
-            None => 1,
-        }
-    }
-
-    /// Execute thread `ti`'s next step with reads-from `choice` (must be
-    /// `< choices(ti, sc)`). Panics on model-internal impossibilities
+    /// Execute thread `ti`'s next step with reads-from `choice` (one of
+    /// its [`Protocol::moves`]). Panics on model-internal impossibilities
     /// (overflow under a well-sized scenario).
     pub fn step(&mut self, ti: usize, choice: u32, sc: &Scenario) -> StepOut {
         debug_assert!(self.enabled(ti, sc));
-        debug_assert!(choice < self.choices(ti, sc));
         match self.threads[ti].clone() {
             ThreadState::Owner { next, pc } => self.owner_step(ti, next, pc, choice, sc),
             ThreadState::Thief { attempts_left, pc } => {
@@ -708,22 +690,20 @@ impl Sys {
         }
     }
 
-    fn keep(&mut self, v: u64) -> (Option<u64>, bool) {
-        match self.consumed.binary_search(&v) {
-            Ok(_) => (Some(v), true),
-            Err(i) => {
-                self.consumed.insert(i, v);
-                (Some(v), false)
-            }
-        }
+    /// Keep value `v`, which must be new and pushed by the owner script.
+    fn keep(&mut self, v: u64, sc: &Scenario) -> Option<ViolationKind> {
+        let Err(i) = self.consumed.binary_search(&v) else {
+            return Some(ViolationKind::DoubleClaim { value: v });
+        };
+        self.consumed.insert(i, v);
+        (!sc.owner.contains(&OwnerOp::Push(v))).then_some(ViolationKind::PhantomValue { value: v })
     }
 
     fn out(label: String, acc: Access, event: OpEvent) -> StepOut {
         StepOut {
             label,
             acc,
-            kept: None,
-            dup: false,
+            fault: None,
             event,
         }
     }
@@ -785,7 +765,7 @@ impl Sys {
                     self.mem.store(ti, IDX_BOTTOM, MemOrd::Relaxed, nb);
                     let slot = self.slot_of(nb);
                     let v = self.mem.latest(idx_slot(slot));
-                    let (kept, dup) = self.keep(v);
+                    let fault = self.keep(v, sc);
                     set(self, next + 1, OwnerPc::Ready);
                     StepOut {
                         label: format!("owner: pop -> keeps v{v} from pos {nb}"),
@@ -793,8 +773,7 @@ impl Sys {
                             LOC_TOP | LOC_BOTTOM | LOC_LOCK | loc_slot(slot),
                             LOC_BOTTOM,
                         ),
-                        kept,
-                        dup,
+                        fault,
                         event: OpEvent::PopDone(Some(v)),
                     }
                 }
@@ -892,15 +871,14 @@ impl Sys {
                     // Mutation: the fast path no longer consults `top`.
                     let slot = self.slot_of(nb);
                     let v = self.own_load(ti, idx_slot(slot), ords.slot_read);
-                    let (kept, dup) = self.keep(v);
+                    let fault = self.keep(v, sc);
                     set(self, next + 1, OwnerPc::Ready);
                     return StepOut {
                         label: format!(
                             "owner: pop [MUTATED: no top re-check] keeps v{v} from pos {nb}"
                         ),
                         acc: Access::r(loc_slot(slot)),
-                        kept,
-                        dup,
+                        fault,
                         event: OpEvent::PopDone(Some(v)),
                     };
                 }
@@ -924,7 +902,7 @@ impl Sys {
                 if fast {
                     let slot = self.slot_of(nb);
                     let v = self.own_load(ti, idx_slot(slot), ords.slot_read);
-                    let (kept, dup) = self.keep(v);
+                    let fault = self.keep(v, sc);
                     let mutated = if !sound {
                         match sc.mutation {
                             Mutation::LastEntryFastPath => " [MUTATED: lock-free last entry]",
@@ -942,8 +920,7 @@ impl Sys {
                             "owner: pop re-reads top={t} -> keeps v{v} lock-free{tag}{mutated}"
                         ),
                         acc: Access::r(LOC_TOP | loc_slot(slot)),
-                        kept,
-                        dup,
+                        fault,
                         event: OpEvent::PopDone(Some(v)),
                     }
                 } else {
@@ -1005,13 +982,12 @@ impl Sys {
                 self.mem.store(ti, IDX_BOTTOM, ords.pop_take_bottom, b - 1);
                 let slot = self.slot_of(b - 1);
                 let v = self.own_load(ti, idx_slot(slot), ords.slot_read);
-                let (kept, dup) = self.keep(v);
+                let fault = self.keep(v, sc);
                 set(self, next, OwnerPc::PopUnlock { took: true });
                 StepOut {
                     label: format!("owner: pop keeps v{v} under lock"),
                     acc: Access::rw(loc_slot(slot), LOC_BOTTOM),
-                    kept,
-                    dup,
+                    fault,
                     event: OpEvent::PopDone(Some(v)),
                 }
             }
@@ -1108,7 +1084,7 @@ impl Sys {
                 let slot = self.slot_of(t);
                 let v = self.mem.latest(idx_slot(slot));
                 self.mem.store(ti, IDX_TOP, MemOrd::Relaxed, t + 1);
-                let (kept, dup) = self.keep(v);
+                let fault = self.keep(v, sc);
                 set(self, attempts, ThiefPc::SimUnlockPending { stole: true });
                 StepOut {
                     label: format!(
@@ -1116,8 +1092,7 @@ impl Sys {
                         t + 1
                     ),
                     acc: Access::rw(LOC_TOP | LOC_BOTTOM | loc_slot(slot), LOC_TOP),
-                    kept,
-                    dup,
+                    fault,
                     event: OpEvent::StealPhase(Some(v)),
                 }
             }
@@ -1243,7 +1218,7 @@ impl Sys {
                 let l = self.mem.load(ti, idx_slot(slot), ords.slot_read, choice);
                 let v = l.val;
                 let tag = stale_tag(l, "slot", self.slot(slot as usize));
-                let (kept, dup) = self.keep(v);
+                let fault = self.keep(v, sc);
                 let next_pc = if i + 1 < k {
                     ThiefPc::NatReadSlot { t, k, i: i + 1 }
                 } else {
@@ -1255,8 +1230,7 @@ impl Sys {
                         "{name}: locked read slot {slot} (pos {pos}) -> keeps v{v}{tag}"
                     ),
                     acc: Access::r(loc_slot(slot)),
-                    kept,
-                    dup,
+                    fault,
                     event: OpEvent::Micro,
                 }
             }
@@ -1289,6 +1263,286 @@ impl Sys {
                 )
             }
             (pc, fam) => unreachable!("thief pc {pc:?} invalid in family {fam:?}"),
+        }
+    }
+}
+
+/// A violated invariant of the deque. Checked on every reachable state
+/// and transition:
+///
+/// 1. **No double claim** — a value is kept at most once (owner pop and
+///    thief steal never both win an entry; two thieves never both win).
+/// 2. **Slack bound** — `top <= bottom + 1` (the transient `bottom =
+///    top - 1` dip inside a pop is the only allowed overshoot).
+/// 3. **Capacity bound** — `bottom - top <= capacity`.
+/// 4. **Lock discipline** — at quiescence the lock word is 0; a wedged
+///    system (some thread not done, none enabled) is reported as stuck,
+///    which is how a leaked lock manifests mid-run.
+/// 5. **Conservation** — at quiescence every pushed value was either
+///    kept exactly once or still sits in `[top, bottom)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ViolationKind {
+    /// A value was kept twice (pop/steal or steal/steal double claim).
+    DoubleClaim {
+        /// The twice-claimed value.
+        value: u64,
+    },
+    /// A consumer kept a value that was never pushed in the explored
+    /// window — a stale slot read that escaped (possible only when a
+    /// publication edge is broken, e.g. the `push-publish-weak`
+    /// mutation).
+    PhantomValue {
+        /// The never-pushed value that was kept.
+        value: u64,
+    },
+    /// A pushed value was neither kept nor left in the deque.
+    LostValue {
+        /// The missing value.
+        value: u64,
+    },
+    /// All threads finished but the lock word is nonzero.
+    LockLeak {
+        /// Final lock word.
+        lock: u64,
+    },
+    /// `top > bottom + 1`.
+    SlackExceeded {
+        /// Observed top.
+        top: u64,
+        /// Observed bottom.
+        bottom: u64,
+    },
+    /// `bottom - top > capacity`.
+    OverCapacity {
+        /// Observed live count.
+        live: u64,
+        /// Scenario capacity.
+        capacity: u64,
+    },
+    /// Some thread still has work but no thread can step (e.g. the owner
+    /// spinning on a lock nobody will ever release).
+    Stuck,
+}
+
+impl fmt::Display for ViolationKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ViolationKind::DoubleClaim { value } => {
+                write!(f, "double claim: value v{value} was kept by two consumers")
+            }
+            ViolationKind::PhantomValue { value } => write!(
+                f,
+                "phantom task: a consumer kept v{value}, which was never pushed \
+                 (stale slot read)"
+            ),
+            ViolationKind::LostValue { value } => {
+                write!(f, "lost task: value v{value} was pushed but never delivered")
+            }
+            ViolationKind::LockLeak { lock } => {
+                write!(f, "lock leak: all threads done but lock word = {lock}")
+            }
+            ViolationKind::SlackExceeded { top, bottom } => write!(
+                f,
+                "index slack violated: top={top}, bottom={bottom} exceed the family's transient bound"
+            ),
+            ViolationKind::OverCapacity { live, capacity } => write!(
+                f,
+                "capacity violated: {live} live entries in a {capacity}-slot deque"
+            ),
+            ViolationKind::Stuck => write!(
+                f,
+                "stuck: unfinished threads but no enabled step (wedged on the lock)"
+            ),
+        }
+    }
+}
+
+impl Scenario {
+    fn all_done(&self, sys: &Sys) -> bool {
+        (0..sys.threads.len()).all(|t| sys.done(t, self))
+    }
+
+    /// A step's trace label: what it did, then the shared words after it.
+    fn label(next: &Sys, out: &StepOut) -> String {
+        format!(
+            "{:<58} [lock={} top={} bottom={}]",
+            out.label,
+            next.lock(),
+            next.top(),
+            next.bottom()
+        )
+    }
+}
+
+impl Protocol for Scenario {
+    type State = Sys;
+    type Fault = ViolationKind;
+    type Tally = SleepSets;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn start(&self) -> Sys {
+        Sys::initial(self)
+    }
+
+    /// The owner, then each thief.
+    fn actors(&self) -> usize {
+        1 + self.thieves.len()
+    }
+
+    /// The reads-from choices of the thread's pending load (one under SC
+    /// or for a store or RMW), if it is enabled.
+    fn moves(&self, sys: &Sys, t: usize) -> Vec<u32> {
+        if !sys.enabled(t, self) {
+            return Vec::new();
+        }
+        let choices = sys
+            .pending_load(t, self)
+            .map_or(1, |(loc, ord)| sys.mem.load_choices(t, loc, ord));
+        (0..choices).collect()
+    }
+
+    fn step(
+        &self,
+        sys: &mut Sys,
+        t: usize,
+        choice: u32,
+        _: &mut SleepSets,
+    ) -> (String, Option<ViolationKind>) {
+        let out = sys.step(t, choice, self);
+        (Self::label(sys, &out), out.fault)
+    }
+
+    fn check(&self, sys: &Sys) -> Option<ViolationKind> {
+        // Tight per-family slack bounds, proved by the exploration
+        // itself: at phase atomicity indices never cross (`top <=
+        // bottom`); at per-access granularity a thief's claim published
+        // against a pre-dip `bottom` can overlap the victim's
+        // speculative bottom dip (-1, always restored), so `top <=
+        // bottom + 1` transiently and anything beyond is a bug.
+        let slack = match self.family {
+            Family::SimPhase => 0,
+            Family::NativeOp => 1,
+        };
+        let (top, bottom) = (sys.top(), sys.bottom());
+        if top > bottom + slack {
+            return Some(ViolationKind::SlackExceeded { top, bottom });
+        }
+        (bottom > top && bottom - top > self.capacity).then(|| ViolationKind::OverCapacity {
+            live: bottom - top,
+            capacity: self.capacity,
+        })
+    }
+
+    fn terminal(&self, sys: &Sys) -> Option<ViolationKind> {
+        if !self.all_done(sys) {
+            return Some(ViolationKind::Stuck);
+        }
+        let (top, bottom) = (sys.top(), sys.bottom());
+        if sys.lock() != 0 {
+            return Some(ViolationKind::LockLeak { lock: sys.lock() });
+        }
+        // Transient overshoot must be rolled back by quiescence.
+        if top > bottom {
+            return Some(ViolationKind::SlackExceeded { top, bottom });
+        }
+        let remaining: Vec<u64> = (top..bottom)
+            .map(|p| sys.slot((p % sys.capacity()) as usize))
+            .collect();
+        self.owner.iter().find_map(|op| match *op {
+            OwnerOp::Push(value)
+                if !sys.consumed.contains(&value) && !remaining.contains(&value) =>
+            {
+                Some(ViolationKind::LostValue { value })
+            }
+            _ => None,
+        })
+    }
+}
+
+/// What the sleep-set walk adds to the deque's [`Report`]; the exhaustive
+/// walk leaves it empty.
+#[derive(Debug, Default)]
+pub struct SleepSets {
+    /// Prefixes cut because every enabled step was asleep.
+    pub pruned: u64,
+    /// Every complete schedule walked (the thread of each step), for
+    /// differential replay.
+    pub schedules: Vec<Vec<usize>>,
+}
+
+impl Scenario {
+    /// Stateless DFS with sleep sets (Godefroid) over the read/write
+    /// footprints in [`Access`], plus the stutter pruning built into
+    /// [`Sys::enabled`] (spin/retry steps are disabled until they can make
+    /// progress). It walks concrete complete executions, which the
+    /// differential replay consumes, and the suite cross-checks that it
+    /// reaches exactly the quiescent states the exhaustive explorer does.
+    /// SC only: a footprint is a step's, not a reads-from choice's.
+    pub fn sleep_sets(&self) -> Report<Scenario> {
+        assert_eq!(
+            self.mem_model,
+            MemModel::Sc,
+            "sleep sets assume choice-free steps; RA scenarios are \
+             explored exhaustively"
+        );
+        let mut ex = Explorer::new(self);
+        ex.sleep_walk(&Sys::initial(self), &[], &mut Vec::new());
+        ex.report
+    }
+}
+
+impl Explorer<'_, Scenario> {
+    fn sleep_walk(&mut self, sys: &Sys, sleep: &[(usize, Access)], sched: &mut Vec<usize>) {
+        let sc = self.p;
+        if self.report.violation.is_some() {
+            return;
+        }
+        let enabled: Vec<usize> = (0..sc.actors()).filter(|&t| sys.enabled(t, sc)).collect();
+        if enabled.is_empty() {
+            if sc.all_done(sys) {
+                self.report.interleavings += 1;
+                self.report.tally.schedules.push(sched.clone());
+            }
+            self.end(sys);
+            return;
+        }
+        let explore: Vec<usize> = enabled
+            .into_iter()
+            .filter(|t| !sleep.iter().any(|(u, _)| u == t))
+            .collect();
+        if explore.is_empty() {
+            // Every enabled step is asleep: all continuations from here
+            // are commutations of interleavings explored elsewhere.
+            self.report.tally.pruned += 1;
+            return;
+        }
+        let mut done_here: Vec<(usize, Access)> = Vec::new();
+        for t in explore {
+            if self.report.violation.is_some() {
+                break;
+            }
+            let mut next = sys.clone();
+            let out = next.step(t, 0, sc);
+            self.record(&next, Scenario::label(&next, &out), out.fault);
+            sched.push(t);
+            if self.report.violation.is_none() {
+                // A sleeping thread stays asleep only across steps that
+                // are independent of it; its own footprint is unchanged
+                // by such steps, so the recorded Access stays valid.
+                let new_sleep: Vec<(usize, Access)> = sleep
+                    .iter()
+                    .chain(done_here.iter())
+                    .filter(|(u, acc)| *u != t && acc.independent(out.acc))
+                    .cloned()
+                    .collect();
+                self.sleep_walk(&next, &new_sleep, sched);
+            }
+            self.path.pop();
+            sched.pop();
+            done_here.push((t, out.acc));
         }
     }
 }

@@ -184,31 +184,32 @@ pub fn sleep_set_scenarios() -> &'static [&'static str] {
 }
 
 /// Demo scenarios for one seeded mutation: small systems where the
-/// checker must produce a counterexample trace. Ordering-downgrade
-/// mutations come with RA scenarios (they are invisible under SC — the
-/// test suite checks both directions).
+/// checker must produce a counterexample trace — mostly the clean suites'
+/// own. Ordering-downgrade mutations come with RA scenarios (they are
+/// invisible under SC — the test suite checks both directions).
 pub fn mutation_demos(m: Mutation) -> Vec<Scenario> {
     assert_ne!(m, Mutation::None);
+    let suite = |name: &str| {
+        standard_suite()
+            .into_iter()
+            .chain(weak_suite())
+            .find(|sc| sc.name == name)
+            .expect("a clean-suite scenario")
+    };
     let mut demos = match m {
         // Deleting the owner's top re-check is only observable at atomic
         // granularity (at phase atomicity the conflict path is dead code,
-        // which the SimPhase model asserts).
-        Mutation::SkipOwnerTopRecheck => vec![
-            native("native/last-entry", 1, vec![Push(1), Pop], vec![2]),
-            native("native/1v1", 2, vec![Push(1), Push(2), Pop, Pop], vec![2]),
-        ],
-        Mutation::SkipUnlockOnRacedEmpty => vec![
-            sim("sim/last-entry", 2, vec![Push(1), Pop], vec![2]),
-            native("native/last-entry", 1, vec![Push(1), Pop], vec![2]),
-        ],
-        // The latent bug found in the shipped `NativeDeque::pop`: the
+        // which the SimPhase model asserts). The same two scenarios show
+        // the latent bug found in the shipped `NativeDeque::pop`: the
         // owner takes the last entry lock-free whenever its top re-read
         // shows no published claim, racing a thief that is already
         // committed inside its locked critical section.
-        Mutation::LastEntryFastPath => vec![
-            native("native/last-entry", 1, vec![Push(1), Pop], vec![2]),
-            native("native/1v1", 2, vec![Push(1), Push(2), Pop, Pop], vec![2]),
-        ],
+        Mutation::SkipOwnerTopRecheck | Mutation::LastEntryFastPath => {
+            vec![suite("native/last-entry"), suite("native/1v1")]
+        }
+        Mutation::SkipUnlockOnRacedEmpty => {
+            vec![suite("sim/last-entry"), suite("native/last-entry")]
+        }
         // A push whose bottom bump no longer carries the entry write:
         // the thief's acquire pre-check synchronizes with nothing, so
         // its locked slot read may see the slot's previous contents.
@@ -217,18 +218,13 @@ pub fn mutation_demos(m: Mutation) -> Vec<Scenario> {
         // the thief can read a pre-decrement bottom, walk past entries
         // the owner's fast path is draining, and double-claim on the
         // third attempt.
-        Mutation::PopPublishRelease | Mutation::StealBottomRelaxed => vec![ra(
-            "ra/drain",
-            3,
-            vec![Push(1), Push(2), Push(3), Pop],
-            vec![3],
-        )],
+        Mutation::PopPublishRelease | Mutation::StealBottomRelaxed => vec![suite("ra/drain")],
         // The lock hand-off chain broken from either end: the next
         // holder's relaxed locked re-reads see a stale `top` and take an
         // entry the previous holder already kept.
         Mutation::UnlockRelaxed | Mutation::LockCasRelaxed => vec![
             ra("ra/last-entry", 1, vec![Push(1), Pop], vec![1]),
-            ra("ra/1v1", 2, vec![Push(1), Push(2), Pop, Pop], vec![2]),
+            suite("ra/1v1"),
         ],
         // A claim outside the SC order: the owner's SeqCst top re-read
         // can miss it and fast-path into the thief's committed range.

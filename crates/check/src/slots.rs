@@ -33,11 +33,10 @@
 //! when every slot is held; and no state short of every worker finishing
 //! is stuck (no deadlock). [`SlotMutation`]s seed six ways to break them.
 //!
-//! Its own small DFS rather than [`crate::explore`], like
-//! [`crate::termination`] and [`crate::join`].
+//! A [`Protocol`] whose actors are the three workers.
 
+use crate::explore::{Protocol, Seeded};
 use crate::memory::{Mem, MemModel, MemOrd};
-use std::collections::HashMap;
 use std::fmt;
 
 const LOCK: usize = 0;
@@ -85,37 +84,16 @@ pub enum SlotMutation {
     RaidFloorHalf,
 }
 
-/// The seeded mutations, for `uat_check --list-mutations`.
-pub const MUTATIONS: [SlotMutation; 6] = [
-    SlotMutation::SkipMembarrier,
-    SlotMutation::RaidBeforeBusy,
-    SlotMutation::NoBusyWait,
-    SlotMutation::BusyClearRelaxed,
-    SlotMutation::SkipPoolLock,
-    SlotMutation::RaidFloorHalf,
-];
-
-impl SlotMutation {
-    /// Stable CLI / report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SlotMutation::None => "none",
-            SlotMutation::SkipMembarrier => "slots-skip-membarrier",
-            SlotMutation::RaidBeforeBusy => "slots-raid-before-busy",
-            SlotMutation::NoBusyWait => "slots-no-busy-wait",
-            SlotMutation::BusyClearRelaxed => "slots-busy-clear-relaxed",
-            SlotMutation::SkipPoolLock => "slots-skip-pool-lock",
-            SlotMutation::RaidFloorHalf => "slots-raid-floor-half",
-        }
-    }
-
-    /// The weakest memory model that shows the mutation.
-    pub fn model(self) -> MemModel {
-        match self {
-            SlotMutation::SkipMembarrier | SlotMutation::BusyClearRelaxed => MemModel::Ra,
-            _ => MemModel::Sc,
-        }
-    }
+impl Seeded for SlotMutation {
+    const SEEDED: &'static [(Self, &'static str)] = &[
+        (SlotMutation::SkipMembarrier, "slots-skip-membarrier"),
+        (SlotMutation::RaidBeforeBusy, "slots-raid-before-busy"),
+        (SlotMutation::NoBusyWait, "slots-no-busy-wait"),
+        (SlotMutation::BusyClearRelaxed, "slots-busy-clear-relaxed"),
+        (SlotMutation::SkipPoolLock, "slots-skip-pool-lock"),
+        (SlotMutation::RaidFloorHalf, "slots-raid-floor-half"),
+    ];
+    const WEAK: &'static [Self] = &[SlotMutation::SkipMembarrier, SlotMutation::BusyClearRelaxed];
 }
 
 /// The slots and programs a scenario starts from.
@@ -192,26 +170,15 @@ pub fn suite(mem_model: MemModel, mutation: SlotMutation) -> [Scenario; 2] {
     })
 }
 
-/// Exploration statistics and outcome for one scenario.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Distinct reachable states.
-    pub states: u64,
-    /// Transitions executed.
-    pub transitions: u64,
-    /// Distinct complete interleavings (exact, by dynamic programming).
-    pub interleavings: u128,
-    /// Operations completed on the fast path (a clean scenario must not
-    /// be vacuous).
+/// What a clean scenario must show it did.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Operations completed on the fast path.
     pub fast: u64,
     /// Fast paths that found a raid on and left for the slow path.
     pub raided: u64,
     /// Raids that took at least one slot.
     pub raids: u64,
-    /// The first counterexample, rendered, if an invariant broke.
-    pub violation: Option<String>,
 }
 
 /// A LIFO of slot numbers (1..=15), four bits each, oldest in the low
@@ -338,66 +305,19 @@ struct Worker {
     fullest: Option<(usize, Stack)>,
 }
 
+/// Memory and the workers' control states.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct Sys {
+pub struct Sys {
     mem: Mem,
     workers: [Worker; WORKERS],
 }
 
-struct Dfs<'a> {
+/// One actor's step in progress: the counters it bumps and the first
+/// invariant it breaks.
+struct Turn<'a> {
     sc: &'a Scenario,
-    programs: [&'static [Op]; WORKERS],
-    memo: HashMap<Sys, u128>,
-    report: Report,
-    path: Vec<String>,
-}
-
-impl Scenario {
-    /// Explore every interleaving (and, under RA, every permitted
-    /// reads-from choice) and report.
-    pub fn explore(&self) -> Report {
-        let (pool, caches, held) = self.shape.start();
-        let mut init = vec![0; LOC_NAMES.len()];
-        init[POOL] = pool.0;
-        for w in 0..WORKERS {
-            init[CACHE[w]] = caches[w].0;
-        }
-        let mut dfs = Dfs {
-            sc: self,
-            programs: self.shape.programs(),
-            memo: HashMap::new(),
-            report: Report {
-                scenario: self.name,
-                states: 0,
-                transitions: 0,
-                interleavings: 0,
-                fast: 0,
-                raided: 0,
-                raids: 0,
-                violation: None,
-            },
-            path: Vec::new(),
-        };
-        let mut sys = Sys {
-            mem: Mem::new(self.mem_model, init, WORKERS),
-            workers: std::array::from_fn(|w| Worker {
-                pc: 0,
-                step: Step::Done,
-                held: held[w],
-                carry: Stack::EMPTY,
-                raid: 0,
-                fullest: None,
-            }),
-        };
-        for w in 0..WORKERS {
-            dfs.begin(&mut sys, w);
-        }
-        let n = dfs.visit(&sys);
-        if dfs.report.violation.is_none() {
-            dfs.report.interleavings = n;
-        }
-        dfs.report
-    }
+    tally: &'a mut Tally,
+    fault: Option<String>,
 }
 
 /// The newest slot of a non-empty stack.
@@ -410,16 +330,16 @@ fn peer_after(w: usize, v: Option<usize>) -> Option<usize> {
     (v.map_or(0, |v| v + 1)..WORKERS).find(|&p| p != w)
 }
 
-impl Dfs<'_> {
+impl Scenario {
     fn mutated(&self, m: SlotMutation) -> bool {
-        self.sc.mutation == m
+        self.mutation == m
     }
 
     /// Start worker `w`'s next operation (or finish its program).
     fn begin(&self, sys: &mut Sys, w: usize) {
         let wk = &mut sys.workers[w];
         wk.raid = 0;
-        wk.step = if wk.pc == self.programs[w].len() {
+        wk.step = if wk.pc == self.shape.programs()[w].len() {
             Step::Done
         } else if self.mutated(SlotMutation::RaidBeforeBusy) {
             Step::LoadRaid
@@ -431,15 +351,6 @@ impl Dfs<'_> {
     fn next_op(&self, sys: &mut Sys, w: usize) {
         sys.workers[w].pc += 1;
         self.begin(sys, w);
-    }
-
-    /// The fast path has both raised `busy` and read `raid`.
-    fn decide(&mut self, raid: u64) -> Step {
-        if raid == 0 {
-            return Step::LoadOwn;
-        }
-        self.report.raided += 1;
-        Step::Bail
     }
 
     /// The slow path starts with the pool lock — unless mutated away.
@@ -482,11 +393,65 @@ impl Dfs<'_> {
         })
     }
 
-    /// The outcomes `w`'s next step may have (none: it cannot step now).
+    /// Where each slot is not held: the pool, the caches, the workers'
+    /// hands in transit.
+    fn unheld(&self, sys: &Sys) -> Vec<(u64, String)> {
+        let words = [POOL, CACHE[0], CACHE[1], CACHE[2]];
+        let in_words = words.into_iter().flat_map(|loc| {
+            Stack(sys.mem.latest(loc))
+                .slots()
+                .map(move |s| (s, LOC_NAMES[loc].to_string()))
+        });
+        let carried = sys.workers.iter().enumerate().flat_map(|(w, wk)| {
+            wk.carry
+                .slots()
+                .map(move |s| (s, format!("worker {w}'s hands")))
+        });
+        in_words.chain(carried).collect()
+    }
+}
+
+impl Protocol for Scenario {
+    type State = Sys;
+    type Fault = String;
+    type Tally = Tally;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn start(&self) -> Sys {
+        let (pool, caches, held) = self.shape.start();
+        let mut init = vec![0; LOC_NAMES.len()];
+        init[POOL] = pool.0;
+        for w in 0..WORKERS {
+            init[CACHE[w]] = caches[w].0;
+        }
+        let mut sys = Sys {
+            mem: Mem::new(self.mem_model, init, WORKERS),
+            workers: std::array::from_fn(|w| Worker {
+                pc: 0,
+                step: Step::Done,
+                held: held[w],
+                carry: Stack::EMPTY,
+                raid: 0,
+                fullest: None,
+            }),
+        };
+        for w in 0..WORKERS {
+            self.begin(&mut sys, w);
+        }
+        sys
+    }
+
+    fn actors(&self) -> usize {
+        WORKERS
+    }
+
     /// A load branches over every message its ordering permits; a wait
     /// is a spin, which only a read of 0 ends; the lock is a
     /// compare-and-swap on the latest value, which only 0 lets through.
-    fn choices(&self, sys: &Sys, w: usize) -> Vec<u32> {
+    fn moves(&self, sys: &Sys, w: usize) -> Vec<u32> {
         let free = |loc: usize| sys.mem.latest(loc) == 0;
         match (sys.workers[w].step, self.load_of(sys, w)) {
             (Step::Done, _) => vec![],
@@ -505,79 +470,26 @@ impl Dfs<'_> {
         }
     }
 
-    /// Count the complete interleavings from `sys`, checking every
-    /// invariant on the way.
-    fn visit(&mut self, sys: &Sys) -> u128 {
-        if self.report.violation.is_some() {
-            return 0;
-        }
-        if let Some(&n) = self.memo.get(sys) {
-            return n;
-        }
-        self.report.states += 1;
-        let (mut n, mut stepped) = (0u128, false);
-        for w in 0..WORKERS {
-            for choice in self.choices(sys, w) {
-                stepped = true;
-                let mut next = sys.clone();
-                let label = self.step(&mut next, w, choice);
-                self.report.transitions += 1;
-                self.path.push(label);
-                self.conserve(&next);
-                n += self.visit(&next);
-                self.path.pop();
-            }
-        }
-        if !stepped {
-            if sys.workers.iter().any(|wk| wk.step != Step::Done) {
-                let at = sys.workers.map(|wk| wk.step);
-                self.violate(&format!("deadlock: no worker can step (at {at:?})"));
-            }
-            n = 1;
-        }
-        if self.report.violation.is_none() {
-            self.memo.insert(sys.clone(), n);
-        }
-        n
-    }
-
-    /// Record the first counterexample: `what`, after the current path.
-    fn violate(&mut self, what: &str) {
-        if self.report.violation.is_some() {
-            return;
-        }
-        let mut s = format!(
-            "counterexample in scenario `{}`\n  VIOLATION: {what}\n  interleaving ({} steps):\n",
-            self.sc.name,
-            self.path.len()
-        );
-        for (i, l) in self.path.iter().enumerate() {
-            s.push_str(&format!("    {:>3}. {l}\n", i + 1));
-        }
-        self.report.violation = Some(s);
-    }
-
-    /// Where each slot is not held: the pool, the caches, the workers'
-    /// hands in transit.
-    fn unheld(&self, sys: &Sys) -> Vec<(u64, String)> {
-        let words = [POOL, CACHE[0], CACHE[1], CACHE[2]];
-        let in_words = words.into_iter().flat_map(|loc| {
-            Stack(sys.mem.latest(loc))
-                .slots()
-                .map(move |s| (s, LOC_NAMES[loc].to_string()))
-        });
-        let carried = sys.workers.iter().enumerate().flat_map(|(w, wk)| {
-            wk.carry
-                .slots()
-                .map(move |s| (s, format!("worker {w}'s hands")))
-        });
-        in_words.chain(carried).collect()
+    fn step(
+        &self,
+        sys: &mut Sys,
+        w: usize,
+        choice: u32,
+        tally: &mut Tally,
+    ) -> (String, Option<String>) {
+        let mut turn = Turn {
+            sc: self,
+            tally,
+            fault: None,
+        };
+        let label = turn.take(sys, w, choice);
+        (label, turn.fault)
     }
 
     /// Conservation: every slot in exactly one of the pool, a cache, or
     /// a worker's hands.
-    fn conserve(&mut self, sys: &Sys) {
-        let mut at: Vec<Vec<String>> = vec![Vec::new(); self.sc.shape.slots() as usize + 1];
+    fn check(&self, sys: &Sys) -> Option<String> {
+        let mut at: Vec<Vec<String>> = vec![Vec::new(); self.shape.slots() as usize + 1];
         for (s, place) in self.unheld(sys) {
             at[s as usize].push(place);
         }
@@ -586,18 +498,48 @@ impl Dfs<'_> {
                 at[s as usize].push(format!("held by worker {w}"));
             }
         }
-        if let Some((s, places)) = at.iter().enumerate().skip(1).find(|(_, p)| p.len() != 1) {
-            self.violate(&format!(
-                "slot {s} is in {} places {places:?}",
-                places.len()
-            ));
+        let (s, places) = at.iter().enumerate().skip(1).find(|(_, p)| p.len() != 1)?;
+        Some(format!("slot {s} is in {} places {places:?}", places.len()))
+    }
+
+    /// No deadlock: a state where nobody can step has every worker done.
+    fn terminal(&self, sys: &Sys) -> Option<String> {
+        sys.workers.iter().any(|wk| wk.step != Step::Done).then(|| {
+            let at = sys.workers.map(|wk| wk.step);
+            format!("deadlock: no worker can step (at {at:?})")
+        })
+    }
+
+    fn vacuous(&self, tally: &Tally) -> Option<&'static str> {
+        if tally.raids == 0 || tally.raided == 0 {
+            Some("no raid ever met a fast path")
+        } else if tally.fast == 0 {
+            Some("no fast path completed")
+        } else {
+            None
         }
+    }
+}
+
+impl Turn<'_> {
+    /// Keep the step's first broken invariant.
+    fn violate(&mut self, what: String) {
+        self.fault.get_or_insert(what);
+    }
+
+    /// The fast path has both raised `busy` and read `raid`.
+    fn decide(&mut self, raid: u64) -> Step {
+        if raid == 0 {
+            return Step::LoadOwn;
+        }
+        self.tally.raided += 1;
+        Step::Bail
     }
 
     /// Worker `w` allocates `slot`: nobody may be holding it.
     fn hand_out(&mut self, sys: &mut Sys, w: usize, slot: u64) {
         if let Some(o) = (0..WORKERS).find(|&o| sys.workers[o].held.slots().any(|s| s == slot)) {
-            self.violate(&format!(
+            self.violate(format!(
                 "slot {slot} is handed to worker {w} while worker {o} holds it"
             ));
         }
@@ -606,16 +548,16 @@ impl Dfs<'_> {
 
     /// Execute worker `w`'s next step (`choice` picks what a load reads)
     /// and describe it.
-    fn step(&mut self, sys: &mut Sys, w: usize, choice: u32) -> String {
+    fn take(&mut self, sys: &mut Sys, w: usize, choice: u32) -> String {
         let who = format!("worker {w}");
-        let op = self.programs[w][sys.workers[w].pc];
+        let op = self.sc.shape.programs()[w][sys.workers[w].pc];
         let read = |sys: &mut Sys, loc: usize, ord: MemOrd| {
             let out = sys.mem.load(w, loc, ord, choice);
             let stale = if out.stale { ", stale" } else { "" };
             let val = out.val;
             (val, format!("{}{stale}", ord.name()))
         };
-        let clear = if self.mutated(SlotMutation::BusyClearRelaxed) {
+        let clear = if self.sc.mutated(SlotMutation::BusyClearRelaxed) {
             MemOrd::Relaxed
         } else {
             MemOrd::Release
@@ -624,7 +566,7 @@ impl Dfs<'_> {
         match step {
             Step::Raise => {
                 sys.mem.store(w, BUSY[w], MemOrd::Relaxed, 1);
-                sys.workers[w].step = if self.mutated(SlotMutation::RaidBeforeBusy) {
+                sys.workers[w].step = if self.sc.mutated(SlotMutation::RaidBeforeBusy) {
                     self.decide(sys.workers[w].raid)
                 } else {
                     Step::LoadRaid
@@ -634,7 +576,7 @@ impl Dfs<'_> {
             Step::LoadRaid => {
                 let (raid, how) = read(sys, RAID, MemOrd::Acquire);
                 sys.workers[w].raid = raid;
-                sys.workers[w].step = if self.mutated(SlotMutation::RaidBeforeBusy) {
+                sys.workers[w].step = if self.sc.mutated(SlotMutation::RaidBeforeBusy) {
                     Step::Raise
                 } else {
                     self.decide(raid)
@@ -681,18 +623,18 @@ impl Dfs<'_> {
                 if let Step::Update { .. } = step {
                     sys.workers[w].step = Step::Lower;
                 } else {
-                    self.unlock(sys, w);
+                    self.sc.unlock(sys, w);
                 }
                 format!("{who}: cache[{w}] := {new:?} (Relaxed): {did} slot {slot}")
             }
             Step::Lower | Step::Bail => {
                 sys.mem.store(w, BUSY[w], clear, 0);
                 let then = if step == Step::Lower {
-                    self.report.fast += 1;
-                    self.next_op(sys, w);
+                    self.tally.fast += 1;
+                    self.sc.next_op(sys, w);
                     "fast path done"
                 } else {
-                    sys.workers[w].step = self.slow();
+                    sys.workers[w].step = self.sc.slow();
                     "to the slow path"
                 };
                 format!("{who}: busy[{w}] := 0 ({}), {then}", clear.name())
@@ -744,8 +686,8 @@ impl Dfs<'_> {
             }
             Step::RaidOn => {
                 sys.mem.store(w, RAID, MemOrd::Relaxed, 1);
-                sys.workers[w].step = if self.mutated(SlotMutation::SkipMembarrier) {
-                    self.first_wait(w)
+                sys.workers[w].step = if self.sc.mutated(SlotMutation::SkipMembarrier) {
+                    self.sc.first_wait(w)
                 } else {
                     Step::Membarrier
                 };
@@ -753,7 +695,7 @@ impl Dfs<'_> {
             }
             Step::Membarrier => {
                 sys.mem.membarrier(w);
-                sys.workers[w].step = self.first_wait(w);
+                sys.workers[w].step = self.sc.first_wait(w);
                 format!("{who}: membarrier")
             }
             Step::Wait(v) => {
@@ -778,7 +720,7 @@ impl Dfs<'_> {
                 let wk = &mut sys.workers[w];
                 let (v, s) = wk.fullest.take().expect("a raid looked at a peer");
                 wk.step = Step::RaidOff;
-                let n = if self.mutated(SlotMutation::RaidFloorHalf) {
+                let n = if self.sc.mutated(SlotMutation::RaidFloorHalf) {
                     s.len() / 2
                 } else {
                     s.len().div_ceil(2)
@@ -789,7 +731,7 @@ impl Dfs<'_> {
                 let (rest, taken) = s.oldest(n);
                 wk.carry = taken;
                 sys.mem.store(w, CACHE[v], MemOrd::Relaxed, rest.0);
-                self.report.raids += 1;
+                self.tally.raids += 1;
                 format!("{who}: cache[{v}] := {rest:?} (Relaxed): takes {taken:?}")
             }
             Step::RaidOff => {
@@ -804,21 +746,19 @@ impl Dfs<'_> {
             }
             Step::Unlock => {
                 sys.mem.store(w, LOCK, MemOrd::Release, 0);
-                self.next_op(sys, w);
+                self.sc.next_op(sys, w);
                 format!("{who}: releases the pool lock (Release)")
             }
             Step::GiveUp => {
-                if !self.mutated(SlotMutation::SkipPoolLock) {
+                if !self.sc.mutated(SlotMutation::SkipPoolLock) {
                     sys.mem.store(w, LOCK, MemOrd::Release, 0);
                 }
                 sys.workers[w].step = Step::Done;
                 let label = format!("{who}: declares the pool exhausted");
-                if let Some((s, place)) = self.unheld(sys).into_iter().next() {
-                    self.path.push(label.clone());
-                    self.violate(&format!(
+                if let Some((s, place)) = self.sc.unheld(sys).into_iter().next() {
+                    self.violate(format!(
                         "the pool is declared exhausted with slot {s} free in {place}"
                     ));
-                    self.path.pop();
                 }
                 label
             }

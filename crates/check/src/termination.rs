@@ -34,11 +34,11 @@
 //! to break it: the passes swapped (caught under SC) and pass 1 loaded
 //! `Relaxed` (caught only under RA).
 //!
-//! Its own small DFS rather than [`crate::explore`]: that explorer's
-//! system, steps and invariants are the THE deque's.
+//! A [`Protocol`] of three actors — worker 0, worker 1 and the third
+//! scanner, which has no moves when the workers scan.
 
+use crate::explore::{Protocol, Seeded};
 use crate::memory::{Mem, MemModel, MemOrd};
-use std::collections::HashMap;
 
 const SPAWNED: [usize; 2] = [0, 1];
 const COMPLETED: [usize; 2] = [2, 3];
@@ -72,18 +72,12 @@ pub enum ScanMutation {
     CompletedWeak,
 }
 
-/// The seeded mutations, for `uat_check --list-mutations`.
-pub const MUTATIONS: [ScanMutation; 2] = [ScanMutation::PassOrder, ScanMutation::CompletedWeak];
-
-impl ScanMutation {
-    /// Stable CLI / report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScanMutation::None => "none",
-            ScanMutation::PassOrder => "scan-pass-order",
-            ScanMutation::CompletedWeak => "scan-completed-weak",
-        }
-    }
+impl Seeded for ScanMutation {
+    const SEEDED: &'static [(Self, &'static str)] = &[
+        (ScanMutation::PassOrder, "scan-pass-order"),
+        (ScanMutation::CompletedWeak, "scan-completed-weak"),
+    ];
+    const WEAK: &'static [Self] = &[ScanMutation::CompletedWeak];
 }
 
 /// Who runs the scan.
@@ -120,23 +114,6 @@ pub fn suite(mem_model: MemModel, mutation: ScanMutation) -> [Scenario; 2] {
         scanner,
         mutation,
     })
-}
-
-/// Exploration statistics and outcome for one scenario.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Distinct reachable states.
-    pub states: u64,
-    /// Transitions executed.
-    pub transitions: u64,
-    /// Distinct complete interleavings (exact, by dynamic programming).
-    pub interleavings: u128,
-    /// Scan verdicts that passed (a clean scenario must not be vacuous).
-    pub passes: u64,
-    /// The first counterexample, rendered, if the invariant broke.
-    pub violation: Option<String>,
 }
 
 /// One step of a thread.
@@ -177,17 +154,11 @@ struct Thread {
     spawned: u64,
 }
 
+/// Memory and the three actors' control states.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct Sys {
+pub struct Sys {
     mem: Mem,
     threads: Vec<Thread>,
-}
-
-struct Dfs<'a> {
-    sc: &'a Scenario,
-    memo: HashMap<Sys, u128>,
-    report: Report,
-    path: Vec<String>,
 }
 
 impl Scenario {
@@ -216,44 +187,12 @@ impl Scenario {
         )
     }
 
-    /// Explore every interleaving (and, under RA, every permitted
-    /// reads-from choice) and report.
-    pub fn explore(&self) -> Report {
-        let threads = match self.scanner {
-            Scanner::ThirdThread => 3,
-            Scanner::WorkerTail => 2,
-        };
-        let mut dfs = Dfs {
-            sc: self,
-            memo: HashMap::new(),
-            report: Report {
-                scenario: self.name,
-                states: 0,
-                transitions: 0,
-                interleavings: 0,
-                passes: 0,
-                violation: None,
-            },
-            path: Vec::new(),
-        };
-        let n = dfs.visit(&Sys {
-            mem: Mem::new(self.mem_model, vec![0; LOC_NAMES.len()], threads),
-            threads: vec![Thread::default(); threads],
-        });
-        if dfs.report.violation.is_none() {
-            dfs.report.interleavings = n;
-        }
-        dfs.report
-    }
-}
-
-impl Dfs<'_> {
     /// The thread's next step: the next op of its program, then — if it
     /// scans — the loads of its one scan; `None` once it is done.
     fn next(&self, sys: &Sys, t: usize) -> Option<Op> {
         let th = &sys.threads[t];
-        let scan = || (self.sc.scans(t) && th.loads < 4).then_some(Op::ScanLoad(th.loads));
-        self.sc.program(t).get(th.pc).copied().or_else(scan)
+        let scan = || (self.scans(t) && th.loads < 4).then_some(Op::ScanLoad(th.loads));
+        self.program(t).get(th.pc).copied().or_else(scan)
     }
 
     /// The cell and ordering of the load `op` performs, if it is one.
@@ -261,58 +200,69 @@ impl Dfs<'_> {
         match op {
             Op::Tick(..) => None,
             Op::Steal => Some((PUBLISHED, MemOrd::Acquire)),
-            Op::ScanLoad(k) => Some(self.sc.scan_load(k)),
+            Op::ScanLoad(k) => Some(self.scan_load(k)),
+        }
+    }
+}
+
+impl Protocol for Scenario {
+    type State = Sys;
+    type Fault = String;
+    /// Scan verdicts that passed.
+    type Tally = u64;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn start(&self) -> Sys {
+        let threads = self.actors();
+        Sys {
+            mem: Mem::new(self.mem_model, vec![0; LOC_NAMES.len()], threads),
+            threads: vec![Thread::default(); threads],
         }
     }
 
-    /// Count the complete interleavings from `sys`, checking every scan
-    /// verdict on the way.
-    fn visit(&mut self, sys: &Sys) -> u128 {
-        if self.report.violation.is_some() {
-            return 0;
+    fn actors(&self) -> usize {
+        match self.scanner {
+            Scanner::ThirdThread => 3,
+            Scanner::WorkerTail => 2,
         }
-        if let Some(&n) = self.memo.get(sys) {
-            return n;
-        }
-        self.report.states += 1;
-        let (mut n, mut stepped) = (0u128, false);
-        for t in 0..sys.threads.len() {
-            let Some(op) = self.next(sys, t) else {
-                continue;
-            };
-            stepped = true;
-            // Under RA a load branches over every message its ordering
-            // permits; a store, and any step under SC, has one outcome.
-            let choices = self
-                .load_of(op)
-                .map_or(1, |(loc, ord)| sys.mem.load_choices(t, loc, ord));
-            for choice in 0..choices {
-                let mut next = sys.clone();
-                let label = self.step(&mut next, t, op, choice);
-                self.report.transitions += 1;
-                self.path.push(label);
-                n += self.visit(&next);
-                self.path.pop();
-            }
-        }
-        let n = if stepped { n } else { 1 };
-        if self.report.violation.is_none() {
-            self.memo.insert(sys.clone(), n);
-        }
-        n
     }
 
-    /// Execute `op` on thread `t` and describe it; a scan's last load
-    /// also delivers its verdict, checked against the invariant here.
-    fn step(&mut self, sys: &mut Sys, t: usize, op: Op, choice: u32) -> String {
+    /// Under RA a load branches over every message its ordering permits;
+    /// a store, and any step under SC, has one outcome.
+    fn moves(&self, sys: &Sys, t: usize) -> Vec<u32> {
+        let Some(op) = self.next(sys, t) else {
+            return Vec::new();
+        };
+        let choices = self
+            .load_of(op)
+            .map_or(1, |(loc, ord)| sys.mem.load_choices(t, loc, ord));
+        (0..choices).collect()
+    }
+
+    /// Execute thread `t`'s next op; a scan's last load also delivers its
+    /// verdict, checked against the invariant here.
+    fn step(
+        &self,
+        sys: &mut Sys,
+        t: usize,
+        choice: u32,
+        passes: &mut u64,
+    ) -> (String, Option<String>) {
         let who = ["worker 0", "worker 1", "scanner"][t];
+        let op = self.next(sys, t).expect("a thread with a move has an op");
         let Some((loc, ord)) = self.load_of(op) else {
             let Op::Tick(loc, val, what) = op else {
                 unreachable!("every op but a tick loads")
             };
             sys.mem.store(t, loc, MemOrd::Release, val);
             sys.threads[t].pc += 1;
-            return format!("{who}: {what} ({} := {val}, Release)", LOC_NAMES[loc]);
+            return (
+                format!("{who}: {what} ({} := {val}, Release)", LOC_NAMES[loc]),
+                None,
+            );
         };
         let out = sys.mem.load(t, loc, ord, choice);
         let stale = if out.stale { ", stale" } else { "" };
@@ -321,13 +271,16 @@ impl Dfs<'_> {
         if let Op::Steal = op {
             if out.val == 1 {
                 th.pc += 1;
-                return format!("{who}: steals the child ({read})");
+                return (format!("{who}: steals the child ({read})"), None);
             }
             th.tries += 1;
             if th.tries == STEAL_ATTEMPTS {
                 th.pc = PROGRAMS[1].len();
             }
-            return format!("{who}: steal attempt {} fails ({read})", th.tries);
+            return (
+                format!("{who}: steal attempt {} fails ({read})", th.tries),
+                None,
+            );
         }
         if COMPLETED.contains(&loc) {
             th.completed += out.val;
@@ -336,26 +289,21 @@ impl Dfs<'_> {
         }
         th.loads += 1;
         if th.loads < 4 || th.completed != 1 + th.spawned {
-            return format!("{who}: scan reads {read}");
+            return (format!("{who}: scan reads {read}"), None);
         }
-        self.report.passes += 1;
-        let label = format!("{who}: scan reads {read} and passes");
+        *passes += 1;
         let now = COMPLETED.map(|c| sys.mem.latest(c));
-        if now != ALL_DONE && self.report.violation.is_none() {
-            let mut s = format!(
-                "counterexample in scenario `{}`\n  VIOLATION: {who}'s scan passed \
-                 ({} completed == 1 + {} spawned) with tasks still to complete \
-                 (completed = {now:?}, whole tree = {ALL_DONE:?})\n  interleaving ({} steps):\n",
-                self.sc.name,
-                th.completed,
-                th.spawned,
-                self.path.len() + 1
-            );
-            for (i, l) in self.path.iter().chain([&label]).enumerate() {
-                s.push_str(&format!("    {:>3}. {l}\n", i + 1));
-            }
-            self.report.violation = Some(s);
-        }
-        label
+        let early = (now != ALL_DONE).then(|| {
+            format!(
+                "{who}'s scan passed ({} completed == 1 + {} spawned) with tasks still to \
+                 complete (completed = {now:?}, whole tree = {ALL_DONE:?})",
+                th.completed, th.spawned
+            )
+        });
+        (format!("{who}: scan reads {read} and passes"), early)
+    }
+
+    fn vacuous(&self, passes: &u64) -> Option<&'static str> {
+        (*passes == 0).then_some("no scan ever passed")
     }
 }

@@ -6,19 +6,16 @@
 //! explorer could not.
 
 use uat_check::scenarios::{mutation_demos, weak_suite};
-use uat_check::{Explorer, MemModel, Mutation, ViolationKind};
+use uat_check::{MemModel, Mutation, Protocol, Seeded, ViolationKind};
 
 #[test]
 fn weak_clean_suite_has_zero_violations() {
     let mut total_states = 0u64;
     for sc in &weak_suite() {
-        let report = Explorer::new(sc, 0).run_exhaustive();
-        assert!(
-            report.violation.is_none(),
-            "{}: unexpected violation under RA:\n{}",
-            sc.name,
-            report.violation.as_ref().unwrap().render(sc.name)
-        );
+        let report = sc.explore();
+        if let Some(v) = &report.violation {
+            panic!("{}: unexpected violation under RA:\n{v}", sc.name);
+        }
         assert!(
             report.states > 0 && report.interleavings > 0,
             "{}: empty exploration",
@@ -37,10 +34,10 @@ fn weak_clean_suite_has_zero_violations() {
 #[test]
 fn ra_explores_a_superset_of_sc() {
     for sc in &weak_suite() {
-        let ra = Explorer::new(sc, 0).run_exhaustive();
+        let ra = sc.explore();
         let mut sc_version = sc.clone();
         sc_version.mem_model = MemModel::Sc;
-        let sc_run = Explorer::new(&sc_version, 0).run_exhaustive();
+        let sc_run = sc_version.explore();
         assert!(
             ra.interleavings >= sc_run.interleavings,
             "{}: RA found fewer executions ({}) than SC ({})",
@@ -51,49 +48,42 @@ fn ra_explores_a_superset_of_sc() {
     }
 }
 
-const WEAK_MUTATIONS: [Mutation; 6] = [
-    Mutation::PushPublishRelaxed,
-    Mutation::PopPublishRelease,
-    Mutation::StealBottomRelaxed,
-    Mutation::UnlockRelaxed,
-    Mutation::LockCasRelaxed,
-    Mutation::ClaimTopRelease,
-];
+/// `m` is caught: its demos yield counterexamples, each a violation
+/// `expected` accepts, in a readable trace that shows the mutated access.
+fn assert_caught(m: Mutation, expected: fn(&ViolationKind) -> bool) {
+    let demos = mutation_demos(m);
+    let found: Vec<_> = demos
+        .iter()
+        .filter_map(|sc| sc.explore().violation)
+        .collect();
+    assert!(!found.is_empty(), "{} produced no counterexample", m.name());
+    for v in found {
+        let rendered = v.to_string();
+        assert!(
+            expected(&v.fault),
+            "{}: unexpected violation:\n{rendered}",
+            m.name()
+        );
+        assert!(
+            rendered.contains("VIOLATION") && rendered.contains("MUTATED"),
+            "{}: trace does not show the mutated access:\n{rendered}",
+            m.name()
+        );
+    }
+}
 
 #[test]
 fn every_ordering_downgrade_is_caught_with_a_trace() {
-    for m in WEAK_MUTATIONS {
-        let mut caught = 0;
-        for sc in &mutation_demos(m) {
-            let report = Explorer::new(sc, 0).run_exhaustive();
-            if let Some(v) = &report.violation {
-                caught += 1;
-                assert!(
-                    matches!(
-                        v.kind,
-                        ViolationKind::DoubleClaim { .. }
-                            | ViolationKind::PhantomValue { .. }
-                            | ViolationKind::LostValue { .. }
-                    ),
-                    "{} under {}: expected a safety violation, got: {}",
-                    sc.name,
-                    m.name(),
-                    v.kind.describe()
-                );
-                let rendered = v.render(sc.name);
-                assert!(rendered.contains("VIOLATION"), "trace missing verdict");
-                assert!(
-                    rendered.contains("MUTATED"),
-                    "{}: trace does not show the downgraded access:\n{rendered}",
-                    m.name()
-                );
-            }
-        }
-        assert!(
-            caught > 0,
-            "ordering downgrade {} produced no counterexample",
-            m.name()
-        );
+    assert_eq!(Mutation::WEAK.len(), 6);
+    for &m in Mutation::WEAK {
+        assert_caught(m, |k| {
+            matches!(
+                k,
+                ViolationKind::DoubleClaim { .. }
+                    | ViolationKind::PhantomValue { .. }
+                    | ViolationKind::LostValue { .. }
+            )
+        });
     }
 }
 
@@ -101,20 +91,19 @@ fn every_ordering_downgrade_is_caught_with_a_trace() {
 /// there. This is the gap the RA mode closes.
 #[test]
 fn ordering_downgrades_are_invisible_under_sc() {
-    for m in WEAK_MUTATIONS {
-        assert!(m.is_ordering_downgrade());
+    for &m in Mutation::WEAK {
         for sc in &mutation_demos(m) {
+            assert_eq!(sc.mem_model, MemModel::Ra);
             let mut sc_version = sc.clone();
             sc_version.mem_model = MemModel::Sc;
-            let report = Explorer::new(&sc_version, 0).run_exhaustive();
-            assert!(
-                report.violation.is_none(),
-                "{} under SC unexpectedly caught {} — it is not an \
-                 ordering bug after all:\n{}",
-                sc.name,
-                m.name(),
-                report.violation.as_ref().unwrap().render(sc.name)
-            );
+            if let Some(v) = sc_version.explore().violation {
+                panic!(
+                    "{} under SC unexpectedly caught {} — it is not an \
+                     ordering bug after all:\n{v}",
+                    sc.name,
+                    m.name()
+                );
+            }
         }
     }
 }
@@ -124,22 +113,11 @@ fn ordering_downgrades_are_invisible_under_sc() {
 /// batching ships (ROADMAP item 3).
 #[test]
 fn batch_narrow_owner_bound_is_caught_under_sc() {
-    let mut caught = 0;
-    for sc in &mutation_demos(Mutation::BatchNarrowOwnerBound) {
-        assert_eq!(sc.mem_model, MemModel::Sc);
-        let report = Explorer::new(sc, 0).run_exhaustive();
-        if let Some(v) = &report.violation {
-            caught += 1;
-            assert!(
-                matches!(v.kind, ViolationKind::DoubleClaim { .. }),
-                "{}: expected a double claim, got: {}",
-                sc.name,
-                v.kind.describe()
-            );
-            assert!(v.render(sc.name).contains("MUTATED"));
-        }
-    }
-    assert!(caught > 0, "batch-owner-bound produced no counterexample");
+    let m = Mutation::BatchNarrowOwnerBound;
+    assert!(mutation_demos(m)
+        .iter()
+        .all(|sc| sc.mem_model == MemModel::Sc));
+    assert_caught(m, |k| matches!(k, ViolationKind::DoubleClaim { .. }));
 }
 
 /// The push-publish audit (ISSUE 8 satellite): `Release` is the weakest
@@ -152,21 +130,10 @@ fn push_publish_release_is_proven_weakest_safe() {
     // Safe side: covered by weak_clean_suite_has_zero_violations (the
     // suite runs OrdSpec::native with push_publish = Release). Unsafe
     // side: Relaxed must produce a stale-slot counterexample.
-    let mut phantom_or_lost = 0;
-    for sc in &mutation_demos(Mutation::PushPublishRelaxed) {
-        let report = Explorer::new(sc, 0).run_exhaustive();
-        if let Some(v) = &report.violation {
-            assert!(
-                matches!(
-                    v.kind,
-                    ViolationKind::PhantomValue { .. } | ViolationKind::LostValue { .. }
-                ),
-                "{}: expected a stale-slot manifestation, got: {}",
-                sc.name,
-                v.kind.describe()
-            );
-            phantom_or_lost += 1;
-        }
-    }
-    assert!(phantom_or_lost > 0);
+    assert_caught(Mutation::PushPublishRelaxed, |k| {
+        matches!(
+            k,
+            ViolationKind::PhantomValue { .. } | ViolationKind::LostValue { .. }
+        )
+    });
 }

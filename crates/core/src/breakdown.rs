@@ -49,49 +49,6 @@ impl StealBreakdown {
         let s = self.phase(phase);
         s.mean * s.count as f64
     }
-
-    /// Fraction of the total contributed by suspend + resume — the
-    /// uni-address scheme's own overhead (the paper reports 7.7%).
-    pub fn suspend_resume_fraction(&self) -> f64 {
-        let total = self.total_mean();
-        if total == 0.0 {
-            return 0.0;
-        }
-        (self.phase(StealPhase::Suspend).mean + self.phase(StealPhase::Resume).mean) / total
-    }
-
-    /// Merge another accumulator (e.g. across workers).
-    pub fn merge(&mut self, other: &StealBreakdown) {
-        for p in StealPhase::ALL {
-            let i = p.index();
-            self.phases[i].merge(&other.phases[i]);
-        }
-        self.completed += other.completed;
-        self.aborted_empty += other.aborted_empty;
-        self.aborted_lock += other.aborted_lock;
-        self.aborted_raced += other.aborted_raced;
-    }
-
-    /// Render the Figure 10 table.
-    pub fn report(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        writeln!(s, "{:<16} {:>12} {:>10}", "phase", "mean cycles", "share").unwrap();
-        let total = self.total_mean();
-        for p in StealPhase::ALL {
-            let m = self.phase(p).mean;
-            writeln!(
-                s,
-                "{:<16} {:>12.0} {:>9.1}%",
-                p.name(),
-                m,
-                if total > 0.0 { 100.0 * m / total } else { 0.0 }
-            )
-            .unwrap();
-        }
-        writeln!(s, "{:<16} {:>12.0} {:>10}", "total", total, "").unwrap();
-        s
-    }
 }
 
 impl ToJson for StealBreakdown {
@@ -148,42 +105,12 @@ mod tests {
         }
         assert_eq!(b.completed, 3);
         assert!((b.total_mean() - 39_600.0).abs() < 1.0);
-        let f = b.suspend_resume_fraction();
-        assert!((f - 3_500.0 / 39_600.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = StealBreakdown::new();
-        a.record(StealPhase::Lock, Cycles(10_000));
-        a.completed = 1;
-        a.aborted_lock = 2;
-        let mut b = StealBreakdown::new();
-        b.record(StealPhase::Lock, Cycles(8_000));
-        b.completed = 1;
-        b.aborted_empty = 5;
-        a.merge(&b);
-        assert_eq!(a.completed, 2);
-        assert_eq!(a.aborted_lock, 2);
-        assert_eq!(a.aborted_empty, 5);
-        assert!((a.phase(StealPhase::Lock).mean - 9_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn report_contains_all_phases() {
-        let mut b = StealBreakdown::new();
-        b.record(StealPhase::StackTransfer, Cycles(6_000));
-        let r = b.report();
-        for p in StealPhase::ALL {
-            assert!(r.contains(p.name()), "missing {}", p.name());
-        }
     }
 
     #[test]
     fn empty_breakdown_is_zero() {
         let b = StealBreakdown::new();
         assert_eq!(b.total_mean(), 0.0);
-        assert_eq!(b.suspend_resume_fraction(), 0.0);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! termination scan or slot-cache raid. The model-checked suites explore
 //! each protocol under sequential consistency and release/acquire and
 //! require every seeded mutation to be caught, as `tests/deque.rs` does
-//! for the THE deque; the join block and the idle policy also run their
-//! own unit suites on the code itself.
+//! for the THE deque; `golden` pins every clean scenario's exploration
+//! counts, the deque's included; the join block and the idle policy also
+//! run their own unit suites on the code itself.
 
+#[path = "../crates/check/tests/golden.rs"]
+mod golden;
 #[path = "../crates/check/tests/join.rs"]
 mod join;
 #[path = "../crates/check/tests/slots.rs"]
