@@ -9,7 +9,7 @@
 //! edges — see DESIGN.md §8), and reports:
 //!
 //! - the **critical path**: the chain of segments that gated the
-//!   makespan, with its cycles attributed to the [`Bucket`] taxonomy.
+//!   makespan, with its cycles attributed to the [`Bucket`](uat_trace::Bucket) taxonomy.
 //!   The path total equals the makespan *exactly* (checked; non-zero
 //!   exit on violation — CI relies on this).
 //! - **what-if predictions**: the makespan if one cost class (`rdma-read`,

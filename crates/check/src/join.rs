@@ -1,5 +1,5 @@
 //! The join protocol (`uat_fiber`'s `join::JoinBlock` as both real
-//! runtimes drive it, DESIGN.md [I16] and [I21]) on the [`Mem`] machine,
+//! runtimes drive it, DESIGN.md \[I16\] and \[I21\]) on the [`Mem`] machine,
 //! under SC and release/acquire.
 //!
 //! One joiner task owns one block — `pending` (a count plus the

@@ -1,6 +1,6 @@
 //! The free-slot supply of the multiprocess runtime (`uat_fiber`'s
 //! `mpruntime`: the slot pool, one cache per worker in front of it, and
-//! the raid — DESIGN.md [I22]) on the [`Mem`] machine, under SC and
+//! the raid — DESIGN.md \[I22\]) on the [`Mem`] machine, under SC and
 //! release/acquire.
 //!
 //! Each worker allocates from and frees to its own cache on a fast path

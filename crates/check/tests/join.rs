@@ -1,33 +1,19 @@
-//! The join-protocol model checking itself: the shipped protocol keeps
-//! every invariant in every shape under either memory model, and is not
-//! vacuous — joiners park and are handed out, and a stolen child's
-//! decrement does wrap the count; each seeded mutation yields a readable
-//! counterexample under the weakest model that shows it, and the two
-//! ordering downgrades are invisible under SC.
+//! The join-protocol mutations: each yields a readable counterexample
+//! under the weakest model that shows it, and the two ordering
+//! downgrades are invisible under SC. That the shipped protocol keeps
+//! every invariant and is not vacuous — joiners park and are handed out,
+//! and a stolen child's decrement does wrap the count — is `golden.rs`'s.
 
 use uat_check::join::{suite, JoinMutation};
 use uat_check::{MemModel, Protocol, Seeded};
 
-#[test]
-fn shipped_protocol_keeps_every_invariant() {
-    for model in [MemModel::Sc, MemModel::Ra] {
-        for sc in suite(model, JoinMutation::None) {
-            let r = sc.explore();
-            assert!(r.violation.is_none(), "{}", r.violation.unwrap());
-            assert!(r.states > 0 && r.interleavings > 0, "{}: empty", sc.name);
-            assert_eq!(sc.vacuous(&r.tally), None, "{}", sc.name);
-        }
-    }
-}
+#[path = "pinned/mod.rs"]
+mod pinned;
 
 #[test]
 fn ra_explores_more_than_sc() {
-    for (sc, ra) in suite(MemModel::Sc, JoinMutation::None)
-        .into_iter()
-        .zip(suite(MemModel::Ra, JoinMutation::None))
-    {
-        assert!(ra.explore().interleavings > sc.explore().interleavings);
-    }
+    let sc = suite(MemModel::Sc, JoinMutation::None);
+    pinned::assert_ra_explores_more(&sc, &suite(MemModel::Ra, JoinMutation::None));
 }
 
 /// The first counterexample any shape yields for `m` under `model`.

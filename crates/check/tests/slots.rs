@@ -1,33 +1,19 @@
-//! The slot-supply model checking itself: the shipped protocol keeps
-//! every invariant in both shapes under either memory model, and is not
-//! vacuous — fast paths complete, some find a raid on, and raids take
-//! slots; each seeded mutation yields a readable counterexample under the
-//! weakest model that shows it, and the two RA-only ones are invisible
-//! under SC.
+//! The slot-supply mutations: each yields a readable counterexample under
+//! the weakest model that shows it, and the two RA-only ones are
+//! invisible under SC. That the shipped protocol keeps every invariant
+//! and is not vacuous — fast paths complete, some find a raid on, and
+//! raids take slots — is `golden.rs`'s.
 
 use uat_check::slots::{suite, SlotMutation};
 use uat_check::{MemModel, Protocol, Seeded};
 
-#[test]
-fn shipped_protocol_keeps_every_invariant() {
-    for model in [MemModel::Sc, MemModel::Ra] {
-        for sc in suite(model, SlotMutation::None) {
-            let r = sc.explore();
-            assert!(r.violation.is_none(), "{}", r.violation.unwrap());
-            assert!(r.states > 0 && r.interleavings > 0, "{}: empty", sc.name);
-            assert_eq!(sc.vacuous(&r.tally), None, "{}", sc.name);
-        }
-    }
-}
+#[path = "pinned/mod.rs"]
+mod pinned;
 
 #[test]
 fn ra_explores_more_than_sc() {
-    for (sc, ra) in suite(MemModel::Sc, SlotMutation::None)
-        .into_iter()
-        .zip(suite(MemModel::Ra, SlotMutation::None))
-    {
-        assert!(ra.explore().interleavings > sc.explore().interleavings);
-    }
+    let sc = suite(MemModel::Sc, SlotMutation::None);
+    pinned::assert_ra_explores_more(&sc, &suite(MemModel::Ra, SlotMutation::None));
 }
 
 /// The first counterexample either shape yields for `m` under `model`.

@@ -151,11 +151,11 @@ pub struct Engine<W: Workload> {
     page_faults: u64,
     /// The run's one observer: accounts, counts, histograms, events.
     trace: TraceCtl,
-    /// Tests only: after this many events, deliberately corrupt one
-    /// task-table record so the auditor trips (exercises the flight
-    /// recorder end to end). See [`Engine::seed_audit_violation`].
-    #[cfg(feature = "audit")]
-    sabotage_after: Option<u64>,
+    /// `Some` once [`Engine::audited`] has switched the every-event
+    /// auditor on. The value is the event count after which
+    /// [`Engine::seed_audit_violation`] corrupts one task record
+    /// (`u64::MAX`: never).
+    audit: Option<u64>,
 }
 
 impl<W: Workload> Engine<W> {
@@ -199,8 +199,7 @@ impl<W: Workload> Engine<W> {
             total_units: 0,
             page_faults: 0,
             trace: TraceCtl::new(topo.total_workers() as usize),
-            #[cfg(feature = "audit")]
-            sabotage_after: None,
+            audit: None,
         }
     }
 
@@ -213,6 +212,19 @@ impl<W: Workload> Engine<W> {
     /// machine's worker count; snapshot it after [`run`](Engine::run).
     pub fn with_metrics(mut self, registry: &std::sync::Arc<uat_metrics::Registry>) -> Self {
         self.trace.attach_registry(registry);
+        self
+    }
+
+    /// Re-validate every global invariant after every event of this run
+    /// (DESIGN.md §7.3 lists them). The first violation dumps the flight
+    /// recording (to [`flight_path`]) and then panics with the
+    /// violation's message. An audited run without a sink records into a
+    /// [`FLIGHT_RING_CAPACITY`](Self::FLIGHT_RING_CAPACITY)-event ring
+    /// per worker, so the recording is there. The auditor is read-only:
+    /// an audited run schedules exactly as the plain one, and its
+    /// [`RunStats`] differ only in the rings' `dropped` counts.
+    pub fn audited(mut self) -> Self {
+        self.audit.get_or_insert(u64::MAX);
         self
     }
 
@@ -248,11 +260,10 @@ impl<W: Workload> Engine<W> {
     /// Drive the event loop until the root completes; returns the
     /// makespan with tracing accounts finalized against it.
     fn run_loop(&mut self) -> Cycles {
-        // Flight recorder: under audit, make sure a bounded ring is
-        // recording so an invariant violation has a post-mortem to dump
-        // (runs that already installed a sink keep their capacity).
-        #[cfg(feature = "audit")]
-        if !self.trace.has_sink() {
+        // Flight recorder: an audited run keeps a bounded ring recording
+        // so an invariant violation has a post-mortem to dump (runs that
+        // already installed a sink keep their capacity).
+        if self.audit.is_some() && !self.trace.has_sink() {
             let workers = self.cfg.topo.total_workers() as usize;
             self.trace.install_sink(workers, Self::FLIGHT_RING_CAPACITY);
             self.fabric.enable_trace(Self::FLIGHT_RING_CAPACITY);
@@ -284,29 +295,8 @@ impl<W: Workload> Engine<W> {
                 );
             }
             self.fire(WorkerId(w), Cycles(t));
-            // Seeded corruption for flight-recorder tests: mislabel a
-            // running task's location so the next audit pass trips.
-            #[cfg(feature = "audit")]
-            if self.sabotage_after.is_some_and(|n| self.events >= n) {
-                if let Some(task) = self.workers.iter().find_map(|c| c.current) {
-                    self.sabotage_after = None;
-                    self.tasks.get_mut(task).at = TaskWhere::InFlight;
-                }
-            }
-            // Under the audit feature, re-validate every global invariant
-            // after every event (skipped once the root has completed:
-            // in-flight state is abandoned wherever it stands). A
-            // violation first dumps the flight recording, then resumes
-            // the panic.
-            #[cfg(feature = "audit")]
-            if self.finished_at.is_none() {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.audit_invariants()
-                }));
-                if let Err(payload) = caught {
-                    self.dump_flight_recording(Cycles(t), payload.as_ref());
-                    std::panic::resume_unwind(payload);
-                }
+            if self.audit.is_some() {
+                self.audit_event(Cycles(t));
             }
         }
 
@@ -952,7 +942,6 @@ impl<W: Workload> Engine<W> {
 /// Where the flight recorder writes the post-mortem for a violation
 /// caught on a thread named `name` (tests run on a thread named after
 /// the test): `<target>/flight/<sanitized name>.trace.json`.
-#[cfg(feature = "audit")]
 pub fn flight_path(name: &str) -> std::path::PathBuf {
     let target = std::env::var_os("CARGO_TARGET_DIR")
         .map(std::path::PathBuf::from)
@@ -972,20 +961,51 @@ pub fn flight_path(name: &str) -> std::path::PathBuf {
         .join(format!("{sanitized}.trace.json"))
 }
 
-#[cfg(feature = "audit")]
 impl<W: Workload> Engine<W> {
-    /// Arrange for a deliberate invariant violation once `after_events`
-    /// events have fired: the first running task found after that point
-    /// gets its task-table location mislabelled as `InFlight`, which the
-    /// next audit pass reports as a location mismatch. This exists so
-    /// tests (and curious users) can watch the flight recorder produce a
+    /// Per-worker ring capacity of the flight recorder an
+    /// [`audited`](Self::audited) run installs: big enough to
+    /// reconstruct the last few protocol rounds before a violation,
+    /// small enough to cost nothing.
+    pub const FLIGHT_RING_CAPACITY: usize = 4096;
+
+    /// Audit this run (as [`audited`](Self::audited)) and arrange for a
+    /// deliberate invariant violation once `after_events` events have
+    /// fired: the first running task found after that point gets its
+    /// task-table location mislabelled as `InFlight`, which the next
+    /// audit pass reports as a location mismatch. This exists so tests
+    /// (and curious users) can watch the flight recorder produce a
     /// post-mortem without waiting for a real scheduler bug.
     pub fn seed_audit_violation(&mut self, after_events: u64) {
-        self.sabotage_after = Some(after_events);
+        self.audit = Some(after_events);
     }
 
-    /// Re-validate the global invariants after one event (see the
-    /// `audit` feature's description in Cargo.toml and DESIGN.md §7).
+    /// An audited run's step after each event: the seeded corruption
+    /// once it is due, then every invariant (skipped once the root has
+    /// completed: in-flight state is abandoned wherever it stands). A
+    /// violation first dumps the flight recording, then resumes the
+    /// panic.
+    #[cold]
+    #[inline(never)]
+    fn audit_event(&mut self, now: Cycles) {
+        if self.audit.is_some_and(|n| self.events >= n) {
+            if let Some(task) = self.workers.iter().find_map(|c| c.current) {
+                self.audit = Some(u64::MAX);
+                self.tasks.get_mut(task).at = TaskWhere::InFlight;
+            }
+        }
+        if self.finished_at.is_some() {
+            return;
+        }
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.audit_invariants()));
+        if let Err(payload) = caught {
+            self.dump_flight_recording(now, payload.as_ref());
+            std::panic::resume_unwind(payload);
+        }
+    }
+
+    /// Re-validate the global invariants after one event (DESIGN.md
+    /// §7.3).
     ///
     /// Panics on the first violation. The per-worker structural checks
     /// (region packing, RDMA-region bounds, deque index sanity) run
@@ -1118,14 +1138,6 @@ impl<W: Workload> Engine<W> {
             self.tasks.live()
         );
     }
-}
-
-#[cfg(feature = "audit")]
-impl<W: Workload> Engine<W> {
-    /// Per-worker ring capacity of the always-on flight recorder in
-    /// audit builds: big enough to reconstruct the last few protocol
-    /// rounds before a violation, small enough to cost nothing.
-    pub const FLIGHT_RING_CAPACITY: usize = 4096;
 
     /// Write the flight recording for a violation that just unwound out
     /// of the auditor: the last events of every worker ring plus the
@@ -1223,7 +1235,7 @@ mod tests {
         cfg.core.verify_stack_bytes = true;
         cfg.core.iso_stacks_per_worker = 256;
         cfg.max_events = 50_000_000;
-        Engine::new(cfg, tree(depth, work)).run()
+        Engine::new(cfg, tree(depth, work)).audited().run()
     }
 
     #[test]
@@ -1314,10 +1326,9 @@ mod tests {
         );
     }
 
-    /// The auditor re-validates every invariant after every event; these
-    /// runs exist to exercise it on contended schedules in-crate even
-    /// though the whole suite runs under it with `--features audit`.
-    #[cfg(feature = "audit")]
+    /// The `run` and `engine` helpers build audited engines, so every
+    /// test here audits; these add contended schedules on both schemes
+    /// and show that a violation trips the flight recorder.
     mod audit_checks {
         use super::*;
 
@@ -1392,12 +1403,13 @@ mod tests {
                 .with_seed(seed);
             cfg.core.verify_stack_bytes = true;
             cfg.max_events = 50_000_000;
-            Engine::new(cfg, tree(depth, work))
+            Engine::new(cfg, tree(depth, work)).audited()
         }
 
         #[test]
         fn per_worker_accounts_sum_to_makespan() {
-            // Holds with or without a sink installed: plain run().
+            // Holds with or without a sink installed: run(), not
+            // run_traced().
             let s = engine(4, 10, 800, 11).run();
             assert_eq!(s.per_worker.len(), 4);
             for ws in &s.per_worker {

@@ -1,4 +1,6 @@
 //! The engine's ablation knobs behave directionally as the paper argues.
+//! Every run is audited, so each ablated protocol keeps the engine's
+//! invariants too.
 
 use uat_base::Topology;
 use uat_cluster::{Engine, SimConfig};
@@ -12,7 +14,7 @@ fn crude_scheme_is_slower() {
     let mk = |crude: bool| {
         let mut cfg = SimConfig::tiny(4);
         cfg.crude_switch = crude;
-        Engine::new(cfg, Btc::new(12, 1)).run()
+        Engine::new(cfg, Btc::new(12, 1)).audited().run()
     };
     let optimized = mk(false);
     let crude = mk(true);
@@ -30,7 +32,7 @@ fn hardware_faa_shrinks_the_lock_phase() {
         let mut cfg = SimConfig::fx10(2);
         cfg.topo = Topology::new(2, 1);
         cfg.cost.hardware_faa = hw;
-        Engine::new(cfg, Chain::fig10(300)).run()
+        Engine::new(cfg, Chain::fig10(300)).audited().run()
     };
     let sw = mk(false);
     let hw = mk(true);
@@ -54,7 +56,7 @@ fn intra_node_steals_are_cheaper_than_inter_node() {
     let mk = |topo: Topology| {
         let mut cfg = SimConfig::fx10(2);
         cfg.topo = topo;
-        Engine::new(cfg, Chain::fig10(300)).run()
+        Engine::new(cfg, Chain::fig10(300)).audited().run()
     };
     let intra = mk(Topology::new(1, 2));
     let inter = mk(Topology::new(2, 1));
@@ -72,7 +74,7 @@ fn xeon_profile_runs_faster_per_task() {
     let mk = |cost: CostModel| {
         let mut cfg = SimConfig::tiny(1);
         cfg.cost = cost;
-        Engine::new(cfg, Btc::new(12, 1)).run()
+        Engine::new(cfg, Btc::new(12, 1)).audited().run()
     };
     let sparc = mk(CostModel::fx10());
     let xeon = mk(CostModel::xeon());

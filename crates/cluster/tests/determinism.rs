@@ -7,7 +7,8 @@
 //!    cost accounting, or RNG consumption shows up here as an exact-value
 //!    failure. These were captured from the seed engine (global
 //!    `BinaryHeap` scheduler) and must survive every scheduler and
-//!    hot-path rewrite bit for bit.
+//!    hot-path rewrite bit for bit. The four small ones are also run
+//!    [`audited`](Engine::audited), to the same values.
 //! 2. **Harness independence** — the parallel sweep harness must produce
 //!    results bit-identical to the serial loop at *any* thread count:
 //!    every run is seeded deterministically from its own parameters, so
@@ -47,36 +48,26 @@ fn golden(s: &RunStats) -> Golden {
     }
 }
 
+/// Pin one golden: the engine `$engine` builds must reproduce `$want`
+/// both plain and [`audited`](Engine::audited) (the auditor is
+/// read-only).
 macro_rules! pin {
-    ($name:ident, $run:expr, $want:expr) => {
+    ($name:ident, $engine:expr, $want:expr) => {
         #[test]
         fn $name() {
-            let s: RunStats = $run;
-            assert_eq!(golden(&s), $want, "golden snapshot drifted");
-        }
-    };
-    // Variant for cases too big to audit: a full-machine audit after
-    // every event is O(workers x events), so multi-million-event goldens
-    // are intractable in a debug build with `--features audit`. The
-    // auditor's protocol coverage comes from the contended small-machine
-    // suites; goldens only pin determinism, which audit cannot affect
-    // (it is read-only).
-    ($name:ident, skip_audit, $run:expr, $want:expr) => {
-        #[test]
-        #[cfg_attr(
-            feature = "audit",
-            ignore = "too many events for the per-event full-machine auditor"
-        )]
-        fn $name() {
-            let s: RunStats = $run;
-            assert_eq!(golden(&s), $want, "golden snapshot drifted");
+            assert_eq!(golden(&$engine.run()), $want, "golden snapshot drifted");
+            assert_eq!(
+                golden(&$engine.audited().run()),
+                $want,
+                "the auditor changed the run"
+            );
         }
     };
 }
 
 pin!(
     golden_btc10_uni_4w,
-    Engine::new(SimConfig::tiny(4).with_seed(42), Btc::new(10, 1)).run(),
+    Engine::new(SimConfig::tiny(4).with_seed(42), Btc::new(10, 1)),
     Golden {
         makespan: 465_759,
         events: 4512,
@@ -90,15 +81,13 @@ pin!(
     }
 );
 
-pin!(
-    golden_btc10_iso_8w,
-    skip_audit,
-    Engine::new(
-        SimConfig::tiny(8).with_scheme(SchemeKind::Iso).with_seed(4),
-        Btc::new(10, 2),
-    )
-    .run(),
-    Golden {
+/// This golden and `golden_uts9_fx10_2n` run plain: a full-machine
+/// audit after each of their millions of events is O(workers x events).
+#[test]
+fn golden_btc10_iso_8w() {
+    let cfg = SimConfig::tiny(8).with_scheme(SchemeKind::Iso).with_seed(4);
+    let s = Engine::new(cfg, Btc::new(10, 2)).run();
+    let want = Golden {
         makespan: 104_134_145,
         events: 2_895_579,
         tasks: 1_398_101,
@@ -108,12 +97,13 @@ pin!(
         reads: 20_795,
         writes: 8878,
         faas: 6677,
-    }
-);
+    };
+    assert_eq!(golden(&s), want, "golden snapshot drifted");
+}
 
 pin!(
     golden_btc14_fx10_4n,
-    Engine::new(SimConfig::fx10(4), Btc::new(14, 1)).run(),
+    Engine::new(SimConfig::fx10(4), Btc::new(14, 1)),
     Golden {
         makespan: 1_019_346,
         events: 74_533,
@@ -127,11 +117,10 @@ pin!(
     }
 );
 
-pin!(
-    golden_uts9_fx10_2n,
-    skip_audit,
-    Engine::new(SimConfig::fx10(2), Uts::geometric(9)).run(),
-    Golden {
+#[test]
+fn golden_uts9_fx10_2n() {
+    let s = Engine::new(SimConfig::fx10(2), Uts::geometric(9)).run();
+    let want = Golden {
         makespan: 12_928_036,
         events: 497_678,
         tasks: 200_315,
@@ -141,12 +130,13 @@ pin!(
         reads: 5600,
         writes: 1164,
         faas: 793,
-    }
-);
+    };
+    assert_eq!(golden(&s), want, "golden snapshot drifted");
+}
 
 pin!(
     golden_nqueens8_uni_15w,
-    Engine::new(SimConfig::tiny(15).with_seed(7), NQueens::new(8)).run(),
+    Engine::new(SimConfig::tiny(15).with_seed(7), NQueens::new(8)),
     Golden {
         makespan: 5_895_554,
         events: 13_690,
@@ -165,7 +155,7 @@ pin!(
     {
         let mut cfg = SimConfig::fx10(2);
         cfg.topo = Topology::new(2, 1);
-        Engine::new(cfg, Chain::fig10(200)).run()
+        Engine::new(cfg, Chain::fig10(200))
     },
     Golden {
         makespan: 24_415_500,
@@ -182,9 +172,15 @@ pin!(
 
 /// Two identical invocations of the engine are bit-identical: nothing in
 /// the process (allocator addresses, globals) leaks into the simulation.
+/// Both are audited (an audited run's flight rings report their own
+/// `dropped` counts, so it is compared with another audited run).
 #[test]
 fn rerun_in_same_process_is_identical() {
-    let run = || Engine::new(SimConfig::tiny(4).with_seed(42), Btc::new(10, 1)).run();
+    let run = || {
+        Engine::new(SimConfig::tiny(4).with_seed(42), Btc::new(10, 1))
+            .audited()
+            .run()
+    };
     let (a, b) = (run(), run());
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
 }
@@ -194,10 +190,6 @@ fn rerun_in_same_process_is_identical() {
 /// loop (compared via full serialized stats, not just the headline
 /// numbers).
 #[test]
-#[cfg_attr(
-    feature = "audit",
-    ignore = "sweeps up to 120 workers; too many worker-audits per event"
-)]
 fn sweep_is_bit_identical_at_any_thread_count() {
     let mut base = SimConfig::fx10(2);
     base.core.uni_region_size = 192 << 10;

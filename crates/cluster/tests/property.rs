@@ -1,7 +1,8 @@
 //! Property-based tests: the engine must execute *any* fork-join task
 //! tree correctly — exact task/work conservation, byte-verified stack
 //! copies, deterministic replay — across machine shapes and both
-//! thread-management schemes.
+//! thread-management schemes, with every engine invariant audited after
+//! every event.
 
 use proptest::prelude::*;
 use uat_cluster::workload::sequential_profile;
@@ -96,7 +97,7 @@ proptest! {
         let profile = sequential_profile(&tree);
         prop_assume!(profile.tasks < 40_000);
         let scheme = if scheme_iso { SchemeKind::Iso } else { SchemeKind::Uni };
-        let stats = Engine::new(cfg(workers, scheme, sim_seed), tree).run();
+        let stats = Engine::new(cfg(workers, scheme, sim_seed), tree).audited().run();
         prop_assert_eq!(stats.total_tasks, profile.tasks);
         prop_assert_eq!(stats.total_work_cycles, profile.work_cycles);
         prop_assert_eq!(stats.total_units, profile.units);
@@ -110,8 +111,8 @@ proptest! {
     fn deterministic_replay(seed in any::<u64>(), workers in 2u32..6) {
         let tree = RandomTree { seed, max_depth: 6, max_children: 3 };
         prop_assume!(sequential_profile(&tree).tasks < 20_000);
-        let a = Engine::new(cfg(workers, SchemeKind::Uni, 7), tree.clone()).run();
-        let b = Engine::new(cfg(workers, SchemeKind::Uni, 7), tree).run();
+        let a = Engine::new(cfg(workers, SchemeKind::Uni, 7), tree.clone()).audited().run();
+        let b = Engine::new(cfg(workers, SchemeKind::Uni, 7), tree).audited().run();
         prop_assert_eq!(a.makespan, b.makespan);
         prop_assert_eq!(a.events, b.events);
         prop_assert_eq!(a.steals_completed, b.steals_completed);
@@ -126,7 +127,7 @@ proptest! {
     fn stack_usage_bounded_by_lineage(seed in any::<u64>()) {
         let tree = RandomTree { seed, max_depth: 6, max_children: 3 };
         prop_assume!(sequential_profile(&tree).tasks < 20_000);
-        let stats = Engine::new(cfg(4, SchemeKind::Uni, 1), tree).run();
+        let stats = Engine::new(cfg(4, SchemeKind::Uni, 1), tree).audited().run();
         // Max frame 3064, depth ≤ 7 levels → worst lineage < 7 * 3064.
         prop_assert!(stats.peak_stack_usage <= 7 * 3_064);
     }

@@ -4,11 +4,6 @@ use uat_cluster::{Engine, SimConfig};
 use uat_workloads::Btc;
 
 #[test]
-#[cfg_attr(
-    feature = "audit",
-    ignore = "120-worker probe: a full-machine audit per event is O(workers x events); \
-              the auditor's protocol coverage comes from the contended small-machine suites"
-)]
 fn btc_scales_to_120_workers() {
     let base = SimConfig::fx10(8); // 8 nodes x 15 = 120 workers
     let s = Engine::new(base, Btc::new(16, 1)).run();

@@ -1,4 +1,5 @@
-//! Worker-level invariant auditing (the default-off `audit` feature).
+//! Worker-level invariant auditing, for the engine's every-event
+//! auditor (`uat_cluster::Engine::audited`).
 //!
 //! [`UniMgr::audit`](crate::UniMgr::audit) and
 //! [`IsoMgr::audit`](crate::IsoMgr::audit) hard-re-check the structural
@@ -6,10 +7,10 @@
 //! packing contiguous from the region's high end, RDMA-region blocks
 //! disjoint and in-bounds, wait-queue handles resolving to live saved
 //! contexts — and then report a [`WorkerAudit`]: the set of tasks each
-//! structure is holding. The engine in `uat-cluster` (built with its own
-//! `audit` feature) cross-references those facts against its task table
-//! after every event, closing the loop on per-worker task conservation:
-//! every live task must be found in exactly one place.
+//! structure is holding. An audited engine run in `uat-cluster`
+//! cross-references those facts against its task table after every
+//! event, closing the loop on per-worker task conservation: every live
+//! task must be found in exactly one place.
 //!
 //! See DESIGN.md §7 for the invariant catalogue this implements.
 

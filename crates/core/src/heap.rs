@@ -144,9 +144,8 @@ impl RdmaHeap {
     }
 }
 
-#[cfg(feature = "audit")]
 impl RdmaHeap {
-    /// Hard-check the saved-context table (`audit` feature): allocator
+    /// Hard-check the saved-context table for the auditor: allocator
     /// blocks disjoint and in-bounds, every parked stack buffer inside
     /// the heap region and backed by a live allocation of sufficient
     /// size, and every saved stack's home address inside the caller's

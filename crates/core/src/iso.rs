@@ -292,11 +292,10 @@ impl IsoMgr {
     }
 }
 
-#[cfg(feature = "audit")]
 impl IsoMgr {
     /// Re-validate this worker's structural invariants and report the
-    /// facts the engine-level auditor cross-references (`audit` feature;
-    /// DESIGN.md §7). Panics on the first violation.
+    /// facts the engine-level auditor cross-references (DESIGN.md §7).
+    /// Panics on the first violation.
     pub fn audit(&self, fabric: &Fabric) -> crate::audit::WorkerAudit {
         // Resident stacks: globally-unique addresses (pairwise distinct,
         // at or above the global base), each within its slot's size, and

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod breakdown;
 pub mod config;

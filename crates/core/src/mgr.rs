@@ -221,8 +221,7 @@ impl StackMgr {
     }
 
     /// Re-validate this worker's structural invariants and report the
-    /// engine-facing audit facts (`audit` feature).
-    #[cfg(feature = "audit")]
+    /// engine-facing audit facts (DESIGN.md §7.3).
     pub fn audit(&self, fabric: &Fabric) -> crate::audit::WorkerAudit {
         match self {
             StackMgr::Uni(m) => m.audit(fabric),

@@ -226,11 +226,10 @@ impl UniMgr {
     }
 }
 
-#[cfg(feature = "audit")]
 impl UniMgr {
     /// Re-validate this worker's structural invariants and report the
-    /// facts the engine-level auditor cross-references (`audit` feature;
-    /// DESIGN.md §7). Panics on the first violation.
+    /// facts the engine-level auditor cross-references (DESIGN.md §7).
+    /// Panics on the first violation.
     pub fn audit(&self, fabric: &Fabric) -> crate::audit::WorkerAudit {
         let r = &self.region;
         // Uni-address packing (Figure 3), as hard checks: `p` inside the

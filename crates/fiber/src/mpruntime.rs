@@ -26,7 +26,7 @@
 //! - each task's **record**, at the top of its slot's stack, its
 //!   **program area** just above, and its parent's **join block**, so
 //!   no private-heap pointer is ever reachable from a migratable stack
-//!   (invariant [I16]);
+//!   (invariant \[I16\]);
 //! - the **metrics segment**: the bank of per-worker counter rows
 //!   ([`uat_metrics::shm::Row`], the row the thread runtime keeps on its
 //!   heap), which the worker body bumps and the parent reads back
@@ -37,7 +37,7 @@
 //! - the **stats bank** (one single-writer accounting row per worker)
 //!   and the **slot pool** (a locked LIFO of free stack slots behind
 //!   one small cache per worker, which only its owner touches but for
-//!   a rare raid, [I22]);
+//!   a rare raid, \[I22\]);
 //! - the **control block**: shutdown word, raid flag, the three give-up
 //!   flags (slot pool exhausted, frame too large for a slot's stack,
 //!   program too large for a slot's program area), the block the root
@@ -60,18 +60,18 @@
 //! a word, which nobody else could ever notice.
 //!
 //! Creating, running and finishing a task that nobody steals writes
-//! only lines its own worker owns ([I17]): the worker's deque, its
+//! only lines its own worker owns (\[I17\]): the worker's deque, its
 //! accounting and metrics rows, its slot cache, and the stacks of the
 //! task and its parent — the slot cache with plain loads and stores, no
-//! lock ([I22]).
+//! lock (\[I22\]).
 //!
 //! A steal is therefore exactly the paper's: one-sided loads/stores/CAS
 //! on the victim's deque words, a one-sided `fetch_add` when a child
 //! whose parent was stolen decrements that parent's join block — the
-//! only children the block ever counts ([I21]) — and a direct resume of
+//! only children the block ever counts (\[I21\]) — and a direct resume of
 //! the stolen thread at its original address.
 //!
-//! # Fork safety (invariant [I15])
+//! # Fork safety (invariant \[I15\])
 //!
 //! The test harness that forks us is multithreaded, so a child may not
 //! allocate or take any lock between `fork` and its worker-loop entry
@@ -90,7 +90,7 @@
 //! allocator. After the worker loop is entered, allocation is
 //! permitted, but the task path makes none in steady state: programs
 //! expand through one recycled per-process buffer, handed back before
-//! the task's first migration point ([I16]).
+//! the task's first migration point (\[I16\]).
 
 use crate::frame::{guard_page, FrameTooLarge, Guard, PAGE};
 use crate::idle;
@@ -786,7 +786,7 @@ impl MultiProcessRunner {
     /// Probe whether this host can run the multiprocess backend: a
     /// `memfd` + `MAP_FIXED_NOREPLACE` mapping at [`MP_BASE`] must
     /// succeed, and `membarrier` must offer the expedited global barrier
-    /// the slot caches' raid relies on ([I22]). Returns the reason when
+    /// the slot caches' raid relies on (\[I22\]). Returns the reason when
     /// it cannot: callers that must skip rather than panic in
     /// [`run`](Self::run) ask here first.
     pub fn probe_support() -> Result<(), String> {

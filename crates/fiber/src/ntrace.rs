@@ -355,7 +355,7 @@ impl WorkerTracer {
     }
 }
 
-/// A finalized native trace: exportable [`TraceData`] plus the
+/// A finalized native trace: exportable [`TraceData`](uat_trace::TraceData) plus the
 /// per-worker accounts kept *outside* the rings (complete even when
 /// rings dropped events).
 pub struct NativeTrace {

@@ -42,7 +42,7 @@
 //!   thread survives, so a lock another thread held at `fork()` is held
 //!   *forever* in the child — and the allocator's internal locks are the
 //!   classic victim. The multiprocess backend therefore requires the
-//!   window between `fork()` and worker-loop entry (invariant [I15]) to
+//!   window between `fork()` and worker-loop entry (invariant \[I15\]) to
 //!   perform no heap allocation and take no lock. The window is exactly
 //!   the bodies of functions named `mp_bootstrap*` plus their one-level
 //!   callees, and this rule scans those bodies for allocating or
@@ -118,7 +118,7 @@ pub enum Rule {
     OrderingAllowlist,
     /// C: SAFETY comment without a `[I<n>]` invariant reference.
     SafetyInvariantRef,
-    /// D: allocation or lock inside the fork→worker-loop window ([I15]).
+    /// D: allocation or lock inside the fork→worker-loop window (\[I15\]).
     ForkSafety,
 }
 

@@ -1,6 +1,6 @@
 //! Flight-recorder event ring: the last N scheduler events per worker.
 //!
-//! The simulator's audit feature keeps a bounded trace ring and dumps it
+//! An audited simulator run keeps a bounded trace ring and dumps it
 //! when an invariant trips (`target/flight/*.trace.json`). The native
 //! watchdog needs the same post-mortem story for a runtime that may be
 //! mid-wedge: each worker records compact `(timestamp, code, payload)`

@@ -12,7 +12,7 @@
 //! laid out by [`SegmentLayout`], and the parent reads the cells back
 //! through its RDMA-window abstraction (`uat_rdma::OneSidedFabric`), no
 //! RPC, no pipes. Either way the rows become an ordinary
-//! [`Snapshot`](crate::Snapshot) through [`SegmentLayout::snapshot`], so
+//! [`Snapshot`] through [`SegmentLayout::snapshot`], so
 //! every downstream exporter (Prometheus text, JSON, deltas) sees the
 //! same counters, in the same order, on both backends.
 //!

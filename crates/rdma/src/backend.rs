@@ -172,7 +172,7 @@ impl ShmFabric {
     /// The caller guarantees the range is mapped, readable and writable
     /// in *this* process, stays mapped for the fabric's lifetime, and —
     /// for cross-process semantics to hold — is backed by memory shared
-    /// with `proc` at this same virtual address ([I13]). All locations
+    /// with `proc` at this same virtual address (\[I13\]). All locations
     /// in the range that any party accesses concurrently must only be
     /// accessed through this fabric's FAA or via atomics on both sides.
     pub unsafe fn register_region(

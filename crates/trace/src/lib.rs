@@ -19,7 +19,7 @@
 //!   the thief that took it — and JSONL for machine-readable run
 //!   summaries.
 //! - **Profile** ([`profile`]): the causal layer — reconstructs the
-//!   happens-before [`Dag`](profile::Dag) of a run, extracts the
+//!   happens-before [`Dag`] of a run, extracts the
 //!   critical path (with bucket attribution that sums to the makespan
 //!   exactly), and answers what-if questions by replaying the DAG with
 //!   one cost class scaled.

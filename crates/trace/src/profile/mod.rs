@@ -18,7 +18,7 @@
 //!   `[0, makespan]` exactly — so its total *is* the makespan and its
 //!   per-[`Bucket`](crate::Bucket) attribution says "X% of the makespan
 //!   is steal-phase latency *on the critical path*".
-//! - [`whatif`]: scales one [`CostClass`]'s buckets by a factor and
+//! - `whatif` ([`predict`]): scales one [`CostClass`]'s buckets by a factor and
 //!   replays the whole DAG to predict the new makespan — the
 //!   simulation analogue of Coz's virtual speedups. Predictions are
 //!   validated against ground-truth re-runs of the engine with the

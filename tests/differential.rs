@@ -64,7 +64,8 @@ where
     let name = w.name();
     let p = sequential_profile(&w);
 
-    let sim = Engine::new(sim_cfg(4), w.clone()).run();
+    // Audited: every engine invariant is re-checked after every event.
+    let sim = Engine::new(sim_cfg(4), w.clone()).audited().run();
     assert_eq!(sim.total_tasks, p.tasks, "sim tasks diverge: {name}");
     assert_eq!(sim.total_units, p.units, "sim units diverge: {name}");
     assert_eq!(

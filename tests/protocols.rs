@@ -3,8 +3,9 @@
 //! termination scan or slot-cache raid. The model-checked suites explore
 //! each protocol under sequential consistency and release/acquire and
 //! require every seeded mutation to be caught, as `tests/deque.rs` does
-//! for the THE deque; `golden` pins every clean scenario's exploration
-//! counts, the deque's included; the join block and the idle policy also
+//! for the THE deque; `golden` checks that every clean scenario, the
+//! deque's included, keeps every invariant and pins its exploration
+//! counts; the join block and the idle policy also
 //! run their own unit suites on the code itself.
 
 #[path = "../crates/check/tests/golden.rs"]
