@@ -286,7 +286,7 @@ where
     );
 
     // --- native run ---
-    let native_ring = a.ring.unwrap_or(uat_fiber::DEFAULT_RING_CAPACITY);
+    let native_ring = a.ring.unwrap_or(uat_trace::DEFAULT_RING_CAPACITY);
     let runner = uat_fiber::NativeRunner::new(a.workers as usize)
         .with_work_divisor(a.divisor)
         .with_tracing(native_ring);

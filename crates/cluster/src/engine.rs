@@ -218,7 +218,7 @@ impl<W: Workload> Engine<W> {
     /// Re-validate every global invariant after every event of this run
     /// (DESIGN.md §7.3 lists them). The first violation dumps the flight
     /// recording (to [`flight_path`]) and then panics with the
-    /// violation's message. An audited run without a sink records into a
+    /// violation's message. An audited run without rings records into a
     /// [`FLIGHT_RING_CAPACITY`](Self::FLIGHT_RING_CAPACITY)-event ring
     /// per worker, so the recording is there. The auditor is read-only:
     /// an audited run schedules exactly as the plain one, and its
@@ -245,7 +245,7 @@ impl<W: Workload> Engine<W> {
     /// Run to completion of the root task; returns the measurements.
     pub fn run(mut self) -> RunStats {
         let makespan = self.run_loop();
-        self.collect(makespan)
+        self.collect(makespan).0
     }
 
     /// [`run`](Self::run), plus the finished machine's
@@ -254,7 +254,7 @@ impl<W: Workload> Engine<W> {
     pub fn run_with_resident_bytes(mut self) -> (RunStats, u64) {
         let makespan = self.run_loop();
         let resident = self.resident_bytes();
-        (self.collect(makespan), resident)
+        (self.collect(makespan).0, resident)
     }
 
     /// Drive the event loop until the root completes; returns the
@@ -262,10 +262,9 @@ impl<W: Workload> Engine<W> {
     fn run_loop(&mut self) -> Cycles {
         // Flight recorder: an audited run keeps a bounded ring recording
         // so an invariant violation has a post-mortem to dump (runs that
-        // already installed a sink keep their capacity).
-        if self.audit.is_some() && !self.trace.has_sink() {
-            let workers = self.cfg.topo.total_workers() as usize;
-            self.trace.install_sink(workers, Self::FLIGHT_RING_CAPACITY);
+        // already installed rings keep their capacity).
+        if self.audit.is_some() && !self.trace.is_traced() {
+            self.trace.install_rings(Self::FLIGHT_RING_CAPACITY);
             self.fabric.enable_trace(Self::FLIGHT_RING_CAPACITY);
         }
         // Materialize and start the root on worker 0.
@@ -890,7 +889,7 @@ impl<W: Workload> Engine<W> {
     // Results
     // ------------------------------------------------------------------
 
-    fn collect(self, makespan: Cycles) -> RunStats {
+    fn collect(self, makespan: Cycles) -> (RunStats, Vec<uat_trace::RingBuffer>) {
         let peak_stack = self
             .mgrs
             .iter()
@@ -911,7 +910,7 @@ impl<W: Workload> Engine<W> {
             .unwrap_or(0);
         let committed: u64 = self.mgrs.iter().map(|m| m.mem_stats().committed).sum();
         let obs = self.trace.finish();
-        RunStats {
+        let stats = RunStats {
             workload: self.workload.name(),
             scheme: self.cfg.scheme,
             workers: self.cfg.topo.total_workers(),
@@ -935,7 +934,8 @@ impl<W: Workload> Engine<W> {
             steal_latency: obs.steal_latency,
             task_run_length: obs.task_run_length,
             critical_path: None,
-        }
+        };
+        (stats, obs.rings)
     }
 }
 
@@ -1176,32 +1176,27 @@ impl<W: Workload> Engine<W> {
 }
 
 impl<W: Workload> Engine<W> {
-    /// Default per-worker ring capacity for [`Engine::run_traced`].
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
-    /// Install a structured-event sink (one bounded ring of
+    /// Record structured events (into one bounded ring of
     /// `ring_capacity` events per worker) and enable fabric-level RDMA
     /// tracing. Without this, a run still fills the per-worker time
     /// accounts and histograms but keeps no event log.
     pub fn with_tracing(mut self, ring_capacity: usize) -> Self {
-        let workers = self.cfg.topo.total_workers() as usize;
-        self.trace.install_sink(workers, ring_capacity);
+        self.trace.install_rings(ring_capacity);
         self.fabric.enable_trace(ring_capacity);
         self
     }
 
     /// Run to completion, returning both the measurements and the full
-    /// event trace (installing a default-capacity sink if
+    /// event trace (installing default-capacity rings if
     /// [`Engine::with_tracing`] was not called).
     pub fn run_traced(mut self) -> (RunStats, uat_trace::TraceData) {
-        if !self.trace.has_sink() {
-            self = self.with_tracing(Self::DEFAULT_RING_CAPACITY);
+        if !self.trace.is_traced() {
+            self = self.with_tracing(uat_trace::DEFAULT_RING_CAPACITY);
         }
         let makespan = self.run_loop();
         let clock_hz = self.cfg.cost.clock_hz;
-        let workers = self.trace.take_rings();
         let fabric = self.fabric.take_trace();
-        let stats = self.collect(makespan);
+        let (stats, workers) = self.collect(makespan);
         (
             stats,
             uat_trace::TraceData {
@@ -1408,7 +1403,7 @@ mod tests {
 
         #[test]
         fn per_worker_accounts_sum_to_makespan() {
-            // Holds with or without a sink installed: run(), not
+            // Holds with or without rings installed: run(), not
             // run_traced().
             let s = engine(4, 10, 800, 11).run();
             assert_eq!(s.per_worker.len(), 4);

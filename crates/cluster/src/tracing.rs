@@ -1,15 +1,16 @@
 //! The engine's one observer: everything a run records about itself.
 //!
-//! [`TraceCtl`] owns the per-worker [`TimeAccount`]s (every simulated
-//! cycle charged to one [`Bucket`]), one counter row per worker, the
-//! Figure 10 [`StealBreakdown`], one machine-wide steal-latency and one
-//! task-run-length histogram, and an optional [`RingSink`] of
-//! structured events. Each engine site makes one call here, and each
-//! fact is counted once, in its worker's row: `RunStats`' totals and
-//! the breakdown's outcome counts are sums over the rows. The accounts,
-//! rows and histograms are kept on every run; the sink, and with it
-//! every structured event, is present only when `Engine::with_tracing`
-//! installed one. A registry attached by `Engine::with_metrics` is
+//! [`TraceCtl`] owns one [`Timeline`] per worker (its time account,
+//! every simulated cycle charged to one [`Bucket`], and its event
+//! ring), one counter row per worker, the Figure 10
+//! [`StealBreakdown`], one machine-wide steal-latency and one
+//! task-run-length histogram. Each engine site makes one call here, and
+//! each fact is counted once, in its worker's row: `RunStats`' totals
+//! and the breakdown's outcome counts are sums over the rows. The
+//! accounts, rows and histograms are kept on every run; the rings, and
+//! with them every structured event, are present only when
+//! `Engine::with_tracing` (or the auditor's flight recorder) installed
+//! them. A registry attached by `Engine::with_metrics` is
 //! filled from the rows and histograms once, when the run finishes, so
 //! the event loop itself does no atomics.
 //!
@@ -23,12 +24,13 @@
 //! The engine is a one-event-per-worker automaton: each handler performs
 //! instantaneous protocol work and schedules exactly one completion via
 //! `Engine::set`, which records the [`Bucket`] the upcoming span belongs
-//! to. When the event fires, [`TraceCtl::charge`] attributes the span
-//! `[last_fire, now)` — first to any *carry* slots registered for costs
-//! embedded at the start of the span (FAA queueing, parking a blocked
-//! joiner), then the remainder to the pending bucket. The final partial
-//! span up to the makespan is charged by [`TraceCtl::finalize`], so each
-//! worker's bucket totals sum exactly to the makespan.
+//! to. When the event fires, [`TraceCtl::charge`] has the worker's
+//! timeline close the span `[last_fire, now)` — first to any *carry*
+//! slots registered for costs embedded at the start of the span (FAA
+//! queueing, parking a blocked joiner), then the remainder to the
+//! pending bucket. [`TraceCtl::finalize`] charges the final partial
+//! span up to the makespan, so each worker's bucket totals sum exactly
+//! to the makespan.
 
 use crate::metrics::WorkerSummary;
 use crate::task::TaskId64;
@@ -36,9 +38,7 @@ use std::sync::Arc;
 use uat_base::{Cycles, WorkerId};
 use uat_core::StealBreakdown;
 use uat_metrics::{names, HistSnapshot, HistSummary, Registry};
-use uat_trace::{
-    Bucket, EventKind, RingBuffer, RingSink, StealOutcome, StealPhase, TraceEvent, TraceSink,
-};
+use uat_trace::{Bucket, EventKind, RingBuffer, StealOutcome, StealPhase, Timeline};
 
 /// One worker's counts, and the stamp its open steal attempt's latency
 /// is measured from.
@@ -72,16 +72,14 @@ pub(crate) struct Observed {
     pub breakdown: StealBreakdown,
     pub steal_latency: HistSummary,
     pub task_run_length: HistSummary,
+    /// Each worker's ring, on a traced run (empty otherwise).
+    pub rings: Vec<RingBuffer>,
 }
 
 /// Observation state for one run.
 pub(crate) struct TraceCtl {
-    sink: Option<RingSink>,
     registry: Option<Arc<Registry>>,
-    accounts: Vec<uat_trace::TimeAccount>,
-    last_fire: Vec<Cycles>,
-    pending: Vec<Bucket>,
-    carry: Vec<Vec<(Bucket, Cycles)>>,
+    timelines: Vec<Timeline>,
     rows: Vec<Row>,
     breakdown: StealBreakdown,
     steal_latency: HistSnapshot,
@@ -89,26 +87,20 @@ pub(crate) struct TraceCtl {
     /// Last deque-publication sequence number handed out (unique per
     /// run; 0 means "never published").
     pub_next: u64,
-    /// Per-worker dropped-event counts snapshotted when the rings are
-    /// taken (`finish` runs after `take_rings`).
-    dropped: Vec<u64>,
 }
 
 impl TraceCtl {
     pub fn new(workers: usize) -> Self {
         TraceCtl {
-            sink: None,
             registry: None,
-            accounts: vec![uat_trace::TimeAccount::new(); workers],
-            last_fire: vec![Cycles::ZERO; workers],
-            pending: vec![Bucket::Idle; workers],
-            carry: vec![Vec::new(); workers],
+            timelines: (0..workers)
+                .map(|w| Timeline::new(WorkerId(w as u32)))
+                .collect(),
             rows: vec![Row::default(); workers],
             breakdown: StealBreakdown::new(),
             steal_latency: HistSnapshot::empty(),
             run_length: HistSnapshot::empty(),
             pub_next: 0,
-            dropped: vec![0; workers],
         }
     }
 
@@ -124,102 +116,58 @@ impl TraceCtl {
         self.registry = Some(Arc::clone(registry));
     }
 
-    pub fn install_sink(&mut self, workers: usize, capacity: usize) {
-        self.sink = Some(RingSink::new(workers, capacity));
+    /// Record structured events from now on, `capacity` per worker.
+    pub fn install_rings(&mut self, capacity: usize) {
+        for tl in &mut self.timelines {
+            tl.install_ring(capacity);
+        }
     }
 
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
+    pub fn is_traced(&self) -> bool {
+        self.timelines[0].is_traced()
     }
 
+    /// Hand over the rings recorded so far (the flight recorder's
+    /// post-mortem).
     pub fn take_rings(&mut self) -> Vec<RingBuffer> {
-        let rings = self
-            .sink
-            .take()
-            .map(RingSink::into_rings)
-            .unwrap_or_default();
-        for (i, ring) in rings.iter().enumerate() {
-            if let Some(slot) = self.dropped.get_mut(i) {
-                *slot = ring.dropped();
-            }
-        }
-        rings
+        self.timelines
+            .iter_mut()
+            .filter_map(Timeline::take_ring)
+            .collect()
     }
 
-    /// Events evicted from worker `i`'s ring: live from the sink while
-    /// it is installed, from the `take_rings` snapshot afterwards.
-    fn dropped_for(&self, i: usize) -> u64 {
-        match &self.sink {
-            Some(sink) => sink.rings().get(i).map_or(0, RingBuffer::dropped),
-            None => self.dropped.get(i).copied().unwrap_or(0),
-        }
-    }
-
-    fn emit(&mut self, ev: TraceEvent) {
-        if let Some(sink) = &mut self.sink {
-            sink.record(ev);
-        }
+    #[inline]
+    fn emit(&mut self, w: WorkerId, at: Cycles, kind: EventKind) {
+        self.timelines[w.index()].instant(at, kind);
     }
 
     /// Record which bucket the span scheduled by `Engine::set` belongs to.
+    #[inline]
     pub fn set_bucket(&mut self, w: WorkerId, bucket: Bucket) {
-        self.pending[w.index()] = bucket;
+        self.timelines[w.index()].set_bucket(bucket);
     }
 
     /// Register a cost embedded at the *start* of the span being
     /// scheduled (e.g. FAA queue wait, parking the blocked joiner); it
     /// will be split out of the span when the event fires.
+    #[inline]
     pub fn carry(&mut self, w: WorkerId, bucket: Bucket, span: Cycles) {
-        if span.get() > 0 {
-            self.carry[w.index()].push((bucket, span));
-        }
+        self.timelines[w.index()].carry(bucket, span);
     }
 
     /// Attribute `[last_fire, t)`: carries first, then the pending
     /// bucket. Called at the top of every `Engine::fire`.
+    #[inline]
     pub fn charge(&mut self, w: WorkerId, t: Cycles) {
-        let i = w.index();
-        let start = self.last_fire[i];
-        debug_assert!(
-            t >= start,
-            "time went backwards for worker {w:?}: {start:?} -> {t:?}"
-        );
-        self.last_fire[i] = t;
-        let mut span = t.since(start).get();
-        let mut at = start;
-        for (bucket, c) in std::mem::take(&mut self.carry[i]) {
-            // Clamp: a carry can never exceed what actually elapsed.
-            let c = c.get().min(span);
-            if c == 0 {
-                continue;
-            }
-            self.accounts[i].charge(bucket, Cycles(c));
-            self.emit(TraceEvent::span(
-                at,
-                Cycles(c),
-                w,
-                EventKind::Slice { bucket },
-            ));
-            at += Cycles(c);
-            span -= c;
-        }
-        if span > 0 {
-            let bucket = self.pending[i];
-            self.accounts[i].charge(bucket, Cycles(span));
-            self.emit(TraceEvent::span(
-                at,
-                Cycles(span),
-                w,
-                EventKind::Slice { bucket },
-            ));
-        }
+        self.timelines[w.index()].charge(t);
     }
 
     /// Charge every worker's tail span up to the makespan, making each
     /// account total exactly the makespan.
     pub fn finalize(&mut self, makespan: Cycles) {
-        for i in 0..self.accounts.len() {
-            self.charge(WorkerId(i as u32), makespan);
+        for tl in &mut self.timelines {
+            tl.charge(makespan);
+            tl.tile(makespan);
         }
     }
 
@@ -233,16 +181,16 @@ impl TraceCtl {
     ) {
         if let Some(parent) = parent {
             self.rows[w.index()].spawned += 1;
-            self.emit(TraceEvent::instant(
-                at,
+            self.emit(
                 w,
+                at,
                 EventKind::Spawn {
                     parent,
                     child: task,
                 },
-            ));
+            );
         }
-        self.emit(TraceEvent::instant(at, w, EventKind::TaskBegin { task }));
+        self.emit(w, at, EventKind::TaskBegin { task });
     }
 
     /// `task`, born at `born`, completed on `w` at `t`.
@@ -250,11 +198,11 @@ impl TraceCtl {
         let run = t.since(born);
         self.rows[w.index()].ended += 1;
         self.run_length.record(run.get());
-        self.emit(TraceEvent::instant(t, w, EventKind::TaskEnd { task, run }));
+        self.emit(w, t, EventKind::TaskEnd { task, run });
     }
 
     pub fn task_suspend(&mut self, w: WorkerId, task: TaskId64, t: Cycles) {
-        self.emit(TraceEvent::instant(t, w, EventKind::Suspend { task }));
+        self.emit(w, t, EventKind::Suspend { task });
     }
 
     /// `task` resumed on `w`. `joined` is the child whose completion
@@ -267,16 +215,16 @@ impl TraceCtl {
         t: Cycles,
         joined: Option<TaskId64>,
     ) {
-        self.emit(TraceEvent::instant(t, w, EventKind::Resume { task }));
+        self.emit(w, t, EventKind::Resume { task });
         if let Some(child) = joined {
-            self.emit(TraceEvent::instant(
-                t,
+            self.emit(
                 w,
+                t,
                 EventKind::JoinResume {
                     parent: task,
                     child,
                 },
-            ));
+            );
         }
     }
 
@@ -285,19 +233,19 @@ impl TraceCtl {
     /// publication's sequence number into `seq` (the task's `pub_seq`).
     pub fn deque_publish(&mut self, w: WorkerId, task: TaskId64, seq: &mut u64, t: Cycles) {
         // Causality bookkeeping is only consumed through the ring events.
-        if self.sink.is_none() {
+        if !self.is_traced() {
             return;
         }
         self.pub_next += 1;
         *seq = self.pub_next;
-        self.emit(TraceEvent::instant(
-            t,
+        self.emit(
             w,
+            t,
             EventKind::DequePublish {
                 task,
                 seq: self.pub_next,
             },
-        ));
+        );
     }
 
     /// The completion of `child` on `w` dropped `parent`'s outstanding
@@ -310,15 +258,11 @@ impl TraceCtl {
         t: Cycles,
         enabler: &mut Option<TaskId64>,
     ) {
-        if self.sink.is_none() {
+        if !self.is_traced() {
             return;
         }
         *enabler = Some(child);
-        self.emit(TraceEvent::instant(
-            t,
-            w,
-            EventKind::JoinReady { parent, child },
-        ));
+        self.emit(w, t, EventKind::JoinReady { parent, child });
     }
 
     /// `w` issued a steal attempt at `t`.
@@ -339,12 +283,7 @@ impl TraceCtl {
         dur: Cycles,
     ) {
         self.breakdown.record(phase, dur);
-        self.emit(TraceEvent::span(
-            at,
-            dur,
-            w,
-            EventKind::StealPhase { victim, phase },
-        ));
+        self.timelines[w.index()].span(at, dur, EventKind::StealPhase { victim, phase });
     }
 
     /// `w`'s steal attempt on `victim` ended at `t` without an entry.
@@ -377,11 +316,7 @@ impl TraceCtl {
         self.steal_result(w, victim, StealOutcome::Completed, t, latency);
         self.task_resume(w, task, t, None);
         if seq != 0 {
-            self.emit(TraceEvent::instant(
-                t,
-                w,
-                EventKind::StealCommit { task, seq },
-            ));
+            self.emit(w, t, EventKind::StealCommit { task, seq });
         }
     }
 
@@ -395,19 +330,19 @@ impl TraceCtl {
     ) {
         self.rows[w.index()].outcomes[outcome as usize] += 1;
         self.steal_latency.record(latency.get());
-        self.emit(TraceEvent::instant(
-            t,
+        self.emit(
             w,
+            t,
             EventKind::StealResult {
                 victim,
                 outcome,
                 latency,
             },
-        ));
+        );
     }
 
     pub fn idle_poll(&mut self, w: WorkerId, t: Cycles) {
-        self.emit(TraceEvent::instant(t, w, EventKind::IdlePoll));
+        self.emit(w, t, EventKind::IdlePoll);
     }
 
     /// The run is over: per-worker summaries, the breakdown with its
@@ -417,17 +352,24 @@ impl TraceCtl {
         if let Some(registry) = &self.registry {
             self.publish(registry);
         }
+        let mut rings = Vec::new();
         let per_worker = self
             .rows
             .iter()
+            .zip(self.timelines)
             .enumerate()
-            .map(|(i, row)| WorkerSummary {
-                worker: i as u32,
-                tasks_run: row.spawned + row.completed(),
-                steal_attempts: row.attempts,
-                steals_completed: row.completed(),
-                dropped: self.dropped_for(i),
-                account: self.accounts[i].clone(),
+            .map(|(i, (row, tl))| {
+                let dropped = tl.dropped();
+                let (ring, account) = tl.into_parts();
+                rings.extend(ring);
+                WorkerSummary {
+                    worker: i as u32,
+                    tasks_run: row.spawned + row.completed(),
+                    steal_attempts: row.attempts,
+                    steals_completed: row.completed(),
+                    dropped,
+                    account,
+                }
             })
             .collect();
         let mut breakdown = self.breakdown;
@@ -442,6 +384,7 @@ impl TraceCtl {
             breakdown,
             steal_latency: self.steal_latency.summary(),
             task_run_length: self.run_length.summary(),
+            rings,
         }
     }
 
@@ -482,35 +425,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn charge_splits_carries_then_pending() {
-        let mut ctl = TraceCtl::new(1);
-        let w = WorkerId(0);
-        ctl.install_sink(1, 64);
-        ctl.set_bucket(w, Bucket::StealLock);
-        ctl.carry(w, Bucket::FaaQueue, Cycles(300));
-        ctl.charge(w, Cycles(1_000));
-        assert_eq!(ctl.accounts[0].get(Bucket::FaaQueue), Cycles(300));
-        assert_eq!(ctl.accounts[0].get(Bucket::StealLock), Cycles(700));
-        // Carries are consumed.
-        ctl.set_bucket(w, Bucket::Work);
-        ctl.charge(w, Cycles(1_500));
-        assert_eq!(ctl.accounts[0].get(Bucket::Work), Cycles(500));
-        assert_eq!(ctl.accounts[0].total(), Cycles(1_500));
-    }
-
-    #[test]
-    fn oversized_carry_is_clamped_to_the_span() {
-        let mut ctl = TraceCtl::new(1);
-        let w = WorkerId(0);
-        ctl.set_bucket(w, Bucket::Idle);
-        ctl.carry(w, Bucket::SuspendResume, Cycles(10_000));
-        ctl.charge(w, Cycles(100));
-        assert_eq!(ctl.accounts[0].get(Bucket::SuspendResume), Cycles(100));
-        assert_eq!(ctl.accounts[0].get(Bucket::Idle), Cycles::ZERO);
-        assert_eq!(ctl.accounts[0].total(), Cycles(100));
-    }
-
-    #[test]
     fn finalize_tops_every_account_up_to_the_makespan() {
         let mut ctl = TraceCtl::new(2);
         ctl.set_bucket(WorkerId(0), Bucket::Work);
@@ -518,23 +432,24 @@ mod tests {
         ctl.set_bucket(WorkerId(0), Bucket::Idle);
         ctl.set_bucket(WorkerId(1), Bucket::StealEmpty);
         ctl.finalize(Cycles(1_000));
-        assert_eq!(ctl.accounts[0].total(), Cycles(1_000));
-        assert_eq!(ctl.accounts[1].total(), Cycles(1_000));
-        assert_eq!(ctl.accounts[0].get(Bucket::Idle), Cycles(600));
-        assert_eq!(ctl.accounts[1].get(Bucket::StealEmpty), Cycles(1_000));
+        let obs = ctl.finish();
+        let (a, b) = (&obs.per_worker[0].account, &obs.per_worker[1].account);
+        assert_eq!((a.total(), b.total()), (Cycles(1_000), Cycles(1_000)));
+        assert_eq!(a.get(Bucket::Idle), Cycles(600));
+        assert_eq!(b.get(Bucket::StealEmpty), Cycles(1_000));
     }
 
     #[test]
     fn task_lifecycle_feeds_run_length_histogram() {
         let mut ctl = TraceCtl::new(1);
         let w = WorkerId(0);
-        ctl.install_sink(1, 64);
+        ctl.install_rings(64);
         ctl.task_begin(w, 7, Cycles(100), None);
         ctl.task_begin(w, 8, Cycles(150), Some(7));
         ctl.task_end(w, 8, Cycles(150), Cycles(400));
         ctl.task_end(w, 7, Cycles(100), Cycles(900));
         // Spawn + 2×TaskBegin + 2×TaskEnd landed in the ring.
-        assert_eq!(ctl.sink.as_ref().unwrap().len(), 5);
+        assert_eq!(ctl.timelines[0].ring().unwrap().len(), 5);
         let obs = ctl.finish();
         assert_eq!(obs.per_worker.len(), 1);
         // The root is installed, not spawned: one activation.

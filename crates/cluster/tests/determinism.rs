@@ -8,7 +8,9 @@
 //!    failure. These were captured from the seed engine (global
 //!    `BinaryHeap` scheduler) and must survive every scheduler and
 //!    hot-path rewrite bit for bit. The four small ones are also run
-//!    [`audited`](Engine::audited), to the same values.
+//!    [`audited`](Engine::audited), to the same values. Two of them are
+//!    also pinned traced: each worker's ring, drops and time account,
+//!    and a fingerprint of the exported trace.
 //! 2. **Harness independence** — the parallel sweep harness must produce
 //!    results bit-identical to the serial loop at *any* thread count:
 //!    every run is seeded deterministically from its own parameters, so
@@ -16,8 +18,9 @@
 
 use uat_base::json::ToJson;
 use uat_base::Topology;
-use uat_cluster::{sweep_with_threads, Engine, RunStats, SimConfig};
+use uat_cluster::{sweep_with_threads, Engine, RunStats, SimConfig, Workload};
 use uat_core::SchemeKind;
+use uat_trace::{chrome_trace_json, Bucket};
 use uat_workloads::{Btc, Chain, NQueens, Uts};
 
 /// The counters a golden pins: every scheduler-visible effect of a run.
@@ -169,6 +172,62 @@ pin!(
         faas: 200,
     }
 );
+
+/// Run `engine` traced. Per worker: the events its ring holds, the
+/// events it dropped, and its account's cycles in [`Bucket::ALL`] order.
+/// Then an FNV-1a hash of the Chrome export.
+fn traced<W: Workload>(engine: Engine<W>) -> (Vec<String>, u64) {
+    let (stats, data) = engine.with_tracing(1 << 16).run_traced();
+    let rows = data.workers.iter().zip(&stats.per_worker);
+    let rows = rows.map(|(ring, w)| {
+        assert_eq!(ring.dropped(), w.dropped);
+        let account = Bucket::ALL.map(|b| w.account.get(b).get());
+        format!("{} {} {account:?}", ring.len(), w.dropped)
+    });
+    let fnv = chrome_trace_json(&data)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    (rows.collect(), fnv)
+}
+
+/// The traced twin of `golden_btc10_uni_4w`, whose steals queue at the
+/// comm server: FAA-queue carries are charged.
+#[test]
+fn traced_golden_btc10_uni_4w() {
+    let got = traced(Engine::new(
+        SimConfig::tiny(4).with_seed(42),
+        Btc::new(10, 1),
+    ));
+    let want = [
+        "5525 0 [0, 325806, 2825, 50340, 39200, 16839, 6510, 4962, 1332, 17945]",
+        "2072 0 [0, 108164, 76985, 83793, 107800, 38043, 16275, 9924, 0, 24775]",
+        "4226 0 [0, 244161, 7405, 46244, 49000, 21204, 9765, 4962, 828, 82190]",
+        "3362 0 [0, 189809, 21120, 48681, 88200, 45111, 19530, 11578, 0, 41730]",
+    ];
+    assert_eq!(
+        got,
+        (want.map(String::from).to_vec(), 7_187_222_464_707_860_351)
+    );
+}
+
+/// The traced twin of `golden_chain200_2n`, whose every join parks:
+/// suspend carries are charged.
+#[test]
+fn traced_golden_chain200_2n() {
+    let mut cfg = SimConfig::fx10(2);
+    cfg.topo = Topology::new(2, 1);
+    let got = traced(Engine::new(cfg, Chain::fig10(200)));
+    let want = [
+        "10903 0 [12000000, 29975, 142525, 8343600, 980000, 1282800, 642700, 300400, 0, 693500]",
+        "10902 0 [12000000, 30000, 142500, 8345505, 980000, 1282800, 642700, 300400, 0, 691595]",
+    ];
+    assert_eq!(
+        got,
+        (want.map(String::from).to_vec(), 186_311_435_992_887_361)
+    );
+}
 
 /// Two identical invocations of the engine are bit-identical: nothing in
 /// the process (allocator addresses, globals) leaks into the simulation.

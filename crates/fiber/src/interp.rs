@@ -383,7 +383,7 @@ impl NativeRunner {
         NativeRunner {
             rt: Runtime::new(workers),
             work_divisor: 1,
-            ring_capacity: crate::ntrace::DEFAULT_RING_CAPACITY,
+            ring_capacity: uat_trace::DEFAULT_RING_CAPACITY,
         }
     }
 

@@ -95,7 +95,7 @@ pub use creation::{measure_creation, CreationStrategy};
 pub use interp::{NativeRunStats, NativeRunner};
 pub use mpruntime::{set_bootstrap_alloc_probe, MultiProcessRunner};
 pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};
-pub use ntrace::{NativeTrace, DEFAULT_RING_CAPACITY};
+pub use ntrace::NativeTrace;
 pub use runtime::{current_worker_id, spawn, JoinHandle, Runtime};
 pub use stack::{Stack, StackPool};
 pub use tsc::{ClockSource, RunClock};

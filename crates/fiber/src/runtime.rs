@@ -550,18 +550,19 @@ impl Runtime {
             handle.join().expect("sampler thread");
         }
         // Every worker has left: the rows are final. Report them in the
-        // registry, and, every worker having deposited its ring, the
+        // registry, and, every worker having deposited its timeline, the
         // trace's drop counts beside them.
         shared.metrics.deposit(&shared.rows);
+        let trace = shared.trace.as_ref().map(crate::ntrace::finalize);
         let mut trace_dropped = 0;
-        if let Some(t) = shared.trace.as_ref() {
+        if let Some(t) = &trace {
             let dropped = shared.metrics.registry.counter(
                 uat_metrics::names::TRACE_DROPPED,
                 "Trace events evicted from full per-worker rings",
             );
-            for (i, n) in t.dropped_per_worker().into_iter().enumerate() {
-                dropped.add(i, n);
-                trace_dropped += n;
+            for (i, ring) in t.data.workers.iter().enumerate() {
+                dropped.add(i, ring.dropped());
+                trace_dropped += ring.dropped();
             }
         }
         // The root dropped its reference before its completion tick, which
@@ -590,7 +591,7 @@ impl Runtime {
             ..NativeRunStats::default()
         };
         let observed = Observed {
-            trace: shared.trace.as_ref().map(crate::ntrace::finalize),
+            trace,
             metrics: observe.metrics.then(|| shared.metrics.registry.snapshot()),
         };
         (out, stats, observed)

@@ -143,24 +143,10 @@ impl TimeAccount {
         }
     }
 
-    /// Human-readable per-bucket table.
-    pub fn report(&self) -> String {
-        use std::fmt::Write;
-        let total = self.total().get().max(1);
-        let mut s = String::new();
-        writeln!(s, "{:<16} {:>14} {:>8}", "bucket", "cycles", "share").unwrap();
-        for b in Bucket::ALL {
-            let c = self.get(b).get();
-            writeln!(
-                s,
-                "{:<16} {:>14} {:>7.1}%",
-                b.name(),
-                c,
-                100.0 * c as f64 / total as f64
-            )
-            .unwrap();
-        }
-        s
+    /// Take up to `span` back off `bucket`.
+    pub(crate) fn trim(&mut self, bucket: Bucket, span: Cycles) {
+        let c = &mut self.cycles[bucket.index()];
+        *c = c.saturating_sub(span.get());
     }
 }
 
@@ -248,13 +234,5 @@ mod tests {
         assert_eq!(a.idle_fraction(), 0.0);
         assert_eq!(a.steal_fraction(), 0.0);
         assert_eq!(a.total(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn report_lists_every_bucket() {
-        let r = TimeAccount::new().report();
-        for b in Bucket::ALL {
-            assert!(r.contains(b.name()), "missing {}", b.name());
-        }
     }
 }

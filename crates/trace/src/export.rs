@@ -300,40 +300,42 @@ pub fn jsonl<I: IntoIterator<Item = Json>>(lines: I) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RingSink, StealPhase, TraceSink};
+    use crate::ring::per_worker;
+    use crate::StealPhase;
     use uat_base::{NodeId, WorkerId};
 
     fn sample_data() -> TraceData {
-        let mut sink = RingSink::new(2, 64);
-        sink.record(TraceEvent::span(
-            Cycles(0),
-            Cycles(1_000),
-            WorkerId(0),
-            EventKind::Slice {
-                bucket: Bucket::Work,
-            },
-        ));
-        sink.record(TraceEvent::instant(
-            Cycles(1_000),
-            WorkerId(0),
-            EventKind::Spawn {
-                parent: 1,
-                child: 2,
-            },
-        ));
-        sink.record(TraceEvent::span(
-            Cycles(500),
-            Cycles(300),
-            WorkerId(1),
-            EventKind::StealPhase {
-                victim: WorkerId(0),
-                phase: StealPhase::Lock,
-            },
-        ));
+        let events = [
+            TraceEvent::span(
+                Cycles(0),
+                Cycles(1_000),
+                WorkerId(0),
+                EventKind::Slice {
+                    bucket: Bucket::Work,
+                },
+            ),
+            TraceEvent::instant(
+                Cycles(1_000),
+                WorkerId(0),
+                EventKind::Spawn {
+                    parent: 1,
+                    child: 2,
+                },
+            ),
+            TraceEvent::span(
+                Cycles(500),
+                Cycles(300),
+                WorkerId(1),
+                EventKind::StealPhase {
+                    victim: WorkerId(0),
+                    phase: StealPhase::Lock,
+                },
+            ),
+        ];
         TraceData {
             clock_hz: 1.848e9,
             clock_source: ClockSource::Simulated,
-            workers: sink.into_rings(),
+            workers: per_worker(2, 64, events),
             fabric: vec![TraceEvent::span(
                 Cycles(600),
                 Cycles(120),
@@ -416,27 +418,28 @@ mod tests {
     #[test]
     fn completed_steals_get_flow_arrow_pairs() {
         let mut data = sample_data();
-        let mut sink = RingSink::new(2, 64);
-        for ring in data.workers.drain(..) {
-            drop(ring);
-        }
-        sink.record(TraceEvent::instant(
-            Cycles(400),
-            WorkerId(0),
-            EventKind::DequePublish { task: 9, seq: 3 },
-        ));
-        sink.record(TraceEvent::instant(
-            Cycles(900),
-            WorkerId(1),
-            EventKind::StealCommit { task: 9, seq: 3 },
-        ));
-        // An unmatched publication produces no dangling arrow.
-        sink.record(TraceEvent::instant(
-            Cycles(950),
-            WorkerId(0),
-            EventKind::DequePublish { task: 11, seq: 4 },
-        ));
-        data.workers = sink.into_rings();
+        data.workers = per_worker(
+            2,
+            64,
+            [
+                TraceEvent::instant(
+                    Cycles(400),
+                    WorkerId(0),
+                    EventKind::DequePublish { task: 9, seq: 3 },
+                ),
+                TraceEvent::instant(
+                    Cycles(900),
+                    WorkerId(1),
+                    EventKind::StealCommit { task: 9, seq: 3 },
+                ),
+                // An unmatched publication produces no dangling arrow.
+                TraceEvent::instant(
+                    Cycles(950),
+                    WorkerId(0),
+                    EventKind::DequePublish { task: 11, seq: 4 },
+                ),
+            ],
+        );
         let doc = chrome_trace(&data);
         let events = doc.field("traceEvents").unwrap().as_arr().unwrap();
         let flows: Vec<&Json> = events

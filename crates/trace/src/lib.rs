@@ -1,18 +1,24 @@
-//! Per-worker tracing for the uni-address work-stealing simulator.
+//! Per-worker tracing for the uni-address work-stealing simulator and
+//! thread runtime.
 //!
-//! Three layers, usable separately:
+//! The layers, usable separately:
 //!
 //! - **Events** ([`TraceEvent`] / [`EventKind`]): structured records of
 //!   what each worker did — task begin/end/spawn/suspend/resume, the
 //!   seven steal phases of the paper's Table 3 (with victim and
 //!   outcome), FAA-queue waits at the software comm server, and idle
-//!   polls — stamped with simulated [`Cycles`](uat_base::Cycles) and
-//!   stored in bounded per-worker [`RingBuffer`]s behind a
-//!   [`TraceSink`]. The default [`NullSink`] discards everything.
-//! - **Accounting** ([`TimeAccount`] / [`Bucket`]): every simulated
-//!   cycle of every worker charged to exactly one bucket (work, spawn,
+//!   polls — stamped in cycles ([`Cycles`](uat_base::Cycles): simulated
+//!   ones, or calibrated TSC ones on the thread runtime) and stored in
+//!   bounded per-worker [`RingBuffer`]s.
+//! - **Accounting** ([`TimeAccount`] / [`Bucket`]): every cycle of
+//!   every worker charged to exactly one bucket (work, spawn,
 //!   suspend/resume, the five steal phases, FAA queueing, idle), so a
 //!   worker's buckets sum to the run's makespan.
+//! - **Timeline** ([`Timeline`]): what both tracers record through,
+//!   one per worker — an optional ring, the account, and the open
+//!   slice. It charges each span of time, carries first, as an
+//!   accounted slice, and at the end of a run tiles the worker's time
+//!   to the makespan.
 //! - **Export** ([`export`]): Chrome trace-event JSON — open the file
 //!   in [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`, one
 //!   track per worker with flow arrows linking each deque publish to
@@ -35,7 +41,7 @@ pub mod event;
 pub mod export;
 pub mod profile;
 pub mod ring;
-pub mod sink;
+pub mod timeline;
 
 pub use account::{Bucket, TimeAccount};
 pub use event::{EventKind, RdmaOpKind, TraceEvent};
@@ -44,5 +50,5 @@ pub use export::{
 };
 pub use profile::{critical_path, CostClass, CriticalPath, CriticalPathSummary, Dag, ProfileError};
 pub use ring::RingBuffer;
-pub use sink::{NullSink, RingSink, TraceSink};
+pub use timeline::{Timeline, DEFAULT_RING_CAPACITY};
 pub use uat_base::{StealOutcome, StealPhase};

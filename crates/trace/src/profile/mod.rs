@@ -38,7 +38,7 @@ pub use whatif::{predict, predict_scaled, CostClass};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bucket, EventKind, RingBuffer, RingSink, TimeAccount, TraceData, TraceEvent};
+    use crate::{Bucket, EventKind, RingBuffer, TimeAccount, TraceData, TraceEvent};
     use uat_base::json::{FromJson, Json, ToJson};
     use uat_base::{Cycles, WorkerId};
 
@@ -56,14 +56,10 @@ mod tests {
     }
 
     fn data(workers: usize, makespan: u64, events: &[TraceEvent]) -> TraceData {
-        let mut sink = RingSink::new(workers, 1024);
-        for ev in events {
-            crate::TraceSink::record(&mut sink, *ev);
-        }
         TraceData {
             clock_hz: 1.848e9,
             clock_source: crate::ClockSource::Simulated,
-            workers: sink.into_rings(),
+            workers: crate::ring::per_worker(workers, 1024, events.iter().copied()),
             fabric: Vec::new(),
             makespan: Cycles(makespan),
         }

@@ -7,6 +7,7 @@
 
 use crate::TraceEvent;
 use std::collections::VecDeque;
+use uat_base::Cycles;
 
 /// Fixed-capacity FIFO of [`TraceEvent`]s that drops its oldest entry
 /// when full.
@@ -62,20 +63,45 @@ impl RingBuffer {
         self.dropped
     }
 
-    /// Record `n` drops that happened outside this ring — used when a
-    /// trace is re-built (e.g. clipped to a makespan) from a ring that
-    /// had already evicted events, so the rebuilt ring stays honest
-    /// about truncation instead of laundering the loss away.
-    pub fn note_dropped(&mut self, n: u64) {
-        self.dropped += n;
+    /// Make room for one more event without evicting any.
+    pub(crate) fn reserve_one(&mut self) {
+        self.capacity = self.capacity.max(self.buf.len() + 1);
     }
+
+    /// Cut every span to end by `end`: those starting at or after it
+    /// go, those across it are clipped. Instants all stay.
+    pub(crate) fn clip_spans(&mut self, end: Cycles) {
+        self.buf.retain_mut(|ev| {
+            if ev.dur.get() > 0 {
+                if ev.at >= end {
+                    return false;
+                }
+                ev.dur = ev.dur.min(end.since(ev.at));
+            }
+            true
+        });
+    }
+}
+
+/// One ring of `capacity` per worker, holding `events` by worker.
+#[cfg(test)]
+pub(crate) fn per_worker(
+    workers: usize,
+    capacity: usize,
+    events: impl IntoIterator<Item = TraceEvent>,
+) -> Vec<RingBuffer> {
+    let mut rings = vec![RingBuffer::new(capacity); workers];
+    for ev in events {
+        rings[ev.worker.index()].push(ev);
+    }
+    rings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::EventKind;
-    use uat_base::{Cycles, WorkerId};
+    use uat_base::WorkerId;
 
     fn ev(t: u64) -> TraceEvent {
         TraceEvent::instant(Cycles(t), WorkerId(0), EventKind::IdlePoll)
