@@ -45,12 +45,6 @@ impl SplitMix64 {
         mix(self.state)
     }
 
-    /// Next 32 random bits (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)` via Lemire's multiply-shift; `bound` > 0.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {

@@ -110,7 +110,7 @@ fn critical_path_entry() -> Json {
 /// a number), and record wall-clock throughput.
 fn native_case<W>(name: &'static str, workers: usize, w: W) -> Json
 where
-    W: Workload + Send + Sync + 'static,
+    W: Workload + Send + 'static,
     W::Desc: 'static,
 {
     let p = sequential_profile(&w);
@@ -140,7 +140,7 @@ where
 /// ground-truth cross-check as [`native_case`].
 fn multiprocess_case<W>(name: &'static str, workers: usize, w: W) -> Json
 where
-    W: Workload + Send + Sync + 'static,
+    W: Workload + Send + 'static,
     W::Desc: Copy + 'static,
 {
     let p = sequential_profile(&w);

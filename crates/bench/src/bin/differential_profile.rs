@@ -43,7 +43,7 @@
 //! domains) and export both final snapshots side by side.
 
 use uat_base::json::{Json, ToJson};
-use uat_bench::{write_output, OutFlags};
+use uat_bench::{write_chrome_trace, write_output, OutFlags};
 use uat_cluster::{SimConfig, Workload};
 use uat_trace::TimeAccount;
 use uat_workloads::{Btc, Chain, Fib, NQueens, Uts};
@@ -142,7 +142,7 @@ fn main() {
 /// against the sequential ground truth.
 fn single_backend<W>(a: &Args, backend: uat_bench::Backend, w: W, size: u32, flags: &OutFlags)
 where
-    W: Workload + Clone + Send + Sync + 'static,
+    W: Workload + Clone + Send + 'static,
     W::Desc: Copy + 'static,
 {
     use uat_bench::Backend;
@@ -241,7 +241,7 @@ fn share(c: uat_base::Cycles, total: uat_base::Cycles) -> f64 {
 
 fn diff<W, F>(a: &Args, make: F, size: u32, flags: &OutFlags, mode: Option<uat_bench::Backend>)
 where
-    W: Workload + Clone + Send + Sync + 'static,
+    W: Workload + Clone + Send + 'static,
     W::Desc: Copy + 'static,
     F: Fn(u32) -> W,
 {
@@ -473,11 +473,7 @@ where
         );
     }
     if let Some(path) = &flags.trace {
-        write_output(
-            path,
-            &uat_trace::chrome_trace_json(&nat_trace.data),
-            "native Chrome trace",
-        );
+        write_chrome_trace(path, &nat_trace.data, "native Chrome trace");
     }
     if let (Some(s), Some(n)) = (&sim_reg, &nat_reg) {
         uat_bench::emit_metrics(flags, &[("sim", s.snapshot()), ("native", n.snapshot())]);

@@ -14,7 +14,7 @@
 
 use uat_base::json::ToJson;
 use uat_base::{CostModel, Cycles, Topology};
-use uat_bench::{deviation, kcycles, paper, write_output, OutFlags};
+use uat_bench::{deviation, kcycles, paper, write_chrome_trace, write_output, OutFlags};
 use uat_cluster::{Engine, SimConfig};
 use uat_core::StealPhase;
 use uat_workloads::Chain;
@@ -163,7 +163,7 @@ fn main() {
                 trace.dropped()
             );
         }
-        write_output(path, &uat_trace::chrome_trace_json(trace), "Chrome trace");
+        write_chrome_trace(path, trace, "Chrome trace");
     }
     if let Some(path) = &flags.json {
         write_output(path, &uat_trace::jsonl([stats.to_json()]), "JSONL results");

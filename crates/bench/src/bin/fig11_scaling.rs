@@ -30,7 +30,7 @@
 //! figure's throughput axis.
 
 use uat_base::json::{Json, ToJson};
-use uat_bench::{compact_config, write_output, OutFlags};
+use uat_bench::{compact_config, write_chrome_trace, write_output, OutFlags};
 use uat_cluster::sweep::{render, sweep};
 use uat_cluster::Workload;
 use uat_workloads::{Btc, NQueens, Uts};
@@ -84,7 +84,7 @@ fn write_trace<W: Workload>(path: &std::path::Path, nodes: u32, w: W) {
     let (_, trace) = uat_cluster::Engine::new(compact_config(nodes), w)
         .with_tracing(1 << 14)
         .run_traced();
-    write_output(path, &uat_trace::chrome_trace_json(&trace), "Chrome trace");
+    write_chrome_trace(path, &trace, "Chrome trace");
 }
 
 /// `--backend native|multiprocess`: the single-node real-executor sweep.

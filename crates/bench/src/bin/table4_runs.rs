@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 use uat_base::json::{Json, ToJson};
-use uat_bench::{compact_config, paper, write_output, OutFlags};
+use uat_bench::{compact_config, paper, write_chrome_trace, write_output, OutFlags};
 use uat_cluster::{run_indexed, sweep_threads, Engine, RunStats, Workload};
 use uat_trace::TraceData;
 use uat_workloads::{btc::BTC_FRAME, nqueens, uts, Btc, NQueens, Uts};
@@ -198,7 +198,7 @@ fn main() {
         write_output(path, &uat_trace::jsonl(lines), "JSONL results");
     }
     if let (Some(path), Some(trace)) = (&flags.trace, &captured) {
-        write_output(path, &uat_trace::chrome_trace_json(trace), "Chrome trace");
+        write_chrome_trace(path, trace, "Chrome trace");
     }
     if let Some(r) = &registry {
         uat_bench::emit_metrics(&flags, &[("sim", r.snapshot())]);

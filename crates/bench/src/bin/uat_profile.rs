@@ -26,7 +26,7 @@
 
 use uat_base::json::{Json, ToJson};
 use uat_base::Topology;
-use uat_bench::{compact_config, write_output, OutFlags};
+use uat_bench::{compact_config, write_chrome_trace, write_output, OutFlags};
 use uat_cluster::{SimConfig, Workload};
 use uat_workloads::{Btc, NQueens, Uts};
 
@@ -259,6 +259,6 @@ fn profile<W: Workload, F: Fn(u32) -> W>(a: &Args, make: F, size: u32, flags: &O
         write_output(path, &uat_trace::jsonl(vec![line]), "JSONL profile");
     }
     if let Some(path) = &flags.trace {
-        write_output(path, &uat_trace::chrome_trace_json(&trace), "Chrome trace");
+        write_chrome_trace(path, &trace, "Chrome trace");
     }
 }

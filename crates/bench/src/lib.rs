@@ -20,6 +20,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use uat_cluster::SimConfig;
@@ -129,11 +131,32 @@ pub fn emit_metrics(flags: &OutFlags, snapshots: &[(&str, uat_metrics::Snapshot)
 /// Write an output artifact, reporting the destination on stderr so it
 /// does not mix with the table on stdout; exit(1) on I/O failure.
 pub fn write_output(path: &Path, text: &str, what: &str) {
-    if let Err(e) = std::fs::write(path, text) {
+    stream_output(path, what, |out| out.write_all(text.as_bytes()));
+}
+
+/// [`write_output`] for an artifact that `write` streams to the file
+/// through a buffer.
+fn stream_output(
+    path: &Path,
+    what: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) {
+    let written = File::create(path).and_then(|f| {
+        let mut out = BufWriter::new(f);
+        write(&mut out)?;
+        out.flush()
+    });
+    if let Err(e) = written {
         eprintln!("error: cannot write {what} to {}: {e}", path.display());
         std::process::exit(1);
     }
     eprintln!("wrote {what} to {}", path.display());
+}
+
+/// Stream a traced run's Chrome trace to `path` through a buffer,
+/// reporting as [`write_output`] does.
+pub fn write_chrome_trace(path: &Path, data: &uat_trace::TraceData, what: &str) {
+    stream_output(path, what, |out| uat_trace::write_chrome_trace(data, out));
 }
 
 /// Reference values from the paper, for side-by-side output.
@@ -354,7 +377,7 @@ pub fn run_real_backend<W>(
     flags: &OutFlags,
 ) -> Option<uat_fiber::NativeRunStats>
 where
-    W: uat_model::Workload + Clone + Send + Sync + 'static,
+    W: uat_model::Workload + Clone + Send + 'static,
     W::Desc: Copy + 'static,
 {
     assert!(

@@ -1,7 +1,7 @@
 //! Every clean scenario of the four protocol models keeps every
 //! invariant, is not vacuous, and explores to exactly the states,
 //! transitions, interleavings and distinct final states pinned in
-//! `pinned/mod.rs`: a change to the explorer or to a model's steps that
+//! `pinned.rs`: a change to the explorer or to a model's steps that
 //! alters what is explored changes a row.
 
 use uat_check::join::{self, JoinMutation};
@@ -10,9 +10,7 @@ use uat_check::slots::{self, SlotMutation};
 use uat_check::termination::{self, ScanMutation};
 use uat_check::{MemModel, Protocol};
 
-#[path = "pinned/mod.rs"]
-mod pinned;
-use pinned::{Row, RA, SC};
+use crate::pinned::{Row, RA, SC};
 
 /// One clean scenario's counts, once it has kept every invariant and
 /// explored something (a vacuous run would pin nothing).

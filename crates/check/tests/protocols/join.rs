@@ -4,11 +4,9 @@
 //! every invariant and is not vacuous — joiners park and are handed out,
 //! and a stolen child's decrement does wrap the count — is `golden.rs`'s.
 
+use crate::pinned;
 use uat_check::join::{suite, JoinMutation};
 use uat_check::{MemModel, Protocol, Seeded};
-
-#[path = "pinned/mod.rs"]
-mod pinned;
 
 #[test]
 fn ra_explores_more_than_sc() {

@@ -4,11 +4,9 @@
 //! and is not vacuous — fast paths complete, some find a raid on, and
 //! raids take slots — is `golden.rs`'s.
 
+use crate::pinned;
 use uat_check::slots::{suite, SlotMutation};
 use uat_check::{MemModel, Protocol, Seeded};
-
-#[path = "pinned/mod.rs"]
-mod pinned;
 
 #[test]
 fn ra_explores_more_than_sc() {

@@ -4,11 +4,9 @@
 //! shipped scan never passes early, wherever it runs and under either
 //! memory model, is `golden.rs`'s.
 
+use crate::pinned;
 use uat_check::termination::{suite, ScanMutation};
 use uat_check::{MemModel, Protocol, Seeded};
-
-#[path = "pinned/mod.rs"]
-mod pinned;
 
 #[test]
 fn ra_explores_more_than_sc() {

@@ -28,7 +28,7 @@ use std::collections::{HashMap, VecDeque};
 use uat_base::{CostModel, Cycles, WorkerId};
 use uat_deque::FabricDeque;
 use uat_rdma::Fabric;
-use uat_vmem::{AddressSpace, MemStats, PAGE_SIZE};
+use uat_vmem::{AddressSpace, MemStats};
 
 /// Base virtual address of the global iso-address stack range.
 pub const ISO_BASE: u64 = 0x4000_0000_0000;
@@ -282,13 +282,6 @@ impl IsoMgr {
     /// Virtual-memory accounting; `reserved` shows the global range.
     pub fn mem_stats(&self) -> MemStats {
         self.space.stats()
-    }
-
-    /// Pages this address space has committed for stacks (the `(1+mr)`
-    /// physical growth of Section 4, measurable per worker).
-    pub fn committed_stack_pages(&self) -> u64 {
-        // Committed = stacks (touched) + deque (pinned); subtract pinned.
-        (self.space.stats().committed - self.space.stats().pinned) / PAGE_SIZE
     }
 }
 

@@ -146,11 +146,6 @@ impl UniRegion {
         self.segments.is_empty()
     }
 
-    /// Whether any *live* segment remains.
-    pub fn has_live(&self) -> bool {
-        self.segments.iter().any(|s| !s.dead)
-    }
-
     /// The segments, top (high address) first.
     pub fn segments(&self) -> &[Segment] {
         &self.segments

@@ -179,11 +179,11 @@ impl<W: Workload> Clone for EnvRef<W> {
 impl<W: Workload> Copy for EnvRef<W> {}
 
 // SAFETY: [I7][I8] an EnvRef is only ever dereferenced to a shared
-// `&Env`, whose fields are `W` (required `Sync` below), the rows and a
-// plain integer, and the buffer lists, each touched only by its own
-// worker — as is each row; both pointees outlive every task (see
+// `&Env`, whose fields are `W` (`Sync`, as every `Workload` is), the
+// rows and a plain integer, and the buffer lists, each touched only by
+// its own worker — as is each row; both pointees outlive every task (see
 // `NativeRunner::run_observing` and `MultiProcessRunner::run_mapped`).
-unsafe impl<W: Workload + Sync> Send for EnvRef<W> {}
+unsafe impl<W: Workload> Send for EnvRef<W> {}
 
 /// Interpret one task: expand its program and execute it on this fiber.
 /// `frame` is the task's own `frame_size`, already claimed below its
@@ -437,7 +437,7 @@ impl NativeRunner {
     /// Run `w` to completion on real fibers and report its accounting.
     pub fn run<W>(&self, w: W) -> NativeRunStats
     where
-        W: Workload + Send + Sync + 'static,
+        W: Workload + Send + 'static,
         W::Desc: 'static,
     {
         self.run_observing(w, Observe::default()).0
@@ -449,7 +449,7 @@ impl NativeRunner {
     /// park-duration histograms).
     pub fn run_metered<W>(&self, w: W) -> (NativeRunStats, uat_metrics::Snapshot)
     where
-        W: Workload + Send + Sync + 'static,
+        W: Workload + Send + 'static,
         W::Desc: 'static,
     {
         let metered = Observe {
@@ -467,7 +467,7 @@ impl NativeRunner {
     /// [`NativeTrace`]: crate::ntrace::NativeTrace
     pub fn run_traced<W>(&self, w: W) -> (NativeRunStats, crate::ntrace::NativeTrace)
     where
-        W: Workload + Send + Sync + 'static,
+        W: Workload + Send + 'static,
         W::Desc: 'static,
     {
         let traced = Observe {
@@ -483,7 +483,7 @@ impl NativeRunner {
     /// run's scheduler fields.
     fn run_observing<W>(&self, w: W, observe: Observe) -> (NativeRunStats, Observed)
     where
-        W: Workload + Send + Sync + 'static,
+        W: Workload + Send + 'static,
         W::Desc: 'static,
     {
         let workload = w.name();

@@ -19,9 +19,20 @@
 //! compared task-for-task — see [`sequential_profile`] for the sequential
 //! ground truth and [`join_tree_fingerprint`] for a schedule-independent
 //! shape digest both backends reproduce.
+//!
+//! The sequential profile is the profile of the *serial* execution, but
+//! it is computed on every core: the tree's subtrees are independent, so
+//! [`sequential_profile`] splits the tree breadth-first near the root and
+//! walks the pending subtrees on scoped threads, then merges their
+//! partial profiles. Every field merges exactly (sums, a maximum, a
+//! wrapping sum), so the result does not depend on the thread count or
+//! on which thread walked which subtree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One step of a task's program.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,7 +49,10 @@ pub enum Action<D> {
 }
 
 /// A benchmark: how task descriptors expand into programs.
-pub trait Workload {
+///
+/// A workload is `Sync`: [`sequential_profile`] expands one shared
+/// workload on several threads, and so do both real runtimes.
+pub trait Workload: Sync {
     /// Task descriptor — everything a task needs to know what to do.
     type Desc: Clone + Send + Sync + std::fmt::Debug;
 
@@ -84,39 +98,109 @@ impl<W: Workload + ?Sized> Workload for &W {
     }
 }
 
-/// Count tasks and total work of a workload by sequential traversal —
-/// the ground truth the parallel runs are checked against in tests.
+/// Count tasks and total work of a workload: the profile of its serial
+/// execution, the ground truth the parallel runs are checked against.
+///
+/// The tree is walked on every core
+/// ([`std::thread::available_parallelism`]): the calling thread expands
+/// it breadth-first until about 64 subtrees per thread are pending, then
+/// it and `n - 1` scoped helpers each claim the next pending subtree and
+/// walk it depth-first into a profile of their own. A tree that ends
+/// before the split does starts no thread. The result is exact and the
+/// same for any thread count: every field is a per-task count, a sum, a
+/// maximum over tasks, or a wrapping sum, and each task is counted once
+/// with the frame bytes of its own root→task chain, whichever thread
+/// walked it (see [`SeqProfile`]'s merge).
 pub fn sequential_profile<W: Workload>(w: &W) -> SeqProfile {
-    // Each entry carries the summed frame sizes of the task's ancestors.
-    let mut stack = vec![(w.root(), 0u64)];
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    profile_on(w, threads)
+}
+
+/// Pending subtrees per thread at which the breadth-first split stops:
+/// enough that the threads' last claims end close together on a
+/// lopsided tree such as UTS.
+const SUBTREES_PER_THREAD: usize = 64;
+
+/// [`sequential_profile`] on `threads` threads (the caller included).
+fn profile_on<W: Workload>(w: &W, threads: usize) -> SeqProfile {
+    let mut head = SeqProfile::default();
     let mut prog = Vec::new();
-    let mut p = SeqProfile::default();
-    while let Some((d, above)) = stack.pop() {
-        let (frame, units) = (w.frame_size(&d), w.units(&d));
-        let chain = above + frame;
-        p.tasks += 1;
-        p.units += units;
-        p.frame_bytes_total += frame;
-        p.peak_chain_frame_bytes = p.peak_chain_frame_bytes.max(chain);
-        prog.clear();
-        w.program(&d, &mut prog);
-        let mut children = 0u64;
-        for a in prog.drain(..) {
-            match a {
-                Action::Work(c) => p.work_cycles += c,
-                Action::Spawn(child) => {
-                    children += 1;
-                    stack.push((child, chain));
-                }
-                Action::JoinAll => p.joins += 1,
+    // Each pending entry carries the summed frame sizes of the task's
+    // ancestors.
+    let mut queue = VecDeque::from([(w.root(), 0u64)]);
+    while queue.len() < SUBTREES_PER_THREAD * threads {
+        let Some((d, above)) = queue.pop_front() else {
+            return head;
+        };
+        let chain = head.count(w, &d, above, &mut prog);
+        queue.extend(spawned(&prog).map(|c| (c.clone(), chain)));
+    }
+    // The split's buffer goes back to the allocator for the walks to
+    // reuse: a wide program makes it large (a 4 000-spawn one, 128 KiB),
+    // and every live buffer adds to the set-up's peak resident memory.
+    drop(prog);
+    let pending = Vec::from(queue);
+    let next = AtomicUsize::new(0);
+    let walk = || {
+        let mut part = SeqProfile::default();
+        let mut levels = Vec::new();
+        // Claims only divide the work; the subtrees are read-only and
+        // the scope's join orders every result, so `Relaxed` suffices.
+        while let Some((d, above)) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+            part.walk(w, (d.clone(), *above), &mut levels);
+        }
+        part
+    };
+    head.merge(on_threads(threads, &walk))
+}
+
+/// Run `walk` on the calling thread and `threads - 1` scoped helpers and
+/// merge what they count. Not generic, so the thread machinery is
+/// compiled once, not once per workload.
+fn on_threads(threads: usize, walk: &(dyn Fn() -> SeqProfile + Sync)) -> SeqProfile {
+    std::thread::scope(|s| {
+        // A helper the OS refuses is only a lost core: the threads that
+        // did start claim every subtree between them.
+        let helpers: Vec<_> = (1..threads)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, walk).ok())
+            .collect();
+        helpers.into_iter().fold(walk(), |p, h| {
+            p.merge(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        })
+    })
+}
+
+/// The children a program spawns, in order.
+fn spawned<D>(prog: &[Action<D>]) -> impl Iterator<Item = &D> {
+    prog.iter().filter_map(|a| match a {
+        Action::Spawn(c) => Some(c),
+        _ => None,
+    })
+}
+
+/// One level of a depth-first walk: the program of the task open at
+/// this depth, the index of its next unvisited action, and the `above`
+/// of its children. A walk keeps each level's buffer for the next task
+/// at that depth, so it holds the programs on one root→task path, not
+/// a copy of every pending child.
+struct Level<D> {
+    prog: Vec<Action<D>>,
+    next: usize,
+    chain: u64,
+}
+
+impl<D: Clone> Level<D> {
+    /// The next child of this level's task not yet walked, with its
+    /// `above`.
+    fn next_child(&mut self) -> Option<(D, u64)> {
+        while let Some(a) = self.prog.get(self.next) {
+            self.next += 1;
+            if let Action::Spawn(c) = a {
+                return Some((c.clone(), self.chain));
             }
         }
-        p.spawns += children;
-        p.join_fingerprint = p
-            .join_fingerprint
-            .wrapping_add(task_shape_hash(children, units, frame));
+        None
     }
-    p
 }
 
 /// Result of [`sequential_profile`].
@@ -141,6 +225,85 @@ pub struct SeqProfile {
     /// Schedule-independent join-tree digest; see
     /// [`join_tree_fingerprint`].
     pub join_fingerprint: u64,
+}
+
+impl SeqProfile {
+    /// Count one task, `d`, whose ancestors' frames sum to `above`, and
+    /// leave its program in `prog`. Returns the `above` of its children.
+    fn count<W: Workload>(
+        &mut self,
+        w: &W,
+        d: &W::Desc,
+        above: u64,
+        prog: &mut Vec<Action<W::Desc>>,
+    ) -> u64 {
+        let (frame, units) = (w.frame_size(d), w.units(d));
+        let chain = above + frame;
+        self.tasks += 1;
+        self.units += units;
+        self.frame_bytes_total += frame;
+        self.peak_chain_frame_bytes = self.peak_chain_frame_bytes.max(chain);
+        prog.clear();
+        w.program(d, prog);
+        let mut children = 0u64;
+        for a in prog.iter() {
+            match a {
+                Action::Work(c) => self.work_cycles += c,
+                Action::Spawn(_) => children += 1,
+                Action::JoinAll => self.joins += 1,
+            }
+        }
+        self.spawns += children;
+        self.join_fingerprint = self
+            .join_fingerprint
+            .wrapping_add(task_shape_hash(children, units, frame));
+        chain
+    }
+
+    /// Count every task of the subtree rooted at `root`, depth-first in
+    /// program order, on `levels` (one per depth, grown as needed).
+    fn walk<W: Workload>(&mut self, w: &W, root: (W::Desc, u64), levels: &mut Vec<Level<W::Desc>>) {
+        // `levels[..open]` hold the tasks on the path to the next one.
+        let mut open = 0;
+        let mut task = Some(root);
+        loop {
+            if let Some((d, above)) = task.take() {
+                if levels.len() == open {
+                    levels.push(Level {
+                        prog: Vec::new(),
+                        next: 0,
+                        chain: 0,
+                    });
+                }
+                let level = &mut levels[open];
+                level.chain = self.count(w, &d, above, &mut level.prog);
+                level.next = 0;
+                open += 1;
+            }
+            let Some(top) = open.checked_sub(1) else {
+                return;
+            };
+            task = levels[top].next_child();
+            if task.is_none() {
+                open = top;
+            }
+        }
+    }
+
+    /// The profile of two disjoint sets of tasks: sums, a maximum and a
+    /// wrapping sum, so the order of merging does not matter.
+    fn merge(self, o: SeqProfile) -> SeqProfile {
+        SeqProfile {
+            tasks: self.tasks + o.tasks,
+            units: self.units + o.units,
+            work_cycles: self.work_cycles + o.work_cycles,
+            joins: self.joins + o.joins,
+            spawns: self.spawns + o.spawns,
+            frame_bytes_total: self.frame_bytes_total + o.frame_bytes_total,
+            peak_chain_frame_bytes: self.peak_chain_frame_bytes.max(o.peak_chain_frame_bytes),
+            join_fingerprint: self.join_fingerprint.wrapping_add(o.join_fingerprint),
+        }
+    }
 }
 
 /// Per-task contribution to the join-tree fingerprint: a SplitMix64-style
@@ -248,6 +411,86 @@ mod tests {
         let r = &w;
         assert_eq!(sequential_profile(&r).tasks, 7);
         assert!(r.name().contains("bintree"));
+    }
+
+    /// A seeded random tree: 0-4 children per task above `depth`, and
+    /// per-task work, units and frame size drawn from the task's key.
+    struct RandTree {
+        seed: u64,
+        depth: u32,
+    }
+
+    impl RandTree {
+        fn mix(key: u64) -> u64 {
+            task_shape_hash(key, 0, 0)
+        }
+    }
+
+    impl Workload for RandTree {
+        type Desc = (u64, u32);
+
+        fn root(&self) -> (u64, u32) {
+            (self.seed, 0)
+        }
+
+        fn program(&self, &(key, depth): &(u64, u32), out: &mut Vec<Action<(u64, u32)>>) {
+            let h = Self::mix(key);
+            out.push(Action::Work(h % 100));
+            let kids = if depth < self.depth { (h >> 60) & 7 } else { 0 };
+            for i in 0..kids.min(4) {
+                out.push(Action::Spawn((Self::mix(key ^ ((i + 1) << 32)), depth + 1)));
+                if i == 1 {
+                    out.push(Action::JoinAll);
+                }
+            }
+            if kids > 0 {
+                out.push(Action::JoinAll);
+            }
+        }
+
+        fn frame_size(&self, &(key, _): &(u64, u32)) -> u64 {
+            64 + (Self::mix(key) >> 20) % 512
+        }
+
+        fn units(&self, &(key, _): &(u64, u32)) -> u64 {
+            key & 1
+        }
+
+        fn name(&self) -> String {
+            format!("randtree(seed={})", self.seed)
+        }
+    }
+
+    #[test]
+    fn profile_is_the_same_on_any_thread_count() {
+        fn check<W: Workload>(w: &W) -> SeqProfile {
+            let one = profile_on(w, 1);
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    profile_on(w, threads),
+                    one,
+                    "{} on {threads} threads",
+                    w.name()
+                );
+            }
+            one
+        }
+        for depth in [0, 4, 12] {
+            let p = check(&BinTree {
+                depth,
+                work: 3,
+                frame: 100,
+            });
+            assert_eq!(p.tasks, (2 << depth) - 1);
+            assert_eq!(p.peak_chain_frame_bytes, 100 * (depth as u64 + 1));
+        }
+        let mut big = 0;
+        for seed in 0..16 {
+            let p = check(&RandTree { seed, depth: 9 });
+            assert_eq!(p.spawns, p.tasks - 1);
+            big += (p.tasks > 8 * 64) as u32;
+        }
+        assert!(big >= 4, "too few random trees reach the parallel walk");
     }
 
     #[test]

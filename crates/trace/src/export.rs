@@ -11,6 +11,7 @@
 
 use crate::{Bucket, EventKind, RingBuffer, TraceEvent};
 use serde::{Deserialize, Serialize};
+use std::io::{self, Write};
 use uat_base::json::Json;
 use uat_base::Cycles;
 
@@ -59,11 +60,6 @@ pub struct TraceData {
 }
 
 impl TraceData {
-    /// Total events across all sources.
-    pub fn event_count(&self) -> usize {
-        self.workers.iter().map(RingBuffer::len).sum::<usize>() + self.fabric.len()
-    }
-
     /// Events evicted from full rings before export.
     pub fn dropped(&self) -> u64 {
         self.workers.iter().map(RingBuffer::dropped).sum()
@@ -205,7 +201,7 @@ fn flow_event(ph: &str, seq: u64, worker: u64, at: Cycles, clock_hz: f64) -> Jso
 /// victim's track at the deque publish and an `"f"` event on the
 /// thief's track at the resume of the stolen thread. Perfetto renders
 /// these as arrows, making each steal's provenance visible.
-fn steal_flows(data: &TraceData, out: &mut Vec<Json>) {
+fn steal_flows(data: &TraceData, mut emit: impl FnMut(Json) -> io::Result<()>) -> io::Result<()> {
     let mut publishes: std::collections::HashMap<u64, (u64, Cycles)> =
         std::collections::HashMap::new();
     for ev in data.events() {
@@ -216,17 +212,18 @@ fn steal_flows(data: &TraceData, out: &mut Vec<Json>) {
     for ev in data.events() {
         if let EventKind::StealCommit { seq, .. } = ev.kind {
             if let Some(&(victim, at)) = publishes.get(&seq) {
-                out.push(flow_event("s", seq, victim, at, data.clock_hz));
-                out.push(flow_event(
+                emit(flow_event("s", seq, victim, at, data.clock_hz))?;
+                emit(flow_event(
                     "f",
                     seq,
                     ev.worker.0 as u64,
                     ev.at,
                     data.clock_hz,
-                ));
+                ))?;
             }
         }
     }
+    Ok(())
 }
 
 fn metadata(name: &str, tid: u64, value: &str) -> Json {
@@ -239,52 +236,67 @@ fn metadata(name: &str, tid: u64, value: &str) -> Json {
     ])
 }
 
-/// Build the Chrome trace-event document for a traced run.
-pub fn chrome_trace(data: &TraceData) -> Json {
-    let mut events = Vec::with_capacity(data.event_count() + data.workers.len() + 2);
-    events.push(metadata("process_name", 0, "uni-address simulator"));
+/// Write the Chrome trace-event document for a traced run to `out`, one
+/// event at a time, so a trace of millions of events never exists as
+/// one value or string. Wrap a file in a `BufWriter`: each event is
+/// several small writes.
+pub fn write_chrome_trace(data: &TraceData, out: &mut impl Write) -> io::Result<()> {
+    write_trace(data, None, out)
+}
+
+/// [`write_chrome_trace`], with `violation`, if any, added to
+/// `otherData` as `audit_violation`.
+fn write_trace(data: &TraceData, violation: Option<&str>, out: &mut impl Write) -> io::Result<()> {
+    // The process row always comes first, so every later event is
+    // written after a comma.
+    write!(
+        out,
+        "{{\"traceEvents\":[{}",
+        metadata("process_name", 0, "uni-address simulator")
+    )?;
     for (w, ring) in data.workers.iter().enumerate() {
         let label = if ring.dropped() > 0 {
             format!("worker {w} ({} events dropped)", ring.dropped())
         } else {
             format!("worker {w}")
         };
-        events.push(metadata("thread_name", w as u64, &label));
+        write!(out, ",{}", metadata("thread_name", w as u64, &label))?;
     }
     for ev in data.events() {
-        events.push(chrome_event(ev, data.clock_hz));
+        write!(out, ",{}", chrome_event(ev, data.clock_hz))?;
     }
-    steal_flows(data, &mut events);
-    Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        (
-            "otherData",
-            Json::obj([
-                ("clock_hz", Json::Num(data.clock_hz)),
-                ("clock_source", Json::str(data.clock_source.name())),
-                ("makespan_cycles", Json::UInt(data.makespan.get())),
-                ("dropped_events", Json::UInt(data.dropped())),
-            ]),
-        ),
-    ])
+    steal_flows(data, |flow| write!(out, ",{flow}"))?;
+    let mut other = vec![
+        ("clock_hz".into(), Json::Num(data.clock_hz)),
+        ("clock_source".into(), Json::str(data.clock_source.name())),
+        ("makespan_cycles".into(), Json::UInt(data.makespan.get())),
+        ("dropped_events".into(), Json::UInt(data.dropped())),
+    ];
+    if let Some(v) = violation {
+        // Perfetto surfaces it in the trace-info dialog.
+        other.push(("audit_violation".into(), Json::str(v)));
+    }
+    write!(out, "],\"otherData\":{}}}", Json::Obj(other))
 }
 
-/// Serialize a traced run as a Chrome trace-event JSON string.
+/// [`write_trace`] into a string.
+fn trace_string(data: &TraceData, violation: Option<&str>) -> String {
+    let mut buf = Vec::new();
+    write_trace(data, violation, &mut buf).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("the export is UTF-8")
+}
+
+/// Serialize a traced run as a Chrome trace-event JSON string (what
+/// [`write_chrome_trace`] writes).
 pub fn chrome_trace_json(data: &TraceData) -> String {
-    chrome_trace(data).to_string()
+    trace_string(data, None)
 }
 
 /// Chrome trace for an audit flight recording: the regular export with
-/// the violation message added to `otherData` (Perfetto surfaces it in
-/// the trace-info dialog), so the post-mortem file is self-describing.
+/// the violation message added to `otherData`, so the post-mortem file
+/// is self-describing.
 pub fn flight_trace_json(data: &TraceData, violation: &str) -> String {
-    let mut doc = chrome_trace(data);
-    if let Json::Obj(members) = &mut doc {
-        if let Some((_, Json::Obj(other))) = members.iter_mut().find(|(k, _)| k == "otherData") {
-            other.push(("audit_violation".into(), Json::str(violation)));
-        }
-    }
-    doc.to_string()
+    trace_string(data, Some(violation))
 }
 
 /// Render values as JSON Lines (one compact document per line).
@@ -397,7 +409,7 @@ mod tests {
     #[test]
     fn instants_use_instant_phase() {
         let data = sample_data();
-        let doc = chrome_trace(&data);
+        let doc = Json::parse(&chrome_trace_json(&data)).unwrap();
         let events = doc.field("traceEvents").unwrap().as_arr().unwrap();
         let spawn = events
             .iter()
@@ -440,7 +452,7 @@ mod tests {
                 ),
             ],
         );
-        let doc = chrome_trace(&data);
+        let doc = Json::parse(&chrome_trace_json(&data)).unwrap();
         let events = doc.field("traceEvents").unwrap().as_arr().unwrap();
         let flows: Vec<&Json> = events
             .iter()

@@ -46,7 +46,7 @@ pub mod timeline;
 pub use account::{Bucket, TimeAccount};
 pub use event::{EventKind, RdmaOpKind, TraceEvent};
 pub use export::{
-    chrome_trace, chrome_trace_json, flight_trace_json, jsonl, ClockSource, TraceData,
+    chrome_trace_json, flight_trace_json, jsonl, write_chrome_trace, ClockSource, TraceData,
 };
 pub use profile::{critical_path, CostClass, CriticalPath, CriticalPathSummary, Dag, ProfileError};
 pub use ring::RingBuffer;

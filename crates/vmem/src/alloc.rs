@@ -140,11 +140,6 @@ impl RegionAllocator {
         self.base
     }
 
-    /// Number of live allocations.
-    pub fn live_blocks(&self) -> usize {
-        self.live.len()
-    }
-
     #[inline]
     fn round(&self, size: u64) -> u64 {
         size.div_ceil(self.align) * self.align

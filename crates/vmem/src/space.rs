@@ -359,11 +359,6 @@ impl AddressSpace {
     pub fn stats(&self) -> MemStats {
         self.stats
     }
-
-    /// Remaining unreserved virtual address space.
-    pub fn va_available(&self) -> u64 {
-        self.va_limit - self.stats.reserved
-    }
 }
 
 /// The pages `[addr, addr+len)` touches, as `(first, one past the last)`.

@@ -58,7 +58,7 @@ fn sim_cfg(workers: u32) -> SimConfig {
 /// quantity.
 fn assert_backends_agree<W>(w: W)
 where
-    W: Workload + Clone + Send + Sync + 'static,
+    W: Workload + Clone + Send + 'static,
     W::Desc: Copy + 'static,
 {
     let name = w.name();
@@ -171,7 +171,7 @@ fn chain_backends_agree() {
 /// value at every worker count.
 fn assert_peak_is_the_deepest_chain<W>(w: W)
 where
-    W: Workload + Clone + Send + Sync + 'static,
+    W: Workload + Clone + Send + 'static,
     W::Desc: Copy + 'static,
 {
     let name = w.name();

@@ -28,7 +28,7 @@ use uni_address_threads::workloads::{Btc, Chain, Fib, NQueens, Uts};
 /// Run `w` traced on `workers` workers and check invariants 1–3.
 fn check_traced<W>(w: W, workers: usize)
 where
-    W: Workload + Send + Sync + 'static,
+    W: Workload + Send + 'static,
     W::Desc: 'static,
 {
     let name = w.name();

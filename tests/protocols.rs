@@ -8,13 +8,15 @@
 //! counts; the join block and the idle policy also
 //! run their own unit suites on the code itself.
 
-#[path = "../crates/check/tests/golden.rs"]
+#[path = "../crates/check/tests/protocols/golden.rs"]
 mod golden;
-#[path = "../crates/check/tests/join.rs"]
+#[path = "../crates/check/tests/protocols/join.rs"]
 mod join;
-#[path = "../crates/check/tests/slots.rs"]
+#[path = "../crates/check/tests/protocols/pinned.rs"]
+mod pinned;
+#[path = "../crates/check/tests/protocols/slots.rs"]
 mod slots;
-#[path = "../crates/check/tests/termination.rs"]
+#[path = "../crates/check/tests/protocols/termination.rs"]
 mod termination;
 
 // The runtime's join block and idle policy, with their unit tests. The
