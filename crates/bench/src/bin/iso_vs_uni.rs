@@ -12,7 +12,7 @@
 //!    (the `(1+mr)` effect), measured from the simulated page tables.
 
 use uat_base::{Cycles, Topology};
-use uat_bench::{deviation, kcycles, paper};
+use uat_bench::{deviation, kcycles, paper, peak_rss_mib};
 use uat_cluster::{run_indexed, sweep_threads, Engine, SimConfig};
 use uat_core::{CoreConfig, SchemeKind, StealPhase};
 use uat_workloads::{Btc, Chain};
@@ -128,6 +128,10 @@ fn part3_physical_growth() {
             *resident as f64 / f64::from(stats.workers) / 1024.0,
         );
     }
+    println!(
+        "     process VmHWM {} (both schemes' engines)",
+        peak_rss_mib()
+    );
     println!(
         "\nUni's committed bytes are its fixed pinned regions (a deliberate,\n\
          bounded trade: pinning is what enables one-sided steals) and it never\n\

@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 use uat_base::json::{Json, ToJson};
-use uat_bench::{compact_config, paper, write_chrome_trace, write_output, OutFlags};
+use uat_bench::{compact_config, paper, peak_rss_mib, write_chrome_trace, write_output, OutFlags};
 use uat_cluster::{run_indexed, sweep_threads, Engine, RunStats, Workload};
 use uat_trace::TraceData;
 use uat_workloads::{btc::BTC_FRAME, nqueens, uts, Btc, NQueens, Uts};
@@ -182,9 +182,10 @@ fn main() {
     if let Some(resident) = resident {
         println!(
             "Per worker: pinned {} KiB (simulated), host-resident {:.1} KiB \
-             (pages of it this process materialised).",
+             (pages of it this process materialised); process VmHWM {}.",
             rows[0].stats.pinned_per_worker >> 10,
             resident as f64 / f64::from(cfg.topo.total_workers()) / 1024.0,
+            peak_rss_mib(),
         );
     }
 

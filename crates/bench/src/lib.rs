@@ -209,6 +209,22 @@ pub fn compact_config(nodes: u32) -> SimConfig {
     cfg
 }
 
+/// This process's peak resident set, `VmHWM` from `/proc/self/status`,
+/// in MiB ("unknown" where that file has no such line). Printed next to
+/// the fabric's "host-resident" count, it shows what the host held
+/// against what the simulated memory backed.
+pub fn peak_rss_mib() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB")?.trim().parse::<u64>().ok());
+    kib.map_or_else(
+        || "unknown".into(),
+        |k| format!("{:.1} MiB", k as f64 / 1024.0),
+    )
+}
+
 /// Format a cycle count like the paper's prose (e.g. "42.1K").
 pub fn kcycles(c: f64) -> String {
     if c >= 1_000.0 {
@@ -443,6 +459,16 @@ mod tests {
         assert_eq!(kcycles(413.0), "413");
         assert_eq!(deviation(110.0, 100.0), "+10.0%");
         assert_eq!(deviation(0.0, 0.0), "-");
+    }
+
+    #[test]
+    fn peak_rss_reads_proc_status() {
+        let peak = peak_rss_mib();
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak.ends_with(" MiB"), "{peak}");
+        } else {
+            assert_eq!(peak, "unknown");
+        }
     }
 
     fn parse(args: &[&str]) -> Result<OutFlags, String> {

@@ -236,8 +236,9 @@ impl<W: Workload> Engine<W> {
 
     /// Host bytes this process holds behind
     /// [`registered_bytes`](Self::registered_bytes): only the pages the
-    /// simulation has written are materialised
-    /// ([`uat_rdma::ProcMem::resident_bytes`]).
+    /// simulation has written are materialised, one host page each in
+    /// the fabric's page arena ([`uat_rdma::Fabric::resident_bytes`];
+    /// per worker, [`uat_rdma::ProcMem::resident_bytes`]).
     pub fn resident_bytes(&self) -> u64 {
         self.fabric.resident_bytes()
     }

@@ -78,10 +78,13 @@ impl RdmaHeap {
             .expect("RDMA region exhausted; grow CoreConfig::rdma_heap_size");
         // memcpy(sctx->stack_buf, stack_top, stack_size)
         self.scratch.resize(stack_size as usize, 0);
-        let mem = fabric.mem_mut(self.owner);
-        mem.read_local(stack_top, &mut self.scratch)
+        fabric
+            .mem(self.owner)
+            .read_local(stack_top, &mut self.scratch)
             .expect("suspending frames must be in registered memory");
-        mem.write_local(stack_buf, &self.scratch)
+        fabric
+            .mem_mut(self.owner)
+            .write_local(stack_buf, &self.scratch)
             .expect("heap region is registered");
         self.peak_parked = self.peak_parked.max(self.alloc.used());
         let sctx = SavedContext {
@@ -119,10 +122,13 @@ impl RdmaHeap {
         self.free_slots.push(h.0);
         // memcpy(next_sctx->stack_top, sctx->stack_buf, stack_size)
         self.scratch.resize(sctx.stack_size as usize, 0);
-        let mem = fabric.mem_mut(self.owner);
-        mem.read_local(sctx.stack_buf, &mut self.scratch)
+        fabric
+            .mem(self.owner)
+            .read_local(sctx.stack_buf, &mut self.scratch)
             .expect("parked frames are in the heap region");
-        mem.write_local(sctx.stack_top, &self.scratch)
+        fabric
+            .mem_mut(self.owner)
+            .write_local(sctx.stack_top, &self.scratch)
             .expect("uni-address region is registered");
         self.alloc.free(sctx.stack_buf);
         sctx

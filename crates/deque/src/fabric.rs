@@ -98,11 +98,12 @@ unsafe impl Placement for InFabric {
     /// Taken locally (the owner's own memory) when free; a held lock
     /// makes the owner yield.
     fn owner_lock(&self, f: &mut Fabric) -> bool {
-        let mem = f.mem_mut(self.owner);
-        if mem.read_u64_local(self.base + OFF_LOCK).expect(REGISTERED) != 0 {
+        let lock = self.base + OFF_LOCK;
+        if f.mem(self.owner).read_u64_local(lock).expect(REGISTERED) != 0 {
             return false;
         }
-        mem.write_u64_local(self.base + OFF_LOCK, 1)
+        f.mem_mut(self.owner)
+            .write_u64_local(lock, 1)
             .expect(REGISTERED);
         true
     }
@@ -178,9 +179,8 @@ impl FabricDeque {
     ) -> Result<Self, RdmaError> {
         assert!(capacity > 0, "capacity must be positive");
         fabric.register(owner, base, Self::footprint(capacity) as usize)?;
-        let mem = fabric.mem_mut(owner);
         for off in [OFF_LOCK, OFF_TOP, OFF_BOTTOM] {
-            mem.write_u64_local(base + off, 0)?;
+            fabric.mem_mut(owner).write_u64_local(base + off, 0)?;
         }
         let store = InFabric {
             owner,

@@ -74,46 +74,90 @@ impl std::error::Error for RdmaError {}
 /// Bytes per lazily materialised page of a registered region.
 const PAGE: usize = uat_vmem::PAGE_SIZE as usize;
 
+/// Pages per arena chunk: 1 MiB.
+const CHUNK_PAGES: usize = 256;
+
+/// The page-table entry of a page no write has reached.
+const UNWRITTEN: u32 = u32::MAX;
+
 /// One materialised page, aligned like the host page it stands for:
 /// 4 KiB blocks at the allocator's natural 16-byte alignment straddle two
 /// host pages each, which measured +8 % on the engine's `ns_per_event`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
 #[repr(align(4096))]
 struct Page([u8; PAGE]);
 
 const _: () = assert!(std::mem::align_of::<Page>() == PAGE);
 
-/// A fresh all-zero page. Out of line: inlined, the `[0; PAGE]` temporary
-/// gives `write_local` a page-sized stack frame and with it a stack probe
-/// on every call (measured: another +10 %).
-#[inline(never)]
-fn zero_page() -> Box<Page> {
-    Box::new(Page([0; PAGE]))
+/// Every page any process of a fabric has written, densely packed.
+///
+/// Each chunk is reserved (not touched) at [`CHUNK_PAGES`] pages when it
+/// is started and only ever pushed to, so a page never moves and a
+/// page-table entry is a 4-byte index. The host holds one host page per
+/// written page, plus at most one per chunk: the allocator puts its
+/// bookkeeping in front of every page-aligned block, touching the host
+/// page before it — which is why a separately allocated page would cost
+/// two.
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Vec<Page>>,
+}
+
+impl fmt::Debug for Arena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Arena").field("pages", &self.len()).finish()
+    }
+}
+
+impl Arena {
+    fn page(&self, p: u32) -> &[u8; PAGE] {
+        let p = p as usize;
+        &self.chunks[p / CHUNK_PAGES][p % CHUNK_PAGES].0
+    }
+
+    fn page_mut(&mut self, p: u32) -> &mut [u8; PAGE] {
+        let p = p as usize;
+        &mut self.chunks[p / CHUNK_PAGES][p % CHUNK_PAGES].0
+    }
+
+    /// Append an all-zero page and return its index. Out of line: inlined,
+    /// the `[0; PAGE]` temporary gives `write_local` a page-sized stack
+    /// frame and with it a stack probe on every call (measured: +10 %).
+    #[inline(never)]
+    fn push_zeroed(&mut self) -> u32 {
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK_PAGES) {
+            self.chunks.push(Vec::with_capacity(CHUNK_PAGES));
+        }
+        let full = (self.chunks.len() - 1) * CHUNK_PAGES;
+        let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
+        let p = full + chunk.len();
+        chunk.push(Page([0; PAGE]));
+        u32::try_from(p)
+            .ok()
+            .filter(|&p| p != UNWRITTEN)
+            .expect("fewer than 2^32 - 1 pages written")
+    }
+
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
 }
 
 /// One registered region: `len` bytes at `base`, backed page by page.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct Region {
     base: u64,
     len: usize,
     /// Page table, indexed by `offset / PAGE` and grown only as far as
-    /// the highest page written. A page that was never written holds no
-    /// memory and reads as zeros — exactly what `register`'s
-    /// zero-initialised contract promises for it.
-    pages: Vec<Option<Box<Page>>>,
+    /// the highest page written: an [`Arena`] index, or [`UNWRITTEN`]. A
+    /// page that was never written holds no memory and reads as zeros —
+    /// exactly what `register`'s zero-initialised contract promises for it.
+    pages: Vec<u32>,
 }
 
-/// The registered memory of one simulated process.
-///
-/// Regions are identified by their (simulated) base virtual address.
-/// *Registered is not resident*: registration records the range (and
-/// implies the simulated pages are pinned; the caller, uat-core, keeps
-/// the corresponding [`uat_vmem::AddressSpace`] in sync), while the host
-/// backs only the pages that have been written — see
-/// [`registered_bytes`](Self::registered_bytes) vs
-/// [`resident_bytes`](Self::resident_bytes) and DESIGN.md §5.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ProcMem {
+/// One process's registered regions; their pages live in the fabric's
+/// [`Arena`].
+#[derive(Debug)]
+struct Regions {
     /// The process this memory belongs to (named in errors).
     owner: WorkerId,
     /// Registered regions, sorted by base address. A process registers a
@@ -129,9 +173,9 @@ pub struct ProcMem {
     last_hit: std::cell::Cell<usize>,
 }
 
-impl ProcMem {
+impl Regions {
     fn new(owner: WorkerId) -> Self {
-        ProcMem {
+        Regions {
             owner,
             regions: Vec::new(),
             last_hit: std::cell::Cell::new(usize::MAX),
@@ -189,15 +233,39 @@ impl ProcMem {
         Ok(())
     }
 
+    fn registered_bytes(&self) -> u64 {
+        self.regions.iter().map(|r| r.len as u64).sum()
+    }
+}
+
+/// Owner-side view of one simulated process's registered memory, from
+/// [`Fabric::mem`]; writes go through [`ProcMemMut`].
+///
+/// Regions are identified by their (simulated) base virtual address.
+/// *Registered is not resident*: registration records the range (and
+/// implies the simulated pages are pinned; the caller, uat-core, keeps
+/// the corresponding [`uat_vmem::AddressSpace`] in sync), while the host
+/// backs only the pages that have been written, each one page of the
+/// fabric's page arena — see [`registered_bytes`](Self::registered_bytes)
+/// vs [`resident_bytes`](Self::resident_bytes) and DESIGN.md §5.
+#[derive(Clone, Copy, Debug)]
+pub struct ProcMem<'a> {
+    regions: &'a Regions,
+    arena: &'a Arena,
+}
+
+impl ProcMem<'_> {
     /// Read `buf.len()` bytes starting at `addr` (owner-side, zero cost).
-    pub fn read_local(&self, addr: u64, mut buf: &mut [u8]) -> Result<(), RdmaError> {
-        let (i, mut off) = self.locate(addr, buf.len())?;
-        let pages = &self.regions[i].pages;
+    pub fn read_local(self, addr: u64, mut buf: &mut [u8]) -> Result<(), RdmaError> {
+        let (i, mut off) = self.regions.locate(addr, buf.len())?;
+        let pages = &self.regions.regions[i].pages;
         while !buf.is_empty() {
             let at = off % PAGE;
             let (span, rest) = buf.split_at_mut(buf.len().min(PAGE - at));
             match pages.get(off / PAGE) {
-                Some(Some(page)) => span.copy_from_slice(&page.0[at..at + span.len()]),
+                Some(&p) if p != UNWRITTEN => {
+                    span.copy_from_slice(&self.arena.page(p)[at..at + span.len()]);
+                }
                 _ => span.fill(0),
             }
             off += span.len();
@@ -206,47 +274,60 @@ impl ProcMem {
         Ok(())
     }
 
-    /// Write `data` starting at `addr` (owner-side, zero cost).
-    pub fn write_local(&mut self, addr: u64, mut data: &[u8]) -> Result<(), RdmaError> {
-        let (i, mut off) = self.locate(addr, data.len())?;
-        let pages = &mut self.regions[i].pages;
+    /// Read a little-endian u64 (owner-side).
+    pub fn read_u64_local(self, addr: u64) -> Result<u64, RdmaError> {
+        let mut b = [0u8; 8];
+        self.read_local(addr, &mut b)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    /// Total registered bytes.
+    pub fn registered_bytes(self) -> u64 {
+        self.regions.registered_bytes()
+    }
+
+    /// Host bytes actually backing the registered regions: the pages
+    /// written so far, one arena page each.
+    pub fn resident_bytes(self) -> u64 {
+        let pages = self.regions.regions.iter().flat_map(|r| &r.pages);
+        (pages.filter(|&&p| p != UNWRITTEN).count() * PAGE) as u64
+    }
+}
+
+/// Owner-side writes to one process's registered memory, from
+/// [`Fabric::mem_mut`]; reads go through [`ProcMem`].
+#[derive(Debug)]
+pub struct ProcMemMut<'a> {
+    regions: &'a mut Regions,
+    arena: &'a mut Arena,
+}
+
+impl ProcMemMut<'_> {
+    /// Write `data` starting at `addr` (owner-side, zero cost). The first
+    /// write to a page takes the next page of the fabric's arena.
+    pub fn write_local(self, addr: u64, mut data: &[u8]) -> Result<(), RdmaError> {
+        let (i, mut off) = self.regions.locate(addr, data.len())?;
+        let pages = &mut self.regions.regions[i].pages;
         while !data.is_empty() {
             let at = off % PAGE;
             let (span, rest) = data.split_at(data.len().min(PAGE - at));
             let idx = off / PAGE;
             if pages.len() <= idx {
-                pages.resize_with(idx + 1, || None);
+                pages.resize(idx + 1, UNWRITTEN);
             }
-            let page = pages[idx].get_or_insert_with(zero_page);
-            page.0[at..at + span.len()].copy_from_slice(span);
+            if pages[idx] == UNWRITTEN {
+                pages[idx] = self.arena.push_zeroed();
+            }
+            self.arena.page_mut(pages[idx])[at..at + span.len()].copy_from_slice(span);
             off += span.len();
             data = rest;
         }
         Ok(())
     }
 
-    /// Read a little-endian u64 (owner-side).
-    pub fn read_u64_local(&self, addr: u64) -> Result<u64, RdmaError> {
-        let mut b = [0u8; 8];
-        self.read_local(addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
     /// Write a little-endian u64 (owner-side).
-    pub fn write_u64_local(&mut self, addr: u64, v: u64) -> Result<(), RdmaError> {
+    pub fn write_u64_local(self, addr: u64, v: u64) -> Result<(), RdmaError> {
         self.write_local(addr, &v.to_le_bytes())
-    }
-
-    /// Total registered bytes.
-    pub fn registered_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| r.len as u64).sum()
-    }
-
-    /// Host bytes actually backing the registered regions: the pages
-    /// written so far.
-    pub fn resident_bytes(&self) -> u64 {
-        let pages = self.regions.iter().flat_map(|r| &r.pages).flatten();
-        (pages.count() * PAGE) as u64
     }
 }
 
@@ -356,12 +437,14 @@ impl LatencyCache {
 }
 
 /// The simulated interconnect plus every process's registered memory.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Fabric {
     topo: Topology,
     cost: CostModel,
     lat: LatencyCache,
-    procs: Vec<ProcMem>,
+    procs: Vec<Regions>,
+    /// The pages every process has written.
+    arena: Arena,
     /// Per-node comm-server busy-until instant (software FAA).
     server_busy: Vec<Cycles>,
     stats: FabricStats,
@@ -373,7 +456,8 @@ impl Fabric {
     /// A fabric connecting `topo.total_workers()` processes.
     pub fn new(topo: Topology, cost: CostModel) -> Self {
         Fabric {
-            procs: topo.workers().map(ProcMem::new).collect(),
+            procs: topo.workers().map(Regions::new).collect(),
+            arena: Arena::default(),
             server_busy: vec![Cycles::ZERO; topo.nodes as usize],
             topo,
             lat: LatencyCache::new(&cost),
@@ -437,13 +521,19 @@ impl Fabric {
     }
 
     /// Owner-side view of a process's memory.
-    pub fn mem(&self, proc: WorkerId) -> &ProcMem {
-        &self.procs[proc.index()]
+    pub fn mem(&self, proc: WorkerId) -> ProcMem<'_> {
+        ProcMem {
+            regions: &self.procs[proc.index()],
+            arena: &self.arena,
+        }
     }
 
     /// Owner-side mutable view of a process's memory.
-    pub fn mem_mut(&mut self, proc: WorkerId) -> &mut ProcMem {
-        &mut self.procs[proc.index()]
+    pub fn mem_mut(&mut self, proc: WorkerId) -> ProcMemMut<'_> {
+        ProcMemMut {
+            regions: &mut self.procs[proc.index()],
+            arena: &mut self.arena,
+        }
     }
 
     /// One-sided RDMA READ: copy `buf.len()` bytes from
@@ -459,7 +549,7 @@ impl Fabric {
         if buf.is_empty() {
             return Err(RdmaError::ZeroLength);
         }
-        self.procs[target.index()].read_local(remote_addr, buf)?;
+        self.mem(target).read_local(remote_addr, buf)?;
         self.stats.reads += 1;
         self.stats.read_bytes += buf.len() as u64;
         let intra = self.topo.same_node(initiator, target);
@@ -488,7 +578,7 @@ impl Fabric {
         if data.is_empty() {
             return Err(RdmaError::ZeroLength);
         }
-        self.procs[target.index()].write_local(remote_addr, data)?;
+        self.mem_mut(target).write_local(remote_addr, data)?;
         self.stats.writes += 1;
         self.stats.write_bytes += data.len() as u64;
         let intra = self.topo.same_node(initiator, target);
@@ -524,9 +614,9 @@ impl Fabric {
         if !remote_addr.is_multiple_of(8) {
             return Err(RdmaError::Misaligned { addr: remote_addr });
         }
-        let mem = &mut self.procs[target.index()];
-        let old = mem.read_u64_local(remote_addr)?;
-        mem.write_u64_local(remote_addr, old.wrapping_add(delta))
+        let old = self.mem(target).read_u64_local(remote_addr)?;
+        self.mem_mut(target)
+            .write_u64_local(remote_addr, old.wrapping_add(delta))
             .expect("readable address is writable");
         self.stats.faas += 1;
 
@@ -584,12 +674,13 @@ impl Fabric {
 
     /// Bytes registered across all processes.
     pub fn registered_bytes(&self) -> u64 {
-        self.procs.iter().map(ProcMem::registered_bytes).sum()
+        self.procs.iter().map(Regions::registered_bytes).sum()
     }
 
-    /// Host bytes backing them (see [`ProcMem::resident_bytes`]).
+    /// Host bytes backing them: every page written, on any process (see
+    /// [`ProcMem::resident_bytes`]).
     pub fn resident_bytes(&self) -> u64 {
-        self.procs.iter().map(ProcMem::resident_bytes).sum()
+        (self.arena.len() * PAGE) as u64
     }
 
     /// Operation counters.
@@ -858,8 +949,9 @@ mod tests {
         // `offset + len` past `usize::MAX` is out of range, not a wrap
         // back into it.
         f.register(W0, 0x1000, usize::MAX - 0x2000).unwrap();
-        assert!(f.mem(W0).locate(0x3000, usize::MAX - 0x1000).is_err());
-        assert!(f.mem(W0).locate(0x3000, 16).is_ok());
+        let w0 = &f.procs[W0.index()];
+        assert!(w0.locate(0x3000, usize::MAX - 0x1000).is_err());
+        assert!(w0.locate(0x3000, 16).is_ok());
     }
 
     #[test]

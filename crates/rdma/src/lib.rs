@@ -36,5 +36,5 @@ pub mod fabric;
 pub mod latency;
 
 pub use backend::{OneSidedFabric, ShmFabric};
-pub use fabric::{Fabric, FabricStats, ProcMem, RdmaError};
+pub use fabric::{Fabric, FabricStats, ProcMem, ProcMemMut, RdmaError};
 pub use latency::LatencyModel;

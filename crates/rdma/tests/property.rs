@@ -7,57 +7,83 @@ use uat_base::{CostModel, Cycles, Topology, WorkerId};
 use uat_rdma::Fabric;
 use uat_vmem::PAGE_SIZE;
 
+/// Processes whose regions share the arena in the multi-process suite.
+const PROCS: u32 = 3;
+
 proptest! {
-    /// The demand-paged region against a flat `Vec<u8>`: transfers at
-    /// random offsets and lengths (sub-page, page-straddling, several
-    /// pages, the whole region), local and remote, read back exactly what
-    /// the flat model holds — zeros wherever nothing was written — and
-    /// the host backs exactly the distinct pages written.
+    /// Demand-paged regions against flat `Vec<u8>`s, on several
+    /// processes whose writes share the fabric's one page arena:
+    /// transfers at random offsets and lengths (sub-page,
+    /// page-straddling, several pages, the whole region), local and
+    /// remote, in random process order, read back exactly what the
+    /// writing process's flat model holds — zeros wherever nothing was
+    /// written, whatever other processes wrote at the same addresses —
+    /// and each process's host side backs exactly the distinct pages
+    /// written to it.
     #[test]
     fn sparse_region_matches_flat_model(
         ops in proptest::collection::vec(
-            (0u8..8, any::<u32>(), any::<u32>(), any::<u8>()),
-            1..80,
+            (0u8..8, 0..PROCS, any::<u32>(), any::<u32>(), any::<u8>()),
+            1..120,
         )
     ) {
-        const W: WorkerId = WorkerId(1);
-        // Not page aligned, and not a whole number of pages.
+        // Not page aligned, and not a whole number of pages; the same
+        // range on every process.
         const BASE: u64 = 0x7f80_0000_0100;
         const LEN: usize = 6 * PAGE_SIZE as usize + 777;
-        let mut f = Fabric::new(Topology::new(2, 1), CostModel::fx10());
-        f.register(W, BASE, LEN).unwrap();
-        let mut flat = vec![0u8; LEN];
-        let mut written = HashSet::new();
-        for (kind, off, len, byte) in ops {
+        let mut f = Fabric::new(Topology::new(2, PROCS), CostModel::fx10());
+        for w in 0..PROCS {
+            f.register(WorkerId(w), BASE, LEN).unwrap();
+        }
+        let mut flat = vec![vec![0u8; LEN]; PROCS as usize];
+        let mut written = vec![HashSet::new(); PROCS as usize];
+        for (kind, w, off, len, byte) in ops {
             // Kinds 0-2 write, 3-7 read; one in four spans is long.
             let max = if len % 4 == 0 { LEN } else { 300 };
             let off = off as usize % LEN;
             let len = (1 + len as usize % max).min(LEN - off);
             let (off, len) = if kind == 7 { (0, LEN) } else { (off, len) };
-            let addr = BASE + off as u64;
+            let (addr, flat, me) = (BASE + off as u64, &mut flat[w as usize], WorkerId(w));
+            // Remote transfers come from a process on the other node.
+            let peer = WorkerId(w + PROCS);
             if kind < 3 {
                 let data: Vec<u8> = (0..len).map(|i| byte.wrapping_add(i as u8)).collect();
                 if kind == 0 {
-                    f.write(Cycles::ZERO, WorkerId(0), W, addr, &data).unwrap();
+                    f.write(Cycles::ZERO, peer, me, addr, &data).unwrap();
                 } else {
-                    f.mem_mut(W).write_local(addr, &data).unwrap();
+                    f.mem_mut(me).write_local(addr, &data).unwrap();
                 }
                 flat[off..off + len].copy_from_slice(&data);
-                written.extend(off / PAGE_SIZE as usize..=(off + len - 1) / PAGE_SIZE as usize);
+                written[w as usize]
+                    .extend(off / PAGE_SIZE as usize..=(off + len - 1) / PAGE_SIZE as usize);
             } else {
                 let mut got = vec![0xa5u8; len];
                 if kind == 3 {
-                    f.read(Cycles::ZERO, WorkerId(0), W, addr, &mut got).unwrap();
+                    f.read(Cycles::ZERO, peer, me, addr, &mut got).unwrap();
                 } else {
-                    f.mem(W).read_local(addr, &mut got).unwrap();
+                    f.mem(me).read_local(addr, &mut got).unwrap();
                 }
                 prop_assert_eq!(&got[..], &flat[off..off + len]);
             }
-            prop_assert_eq!(f.mem(W).resident_bytes(), written.len() as u64 * PAGE_SIZE);
-            prop_assert_eq!(f.registered_bytes(), LEN as u64);
+            for (w, pages) in written.iter().enumerate() {
+                let resident = f.mem(WorkerId(w as u32)).resident_bytes();
+                prop_assert_eq!(resident, pages.len() as u64 * PAGE_SIZE);
+            }
+            let pages: usize = written.iter().map(HashSet::len).sum();
+            prop_assert_eq!(f.resident_bytes(), pages as u64 * PAGE_SIZE);
         }
-        // One byte past the end is out of the region, whatever is resident.
-        prop_assert!(f.mem(W).read_local(BASE + LEN as u64, &mut [0]).is_err());
+        for (w, flat) in flat.iter().enumerate() {
+            let mem = f.mem(WorkerId(w as u32));
+            let mut whole = vec![0xa5u8; LEN];
+            mem.read_local(BASE, &mut whole).unwrap();
+            prop_assert_eq!(&whole, flat);
+            prop_assert_eq!(mem.registered_bytes(), LEN as u64);
+            // One byte past the end is out of the region, whatever is
+            // resident.
+            prop_assert!(mem.read_local(BASE + LEN as u64, &mut [0]).is_err());
+        }
+        // The other node's processes registered nothing and hold nothing.
+        prop_assert!(f.mem(WorkerId(PROCS)).read_local(BASE, &mut [0]).is_err());
     }
 
     /// Random sequences of writes followed by reads observe exactly the
