@@ -27,10 +27,11 @@
 //! placed deque's dereference of the block its caller vouched for
 //! (`[I14]`). The THE protocol is what makes the slot accesses sound:
 //!
-//! - slot `i % cap` is written only by the owner's `push` at position
+//! - slot `i mod S` is written only by the owner's `push` at position
 //!   `i = bottom`, unobservable until the bottom store publishes it, and
-//!   its reuse (position `i + cap`) waits on the capacity check until
-//!   `top > i`, i.e. until every reader of position `i` is done;
+//!   its reuse (position `i + S`, where `S ≥ cap` is the slot count)
+//!   waits on the capacity check until `top > i`, i.e. until every
+//!   reader of position `i` is done;
 //! - a position is *read* by exactly one side: a thief reads only the
 //!   `top` it loaded inside its locked critical section (where `top`
 //!   cannot move), and the owner's pop takes the lock whenever it wants
@@ -73,9 +74,11 @@ pub enum Word {
 /// # Safety
 ///
 /// `capacity()` is positive and never changes; the slot operations at
-/// position `p` address one slot per `p % capacity()`, disjoint from the
-/// words and from each other; and neither the words nor the slots are
-/// touched except through [`TheDeque`]'s operations.
+/// position `p` address one slot, disjoint from the words and from the
+/// slot of every position fewer than `capacity()` away (one per
+/// `p % capacity()`, or per `p` modulo any larger slot count); and
+/// neither the words nor the slots are touched except through
+/// [`TheDeque`]'s operations.
 pub unsafe trait Placement {
     /// What one entry is.
     type Entry: Copy;
@@ -445,8 +448,8 @@ impl Words {
 /// # Safety
 ///
 /// `capacity()` is positive and never changes; `slot(p)` is valid for
-/// reads and writes of one `Entry` for every `p`, equal for positions
-/// congruent modulo `capacity()` and disjoint otherwise; and neither the
+/// reads and writes of one `Entry` for every `p`, and disjoint for any
+/// two positions fewer than `capacity()` apart; and neither the
 /// words nor the slots are touched except through [`TheDeque`]'s
 /// operations.
 pub unsafe trait Storage {
@@ -613,10 +616,15 @@ pub type ShmDeque = TheDeque<Placed>;
 /// deques land 64 bytes apart when the allocator recycles small chunks,
 /// and a fiber-runtime run is fast or half as fast by heap placement
 /// alone (EXPERIMENTS.md, "Root cause").
+///
+/// Its slots are the capacity rounded up to a power of two, so a
+/// position finds its slot by a mask, not a division on every push and
+/// pop; the runtimes' capacities are powers of two already.
 #[repr(C, align(128))]
 pub struct Owned<T> {
     words: Words,
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    capacity: usize,
 }
 
 // The layout contract: control words at `base + OFF_*`, exactly as the
@@ -635,8 +643,9 @@ const _: () = {
 // protocol as documented in the module header; T crosses threads by copy.
 unsafe impl<T: Copy + Send> Sync for Owned<T> {}
 
-// SAFETY: [I1][I2] `slot` indexes the boxed slice modulo its length,
-// which `new` makes positive; words and slots are private to the deque.
+// SAFETY: [I1][I2] `slot` indexes the boxed slice by a mask of its
+// length, a power of two `new` makes at least the capacity; words and
+// slots are private to the deque.
 unsafe impl<T: Copy> Storage for Owned<T> {
     type Entry = T;
 
@@ -647,12 +656,12 @@ unsafe impl<T: Copy> Storage for Owned<T> {
 
     #[inline]
     fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     #[inline]
     fn slot(&self, position: u64) -> *mut T {
-        self.slots[(position % self.slots.len() as u64) as usize]
+        self.slots[position as usize & (self.slots.len() - 1)]
             .get()
             .cast()
     }
@@ -662,11 +671,15 @@ impl<T: Copy> NativeDeque<T> {
     /// A deque with room for `capacity` simultaneous entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        let slots = (0..capacity)
+        let slots = (0..capacity.next_power_of_two())
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
             .collect();
         let words = Words::default();
-        let store = Owned { words, slots };
+        let store = Owned {
+            words,
+            slots,
+            capacity,
+        };
         TheDeque { store }
     }
 }
@@ -680,19 +693,22 @@ impl<T: Copy> NativeDeque<T> {
 pub struct Placed {
     base: *mut u8,
     capacity: u64,
+    /// The slot count less one: the capacity rounded up to a power of
+    /// two, as [`Owned`]'s.
+    mask: u64,
 }
 
-// SAFETY: [I14] the handle is two plain words; all shared access to the
+// SAFETY: [I14] the handle is three plain words; all shared access to the
 // block is mediated by the THE protocol ([I1][I2][I3], as for `Owned`),
 // and `from_raw`'s contract makes it valid wherever the region is mapped.
 unsafe impl Send for Placed {}
 // SAFETY: [I14] same argument as `Send`: `&Placed` only hands out the
-// base/capacity words; concurrent block access is protocol-mediated.
+// base/capacity/mask words; concurrent block access is protocol-mediated.
 unsafe impl Sync for Placed {}
 
 // SAFETY: [I14] `from_raw` vouched for `block_size(capacity)` bytes at
-// `base` with a positive capacity; `position % capacity` keeps every slot
-// inside them, past the words.
+// `base` with a positive capacity, room for `mask + 1` slots; `position
+// & mask` keeps every slot inside them, past the words.
 unsafe impl Storage for Placed {
     type Entry = u64;
 
@@ -711,17 +727,18 @@ unsafe impl Storage for Placed {
 
     #[inline]
     fn slot(&self, position: u64) -> *mut u64 {
-        let off = OFF_ENTRIES + (position % self.capacity) * 8;
-        // SAFETY: [I14] `position % capacity` keeps the offset inside the
+        let off = OFF_ENTRIES + (position & self.mask) * 8;
+        // SAFETY: [I14] `position & mask` keeps the offset inside the
         // block `from_raw` vouched for.
         unsafe { self.base.add(off as usize).cast() }
     }
 }
 
 impl ShmDeque {
-    /// Bytes occupied by a block with room for `capacity` entries.
+    /// Bytes occupied by a block with room for `capacity` entries: one
+    /// slot per entry, rounded up to a power of two.
     pub const fn block_size(capacity: usize) -> usize {
-        OFF_ENTRIES as usize + capacity * 8
+        OFF_ENTRIES as usize + capacity.next_power_of_two() * 8
     }
 
     /// Wrap a raw block.
@@ -745,6 +762,7 @@ impl ShmDeque {
         let store = Placed {
             base,
             capacity: capacity as u64,
+            mask: capacity.next_power_of_two() as u64 - 1,
         };
         TheDeque { store }
     }

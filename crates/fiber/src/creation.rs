@@ -80,7 +80,7 @@ struct PoolArgs<'a> {
 
 /// The runtimes' `child_main`, specialized to the benchmark child: push
 /// the parent entry from the child's own stack, run, pop, resume.
-unsafe extern "C" fn pool_child_main(arg: *mut c_void) -> ! {
+unsafe extern "C" fn pool_child_main(arg: *mut c_void, _: *mut c_void) -> ! {
     // SAFETY: [I8] arg outlives the child (parent frame is suspended).
     let args = unsafe { &*(arg as *mut PoolArgs<'_>) };
     args.deque.push(args.parent as u64);
@@ -88,7 +88,7 @@ unsafe extern "C" fn pool_child_main(arg: *mut c_void) -> ! {
     child_body(unsafe { &mut *args.counter });
     let parent = args.deque.pop().expect("parent not stolen in microbench");
     // SAFETY: [I5] the parent context is intact on its own stack.
-    unsafe { resume_context(parent as *mut Context) }
+    unsafe { resume_context(parent as *mut Context, std::ptr::null_mut()) }
 }
 
 /// Measure mean creation cycles for `strategy` (min-of-batches, like the
@@ -147,6 +147,7 @@ pub fn measure_creation(strategy: CreationStrategy, batch: u64, reps: u64) -> f6
                             stack.top(),
                             pool_child_main,
                             &raw mut args as *mut c_void,
+                            std::ptr::null_mut(),
                         );
                     }
                 },

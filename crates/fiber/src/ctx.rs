@@ -9,7 +9,7 @@
 //! the function returns to its caller. Alternatively, any thread that
 //! owns the record (possibly another worker, possibly after the
 //! record's stack bytes were copied back into place) can jump into it
-//! with `resume_context(ctx)`, which lands at the same epilogue.
+//! with `resume_context(ctx, _)`, which lands at the same epilogue.
 //! `switch_stack_and_call` is Figure 7's `CALL_WITH_SAFE_SP`. The two
 //! are kept instruction for instruction for what they are: Table 2's
 //! Figure 4 row ([`creation`](crate::creation)) and the root package's
@@ -43,6 +43,15 @@
 //! with the uni-address row (55), gives 1.5x. A resume that really does
 //! change context (a steal, a park, the scheduler) still mispredicts
 //! the epilogue's one `ret`, as it always has.
+//!
+//! **What a transfer hands over.** Every resume passes one pointer in
+//! `%rax`, and the epilogue leaves `%rax` alone, so the routine that
+//! saved the record returns it: `switch_to_fresh` and `switch_to` return
+//! what their resumer passed, and a fresh entry gets its starter's as
+//! its second argument — Boost.Context's `transfer_t`, one register
+//! wide. The runtimes pass the worker the resumed code now runs on
+//! (`sched.rs`, "Finding the worker"), so no task looks it up; the
+//! paper's listing has no use for the value, and its callers pass null.
 
 use std::arch::{asm, global_asm};
 
@@ -108,11 +117,12 @@ unsafe extern "C" {
     ) -> !;
 
     /// Save the current continuation as a [`Context`] on this stack,
-    /// store its address at `*slot`, and start `entry(arg)` at `sp` with
-    /// a zero return address: the ABI's alignment for `entry`, and the
-    /// mark a stack walk stops at.
+    /// store its address at `*slot`, and start `entry(arg, pass)` at
+    /// `sp` with a zero return address: the ABI's alignment for
+    /// `entry`, and the mark a stack walk stops at.
     ///
-    /// Returns when someone calls [`resume_context`] on `*slot`.
+    /// Returns when someone resumes `*slot`, with the value the resumer
+    /// handed over ([`resume_context`]'s or [`switch_to`]'s `pass`).
     ///
     /// # Safety
     /// `slot` must be writable; `sp` must be 16-byte aligned with a
@@ -122,40 +132,57 @@ unsafe extern "C" {
     pub(crate) fn switch_to_fresh(
         slot: *mut *mut Context,
         sp: *mut u8,
-        entry: unsafe extern "C" fn(*mut core::ffi::c_void) -> !,
+        entry: Entry,
         arg: *mut core::ffi::c_void,
-    );
+        pass: *mut core::ffi::c_void,
+    ) -> *mut core::ffi::c_void;
 
     /// Save the current continuation as a [`Context`] on this stack,
-    /// store its address at `*slot`, and resume `target`.
+    /// store its address at `*slot`, and resume `target`, handing it
+    /// `pass` as [`resume_context`] does.
     ///
-    /// Returns when someone calls [`resume_context`] on `*slot`.
+    /// Returns when someone resumes `*slot`, with the value that
+    /// resumer handed over.
     ///
     /// # Safety
     /// `slot` must be writable (it is written before `target` runs, so
     /// `target` may be what reads it); `target` as for
     /// [`resume_context`]. The record is resumed at most once.
-    pub(crate) fn switch_to(slot: *mut *mut Context, target: *mut Context);
+    pub(crate) fn switch_to(
+        slot: *mut *mut Context,
+        target: *mut Context,
+        pass: *mut core::ffi::c_void,
+    ) -> *mut core::ffi::c_void;
 }
 
+/// `entry(arg, pass)` — what [`switch_to_fresh`] starts on a fresh stack:
+/// its `arg`, and the value its caller hands over, as a resumer hands
+/// one to the context it resumes.
+pub(crate) type Entry = unsafe extern "C" fn(*mut core::ffi::c_void, *mut core::ffi::c_void) -> !;
+
 /// Jump into a saved context: `rsp = ctx`, pop the resume address, jump
-/// to it. Inlined, and a jump where the listing has `ret`: leaving a
-/// task pushes nothing and pops no return prediction.
+/// to it, with `pass` in `%rax`. Inlined, and a jump where the listing
+/// has `ret`: leaving a task pushes nothing and pops no return
+/// prediction. The epilogue every record resumes at leaves `%rax`
+/// alone, so the saving routine returns `pass` — the runtimes hand the
+/// resumed code its worker this way (Boost.Context's `transfer_t`); the
+/// paper's listing ignores the value, and its callers pass null.
 ///
 /// # Safety
 /// `ctx` must be a live record produced by one of the saving routines
 /// above whose stack memory above it is intact, and must not be resumed
 /// twice. Never returns.
 #[inline(always)]
-pub unsafe fn resume_context(ctx: *mut Context) -> ! {
+pub unsafe fn resume_context(ctx: *mut Context, pass: *mut core::ffi::c_void) -> ! {
     // SAFETY: [I5] the caller hands over a live record; its first word
     // is the saving routine's epilogue, which restores the rest.
     unsafe {
         asm!(
             "mov {ctx}, %rsp",
-            "pop %rax",
-            "jmp *%rax",
+            "pop %rcx",
+            "jmp *%rcx",
             ctx = in(reg) ctx,
+            in("rax") pass,
             options(att_syntax, noreturn)
         )
     }
@@ -164,7 +191,9 @@ pub unsafe fn resume_context(ctx: *mut Context) -> ! {
 // The Appendix A listing, in AT&T syntax as printed in the paper, and
 // the runtimes' two transfers in the same hand. The record's push
 // sequence and the epilogue every record resumes at are written once,
-// as assembler macros, for the three routines that save.
+// as assembler macros, for the three routines that save. Each routine
+// starts on a 64-byte line of its own, so where the linker puts the
+// block moves no entry across a line boundary.
 global_asm!(
     r#"
     .macro push_context parent /* leaves SP == ctx; clobbers %rax */
@@ -182,7 +211,7 @@ global_asm!(
     .endm
 
     .macro pop_context     /* its ret answers the call that entered the routine */
-1:  /* here, jumped from resume_context, with SP == ctx + 8 */
+1:  /* here, jumped from a resume, SP == ctx + 8, the value passed in %rax */
     add  $8, %rsp          /* pop SP */
     pop  %rbp              /* restore callee-saved regs */
     pop  %rbx
@@ -195,6 +224,7 @@ global_asm!(
     .endm
 
     .text
+    .p2align 6
     .globl save_context_and_call
     .type save_context_and_call, @function
 save_context_and_call:
@@ -210,6 +240,7 @@ save_context_and_call:
     .cfi_endproc
     .size save_context_and_call, . - save_context_and_call
 
+    .p2align 6
     .globl switch_stack_and_call
     .type switch_stack_and_call, @function
 switch_stack_and_call:
@@ -222,6 +253,7 @@ switch_stack_and_call:
     .cfi_endproc
     .size switch_stack_and_call, . - switch_stack_and_call
 
+    .p2align 6
     .globl switch_to_fresh
     .type switch_to_fresh, @function
 switch_to_fresh:
@@ -230,12 +262,14 @@ switch_to_fresh:
     mov  %rsp, (%rdi)      /* *slot = ctx */
     mov  %rsi, %rsp        /* SP = sp, on the fresh stack (16-aligned) */
     mov  %rcx, %rdi        /* argument arg */
+    mov  %r8, %rsi         /* argument pass */
     push $0                /* return address 0: SP ≡ 8 (mod 16) as after a call */
-    jmp  *%rdx             /* entry(arg); must not return */
-    pop_context
+    jmp  *%rdx             /* entry(arg, pass); must not return */
+    pop_context            /* returns what the resumer left in %rax */
     .cfi_endproc
     .size switch_to_fresh, . - switch_to_fresh
 
+    .p2align 6
     .globl switch_to
     .type switch_to, @function
 switch_to:
@@ -243,9 +277,10 @@ switch_to:
     push_context $0
     mov  %rsp, (%rdi)      /* *slot = ctx */
     mov  %rsi, %rsp        /* restore SP (== target) */
-    pop  %rax              /* pop IP and jump to it */
-    jmp  *%rax
-    pop_context
+    mov  %rdx, %rax        /* hand over pass, as resume_context does */
+    pop  %rcx              /* pop IP and jump to it */
+    jmp  *%rcx
+    pop_context            /* returns what the resumer left in %rax */
     .cfi_endproc
     .size switch_to, . - switch_to
 "#,
@@ -299,7 +334,7 @@ mod tests {
             STAGE.store(1, Ordering::Relaxed);
             // SAFETY: [I5] ctx is the caller's live continuation, resumed
             // exactly once, with only Copy locals live in f.
-            unsafe { resume_context(ctx) }
+            unsafe { resume_context(ctx, std::ptr::null_mut()) }
         }
         // SAFETY: [I5] f diverges into the saved context; control returns
         // here exactly once via that resume.
@@ -341,7 +376,7 @@ mod tests {
             // resumed exactly once.
             unsafe {
                 (*std::ptr::addr_of_mut!(TRACE)).push(2);
-                resume_context(ctx);
+                resume_context(ctx, std::ptr::null_mut());
             }
         }
         unsafe extern "C" fn outer(ctx: *mut Context, _arg: *mut c_void) {
@@ -352,7 +387,7 @@ mod tests {
                 (*std::ptr::addr_of_mut!(TRACE)).push(1);
                 save_context_and_call(std::ptr::null_mut(), inner, std::ptr::null_mut());
                 (*std::ptr::addr_of_mut!(TRACE)).push(3);
-                resume_context(ctx);
+                resume_context(ctx, std::ptr::null_mut());
             }
         }
         // SAFETY: [I5] outer diverges into the saved context; TRACE is only
@@ -382,41 +417,39 @@ mod tests {
             }
         }
 
-        /// Start `entry(this)` at `sp`, saving the body to `main`. By
-        /// raw pointer: the fiber and the body take turns with the Pair.
+        /// Start `entry(this, pass)` at `sp`, saving the body to `main`;
+        /// returns what the body's resumer hands over. By raw pointer:
+        /// the fiber and the body take turns with the Pair.
         ///
         /// # Safety
         /// `this` is live while the fiber runs; `sp` is 16-byte aligned
         /// inside a fresh stack; `entry` diverges, in the end into
         /// `main`.
-        unsafe fn start_at(
-            this: *mut Pair,
-            sp: *mut u8,
-            entry: unsafe extern "C" fn(*mut c_void) -> !,
-        ) {
+        unsafe fn start_at(this: *mut Pair, sp: *mut u8, entry: Entry, pass: usize) -> usize {
+            let pass = pass as *mut c_void;
             // SAFETY: [I5][I6][I9] per this function's contract.
-            unsafe { switch_to_fresh(&raw mut (*this).main, sp, entry, this as *mut c_void) }
+            unsafe { switch_to_fresh(&raw mut (*this).main, sp, entry, this.cast(), pass) as usize }
         }
     }
 
     /// `*slot` holds the record by the time `entry` runs.
     #[test]
     fn fresh_writes_the_slot_before_entry_runs() {
-        unsafe extern "C" fn entry(arg: *mut c_void) -> ! {
+        unsafe extern "C" fn entry(arg: *mut c_void, _pass: *mut c_void) -> ! {
             // SAFETY: [I5][I8] `arg` is the test body's Pair, live while
             // it is suspended; `main` is its continuation, resumed once.
             unsafe {
                 let p = &mut *(arg as *mut Pair);
                 p.log.push(p.main as u64);
                 p.log.push((*p.main).rsp);
-                resume_context(p.main)
+                resume_context(p.main, std::ptr::null_mut())
             }
         }
         let stack = Stack::new(64 << 10);
         let mut p = Pair::new();
         // SAFETY: [I5][I6][I9] the top of a fresh stack is 16-byte
         // aligned; entry diverges into the context saved here.
-        unsafe { Pair::start_at(&raw mut p, stack.top(), entry) };
+        unsafe { Pair::start_at(&raw mut p, stack.top(), entry, 0) };
         assert!(!p.main.is_null());
         assert_eq!(
             p.log,
@@ -432,10 +465,11 @@ mod tests {
     }
 
     /// A `switch_to` in each direction — fiber to body, body back into
-    /// the fiber — with both sides' registers full.
+    /// the fiber — with both sides' registers full; every transfer hands
+    /// the side it resumes a value of its own.
     #[test]
     fn switch_to_round_trip_under_register_pressure() {
-        unsafe extern "C" fn entry(arg: *mut c_void) -> ! {
+        unsafe extern "C" fn entry(arg: *mut c_void, pass: *mut c_void) -> ! {
             let p = arg as *mut Pair;
             let vals = pressure(100);
             // SAFETY: [I5][I8][I9] the Pair outlives the fiber; `main`
@@ -443,9 +477,11 @@ mod tests {
             // per save; the fiber's own slot is written before the body
             // reads it.
             unsafe {
-                switch_to(&raw mut (*p).fiber, (*p).main);
+                (*p).log.push(pass as u64);
+                let back = switch_to(&raw mut (*p).fiber, (*p).main, 0x22 as *mut c_void);
+                (*p).log.push(back as u64);
                 (*p).log.push(vals.iter().sum());
-                resume_context((*p).main)
+                resume_context((*p).main, 0x44 as *mut c_void)
             }
         }
         let stack = Stack::new(64 << 10);
@@ -454,12 +490,18 @@ mod tests {
         // SAFETY: [I5][I6][I9] fresh aligned stack, diverging entry; the
         // fiber's record is live (suspended in its `switch_to`) when the
         // second switch resumes it.
-        unsafe {
-            Pair::start_at(&raw mut p, stack.top(), entry);
-            assert!(p.log.is_empty(), "the fiber is suspended mid-body");
-            switch_to(&raw mut p.main, p.fiber);
-        }
-        assert_eq!(p.log, [(100..112).sum::<u64>()]);
+        let got = unsafe {
+            let first = Pair::start_at(&raw mut p, stack.top(), entry, 0x11);
+            assert_eq!(p.log, [0x11], "the fiber is suspended mid-body");
+            let second = switch_to(&raw mut p.main, p.fiber, 0x33 as *mut c_void);
+            [first, second as usize]
+        };
+        assert_eq!(
+            got,
+            [0x22, 0x44],
+            "each resume returns what its resumer passed"
+        );
+        assert_eq!(p.log, [0x11, 0x33, (100..112).sum::<u64>()]);
         assert_eq!(vals.iter().sum::<u64>(), (1..13).sum::<u64>());
     }
 
@@ -470,7 +512,7 @@ mod tests {
     fn fresh_entry_sees_the_abi_stack_alignment() {
         #[repr(align(32))]
         struct A32(u64);
-        unsafe extern "C" fn entry(arg: *mut c_void) -> ! {
+        unsafe extern "C" fn entry(arg: *mut c_void, _pass: *mut c_void) -> ! {
             let (a, b) = (std::hint::black_box(0u128), A32(0));
             let (a, b) = (std::hint::black_box(&a), std::hint::black_box(&b));
             let text = format!("{:.3}", std::hint::black_box(2.5f64));
@@ -481,7 +523,7 @@ mod tests {
                 p.log.push(b as *const A32 as u64 % 32 + b.0);
                 p.log.push((text == "2.500") as u64);
                 drop(text);
-                resume_context(p.main)
+                resume_context(p.main, std::ptr::null_mut())
             }
         }
         // A frame claim moves the entry `sp` by multiples of 16 [I19].
@@ -492,7 +534,7 @@ mod tests {
             // fresh stack; entry diverges into the context saved here.
             unsafe {
                 let sp = stack.top().sub(below_top);
-                Pair::start_at(&raw mut p, sp, entry);
+                Pair::start_at(&raw mut p, sp, entry, 0);
             }
             assert_eq!(p.log, [0, 0, 1], "sp {below_top} bytes below the top");
         }
@@ -508,16 +550,16 @@ mod tests {
             /// The outer fiber's continuation while the inner one runs.
             inner_parent: *mut Context,
         }
-        unsafe extern "C" fn inner(arg: *mut c_void) -> ! {
+        unsafe extern "C" fn inner(arg: *mut c_void, _pass: *mut c_void) -> ! {
             // SAFETY: [I5][I8] the Nest outlives both fibers; the outer
             // fiber's continuation is resumed exactly once.
             unsafe {
                 let n = &mut *(arg as *mut Nest);
                 n.outer.log.push(2);
-                resume_context(n.inner_parent)
+                resume_context(n.inner_parent, std::ptr::null_mut())
             }
         }
-        unsafe extern "C" fn outer(arg: *mut c_void) -> ! {
+        unsafe extern "C" fn outer(arg: *mut c_void, _pass: *mut c_void) -> ! {
             let n = arg as *mut Nest;
             // SAFETY: [I5][I6][I8][I9] a second fresh aligned stack and
             // a diverging entry; the body's continuation is resumed
@@ -529,9 +571,10 @@ mod tests {
                     (*n).inner_stack.top(),
                     inner,
                     arg,
+                    std::ptr::null_mut(),
                 );
                 (*n).outer.log.push(3);
-                resume_context((*n).outer.main)
+                resume_context((*n).outer.main, std::ptr::null_mut())
             }
         }
         let stack = Stack::new(64 << 10);
@@ -547,6 +590,7 @@ mod tests {
                 stack.top(),
                 outer,
                 &raw mut n as *mut c_void,
+                std::ptr::null_mut(),
             );
         }
         n.outer.log.push(4);
@@ -577,15 +621,15 @@ mod tests {
                 p.log.extend(facts(ctx));
             }
         }
-        unsafe extern "C" fn entry(arg: *mut c_void) -> ! {
+        unsafe extern "C" fn entry(arg: *mut c_void, _pass: *mut c_void) -> ! {
             let p = arg as *mut Pair;
             // SAFETY: [I5][I8][I9] as in the round-trip test: the body
             // inspects this fiber's record while it is suspended, then
             // resumes it.
             unsafe {
                 (*p).log.extend(facts((*p).main));
-                switch_to(&raw mut (*p).fiber, (*p).main);
-                resume_context((*p).main)
+                switch_to(&raw mut (*p).fiber, (*p).main, std::ptr::null_mut());
+                resume_context((*p).main, std::ptr::null_mut())
             }
         }
         let fake_parent = 0x1234_5678u64;
@@ -606,10 +650,10 @@ mod tests {
         // SAFETY: [I5][I6][I9] fresh aligned stack, diverging entry; the
         // fiber's record is read, then resumed, while it is suspended.
         unsafe {
-            Pair::start_at(&raw mut p, stack.top(), entry);
+            Pair::start_at(&raw mut p, stack.top(), entry, 0);
             assert_eq!(p.log, [p.main as u64, 0]);
             assert_eq!(facts(p.fiber), [p.fiber as u64, 0]);
-            switch_to(&raw mut p.main, p.fiber);
+            switch_to(&raw mut p.main, p.fiber, std::ptr::null_mut());
         }
     }
 }

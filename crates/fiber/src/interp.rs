@@ -35,7 +35,7 @@
 
 use crate::join::JoinBlock;
 use crate::runtime::{Observe, Observed, Runtime, Threads};
-use crate::sched::{bump, current, join_all, spawn_on, Place};
+use crate::sched::{bump, current, join_all, spawn_on, Place, Worker};
 use crate::tsc;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,26 +185,26 @@ impl<W: Workload> Copy for EnvRef<W> {}
 // `NativeRunner::run_observing` and `MultiProcessRunner::run_mapped`).
 unsafe impl<W: Workload> Send for EnvRef<W> {}
 
-/// Interpret one task: expand its program and execute it on this fiber.
-/// `frame` is the task's own `frame_size`, already claimed below its
-/// record by whoever spawned it; `chain_above` is the summed
-/// `frame_size` of its ancestors.
+/// Interpret one task: expand its program and execute it on this fiber,
+/// which starts on worker `w`; returns the worker it ends on. `frame` is
+/// the task's own `frame_size`, already claimed below its record by
+/// whoever spawned it; `chain_above` is the summed `frame_size` of its
+/// ancestors.
 // Always inlined into the task entry, which reaches it from two
 // closures (the root's and every child's): a task's whole body is then
 // one function, which across processes calls nothing out of line but
 // the slot pool's slow paths and a parking join.
 #[inline(always)]
 pub(crate) fn exec<P: Place, W: Workload>(
+    mut w: *mut Worker<P>,
     env: EnvRef<W>,
     d: &W::Desc,
     frame: u64,
     chain_above: u64,
-) {
+) -> *mut Worker<P> {
     // SAFETY: [I8] the runner keeps the Env and the rows alive until
     // every task — this one included — has completed.
     let e = unsafe { &*env.env };
-    // The worker is looked up once, before the first migration point.
-    let w = current::<P>();
     // SAFETY: [I7] one immutable field of the worker we run on.
     let me = unsafe { (*w).id };
     // A recycled buffer (empty, capacity kept): no allocation per task
@@ -253,24 +253,26 @@ pub(crate) fn exec<P: Place, W: Workload>(
             // Child-first: `exec(child)` starts right now on a fresh
             // stack, its frame claimed below its record; our
             // continuation (the rest of this loop) becomes stealable.
+            // Each migration point hands back the worker it resumed on.
             Action::Spawn(child) => {
                 let claim = e.w.frame_size(&child);
-                let body = move || exec::<P, W>(env, &child, claim, chain);
+                let body = move |w| (exec::<P, W>(w, env, &child, claim, chain), ());
                 // SAFETY: [I16] `jb` is joined below before this frame
                 // ends; `env` outlives every task.
-                unsafe { spawn_on::<P, _, _>(&jb, claim, body) };
+                w = unsafe { spawn_on::<P, _, _>(w, &jb, claim, body) };
             }
-            Action::JoinAll => join_all::<P>(&jb),
+            Action::JoinAll => w = join_all::<P>(w, &jb),
         }
     }
     // Fork-join programs end with every child joined (the simulator
     // asserts as much); join stragglers anyway so a malformed workload
     // cannot leak running tasks past its own completion.
-    join_all::<P>(&jb);
+    w = join_all::<P>(w, &jb);
     if let Some(prog) = keep {
         // SAFETY: [I7] on the worker this task *ends* on.
-        unsafe { &mut *e.bufs[(*current::<P>()).id].0.get() }.push(prog);
+        unsafe { &mut *e.bufs[(*w).id].0.get() }.push(prog);
     }
+    w
 }
 
 /// Result of one native run — the fiber backend's counterpart of the
@@ -503,7 +505,8 @@ impl NativeRunner {
                 env: &*held,
                 rows: held.rows.as_ptr(),
             };
-            exec::<Threads, W>(env, &root, root_frame, 0);
+            // The root task: no transfer hands it its worker.
+            exec::<Threads, W>(current::<Threads>(), env, &root, root_frame, 0);
         });
         let ((), sched, observed) = self.rt.run_observing(root, root_frame, observe);
         let stats = AcctRow::totals(env.rows.iter(), NativeRunStats { workload, ..sched });
@@ -561,7 +564,7 @@ mod tests {
                 env: &*held,
                 rows: held.rows.as_ptr(),
             };
-            exec::<Threads, _>(env, &root, 0, 0);
+            exec::<Threads, _>(current::<Threads>(), env, &root, 0, 0);
             count() - t0
         };
         let rt = Runtime::new(1);
@@ -582,6 +585,16 @@ mod tests {
     fn an_unstolen_task_never_touches_its_join_block() {
         let rmws = across_a_tree(false, crate::join::rmws);
         assert_eq!(rmws, 0, "join-block RMWs across a 2 047-task tree");
+    }
+
+    /// The task path reads no thread-local: across the tree, the one
+    /// worker lookup is this test's own, handing the root's `exec` its
+    /// worker; every spawn and join after it takes the worker its
+    /// transfer hands over.
+    #[test]
+    fn a_task_never_looks_its_worker_up() {
+        let lookups = across_a_tree(false, crate::sched::tests::lookups);
+        assert_eq!(lookups, 1, "worker lookups across a 2 047-task tree");
     }
 
     /// A run neither traced nor metered never gets past the place's

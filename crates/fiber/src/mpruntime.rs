@@ -80,17 +80,18 @@
 //! during the window). The bootstrap path (`mp_bootstrap`) installs its
 //! slot guard markers by plain syscalls, builds its worker on its own
 //! stack, touching only shared-region atomics, and enters the shared
-//! `worker_loop`, which finds the worker through the
-//! same thread-local the thread runtime uses: a worker process has one
-//! thread, `fork` copied its TLS block, and setting a `const`-initialised
-//! `Cell` allocates nothing. `uat-lint`'s `fork-safety` rule scans
-//! `mp_bootstrap` and its callees (the worker loop included) for
-//! alloc/lock constructs, and the `mp_fork_safety` integration test
-//! counts allocations across the window with a probing global
-//! allocator. After the worker loop is entered, allocation is
-//! permitted, but the task path makes none in steady state: programs
-//! expand through one recycled per-process buffer, handed back before
-//! the task's first migration point (\[I16\]).
+//! `worker_loop`, which sets the same thread-local the thread runtime
+//! does (its tasks are handed their worker by every transfer, and never
+//! read it): a worker process has one thread, `fork` copied its TLS
+//! block, and setting a `const`-initialised `Cell` allocates nothing.
+//! `uat-lint`'s `fork-safety` rule scans `mp_bootstrap` and its callees
+//! (the worker loop included) for alloc/lock constructs, and the
+//! `mp_fork_safety` integration test counts allocations across the
+//! window with a probing global allocator. After the worker loop is
+//! entered, allocation is permitted, but the task path makes none in
+//! steady state: programs expand through one recycled per-process
+//! buffer, handed back before the task's first migration point
+//! (\[I16\]).
 
 use crate::frame::{guard_page, FrameTooLarge, Guard, PAGE};
 use crate::idle;
@@ -865,7 +866,7 @@ impl MultiProcessRunner {
         let root = env.w.root();
         let frame = env.w.frame_size(&root);
         ctrl.root.announce();
-        let body = move || interp::exec::<Mp, W>(env_ref, &root, frame, 0);
+        let body = move |w| (interp::exec::<Mp, W>(w, env_ref, &root, frame, 0), ());
         let root = place_record::<Mp, (), _>(0, layout.slot_span(0), &ctrl.root, 0, frame, body)
             .unwrap_or_else(|(e, _)| panic!("multiprocess: {e} (the root's)"));
 

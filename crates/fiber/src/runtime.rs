@@ -74,12 +74,17 @@ impl<T> JoinCell<T> {
 
     /// The body of a task that reports to `cell`: store what `f`
     /// returns and hand the cell back as the task's keep-alive [I18].
-    fn task<F: FnOnce() -> T>(cell: Arc<Self>, f: F) -> impl FnOnce() -> Arc<Self> {
-        move || {
+    /// `f` is the public API's, which hands no worker on: the worker the
+    /// task ends on is looked up after it.
+    fn task<F: FnOnce() -> T>(
+        cell: Arc<Self>,
+        f: F,
+    ) -> impl FnOnce(*mut Worker<Threads>) -> (*mut Worker<Threads>, Arc<Self>) {
+        move |_| {
             let out = f();
             // SAFETY: [I8] the slot's only write (see `Sync` above).
             unsafe { *cell.result.get() = Some(out) };
-            cell
+            (current::<Threads>(), cell)
         }
     }
 }
@@ -310,14 +315,14 @@ where
     let task = JoinCell::task(Arc::clone(&cell), f);
     // SAFETY: [I8] the block lives in the `Arc` cell, and the child
     // returns its own reference to the cell as the keep-alive.
-    unsafe { spawn_on::<Threads, _, _>(&cell.block, 0, task) };
+    unsafe { spawn_on::<Threads, _, _>(current::<Threads>(), &cell.block, 0, task) };
     JoinHandle { cell }
 }
 
 impl<T> JoinHandle<T> {
     /// Wait for the thread to exit and take its result.
     pub fn join(self) -> T {
-        join_all::<Threads>(&self.cell.block);
+        join_all::<Threads>(current::<Threads>(), &self.cell.block);
         // SAFETY: [I8] `join_all` acquired the child's write, and
         // `join` consumes the only handle: no other reader.
         unsafe { (*self.cell.result.get()).take() }
@@ -821,12 +826,12 @@ pub(crate) mod tests {
                 };
                 let jb = JoinBlock::new();
                 let seen = AtomicUsize::new(0);
-                let body = || seen.store(addr_of_a_local(), Ordering::Relaxed);
+                let body = |w| (w, seen.store(addr_of_a_local(), Ordering::Relaxed));
                 let rec = record_at(top, &body);
                 // SAFETY: [I16] `jb` and `seen` are locals of this
                 // frame, which joins the child before it ends.
-                unsafe { spawn_on::<Threads, _, _>(&jb, frame, body) };
-                join_all::<Threads>(&jb);
+                let w = unsafe { spawn_on::<Threads, _, _>(current(), &jb, frame, body) };
+                join_all::<Threads>(w, &jb);
                 (root_local, root_rec, seen.load(Ordering::Relaxed), rec)
             };
             let (root_local, root_rec, child_local, child_rec) = Runtime::new(1)

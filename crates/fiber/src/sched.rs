@@ -20,7 +20,9 @@
 //! continuation (`switch_to`) — and a task leaves through an inlined
 //! `resume_context`. Each transfer saves the caller's continuation into
 //! a slot the caller names, so there is no code between the save and
-//! the switch: a spawn nobody steals is one `call` and one `ret`.
+//! the switch: a spawn nobody steals is one `call` and one `ret`. Each
+//! one also hands the code it resumes the worker it now runs on (see
+//! "Finding the worker" below).
 //!
 //! # Safety model
 //!
@@ -46,23 +48,38 @@
 //!
 //! # Finding the worker
 //!
-//! Every fiber operation finds its worker through [`current`], the one
-//! `#[inline(never)]` accessor of one `thread_local!`, on both backends:
-//! a worker process has exactly one thread, `fork` copies the forking
-//! thread's TLS block, and a `const`-initialised `Cell` has no
-//! destructor, so setting it in a fresh child allocates nothing and
-//! takes no lock ([I15]). The indirection is load-bearing: fiber code
-//! calls `current()` on both sides of a context switch, and the resume
-//! can happen on another thread — or in another process, where the
-//! worker state sits at the same address with other contents. Inlined
-//! into one body, LLVM would treat the thread-local's address (and what
-//! it loaded through it) as invariant across the opaque switch and hand
-//! the resumed code the previous worker. Keeping the access inside a
-//! never-inlined callee forces a fresh lookup wherever the fiber now
-//! runs; `uat-lint`'s rule A checks that every suspending function
-//! keeps to it.
+//! A resume can land on another thread — or in another process, where
+//! the worker state sits at the same address with other contents — so
+//! code that suspended must learn its worker anew. It learns it from
+//! the transfer itself: whoever resumes a continuation passes its own
+//! worker, and the saving routine returns it ([`ctx`](crate::ctx), "What
+//! a transfer hands over"). A spawn's child gets its spawner's worker as
+//! its entry's second argument; [`spawn_on`] and [`join_all`] take the
+//! worker they start on and return the one they were resumed on; a task
+//! body takes its worker and returns the one it ends on. So the task
+//! path reads no thread-local: a worker is a value carried in a
+//! register, and the value after a switch is the switch's return, which
+//! LLVM cannot mistake for the one before.
+//!
+//! The thread-local is read only where no transfer has handed a worker
+//! over: [`worker_loop`]'s entry sets it, and the public API
+//! (`runtime::{spawn, JoinHandle::join, current_worker_id}`, and the
+//! tasks they start, when their closure returns) reads it through
+//! [`current`], the one `#[inline(never)]` accessor of one
+//! `thread_local!` on both backends: a worker process has exactly one
+//! thread, `fork` copies the forking thread's TLS block, and a
+//! `const`-initialised `Cell` has no destructor, so setting it in a
+//! fresh child allocates nothing and takes no lock ([I15]). The
+//! indirection is still load-bearing there: user code calls the API on
+//! both sides of a join, and inlined into one body, LLVM would treat the
+//! thread-local's address as invariant across the opaque switch and
+//! hand the resumed code the previous worker. `uat-lint`'s rule A
+//! checks that everything that suspends, directly or through a callee,
+//! keeps to the accessor; in debug builds every resume cross-checks the
+//! worker it was handed against the thread-local
+//! ([`collect_retired`]).
 
-use crate::ctx::{resume_context, switch_to, switch_to_fresh, Context};
+use crate::ctx::{resume_context, switch_to, switch_to_fresh, Context, Entry};
 use crate::frame::{self, FrameTooLarge};
 use crate::idle::{self, Idle};
 use crate::join::{JoinBlock, PendingJoin};
@@ -219,10 +236,13 @@ thread_local! {
     static CURRENT: Cell<(*mut (), u8)> = const { Cell::new((std::ptr::null_mut(), 0)) };
 }
 
-/// Re-derive the worker executing the calling fiber *right now* (see
-/// the module docs for why this must never be inlined).
+/// Re-derive the worker executing the calling code *right now*, for
+/// the public API, which no transfer hands a worker (see the module
+/// docs for why this must never be inlined).
 #[inline(never)]
 pub(crate) fn current<P: Place>() -> *mut Worker<P> {
+    #[cfg(test)]
+    tests::looked_up();
     let (w, kind) = CURRENT.with(Cell::get);
     assert!(
         kind == P::KIND,
@@ -231,12 +251,28 @@ pub(crate) fn current<P: Place>() -> *mut Worker<P> {
     w.cast()
 }
 
-/// Retire the stack of the previously completed task, if any, and
-/// return the worker control landed on. Must run at every point control
-/// can land after a completion.
+/// Make `w` the worker this thread runs, as a place of kind `kind` (0
+/// and null: none). Out of line, like every access to the thread-local:
+/// the loop that sets it reaches a switch through its callees.
+#[inline(never)]
+fn set_current(w: *mut (), kind: u8) {
+    CURRENT.with(|c| c.set((w, kind)));
+}
+
+/// Whether `w` is the worker this thread runs: the debug cross-check
+/// of a transfer's hand-over. (On processes every worker sits at one
+/// address, so there it checks that the value is a worker at all.)
+#[inline(never)]
+fn runs_here<P: Place>(w: *mut Worker<P>) -> bool {
+    CURRENT.with(Cell::get) == (w.cast(), P::KIND)
+}
+
+/// Retire the stack of the previously completed task, if any, on `w`,
+/// the worker control landed on, as its transfer handed it over; return
+/// `w`. Must run at every point control can land after a completion.
 #[inline]
-fn collect_retired<P: Place>() -> *mut Worker<P> {
-    let w = current::<P>();
+fn collect_retired<P: Place>(w: *mut Worker<P>) -> *mut Worker<P> {
+    debug_assert!(runs_here(w), "a transfer handed over another worker");
     // SAFETY: [I7] only the owning thread touches its Worker, and no
     // other borrow is live across this call.
     let wr = unsafe { &mut *w };
@@ -256,7 +292,7 @@ pub(crate) struct TaskHeader<S> {
     /// or the scheduler start a task without knowing its closure type —
     /// and, the code being the same in every forked worker, in any
     /// process.
-    entry: unsafe extern "C" fn(*mut c_void) -> !,
+    entry: Entry,
     /// Where the body starts: the task's frame claim below this record,
     /// as [`frame::claim`] checked it against the stack [I19].
     sp: *mut u8,
@@ -284,11 +320,13 @@ pub(crate) struct TaskRecord<S, F> {
 
 /// Write the record of a task running `f` at the top of `stack`, whose
 /// `(top, limit)` is `span`; the task reports to `join` and starts with
-/// its stack pointer `frame` bytes below the record. Panics, naming the
-/// sizes, if the record is over `1/RECORD_STACK_DIVISOR` of the stack —
-/// the body would otherwise start part-way to the guard page. A frame
-/// that does not fit the rest is refused, and the stack handed back.
-pub(crate) fn place_record<P: Place, K, F: FnOnce() -> K>(
+/// its stack pointer `frame` bytes below the record. `f` takes the
+/// worker the task starts on and returns the one it ends on, with its
+/// keep-alive. Panics, naming the sizes, if the record is over
+/// `1/RECORD_STACK_DIVISOR` of the stack — the body would otherwise
+/// start part-way to the guard page. A frame that does not fit the rest
+/// is refused, and the stack handed back.
+pub(crate) fn place_record<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Worker<P>, K)>(
     stack: P::Stack,
     (top, limit): (usize, usize),
     join: *const JoinBlock,
@@ -331,13 +369,15 @@ pub(crate) fn place_record<P: Place, K, F: FnOnce() -> K>(
 }
 
 /// The one spawn primitive: start a child running `f` right now on a
-/// fresh stack, `frame` bytes of it claimed ahead of the body (Figure
-/// 4's allocation "just below the parent", by arithmetic [I19]); the
-/// caller's continuation becomes stealable and this returns once
-/// somebody resumes it — the child, finished, or a thief, which counts
-/// the child on `jb` [I21]. What `f` returns is the child's keep-alive,
-/// dropped only after the child's last access to `jb`. No allocator
-/// call in steady state.
+/// fresh stack of `w`, the worker the caller runs on, `frame` bytes of
+/// it claimed ahead of the body (Figure 4's allocation "just below the
+/// parent", by arithmetic [I19]); the caller's continuation becomes
+/// stealable and this returns once somebody resumes it — the child,
+/// finished, or a thief, which counts the child on `jb` [I21] — with
+/// the worker the caller now runs on. `f` is given the child's worker
+/// and returns the one it ends on and the child's keep-alive, dropped
+/// only after the child's last access to `jb`. No allocator call in
+/// steady state.
 ///
 /// # Safety
 ///
@@ -346,8 +386,12 @@ pub(crate) fn place_record<P: Place, K, F: FnOnce() -> K>(
 /// or is owned by what `f` returns. Likewise everything `f` borrows.
 // Always inlined: a spawn nobody steals makes no call but the switch's.
 #[inline(always)]
-pub(crate) unsafe fn spawn_on<P: Place, K, F: FnOnce() -> K>(jb: &JoinBlock, frame: u64, f: F) {
-    let w = current::<P>();
+pub(crate) unsafe fn spawn_on<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Worker<P>, K)>(
+    w: *mut Worker<P>,
+    jb: &JoinBlock,
+    frame: u64,
+    f: F,
+) -> *mut Worker<P> {
     // SAFETY: [I7] exclusive access by the owning thread; the borrow
     // ends before the context switch below.
     let (me, rec) = unsafe {
@@ -370,19 +414,20 @@ pub(crate) unsafe fn spawn_on<P: Place, K, F: FnOnce() -> K>(jb: &JoinBlock, fra
     // 16-byte aligned inside a fresh stack, below the record, with
     // nothing live below it; `entry` diverges; the continuation saved
     // here is resumed exactly once (by the child's pop or by a thief).
-    unsafe {
+    let now = unsafe {
         switch_to_fresh(
             &raw mut (*rec).parent_ctx,
             (*rec).sp,
             (*rec).entry,
             rec as *mut c_void,
-        );
-    }
+            w.cast(),
+        )
+    };
     // Resumed. On this worker, by the child's exit pop: the child has
     // finished and was never counted. On another, by a thief: count the
     // child now, before anything here can look at `jb` [I21]. (By id:
     // every forked worker keeps its state at the same address.)
-    let now = collect_retired::<P>();
+    let now = collect_retired::<P>(now.cast());
     // SAFETY: [I7] exclusive worker access; scoped borrow.
     unsafe {
         if (*now).id != me {
@@ -390,10 +435,17 @@ pub(crate) unsafe fn spawn_on<P: Place, K, F: FnOnce() -> K>(jb: &JoinBlock, fra
         }
         (*now).place.record(Event::Resumed(None));
     }
+    now
 }
 
-unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void) -> ! {
-    let target = {
+/// A task's entry, started on `arg`'s record by a spawner (or the
+/// scheduler) running on worker `w`.
+unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Worker<P>, K)>(
+    arg: *mut c_void,
+    w: *mut c_void,
+) -> ! {
+    let (target, w) = {
+        let w: *mut Worker<P> = w.cast();
         let rec = arg as *mut TaskRecord<P::Stack, F>;
         // SAFETY: [I18] `arg` is the record `place_record::<P, K, F>`
         // wrote (its `entry` names this instantiation), now solely the
@@ -411,7 +463,7 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void)
         // exclusive access on the owning thread, borrow scoped; the
         // record's stack stays put until this task completes.
         let born = unsafe {
-            let wr = &mut *current::<P>();
+            let wr = &mut *w;
             // Push the parent thread's continuation: stealable from now
             // on. Safe here per [I12] — we run on the child's fresh
             // stack, and every parent-stack frame below the record is
@@ -422,10 +474,10 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void)
             }
             wr.place.on_task_begin(task, &(*rec).hdr.stack)
         };
-        let Ok(keep) = catch_unwind(AssertUnwindSafe(f)) else {
+        let Ok((w, keep)) = catch_unwind(AssertUnwindSafe(|| f(w))) else {
             P::task_panicked()
         };
-        let w = current::<P>();
+        debug_assert!(runs_here(w), "a task body handed back another worker");
         // Retire our own stack, freed once control is off it. Then,
         // Figure 4 lines 13-15, pop the parent continuation: what a pop
         // returns is our own parent, which never counted us [I21]; if it
@@ -480,11 +532,12 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void)
             let wr = &*w;
             bump(&wr.place.row(wr.id)[shm::TASKS], 1, Ordering::Release);
         }
-        target as *mut Context
+        (target as *mut Context, w)
     };
     // Nothing with a destructor is live from here: we abandon this stack.
-    // SAFETY: [I5] target is resumed exactly once; only Copy locals live here.
-    unsafe { resume_context(target) }
+    // SAFETY: [I5] target is resumed exactly once, here on `w`; only
+    // Copy locals live here.
+    unsafe { resume_context(target, w.cast()) }
 }
 
 /// Prefetch what a child whose parent was stolen touches next: `join`,
@@ -493,7 +546,7 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce() -> K>(arg: *mut c_void)
 /// baseline x86-64 build), and the joiner's record, which it may
 /// resume. Only `parent_ctx` is known here, not the record, but a
 /// stolen spawner that blocks saves that record from the frame its
-/// spawn saved `parent_ctx` from — 0 bytes lower on threads and 32 on
+/// spawn saved `parent_ctx` from — 0 bytes lower on threads and 16 on
 /// processes in the benchmark's build (EXPERIMENTS.md) — so the lines
 /// of `[parent_ctx - 64, parent_ctx + size_of::<Context>())` hold it.
 /// A record is 8-byte aligned, so three lines cover that window. Where
@@ -517,14 +570,22 @@ fn prefetch_handoff(join: *const JoinBlock, parent_ctx: *mut Context) {
 }
 
 /// Wait until every child announced on `jb` has completed (Figure 7's
-/// `join`): the fast path is one load; otherwise the caller suspends
-/// once — resumed by the last child — and the worker finds other work.
-#[inline]
-pub(crate) fn join_all<P: Place>(jb: &JoinBlock) {
+/// `join`): the fast path is one load, inlined into every task body;
+/// otherwise the caller suspends once — resumed by the last child — and
+/// `w`, the worker it ran on, finds other work. Returns the worker the
+/// caller now runs on.
+#[inline(always)]
+pub(crate) fn join_all<P: Place>(w: *mut Worker<P>, jb: &JoinBlock) -> *mut Worker<P> {
     if jb.is_done() {
-        return;
+        return w;
     }
-    let w = current::<P>();
+    suspend_join(w, jb)
+}
+
+/// [`join_all`]'s slow path: park the caller on `jb` until its last
+/// child completes.
+#[inline]
+fn suspend_join<P: Place>(w: *mut Worker<P>, jb: &JoinBlock) -> *mut Worker<P> {
     // SAFETY: [I7][I8] exclusive worker access on this thread, the
     // borrow ends before the switch below; the block outlives the join.
     let (slot, sched) = unsafe {
@@ -550,11 +611,12 @@ pub(crate) fn join_all<P: Place>(jb: &JoinBlock) {
     // its loop and resumed exactly once per lineage; the continuation
     // saved here is resumed exactly once, by the last child's worker or
     // inline by the scheduler.
-    unsafe { switch_to(slot, sched) };
-    let w = collect_retired::<P>();
+    let now = unsafe { switch_to(slot, sched, w.cast()) };
+    let now = collect_retired::<P>(now.cast());
     // SAFETY: [I7] exclusive worker access on this (possibly new) worker.
-    unsafe { (*w).place.record(Event::Resumed(Some(jb))) };
+    unsafe { (*now).place.record(Event::Resumed(Some(jb))) };
     debug_assert!(jb.is_done());
+    now
 }
 
 /// The scheduler loop of `worker`: start `root` (one worker does), then
@@ -565,13 +627,13 @@ pub(crate) fn worker_loop<P: Place>(
     root: Option<*mut TaskHeader<P::Stack>>,
 ) {
     let w: *mut Worker<P> = worker;
-    CURRENT.with(|c| c.set((w.cast(), P::KIND)));
+    set_current(w.cast(), P::KIND);
     if let Some(rec) = root {
-        run_fresh::<P>(rec);
+        run_fresh::<P>(w, rec);
     }
     let mut idle = Idle::default();
     loop {
-        collect_retired::<P>();
+        collect_retired::<P>(w);
         // SAFETY: [I7] exclusive worker access on this thread; the
         // borrow is dead at every context switch below.
         let wr = unsafe { &mut *w };
@@ -587,7 +649,7 @@ pub(crate) fn worker_loop<P: Place>(
         // (or the handle whose cell does) until its continuation is
         // resumed.
         if let Some(ctx) = unsafe { wr.pending_join.park() } {
-            run_ctx::<P>(ctx);
+            run_ctx::<P>(w, ctx);
             continue;
         }
         // Nothing of our own is left to run [I21]: a task ends or blocks
@@ -624,7 +686,7 @@ pub(crate) fn worker_loop<P: Place>(
                 bump(&wr.place.row(id)[shm::UNPARKS], 1, Ordering::Relaxed);
                 wr.place.record(Event::Unpark);
             }
-            run_ctx::<P>(ctx as *mut Context);
+            run_ctx::<P>(w, ctx as *mut Context);
             continue;
         }
         if wr.place.shutdown().load(Ordering::Acquire) != 0 {
@@ -656,35 +718,53 @@ pub(crate) fn worker_loop<P: Place>(
     }
     // SAFETY: [I7] exclusive worker access on this thread.
     unsafe { (*w).place.record(Event::Exit) };
-    CURRENT.with(|c| c.set((std::ptr::null_mut(), 0)));
+    set_current(std::ptr::null_mut(), 0);
 }
 
-/// Run a ready continuation, saving the scheduler's own context so tasks
-/// can bail back to this loop.
-fn run_ctx<P: Place>(target: *mut Context) {
-    let w = current::<P>();
+/// Run a ready continuation on `w`, saving the scheduler's own context
+/// so tasks can bail back to this loop — on `w` again: the scheduler
+/// context of a worker is resumed only by a task running on it.
+fn run_ctx<P: Place>(w: *mut Worker<P>, target: *mut Context) {
     // SAFETY: [I5][I7][I9] the slot is this worker's own, on a stack
     // that never migrates; `target` is a live continuation handed to us
     // by a deque or a join; the saved scheduler context is resumed
     // exactly once (by whichever task runs out of local work here).
-    unsafe { switch_to(&raw mut (*w).sched_ctx, target) };
-    collect_retired::<P>();
+    let back = unsafe { switch_to(&raw mut (*w).sched_ctx, target, w.cast()) };
+    collect_retired::<P>(back.cast());
 }
 
 /// Start a brand-new task (no saved context yet) from the scheduler.
-fn run_fresh<P: Place>(rec: *mut TaskHeader<P::Stack>) {
-    let w = current::<P>();
+fn run_fresh<P: Place>(w: *mut Worker<P>, rec: *mut TaskHeader<P::Stack>) {
     // SAFETY: [I5][I7][I9][I18][I19] scheduler context saved as in
     // `run_ctx`; the record is ours until this switch hands it to the
     // task, its `sp` 16-byte aligned above a fresh stack and below the
     // record; `entry` diverges.
-    unsafe {
+    let back = unsafe {
         switch_to_fresh(
             &raw mut (*w).sched_ctx,
             (*rec).sp,
             (*rec).entry,
             rec as *mut c_void,
-        );
+            w.cast(),
+        )
+    };
+    collect_retired::<P>(back.cast());
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::cell::Cell;
+
+    thread_local!(static LOOKUPS: Cell<u64> = const { Cell::new(0) });
+
+    /// Count one call of [`current`](super::current) on this thread.
+    pub(super) fn looked_up() {
+        LOOKUPS.with(|n| n.set(n.get() + 1));
     }
-    collect_retired::<P>();
+
+    /// The worker lookups this thread has made.
+    #[inline(never)]
+    pub(crate) fn lookups() -> u64 {
+        LOOKUPS.with(Cell::get)
+    }
 }

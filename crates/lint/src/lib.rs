@@ -10,14 +10,19 @@
 //!   (steal migration), so a thread-local address
 //!   computed before the switch is a dangling worker's after it. The
 //!   compiler caches TLS addresses when it can see both accesses in one
-//!   function body, so the safe pattern is to confine every TLS access
-//!   to an `#[inline(never)]` accessor (`Runtime::current`). Flagged:
+//!   function body. The runtimes' contract: after a transfer the worker
+//!   is the transfer's return value, and the thread-local is read only
+//!   at the worker loop's entry and in the public API, through one
+//!   `#[inline(never)]` accessor (`sched::current`). Flagged:
 //!   - `tls-in-crossing-fn`: a function body that both accesses a
 //!     `thread_local!` static directly and calls the suspension
 //!     primitive — the cache window is right there in one body;
 //!   - `tls-helper-inlinable`: a TLS-accessing helper without
-//!     `#[inline(never)]` that a suspension-crossing function calls —
-//!     inlining re-creates the window the helper was meant to close.
+//!     `#[inline(never)]` that a suspending function calls — one that
+//!     calls the primitive, or, through a chain of uniquely named
+//!     callees, a function that does (the public API's `spawn` reaches
+//!     `switch_to_fresh` through `spawn_on`) — inlining re-creates the
+//!     window the helper was meant to close.
 //!
 //! - **Rule B — THE-word ordering allowlist**. Every atomic access to a
 //!   THE-layout control word (`lock` / `top` / `bottom`) — an atomic
@@ -55,13 +60,16 @@
 //! The scanner masks out comments and string/char literals before
 //! matching (so `unsafe` in a doc comment or `top` in a string never
 //! fires), attributes lines to functions by brace matching, and builds
-//! a one-level call map by function name. Known limits: function
-//! extraction keys on `fn name` at code level (closures are attributed
-//! to their enclosing function, which is the right scope for the TLS
-//! rules), and the call map is name-based, not path-resolved — good
-//! enough for a codebase this size, and false *negatives* from a missed
-//! edge are backstopped by the runtime regression test in `uat-fiber`.
+//! a call map by function name (one level for rule D; closed over
+//! uniquely named callees for rule A's suspending set). Known limits:
+//! function extraction keys on `fn name` at code level (closures are
+//! attributed to their enclosing function, which is the right scope for
+//! the TLS rules), and the call map is name-based, not path-resolved —
+//! good enough for a codebase this size, and false *negatives* from a
+//! missed edge are backstopped by the runtime regression test in
+//! `uat-fiber`.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -301,23 +309,51 @@ fn ident_positions(code: &str, word: &str) -> Vec<usize> {
 /// identifier followed by `(`, or by a turbofish `::<…>` and then `(` —
 /// the way generic code names its callees (`current::<P>()`).
 fn calls(body: &str, name: &str) -> bool {
-    ident_positions(body, name).iter().any(|&p| {
-        let mut rest = body[p + name.len()..].trim_start();
-        if let Some(args) = rest.strip_prefix("::<") {
-            let mut depth = 1;
-            let close = args.char_indices().find_map(|(i, c)| {
-                depth += match c {
-                    '<' => 1,
-                    '>' => -1,
-                    _ => 0,
-                };
-                (depth == 0).then_some(i + 1)
-            });
-            let Some(close) = close else { return false };
-            rest = args[close..].trim_start();
+    ident_positions(body, name)
+        .iter()
+        .any(|&p| is_call(&body[p + name.len()..]))
+}
+
+/// Whether `rest`, the code just after an identifier, makes it a call:
+/// `(` next, or a turbofish `::<…>` and then `(`.
+fn is_call(rest: &str) -> bool {
+    let mut rest = rest.trim_start();
+    if let Some(args) = rest.strip_prefix("::<") {
+        let mut depth = 1;
+        let close = args.char_indices().find_map(|(i, c)| {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            (depth == 0).then_some(i + 1)
+        });
+        let Some(close) = close else { return false };
+        rest = args[close..].trim_start();
+    }
+    rest.starts_with('(')
+}
+
+/// Every name `body` (comment/literal-blanked) calls, as [`calls`]
+/// recognises a call.
+fn callees(body: &str) -> HashSet<&str> {
+    let b = body.as_bytes();
+    let mut out = HashSet::new();
+    let mut i = 0;
+    while i < b.len() {
+        if !is_ident(b[i]) {
+            i += 1;
+            continue;
         }
-        rest.starts_with('(')
-    })
+        let start = i;
+        while i < b.len() && is_ident(b[i]) {
+            i += 1;
+        }
+        if is_call(&body[i..]) {
+            out.insert(&body[start..i]);
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -564,11 +600,47 @@ fn rule_tls(files: &[FileScan], findings: &mut Vec<Finding>) {
         }
     }
 
-    // A4: inlinable TLS helper called from a crossing function.
+    // A4: inlinable TLS helper called from a function that suspends —
+    // by a marker in its own body, or through a chain of calls to one
+    // that does: a function assumes it runs on one thread throughout, so
+    // a TLS address it computed before a call that switches is reused
+    // after it however deep the switch sits (the public API's `spawn` →
+    // `spawn_on` → `switch_to_fresh`). The chain follows only names that
+    // name one function in the scanned tree, as rule D's callee walk
+    // does: a call to `new` or `pop` says nothing about which one.
+    let calls_of: Vec<HashSet<&str>> = infos
+        .iter()
+        .map(|i| callees(&i.file.code[i.func.body.0..i.func.body.1]))
+        .collect();
+    let mut defined: std::collections::HashMap<&str, usize> = Default::default();
+    for i in &infos {
+        *defined.entry(i.func.name.as_str()).or_default() += 1;
+    }
+    let mut suspends: Vec<bool> = infos.iter().map(|i| i.crossing.is_some()).collect();
+    loop {
+        let names: HashSet<&str> = infos
+            .iter()
+            .zip(&suspends)
+            .filter(|(i, s)| **s && defined[i.func.name.as_str()] == 1)
+            .map(|(i, _)| i.func.name.as_str())
+            .collect();
+        let mut grew = false;
+        for (k, i) in infos.iter().enumerate() {
+            let own = i.func.name.as_str();
+            if !suspends[k] && calls_of[k].iter().any(|c| *c != own && names.contains(c)) {
+                suspends[k] = true;
+                grew = true;
+            }
+        }
+        if !grew {
+            break;
+        }
+    }
     let crossing_bodies: Vec<(&FileScan, &Func)> = infos
         .iter()
-        .filter(|i| i.crossing.is_some())
-        .map(|i| (i.file, i.func))
+        .zip(&suspends)
+        .filter(|(_, s)| **s)
+        .map(|(i, _)| (i.file, i.func))
         .collect();
     for i in &infos {
         let Some(pos) = i.tls_access else { continue };
@@ -1025,6 +1097,26 @@ fn suspends() { let x = current(); save_context_and_call(p, f, a); use_it(x); }
             assert_eq!(f.len(), 1, "{marker}: {f:?}");
             assert_eq!(f[0].rule, Rule::TlsHelperInlinable);
         }
+    }
+
+    #[test]
+    fn a_switch_reached_through_a_callee_counts_once_the_name_is_unique() {
+        // The public API's shape: the accessor, then a call to a spawn
+        // whose switch the caller cannot see.
+        let src = r#"
+thread_local! { static CURRENT: usize = 0; }
+fn current() -> usize { CURRENT.with(|c| *c) }
+fn spawn_on(w: usize) { switch_to(p, t); }
+fn spawn() { spawn_on::<P>(current()); }
+"#;
+        let f = lint_one(src, RuleSet::all());
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::TlsHelperInlinable);
+        assert!(f[0].message.contains(r#"["spawn"]"#), "{f:?}");
+        // Two functions named `spawn_on`: the call names neither.
+        let ambiguous = format!("{src}fn spawn_on() {{}}\n");
+        let f = lint_one(&ambiguous, RuleSet::all());
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

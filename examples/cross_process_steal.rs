@@ -136,7 +136,7 @@ unsafe extern "C" fn migrating_thread(arg: *mut c_void) -> ! {
     // SAFETY: [I5] RETURN_CTX was stored by whichever scheduler context
     // (victim_entry or thief_tramp) resumed us, and that context's stack
     // frame is still live — it is blocked inside save_context_and_call.
-    unsafe { resume_context(ret) }
+    unsafe { resume_context(ret, std::ptr::null_mut()) }
 }
 
 unsafe extern "C" fn publish_and_run_child(ctx: *mut Context, arg: *mut c_void) {
@@ -340,7 +340,7 @@ unsafe extern "C" fn thief_tramp(sched: *mut Context, arg: *mut c_void) {
     RETURN_CTX.store(sched as u64, Ordering::Release);
     // SAFETY: [I5] arg is the stolen thread's context, freshly installed at
     // its original address.
-    unsafe { resume_context(arg as *mut Context) }
+    unsafe { resume_context(arg as *mut Context, std::ptr::null_mut()) }
 }
 
 unsafe extern "C" fn victim_entry(sched: *mut Context, arg: *mut c_void) {
