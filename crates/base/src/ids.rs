@@ -116,19 +116,6 @@ impl Topology {
         NodeId(w.0 / self.workers_per_node)
     }
 
-    /// A worker's index within its node.
-    #[inline]
-    pub fn local_index(&self, w: WorkerId) -> u32 {
-        w.0 % self.workers_per_node
-    }
-
-    /// The global id of the `local`-th worker of `node`.
-    #[inline]
-    pub fn worker_at(&self, node: NodeId, local: u32) -> WorkerId {
-        debug_assert!(node.0 < self.nodes && local < self.workers_per_node);
-        WorkerId(node.0 * self.workers_per_node + local)
-    }
-
     /// Iterate over all worker ids.
     pub fn workers(&self) -> impl Iterator<Item = WorkerId> {
         (0..self.total_workers()).map(WorkerId)
@@ -149,11 +136,11 @@ mod tests {
     fn topology_mapping_roundtrips() {
         let t = Topology::new(4, 15);
         assert_eq!(t.total_workers(), 60);
+        // Each node hosts a contiguous block of 15 worker ids.
         for w in t.workers() {
-            let n = t.node_of(w);
-            let l = t.local_index(w);
-            assert_eq!(t.worker_at(n, l), w);
+            assert_eq!(t.node_of(w), NodeId(w.0 / 15));
         }
+        assert_eq!(t.node_of(WorkerId(59)), NodeId(3));
     }
 
     #[test]

@@ -464,21 +464,9 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Conversion back from the [`Json`] document model.
-pub trait FromJson: Sized {
-    /// Parse from a JSON value.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
-}
-
 impl ToJson for u64 {
     fn to_json(&self) -> Json {
         Json::UInt(*self)
-    }
-}
-
-impl FromJson for u64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_u64()
     }
 }
 
@@ -488,25 +476,9 @@ impl ToJson for u32 {
     }
 }
 
-impl FromJson for u32 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        u32::try_from(v.as_u64()?).map_err(|_| JsonError {
-            msg: "u32 overflow".into(),
-        })
-    }
-}
-
 impl ToJson for usize {
     fn to_json(&self) -> Json {
         Json::UInt(*self as u64)
-    }
-}
-
-impl FromJson for usize {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        usize::try_from(v.as_u64()?).map_err(|_| JsonError {
-            msg: "usize overflow".into(),
-        })
     }
 }
 
@@ -516,25 +488,9 @@ impl ToJson for f64 {
     }
 }
 
-impl FromJson for f64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        // NaN/Infinity serialize as null (JSON has no spelling for them).
-        if *v == Json::Null {
-            return Ok(f64::NAN);
-        }
-        v.as_f64()
-    }
-}
-
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool()
     }
 }
 
@@ -544,21 +500,9 @@ impl ToJson for String {
     }
 }
 
-impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(v.as_str()?.to_string())
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_arr()?.iter().map(T::from_json).collect()
     }
 }
 

@@ -24,7 +24,7 @@ pub mod time;
 
 pub use cost::CostModel;
 pub use ids::{NodeId, TaskId, Topology, WorkerId};
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError, ToJson};
 pub use rng::SplitMix64;
 pub use stats::{OnlineStats, Summary};
 pub use steal::{StealOutcome, StealPhase};

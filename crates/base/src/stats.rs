@@ -6,7 +6,7 @@
 //! Welford's algorithm. Distributions (latency tails, run lengths) are
 //! histogrammed by `uat_metrics::LogHistogram`, not here.
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{Json, ToJson};
 use serde::{Deserialize, Serialize};
 
 /// Numerically stable single-pass mean/variance accumulator (Welford).
@@ -156,26 +156,6 @@ impl ToJson for OnlineStats {
     }
 }
 
-impl FromJson for OnlineStats {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let n = v.field("n")?.as_u64()?;
-        // An empty accumulator writes ±infinity min/max, which JSON
-        // spells as null; re-seed them so the round trip is lossless.
-        let (min, max) = if n == 0 {
-            (f64::INFINITY, f64::NEG_INFINITY)
-        } else {
-            (v.field("min")?.as_f64()?, v.field("max")?.as_f64()?)
-        };
-        Ok(OnlineStats {
-            n,
-            mean: v.field("mean")?.as_f64()?,
-            m2: v.field("m2")?.as_f64()?,
-            min,
-            max,
-        })
-    }
-}
-
 impl ToJson for Summary {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -186,19 +166,6 @@ impl ToJson for Summary {
             ("min", Json::Num(self.min)),
             ("max", Json::Num(self.max)),
         ])
-    }
-}
-
-impl FromJson for Summary {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Summary {
-            count: v.field("count")?.as_u64()?,
-            mean: v.field("mean")?.as_f64()?,
-            stddev: v.field("stddev")?.as_f64()?,
-            ci95: v.field("ci95")?.as_f64()?,
-            min: v.field("min")?.as_f64()?,
-            max: v.field("max")?.as_f64()?,
-        })
     }
 }
 
@@ -248,24 +215,33 @@ mod tests {
 
     #[test]
     fn stats_json_round_trip() {
-        use crate::json::{FromJson, Json, ToJson};
+        use crate::json::{Json, ToJson};
 
         let mut s = OnlineStats::new();
         for x in [1.0, 2.5, -3.0, 42.0] {
             s.push(x);
         }
-        let back = OnlineStats::from_json(&Json::parse(&s.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back.count(), s.count());
-        assert_eq!(back.mean(), s.mean());
-        assert_eq!(back.variance(), s.variance());
-        assert_eq!(back.min(), s.min());
-        assert_eq!(back.max(), s.max());
+        let v = Json::parse(&s.to_json().to_string()).unwrap();
+        let f = |name| v.field(name).unwrap().as_f64().unwrap();
+        assert_eq!(v.field("n").unwrap().as_u64().unwrap(), s.count());
+        assert_eq!(f("mean"), s.mean());
+        assert_eq!(f("m2") / (s.count() - 1) as f64, s.variance());
+        assert_eq!(f("min"), s.min());
+        assert_eq!(f("max"), s.max());
 
-        let empty = OnlineStats::from_json(
-            &Json::parse(&OnlineStats::new().to_json().to_string()).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(empty.count(), 0);
-        assert!(empty.min().is_nan());
+        let sum = s.summary();
+        let v = Json::parse(&sum.to_json().to_string()).unwrap();
+        let f = |name| v.field(name).unwrap().as_f64().unwrap();
+        assert_eq!(v.field("count").unwrap().as_u64().unwrap(), sum.count);
+        assert_eq!(f("mean"), sum.mean);
+        assert_eq!(f("stddev"), sum.stddev);
+        assert_eq!(f("ci95"), sum.ci95);
+        assert_eq!(f("min"), sum.min);
+        assert_eq!(f("max"), sum.max);
+
+        // An empty accumulator's ±infinity bounds have no JSON spelling.
+        let empty = Json::parse(&OnlineStats::new().to_json().to_string()).unwrap();
+        assert_eq!(empty.field("n").unwrap().as_u64().unwrap(), 0);
+        assert_eq!(empty.field("min").unwrap(), &Json::Null);
     }
 }

@@ -17,13 +17,6 @@ pub struct SimConfig {
     pub scheme: SchemeKind,
     /// Root RNG seed (victim selection; workloads carry their own seeds).
     pub seed: u64,
-    /// Extra idle delay after a failed steal, multiplied by consecutive
-    /// failures up to [`idle_backoff_cap`](Self::idle_backoff_cap) — a
-    /// simulator pragmatic so fully idle machines don't generate events
-    /// at line rate (the paper does not specify a retry policy).
-    pub idle_backoff: u64,
-    /// Cap on the backoff multiplier.
-    pub idle_backoff_cap: u32,
     /// Safety valve: abort if the event count exceeds this (0 = off).
     pub max_events: u64,
     /// Ablation: the crude scheme of Section 5.1 — every task switch
@@ -42,8 +35,6 @@ impl SimConfig {
             core: CoreConfig::default(),
             scheme: SchemeKind::Uni,
             seed: 0x5EED,
-            idle_backoff: 2_000,
-            idle_backoff_cap: 16,
             max_events: 0,
             crude_switch: false,
         }

@@ -41,6 +41,14 @@ use uat_deque::{PopOutcome, TaskqEntry};
 use uat_rdma::Fabric;
 use uat_trace::{Bucket, StealOutcome};
 
+/// Extra idle delay, in cycles, after a failed steal, multiplied by the
+/// consecutive failures up to [`IDLE_BACKOFF_CAP`]: a simulator
+/// pragmatic so fully idle machines don't generate events at line rate
+/// (the paper does not specify a retry policy).
+const IDLE_BACKOFF: u64 = 2_000;
+/// Cap on the backoff multiplier.
+const IDLE_BACKOFF_CAP: u32 = 16;
+
 /// What a worker's next event means.
 #[derive(Clone, Copy, Debug)]
 enum Pending {
@@ -731,7 +739,7 @@ impl<W: Workload> Engine<W> {
             0
         } else {
             ctl.fails = ctl.fails.saturating_add(1);
-            self.cfg.idle_backoff * (ctl.fails.min(self.cfg.idle_backoff_cap) as u64)
+            IDLE_BACKOFF * (ctl.fails.min(IDLE_BACKOFF_CAP) as u64)
         };
         self.trace.idle_poll(w, t);
         self.set(

@@ -1,7 +1,7 @@
 //! Run-level metrics: what the paper's tables and figures are made of.
 
 use serde::{Deserialize, Serialize};
-use uat_base::json::{FromJson, Json, JsonError, ToJson};
+use uat_base::json::{Json, ToJson};
 use uat_base::Cycles;
 use uat_core::{SchemeKind, StealBreakdown};
 use uat_metrics::HistSummary;
@@ -42,19 +42,6 @@ impl ToJson for WorkerSummary {
             ("dropped", Json::UInt(self.dropped)),
             ("account", self.account.to_json()),
         ])
-    }
-}
-
-impl FromJson for WorkerSummary {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(WorkerSummary {
-            worker: v.field("worker")?.as_u64()? as u32,
-            tasks_run: v.field("tasks_run")?.as_u64()?,
-            steal_attempts: v.field("steal_attempts")?.as_u64()?,
-            steals_completed: v.field("steals_completed")?.as_u64()?,
-            dropped: v.field("dropped")?.as_u64()?,
-            account: TimeAccount::from_json(v.field("account")?)?,
-        })
     }
 }
 
@@ -246,39 +233,6 @@ impl ToJson for RunStats {
     }
 }
 
-impl FromJson for RunStats {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RunStats {
-            workload: String::from_json(v.field("workload")?)?,
-            scheme: SchemeKind::from_json(v.field("scheme")?)?,
-            workers: v.field("workers")?.as_u64()? as u32,
-            clock_hz: v.field("clock_hz")?.as_f64()?,
-            makespan: Cycles(v.field("makespan_cycles")?.as_u64()?),
-            total_tasks: v.field("total_tasks")?.as_u64()?,
-            total_units: v.field("total_units")?.as_u64()?,
-            total_work_cycles: v.field("total_work_cycles")?.as_u64()?,
-            peak_live_tasks: v.field("peak_live_tasks")?.as_u64()?,
-            steals_completed: v.field("steals_completed")?.as_u64()?,
-            steal_attempts: v.field("steal_attempts")?.as_u64()?,
-            breakdown: StealBreakdown::from_json(v.field("breakdown")?)?,
-            peak_stack_usage: v.field("peak_stack_usage")?.as_u64()?,
-            reserved_va_per_worker: v.field("reserved_va_per_worker")?.as_u64()?,
-            pinned_per_worker: v.field("pinned_per_worker")?.as_u64()?,
-            page_faults: v.field("page_faults")?.as_u64()?,
-            committed_total: v.field("committed_total")?.as_u64()?,
-            fabric: FabricStats::from_json(v.field("fabric")?)?,
-            events: v.field("events")?.as_u64()?,
-            per_worker: Vec::from_json(v.field("per_worker")?)?,
-            steal_latency: HistSummary::from_json(v.field("steal_latency")?)?,
-            task_run_length: HistSummary::from_json(v.field("task_run_length")?)?,
-            critical_path: v
-                .get("critical_path")
-                .map(CriticalPathSummary::from_json)
-                .transpose()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,6 +345,15 @@ mod tests {
         s.steal_attempts = 7;
         s.steals_completed = 3;
         s.page_faults = 11;
+        // Distinct values, so a field written under another's name shows.
+        s.total_units = 1_001;
+        s.total_work_cycles = 400_001;
+        s.peak_live_tasks = 13;
+        s.peak_stack_usage = 4_096;
+        s.reserved_va_per_worker = 1 << 20;
+        s.pinned_per_worker = 1 << 19;
+        s.committed_total = 8_192;
+        s.events = 99;
         s.per_worker = vec![
             worker_summary(0, 400_000, 100_000),
             worker_summary(1, 1, 499_999),
@@ -399,17 +362,55 @@ mod tests {
             uat_metrics::HistSnapshot::of_samples([9, 15, 15, 20, 31, 31, 40]).summary();
         s.task_run_length =
             uat_metrics::HistSnapshot::of_samples((0..1_000).map(|i| i * 4)).summary();
-        let text = s.to_json().to_string();
-        let back = RunStats::from_json(&uat_base::Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.workload, s.workload);
-        assert_eq!(back.makespan, s.makespan);
-        assert_eq!(back.per_worker.len(), 2);
-        assert_eq!(back.per_worker[1].account, s.per_worker[1].account);
-        assert_eq!(back.steal_latency, s.steal_latency);
-        assert_eq!(back.task_run_length, s.task_run_length);
-        // Byte-exact re-serialization: the schema has no lossy fields.
-        assert_eq!(back.to_json().to_string(), text);
-        assert!(back.critical_path.is_none());
+        let v = Json::parse(&s.to_json().to_string()).unwrap();
+        let u = |name| v.field(name).unwrap().as_u64().unwrap();
+        assert_eq!(v.field("workload").unwrap().as_str().unwrap(), s.workload);
+        assert_eq!(v.field("scheme").unwrap().as_str().unwrap(), "uni");
+        assert_eq!(u("workers"), s.workers as u64);
+        assert_eq!(v.field("clock_hz").unwrap().as_f64().unwrap(), s.clock_hz);
+        assert_eq!(u("makespan_cycles"), s.makespan.get());
+        for (name, want) in [
+            ("total_tasks", s.total_tasks),
+            ("total_units", s.total_units),
+            ("total_work_cycles", s.total_work_cycles),
+            ("peak_live_tasks", s.peak_live_tasks),
+            ("steals_completed", s.steals_completed),
+            ("steal_attempts", s.steal_attempts),
+            ("peak_stack_usage", s.peak_stack_usage),
+            ("reserved_va_per_worker", s.reserved_va_per_worker),
+            ("pinned_per_worker", s.pinned_per_worker),
+            ("page_faults", s.page_faults),
+            ("committed_total", s.committed_total),
+            ("events", s.events),
+        ] {
+            assert_eq!(u(name), want, "{name}");
+        }
+        // Nested reports are the component's own `to_json`, whose fields
+        // its own crate's test reads back.
+        let nested = |name| v.field(name).unwrap().to_string();
+        assert_eq!(nested("breakdown"), s.breakdown.to_json().to_string());
+        assert_eq!(nested("fabric"), s.fabric.to_json().to_string());
+        assert_eq!(
+            nested("steal_latency"),
+            s.steal_latency.to_json().to_string()
+        );
+        assert_eq!(
+            nested("task_run_length"),
+            s.task_run_length.to_json().to_string()
+        );
+        let rows = v.field("per_worker").unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 2);
+        for (row, w) in rows.iter().zip(&s.per_worker) {
+            let u = |name| row.field(name).unwrap().as_u64().unwrap();
+            assert_eq!(u("worker"), w.worker as u64);
+            assert_eq!(u("tasks_run"), w.tasks_run);
+            assert_eq!(u("steal_attempts"), w.steal_attempts);
+            assert_eq!(u("steals_completed"), w.steals_completed);
+            assert_eq!(u("dropped"), w.dropped);
+            let account = row.field("account").unwrap().to_string();
+            assert_eq!(account, w.account.to_json().to_string());
+        }
+        assert!(v.get("critical_path").is_none());
 
         // A profiled run carries its critical-path digest through JSON.
         let mut account = TimeAccount::new();
@@ -423,9 +424,8 @@ mod tests {
             join_edges: 4,
             account,
         });
-        let text = s.to_json().to_string();
-        let back = RunStats::from_json(&uat_base::Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.critical_path, s.critical_path);
-        assert_eq!(back.to_json().to_string(), text);
+        let v = Json::parse(&s.to_json().to_string()).unwrap();
+        let cp = v.field("critical_path").unwrap().to_string();
+        assert_eq!(cp, s.critical_path.unwrap().to_json().to_string());
     }
 }

@@ -13,22 +13,15 @@
 //! any thread count — including 1, which is the serial baseline the
 //! determinism tests compare against.
 //!
-//! Thread-count policy lives in [`sweep_threads`]: the `UAT_SWEEP_THREADS`
-//! environment variable wins, otherwise the host's available parallelism.
+//! Thread-count policy lives in [`sweep_threads`]: the host's available
+//! parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Number of harness threads to use: `UAT_SWEEP_THREADS` if set to a
-/// positive integer, else [`std::thread::available_parallelism`].
+/// Number of harness threads to use:
+/// [`std::thread::available_parallelism`], or 1 where it is unknown.
 pub fn sweep_threads() -> usize {
-    if let Ok(v) = std::env::var("UAT_SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -99,15 +92,5 @@ mod tests {
         // More threads than jobs must not deadlock or drop results.
         let got = run_indexed(3, 64, |i| i + 1);
         assert_eq!(got, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn env_override_wins() {
-        // Serialized via the env var itself being process-global; keep the
-        // window tiny and restore.
-        std::env::set_var("UAT_SWEEP_THREADS", "3");
-        assert_eq!(sweep_threads(), 3);
-        std::env::remove_var("UAT_SWEEP_THREADS");
-        assert!(sweep_threads() >= 1);
     }
 }

@@ -22,11 +22,10 @@ pub struct ScalePoint {
 /// report throughput + efficiency relative to the first point.
 ///
 /// Points run concurrently on the harness pool sized by
-/// [`sweep_threads`](crate::parallel::sweep_threads) (`UAT_SWEEP_THREADS`
-/// overrides). Each run is an independent simulation seeded from its own
-/// config, so the returned points are bit-identical at any thread count;
-/// see [`crate::parallel`] for the argument and `tests/determinism.rs`
-/// for the proof.
+/// [`sweep_threads`](crate::parallel::sweep_threads). Each run is an
+/// independent simulation seeded from its own config, so the returned
+/// points are bit-identical at any thread count; see [`crate::parallel`]
+/// for the argument and `tests/determinism.rs` for the proof.
 pub fn sweep<W, F>(base: &SimConfig, node_counts: &[u32], make_workload: F) -> Vec<ScalePoint>
 where
     W: Workload + Send,

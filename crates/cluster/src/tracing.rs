@@ -37,7 +37,7 @@ use crate::task::TaskId64;
 use std::sync::Arc;
 use uat_base::{Cycles, WorkerId};
 use uat_core::StealBreakdown;
-use uat_metrics::{names, HistSnapshot, HistSummary, Registry};
+use uat_metrics::{names, shm, HistSnapshot, HistSummary, Registry};
 use uat_trace::{Bucket, EventKind, RingBuffer, StealOutcome, StealPhase, Timeline};
 
 /// One worker's counts, and the stamp its open steal attempt's latency
@@ -389,17 +389,16 @@ impl TraceCtl {
     }
 
     /// Add this run's rows and histograms into `registry`, under the
-    /// names the real backends export ([`uat_metrics::names`]).
+    /// names the real backends export: the counters' names and help come
+    /// from their table, [`shm::SEGMENT_COUNTERS`].
     fn publish(&self, registry: &Registry) {
-        let completed = registry.counter(
-            names::STEALS_COMPLETED,
-            "Steal attempts that took an entry and resumed the stolen thread",
-        );
-        let failed = registry.counter(
-            names::STEALS_FAILED,
-            "Steal attempts that aborted (victim empty, lock busy, or raced)",
-        );
-        let tasks = registry.counter(names::TASKS, "Tasks run to completion");
+        let counter = |cell: usize| {
+            let (name, help) = shm::SEGMENT_COUNTERS[cell];
+            registry.counter(name, help)
+        };
+        let completed = counter(shm::STEALS_COMPLETED);
+        let failed = counter(shm::STEALS_FAILED);
+        let tasks = counter(shm::TASKS);
         for (w, row) in self.rows.iter().enumerate() {
             completed.add(w, row.completed());
             failed.add(w, row.failed());

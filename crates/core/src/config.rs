@@ -2,17 +2,18 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Virtual address of the uni-address region: the *same* in every
+/// worker's address space; that equality is the scheme.
+pub const UNI_BASE: u64 = 0x7f80_0000_0000;
+
 /// Sizes and placement of the per-worker regions.
 ///
-/// The defaults mirror the paper's setup: a uni-address region comfortably
-/// above the ≤144 KiB the benchmarks ever use (Table 4), an RDMA region for
-/// suspended stacks, and a deque deep enough for any lineage the
-/// benchmarks produce.
+/// The defaults mirror the paper's setup: a uni-address region (at
+/// [`UNI_BASE`]) comfortably above the ≤144 KiB the benchmarks ever use
+/// (Table 4), an RDMA region for suspended stacks, and a deque deep
+/// enough for any lineage the benchmarks produce.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CoreConfig {
-    /// Virtual address of the uni-address region — the *same* in every
-    /// worker's address space; that equality is the scheme.
-    pub uni_base: u64,
     /// Size of the uni-address region in bytes.
     pub uni_region_size: u64,
     /// Size of the pinned RDMA region for suspended stacks.
@@ -34,7 +35,6 @@ pub struct CoreConfig {
 impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig {
-            uni_base: 0x7f80_0000_0000,
             uni_region_size: 1 << 20, // 1 MiB
             rdma_heap_size: 8 << 20,  // 8 MiB
             deque_capacity: 4096,
@@ -69,7 +69,7 @@ mod tests {
     fn defaults_are_sane() {
         let c = CoreConfig::default();
         assert!(c.uni_region_size >= 144 * 1024, "must fit Table 4's peak");
-        assert_eq!(c.uni_base % 4096, 0);
+        assert_eq!(UNI_BASE % 4096, 0);
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl RdmaHeap {
         sctx
     }
 
-    /// Bytes currently parked.
-    pub fn parked_bytes(&self) -> u64 {
-        self.alloc.used()
-    }
-
     /// Peak bytes parked at once.
     pub fn peak_parked(&self) -> u64 {
         self.peak_parked
@@ -223,7 +218,7 @@ mod tests {
         f.mem_mut(W).write_local(top, &frames).unwrap();
         let handle = h.park(&mut f, 1, 42, top, frames.len() as u64);
         assert_eq!(h.parked_count(), 1);
-        assert!(h.parked_bytes() >= frames.len() as u64);
+        assert!(h.peak_parked() >= frames.len() as u64);
         // Clobber the original location (another thread runs there).
         f.mem_mut(W)
             .write_local(top, &vec![0xEE; frames.len()])
@@ -236,7 +231,6 @@ mod tests {
         f.mem(W).read_local(top, &mut back).unwrap();
         assert_eq!(back, frames, "frames restored to the original address");
         assert_eq!(h.parked_count(), 0);
-        assert_eq!(h.parked_bytes(), 0);
     }
 
     #[test]

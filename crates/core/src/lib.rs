@@ -47,7 +47,7 @@ pub mod region;
 pub mod uni;
 
 pub use breakdown::StealBreakdown;
-pub use config::CoreConfig;
+pub use config::{CoreConfig, UNI_BASE};
 pub use heap::{RdmaHeap, SavedContext, SavedHandle};
 pub use iso::IsoMgr;
 pub use mgr::{transfer_stolen, ResumeInfo, SchemeKind, StackMgr, TransferInfo};

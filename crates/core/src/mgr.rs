@@ -32,18 +32,6 @@ impl uat_base::ToJson for SchemeKind {
     }
 }
 
-impl uat_base::FromJson for SchemeKind {
-    fn from_json(v: &uat_base::Json) -> Result<Self, uat_base::JsonError> {
-        match v.as_str()? {
-            "uni" => Ok(SchemeKind::Uni),
-            "iso" => Ok(SchemeKind::Iso),
-            other => Err(uat_base::JsonError {
-                msg: format!("unknown scheme `{other}`"),
-            }),
-        }
-    }
-}
-
 /// What resuming a suspended thread yields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResumeInfo {

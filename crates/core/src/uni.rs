@@ -1,6 +1,6 @@
 //! The per-worker uni-address scheme (Section 5).
 
-use crate::config::CoreConfig;
+use crate::config::{CoreConfig, UNI_BASE};
 use crate::heap::{RdmaHeap, SavedContext, SavedHandle};
 use crate::region::UniRegion;
 use std::collections::VecDeque;
@@ -33,14 +33,14 @@ pub struct UniMgr {
 
 impl UniMgr {
     /// Set up a worker: reserve + pin + register the uni-address region
-    /// (at `cfg.uni_base`, the *same* address on every worker), the RDMA
+    /// (at [`UNI_BASE`], the *same* address on every worker), the RDMA
     /// region, and the task queue.
     pub fn new(fabric: &mut Fabric, id: WorkerId, cfg: &CoreConfig) -> Self {
         let mut space = AddressSpace::new();
 
         // The uni-address region: fixed address, pinned, registered.
         let uni = space
-            .reserve_at(cfg.uni_base, cfg.uni_region_size)
+            .reserve_at(UNI_BASE, cfg.uni_region_size)
             .expect("uni-address region placement");
         space.pin(uni.base, uni.len).expect("pin uni region");
         fabric
@@ -65,7 +65,7 @@ impl UniMgr {
         UniMgr {
             id,
             space,
-            region: UniRegion::new(cfg.uni_base, cfg.uni_region_size),
+            region: UniRegion::new(UNI_BASE, cfg.uni_region_size),
             heap: RdmaHeap::new(id, heap_r.base, heap_r.len),
             deque,
             wait_queue: VecDeque::new(),

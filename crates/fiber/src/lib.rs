@@ -98,4 +98,4 @@ pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};
 pub use ntrace::NativeTrace;
 pub use runtime::{current_worker_id, spawn, JoinHandle, Runtime};
 pub use stack::{Stack, StackPool};
-pub use tsc::{ClockSource, RunClock};
+pub use tsc::RunClock;

@@ -97,7 +97,8 @@ use crate::frame::{guard_page, FrameTooLarge, Guard, PAGE};
 use crate::idle;
 use crate::interp::{self, AcctRow, Env, EnvRef, NativeRunStats};
 use crate::join::JoinBlock;
-use crate::sched::{place_record, worker_loop, Place, TaskHeader, Worker};
+use crate::sched::{place_record, report_panic, worker_loop, Place, TaskHeader, Worker};
+use std::any::Any;
 use std::borrow::Borrow;
 use std::ffi::c_void;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -386,8 +387,10 @@ impl Place for Mp {
     }
 
     /// The coordinator turns the exit status into a run failure.
-    fn task_panicked() -> ! {
-        die(b"uat-fiber(mp): task panicked; worker exiting\n", 101)
+    fn task_panicked(payload: &(dyn Any + Send)) -> ! {
+        report_panic("uat-fiber(mp): task panicked; worker exiting", payload);
+        // SAFETY: [I10] async-signal-safe process exit.
+        unsafe { libc::_exit(101) }
     }
 
     #[inline]

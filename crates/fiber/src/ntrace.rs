@@ -28,7 +28,7 @@
 //! on?" test: it exists only on a traced run.
 
 use crate::sched::Event;
-use crate::tsc::{ClockSource, RunClock};
+use crate::tsc::RunClock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -335,14 +335,10 @@ pub(crate) fn finalize(shared: &Arc<TraceShared>) -> NativeTrace {
         rings.extend(ring);
         accounts.push(account);
     }
-    let clock_source = match shared.clock.source() {
-        ClockSource::Tsc => uat_trace::ClockSource::Tsc,
-        ClockSource::Instant => uat_trace::ClockSource::Instant,
-    };
     NativeTrace {
         data: uat_trace::TraceData {
             clock_hz: shared.clock.hz(),
-            clock_source,
+            clock_source: shared.clock.source(),
             workers: rings,
             fabric: Vec::new(),
             makespan,

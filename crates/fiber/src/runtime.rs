@@ -36,10 +36,12 @@ use crate::join::JoinBlock;
 use crate::nmetrics::{MetricsShared, WorkerMetrics};
 use crate::ntrace::{NativeTrace, TraceShared, WorkerTracer};
 use crate::sched::{
-    current, join_all, place_record, spawn_on, worker_loop, Event, Place, TaskHeader, Worker,
+    current, join_all, place_record, report_panic, spawn_on, worker_loop, Event, Place, TaskHeader,
+    Worker,
 };
 use crate::stack::{Stack, StackPool};
 use crate::tsc::RunClock;
+use std::any::Any;
 use std::borrow::Borrow;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
@@ -192,9 +194,9 @@ impl Place for Threads {
         )
     }
 
-    fn task_panicked() -> ! {
+    fn task_panicked(payload: &(dyn Any + Send)) -> ! {
         // Mirror the paper's C++ runtime and die loudly.
-        eprintln!("uat-fiber: task panicked; aborting");
+        report_panic("uat-fiber: task panicked; aborting", payload);
         std::process::abort()
     }
 

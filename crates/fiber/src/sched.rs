@@ -84,6 +84,7 @@ use crate::frame::{self, FrameTooLarge};
 use crate::idle::{self, Idle};
 use crate::join::{JoinBlock, PendingJoin};
 use crate::tsc::RunClock;
+use std::any::Any;
 use std::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0, _MM_HINT_T0};
 use std::borrow::Borrow;
 use std::cell::Cell;
@@ -102,6 +103,25 @@ use uat_model::Action;
 #[inline]
 pub(crate) fn bump(cell: &AtomicU64, v: u64, order: Ordering) {
     cell.store(cell.load(Ordering::Relaxed).wrapping_add(v), order);
+}
+
+/// Write `head` and the message of a `&str` or `String` panic `payload`
+/// to fd 2 as one line, with one raw `write`: no lock, no allocation
+/// (a forked worker may call it), and nothing a test harness captures
+/// and the abort that follows would lose.
+pub(crate) fn report_panic(head: &str, payload: &(dyn Any + Send)) {
+    let msg = (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(not a string)");
+    let (mut buf, mut n) = ([0u8; 512], 0);
+    for part in [head, ": ", msg] {
+        let k = part.len().min(buf.len() - 1 - n);
+        buf[n..n + k].copy_from_slice(&part.as_bytes()[..k]);
+        n += k;
+    }
+    buf[n] = b'\n';
+    // SAFETY: [I10] a raw write of `n + 1` initialised bytes of `buf`.
+    unsafe { libc::write(2, buf.as_ptr().cast(), n + 1) };
 }
 
 /// What the two real backends do differently — and nothing else: where
@@ -150,9 +170,10 @@ pub(crate) trait Place: Sized {
 
     /// Give up on a spawn whose frame does not fit `s` (never returns).
     fn refuse_frame(e: FrameTooLarge, s: Self::Stack) -> !;
-    /// Give up after a task body panicked: unwinding across a context
-    /// switch is undefined behaviour, so the worker goes, loudly.
-    fn task_panicked() -> !;
+    /// Give up after a task body panicked with `payload`: unwinding
+    /// across a context switch is undefined behaviour, so the worker
+    /// goes, loudly ([`report_panic`]).
+    fn task_panicked(payload: &(dyn Any + Send)) -> !;
 
     /// Record `e` for the tracer or the timed metrics tier, if this
     /// backend has either on (the counters are this body's own).
@@ -474,10 +495,14 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut 
             }
             wr.place.on_task_begin(task, &(*rec).hdr.stack)
         };
-        let Ok((w, keep)) = catch_unwind(AssertUnwindSafe(|| f(w))) else {
-            P::task_panicked()
+        let (w, keep) = match catch_unwind(AssertUnwindSafe(|| f(w))) {
+            Ok(r) => r,
+            Err(payload) => P::task_panicked(&*payload),
         };
-        debug_assert!(runs_here(w), "a task body handed back another worker");
+        // This function cannot unwind: its checks report the same way.
+        if cfg!(debug_assertions) && !runs_here(w) {
+            P::task_panicked(&"a task body handed back another worker");
+        }
         // Retire our own stack, freed once control is off it. Then,
         // Figure 4 lines 13-15, pop the parent continuation: what a pop
         // returns is our own parent, which never counted us [I21]; if it
@@ -497,13 +522,17 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut 
             let prev = wr
                 .pending_retire
                 .replace(ManuallyDrop::take(&mut (*rec).hdr.stack));
-            debug_assert!(prev.is_none());
+            if cfg!(debug_assertions) && prev.is_some() {
+                P::task_panicked(&"a retired stack was left uncollected");
+            }
             std::mem::forget(prev);
             wr.place.record(Event::TaskEnd { task, born });
             let popped = wr.place.deque(wr.id).borrow().pop();
             match popped {
                 Some(c) => {
-                    debug_assert_eq!(c, parent_ctx as u64, "[I21] popped another's parent");
+                    if cfg!(debug_assertions) && c != parent_ctx as u64 {
+                        P::task_panicked(&"[I21] popped another's parent");
+                    }
                     wr.place.record(Event::LocalPop(c));
                     c
                 }

@@ -3,29 +3,18 @@
 //! events.
 //!
 //! The raw counter readers below are x86-64 only (like the rest of the
-//! crate); [`RunClock`] additionally degrades gracefully: if the TSC is
-//! unavailable (non-x86 host, once the crate gate lifts) or calibration
+//! crate); [`RunClock`] additionally degrades gracefully: if calibration
 //! detects a broken counter, it falls back to `std::time::Instant`
-//! deltas at a nominal rate and *says so* via [`ClockSource`], which the
-//! trace exporters surface as metadata — honest timestamps or honest
+//! deltas at a nominal rate and *says so* via its [`ClockSource`], which
+//! the trace exporters surface as metadata — honest timestamps or honest
 //! labels, never silent garbage.
 
-#[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{__cpuid, __rdtscp, _rdtsc};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Nanoseconds since a process-wide epoch — the portable stand-in for
-/// the TSC where no usable counter exists (1 "cycle" = 1 ns).
-#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
-fn instant_nanos() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    Instant::now().duration_since(epoch).as_nanos() as u64
-}
+pub use uat_trace::ClockSource;
 
 /// Serialize, then read the timestamp counter (measurement start).
-#[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn start() -> u64 {
     // SAFETY: [I11] cpuid and rdtsc are unprivileged and have no memory
@@ -38,16 +27,8 @@ pub fn start() -> u64 {
     }
 }
 
-/// [`start`] on hosts without a TSC: an `Instant`-based reading.
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-pub fn start() -> u64 {
-    instant_nanos()
-}
-
 /// Read the timestamp counter with `rdtscp` (measurement end); the
 /// instruction waits for earlier instructions to retire.
-#[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn stop() -> u64 {
     // SAFETY: [I11] rdtscp writes only through the provided aux pointer, which
@@ -60,29 +41,14 @@ pub fn stop() -> u64 {
     }
 }
 
-/// [`stop`] on hosts without a TSC: an `Instant`-based reading.
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-pub fn stop() -> u64 {
-    instant_nanos()
-}
-
 /// Read the timestamp counter without serializing the pipeline — the
 /// cheap read used inside calibrated spin loops, where the fences of
 /// [`start`]/[`stop`] would dwarf the interval being produced.
-#[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn now() -> u64 {
     // SAFETY: [I11] rdtsc is unprivileged and has no memory operands; this
     // crate only builds on x86_64.
     unsafe { _rdtsc() }
-}
-
-/// [`now`] on hosts without a TSC: an `Instant`-based reading.
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-pub fn now() -> u64 {
-    instant_nanos()
 }
 
 /// Busy-spin for (at least) `cycles` timestamp-counter ticks — the
@@ -124,19 +90,8 @@ pub fn measure<F: FnMut()>(mut f: F, batch: u64, reps: u64) -> f64 {
     best
 }
 
-/// Which physical clock a [`RunClock`] reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClockSource {
-    /// Hardware timestamp counter, calibrated against the OS monotonic
-    /// clock.
-    Tsc,
-    /// `std::time::Instant` at [`INSTANT_HZ`] — the fallback when the
-    /// TSC is absent or calibration rejects it.
-    Instant,
-}
-
-/// The nominal rate of the `Instant` fallback: one "cycle" per
-/// nanosecond.
+/// The nominal rate of the `Instant` fallback ([`ClockSource::Instant`]):
+/// one "cycle" per nanosecond.
 pub const INSTANT_HZ: f64 = 1e9;
 
 /// Calibrate the TSC against the OS monotonic clock, once per process:
@@ -146,9 +101,6 @@ pub const INSTANT_HZ: f64 = 1e9;
 fn calibrated_tsc_hz() -> Option<f64> {
     static HZ: OnceLock<Option<f64>> = OnceLock::new();
     *HZ.get_or_init(|| {
-        if !cfg!(target_arch = "x86_64") {
-            return None;
-        }
         let i0 = Instant::now();
         let t0 = start();
         while i0.elapsed() < std::time::Duration::from_millis(2) {
@@ -207,8 +159,9 @@ impl RunClock {
     #[inline]
     pub fn now_cycles(&self) -> u64 {
         match self.source {
-            ClockSource::Tsc => now().wrapping_sub(self.epoch_tsc),
             ClockSource::Instant => (self.epoch.elapsed().as_secs_f64() * self.hz) as u64,
+            // A run clock is never `Simulated`.
+            _ => now().wrapping_sub(self.epoch_tsc),
         }
     }
 
@@ -282,6 +235,7 @@ mod tests {
         match clk.source() {
             ClockSource::Tsc => assert!((1e8..=1e11).contains(&clk.hz())),
             ClockSource::Instant => assert_eq!(clk.hz(), INSTANT_HZ),
+            ClockSource::Simulated => panic!("a run clock is never simulated"),
         }
         // Two clocks share the process-wide calibration.
         let clk2 = RunClock::start();

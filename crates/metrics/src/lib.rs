@@ -13,10 +13,10 @@
 //!   power-of-two range is split into `2^`[`SUB_BITS`] linear
 //!   sub-buckets, bounding the relative error of any quantile by one
 //!   sub-bucket width (≤ 1/2^[`SUB_BITS`] of the value). Snapshots are
-//!   plain arrays: mergeable, subtractable, and queryable for
-//!   p50/p90/p99/p999 without touching the live atomics again.
-//! - [`Registry`]: a named collection of the above with
-//!   snapshot/delta semantics and two exporters — Prometheus text
+//!   plain arrays, queryable for p50/p90/p99/p999 without touching the
+//!   live atomics again.
+//! - [`Registry`]: a named collection of the above that freezes into a
+//!   [`Snapshot`], with two exporters — Prometheus text
 //!   ([`Snapshot::prometheus_text`]) and `uat_base::json`
 //!   ([`uat_base::json::ToJson`] on [`Snapshot`]).
 //!
@@ -61,7 +61,7 @@ pub struct CachePadded<T>(pub T);
 /// no other core writes — concurrent `add`s to the *same* shard may lose
 /// increments. `total` and `per_worker` aggregate on read; readers see a
 /// racy-but-coherent view (each shard monotone, no tearing within a
-/// shard), which is all snapshot/delta semantics need.
+/// shard), which is all a snapshot needs.
 #[derive(Debug)]
 pub struct Counter {
     shards: Box<[CachePadded<AtomicU64>]>,

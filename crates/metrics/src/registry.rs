@@ -1,11 +1,10 @@
-//! Named metric registry with snapshot/delta semantics.
+//! Named metric registry.
 //!
 //! A [`Registry`] is created once per run with the worker count; hot
 //! paths hold `Arc`s to the individual [`Counter`]s / [`Gauge`]s /
 //! [`LogHistogram`]s (no name lookup after registration), while
-//! samplers and exporters call [`Registry::snapshot`] to freeze a
-//! coherent-enough view. Two snapshots subtract into a delta
-//! ([`Snapshot::delta_since`]), which is what a periodic scraper wants.
+//! exporters call [`Registry::snapshot`] to freeze a coherent-enough
+//! view at the end of a run.
 
 use std::sync::{Arc, Mutex};
 
@@ -216,40 +215,6 @@ impl Snapshot {
             _ => None,
         }
     }
-
-    /// What happened between `earlier` and `self`: counters and
-    /// histograms subtract (saturating), gauges keep their current
-    /// value. Metrics absent from `earlier` pass through unchanged.
-    pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
-        let metrics = self
-            .metrics
-            .iter()
-            .map(|m| {
-                let value = match (&m.value, earlier.get(&m.name).map(|e| &e.value)) {
-                    (
-                        ValueSnapshot::Counter { per_worker },
-                        Some(ValueSnapshot::Counter { per_worker: before }),
-                    ) => ValueSnapshot::Counter {
-                        per_worker: per_worker
-                            .iter()
-                            .zip(before.iter().chain(std::iter::repeat(&0)))
-                            .map(|(a, b)| a.saturating_sub(*b))
-                            .collect(),
-                    },
-                    (ValueSnapshot::Histogram(h), Some(ValueSnapshot::Histogram(before))) => {
-                        ValueSnapshot::Histogram(h.delta_since(before))
-                    }
-                    (v, _) => v.clone(),
-                };
-                MetricSnapshot {
-                    name: m.name.clone(),
-                    help: m.help.clone(),
-                    value,
-                }
-            })
-            .collect();
-        Snapshot { metrics }
-    }
 }
 
 impl ToJson for Snapshot {
@@ -314,27 +279,6 @@ mod tests {
         let r = Registry::new(2);
         r.counter("uat_x", "");
         r.gauge("uat_x", "");
-    }
-
-    #[test]
-    fn snapshot_delta_subtracts_counters_keeps_gauges() {
-        let r = Registry::new(2);
-        let c = r.counter("uat_c_total", "");
-        let g = r.gauge("uat_g", "");
-        let h = r.histogram("uat_h_cycles", "");
-        c.add(0, 10);
-        g.set(1, 5);
-        h.record(100);
-        let before = r.snapshot();
-        c.add(1, 7);
-        g.set(1, 9);
-        h.record(200);
-        let delta = r.snapshot().delta_since(&before);
-        assert_eq!(delta.per_worker("uat_c_total").unwrap(), &[0, 7]);
-        assert_eq!(delta.per_worker("uat_g").unwrap(), &[0, 9]);
-        let dh = delta.histogram("uat_h_cycles").unwrap();
-        assert_eq!(dh.count(), 1);
-        assert_eq!(dh.sum(), 200);
     }
 
     #[test]

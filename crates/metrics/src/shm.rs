@@ -13,7 +13,7 @@
 //! through its RDMA-window abstraction (`uat_rdma::OneSidedFabric`), no
 //! RPC, no pipes. Either way the rows become an ordinary
 //! [`Snapshot`] through [`SegmentLayout::snapshot`], so
-//! every downstream exporter (Prometheus text, JSON, deltas) sees the
+//! every downstream exporter (Prometheus text, JSON) sees the
 //! same counters, in the same order, on both backends.
 //!
 //! This module is layout arithmetic, the row type and snapshot assembly
@@ -135,13 +135,6 @@ impl SegmentLayout {
         self.words() * 8
     }
 
-    /// Byte offset of worker `w`'s row within the segment (the window a
-    /// parent-side fabric registers per worker).
-    pub fn row_offset(&self, w: usize) -> usize {
-        assert!(w < self.workers);
-        w * ROW_STRIDE * 8
-    }
-
     /// Bytes of one worker row.
     pub const fn row_bytes() -> usize {
         ROW_STRIDE * 8
@@ -192,7 +185,7 @@ mod tests {
         let l = SegmentLayout::new(3);
         assert_eq!(l.words(), 24);
         assert_eq!(l.bytes(), 192);
-        assert_eq!(l.row_offset(2), 128);
+        assert_eq!(l.cell(2, 0) * 8, 128);
         assert_eq!(l.cell(0, 0), 0);
         assert_eq!(l.cell(1, 0), ROW_STRIDE);
         assert_eq!(l.cell(2, 5), 2 * ROW_STRIDE + 5);

@@ -1,10 +1,7 @@
-//! Property tests for the log-bucketed histogram (ISSUE 9 satellite):
-//!
-//! 1. for random sample sets drawn from several distribution shapes,
-//!    every reported quantile is within one sub-bucket's relative error
-//!    of the exact sorted-sample quantile;
-//! 2. merging snapshots is exactly the histogram of the concatenated
-//!    samples.
+//! Property test for the log-bucketed histogram: for random sample sets
+//! drawn from several distribution shapes, every reported quantile is
+//! within one sub-bucket's relative error of the exact sorted-sample
+//! quantile.
 
 use proptest::prelude::*;
 use uat_metrics::{bucket_index, bucket_lower, bucket_upper, HistSnapshot, SUB_BITS};
@@ -58,36 +55,5 @@ proptest! {
                 bucket_upper(bucket_index(exact)) - bucket_lower(bucket_index(exact)) + 1
             );
         }
-    }
-
-    #[test]
-    fn merge_is_concatenation(
-        raw_a in proptest::collection::vec(any::<u64>(), 0..200),
-        raw_b in proptest::collection::vec(any::<u64>(), 0..200),
-        dist in any::<u8>(),
-    ) {
-        let a: Vec<u64> = raw_a.iter().map(|&r| shape(r, dist)).collect();
-        let b: Vec<u64> = raw_b.iter().map(|&r| shape(r, dist.wrapping_add(1))).collect();
-        let mut merged = HistSnapshot::of_samples(a.iter().copied());
-        merged.merge(&HistSnapshot::of_samples(b.iter().copied()));
-        let concat = HistSnapshot::of_samples(a.iter().chain(&b).copied());
-        prop_assert_eq!(&merged, &concat);
-        prop_assert_eq!(merged.count(), (a.len() + b.len()) as u64);
-        for q in [0.5, 0.99, 0.999] {
-            prop_assert_eq!(merged.quantile(q), concat.quantile(q));
-        }
-    }
-
-    #[test]
-    fn delta_since_is_exact_for_supersets(
-        raw_a in proptest::collection::vec(any::<u64>(), 0..150),
-        raw_b in proptest::collection::vec(any::<u64>(), 0..150),
-    ) {
-        // Snapshot after A, then after A+B: the delta must be exactly B.
-        let before = HistSnapshot::of_samples(raw_a.iter().copied());
-        let mut after = before.clone();
-        after.merge(&HistSnapshot::of_samples(raw_b.iter().copied()));
-        let delta = after.delta_since(&before);
-        prop_assert_eq!(delta, HistSnapshot::of_samples(raw_b.iter().copied()));
     }
 }

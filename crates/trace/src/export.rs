@@ -22,23 +22,23 @@ use uat_base::Cycles;
 /// hosts without a usable TSC get honest metadata, not garbage).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ClockSource {
-    /// Deterministic simulator cycles from the cost model.
-    Simulated,
     /// Hardware timestamp counter (`rdtsc`), calibrated against the OS
     /// monotonic clock and re-based to the run's epoch.
     Tsc,
     /// `std::time::Instant` deltas converted to cycles at the calibrated
     /// rate — the fallback when the TSC is unavailable or unusable.
     Instant,
+    /// Deterministic simulator cycles from the cost model.
+    Simulated,
 }
 
 impl ClockSource {
     /// Display name, used in exported metadata.
     pub fn name(self) -> &'static str {
         match self {
-            ClockSource::Simulated => "simulated",
             ClockSource::Tsc => "tsc",
             ClockSource::Instant => "instant",
+            ClockSource::Simulated => "simulated",
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use super::dag::{Dag, Edge, EdgeKind};
 use crate::TimeAccount;
-use uat_base::json::{FromJson, Json, JsonError, ToJson};
+use uat_base::json::{Json, ToJson};
 use uat_base::Cycles;
 
 /// One covered interval of the critical path, on one worker.
@@ -89,19 +89,6 @@ impl ToJson for CriticalPathSummary {
             ("join_edges", Json::UInt(self.join_edges)),
             ("account", self.account.to_json()),
         ])
-    }
-}
-
-impl FromJson for CriticalPathSummary {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CriticalPathSummary {
-            total: Cycles(v.field("total_cycles")?.as_u64()?),
-            end_worker: v.field("end_worker")?.as_u64()? as u32,
-            segments: v.field("segments")?.as_u64()?,
-            steal_edges: v.field("steal_edges")?.as_u64()?,
-            join_edges: v.field("join_edges")?.as_u64()?,
-            account: TimeAccount::from_json(v.field("account")?)?,
-        })
     }
 }
 

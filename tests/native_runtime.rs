@@ -247,7 +247,6 @@ fn blocking_on_a_sibling_with_the_spawner_unstolen_aborts_by_name() {
         .args([
             "--exact",
             "blocking_on_a_sibling_with_the_spawner_unstolen_aborts_by_name",
-            "--nocapture",
             "--test-threads=1",
         ])
         .env(CHILD, "1")
