@@ -44,7 +44,8 @@
 
 use uat_base::json::{Json, ToJson};
 use uat_bench::{write_chrome_trace, write_output, OutFlags};
-use uat_cluster::{SimConfig, Workload};
+use uat_cluster::SimConfig;
+use uat_model::Workload;
 use uat_trace::TimeAccount;
 use uat_workloads::{Btc, Chain, Fib, NQueens, Uts};
 

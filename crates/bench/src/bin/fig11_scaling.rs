@@ -32,7 +32,7 @@
 use uat_base::json::{Json, ToJson};
 use uat_bench::{compact_config, write_chrome_trace, write_output, OutFlags};
 use uat_cluster::sweep::{render, sweep};
-use uat_cluster::Workload;
+use uat_model::Workload;
 use uat_workloads::{Btc, NQueens, Uts};
 
 fn run_pair<W: Workload + Send, F: Fn(u32) -> W + Sync>(

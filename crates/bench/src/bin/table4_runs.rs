@@ -12,7 +12,8 @@
 use std::sync::Mutex;
 use uat_base::json::{Json, ToJson};
 use uat_bench::{compact_config, paper, peak_rss_mib, write_chrome_trace, write_output, OutFlags};
-use uat_cluster::{run_indexed, sweep_threads, Engine, RunStats, Workload};
+use uat_cluster::{run_indexed, sweep_threads, Engine, RunStats};
+use uat_model::Workload;
 use uat_trace::TraceData;
 use uat_workloads::{btc::BTC_FRAME, nqueens, uts, Btc, NQueens, Uts};
 

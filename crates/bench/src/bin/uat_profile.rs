@@ -27,7 +27,8 @@
 use uat_base::json::{Json, ToJson};
 use uat_base::Topology;
 use uat_bench::{compact_config, write_chrome_trace, write_output, OutFlags};
-use uat_cluster::{SimConfig, Workload};
+use uat_cluster::SimConfig;
+use uat_model::Workload;
 use uat_workloads::{Btc, NQueens, Uts};
 
 struct Args {

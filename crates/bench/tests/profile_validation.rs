@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use uat_base::Topology;
 use uat_bench::compact_config;
-use uat_cluster::{Engine, SimConfig, Workload};
+use uat_cluster::{Engine, SimConfig};
+use uat_model::Workload;
 use uat_trace::profile::predict;
 use uat_trace::{critical_path, CostClass, Dag};
 use uat_workloads::{Fib, NQueens};

@@ -34,10 +34,10 @@ use crate::event_heap::EventHeap;
 use crate::metrics::RunStats;
 use crate::task::{TaskId64, TaskTable, TaskWhere};
 use crate::tracing::TraceCtl;
-use crate::workload::{Action, Workload};
 use uat_base::{CostModel, Cycles, SplitMix64, WorkerId};
 use uat_core::{transfer_stolen, StackMgr, StealPhase};
 use uat_deque::{PopOutcome, TaskqEntry};
+use uat_model::{Action, Workload};
 use uat_rdma::Fabric;
 use uat_trace::{Bucket, StealOutcome};
 
@@ -583,13 +583,13 @@ impl<W: Workload> Engine<W> {
     /// Figure 8 suspend — copy the frames out to the RDMA region and
     /// queue the saved context on the wait queue. Returns the cost.
     fn park_blocked(&mut self, w: WorkerId, now: Cycles) -> Cycles {
-        let cost = self.cfg.cost.clone();
         let Some(task) = self.workers[w.index()].blocked.take() else {
             return Cycles::ZERO;
         };
         self.trace.task_suspend(w, task, now);
         let pc = self.tasks.get(task).pc as u64;
-        let (h, c) = self.mgrs[w.index()].suspend_current(&mut self.fabric, task, pc, &cost);
+        let (h, c) =
+            self.mgrs[w.index()].suspend_current(&mut self.fabric, task, pc, &self.cfg.cost);
         self.mgrs[w.index()].wait_push(h);
         self.tasks.get_mut(task).at = TaskWhere::Waiting(w);
         c
@@ -693,13 +693,12 @@ impl<W: Workload> Engine<W> {
         // loop polls on (the paper's runtime pays the same copy to find
         // out; Figure 7 lines 28-30).
         if self.mgrs[w.index()].wait_len() > 0 {
-            let cost = self.cfg.cost.clone();
             let parked = self.park_blocked(w, t);
             self.mgrs[w.index()].on_pop_empty();
             let h = self.mgrs[w.index()]
                 .wait_pop()
                 .expect("non-empty wait queue");
-            let info = self.mgrs[w.index()].resume_saved(&mut self.fabric, h, &cost);
+            let info = self.mgrs[w.index()].resume_saved(&mut self.fabric, h, &self.cfg.cost);
             let rec = self.tasks.get_mut(info.task);
             debug_assert_eq!(rec.at, TaskWhere::Waiting(w));
             rec.at = TaskWhere::Running(w);
@@ -1222,9 +1221,9 @@ impl<W: Workload> Engine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::sequential_profile;
-    use crate::workload::testutil::BinTree;
     use uat_core::SchemeKind;
+    use uat_model::sequential_profile;
+    use uat_model::testutil::BinTree;
 
     fn tree(depth: u32, work: u64) -> BinTree {
         BinTree {

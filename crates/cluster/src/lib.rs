@@ -5,7 +5,7 @@
 //! server per node), each executing the **actual** child-first work
 //! stealing scheduler over the **actual** THE deques and uni-address (or
 //! iso-address) stack managers from `uat-core`, against real task trees
-//! supplied by a [`Workload`].
+//! supplied by a [`Workload`](uat_model::Workload).
 //!
 //! The simulation is at *migration-point* granularity: compute segments,
 //! spawns, joins, suspend/resume, and each one-sided RDMA phase of a steal
@@ -30,7 +30,6 @@ pub mod parallel;
 pub mod sweep;
 pub mod task;
 mod tracing;
-pub mod workload;
 
 pub use config::SimConfig;
 pub use engine::Engine;
@@ -39,4 +38,3 @@ pub use metrics::{RunStats, WorkerSummary};
 pub use parallel::{run_indexed, sweep_threads};
 pub use sweep::{sweep, sweep_with_threads, ScalePoint};
 pub use task::{TaskId64, TaskTable};
-pub use workload::{Action, Workload};

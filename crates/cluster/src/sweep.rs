@@ -3,8 +3,8 @@
 use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::metrics::RunStats;
-use crate::workload::Workload;
 use uat_base::Topology;
+use uat_model::Workload;
 
 /// One point of a scaling curve.
 #[derive(Clone, Debug)]
@@ -103,7 +103,7 @@ pub fn render(points: &[ScalePoint], unit: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::testutil::BinTree;
+    use uat_model::testutil::BinTree;
 
     #[test]
     fn sweep_reports_relative_efficiency() {

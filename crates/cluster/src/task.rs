@@ -7,8 +7,8 @@
 //! recycled slot, and the id doubles as the byte-pattern seed for frame
 //! verification.
 
-use crate::workload::Action;
 use uat_base::{Cycles, WorkerId};
+use uat_model::Action;
 
 /// Packed task id: `(generation << 32) | slot`.
 pub type TaskId64 = u64;

@@ -18,8 +18,9 @@
 
 use uat_base::json::ToJson;
 use uat_base::Topology;
-use uat_cluster::{sweep_with_threads, Engine, RunStats, SimConfig, Workload};
+use uat_cluster::{sweep_with_threads, Engine, RunStats, SimConfig};
 use uat_core::SchemeKind;
+use uat_model::Workload;
 use uat_trace::{chrome_trace_json, Bucket};
 use uat_workloads::{Btc, Chain, NQueens, Uts};
 

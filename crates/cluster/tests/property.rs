@@ -5,9 +5,10 @@
 //! every event.
 
 use proptest::prelude::*;
-use uat_cluster::workload::sequential_profile;
-use uat_cluster::{Action, Engine, SimConfig, Workload};
+use uat_cluster::{Engine, SimConfig};
 use uat_core::SchemeKind;
+use uat_model::sequential_profile;
+use uat_model::{Action, Workload};
 
 /// A randomized fork-join workload: the tree shape, per-task work, and
 /// frame sizes are all derived deterministically from a seed, so the

@@ -33,9 +33,11 @@
 //!   `Workload` (`Work` / `Spawn` / `JoinAll` programs) on real fibers,
 //!   each task's frame claimed at its spawn, reporting the same unit
 //!   accounting as the simulator.
-//! - [`ntrace`]: native observability — per-worker TSC-stamped event
-//!   rings, `TimeAccount` buckets, and steal-phase spans feeding the
-//!   same `uat-trace` exporters and profiler the simulator uses.
+//! - [`ntrace`]: native observability — one observer per worker of an
+//!   observed run, stamping each event once from the run's one clock:
+//!   TSC-stamped event rings, `TimeAccount` buckets, and steal-phase
+//!   spans feeding the same `uat-trace` exporters and profiler the
+//!   simulator uses, and the timed metrics tier's samples.
 //! - [`nmetrics`]: online metrics and runtime health — the registry view
 //!   of the per-worker counter rows both backends keep, HDR tail-latency
 //!   histograms, per-worker flight-recorder rings, a deque-depth sampler

@@ -394,9 +394,9 @@ impl Place for Mp {
     }
 
     #[inline]
-    fn on_task_begin(&mut self, _task: u64, slot: &usize) -> [u64; 2] {
+    fn on_task_begin(&mut self, _task: u64, slot: &usize) -> u64 {
         self.running = *slot;
-        [0; 2]
+        0
     }
 }
 

@@ -10,10 +10,12 @@
 //!
 //! - **The timed tier**: TSC-stamped steal latency, task run length,
 //!   park duration, and one [`uat_metrics::EventRing`] flight-recorder
-//!   ring per worker. It is on only for *metered* runs (`with_metrics`,
-//!   `NativeRunner::run_metered`, a sampler or a watchdog). Its
-//!   per-worker half, `WorkerMetrics`, is reached only behind the
-//!   place's one observation flag, so an unobserved task pays nothing.
+//!   ring per worker. It is built only for a *metered* run
+//!   (`with_metrics`, `NativeRunner::run_metered`, a sampler or a
+//!   watchdog), and fed by each worker's observer (`ntrace::Observer`)
+//!   with the same clamped stamps it gives the tracer, behind the
+//!   place's one observation flag: a run that observes nothing builds
+//!   neither tier nor registry, and its tasks pay nothing.
 //! - **The registry view**: `MetricsShared::snapshot` assembles the
 //!   rows with `SegmentLayout::snapshot`, as
 //!   [`crate::MultiProcessRunner::run_metered`] does, followed by the
@@ -36,8 +38,6 @@
 //! resumed-into-garbage context stops heartbeating long before the
 //! segfault, and the dump says who and what it was last doing.
 
-use crate::sched::Event;
-use crate::tsc::RunClock;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -91,45 +91,33 @@ pub mod flight_code {
     }
 }
 
-/// Run-wide state of the thread runtime's timed tier and registry view.
+/// Run-wide state of the thread runtime's timed tier and registry view,
+/// built only for a metered run.
 pub(crate) struct MetricsShared {
     /// The registry the instruments below are registered in
     /// (caller-supplied via `Runtime::with_metrics`, else owned), which
     /// also receives the rows' counts when the run ends.
     pub(crate) registry: Arc<Registry>,
     /// End-to-end steal-attempt latency (cycles).
-    steal_latency: Arc<LogHistogram>,
+    pub(crate) steal_latency: Arc<LogHistogram>,
     /// Task run length (cycles).
-    task_run: Arc<LogHistogram>,
+    pub(crate) task_run: Arc<LogHistogram>,
     /// Park episode duration (cycles).
-    park_duration: Arc<LogHistogram>,
+    pub(crate) park_duration: Arc<LogHistogram>,
     /// Sampled deque depths.
     deque_depth: Arc<LogHistogram>,
     /// Last sampled deque depth per worker.
     deque_depth_now: Arc<Gauge>,
     /// Per-worker flight-recorder rings, each head on a line of its own.
-    flight: Vec<CachePadded<EventRing>>,
-    /// The run's metrics clock (its own epoch; latencies are
-    /// differences, so it never needs to agree with the trace
-    /// clock's).
-    clock: RunClock,
-    /// Whether the timed tier (histogram stamps, flight rings) is on.
-    pub(crate) metered: bool,
-    /// The worker deliberately wedged (watchdog tests only).
-    pub(crate) sabotage: Option<usize>,
+    pub(crate) flight: Vec<CachePadded<EventRing>>,
 }
 
 impl MetricsShared {
-    /// Metrics state for `workers` workers. `registry` supplies an
-    /// external registry (must be built for at least `workers`
-    /// shards); `metered` turns on the timed tier; `sabotage`
-    /// deliberately wedges one worker (watchdog tests only).
-    pub(crate) fn new(
-        workers: usize,
-        registry: Option<Arc<Registry>>,
-        metered: bool,
-        sabotage: Option<usize>,
-    ) -> Self {
+    /// The timed tier for `workers` workers. `registry` supplies an
+    /// external registry (must be built for at least `workers` shards).
+    pub(crate) fn new(workers: usize, registry: Option<Arc<Registry>>) -> Self {
+        #[cfg(test)]
+        tests::built();
         let registry = registry.unwrap_or_else(|| Arc::new(Registry::new(workers)));
         assert!(
             registry.workers() >= workers,
@@ -158,10 +146,7 @@ impl MetricsShared {
             flight: (0..workers.max(1))
                 .map(|_| CachePadded(EventRing::new(FLIGHT_CAPACITY)))
                 .collect(),
-            clock: RunClock::start(),
             registry,
-            metered,
-            sabotage,
         }
     }
 
@@ -188,78 +173,6 @@ impl MetricsShared {
                 counter.add(w, row[c].load(Ordering::Relaxed));
             }
         }
-    }
-}
-
-/// One worker's half of the timed tier, on a metered run only, and
-/// reached only behind the place's observation flag.
-pub(crate) struct WorkerMetrics {
-    id: usize,
-    shared: Arc<MetricsShared>,
-    /// Metrics-clock stamp of the open park episode.
-    park_started: u64,
-}
-
-impl WorkerMetrics {
-    /// Handle for worker `id`.
-    pub(crate) fn new(shared: &Arc<MetricsShared>, id: usize) -> Self {
-        WorkerMetrics {
-            id,
-            shared: Arc::clone(shared),
-            park_started: 0,
-        }
-    }
-
-    /// The metrics clock, for phase-stamped steals (the trace clock wins
-    /// when both are live — either epoch works, latency is a
-    /// difference).
-    pub(crate) fn clock(&self) -> RunClock {
-        self.shared.clock
-    }
-
-    /// A fiber body is about to start. Returns the begin stamp the
-    /// task-end event carries back; a `Copy` local, so it survives the
-    /// task's stack migrating between workers.
-    pub(crate) fn on_task_begin(&mut self) -> u64 {
-        let now = self.shared.clock.now_cycles();
-        self.shared.flight[self.id]
-            .0
-            .push(now, flight_code::TASK_BEGIN, 0);
-        now
-    }
-
-    /// Time one scheduler event: steal latency, park duration, task run
-    /// length, and the flight ring.
-    pub(crate) fn record(&mut self, e: &Event<'_>) {
-        let m = &*self.shared;
-        let stamp = || m.clock.now_cycles();
-        let (at, code, payload) = match *e {
-            Event::Steal(victim, got, Some(ref ph)) => {
-                m.steal_latency.record(ph.end.saturating_sub(ph.start));
-                let code = match got {
-                    Some(_) => flight_code::STEAL_OK,
-                    None => flight_code::STEAL_FAIL,
-                };
-                (stamp(), code, victim as u64)
-            }
-            Event::Park => {
-                self.park_started = stamp();
-                (self.park_started, flight_code::PARK, 0)
-            }
-            Event::Unpark => {
-                let now = stamp();
-                m.park_duration
-                    .record(now.saturating_sub(self.park_started));
-                (now, flight_code::UNPARK, 0)
-            }
-            Event::TaskEnd { born, .. } => {
-                let now = stamp();
-                m.task_run.record(now.saturating_sub(born[1]));
-                (now, flight_code::TASK_END, 0)
-            }
-            _ => return,
-        };
-        m.flight[self.id].0.push(at, code, payload);
     }
 }
 
@@ -478,5 +391,22 @@ fn trip(ms: &MetricsShared, rows: &[Row], worker: usize, epochs: &[u64], wd: &Wa
             *report.dump.lock().unwrap() = Some(dump);
             report.tripped.store(true, Ordering::Release);
         }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::cell::Cell;
+
+    thread_local!(static BUILT: Cell<u64> = const { Cell::new(0) });
+
+    /// Count one timed tier built on this thread.
+    pub(super) fn built() {
+        BUILT.with(|n| n.set(n.get() + 1));
+    }
+
+    /// The timed tiers this thread has built.
+    pub(crate) fn tiers() -> u64 {
+        BUILT.with(Cell::get)
     }
 }

@@ -1,45 +1,47 @@
-//! Native-runtime tracing: the `uat-trace` layers wired into real
-//! fibers.
+//! Native-runtime observation: the `uat-trace` layers and the timed
+//! metrics tier wired into real fibers, through one observer per worker.
 //!
 //! The simulator charges every simulated cycle to a bucket as a side
 //! effect of firing events; the native runtime has no central event
-//! loop, so tracing is *distributed*: each worker OS thread owns a
-//! `WorkerTracer` over its own [`Timeline`] — the same per-worker
-//! ring, account and open slice the simulator records through — touched
-//! only from that thread (lock-free on the hot path). The only shared
-//! state is the run-wide `TraceShared`: the calibrated epoch clock,
-//! the task/publication id allocators, and the continuation registry
-//! that lets a thief name the task it stole (the registry is a mutex,
-//! taken only on deque publish/consume — spawn and steal events, not
-//! per-cycle).
+//! loop, so observation is *distributed*: each worker OS thread of an
+//! observed run owns one `Observer`, touched only from that thread
+//! (lock-free on the hot path). It reads the run's one [`RunClock`],
+//! clamped monotone on this worker — raw TSC readings can regress
+//! slightly across core migrations — and stamps each event once: the
+//! stamp feeds the worker's [`Timeline`] on a traced run (the same
+//! per-worker ring, account and open slice the simulator records
+//! through) and the timed tier (`nmetrics::MetricsShared`: histograms
+//! and flight rings) on a metered one, so the two report the same
+//! cycles. The only state the tracer shares is the run-wide
+//! `TraceShared`: the task/publication id allocators and the
+//! continuation registry that lets a thief name the task it stole (the
+//! registry is a mutex, taken only on deque publish/consume — spawn and
+//! steal events, not per-cycle).
 //!
-//! Timestamps are cycles since the run epoch ([`RunClock`]); raw TSC
-//! readings can regress slightly across core migrations, so each tracer
-//! clamps its own timeline monotone. At the end of the run
-//! `finalize` takes the global makespan (the last task completion)
-//! and has every timeline tile itself to it ([`Timeline::tile`]): tail
-//! slices are clipped, short timelines are padded with idle, and in the
-//! drop-free case every worker's buckets tile `[0, makespan)` exactly —
-//! the invariant the profiler's DAG builder checks before accepting a
-//! trace.
+//! When its loop exits, each worker closes its timeline and hands it
+//! back through its thread's `JoinHandle`. `finalize` takes the global
+//! makespan (the last task completion) and has every timeline tile
+//! itself to it ([`Timeline::tile`]): tail slices are clipped, short
+//! timelines are padded with idle, and in the drop-free case every
+//! worker's buckets tile `[0, makespan)` exactly — the invariant the
+//! profiler's DAG builder checks before accepting a trace.
 //!
-//! A worker reaches its tracer only behind its place's observation flag
-//! (`runtime::Threads::observe`), so the tracer itself keeps no "am I
-//! on?" test: it exists only on a traced run.
+//! A worker reaches its observer only behind its place's observation
+//! flag (`runtime::Threads::observe`), so the observer keeps no "am I
+//! on?" test of its own: it exists only on an observed run.
 
+use crate::nmetrics::{flight_code, MetricsShared};
 use crate::sched::Event;
 use crate::tsc::RunClock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use uat_base::{Cycles, WorkerId};
+use uat_base::{Cycles, StealOutcome, WorkerId};
 use uat_deque::StealPhases;
 use uat_trace::{Bucket, EventKind, StealPhase, TimeAccount, Timeline};
 
 /// Run-wide trace state shared by all workers of one traced run.
 pub(crate) struct TraceShared {
-    /// The run's epoch clock.
-    pub clock: RunClock,
     ring_capacity: usize,
     next_task: AtomicU64,
     next_seq: AtomicU64,
@@ -48,21 +50,16 @@ pub(crate) struct TraceShared {
     /// Inserted at publish, removed at the pop/steal that consumes
     /// the entry.
     ctx_map: Mutex<HashMap<u64, (u64, u64)>>,
-    /// Each worker's closed timeline, deposited when its loop exits.
-    deposits: Mutex<Vec<Option<Timeline>>>,
 }
 
 impl TraceShared {
-    /// Trace state for `workers` workers with `ring_capacity`-event
-    /// rings. Starts the run epoch.
-    pub(crate) fn new(workers: usize, ring_capacity: usize) -> Arc<Self> {
+    /// Trace state with `ring_capacity`-event rings.
+    pub(crate) fn new(ring_capacity: usize) -> Arc<Self> {
         Arc::new(TraceShared {
-            clock: RunClock::start(),
             ring_capacity: ring_capacity.max(1),
             next_task: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
             ctx_map: Mutex::new(HashMap::new()),
-            deposits: Mutex::new((0..workers).map(|_| None).collect()),
         })
     }
 
@@ -73,117 +70,245 @@ impl TraceShared {
     }
 }
 
-/// One traced worker's tracer, living in its place's observers and
-/// touched only by its own thread: the monotone clock clamp and the
-/// task running now, over the worker's timeline.
-pub(crate) struct WorkerTracer {
+/// The run's clock as one worker reads it: clamped monotone.
+struct Stamps {
+    clock: RunClock,
+    latest: Cycles,
+}
+
+impl Stamps {
+    #[inline]
+    fn now(&mut self) -> Cycles {
+        self.latest = self.latest.max(Cycles(self.clock.now_cycles()));
+        self.latest
+    }
+
+    /// A steal attempt's phase stamps — raw readings the deque took —
+    /// clamped into this worker's monotone order.
+    fn steal(&mut self, ph: &StealPhases) -> [Cycles; 4] {
+        let start = Cycles(ph.start).max(self.latest);
+        let checked = Cycles(ph.checked).max(start);
+        let locked = Cycles(ph.locked).max(checked);
+        self.latest = Cycles(ph.end).max(locked);
+        [start, checked, locked, self.latest]
+    }
+}
+
+/// One observed worker's observer: its stamps of the run's clock, its
+/// tracer on a traced run and the run's timed tier on a metered one.
+pub(crate) struct Observer {
+    id: usize,
+    stamps: Stamps,
+    trace: Option<WorkerTracer>,
+    metrics: Option<Arc<MetricsShared>>,
+    /// Stamp of the open park episode.
+    park_started: Cycles,
+}
+
+impl Observer {
+    /// Worker `id`'s observer of a run clocked by `clock`, traced into
+    /// `trace` and metered into `metrics` where given.
+    pub(crate) fn new(
+        clock: RunClock,
+        id: usize,
+        trace: Option<Arc<TraceShared>>,
+        metrics: Option<Arc<MetricsShared>>,
+    ) -> Self {
+        Observer {
+            id,
+            stamps: Stamps {
+                clock,
+                latest: Cycles::ZERO,
+            },
+            trace: trace.map(|t| WorkerTracer::new(t, id)),
+            metrics,
+            park_started: Cycles::ZERO,
+        }
+    }
+
+    /// The run's clock, for stamping steal phases inside the deque.
+    pub(crate) fn clock(&self) -> RunClock {
+        self.stamps.clock
+    }
+
+    /// A fiber body is about to start. Returns the begin stamp the
+    /// task-end event carries back; a `Copy` local, so it survives the
+    /// task's stack migrating between workers.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn on_task_begin(&mut self, task: u64) -> u64 {
+        #[cfg(test)]
+        crate::runtime::tests::entered();
+        let at = self.stamps.now();
+        if let Some(t) = &mut self.trace {
+            t.tl.switch(at, Bucket::Work);
+            t.cur_task = task;
+            t.tl.instant(at, EventKind::TaskBegin { task });
+        }
+        self.flight(at, flight_code::TASK_BEGIN, 0);
+        at.get()
+    }
+
+    /// `spawn()` entered on the parent fiber: charge the spawn path,
+    /// allocate and announce the child. Returns the child's trace id (0:
+    /// untraced).
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn on_spawn(&mut self) -> u64 {
+        #[cfg(test)]
+        crate::runtime::tests::entered();
+        let Some(t) = &mut self.trace else { return 0 };
+        let at = self.stamps.now();
+        t.tl.switch(at, Bucket::Spawn);
+        let (parent, child) = (t.cur_task, t.shared.alloc_task());
+        t.tl.instant(at, EventKind::Spawn { parent, child });
+        child
+    }
+
+    /// Observe one scheduler event. An event takes at most one stamp,
+    /// which the tracer and the timed tier share.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn record(&mut self, e: Event<'_>) {
+        #[cfg(test)]
+        crate::runtime::tests::entered();
+        let Observer {
+            stamps,
+            trace,
+            metrics,
+            park_started,
+            ..
+        } = self;
+        let (at, code, payload) = match e {
+            Event::Steal(victim, got, Some(ph)) => {
+                let at = stamps.steal(&ph);
+                if let Some(t) = trace {
+                    t.steal_attempt(victim, got, at, ph.outcome);
+                }
+                let [start, .., end] = at;
+                if let Some(m) = metrics {
+                    m.steal_latency.record(end.since(start).get());
+                }
+                let code = match got {
+                    Some(_) => flight_code::STEAL_OK,
+                    None => flight_code::STEAL_FAIL,
+                };
+                (end, code, victim as u64)
+            }
+            Event::Park => {
+                let at = stamps.now();
+                *park_started = at;
+                if let Some(t) = trace {
+                    t.tl.instant(at, EventKind::Park);
+                }
+                (at, flight_code::PARK, 0)
+            }
+            Event::Unpark => {
+                let at = stamps.now();
+                if let Some(m) = metrics {
+                    m.park_duration.record(at.since(*park_started).get());
+                }
+                if let Some(t) = trace {
+                    t.tl.instant(at, EventKind::Unpark);
+                }
+                (at, flight_code::UNPARK, 0)
+            }
+            // The body returned: fall into the suspend/resume bucket
+            // for the completion epilogue.
+            Event::TaskEnd { task, born } => {
+                let at = stamps.now();
+                let run = at.since(Cycles(born));
+                if let Some(m) = metrics {
+                    m.task_run.record(run.get());
+                }
+                if let Some(t) = trace {
+                    t.tl.switch(at, Bucket::SuspendResume);
+                    t.tl.instant(at, EventKind::TaskEnd { task, run });
+                }
+                (at, flight_code::TASK_END, 0)
+            }
+            e => {
+                if let Some(t) = trace {
+                    t.record(&e, stamps);
+                }
+                return;
+            }
+        };
+        self.flight(at, code, payload);
+    }
+
+    /// Push one record onto this worker's flight ring, on a metered run.
+    #[inline]
+    fn flight(&self, at: Cycles, code: u8, payload: u64) {
+        if let Some(m) = &self.metrics {
+            m.flight[self.id].0.push(at.get(), code, payload);
+        }
+    }
+
+    /// The worker loop exited: close the last slice and hand back this
+    /// worker's timeline, on a traced run.
+    pub(crate) fn finish(mut self) -> Option<Timeline> {
+        let end = self.stamps.now();
+        self.trace.map(|mut t| {
+            t.tl.switch(end, Bucket::Idle);
+            t.tl
+        })
+    }
+}
+
+/// One traced worker's tracer: the task running now, over the worker's
+/// timeline. Its observer stamps it.
+struct WorkerTracer {
     shared: Arc<TraceShared>,
     tl: Timeline,
-    /// Monotone clamp over raw clock readings.
-    latest: Cycles,
     /// Task id of the fiber currently running on this worker.
     cur_task: u64,
 }
 
 impl WorkerTracer {
     /// Tracer for worker `id` of the run `shared` traces.
-    pub(crate) fn new(shared: &Arc<TraceShared>, id: usize) -> Self {
+    fn new(shared: Arc<TraceShared>, id: usize) -> Self {
         let mut tl = Timeline::new(WorkerId(id as u32));
         tl.install_ring(shared.ring_capacity);
         WorkerTracer {
-            shared: Arc::clone(shared),
+            shared,
             tl,
-            latest: Cycles::ZERO,
             cur_task: 0,
         }
     }
 
-    #[inline]
-    fn now(&mut self) -> Cycles {
-        self.latest = self.latest.max(Cycles(self.shared.clock.now_cycles()));
-        self.latest
-    }
-
-    fn switch(&mut self, bucket: Bucket) {
+    fn switch(&mut self, stamps: &mut Stamps, bucket: Bucket) {
         if bucket != self.tl.bucket() {
-            let t = self.now();
-            self.tl.switch(t, bucket);
+            self.tl.switch(stamps.now(), bucket);
         }
     }
 
-    /// The run's epoch clock, for stamping steal phases inside the
-    /// deque.
-    pub(crate) fn clock(&self) -> RunClock {
-        self.shared.clock
-    }
-
-    /// A fiber body is about to start: emit `TaskBegin`, make `task`
-    /// current, open a `Work` slice. Returns the begin timestamp
-    /// (the task-end event carries it back for the run length).
-    pub(crate) fn on_task_begin(&mut self, task: u64) -> u64 {
-        let at = self.now();
-        self.tl.switch(at, Bucket::Work);
-        self.cur_task = task;
-        self.tl.instant(at, EventKind::TaskBegin { task });
-        at.get()
-    }
-
-    /// `spawn()` entered on the parent fiber: charge the spawn path,
-    /// allocate and announce the child. Returns the child task id.
-    pub(crate) fn on_spawn(&mut self) -> u64 {
-        let at = self.now();
-        self.tl.switch(at, Bucket::Spawn);
-        let child = self.shared.alloc_task();
-        let parent = self.cur_task;
-        self.tl.instant(at, EventKind::Spawn { parent, child });
-        child
-    }
-
-    /// Trace one scheduler event (every kind but `Exit`, which is
-    /// [`finish`](Self::finish)).
-    pub(crate) fn record(&mut self, e: &Event<'_>) {
+    /// Trace one of the scheduler events only the tracer sees, stamping
+    /// it from `stamps` where it needs a time.
+    fn record(&mut self, e: &Event<'_>, stamps: &mut Stamps) {
         match *e {
-            Event::Steal(victim, got, Some(ref ph)) => self.steal_attempt(victim, got, ph),
-            // A traced run stamps every steal.
-            Event::Steal(_, _, None) | Event::Exit => {}
-            Event::Idle => self.switch(Bucket::Idle),
-            Event::Park => {
-                let at = self.now();
-                self.tl.instant(at, EventKind::Park);
-            }
-            Event::Unpark => {
-                let at = self.now();
-                self.tl.instant(at, EventKind::Unpark);
-            }
+            Event::Idle => self.switch(stamps, Bucket::Idle),
             // Registered *before* the push makes it stealable, so a
             // thief's commit always finds the publication; the
             // current task is still the parent.
-            Event::Publish(ctx) => self.publish(ctx, self.cur_task),
-            // The body returned: fall into the suspend/resume bucket
-            // for the completion epilogue.
-            Event::TaskEnd { task, born } => {
-                let at = self.now();
-                self.tl.switch(at, Bucket::SuspendResume);
-                let run = at.since(Cycles(born[0]));
-                self.tl.instant(at, EventKind::TaskEnd { task, run });
-            }
+            Event::Publish(ctx) => self.publish(stamps.now(), ctx, self.cur_task),
             Event::LocalPop(ctx) => self.local_pop(ctx),
             // The join edge: the waiter becomes the current task as
             // if it had been pushed and popped back.
             Event::JoinReady(jb, child, waiter) => {
                 let parent = jb.waiter_task.load(Ordering::Relaxed);
                 jb.enabler.store(child, Ordering::Relaxed);
-                let at = self.now();
+                let at = stamps.now();
                 let child = self.cur_task;
                 self.tl.instant(at, EventKind::JoinReady { parent, child });
-                self.publish(waiter, parent);
+                self.publish(at, waiter, parent);
                 self.local_pop(waiter);
             }
             // Charged to the suspend bucket; who parks is recorded
             // *before* `park` can expose the slot to the last child,
             // which reads it to name `JoinReady`.
             Event::Suspend(jb) => {
-                let at = self.now();
+                let at = stamps.now();
                 self.tl.switch(at, Bucket::SuspendResume);
                 let task = self.cur_task;
                 self.tl.instant(at, EventKind::Suspend { task });
@@ -193,26 +318,28 @@ impl WorkerTracer {
             // recorded itself; taken, so the block's next join
             // starts clean); otherwise the work slice just reopens.
             Event::Resumed(Some(jb)) => match jb.enabler.swap(0, Ordering::Relaxed) {
-                0 => self.switch(Bucket::Work),
+                0 => self.switch(stamps, Bucket::Work),
                 child => {
-                    let at = self.now();
+                    let at = stamps.now();
                     let parent = self.cur_task;
                     self.tl.switch(at, Bucket::Work);
                     self.tl.instant(at, EventKind::JoinResume { parent, child });
                     self.tl.instant(at, EventKind::Resume { task: parent });
                 }
             },
-            Event::Resumed(None) => self.switch(Bucket::Work),
+            Event::Resumed(None) => self.switch(stamps, Bucket::Work),
+            // The observer times the rest; a traced run stamps every
+            // steal.
+            Event::Steal(..) | Event::Park | Event::Unpark | Event::TaskEnd { .. } => {}
         }
     }
 
     /// A continuation belonging to `task` was pushed into this
-    /// worker's deque (stealable from now on): register it and emit
-    /// `DequePublish`.
-    fn publish(&mut self, ctx: u64, task: u64) {
+    /// worker's deque at `at` (stealable from now on): register it and
+    /// emit `DequePublish`.
+    fn publish(&mut self, at: Cycles, ctx: u64, task: u64) {
         let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
         self.shared.ctx_map.lock().unwrap().insert(ctx, (task, seq));
-        let at = self.now();
         self.tl.instant(at, EventKind::DequePublish { task, seq });
     }
 
@@ -225,18 +352,18 @@ impl WorkerTracer {
         }
     }
 
-    /// One phase-stamped steal attempt finished: emit the phase
+    /// One phase-stamped steal attempt on `victim` finished, at the
+    /// clamped stamps `[start, checked, locked, end]`: emit the phase
     /// spans (charged to the matching steal buckets), the outcome,
     /// and — on success — the `StealCommit` naming the stolen task.
-    fn steal_attempt(&mut self, victim: usize, ctx: Option<u64>, ph: &StealPhases) {
+    fn steal_attempt(
+        &mut self,
+        victim: usize,
+        ctx: Option<u64>,
+        [start, checked, locked, end]: [Cycles; 4],
+        outcome: StealOutcome,
+    ) {
         let victim = WorkerId(victim as u32);
-        // Clamp the deque's raw clock readings into this worker's
-        // monotone timeline.
-        let start = Cycles(ph.start).max(self.latest);
-        let checked = Cycles(ph.checked).max(start);
-        let locked = Cycles(ph.locked).max(checked);
-        let end = Cycles(ph.end).max(locked);
-        self.latest = end;
         // Close the open (idle) slice at the attempt start, then
         // tile the attempt with its phases.
         self.tl.charge(start);
@@ -258,7 +385,7 @@ impl WorkerTracer {
             end,
             EventKind::StealResult {
                 victim,
-                outcome: ph.outcome,
+                outcome,
                 latency,
             },
         );
@@ -268,18 +395,6 @@ impl WorkerTracer {
                 self.cur_task = task;
                 self.tl.instant(end, EventKind::StealCommit { task, seq });
             }
-        }
-    }
-
-    /// The worker loop exited: close the last slice and deposit this
-    /// worker's timeline into the shared state.
-    pub(crate) fn finish(mut self) {
-        let end = self.now();
-        self.tl.switch(end, Bucket::Idle);
-        let idx = self.tl.worker().index();
-        let mut deps = self.shared.deposits.lock().unwrap();
-        if let Some(slot) = deps.get_mut(idx) {
-            *slot = Some(self.tl);
         }
     }
 }
@@ -299,7 +414,8 @@ pub struct NativeTrace {
     pub accounts: Vec<TimeAccount>,
 }
 
-/// Tile the per-worker timelines into a [`NativeTrace`].
+/// Tile the workers' closed `timelines`, in worker order, of a run
+/// clocked by `clock` into a [`NativeTrace`].
 ///
 /// The makespan is the latest `TaskEnd` across workers (the root's
 /// completion, modulo cross-core clock skew), and every timeline is
@@ -313,12 +429,7 @@ pub struct NativeTrace {
 /// always-on metrics counters see them, so the trace must too or the
 /// two disagree on every count (clipping only affects the time
 /// *accounting*, which instants don't participate in).
-pub(crate) fn finalize(shared: &Arc<TraceShared>) -> NativeTrace {
-    let deposits = std::mem::take(&mut *shared.deposits.lock().unwrap());
-    let timelines: Vec<Timeline> = deposits
-        .into_iter()
-        .map(|tl| tl.expect("every worker deposits its timeline on exit"))
-        .collect();
+pub(crate) fn finalize(clock: RunClock, timelines: Vec<Timeline>) -> NativeTrace {
     let makespan = timelines
         .iter()
         .flat_map(|tl| tl.ring().into_iter().flat_map(|r| r.iter()))
@@ -337,12 +448,76 @@ pub(crate) fn finalize(shared: &Arc<TraceShared>) -> NativeTrace {
     }
     NativeTrace {
         data: uat_trace::TraceData {
-            clock_hz: shared.clock.hz(),
-            clock_source: shared.clock.source(),
+            clock_hz: clock.hz(),
+            clock_source: clock.source(),
             workers: rings,
             fabric: Vec::new(),
             makespan,
         },
         accounts,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uat_metrics::names;
+
+    /// One stamp per event feeds both tiers. Driven by hand on one
+    /// thread, an observer's histograms sum to exactly what its timeline
+    /// records — for a steal whose raw stamps the deque read before the
+    /// worker's latest stamp too, which both see clamped — its flight
+    /// ring holds one record per timed event, and the closed timeline
+    /// tiles the makespan.
+    #[test]
+    fn one_stamp_feeds_the_timeline_and_the_timed_tier() {
+        let clock = RunClock::start();
+        let metrics = Arc::new(MetricsShared::new(1, None));
+        let trace = Some(TraceShared::new(1 << 10));
+        let mut o = Observer::new(clock, 0, trace, Some(Arc::clone(&metrics)));
+        let phases = |start, end, outcome| StealPhases {
+            start,
+            checked: start,
+            locked: end,
+            end,
+            outcome,
+        };
+        let stale = clock.now_cycles();
+        o.record(Event::Idle);
+        o.record(Event::Park);
+        let fresh = clock.now_cycles();
+        o.record(Event::Steal(
+            1,
+            None,
+            Some(phases(stale, fresh, StealOutcome::AbortEmpty)),
+        ));
+        let (start, end) = (clock.now_cycles(), clock.now_cycles());
+        o.record(Event::Steal(
+            1,
+            None,
+            Some(phases(start, end, StealOutcome::AbortLock)),
+        ));
+        o.record(Event::Unpark);
+        let born = o.on_task_begin(1);
+        o.record(Event::TaskEnd { task: 1, born });
+        let t = finalize(clock, vec![o.finish().expect("a traced observer")]);
+
+        let (mut run, mut latency) = (Vec::new(), Vec::new());
+        for e in t.data.events() {
+            match e.kind {
+                EventKind::TaskEnd { run: r, .. } => run.push(r.get()),
+                EventKind::StealResult { latency: l, .. } => latency.push(l.get()),
+                _ => {}
+            }
+        }
+        let snap = metrics.registry.snapshot();
+        let hist = |name| snap.histogram(name).expect("registered").clone();
+        let (run_hist, steal_hist) = (hist(names::TASK_RUN), hist(names::STEAL_LATENCY));
+        assert_eq!((run_hist.count(), steal_hist.count()), (1, 2));
+        assert_eq!(run_hist.sum(), run.iter().sum::<u64>());
+        assert_eq!(steal_hist.sum(), latency.iter().sum::<u64>());
+        assert_eq!(hist(names::PARK_DURATION).count(), 1);
+        assert_eq!(metrics.flight[0].0.snapshot().len(), 6);
+        assert_eq!(t.accounts[0].total(), t.data.makespan);
     }
 }

@@ -11,8 +11,8 @@
 //! its pooled stack. The scheduler — child-first spawn, FIFO stealing,
 //! the Figure 7 join — is the body the multiprocess backend runs too;
 //! what is this backend's own is its `Place` (`Threads`: a
-//! `StackPool`, the run's `NativeDeque`s and counter rows, and the
-//! tracer and the timed metrics tier), how its workers come to exist
+//! `StackPool`, the run's `NativeDeque`s and counter rows, and, on an
+//! observed run, the worker's observer), how its workers come to exist
 //! (`thread::spawn`), and the public API on top: [`spawn`],
 //! [`JoinHandle`] and [`Runtime`].
 //!
@@ -20,21 +20,25 @@
 //! counters are its worker's `uat_metrics::shm::Row`, bumped by the
 //! worker body; a worker reaches any worker's row and deque by an add
 //! from bases it resolved when it started, as `RegionLayout` does; and
-//! the tracer and the timed metrics tier sit behind one flag on the
-//! place (`Threads::observe`), so a run neither traced nor metered
-//! never enters them.
+//! its observer (`ntrace::Observer`: the tracer and the timed metrics
+//! tier, one stamp per event) sits behind one flag on the place
+//! (`Threads::observe`). A run neither traced nor metered builds no
+//! observer, clock, timed tier or registry, and never tests more than
+//! that flag.
 //!
 //! Nobody polls for the end of a run: the first worker whose
 //! termination scan passes raises the shutdown word, and the thread that
 //! called [`Runtime::run`] sleeps in the workers' `join`s from the
-//! moment it has spawned them (`idle.rs`). That is the one run path;
-//! `NativeRunner` enters it too, telling it what to trace or meter.
+//! moment it has spawned them (`idle.rs`); each worker's thread hands
+//! back its closed timeline, on a traced run, as it ends. That is the
+//! one run path; `NativeRunner` enters it too, telling it what to trace
+//! or meter.
 
 use crate::frame::FrameTooLarge;
 use crate::interp::NativeRunStats;
 use crate::join::JoinBlock;
-use crate::nmetrics::{MetricsShared, WorkerMetrics};
-use crate::ntrace::{NativeTrace, TraceShared, WorkerTracer};
+use crate::nmetrics::MetricsShared;
+use crate::ntrace::{NativeTrace, Observer, TraceShared};
 use crate::sched::{
     current, join_all, place_record, report_panic, spawn_on, worker_loop, Event, Place, TaskHeader,
     Worker,
@@ -108,40 +112,33 @@ struct Shared {
     /// Raised by the first idle worker whose termination scan passes;
     /// every worker loop, and the sampler, leaves when it reads it.
     shutdown: AtomicU32,
-    /// The timed metrics tier and the registry the rows are reported in.
-    metrics: Arc<MetricsShared>,
     /// The root's task record, started (once) by worker 0; from then on
     /// only an address.
     seed_task: AtomicPtr<TaskHeader<Stack>>,
-    /// Run-wide trace state; `None` = untraced.
-    trace: Option<Arc<TraceShared>>,
 }
 
 /// The thread backend's [`Place`]: one worker thread's stack pool, its
-/// way into the run's rows and deques, and its observers.
+/// way into the run's rows and deques, and its observer.
 pub(crate) struct Threads {
     /// Worker 0's row and deque, resolved once at worker start: worker
     /// `w`'s are `w` further on.
     rows: *const Row,
     deques: *const NativeDeque<u64>,
     pool: StackPool,
-    /// The tracer and the timed metrics tier, on a run that has either:
-    /// the one flag every per-task hook tests.
-    observe: Option<Box<Observers>>,
+    /// The worker's observer, on an observed run: the one flag every
+    /// per-task hook tests.
+    observe: Option<Box<Observer>>,
     /// Keeps the rows, the deques and the shutdown word alive.
     shared: Arc<Shared>,
 }
 
 impl Threads {
-    fn new(shared: Arc<Shared>, id: usize, stack_size: usize) -> Self {
-        let trace = shared.trace.as_ref().map(|t| WorkerTracer::new(t, id));
-        let metered = shared.metrics.metered;
-        let metrics = metered.then(|| WorkerMetrics::new(&shared.metrics, id));
+    fn new(shared: Arc<Shared>, stack_size: usize, observe: Option<Box<Observer>>) -> Self {
         Threads {
             rows: shared.rows.as_ptr(),
             deques: shared.deques.as_ptr(),
             pool: StackPool::new(stack_size),
-            observe: (trace.is_some() || metered).then(|| Box::new(Observers { trace, metrics })),
+            observe,
             shared,
         }
     }
@@ -210,11 +207,7 @@ impl Place for Threads {
     /// Observed runs take the phase-stamped steal so lock and entry time
     /// land in the right trace buckets and the latency histogram.
     fn clock(&self) -> Option<RunClock> {
-        let o = self.observe.as_ref()?;
-        o.trace
-            .as_ref()
-            .map(WorkerTracer::clock)
-            .or_else(|| o.metrics.as_ref().map(WorkerMetrics::clock))
+        self.observe.as_ref().map(|o| o.clock())
     }
 
     #[inline]
@@ -226,61 +219,11 @@ impl Place for Threads {
     }
 
     #[inline]
-    fn on_task_begin(&mut self, task: u64, _stack: &Stack) -> [u64; 2] {
+    fn on_task_begin(&mut self, task: u64, _stack: &Stack) -> u64 {
         match &mut self.observe {
             Some(o) => o.on_task_begin(task),
-            None => [0; 2],
+            None => 0,
         }
-    }
-}
-
-/// What an observed worker adds to its counters: the tracer, on a
-/// traced run, and the timed metrics tier, on a metered one. Entered out
-/// of line, so an unobserved task's code is the multiprocess backend's
-/// plus one test per hook.
-struct Observers {
-    trace: Option<WorkerTracer>,
-    metrics: Option<WorkerMetrics>,
-}
-
-impl Observers {
-    #[cold]
-    #[inline(never)]
-    fn record(&mut self, e: Event<'_>) {
-        #[cfg(test)]
-        tests::entered();
-        if let Some(m) = &mut self.metrics {
-            m.record(&e);
-        }
-        match (e, &mut self.trace) {
-            (_, None) => {}
-            // Deposit this worker's timeline.
-            (Event::Exit, t) => t.take().expect("traced").finish(),
-            (e, Some(t)) => t.record(&e),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn on_spawn(&mut self) -> u64 {
-        #[cfg(test)]
-        tests::entered();
-        self.trace.as_mut().map_or(0, WorkerTracer::on_spawn)
-    }
-
-    /// The begin stamps are `Copy` locals of the task, so they survive
-    /// its stack migrating between workers.
-    #[cold]
-    #[inline(never)]
-    fn on_task_begin(&mut self, task: u64) -> [u64; 2] {
-        #[cfg(test)]
-        tests::entered();
-        [
-            self.trace.as_mut().map_or(0, |t| t.on_task_begin(task)),
-            self.metrics
-                .as_mut()
-                .map_or(0, WorkerMetrics::on_task_begin),
-        ]
     }
 }
 
@@ -458,15 +401,12 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let trace = observe
-            .trace
-            .map(|cap| TraceShared::new(self.nworkers, cap));
-        let metrics = Arc::new(MetricsShared::new(
-            self.nworkers,
-            self.registry.clone(),
-            self.metered || observe.metrics,
-            self.sabotage,
-        ));
+        // A run that observes nothing builds none of this: no clock, no
+        // tracer, no timed tier and no registry.
+        let trace = observe.trace.map(TraceShared::new);
+        let metrics = (self.metered || observe.metrics)
+            .then(|| Arc::new(MetricsShared::new(self.nworkers, self.registry.clone())));
+        let clock = (trace.is_some() || metrics.is_some()).then(RunClock::start);
         // The root is an ordinary task record on an ordinary stack, with
         // no continuation to publish; it reports to a cell this frame
         // keeps a handle on, like a public `spawn` whose spawner was
@@ -484,47 +424,53 @@ impl Runtime {
             deques: (0..self.nworkers).map(|_| NativeDeque::new(8192)).collect(),
             rows: (0..self.nworkers).map(|_| Row::default()).collect(),
             shutdown: AtomicU32::new(0),
-            metrics,
             seed_task: AtomicPtr::new(seed),
-            trace,
         });
         let t0 = std::time::Instant::now();
         let handles: Vec<_> = (0..self.nworkers)
             .map(|id| {
                 let shared = Arc::clone(&shared);
+                let (trace, metrics) = (trace.clone(), metrics.clone());
                 let (workers, stack_size) = (self.nworkers, self.stack_size);
+                let stalled = self.sabotage == Some(id);
                 std::thread::Builder::new()
                     .name(format!("uat-worker-{id}"))
                     .spawn(move || {
                         let root = (id == 0).then(|| shared.seed_task.load(Ordering::Acquire));
-                        let place = Threads::new(shared, id, stack_size);
+                        let observe =
+                            clock.map(|clock| Box::new(Observer::new(clock, id, trace, metrics)));
+                        let place = Threads::new(shared, stack_size, observe);
                         let mut worker = Worker::new(id, workers, place);
-                        // Watchdog-test sabotage: stay alive (so the run
-                        // is otherwise healthy) but never enter the
-                        // scheduler loop, so this worker's heartbeat
-                        // epoch stays frozen while the others advance.
-                        let shared = &worker.place.shared;
-                        if shared.metrics.sabotage == Some(id) {
-                            while shared.shutdown.load(Ordering::Acquire) == 0 {
+                        if stalled {
+                            // Watchdog-test sabotage: stay alive (so the
+                            // run is otherwise healthy) but never enter
+                            // the scheduler loop, so this worker's
+                            // heartbeat stays frozen while the others
+                            // advance.
+                            let shutdown = &worker.place.shared.shutdown;
+                            while shutdown.load(Ordering::Acquire) == 0 {
                                 std::thread::sleep(std::time::Duration::from_millis(2));
                             }
-                            worker.place.record(Event::Exit);
-                            return;
+                        } else {
+                            // Worker 0 seeds the root task.
+                            worker_loop(&mut worker, root);
                         }
-                        // Worker 0 seeds the root task.
-                        worker_loop(&mut worker, root);
+                        // Close this worker's timeline, on a traced run,
+                        // and hand it back.
+                        worker.place.observe.and_then(|o| o.finish())
                     })
                     .expect("spawn worker thread")
             })
             .collect();
 
-        // Sampler/watchdog thread, when configured: deque-depth samples
-        // every tick, heartbeat stall detection when armed. Its stop
-        // flag is the run's shutdown word: workers stop heartbeating
-        // once they see it, and the watchdog must never mistake an
-        // orderly exit for a stall.
-        let sampler = (self.sampler.is_some() || self.watchdog.is_some()).then(|| {
-            let shared = Arc::clone(&shared);
+        // Sampler/watchdog thread, when configured (either meters the
+        // run): deque-depth samples every tick, heartbeat stall
+        // detection when armed. Its stop flag is the run's shutdown
+        // word: workers stop heartbeating once they see it, and the
+        // watchdog must never mistake an orderly exit for a stall.
+        let sampling = self.sampler.is_some() || self.watchdog.is_some();
+        let sampler = metrics.as_ref().filter(|_| sampling).map(|metrics| {
+            let (shared, metrics) = (Arc::clone(&shared), Arc::clone(metrics));
             let interval = self
                 .sampler
                 .unwrap_or(crate::nmetrics::DEFAULT_SAMPLE_INTERVAL);
@@ -533,7 +479,7 @@ impl Runtime {
                 .name("uat-sampler".into())
                 .spawn(move || {
                     crate::nmetrics::sampler_loop(
-                        &shared.metrics,
+                        &metrics,
                         &shared.deques,
                         &shared.rows,
                         &shared.shutdown,
@@ -548,28 +494,34 @@ impl Runtime {
         // has seen the whole task tree complete (the root, everything
         // it joined and every detached straggler), and this thread
         // sleeps in `join` until they have.
-        for h in handles {
-            h.join().expect("worker thread");
-        }
+        let timelines: Vec<_> = handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("worker thread"))
+            .collect();
         let wall = t0.elapsed();
         debug_assert!(cell.block.is_done());
         if let Some(handle) = sampler {
             handle.join().expect("sampler thread");
         }
-        // Every worker has left: the rows are final. Report them in the
-        // registry, and, every worker having deposited its timeline, the
-        // trace's drop counts beside them.
-        shared.metrics.deposit(&shared.rows);
-        let trace = shared.trace.as_ref().map(crate::ntrace::finalize);
-        let mut trace_dropped = 0;
-        if let Some(t) = &trace {
-            let dropped = shared.metrics.registry.counter(
-                uat_metrics::names::TRACE_DROPPED,
-                "Trace events evicted from full per-worker rings",
-            );
-            for (i, ring) in t.data.workers.iter().enumerate() {
-                dropped.add(i, ring.dropped());
-                trace_dropped += ring.dropped();
+        // Every worker has left: the rows are final, and on a traced run
+        // every timeline is closed. Report the rows in the registry, and
+        // the trace's drop counts beside them.
+        let trace = trace
+            .and(clock)
+            .map(|clock| crate::ntrace::finalize(clock, timelines));
+        let trace_dropped = trace.as_ref().map_or(0, |t| {
+            t.data.workers.iter().map(|ring| ring.dropped()).sum()
+        });
+        if let Some(m) = &metrics {
+            m.deposit(&shared.rows);
+            if let Some(t) = &trace {
+                let dropped = m.registry.counter(
+                    uat_metrics::names::TRACE_DROPPED,
+                    "Trace events evicted from full per-worker rings",
+                );
+                for (i, ring) in t.data.workers.iter().enumerate() {
+                    dropped.add(i, ring.dropped());
+                }
             }
         }
         // The root dropped its reference before its completion tick, which
@@ -599,7 +551,9 @@ impl Runtime {
         };
         let observed = Observed {
             trace,
-            metrics: observe.metrics.then(|| shared.metrics.registry.snapshot()),
+            metrics: metrics
+                .filter(|_| observe.metrics)
+                .map(|m| m.registry.snapshot()),
         };
         (out, stats, observed)
     }
@@ -615,7 +569,7 @@ pub(crate) mod tests {
     thread_local!(static ENTERED: Cell<u64> = const { Cell::new(0) });
 
     /// Count one entry into an observer past the place's flag.
-    pub(super) fn entered() {
+    pub(crate) fn entered() {
         ENTERED.with(|n| n.set(n.get() + 1));
     }
 
@@ -623,6 +577,34 @@ pub(crate) mod tests {
     #[inline(never)]
     pub(crate) fn hooks() -> u64 {
         ENTERED.with(Cell::get)
+    }
+
+    /// A run starts a clock only if it observes, and builds the timed
+    /// tier only if it meters: a plain run builds neither. Both are
+    /// built on the calling thread, which counts them.
+    #[test]
+    fn an_unobserved_run_builds_no_clock_and_no_timed_tier() {
+        let registry = || Arc::new(uat_metrics::Registry::new(2));
+        let built = || (crate::tsc::tests::clocks(), crate::nmetrics::tests::tiers());
+        let traced = |metrics| Observe {
+            trace: Some(64),
+            metrics,
+        };
+        for (rt, observe, clocks_tiers) in [
+            (Runtime::new(2), Observe::default(), (0, 0)),
+            (Runtime::new(2), traced(false), (1, 0)),
+            (Runtime::new(2), traced(true), (1, 1)),
+            (
+                Runtime::new(2).with_metrics(registry()),
+                Observe::default(),
+                (1, 1),
+            ),
+        ] {
+            let before = built();
+            assert_eq!(rt.run_observing(|| fib(12), 0, observe).0, 144);
+            let after = built();
+            assert_eq!((after.0 - before.0, after.1 - before.1), clocks_tiers);
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! counter row (`uat_metrics::shm::Row`), whose cells this body bumps
 //! itself — heartbeats, steal outcomes, parks, unparks, and the tasks
 //! and spawns the termination scan sums. What a place may add on top is
-//! observation: the tracer and the timed metrics tier, which the thread
-//! backend keeps behind one flag.
+//! observation: the thread backend's one observer per worker (the tracer
+//! and the timed metrics tier, fed one stamp per event), behind one flag
+//! and built only for a run that observes.
 //!
 //! Control changes stacks in four places, through the two transfers of
 //! [`ctx`](crate::ctx) — a spawn and the scheduler starting the root
@@ -175,8 +176,8 @@ pub(crate) trait Place: Sized {
     /// goes, loudly ([`report_panic`]).
     fn task_panicked(payload: &(dyn Any + Send)) -> !;
 
-    /// Record `e` for the tracer or the timed metrics tier, if this
-    /// backend has either on (the counters are this body's own).
+    /// Record `e` for this worker's observer, if the run observes (the
+    /// counters are this body's own).
     fn record(&mut self, _e: Event<'_>) {}
     /// A clock for phase-stamped steals; `None` takes the bare steal.
     fn clock(&self) -> Option<RunClock> {
@@ -186,10 +187,10 @@ pub(crate) trait Place: Sized {
     fn on_spawn(&mut self) -> u64 {
         0
     }
-    /// Task `task` is about to run its body on `stack`; returns the
-    /// stamps [`Event::TaskEnd`] carries back.
-    fn on_task_begin(&mut self, _task: u64, _stack: &Self::Stack) -> [u64; 2] {
-        [0; 2]
+    /// Task `task` is about to run its body on `stack`; returns the one
+    /// stamp [`Event::TaskEnd`] carries back (0: unobserved).
+    fn on_task_begin(&mut self, _task: u64, _stack: &Self::Stack) -> u64 {
+        0
     }
 }
 
@@ -207,8 +208,8 @@ pub(crate) enum Event<'a> {
     Unpark,
     /// A child is about to make its spawner's continuation stealable.
     Publish(u64),
-    /// Task `task`'s body returned, here.
-    TaskEnd { task: u64, born: [u64; 2] },
+    /// Task `task`'s body returned, here; `born` is its begin stamp.
+    TaskEnd { task: u64, born: u64 },
     /// A task's exit pop returned its own parent ([I21]).
     LocalPop(u64),
     /// Task `.1`'s completion handed it the block's parked waiter `.2`.
@@ -217,8 +218,6 @@ pub(crate) enum Event<'a> {
     Suspend(&'a JoinBlock),
     /// A spawner runs again — or a task that blocked on the block.
     Resumed(Option<&'a JoinBlock>),
-    /// The worker leaves its loop.
-    Exit,
 }
 
 /// One worker: what the shared body keeps, plus its [`Place`].
@@ -471,14 +470,9 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut 
         // SAFETY: [I18] `arg` is the record `place_record::<P, K, F>`
         // wrote (its `entry` names this instantiation), now solely the
         // task's; `f` is moved out exactly once.
-        let (parent_ctx, join, task, f) = unsafe {
+        let (parent_ctx, join, f) = unsafe {
             let hdr = &(*rec).hdr;
-            (
-                hdr.parent_ctx,
-                hdr.join,
-                hdr.task_id,
-                ManuallyDrop::take(&mut (*rec).f),
-            )
+            (hdr.parent_ctx, hdr.join, ManuallyDrop::take(&mut (*rec).f))
         };
         // SAFETY: [I5][I7] worker structures outlive all tasks;
         // exclusive access on the owning thread, borrow scoped; the
@@ -493,7 +487,8 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut 
                 wr.place.record(Event::Publish(parent_ctx as u64));
                 wr.place.deque(wr.id).borrow().push(parent_ctx as u64);
             }
-            wr.place.on_task_begin(task, &(*rec).hdr.stack)
+            wr.place
+                .on_task_begin((*rec).hdr.task_id, &(*rec).hdr.stack)
         };
         let (w, keep) = match catch_unwind(AssertUnwindSafe(|| f(w))) {
             Ok(r) => r,
@@ -526,6 +521,9 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut 
                 P::task_panicked(&"a retired stack was left uncollected");
             }
             std::mem::forget(prev);
+            // Read from the record, not kept live across the body: the
+            // task path has no register to spare for it.
+            let task = (*rec).hdr.task_id;
             wr.place.record(Event::TaskEnd { task, born });
             let popped = wr.place.deque(wr.id).borrow().pop();
             match popped {
@@ -745,8 +743,6 @@ pub(crate) fn worker_loop<P: Place>(
             break;
         }
     }
-    // SAFETY: [I7] exclusive worker access on this thread.
-    unsafe { (*w).place.record(Event::Exit) };
     set_current(std::ptr::null_mut(), 0);
 }
 

@@ -137,6 +137,8 @@ impl RunClock {
     /// Establish the run epoch: calibrate (first call only), pick the
     /// clock source, and record "time zero".
     pub fn start() -> Self {
+        #[cfg(test)]
+        tests::started();
         match calibrated_tsc_hz() {
             Some(hz) => RunClock {
                 source: ClockSource::Tsc,
@@ -177,8 +179,21 @@ impl RunClock {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local!(static STARTED: Cell<u64> = const { Cell::new(0) });
+
+    /// Count one run clock started on this thread.
+    pub(super) fn started() {
+        STARTED.with(|n| n.set(n.get() + 1));
+    }
+
+    /// The run clocks this thread has started.
+    pub(crate) fn clocks() -> u64 {
+        STARTED.with(Cell::get)
+    }
 
     #[test]
     fn counter_is_monotonic_enough() {

@@ -1,9 +1,9 @@
 //! End-to-end integration: workloads → engine → core → deque → rdma →
 //! vmem, all through the public facade.
 
-use uni_address_threads::cluster::workload::sequential_profile;
 use uni_address_threads::cluster::{Engine, SimConfig};
 use uni_address_threads::core::SchemeKind;
+use uni_address_threads::model::sequential_profile;
 use uni_address_threads::workloads::{Btc, Chain, Fib, NQueens, Uts};
 
 fn verified(workers: u32) -> SimConfig {

@@ -1,10 +1,13 @@
 //! Native live-metrics acceptance: one uts11 run on real fibers with
 //! the registry, the sampler, *and* the tracer attached, then every
 //! exported total is checked against the ground truth the structured
-//! trace independently recorded. The trace and the metrics tier hook
-//! the same scheduler sites but share no state — agreement here means
-//! the always-on counters and histograms report the same run the
-//! offline trace proves happened.
+//! trace recorded. The trace and the timed tier share the clock — each
+//! worker's observer stamps an event once and gives both tiers that
+//! stamp, so their histogram sums equal the trace's sums exactly — but
+//! the counts still come from independent sources: the always-on
+//! counter rows the worker body bumps, the histograms' sample counts,
+//! and the trace's events. Agreement here means the counters and
+//! histograms report the same run the offline trace proves happened.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -50,9 +53,15 @@ fn exported_totals_match_trace_ground_truth() {
     // phase-stamped path, so StealResult events partition exactly into
     // the completed/failed counters and each one fed the latency
     // histogram.
-    let (mut ok, mut failed) = (0u64, 0u64);
+    let (mut ok, mut failed, mut latency) = (0u64, 0u64, 0u64);
     for e in trace.data.events() {
-        if let EventKind::StealResult { outcome, .. } = e.kind {
+        if let EventKind::StealResult {
+            outcome,
+            latency: l,
+            ..
+        } = e.kind
+        {
+            latency += l.get();
             match outcome {
                 StealOutcome::Completed => ok += 1,
                 _ => failed += 1,
@@ -66,6 +75,23 @@ fn exported_totals_match_trace_ground_truth() {
         .histogram(names::STEAL_LATENCY)
         .expect("steal-latency histogram registered");
     assert_eq!(steal_hist.count(), ok + failed);
+
+    // Durations: one stamp per event, shared by both tiers, so the
+    // histograms' sums are the trace's sums to the cycle.
+    let run: u64 = trace
+        .data
+        .events()
+        .filter_map(|e| match e.kind {
+            EventKind::TaskEnd { run, .. } => Some(run.get()),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(run_hist.sum(), run, "task-run sum vs trace TaskEnd.run");
+    assert_eq!(
+        steal_hist.sum(),
+        latency,
+        "steal-latency sum vs trace StealResult.latency"
+    );
 
     // The sampler ran: a multi-second run at the default interval must
     // tick many times, and each tick samples every worker's deque.
