@@ -35,7 +35,7 @@
 
 use crate::join::JoinBlock;
 use crate::runtime::{Observe, Observed, Runtime, Threads};
-use crate::sched::{bump, current, join_all, spawn_on, Place, Worker};
+use crate::sched::{bump, current, join_all, spawn_on, Body, Place, Worker};
 use crate::tsc;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,14 +46,14 @@ use uat_model::{task_shape_hash, Action, Workload};
 /// owner writes [I17], summed over workers once the run is over. All
 /// zeroes is the valid initial state, so the multiprocess backend
 /// places its rows in the (zero-filled) shared region as they are.
+/// Tasks and spawns are not here: the worker's counter row counts them
+/// (`TASKS`, `SPAWNED`), and a run's stats take them from there.
 #[derive(Default)]
 #[repr(C, align(64))]
 pub(crate) struct AcctRow {
-    tasks: AtomicU64,
     units: AtomicU64,
     work_cycles: AtomicU64,
     joins: AtomicU64,
-    spawns: AtomicU64,
     frame_bytes_total: AtomicU64,
     join_fingerprint: AtomicU64,
     /// Deepest root→task frame chain among the tasks that started here.
@@ -85,11 +85,9 @@ impl AcctRow {
             }
         }
         let units = w.units(d);
-        bump(&self.tasks, 1, Ordering::Relaxed);
         bump(&self.units, units, Ordering::Relaxed);
         bump(&self.work_cycles, work, Ordering::Relaxed);
         bump(&self.joins, joins, Ordering::Relaxed);
-        bump(&self.spawns, spawns, Ordering::Relaxed);
         bump(&self.frame_bytes_total, frame, Ordering::Relaxed);
         let shape = task_shape_hash(spawns, units, frame);
         bump(&self.join_fingerprint, shape, Ordering::Relaxed);
@@ -98,20 +96,19 @@ impl AcctRow {
         }
     }
 
-    /// Add the workers' rows to a run's stats. The caller has
-    /// synchronised with every writer (joined the worker threads /
-    /// reaped the worker processes), so Relaxed loads read final values.
+    /// Add the workers' rows to a run's stats, which carry the tasks and
+    /// spawns the counter rows counted. The caller has synchronised with
+    /// every writer (joined the worker threads / reaped the worker
+    /// processes), so Relaxed loads read final values.
     pub(crate) fn totals<'a>(
         rows: impl IntoIterator<Item = &'a AcctRow>,
         mut stats: NativeRunStats,
     ) -> NativeRunStats {
         for r in rows {
             let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-            stats.total_tasks += get(&r.tasks);
             stats.total_units += get(&r.units);
             stats.total_work_cycles += get(&r.work_cycles);
             stats.joins += get(&r.joins);
-            stats.spawns += get(&r.spawns);
             stats.frame_bytes_total += get(&r.frame_bytes_total);
             stats.join_fingerprint = stats
                 .join_fingerprint
@@ -163,8 +160,8 @@ impl<W: Workload> Env<W> {
 }
 
 /// `Copy` pointers to the run's [`Env`] and to worker 0's accounting
-/// row (the others follow it), captured by every task closure. Not an
-/// `Arc`: a clone per spawn is an atomic read-modify-write on a
+/// row (the others follow it), held by every interpreted task's body.
+/// Not an `Arc`: a clone per spawn is an atomic read-modify-write on a
 /// refcount line all workers share [I17].
 pub(crate) struct EnvRef<W: Workload> {
     pub(crate) env: *const Env<W>,
@@ -185,15 +182,45 @@ impl<W: Workload> Copy for EnvRef<W> {}
 // `NativeRunner::run_observing` and `MultiProcessRunner::run_mapped`).
 unsafe impl<W: Workload> Send for EnvRef<W> {}
 
+/// An interpreted task's body, as its record holds it [I18]: the run's
+/// environment, the task's descriptor, its frame claim and its
+/// ancestors' frame chain. Its entry runs it in place: `exec` reads the
+/// descriptor by reference into the record, where the spawner wrote
+/// it. Plain `Copy` data but for the descriptor, which is `Copy` across
+/// processes ([I16]).
+pub(crate) struct Child<W: Workload> {
+    pub(crate) env: EnvRef<W>,
+    pub(crate) desc: W::Desc,
+    /// The task's own `frame_size`, claimed below its record.
+    pub(crate) claim: u64,
+    /// The summed `frame_size` of its ancestors.
+    pub(crate) chain: u64,
+}
+
+impl<P: Place, W: Workload> Body<P> for Child<W> {
+    type Keep = ();
+
+    #[inline(always)]
+    unsafe fn run(this: *mut Self, w: *mut Worker<P>) -> (*mut Worker<P>, ()) {
+        // SAFETY: [I18] the body of the running task's record, which
+        // stays put, and is read by nothing else, until the task ends.
+        let c = unsafe { &*this };
+        let w = exec::<P, W>(w, c.env, &c.desc, c.claim, c.chain);
+        // SAFETY: [I18] run once: nothing reads the body again.
+        unsafe { std::ptr::drop_in_place(&raw mut (*this).desc) };
+        (w, ())
+    }
+}
+
 /// Interpret one task: expand its program and execute it on this fiber,
 /// which starts on worker `w`; returns the worker it ends on. `frame` is
 /// the task's own `frame_size`, already claimed below its record by
 /// whoever spawned it; `chain_above` is the summed `frame_size` of its
 /// ancestors.
-// Always inlined into the task entry, which reaches it from two
-// closures (the root's and every child's): a task's whole body is then
-// one function, which across processes calls nothing out of line but
-// the slot pool's slow paths and a parking join.
+// Always inlined into the task entry, which reaches it from the thread
+// runner's root closure and from `Child::run`: a task's whole body is
+// then one function, which across processes calls nothing out of line
+// but the slot pool's slow paths and a parking join.
 #[inline(always)]
 pub(crate) fn exec<P: Place, W: Workload>(
     mut w: *mut Worker<P>,
@@ -254,12 +281,17 @@ pub(crate) fn exec<P: Place, W: Workload>(
             // stack, its frame claimed below its record; our
             // continuation (the rest of this loop) becomes stealable.
             // Each migration point hands back the worker it resumed on.
-            Action::Spawn(child) => {
-                let claim = e.w.frame_size(&child);
-                let body = move |w| (exec::<P, W>(w, env, &child, claim, chain), ());
+            Action::Spawn(desc) => {
+                let claim = e.w.frame_size(&desc);
+                let child = Child {
+                    env,
+                    desc,
+                    claim,
+                    chain,
+                };
                 // SAFETY: [I16] `jb` is joined below before this frame
                 // ends; `env` outlives every task.
-                w = unsafe { spawn_on::<P, _, _>(w, &jb, claim, body) };
+                w = unsafe { spawn_on::<P, _>(w, &jb, claim, child) };
             }
             Action::JoinAll => w = join_all::<P>(w, &jb),
         }
@@ -568,13 +600,13 @@ mod tests {
             count() - t0
         };
         let rt = Runtime::new(1);
-        let moved = if metered {
+        let rt = if metered {
             rt.with_metrics(Arc::new(uat_metrics::Registry::new(1)))
-                .run(body)
         } else {
-            rt.run(body)
+            rt
         };
-        let s = AcctRow::totals(env.rows.iter(), NativeRunStats::default());
+        let (moved, sched, _) = rt.run_observing(body, 0, Observe::default());
+        let s = AcctRow::totals(env.rows.iter(), sched);
         assert_eq!(s.total_tasks, (1 << 11) - 1);
         moved
     }

@@ -95,7 +95,7 @@
 
 use crate::frame::{guard_page, FrameTooLarge, Guard, PAGE};
 use crate::idle;
-use crate::interp::{self, AcctRow, Env, EnvRef, NativeRunStats};
+use crate::interp::{AcctRow, Child, Env, EnvRef, NativeRunStats};
 use crate::join::JoinBlock;
 use crate::sched::{place_record, report_panic, worker_loop, Place, TaskHeader, Worker};
 use std::any::Any;
@@ -866,11 +866,16 @@ impl MultiProcessRunner {
         // The root is an ordinary record in slot 0, counted on a block
         // of its own; its frame is checked here, where a refusal can
         // still be an ordinary panic.
-        let root = env.w.root();
-        let frame = env.w.frame_size(&root);
+        let desc = env.w.root();
+        let frame = env.w.frame_size(&desc);
         ctrl.root.announce();
-        let body = move |w| (interp::exec::<Mp, W>(w, env_ref, &root, frame, 0), ());
-        let root = place_record::<Mp, (), _>(0, layout.slot_span(0), &ctrl.root, 0, frame, body)
+        let body = Child {
+            env: env_ref,
+            desc,
+            claim: frame,
+            chain: 0,
+        };
+        let root = place_record::<Mp, _>(0, layout.slot_span(0), &ctrl.root, 0, frame, body)
             .unwrap_or_else(|(e, _)| panic!("multiprocess: {e} (the root's)"));
 
         // Flush inherited stdio buffers so workers cannot re-emit them.
@@ -966,6 +971,8 @@ impl MultiProcessRunner {
                 workload,
                 backend: "MultiProc",
                 workers: layout.workers as u32,
+                total_tasks: msum(shm::TASKS),
+                spawns: msum(shm::SPAWNED),
                 steals: msum(shm::STEALS_COMPLETED),
                 parks: msum(shm::PARKS),
                 unparks: msum(shm::UNPARKS),
@@ -975,15 +982,9 @@ impl MultiProcessRunner {
                 ..NativeRunStats::default()
             },
         );
-        // What the termination scan summed must be what ran: every
-        // task started exactly once, completed exactly once, and every
-        // one but the root was spawned.
-        assert_eq!(msum(shm::TASKS), stats.total_tasks, "completed != started");
-        assert_eq!(
-            msum(shm::SPAWNED) + 1,
-            stats.total_tasks,
-            "spawned != started"
-        );
+        // What the termination scan summed must be a whole tree: every
+        // task completed but the root was spawned.
+        assert_eq!(stats.spawns + 1, stats.total_tasks, "spawned != completed");
         debug_assert!(ctrl.root.is_done());
         (stats, metric_words)
     }
@@ -1325,6 +1326,9 @@ mod tests {
         Returns,
         /// By `abort()`: its worker dies of SIGABRT, without a word.
         Aborts,
+        /// By a panic inside its task body: its worker reports it and
+        /// leaves with `_exit(101)`.
+        Panics,
         /// By reading the guard page below its own slot's stack, in a
         /// region laid out as given: its worker dies of SIGSEGV.
         HitsGuard(RegionLayout),
@@ -1345,6 +1349,7 @@ mod tests {
             match self.leaf {
                 LeafEnd::Returns => {}
                 LeafEnd::Aborts => std::process::abort(),
+                LeafEnd::Panics => panic!("the leaf panicked by design"),
                 LeafEnd::HitsGuard(layout) => {
                     // This frame is on the leaf's slot's stack.
                     let here = std::hint::black_box(&out) as *const _ as usize;
@@ -1470,17 +1475,49 @@ mod tests {
         // would idle forever on a scan that cannot pass. Only the
         // coordinator's liveness sweep ends this run.
         //
-        // There is no panicking-leaf twin (`_exit(101)`). A panic runs
-        // the process-wide hook before `catch_unwind` sees it — here
-        // std's default behind libtest's wrapper, which writes under
-        // the stderr lock, takes std's global backtrace lock and
-        // allocates. Another harness thread (this binary has several
-        // `catch_unwind` tests, any of them mid-panic) may hold one of
-        // those at `fork` and does not exist in the child: the worker
-        // would hang inside the hook, alive, and this test with it.
-        // Swapping the hook out is process-wide too, and would race
-        // every other test's output.
+        // The panicking-leaf twin (`_exit(101)`) runs in a copy of this
+        // test binary, alone: a panic runs the process-wide hook before
+        // `catch_unwind` sees it — here std's default behind libtest's
+        // wrapper, which writes under the stderr lock, takes std's
+        // global backtrace lock and allocates. Another harness thread
+        // (this binary has several `catch_unwind` tests, any of them
+        // mid-panic) may hold one of those at `fork` and does not exist
+        // in the child: the worker would hang inside the hook, alive,
+        // and this test with it. Swapping the hook out is process-wide
+        // too, and would race every other test's output.
         dies_by_name_in_bounded_time(|_| LeafEnd::Aborts, "killed by signal 6 (SIGABRT)");
+    }
+
+    /// [I18] A task body that panics, run in place in its record: its
+    /// worker writes the panic to fd 2 by name and leaves with
+    /// `_exit(101)`, and the coordinator fails the run naming that
+    /// status. In a copy of this test binary, running this test alone
+    /// (see the test above for why).
+    #[test]
+    fn a_leaf_that_panics_fails_the_run_by_name() {
+        if !supported() {
+            return;
+        }
+        const CHILD: &str = "UAT_TEST_MP_PANICKING_LEAF";
+        const NAME: &str = "mpruntime::tests::a_leaf_that_panics_fails_the_run_by_name";
+        if std::env::var_os(CHILD).is_some() {
+            dies_by_name_in_bounded_time(|_| LeafEnd::Panics, "exit status 101");
+            return;
+        }
+        let exe = std::env::current_exe().expect("test binary");
+        let out = std::process::Command::new(exe)
+            .args(["--exact", NAME, "--test-threads=1", "--nocapture"])
+            .env(CHILD, "1")
+            .output()
+            .expect("re-run the test binary");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{err}");
+        assert!(
+            err.contains(
+                "uat-fiber(mp): task panicked; worker exiting: the leaf panicked by design"
+            ),
+            "{err}"
+        );
     }
 
     /// Runs [`OneLeaf`] on 2 and 4 workers, its leaf ending as

@@ -198,9 +198,9 @@ impl Place for Threads {
     }
 
     #[inline]
-    fn record(&mut self, e: Event<'_>) {
+    fn record<'a>(&mut self, e: impl FnOnce() -> Event<'a>) {
         if let Some(o) = &mut self.observe {
-            o.record(e);
+            o.record(e());
         }
     }
 
@@ -260,7 +260,7 @@ where
     let task = JoinCell::task(Arc::clone(&cell), f);
     // SAFETY: [I8] the block lives in the `Arc` cell, and the child
     // returns its own reference to the cell as the keep-alive.
-    unsafe { spawn_on::<Threads, _, _>(current::<Threads>(), &cell.block, 0, task) };
+    unsafe { spawn_on::<Threads, _>(current::<Threads>(), &cell.block, 0, task) };
     JoinHandle { cell }
 }
 
@@ -389,6 +389,7 @@ impl Runtime {
     /// The one run path: run `root`, its body started `root_frame`
     /// bytes below its record as `spawn_on` starts every other task's,
     /// observing what `observe` asks. Reports the run's scheduler fields
+    /// — tasks, spawns, steals, parks and unparks, from the counter rows —
     /// in a [`NativeRunStats`], to which `NativeRunner` adds the
     /// workload's accounting.
     pub(crate) fn run_observing<T, F>(
@@ -417,9 +418,8 @@ impl Runtime {
         let stack = Stack::new(self.stack_size);
         let at = (stack.top() as usize, stack.limit() as usize);
         let task = JoinCell::task(Arc::clone(&cell), root);
-        let seed =
-            place_record::<Threads, _, _>(stack, at, &cell.block, root_task, root_frame, task)
-                .unwrap_or_else(|(e, s)| Threads::refuse_frame(e, s));
+        let seed = place_record::<Threads, _>(stack, at, &cell.block, root_task, root_frame, task)
+            .unwrap_or_else(|(e, s)| Threads::refuse_frame(e, s));
         let shared = Arc::new(Shared {
             deques: (0..self.nworkers).map(|_| NativeDeque::new(8192)).collect(),
             rows: (0..self.nworkers).map(|_| Row::default()).collect(),
@@ -542,6 +542,8 @@ impl Runtime {
         let stats = NativeRunStats {
             backend: "Native",
             workers: self.nworkers as u32,
+            total_tasks: sum(shm::TASKS),
+            spawns: sum(shm::SPAWNED),
             steals: sum(shm::STEALS_COMPLETED),
             parks: sum(shm::PARKS),
             unparks: sum(shm::UNPARKS),
@@ -814,7 +816,7 @@ pub(crate) mod tests {
                 let rec = record_at(top, &body);
                 // SAFETY: [I16] `jb` and `seen` are locals of this
                 // frame, which joins the child before it ends.
-                let w = unsafe { spawn_on::<Threads, _, _>(current(), &jb, frame, body) };
+                let w = unsafe { spawn_on::<Threads, _>(current(), &jb, frame, body) };
                 join_all::<Threads>(w, &jb);
                 (root_local, root_rec, seen.load(Ordering::Relaxed), rec)
             };

@@ -176,9 +176,10 @@ pub(crate) trait Place: Sized {
     /// goes, loudly ([`report_panic`]).
     fn task_panicked(payload: &(dyn Any + Send)) -> !;
 
-    /// Record `e` for this worker's observer, if the run observes (the
-    /// counters are this body's own).
-    fn record(&mut self, _e: Event<'_>) {}
+    /// Record the event `e` builds for this worker's observer, if the
+    /// run observes (the counters are this body's own). Built only
+    /// then: an unobserved run stores no event.
+    fn record<'a>(&mut self, _e: impl FnOnce() -> Event<'a>) {}
     /// A clock for phase-stamped steals; `None` takes the bare steal.
     fn clock(&self) -> Option<RunClock> {
         None
@@ -305,13 +306,49 @@ fn collect_retired<P: Place>(w: *mut Worker<P>) -> *mut Worker<P> {
 /// A task's record may take at most 1/N of its stack.
 const RECORD_STACK_DIVISOR: usize = 4;
 
+/// A task's body as its record holds it [I18]: the task's entry runs it
+/// right there, where its spawner wrote it, so nothing copies it out —
+/// every field is loaded at the width it was stored, and the
+/// `catch_unwind` around the run captures two pointers, not the body.
+/// A closure that takes the worker its task starts on and returns the
+/// one it ends on, with the task's keep-alive, is a body (the public
+/// `spawn`'s and the thread runtime's root, moved out to run); an
+/// interpreted task's — every multiprocess task's, the root's too — is
+/// `interp::Child`.
+pub(crate) trait Body<P: Place> {
+    /// What the task keeps alive until after its last access to its
+    /// join block (see [`spawn_on`]).
+    type Keep;
+
+    /// Run the body at `this` on worker `w`, the worker the task starts
+    /// on; return the one it ends on and the task's keep-alive. The run
+    /// consumes the body: when it returns, the body is dropped.
+    ///
+    /// # Safety
+    ///
+    /// `this` is the body of a record [`place_record`] wrote, run once,
+    /// by its task; the record stays put until the task completes.
+    unsafe fn run(this: *mut Self, w: *mut Worker<P>) -> (*mut Worker<P>, Self::Keep);
+}
+
+impl<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Worker<P>, K)> Body<P> for F {
+    type Keep = K;
+
+    #[inline(always)]
+    unsafe fn run(this: *mut Self, w: *mut Worker<P>) -> (*mut Worker<P>, K) {
+        // SAFETY: [I18] run once: the closure is moved out exactly once.
+        let f = unsafe { this.read() };
+        f(w)
+    }
+}
+
 /// The type-independent head of a task record [I18].
 #[repr(C)]
 pub(crate) struct TaskHeader<S> {
-    /// `child_main::<P, K, F>` for the record's own `F`: lets a spawner
-    /// or the scheduler start a task without knowing its closure type —
-    /// and, the code being the same in every forked worker, in any
-    /// process.
+    /// `child_main::<P, B>` for the record's own body type `B`: lets a
+    /// spawner or the scheduler start a task without knowing its body
+    /// type — and, the code being the same in every forked worker, in
+    /// any process.
     entry: Entry,
     /// Where the body starts: the task's frame claim below this record,
     /// as [`frame::claim`] checked it against the stack [I19].
@@ -331,86 +368,87 @@ pub(crate) struct TaskHeader<S> {
 }
 
 /// Everything a task needs to start, written by its spawner at the top
-/// of the task's own stack and read only by the task [I18].
+/// of the task's own stack and read only by the task [I18]. The body
+/// runs in place, and the record stays put until the task completes.
 #[repr(C)]
-pub(crate) struct TaskRecord<S, F> {
+pub(crate) struct TaskRecord<S, B> {
     hdr: TaskHeader<S>,
-    f: ManuallyDrop<F>,
+    body: B,
 }
 
-/// Write the record of a task running `f` at the top of `stack`, whose
-/// `(top, limit)` is `span`; the task reports to `join` and starts with
-/// its stack pointer `frame` bytes below the record. `f` takes the
-/// worker the task starts on and returns the one it ends on, with its
-/// keep-alive. Panics, naming the sizes, if the record is over
-/// `1/RECORD_STACK_DIVISOR` of the stack — the body would otherwise
-/// start part-way to the guard page. A frame that does not fit the rest
-/// is refused, and the stack handed back.
-pub(crate) fn place_record<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Worker<P>, K)>(
+/// Write the record of a task running `body` at the top of `stack`,
+/// whose `(top, limit)` is `span`; the task reports to `join` and starts
+/// with its stack pointer `frame` bytes below the record. Panics, naming
+/// the sizes, if the record is over `1/RECORD_STACK_DIVISOR` of the
+/// stack — the body would otherwise start part-way to the guard page. A
+/// frame that does not fit the rest is refused, and the stack handed
+/// back.
+pub(crate) fn place_record<P: Place, B: Body<P>>(
     stack: P::Stack,
     (top, limit): (usize, usize),
     join: *const JoinBlock,
     task_id: u64,
     frame: u64,
-    f: F,
+    body: B,
 ) -> Result<*mut TaskHeader<P::Stack>, (FrameTooLarge, P::Stack)> {
-    let size = std::mem::size_of::<TaskRecord<P::Stack, F>>();
-    let align = std::mem::align_of::<TaskRecord<P::Stack, F>>().max(16);
+    let size = std::mem::size_of::<TaskRecord<P::Stack, B>>();
+    let align = std::mem::align_of::<TaskRecord<P::Stack, B>>().max(16);
     assert!(
         size + align <= (top - limit) / RECORD_STACK_DIVISOR,
         "uat-fiber: a task record of {size} bytes ({}-byte closure + {}-byte header) exceeds \
          1/{RECORD_STACK_DIVISOR} of the {}-byte task stack; raise `with_stack_size` or box \
          the captured data",
-        std::mem::size_of::<F>(),
+        std::mem::size_of::<B>(),
         std::mem::size_of::<TaskHeader<P::Stack>>(),
         top - limit,
     );
-    let rec = ((top - size) & !(align - 1)) as *mut TaskRecord<P::Stack, F>;
+    let rec = ((top - size) & !(align - 1)) as *mut TaskRecord<P::Stack, B>;
     let sp = match frame::claim(rec as usize, limit, frame) {
         Ok(sp) => sp,
         Err(e) => return Err((e, stack)),
     };
+    #[cfg(test)]
+    tests::placed(rec as usize + std::mem::offset_of!(TaskRecord<P::Stack, B>, body));
     // SAFETY: [I6][I18] `rec` is aligned and `[rec, rec + size)` is
     // inside the usable span (checked above) of a stack nothing runs on.
     unsafe {
         rec.write(TaskRecord {
             hdr: TaskHeader {
-                entry: child_main::<P, K, F>,
+                entry: child_main::<P, B>,
                 sp: sp as *mut u8,
                 parent_ctx: std::ptr::null_mut(),
                 join,
                 task_id,
                 stack: ManuallyDrop::new(stack),
             },
-            f: ManuallyDrop::new(f),
+            body,
         });
     }
     Ok(rec.cast())
 }
 
-/// The one spawn primitive: start a child running `f` right now on a
+/// The one spawn primitive: start a child running `body` right now on a
 /// fresh stack of `w`, the worker the caller runs on, `frame` bytes of
 /// it claimed ahead of the body (Figure 4's allocation "just below the
 /// parent", by arithmetic [I19]); the caller's continuation becomes
 /// stealable and this returns once somebody resumes it — the child,
 /// finished, or a thief, which counts the child on `jb` [I21] — with
-/// the worker the caller now runs on. `f` is given the child's worker
-/// and returns the one it ends on and the child's keep-alive, dropped
-/// only after the child's last access to `jb`. No allocator call in
-/// steady state.
+/// the worker the caller now runs on. The child's keep-alive, what its
+/// body returns, is dropped only after the child's last access to `jb`.
+/// No allocator call in steady state.
 ///
 /// # Safety
 ///
 /// `jb` must stay valid until the child's `JoinBlock::complete` on it
 /// has returned: it is in a frame that first passes [`join_all`] on it,
-/// or is owned by what `f` returns. Likewise everything `f` borrows.
+/// or is owned by the keep-alive. Likewise everything `body` borrows.
 // Always inlined: a spawn nobody steals makes no call but the switch's.
 #[inline(always)]
-pub(crate) unsafe fn spawn_on<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Worker<P>, K)>(
+pub(crate) unsafe fn spawn_on<P: Place, B: Body<P>>(
     w: *mut Worker<P>,
     jb: &JoinBlock,
     frame: u64,
-    f: F,
+    body: B,
 ) -> *mut Worker<P> {
     // SAFETY: [I7] exclusive access by the owning thread; the borrow
     // ends before the context switch below.
@@ -421,7 +459,7 @@ pub(crate) unsafe fn spawn_on<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Wo
         // Announce the child before it can run: its `TASKS` tick then
         // happens-after this one, which the termination scan relies on.
         bump(&wr.place.row(wr.id)[shm::SPAWNED], 1, Ordering::Release);
-        let rec = place_record::<P, K, F>(stack, span, jb, task_id, frame, f)
+        let rec = place_record::<P, B>(stack, span, jb, task_id, frame, body)
             .unwrap_or_else(|(e, s)| P::refuse_frame(e, s));
         (wr.id, rec)
     };
@@ -453,26 +491,25 @@ pub(crate) unsafe fn spawn_on<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Wo
         if (*now).id != me {
             jb.announce();
         }
-        (*now).place.record(Event::Resumed(None));
+        (*now).place.record(|| Event::Resumed(None));
     }
     now
 }
 
 /// A task's entry, started on `arg`'s record by a spawner (or the
-/// scheduler) running on worker `w`.
-unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut Worker<P>, K)>(
-    arg: *mut c_void,
-    w: *mut c_void,
-) -> ! {
+/// scheduler) running on worker `w`: publish the spawner's
+/// continuation, run the body in place, and leave — to the spawner, if
+/// nobody stole it, or else to a parked joiner or the scheduler. The
+/// record stays put until the body has returned.
+unsafe extern "C" fn child_main<P: Place, B: Body<P>>(arg: *mut c_void, w: *mut c_void) -> ! {
     let (target, w) = {
         let w: *mut Worker<P> = w.cast();
-        let rec = arg as *mut TaskRecord<P::Stack, F>;
-        // SAFETY: [I18] `arg` is the record `place_record::<P, K, F>`
-        // wrote (its `entry` names this instantiation), now solely the
-        // task's; `f` is moved out exactly once.
-        let (parent_ctx, join, f) = unsafe {
+        let rec = arg as *mut TaskRecord<P::Stack, B>;
+        // SAFETY: [I18] `arg` is the record `place_record::<P, B>` wrote
+        // (its `entry` names this instantiation), now solely the task's.
+        let (parent_ctx, join, body) = unsafe {
             let hdr = &(*rec).hdr;
-            (hdr.parent_ctx, hdr.join, ManuallyDrop::take(&mut (*rec).f))
+            (hdr.parent_ctx, hdr.join, &raw mut (*rec).body)
         };
         // SAFETY: [I5][I7] worker structures outlive all tasks;
         // exclusive access on the owning thread, borrow scoped; the
@@ -484,13 +521,15 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut 
             // stack, and every parent-stack frame below the record is
             // already dead.
             if !parent_ctx.is_null() {
-                wr.place.record(Event::Publish(parent_ctx as u64));
+                wr.place.record(|| Event::Publish(parent_ctx as u64));
                 wr.place.deque(wr.id).borrow().push(parent_ctx as u64);
             }
             wr.place
                 .on_task_begin((*rec).hdr.task_id, &(*rec).hdr.stack)
         };
-        let (w, keep) = match catch_unwind(AssertUnwindSafe(|| f(w))) {
+        // SAFETY: [I18] the body of this task's record, run once, here;
+        // the record stays put until the completion below.
+        let (w, keep) = match catch_unwind(AssertUnwindSafe(|| unsafe { B::run(body, w) })) {
             Ok(r) => r,
             Err(payload) => P::task_panicked(&*payload),
         };
@@ -523,15 +562,15 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut 
             std::mem::forget(prev);
             // Read from the record, not kept live across the body: the
             // task path has no register to spare for it.
-            let task = (*rec).hdr.task_id;
-            wr.place.record(Event::TaskEnd { task, born });
+            let task = || (*rec).hdr.task_id;
+            wr.place.record(|| Event::TaskEnd { task: task(), born });
             let popped = wr.place.deque(wr.id).borrow().pop();
             match popped {
                 Some(c) => {
                     if cfg!(debug_assertions) && c != parent_ctx as u64 {
                         P::task_panicked(&"[I21] popped another's parent");
                     }
-                    wr.place.record(Event::LocalPop(c));
+                    wr.place.record(|| Event::LocalPop(c));
                     c
                 }
                 None => {
@@ -542,7 +581,7 @@ unsafe extern "C" fn child_main<P: Place, K, F: FnOnce(*mut Worker<P>) -> (*mut 
                     prefetch_handoff(join, (*rec).hdr.parent_ctx);
                     match (*join).complete() {
                         Some(waiter) => {
-                            wr.place.record(Event::JoinReady(&*join, task, waiter));
+                            wr.place.record(|| Event::JoinReady(&*join, task(), waiter));
                             waiter
                         }
                         None => wr.sched_ctx as u64,
@@ -625,7 +664,7 @@ fn suspend_join<P: Place>(w: *mut Worker<P>, jb: &JoinBlock) -> *mut Worker<P> {
             "uat-fiber: a task blocked joining a thread it did not spawn; \
              join a handle from the task that spawned it"
         );
-        wr.place.record(Event::Suspend(jb));
+        wr.place.record(|| Event::Suspend(jb));
         (wr.pending_join.hand_over(jb), wr.sched_ctx)
     };
     // [I12]: parking publishes the continuation — the last child can
@@ -641,7 +680,7 @@ fn suspend_join<P: Place>(w: *mut Worker<P>, jb: &JoinBlock) -> *mut Worker<P> {
     let now = unsafe { switch_to(slot, sched, w.cast()) };
     let now = collect_retired::<P>(now.cast());
     // SAFETY: [I7] exclusive worker access on this (possibly new) worker.
-    unsafe { (*now).place.record(Event::Resumed(Some(jb))) };
+    unsafe { (*now).place.record(|| Event::Resumed(Some(jb))) };
     debug_assert!(jb.is_done());
     now
 }
@@ -681,7 +720,7 @@ pub(crate) fn worker_loop<P: Place>(
         }
         // Nothing of our own is left to run [I21]: a task ends or blocks
         // here only once its worker's deque is empty. Steal.
-        wr.place.record(Event::Idle);
+        wr.place.record(|| Event::Idle);
         debug_assert!(wr.place.deque(id).borrow().is_empty());
         let target = if n == 1 {
             None
@@ -705,13 +744,13 @@ pub(crate) fn worker_loop<P: Place>(
                 None => shm::STEALS_FAILED,
             };
             bump(&p.row(id)[c], 1, Ordering::Relaxed);
-            p.record(Event::Steal(victim, got, phases));
+            p.record(|| Event::Steal(victim, got, phases));
             got
         };
         if let Some(ctx) = target {
             if idle.found() {
                 bump(&wr.place.row(id)[shm::UNPARKS], 1, Ordering::Relaxed);
-                wr.place.record(Event::Unpark);
+                wr.place.record(|| Event::Unpark);
             }
             run_ctx::<P>(w, ctx as *mut Context);
             continue;
@@ -734,7 +773,7 @@ pub(crate) fn worker_loop<P: Place>(
         // SAFETY: [I7] as above.
         let park = || unsafe {
             bump(&(*p).row(id)[shm::PARKS], 1, Ordering::Relaxed);
-            (*p).record(Event::Park);
+            (*p).record(|| Event::Park);
         };
         if idle.missed(scan, park) {
             let shutdown = wr.place.shutdown();
@@ -778,9 +817,14 @@ fn run_fresh<P: Place>(w: *mut Worker<P>, rec: *mut TaskHeader<P::Stack>) {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use super::{current, join_all, spawn_on, Body, Worker};
+    use crate::join::JoinBlock;
+    use crate::runtime::{Runtime, Threads};
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     thread_local!(static LOOKUPS: Cell<u64> = const { Cell::new(0) });
+    thread_local!(static PLACED: Cell<usize> = const { Cell::new(0) });
 
     /// Count one call of [`current`](super::current) on this thread.
     pub(super) fn looked_up() {
@@ -791,5 +835,67 @@ pub(crate) mod tests {
     #[inline(never)]
     pub(crate) fn lookups() -> u64 {
         LOOKUPS.with(Cell::get)
+    }
+
+    /// Note `body`, the address of the body in the record
+    /// [`place_record`](super::place_record) just wrote on this thread.
+    pub(super) fn placed(body: usize) {
+        PLACED.with(|p| p.set(body));
+    }
+
+    /// A body that notes the `this` it runs with and the body address of
+    /// the last record placed on its thread — its own, which its spawner
+    /// wrote on this thread just before the switch to it — and then, if
+    /// given a flag, holds its worker until the flag is raised.
+    struct Probe<'a> {
+        seen: &'a [AtomicUsize; 2],
+        hold: Option<&'a AtomicBool>,
+    }
+
+    impl Body<Threads> for Probe<'_> {
+        type Keep = ();
+
+        unsafe fn run(this: *mut Self, w: *mut Worker<Threads>) -> (*mut Worker<Threads>, ()) {
+            // SAFETY: [I18] the body of the running task's record.
+            let p = unsafe { &*this };
+            p.seen[0].store(this as usize, Ordering::Relaxed);
+            p.seen[1].store(PLACED.with(Cell::get), Ordering::Relaxed);
+            while p.hold.is_some_and(|h| !h.load(Ordering::Acquire)) {
+                std::thread::yield_now();
+            }
+            (w, ())
+        }
+    }
+
+    /// [I18]: a child's body runs where its spawner wrote it, in the
+    /// record `place_record` returned — whether the exit pop resumes
+    /// the spawner (one worker) or a thief does, while the child holds
+    /// its worker (two workers).
+    #[test]
+    fn a_child_runs_its_body_in_place() {
+        for workers in [1usize, 2] {
+            let (this, placed, stolen) = Runtime::new(workers).run(move || {
+                let seen = [AtomicUsize::new(0), AtomicUsize::new(0)];
+                let resumed = AtomicBool::new(false);
+                let jb = JoinBlock::new();
+                let w = current::<Threads>();
+                // SAFETY: [I7] one immutable field of our worker.
+                let me = unsafe { (*w).id };
+                let hold = (workers > 1).then_some(&resumed);
+                let probe = Probe { seen: &seen, hold };
+                // SAFETY: [I16] `jb`, `seen` and `resumed` are locals of
+                // this frame, which joins the child before it ends.
+                let w = unsafe { spawn_on::<Threads, _>(w, &jb, 0, probe) };
+                // SAFETY: [I7] as above, on the worker that resumed us.
+                let stolen = unsafe { (*w).id } != me;
+                resumed.store(true, Ordering::Release);
+                join_all::<Threads>(w, &jb);
+                let [this, placed] = seen.map(AtomicUsize::into_inner);
+                (this, placed, stolen)
+            });
+            assert_eq!(stolen, workers > 1, "workers={workers}");
+            assert_ne!(placed, 0, "workers={workers}: no record placed");
+            assert_eq!(this, placed, "workers={workers}: the body ran elsewhere");
+        }
     }
 }

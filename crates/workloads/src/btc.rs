@@ -64,15 +64,20 @@ impl Workload for Btc {
         self.depth
     }
 
+    // Inlined into the real backends' task body, so that expanding a
+    // task's program makes no call.
+    #[inline]
     fn program(&self, d: &u32, out: &mut Vec<Action<u32>>) {
         if self.work > 0 {
             out.push(Action::Work(self.work));
         }
         if *d > 0 {
             for _ in 0..self.iter {
-                out.push(Action::Spawn(*d - 1));
-                out.push(Action::Spawn(*d - 1));
-                out.push(Action::JoinAll);
+                out.extend([
+                    Action::Spawn(*d - 1),
+                    Action::Spawn(*d - 1),
+                    Action::JoinAll,
+                ]);
             }
         }
     }

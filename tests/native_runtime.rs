@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uni_address_threads::fiber::{self, NativeRunner, Runtime};
-use uni_address_threads::model::sequential_profile;
+use uni_address_threads::model::{sequential_profile, Action, Workload};
 use uni_address_threads::workloads::nqueens::Board;
 use uni_address_threads::workloads::{Btc, Chain, NQueens};
 
@@ -256,6 +256,60 @@ fn blocking_on_a_sibling_with_the_spawner_unstolen_aborts_by_name() {
     assert!(!out.status.success(), "{err}");
     assert!(
         err.contains("a task blocked joining a thread it did not spawn"),
+        "{err}"
+    );
+}
+
+/// One spawn, whose leaf panics while it expands its program, inside
+/// its interpreted task body.
+struct PanickingLeaf;
+
+impl Workload for PanickingLeaf {
+    type Desc = bool; // is this the leaf?
+
+    fn root(&self) -> bool {
+        false
+    }
+
+    fn program(&self, leaf: &bool, out: &mut Vec<Action<bool>>) {
+        assert!(!leaf, "the leaf panicked by design");
+        out.extend([Action::Spawn(true), Action::JoinAll]);
+    }
+
+    fn frame_size(&self, _leaf: &bool) -> u64 {
+        64
+    }
+
+    fn name(&self) -> String {
+        "panicking leaf".into()
+    }
+}
+
+/// A task body that panics, run in place in its record, gives its
+/// worker up by name: the message on fd 2, then an abort. The abort
+/// takes the process with it, so the run goes in a copy of this test
+/// binary.
+#[test]
+fn an_interpreted_task_that_panics_aborts_by_name() {
+    use std::os::unix::process::ExitStatusExt;
+    const CHILD: &str = "UAT_TEST_PANICKING_LEAF";
+    if std::env::var_os(CHILD).is_some() {
+        NativeRunner::new(2).run(PanickingLeaf);
+        unreachable!("a panicking task must abort the run");
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "--exact",
+            "an_interpreted_task_that_panics_aborts_by_name",
+            "--test-threads=1",
+        ])
+        .env(CHILD, "1")
+        .output()
+        .expect("re-run the test binary");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.signal(), Some(6), "not an abort: {err}");
+    assert!(
+        err.contains("uat-fiber: task panicked; aborting: the leaf panicked by design"),
         "{err}"
     );
 }
