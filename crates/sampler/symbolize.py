@@ -2,7 +2,7 @@
 """Turn uat-sampler sample files into a per-source-line and a
 per-function table.
 
-usage: symbolize.py BINARY FILE.samples... [--top N]
+usage: symbolize.py BINARY FILE.samples...
 
 Each sample becomes an address in BINARY's ELF (the sample less the
 start of the executable's mapping at file offset 0), which
@@ -13,7 +13,8 @@ outside Rust's standard library (`library/`), so that an inlined
 that innermost frame's function beside it — and once for its outermost
 frame's function (the symbol the code sits in).
 Samples outside the executable (libc, the kernel's vDSO) count as
-`[outside]`.
+`[outside]`. Both tables print every row, most samples first, so a
+file's share is the sum of its rows in the line table.
 """
 import collections
 import os
@@ -79,11 +80,6 @@ def short(loc):
 
 
 def main(argv):
-    top = 25
-    if '--top' in argv:
-        k = argv.index('--top')
-        top = int(argv[k + 1])
-        del argv[k:k + 2]
     binary, files = argv[1], argv[2:]
     addrs, outside = [], 0
     for f in files:
@@ -102,10 +98,10 @@ def main(argv):
     by_func['[outside]'] += outside
     print(f'{total} samples in {len(files)} file(s), {outside} outside the executable')
     print(f'\n{"%":>6} {"samples":>8}  source line (innermost outside library/)  [innermost function]')
-    for (loc, func), n in by_line.most_common(top):
+    for (loc, func), n in by_line.most_common():
         print(f'{100 * n / total:6.1f} {n:8}  {loc}  [{func}]')
     print(f'\n{"%":>6} {"samples":>8}  function (outermost frame)')
-    for func, n in by_func.most_common(top):
+    for func, n in by_func.most_common():
         print(f'{100 * n / total:6.1f} {n:8}  {func}')
 
 

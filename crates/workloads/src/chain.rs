@@ -59,9 +59,6 @@ impl Workload for Chain {
         ChainDesc::Root
     }
 
-    // Inlined into the real backends' task body, so that expanding a
-    // task's program makes no call.
-    #[inline]
     fn program(&self, d: &ChainDesc, out: &mut Vec<Action<ChainDesc>>) {
         match d {
             ChainDesc::Root => {

@@ -50,9 +50,6 @@ impl Workload for Fib {
         self.n
     }
 
-    // Inlined into the real backends' task body, so that expanding a
-    // task's program makes no call.
-    #[inline]
     fn program(&self, d: &u32, out: &mut Vec<Action<u32>>) {
         out.push(Action::Work(self.work));
         if *d >= 2 {
