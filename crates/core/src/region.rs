@@ -3,10 +3,11 @@
 //! The region is `[S, E)`. A pointer `p` divides it: `[p, E)` is used,
 //! `[S, p)` is free; stacks grow downwards. Each live thread owns one
 //! contiguous *segment* of the used part; the running thread's segment is
-//! the lowest (Section 5.2's invariant). Segments become **dead** when
-//! their thread's continuation is stolen — the bytes were copied to the
-//! thief, but the addresses cannot be reclaimed until everything below
-//! them drains, because `p` moves only at the bottom.
+//! the lowest (Section 5.2's invariant). A stolen thread's segment stays
+//! where it is — the bytes were copied to the thief, but `p` moves only
+//! at the bottom — until the worker's pop finds its queue empty: then
+//! every segment left is a stolen ancestor's, and the region drains at
+//! once ([`UniRegion::drain_all_dead`]).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -20,8 +21,6 @@ pub struct Segment {
     pub base: u64,
     /// Size in bytes.
     pub size: u64,
-    /// Dead = continuation stolen; address space not yet reclaimable.
-    pub dead: bool,
 }
 
 impl Segment {
@@ -141,7 +140,7 @@ impl UniRegion {
         self.peak_usage
     }
 
-    /// Whether any segment (live or dead) occupies the region.
+    /// Whether any segment occupies the region.
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
@@ -156,9 +155,9 @@ impl UniRegion {
         self.segments.last()
     }
 
-    /// The live segment owned by `task`.
+    /// The segment owned by `task`.
     pub fn segment_of(&self, task: u64) -> Option<&Segment> {
-        self.segments.iter().find(|s| s.task == task && !s.dead)
+        self.segments.iter().find(|s| s.task == task)
     }
 
     /// Allocate a new thread's stack of `size` bytes just below `p`
@@ -174,12 +173,7 @@ impl UniRegion {
         }
         let base = self.p - size;
         self.p = base;
-        self.segments.push(Segment {
-            task,
-            base,
-            size,
-            dead: false,
-        });
+        self.segments.push(Segment { task, base, size });
         self.total_allocated += size;
         self.peak_usage = self.peak_usage.max(self.usage());
         self.check_invariants();
@@ -187,8 +181,9 @@ impl UniRegion {
     }
 
     /// Remove the bottom segment, which must belong to `task` (thread exit
-    /// or swap-out). `p` rises past it and past any dead segments exposed
-    /// above it. Returns the removed segment.
+    /// or swap-out). `p` rises past it — to `E` once the region is empty,
+    /// even if the segment was installed below the top. Returns the
+    /// removed segment.
     pub fn release_bottom(&mut self, task: u64) -> Result<Segment, RegionError> {
         let bottom = *self
             .segments
@@ -198,34 +193,19 @@ impl UniRegion {
             return Err(RegionError::NotBottom { task });
         }
         self.segments.pop();
-        self.p = bottom.end();
-        self.reclaim_dead();
+        self.p = if self.segments.is_empty() {
+            self.end
+        } else {
+            bottom.end()
+        };
         self.check_invariants();
         Ok(bottom)
     }
 
-    /// Mark `task`'s segment dead: its continuation was stolen, the bytes
-    /// now live on the thief, but the addresses stay occupied until the
-    /// segments below drain.
-    pub fn mark_dead(&mut self, task: u64) -> Result<(), RegionError> {
-        let seg = self
-            .segments
-            .iter_mut()
-            .find(|s| s.task == task && !s.dead)
-            .ok_or(RegionError::NoSuchSegment { task })?;
-        seg.dead = true;
-        self.reclaim_dead();
-        self.check_invariants();
-        Ok(())
-    }
-
-    /// Mark every remaining segment dead and drain the region. Used when a
-    /// pop returns Empty — every ancestor was stolen, so all remaining
-    /// frames here are dead copies (Section 5.2 step 5's precondition).
+    /// Drain the region. Used when a pop returns Empty — every ancestor
+    /// was stolen, so all remaining frames here are dead copies (Section
+    /// 5.2 step 5's precondition).
     pub fn drain_all_dead(&mut self) {
-        for s in &mut self.segments {
-            s.dead = true;
-        }
         self.segments.clear();
         self.p = self.end;
         self.check_invariants();
@@ -241,34 +221,16 @@ impl UniRegion {
         if base < self.start || base + size > self.end {
             return Err(RegionError::OutOfRange { base, size });
         }
-        self.segments.push(Segment {
-            task,
-            base,
-            size,
-            dead: false,
-        });
+        self.segments.push(Segment { task, base, size });
         self.p = base;
         self.peak_usage = self.peak_usage.max(self.usage());
         self.check_invariants();
         Ok(())
     }
 
-    fn reclaim_dead(&mut self) {
-        while let Some(s) = self.segments.last() {
-            if !s.dead {
-                break;
-            }
-            self.p = s.end();
-            self.segments.pop();
-        }
-        if self.segments.is_empty() {
-            self.p = self.end;
-        }
-    }
-
     /// Invariants of Figure 3: segments are contiguous from `E` down to
     /// `p` (after an install, from the installed base), ordered, and the
-    /// bottom live segment is the running thread's.
+    /// bottom segment is the running thread's.
     fn check_invariants(&self) {
         debug_assert!(self.p >= self.start && self.p <= self.end);
         let mut cursor = None::<u64>;
@@ -356,33 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_segments_block_reclaim_until_exposed() {
-        let mut r = region();
-        r.alloc(1, 100).unwrap(); // topmost (root-most ancestor)
-        r.alloc(2, 100).unwrap();
-        r.alloc(3, 100).unwrap(); // running
-                                  // Ancestor 1 stolen: its addresses stay used.
-        r.mark_dead(1).unwrap();
-        assert_eq!(r.usage(), 300);
-        // Running thread finishes; 2 resumes; usage drops by one segment.
-        r.release_bottom(3).unwrap();
-        assert_eq!(r.usage(), 200);
-        // 2 finishes: the dead segment above is exposed and reclaimed too.
-        r.release_bottom(2).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(r.usage(), 0);
-    }
-
-    #[test]
-    fn mark_dead_bottom_reclaims_immediately() {
-        let mut r = region();
-        r.alloc(1, 100).unwrap();
-        r.mark_dead(1).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(r.p(), S + SIZE);
-    }
-
-    #[test]
     fn drain_all_dead_empties() {
         let mut r = region();
         r.alloc(1, 100).unwrap();
@@ -404,6 +339,10 @@ mod tests {
         // Subsequent children pack below the installed base.
         let c = r.alloc(6, 64).unwrap();
         assert_eq!(c, S + 0x800 - 64);
+        // Emptied, the region is whole again: `p` is back at `E`.
+        r.release_bottom(6).unwrap();
+        r.release_bottom(5).unwrap();
+        assert_eq!(r.p(), S + SIZE);
     }
 
     #[test]
@@ -430,51 +369,28 @@ mod tests {
         assert_eq!(r.usage(), 1500);
     }
 
-    #[test]
-    fn segment_lookup_skips_dead() {
-        let mut r = region();
-        r.alloc(1, 100).unwrap();
-        r.alloc(2, 100).unwrap();
-        r.mark_dead(1).unwrap();
-        assert!(r.segment_of(1).is_none());
-        assert!(r.segment_of(2).is_some());
-    }
-
     proptest! {
-        /// Random spawn/complete/steal sequences keep the region coherent:
-        /// usage equals the sum of segment sizes plus trapped dead space,
-        /// and the region always drains to empty.
+        /// Random spawn/complete sequences keep the region coherent:
+        /// usage equals the sum of segment sizes, and the region always
+        /// drains to empty.
         #[test]
-        fn random_lineage_drains_clean(ops in proptest::collection::vec((0u8..3, 16u64..512), 1..300)) {
+        fn random_lineage_drains_clean(ops in proptest::collection::vec((any::<bool>(), 16u64..512), 1..300)) {
             let mut r = UniRegion::new(0x1000, 1 << 20);
             let mut next_task = 0u64;
             let mut lineage: Vec<u64> = Vec::new(); // live tasks, oldest first
-            for (kind, size) in ops {
-                match kind {
-                    0 => {
-                        // spawn a child below the current bottom
-                        if r.alloc(next_task, size).is_ok() {
-                            lineage.push(next_task);
-                            next_task += 1;
-                        }
+            for (spawn, size) in ops {
+                if spawn {
+                    // spawn a child below the current bottom
+                    if r.alloc(next_task, size).is_ok() {
+                        lineage.push(next_task);
+                        next_task += 1;
                     }
-                    1 => {
-                        // running task completes
-                        if let Some(t) = lineage.pop() {
-                            r.release_bottom(t).unwrap();
-                        }
-                    }
-                    _ => {
-                        // steal the oldest (FIFO) live ancestor that is
-                        // not the running task
-                        if lineage.len() >= 2 {
-                            let t = lineage.remove(0);
-                            r.mark_dead(t).unwrap();
-                        }
-                    }
+                } else if let Some(t) = lineage.pop() {
+                    // the running task completes
+                    r.release_bottom(t).unwrap();
                 }
-                let live: u64 = r.segments().iter().filter(|s| !s.dead).map(|s| s.size).sum();
-                prop_assert!(r.usage() >= live);
+                let used: u64 = r.segments().iter().map(|s| s.size).sum();
+                prop_assert_eq!(r.usage(), used);
             }
             while let Some(t) = lineage.pop() {
                 r.release_bottom(t).unwrap();

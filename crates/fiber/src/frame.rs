@@ -91,14 +91,16 @@ impl fmt::Display for FrameTooLarge {
 }
 
 /// The stack pointer a task enters its body with: `frame` bytes below
-/// its record at `record`, rounded down to the ABI's 16. Refused if that
-/// is below `limit`, the stack's lowest usable address.
+/// its record at `record`, rounded down to a cache line (the ABI asks
+/// for 16), so the body's first frames start on a line whatever size
+/// the record above is. Refused if that is below `limit`, the stack's
+/// lowest usable address.
 #[inline]
 pub(crate) fn claim(record: usize, limit: usize, frame: u64) -> Result<usize, FrameTooLarge> {
     usize::try_from(frame)
         .ok()
         .and_then(|frame| record.checked_sub(frame))
-        .map(|sp| sp & !15)
+        .map(|sp| sp & !63)
         .filter(|&sp| sp >= limit)
         .ok_or(FrameTooLarge {
             frame,
@@ -250,14 +252,14 @@ mod tests {
     fn claim_is_aligned_below_the_record_and_bounded_by_the_limit() {
         let limit = 0x7000_0000_1000usize;
         // A record as `place_record` aligns it, and one only 8-aligned
-        // (the helper, not its caller, owes the ABI its 16).
+        // (the helper, not its caller, owes the body its line).
         for record in [limit + 64 * PAGE - 96, limit + 64 * PAGE - 8] {
             for frame in [0, 1, 255, 256, 1_120, 4_095, 4_096, 3 * PAGE as u64] {
                 let sp = claim(record, limit, frame).expect("fits 64 pages");
-                assert_eq!(sp % 16, 0, "frame {frame}");
+                assert_eq!(sp % 64, 0, "frame {frame}");
                 assert!(sp + frame as usize <= record, "frame {frame}");
                 assert!(
-                    record - sp < frame as usize + 16,
+                    record - sp < frame as usize + 64,
                     "frame {frame}: over-claimed"
                 );
             }

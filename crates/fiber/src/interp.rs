@@ -34,12 +34,13 @@
 //! `tests/differential.rs`.
 
 use crate::join::JoinBlock;
-use crate::runtime::{Observe, Observed, Runtime, Threads};
-use crate::sched::{bump, current, join_all, spawn_on, Body, Place, Worker};
+use crate::runtime::{Observe, Observed, Runtime};
+use crate::sched::{bump, join_all, spawn_on, Body, Place, Worker};
 use crate::tsc;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use uat_metrics::shm;
 use uat_model::{task_shape_hash, Action, Workload};
 
 /// One worker's run accounting: exactly one cache line that only its
@@ -95,28 +96,6 @@ impl AcctRow {
             self.peak_chain.store(chain, Ordering::Relaxed);
         }
     }
-
-    /// Add the workers' rows to a run's stats, which carry the tasks and
-    /// spawns the counter rows counted. The caller has synchronised with
-    /// every writer (joined the worker threads / reaped the worker
-    /// processes), so Relaxed loads read final values.
-    pub(crate) fn totals<'a>(
-        rows: impl IntoIterator<Item = &'a AcctRow>,
-        mut stats: NativeRunStats,
-    ) -> NativeRunStats {
-        for r in rows {
-            let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-            stats.total_units += get(&r.units);
-            stats.total_work_cycles += get(&r.work_cycles);
-            stats.joins += get(&r.joins);
-            stats.frame_bytes_total += get(&r.frame_bytes_total);
-            stats.join_fingerprint = stats
-                .join_fingerprint
-                .wrapping_add(get(&r.join_fingerprint));
-            stats.peak_frame_bytes = stats.peak_frame_bytes.max(get(&r.peak_chain));
-        }
-        stats
-    }
 }
 
 /// One worker's free list of program buffers, on a line of its own.
@@ -131,23 +110,32 @@ struct BufList<D>(UnsafeCell<Vec<Vec<Action<D>>>>);
 // workers with the tasks that hold them, hence `D: Send`.
 unsafe impl<D: Send> Sync for BufList<D> {}
 
-/// What every task of one run reads: the workload, one program-buffer
-/// free list per worker, and the work divisor — plus, under threads,
-/// the workers' accounting rows. Tasks reach it through an [`EnvRef`].
-/// The multiprocess coordinator builds it before `fork`, so it sits,
-/// copy-on-write, at the same address in every worker process.
+/// What every task of one run reads: the workload, the workers'
+/// accounting rows, one program-buffer free list per worker, and the
+/// work divisor. A local of the runner's frame, which outlives every
+/// task, held by every task's body as a `&Env` — an `Arc` clone per
+/// spawn would be an atomic read-modify-write on a line all workers
+/// share [I17]. The multiprocess coordinator builds it before `fork`, so
+/// it sits, copy-on-write, at the same address in every worker process.
 pub(crate) struct Env<W: Workload> {
     pub(crate) w: W,
-    /// The workers' accounting rows, under threads; a multiprocess run
-    /// records into the shared region's instead.
-    rows: Box<[AcctRow]>,
+    /// Worker 0's accounting row; worker `i`'s is `i` rows on: a bank
+    /// the thread runner boxes, or the region's stats bank.
+    rows: *const AcctRow,
     bufs: Box<[BufList<W::Desc>]>,
     work_divisor: u64,
 }
 
+// SAFETY: [I7][I17] the one field that is not `Sync` by itself is the
+// rows pointer, which `exec` dereferences only to the row of the worker
+// it runs on, whose owner alone writes it, and to atomics only; the
+// runner keeps the bank alive as long as the `Env`.
+unsafe impl<W: Workload> Sync for Env<W> {}
+
 impl<W: Workload> Env<W> {
-    /// The environment of a `workers`-worker run that keeps `rows`.
-    pub(crate) fn new(w: W, rows: Box<[AcctRow]>, workers: usize, work_divisor: u64) -> Self {
+    /// The environment of a `workers`-worker run that records into the
+    /// `workers` rows from `rows` on, which must outlive it.
+    pub(crate) fn new(w: W, rows: *const AcctRow, workers: usize, work_divisor: u64) -> Self {
         Env {
             w,
             rows,
@@ -159,37 +147,15 @@ impl<W: Workload> Env<W> {
     }
 }
 
-/// `Copy` pointers to the run's [`Env`] and to worker 0's accounting
-/// row (the others follow it), held by every interpreted task's body.
-/// Not an `Arc`: a clone per spawn is an atomic read-modify-write on a
-/// refcount line all workers share [I17].
-pub(crate) struct EnvRef<W: Workload> {
-    pub(crate) env: *const Env<W>,
-    pub(crate) rows: *const AcctRow,
-}
-
-impl<W: Workload> Clone for EnvRef<W> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<W: Workload> Copy for EnvRef<W> {}
-
-// SAFETY: [I7][I8] an EnvRef is only ever dereferenced to a shared
-// `&Env`, whose fields are `W` (`Sync`, as every `Workload` is), the
-// rows and a plain integer, and the buffer lists, each touched only by
-// its own worker — as is each row; both pointees outlive every task (see
-// `NativeRunner::run_observing` and `MultiProcessRunner::run_mapped`).
-unsafe impl<W: Workload> Send for EnvRef<W> {}
-
 /// An interpreted task's body, as its record holds it [I18]: the run's
 /// environment, the task's descriptor, its frame claim and its
 /// ancestors' frame chain. Its entry runs it in place: `exec` reads the
 /// descriptor by reference into the record, where the spawner wrote
 /// it. Plain `Copy` data but for the descriptor, which is `Copy` across
-/// processes ([I16]).
-pub(crate) struct Child<W: Workload> {
-    pub(crate) env: EnvRef<W>,
+/// processes ([I16]). Every task's body, the root's on both runners
+/// included.
+pub(crate) struct Child<'e, W: Workload> {
+    pub(crate) env: &'e Env<W>,
     pub(crate) desc: W::Desc,
     /// The task's own `frame_size`, claimed below its record.
     pub(crate) claim: u64,
@@ -197,7 +163,7 @@ pub(crate) struct Child<W: Workload> {
     pub(crate) chain: u64,
 }
 
-impl<P: Place, W: Workload> Body<P> for Child<W> {
+impl<P: Place, W: Workload> Body<P> for Child<'_, W> {
     type Keep = ();
 
     #[inline(always)]
@@ -217,21 +183,18 @@ impl<P: Place, W: Workload> Body<P> for Child<W> {
 /// the task's own `frame_size`, already claimed below its record by
 /// whoever spawned it; `chain_above` is the summed `frame_size` of its
 /// ancestors.
-// Always inlined into the task entry, which reaches it from the thread
-// runner's root closure and from `Child::run`: a task's whole body is
-// then one function, which across processes calls nothing out of line
-// but the slot pool's slow paths and a parking join.
+// Always inlined into the task entry, which reaches it from
+// `Child::run`: a task's whole body is then one function, which across
+// processes calls nothing out of line but the slot pool's slow paths
+// and a parking join.
 #[inline(always)]
 pub(crate) fn exec<P: Place, W: Workload>(
     mut w: *mut Worker<P>,
-    env: EnvRef<W>,
+    e: &Env<W>,
     d: &W::Desc,
     frame: u64,
     chain_above: u64,
 ) -> *mut Worker<P> {
-    // SAFETY: [I8] the runner keeps the Env and the rows alive until
-    // every task — this one included — has completed.
-    let e = unsafe { &*env.env };
     // SAFETY: [I7] one immutable field of the worker we run on.
     let me = unsafe { (*w).id };
     // A recycled buffer (empty, capacity kept): no allocation per task
@@ -243,7 +206,7 @@ pub(crate) fn exec<P: Place, W: Workload>(
     e.w.program(d, &mut prog);
     let chain = chain_above + frame;
     // SAFETY: [I7][I17] `me`'s row, written only by `me`, alive as `e`.
-    unsafe { &*env.rows.add(me) }.record(&e.w, d, frame, &prog, chain);
+    unsafe { &*e.rows.add(me) }.record(&e.w, d, frame, &prog, chain);
 
     // Where the program waits across the spawns and joins below: in
     // the buffer itself, which travels with the task, or copied into
@@ -284,13 +247,13 @@ pub(crate) fn exec<P: Place, W: Workload>(
             Action::Spawn(desc) => {
                 let claim = e.w.frame_size(&desc);
                 let child = Child {
-                    env,
+                    env: e,
                     desc,
                     claim,
                     chain,
                 };
                 // SAFETY: [I16] `jb` is joined below before this frame
-                // ends; `env` outlives every task.
+                // ends; `e` outlives every task.
                 w = unsafe { spawn_on::<P, _>(w, &jb, claim, child) };
             }
             Action::JoinAll => w = join_all::<P>(w, &jb),
@@ -370,6 +333,41 @@ pub struct NativeRunStats {
 }
 
 impl NativeRunStats {
+    /// Both runners' report of a finished run: the sums of the `workers`
+    /// counter rows, cell `c` of worker `w`'s read by `count(w, c)`, and
+    /// the totals of the accounting `rows`; the runner adds its own
+    /// fields. It has synchronised with every writer (joined the worker
+    /// threads / reaped the worker processes), so Relaxed loads read
+    /// final values.
+    pub(crate) fn tally<'a>(
+        workers: usize,
+        count: impl Fn(usize, usize) -> u64,
+        rows: impl IntoIterator<Item = &'a AcctRow>,
+    ) -> Self {
+        let sum = |c: usize| (0..workers).map(|w| count(w, c)).sum();
+        let mut stats = NativeRunStats {
+            workers: workers as u32,
+            total_tasks: sum(shm::TASKS),
+            spawns: sum(shm::SPAWNED),
+            steals: sum(shm::STEALS_COMPLETED),
+            parks: sum(shm::PARKS),
+            unparks: sum(shm::UNPARKS),
+            ..NativeRunStats::default()
+        };
+        for r in rows {
+            let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            stats.total_units += get(&r.units);
+            stats.total_work_cycles += get(&r.work_cycles);
+            stats.joins += get(&r.joins);
+            stats.frame_bytes_total += get(&r.frame_bytes_total);
+            stats.join_fingerprint = stats
+                .join_fingerprint
+                .wrapping_add(get(&r.join_fingerprint));
+            stats.peak_frame_bytes = stats.peak_frame_bytes.max(get(&r.peak_chain));
+        }
+        stats
+    }
+
     /// Units per wall-clock second (the native Figure 11 axis).
     pub fn throughput(&self) -> f64 {
         let s = self.wall.as_secs_f64();
@@ -451,7 +449,8 @@ impl NativeRunner {
         self
     }
 
-    /// Override the per-task stack size (default 128 KiB). Must exceed
+    /// Override the per-task stack size (default
+    /// [`DEFAULT_STACK_SIZE`](crate::runtime::DEFAULT_STACK_SIZE)). Must exceed
     /// the workload's largest `frame_size` (a run panics, naming both,
     /// if it does not) with room for the interpreter's own frames.
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
@@ -513,8 +512,9 @@ impl NativeRunner {
     }
 
     /// The one run path: `w`'s root task on the runtime, observing what
-    /// `observe` asks, with the workers' accounting rows added to the
-    /// run's scheduler fields.
+    /// `observe` asks, a [`Child`] on a block this frame owns, as the
+    /// multiprocess coordinator starts it. The launch returns only once
+    /// every task has ended, so none outlives the `Env` or the rows.
     fn run_observing<W>(&self, w: W, observe: Observe) -> (NativeRunStats, Observed)
     where
         W: Workload + Send + 'static,
@@ -522,33 +522,26 @@ impl NativeRunner {
     {
         let workload = w.name();
         let workers = self.rt.nworkers;
-        let rows = (0..workers).map(|_| AcctRow::default()).collect();
-        let env = Arc::new(Env::new(w, rows, workers, self.work_divisor));
-        let root = env.w.root();
-        let root_frame = env.w.frame_size(&root);
-        // The root task's closure owns the one other handle on the Env.
-        // Every task joins its children before it returns, so that
-        // closure — dropped when the root's body ends — outlives every
-        // `EnvRef` dereference, whatever happens to this frame. Boxed,
-        // so every workload's root enters through one task body.
-        let held = Arc::clone(&env);
-        let root: Box<dyn FnOnce() + Send> = Box::new(move || {
-            let env = EnvRef {
-                env: &*held,
-                rows: held.rows.as_ptr(),
-            };
-            // The root task: no transfer hands it its worker.
-            exec::<Threads, W>(current::<Threads>(), env, &root, root_frame, 0);
-        });
-        let ((), sched, observed) = self.rt.run_observing(root, root_frame, observe);
-        let stats = AcctRow::totals(env.rows.iter(), NativeRunStats { workload, ..sched });
-        (stats, observed)
+        let rows: Box<[AcctRow]> = (0..workers).map(|_| AcctRow::default()).collect();
+        let env = Env::new(w, rows.as_ptr(), workers, self.work_divisor);
+        let desc = env.w.root();
+        let frame = env.w.frame_size(&desc);
+        let root = Child {
+            env: &env,
+            desc,
+            claim: frame,
+            chain: 0,
+        };
+        let block = JoinBlock::new();
+        let (stats, observed) = self.rt.launch(root, &block, frame, &rows, observe);
+        (NativeRunStats { workload, ..stats }, observed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::Threads;
     use uat_model::testutil::BinTree;
     use uat_model::{join_tree_fingerprint, sequential_profile};
 
@@ -580,7 +573,8 @@ mod tests {
 
     /// Run a 2 047-task tree on one worker — so nothing is stolen —
     /// metered or not, and return how far `count`, a tally of the
-    /// worker thread's, moved across it.
+    /// worker thread's, moved across it: across the root's `exec`, in a
+    /// root body handed its worker as every task's is.
     fn across_a_tree(metered: bool, count: fn() -> u64) -> u64 {
         let w = BinTree {
             depth: 10,
@@ -588,16 +582,14 @@ mod tests {
             frame: 64,
         };
         let root = w.root();
-        let env = Arc::new(Env::new(w, Box::new([AcctRow::default()]), 1, 1));
-        let held = Arc::clone(&env);
-        let body = move || {
+        let rows = [AcctRow::default()];
+        let env = Env::new(w, rows.as_ptr(), 1, 1);
+        let moved = AtomicU64::new(0);
+        let body = |w: *mut Worker<Threads>| {
             let t0 = count();
-            let env = EnvRef {
-                env: &*held,
-                rows: held.rows.as_ptr(),
-            };
-            exec::<Threads, _>(current::<Threads>(), env, &root, 0, 0);
-            count() - t0
+            let w = exec::<Threads, _>(w, &env, &root, 0, 0);
+            moved.store(count() - t0, Ordering::Relaxed);
+            (w, ())
         };
         let rt = Runtime::new(1);
         let rt = if metered {
@@ -605,10 +597,9 @@ mod tests {
         } else {
             rt
         };
-        let (moved, sched, _) = rt.run_observing(body, 0, Observe::default());
-        let s = AcctRow::totals(env.rows.iter(), sched);
+        let (s, _) = rt.launch(body, &JoinBlock::new(), 0, &rows, Observe::default());
         assert_eq!(s.total_tasks, (1 << 11) - 1);
-        moved
+        moved.into_inner()
     }
 
     /// [I21] on the interpreter's path (`spawn_on` + `join_all` on a
@@ -619,14 +610,63 @@ mod tests {
         assert_eq!(rmws, 0, "join-block RMWs across a 2 047-task tree");
     }
 
-    /// The task path reads no thread-local: across the tree, the one
-    /// worker lookup is this test's own, handing the root's `exec` its
-    /// worker; every spawn and join after it takes the worker its
-    /// transfer hands over.
+    /// The task path reads no thread-local: across the tree, every
+    /// spawn and join takes the worker its transfer hands over, and the
+    /// root's `exec` takes the one its body was handed.
     #[test]
     fn a_task_never_looks_its_worker_up() {
         let lookups = across_a_tree(false, crate::sched::tests::lookups);
-        assert_eq!(lookups, 1, "worker lookups across a 2 047-task tree");
+        assert_eq!(lookups, 0, "worker lookups across a 2 047-task tree");
+    }
+
+    /// A tree that notes, as each of its tasks expands, the worker
+    /// lookups its worker thread has made so far.
+    struct NotesLookups {
+        tree: BinTree,
+        seen: Arc<AtomicU64>,
+    }
+
+    impl Workload for NotesLookups {
+        type Desc = <BinTree as Workload>::Desc;
+
+        fn root(&self) -> Self::Desc {
+            self.tree.root()
+        }
+
+        fn program(&self, d: &Self::Desc, out: &mut Vec<Action<Self::Desc>>) {
+            let lookups = crate::sched::tests::lookups();
+            self.seen.fetch_max(lookups, Ordering::Relaxed);
+            self.tree.program(d, out)
+        }
+
+        fn frame_size(&self, d: &Self::Desc) -> u64 {
+            self.tree.frame_size(d)
+        }
+
+        fn name(&self) -> String {
+            "notes-lookups".into()
+        }
+    }
+
+    /// A whole run reads no thread-local either: its root is a `Child`
+    /// like every other task, which the scheduler hands its worker, so
+    /// from the worker thread's start to its last task's expansion
+    /// nothing looks the worker up.
+    #[test]
+    fn a_native_run_never_looks_its_worker_up() {
+        let seen = Arc::new(AtomicU64::new(0));
+        let w = NotesLookups {
+            tree: BinTree {
+                depth: 10,
+                work: 0,
+                frame: 64,
+            },
+            seen: Arc::clone(&seen),
+        };
+        let s = runner(1).run(w);
+        assert_eq!(s.total_tasks, (1 << 11) - 1);
+        let lookups = seen.load(Ordering::Relaxed);
+        assert_eq!(lookups, 0, "worker lookups across a 2 047-task run");
     }
 
     /// A run neither traced nor metered never gets past the place's

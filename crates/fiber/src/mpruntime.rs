@@ -38,17 +38,17 @@
 //!   and the **slot pool** (a locked LIFO of free stack slots behind
 //!   one small cache per worker, which only its owner touches but for
 //!   a rare raid, \[I22\]);
-//! - the **control block**: shutdown word, raid flag, the three give-up
-//!   flags (slot pool exhausted, frame too large for a slot's stack,
-//!   program too large for a slot's program area), the block the root
-//!   reports to, and the allocation-probe readings — nothing a task
-//!   writes on its fast path.
+//! - the **control block**: shutdown word, raid flag, the give-up
+//!   record (slot pool exhausted, frame or program too large for a
+//!   slot, guard marker refused), the block the root reports to, and
+//!   the allocation-probe readings — nothing a task writes on its fast
+//!   path.
 //!
 //! The workers run the one worker body the thread runtime runs
 //! (`sched.rs`); what is this backend's own is its `Place` (`Mp`):
 //! slots from `alloc_slot` instead of a stack pool, `ShmDeque`s and
 //! counter rows placed in the region, a program area per slot, and
-//! giving up by `Ctrl` flag and `_exit` — and how its workers come to
+//! giving up by `Ctrl` record and `_exit` — and how its workers come to
 //! exist, by `fork`. It observes nothing beyond the rows, so its
 //! `record` is the trait's empty default.
 //!
@@ -95,8 +95,9 @@
 
 use crate::frame::{guard_page, FrameTooLarge, Guard, PAGE};
 use crate::idle;
-use crate::interp::{AcctRow, Child, Env, EnvRef, NativeRunStats};
+use crate::interp::{AcctRow, Child, Env, NativeRunStats};
 use crate::join::JoinBlock;
+use crate::runtime::{DEFAULT_STACK_SIZE, DEQUE_CAPACITY};
 use crate::sched::{place_record, report_panic, worker_loop, Place, TaskHeader, Worker};
 use std::any::Any;
 use std::borrow::Borrow;
@@ -107,7 +108,7 @@ use std::sync::Mutex;
 use uat_base::WorkerId;
 use uat_deque::native::Placed;
 use uat_deque::ShmDeque;
-use uat_metrics::shm::{self, Row, SegmentLayout, ROW_STRIDE};
+use uat_metrics::shm::{Row, SegmentLayout, ROW_STRIDE};
 use uat_model::{Action, Workload};
 use uat_rdma::{OneSidedFabric, ShmFabric};
 
@@ -116,13 +117,11 @@ use uat_rdma::{OneSidedFabric, ShmFabric};
 /// example's region, so the two can coexist in one process).
 pub const MP_BASE: usize = 0x7e00_0000_0000;
 
-/// Entries per worker deque (matches the thread runtime's sizing).
-const DEQ_CAP: usize = 8192;
 /// Bytes from one worker's deque block to the next: the block rounded up
 /// to a 128-byte line pair, so a worker's control words share no line —
 /// nor the line x86 prefetches with it — with its neighbour's entry
 /// slots (the rule `NativeDeque`'s `align(128)` header keeps).
-const DEQ_STRIDE: usize = ShmDeque::block_size(DEQ_CAP).next_multiple_of(128);
+const DEQ_STRIDE: usize = ShmDeque::block_size(DEQUE_CAPACITY).next_multiple_of(128);
 /// Bytes above each slot's stack for the program area of the task on
 /// it. One task's whole program must fit: with 16-byte actions that is
 /// 8 192 of them, so a `Chain::fig10(n)` root (`2n` actions) runs up to
@@ -154,18 +153,9 @@ struct Ctrl {
     /// cache fast path loads it, only a raid (under the pool lock)
     /// stores it.
     raid: AtomicU32,
-    /// Set by a worker that found no free stack slot anywhere, just
-    /// before it exits; read by the coordinator when it finds a worker
-    /// dead, to name the failure.
-    slots_exhausted: AtomicU64,
-    /// Likewise, by a worker asked to spawn a task whose frame does not
-    /// fit a slot's stack: that frame's size (never 0) — and, stored
-    /// first, the room it did not fit.
-    frame_too_large: AtomicU64,
-    frame_room: AtomicU64,
-    /// Likewise, by a worker whose task's program does not fit its
-    /// slot's program area: the program's action count.
-    program_too_large: AtomicU64,
+    /// Written by a worker that gives the run up (`die`); read by the
+    /// coordinator when it finds a worker dead, to name the failure.
+    gave_up: GaveUp,
     /// The block the root reports its completion to, announced by the
     /// coordinator before `fork`.
     root: JoinBlock,
@@ -179,6 +169,31 @@ struct Ctrl {
 }
 
 const _: () = assert!(std::mem::size_of::<Ctrl>() <= PAGE);
+
+/// Why a worker gives the run up, with the numbers its [`GaveUp`]
+/// record carries, `[a, b]`.
+#[derive(Clone, Copy)]
+enum Why {
+    /// No free stack slot anywhere.
+    Slots = 1,
+    /// A frame of `a` bytes does not fit the `b` bytes of room below
+    /// its record on a slot's stack.
+    Frame,
+    /// A task program of `a` actions does not fit a slot's program area.
+    Program,
+    /// The kernel refused one of worker `a`'s slot guard markers.
+    Guard,
+}
+
+/// The give-up record, written by the first worker to give up: claimed
+/// by `taken`, then its numbers, then its `Why` (0: none yet), whose
+/// Release store the coordinator's Acquire load pairs with.
+#[repr(C)]
+struct GaveUp {
+    taken: AtomicU32,
+    why: AtomicU64,
+    numbers: [AtomicU64; 2],
+}
 
 /// The control block of the mapped region.
 fn ctrl() -> &'static Ctrl {
@@ -298,7 +313,7 @@ impl RegionLayout {
         // mapping (same virtual address in every process), 128-byte
         // aligned by construction, and only ever accessed through
         // THE-protocol operations.
-        unsafe { ShmDeque::from_raw(base as *mut u8, DEQ_CAP) }
+        unsafe { ShmDeque::from_raw(base as *mut u8, DEQUE_CAPACITY) }
     }
 
     fn slot_base(&self, slot: usize) -> usize {
@@ -372,18 +387,13 @@ impl Place for Mp {
     #[inline]
     fn program_area<D>(&self, actions: usize) -> Option<*mut Action<D>> {
         if actions > RegionLayout::prog_capacity::<D>() {
-            let n = actions as u64;
-            ctrl().program_too_large.store(n, Ordering::Release);
-            die(b"uat-fiber(mp): program too large; worker exiting\n", 105)
+            die(Why::Program, [actions as u64, 0])
         }
         Some(self.layout.slot_span(self.running).0 as *mut Action<D>)
     }
 
     fn refuse_frame(e: FrameTooLarge, _slot: usize) -> ! {
-        let ctrl = ctrl();
-        ctrl.frame_room.store(e.room as u64, Ordering::Relaxed);
-        ctrl.frame_too_large.store(e.frame, Ordering::Release);
-        die(b"uat-fiber(mp): frame too large; worker exiting\n", 104)
+        die(Why::Frame, [e.frame, e.room as u64])
     }
 
     /// The coordinator turns the exit status into a run failure.
@@ -584,10 +594,7 @@ fn alloc_slot_slow(layout: &RegionLayout, me: usize) -> usize {
     }
     let got = mine.pop();
     pool.release();
-    got.unwrap_or_else(|| {
-        ctrl().slots_exhausted.store(1, Ordering::Release);
-        die(b"uat-fiber(mp): slot pool exhausted; worker exiting\n", 103)
-    })
+    got.unwrap_or_else(|| die(Why::Slots, [0, 0]))
 }
 
 /// The cache was full, or a raid was on: under the pool lock, spill the
@@ -637,20 +644,33 @@ fn membarrier(cmd: i32) -> i64 {
     unsafe { libc::syscall(libc::SYS_membarrier, cmd, 0u32, 0i32) }
 }
 
-/// A worker's exit status when the kernel refused one of its slot guard
-/// markers (`mp_bootstrap`); `fail_run` names it.
-const GUARD_FAILED: i32 = 106;
+/// The exit status of a worker that gave the run up (`die`).
+const GAVE_UP: i32 = 103;
 
-/// Give the run up from a worker, having told the coordinator why in
-/// its flag of the control block: say so on stderr and exit with
-/// `status`. No `panic!` — its hook takes the stderr lock and
-/// allocates, and either may be held by a parent thread that did not
-/// survive `fork`; a worker that hung here would hang the run.
-fn die(msg: &[u8], status: i32) -> ! {
+/// Give the run up from a worker: tell the coordinator `why`, with its
+/// `numbers`, in the control block's give-up record — unless another
+/// worker gave up first — say so on stderr, and exit. No `panic!` — its
+/// hook takes the stderr lock and allocates, and either may be held by
+/// a parent thread that did not survive `fork`; a worker that hung here
+/// would hang the run.
+fn die(why: Why, numbers: [u64; 2]) -> ! {
+    let g = &ctrl().gave_up;
+    if g.taken.swap(1, Ordering::Relaxed) == 0 {
+        for (cell, n) in g.numbers.iter().zip(numbers) {
+            cell.store(n, Ordering::Relaxed);
+        }
+        g.why.store(why as u64, Ordering::Release);
+    }
+    let msg: &[u8] = match why {
+        Why::Slots => b"uat-fiber(mp): slot pool exhausted; worker exiting\n",
+        Why::Frame => b"uat-fiber(mp): frame too large; worker exiting\n",
+        Why::Program => b"uat-fiber(mp): program too large; worker exiting\n",
+        Why::Guard => b"uat-fiber(mp): a slot guard marker was refused; worker exiting\n",
+    };
     // SAFETY: [I10] async-signal-safe raw write + process exit.
     unsafe {
         libc::write(2, msg.as_ptr() as *const c_void, msg.len());
-        libc::_exit(status)
+        libc::_exit(GAVE_UP)
     }
 }
 
@@ -706,10 +726,7 @@ fn mp_bootstrap(id: usize, layout: RegionLayout, guards: Guard, root: *mut TaskH
     if guards == Guard::Marker
         && !(0..layout.slots).all(|s| Guard::Marker.install(layout.slot_base(s)))
     {
-        die(
-            b"uat-fiber(mp): a slot guard marker was refused; worker exiting\n",
-            GUARD_FAILED,
-        )
+        die(Why::Guard, [id as u64, 0])
     }
     let place = Mp {
         me: id,
@@ -759,13 +776,14 @@ impl MultiProcessRunner {
         );
         MultiProcessRunner {
             workers,
-            stack_size: 128 << 10,
+            stack_size: DEFAULT_STACK_SIZE,
             work_divisor: 1,
             slots: 1024,
         }
     }
 
-    /// Override the per-task usable stack bytes (default 128 KiB).
+    /// Override the per-task usable stack bytes (default
+    /// [`DEFAULT_STACK_SIZE`]).
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
         self
@@ -858,11 +876,7 @@ impl MultiProcessRunner {
         // The run's environment, built before `fork`: copy-on-write, it
         // sits at the same address in every worker; the accounting rows
         // it points the tasks at are the region's.
-        let env = Env::new(w, Box::new([]), layout.workers, self.work_divisor);
-        let env_ref = EnvRef {
-            env: &env,
-            rows: layout.stats_row(0),
-        };
+        let env = Env::new(w, layout.stats_row(0), layout.workers, self.work_divisor);
         // The root is an ordinary record in slot 0, counted on a block
         // of its own; its frame is checked here, where a refusal can
         // still be an ordinary panic.
@@ -870,7 +884,7 @@ impl MultiProcessRunner {
         let frame = env.w.frame_size(&desc);
         ctrl.root.announce();
         let body = Child {
-            env: env_ref,
+            env: &env,
             desc,
             claim: frame,
             chain: 0,
@@ -952,11 +966,6 @@ impl MultiProcessRunner {
                 metric_words.push(u64::from_le_bytes(c.try_into().unwrap()));
             }
         }
-        let msum = |c: usize| -> u64 {
-            (0..layout.workers)
-                .map(|wk| metric_words[wk * ROW_STRIDE + c])
-                .sum()
-        };
         let probed = |cells: &[AtomicU64]| -> Vec<u64> {
             cells[..layout.workers]
                 .iter()
@@ -965,23 +974,16 @@ impl MultiProcessRunner {
         };
 
         // The workers were reaped, so every row holds its final values.
-        let stats = AcctRow::totals(
-            (0..layout.workers).map(|wk| layout.stats_row(wk)),
-            NativeRunStats {
-                workload,
-                backend: "MultiProc",
-                workers: layout.workers as u32,
-                total_tasks: msum(shm::TASKS),
-                spawns: msum(shm::SPAWNED),
-                steals: msum(shm::STEALS_COMPLETED),
-                parks: msum(shm::PARKS),
-                unparks: msum(shm::UNPARKS),
-                wall,
-                bootstrap_allocs: probed(&ctrl.bootstrap_allocs),
-                run_allocs: probed(&ctrl.run_allocs),
-                ..NativeRunStats::default()
-            },
-        );
+        let count = |wk: usize, c: usize| metric_words[wk * ROW_STRIDE + c];
+        let rows = (0..layout.workers).map(|wk| layout.stats_row(wk));
+        let stats = NativeRunStats {
+            workload,
+            backend: "MultiProc",
+            wall,
+            bootstrap_allocs: probed(&ctrl.bootstrap_allocs),
+            run_allocs: probed(&ctrl.run_allocs),
+            ..NativeRunStats::tally(layout.workers, count, rows)
+        };
         // What the termination scan summed must be a whole tree: every
         // task completed but the root was spawned.
         assert_eq!(stats.spawns + 1, stats.total_tasks, "spawned != completed");
@@ -1012,8 +1014,8 @@ fn guard_slots(layout: &RegionLayout) -> Guard {
 
 /// A worker is gone with the run unfinished: kill and reap the
 /// survivors — they would idle forever on tasks that can no longer
-/// complete — and fail the run, by the dead worker's own word if it
-/// left one in `ctrl` (`capacity`: the actions a program area holds).
+/// complete — and fail the run, by the give-up record if a worker left
+/// one in `ctrl` (`capacity`: the actions a program area holds).
 fn fail_run(
     ctrl: &Ctrl,
     layout: &RegionLayout,
@@ -1030,28 +1032,32 @@ fn fail_run(
         // SAFETY: [I10] reaping our own children.
         unsafe { libc::waitpid(p, std::ptr::null_mut(), 0) };
     }
-    if ctrl.slots_exhausted.load(Ordering::Acquire) != 0 {
-        panic!(
+    let g = &ctrl.gave_up;
+    let why = [Why::Slots, Why::Frame, Why::Program, Why::Guard]
+        .into_iter()
+        .find(|&w| w as u64 == g.why.load(Ordering::Acquire));
+    let [a, b] = g.numbers.each_ref().map(|n| n.load(Ordering::Relaxed));
+    match why {
+        Some(Why::Slots) => panic!(
             "multiprocess stack slot pool exhausted ({} slots)",
             layout.slots
-        );
-    }
-    let frame = ctrl.frame_too_large.load(Ordering::Acquire);
-    if frame != 0 {
-        let room = ctrl.frame_room.load(Ordering::Relaxed) as usize;
-        panic!("multiprocess: {}", FrameTooLarge { frame, room });
-    }
-    let actions = ctrl.program_too_large.load(Ordering::Acquire);
-    if actions != 0 {
-        panic!(
-            "multiprocess: a task program of {actions} actions exceeds the \
+        ),
+        Some(Why::Frame) => {
+            let room = b as usize;
+            panic!("multiprocess: {}", FrameTooLarge { frame: a, room })
+        }
+        Some(Why::Program) => panic!(
+            "multiprocess: a task program of {a} actions exceeds the \
              {capacity}-action program area of a stack slot"
-        );
+        ),
+        Some(Why::Guard) => {
+            panic!("multiprocess worker {a}: the kernel refused a slot guard marker")
+        }
+        None => panic!(
+            "multiprocess worker {pid} died mid-run ({})",
+            how_it_ended(status)
+        ),
     }
-    panic!(
-        "multiprocess worker {pid} died mid-run ({})",
-        how_it_ended(status)
-    );
 }
 
 /// How a worker process ended, from its `waitpid` status, in words.
@@ -1067,12 +1073,7 @@ fn how_it_ended(status: i32) -> String {
         };
         return format!("killed by signal {sig} ({name})");
     }
-    match libc::WEXITSTATUS(status) {
-        GUARD_FAILED => {
-            format!("exit status {GUARD_FAILED}: the kernel refused a slot guard marker")
-        }
-        code => format!("exit status {code}"),
-    }
+    format!("exit status {}", libc::WEXITSTATUS(status))
 }
 
 /// The mapping [`map_region`] made; dropping it unmaps.
@@ -1576,7 +1577,7 @@ mod tests {
         // coordinator's liveness sweep ends the run.
         region_guards();
         dies_by_name_in_bounded_time(
-            |workers| LeafEnd::HitsGuard(RegionLayout::new(workers, 1024, 128 << 10)),
+            |workers| LeafEnd::HitsGuard(RegionLayout::new(workers, 1024, DEFAULT_STACK_SIZE)),
             "killed by signal 11 (SIGSEGV)",
         );
     }
@@ -1622,7 +1623,7 @@ mod tests {
         }
         let slots = 1024;
         let w = CountsRegionMappings {
-            total: RegionLayout::new(2, slots, 128 << 10).total,
+            total: RegionLayout::new(2, slots, DEFAULT_STACK_SIZE).total,
             seen: Default::default(),
         };
         assert_eq!(runner(2).with_slots(slots).run(w.clone()).total_tasks, 1);
@@ -1837,7 +1838,10 @@ mod tests {
         };
         let (s, snap) = crate::NativeRunner::new(2).run_metered(w.clone());
         let threads = counters("threads", &s, &snap);
-        let table: Vec<&str> = shm::SEGMENT_COUNTERS.iter().map(|(n, _)| *n).collect();
+        let table: Vec<&str> = uat_metrics::shm::SEGMENT_COUNTERS
+            .iter()
+            .map(|(n, _)| *n)
+            .collect();
         assert_eq!(threads, table);
         if !supported() {
             return;

@@ -31,17 +31,18 @@
 //! called [`Runtime::run`] sleeps in the workers' `join`s from the
 //! moment it has spawned them (`idle.rs`); each worker's thread hands
 //! back its closed timeline, on a traced run, as it ends. That is the
-//! one run path; `NativeRunner` enters it too, telling it what to trace
-//! or meter.
+//! one run path (`Runtime::launch`): [`Runtime::run`] starts it with its
+//! closure's body, `NativeRunner` with an `interp::Child` root, like
+//! every task it spawns, telling it what to trace or meter.
 
 use crate::frame::FrameTooLarge;
-use crate::interp::NativeRunStats;
+use crate::interp::{AcctRow, NativeRunStats};
 use crate::join::JoinBlock;
 use crate::nmetrics::MetricsShared;
 use crate::ntrace::{NativeTrace, Observer, TraceShared};
 use crate::sched::{
-    current, join_all, place_record, report_panic, spawn_on, worker_loop, Event, Place, TaskHeader,
-    Worker,
+    current, join_all, place_record, report_panic, spawn_on, worker_loop, Body, Event, Place,
+    TaskHeader, Worker,
 };
 use crate::stack::{Stack, StackPool};
 use crate::tsc::RunClock;
@@ -52,7 +53,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Arc;
 use uat_deque::native::Owned;
 use uat_deque::NativeDeque;
-use uat_metrics::shm::{self, Row};
+use uat_metrics::shm::Row;
 
 /// What a public [`spawn`] shares between the child and its handle —
 /// the one allocation such a spawn makes.
@@ -65,19 +66,11 @@ struct JoinCell<T> {
 
 // SAFETY: [I8] `block` is atomics; `result`'s one write happens-before
 // its one read through the block's Release/Acquire if the spawner was
-// stolen, program order on one worker if the child resumed it [I21],
-// or the termination scan's, for the root. `T: Send`: the value
-// changes threads.
+// stolen, and program order on one worker if the child resumed it
+// [I21]. `T: Send`: the value changes threads.
 unsafe impl<T: Send> Sync for JoinCell<T> {}
 
 impl<T> JoinCell<T> {
-    fn new() -> Arc<Self> {
-        Arc::new(JoinCell {
-            block: JoinBlock::new(),
-            result: UnsafeCell::new(None),
-        })
-    }
-
     /// The body of a task that reports to `cell`: store what `f`
     /// returns and hand the cell back as the task's keep-alive [I18].
     /// `f` is the public API's, which hands no worker on: the worker the
@@ -166,8 +159,8 @@ impl Place for Threads {
         debug_assert!(w < self.shared.deques.len());
         // SAFETY: [I7] the worker body passes only `w < n` — its own id,
         // a victim `rng.below(n - 1)` shifted past itself, or a scan
-        // index — and `run_observing` builds both banks, and every
-        // `Worker`'s `n`, from `nworkers`; `shared` keeps the bank alive.
+        // index — and `launch` builds both banks, and every `Worker`'s
+        // `n`, from `nworkers`; `shared` keeps the bank alive.
         unsafe { &*self.deques.add(w) }
     }
 
@@ -256,7 +249,10 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let cell = JoinCell::new();
+    let cell = Arc::new(JoinCell {
+        block: JoinBlock::new(),
+        result: UnsafeCell::new(None),
+    });
     let task = JoinCell::task(Arc::clone(&cell), f);
     // SAFETY: [I8] the block lives in the `Arc` cell, and the child
     // returns its own reference to the cell as the keep-alive.
@@ -279,6 +275,13 @@ impl<T> JoinHandle<T> {
         self.cell.block.is_done()
     }
 }
+
+/// Entries in each worker's deque, on both runners.
+pub(crate) const DEQUE_CAPACITY: usize = 8192;
+
+/// Usable bytes of a task's stack on every runner not told otherwise
+/// (`with_stack_size`): 128 KiB.
+pub const DEFAULT_STACK_SIZE: usize = 128 << 10;
 
 /// The multi-worker runtime.
 #[derive(Clone, Debug)]
@@ -319,7 +322,7 @@ impl Runtime {
         assert!(nworkers >= 1);
         Runtime {
             nworkers,
-            stack_size: 128 << 10,
+            stack_size: DEFAULT_STACK_SIZE,
             registry: None,
             metered: false,
             sampler: None,
@@ -328,7 +331,7 @@ impl Runtime {
         }
     }
 
-    /// Override the per-task stack size (default 128 KiB).
+    /// Override the per-task stack size (default [`DEFAULT_STACK_SIZE`]).
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
         self
@@ -383,25 +386,32 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.run_observing(root, 0, Observe::default()).0
+        // The result goes into a local of this frame: the launch returns
+        // only once every task has ended.
+        let (mut out, block) = (None, JoinBlock::new());
+        let slot = &mut out;
+        let body = move |_| {
+            *slot = Some(root());
+            (current::<Threads>(), ())
+        };
+        self.launch(body, &block, 0, &[], Observe::default());
+        out.expect("the root set its result")
     }
 
-    /// The one run path: run `root`, its body started `root_frame`
-    /// bytes below its record as `spawn_on` starts every other task's,
-    /// observing what `observe` asks. Reports the run's scheduler fields
-    /// — tasks, spawns, steals, parks and unparks, from the counter rows —
-    /// in a [`NativeRunStats`], to which `NativeRunner` adds the
-    /// workload's accounting.
-    pub(crate) fn run_observing<T, F>(
+    /// The one run path: start the root task's `body`, which reports to
+    /// `block`, `frame` bytes below its record as `spawn_on` starts every
+    /// other task's, observing what `observe` asks, and report the run
+    /// with the caller's accounting `rows`. Returns, or fails, only once
+    /// every worker thread has left, so `body` may point into the
+    /// caller's frame.
+    pub(crate) fn launch<B: Body<Threads> + Send>(
         &self,
-        root: F,
-        root_frame: u64,
+        body: B,
+        block: &JoinBlock,
+        frame: u64,
+        rows: &[AcctRow],
         observe: Observe,
-    ) -> (T, NativeRunStats, Observed)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
+    ) -> (NativeRunStats, Observed) {
         // A run that observes nothing builds none of this: no clock, no
         // tracer, no timed tier and no registry.
         let trace = observe.trace.map(TraceShared::new);
@@ -409,26 +419,29 @@ impl Runtime {
             .then(|| Arc::new(MetricsShared::new(self.nworkers, self.registry.clone())));
         let clock = (trace.is_some() || metrics.is_some()).then(RunClock::start);
         // The root is an ordinary task record on an ordinary stack, with
-        // no continuation to publish; it reports to a cell this frame
-        // keeps a handle on, like a public `spawn` whose spawner was
-        // stolen — no exit pop can resume a caller, so it is counted.
-        let cell = JoinCell::new();
-        cell.block.announce();
+        // no continuation to publish; it reports to the caller's block,
+        // like a public `spawn` whose spawner was stolen — no exit pop
+        // can resume a caller, so it is counted.
+        block.announce();
         let root_task = trace.as_ref().map_or(0, |t| t.alloc_task());
         let stack = Stack::new(self.stack_size);
         let at = (stack.top() as usize, stack.limit() as usize);
-        let task = JoinCell::task(Arc::clone(&cell), root);
-        let seed = place_record::<Threads, _>(stack, at, &cell.block, root_task, root_frame, task)
+        let seed = place_record::<Threads, _>(stack, at, block, root_task, frame, body)
             .unwrap_or_else(|(e, s)| Threads::refuse_frame(e, s));
         let shared = Arc::new(Shared {
-            deques: (0..self.nworkers).map(|_| NativeDeque::new(8192)).collect(),
+            deques: (0..self.nworkers)
+                .map(|_| NativeDeque::new(DEQUE_CAPACITY))
+                .collect(),
             rows: (0..self.nworkers).map(|_| Row::default()).collect(),
             shutdown: AtomicU32::new(0),
             seed_task: AtomicPtr::new(seed),
         });
         let t0 = std::time::Instant::now();
+        // Worker 0, which starts the root, first: without it no task
+        // runs; without a later one, those running finish the run.
+        let mut refused = None;
         let handles: Vec<_> = (0..self.nworkers)
-            .map(|id| {
+            .map_while(|id| {
                 let shared = Arc::clone(&shared);
                 let (trace, metrics) = (trace.clone(), metrics.clone());
                 let (workers, stack_size) = (self.nworkers, self.stack_size);
@@ -459,7 +472,11 @@ impl Runtime {
                         // and hand it back.
                         worker.place.observe.and_then(|o| o.finish())
                     })
-                    .expect("spawn worker thread")
+                    .map_err(|e| match id {
+                        0 => panic!("spawn worker thread: {e}"),
+                        _ => refused = Some(e),
+                    })
+                    .ok()
             })
             .collect();
 
@@ -487,22 +504,27 @@ impl Runtime {
                         watchdog.as_ref(),
                     );
                 })
-                .expect("spawn sampler thread")
         });
 
         // Nothing to decide here: the workers leave once one of them
         // has seen the whole task tree complete (the root, everything
         // it joined and every detached straggler), and this thread
-        // sleeps in `join` until they have.
-        let timelines: Vec<_> = handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("worker thread"))
-            .collect();
+        // sleeps in `join` until they have — every one of them, before
+        // any failure goes up.
+        let ended: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         let wall = t0.elapsed();
-        debug_assert!(cell.block.is_done());
-        if let Some(handle) = sampler {
-            handle.join().expect("sampler thread");
+        let sampled = sampler.map(|s| s.map(|h| h.join()));
+        if let Some(e) = refused {
+            panic!("spawn worker thread: {e}");
         }
+        let timelines: Vec<_> = ended
+            .into_iter()
+            .filter_map(|t| t.expect("worker thread"))
+            .collect();
+        if let Some(s) = sampled {
+            s.expect("spawn sampler thread").expect("sampler thread");
+        }
+        debug_assert!(block.is_done());
         // Every worker has left: the rows are final, and on a traced run
         // every timeline is closed. Report the rows in the registry, and
         // the trace's drop counts beside them.
@@ -524,32 +546,12 @@ impl Runtime {
                 }
             }
         }
-        // The root dropped its reference before its completion tick, which
-        // the scan that ended the run acquired, on a worker joined above:
-        // ours is the last one.
-        let out = Arc::into_inner(cell)
-            .expect("the root task released its cell")
-            .result
-            .into_inner()
-            .expect("root set its result");
-        let sum = |c: usize| -> u64 {
-            shared
-                .rows
-                .iter()
-                .map(|r| r[c].load(Ordering::Relaxed))
-                .sum()
-        };
+        let count = |w: usize, c: usize| shared.rows[w][c].load(Ordering::Relaxed);
         let stats = NativeRunStats {
             backend: "Native",
-            workers: self.nworkers as u32,
-            total_tasks: sum(shm::TASKS),
-            spawns: sum(shm::SPAWNED),
-            steals: sum(shm::STEALS_COMPLETED),
-            parks: sum(shm::PARKS),
-            unparks: sum(shm::UNPARKS),
             trace_dropped,
             wall,
-            ..NativeRunStats::default()
+            ..NativeRunStats::tally(self.nworkers, count, rows)
         };
         let observed = Observed {
             trace,
@@ -557,7 +559,7 @@ impl Runtime {
                 .filter(|_| observe.metrics)
                 .map(|m| m.registry.snapshot()),
         };
-        (out, stats, observed)
+        (stats, observed)
     }
 }
 
@@ -569,6 +571,24 @@ pub(crate) mod tests {
     use std::sync::atomic::AtomicBool;
 
     thread_local!(static ENTERED: Cell<u64> = const { Cell::new(0) });
+
+    /// [`Runtime::run`] on `rt`, the root's body started `frame` bytes
+    /// below its record, observing what `observe` asks.
+    fn run_as<T: Send>(
+        rt: &Runtime,
+        frame: u64,
+        observe: Observe,
+        root: impl FnOnce() -> T + Send,
+    ) -> T {
+        let (mut out, block) = (None, JoinBlock::new());
+        let slot = &mut out;
+        let body = move |_| {
+            *slot = Some(root());
+            (current::<Threads>(), ())
+        };
+        rt.launch(body, &block, frame, &[], observe);
+        out.expect("the root set its result")
+    }
 
     /// Count one entry into an observer past the place's flag.
     pub(crate) fn entered() {
@@ -603,7 +623,7 @@ pub(crate) mod tests {
             ),
         ] {
             let before = built();
-            assert_eq!(rt.run_observing(|| fib(12), 0, observe).0, 144);
+            assert_eq!(run_as(&rt, 0, observe, || fib(12)), 144);
             let after = built();
             assert_eq!((after.0 - before.0, after.1 - before.1), clocks_tiers);
         }
@@ -774,7 +794,7 @@ pub(crate) mod tests {
         // every spawn's, on the calling thread (in a task the panic
         // aborts the process, after the same message).
         let rt = Runtime::new(1).with_stack_size(16 << 10);
-        let run = |frame| rt.run_observing(|| 7, frame, Observe::default()).0;
+        let run = |frame| run_as(&rt, frame, Observe::default(), || 7);
         assert_eq!(run(12 << 10), 7);
         let err = std::panic::catch_unwind(|| run(16 << 10))
             .expect_err("a 16 KiB frame cannot fit below the record on a 16 KiB stack");
@@ -820,9 +840,8 @@ pub(crate) mod tests {
                 join_all::<Threads>(w, &jb);
                 (root_local, root_rec, seen.load(Ordering::Relaxed), rec)
             };
-            let (root_local, root_rec, child_local, child_rec) = Runtime::new(1)
-                .run_observing(root, frame, Observe::default())
-                .0;
+            let (root_local, root_rec, child_local, child_rec) =
+                run_as(&Runtime::new(1), frame, Observe::default(), root);
             for (who, local, rec) in [
                 ("root", root_local, root_rec),
                 ("child", child_local, child_rec),

@@ -312,8 +312,8 @@ const RECORD_STACK_DIVISOR: usize = 4;
 /// `catch_unwind` around the run captures two pointers, not the body.
 /// A closure that takes the worker its task starts on and returns the
 /// one it ends on, with the task's keep-alive, is a body (the public
-/// `spawn`'s and the thread runtime's root, moved out to run); an
-/// interpreted task's — every multiprocess task's, the root's too — is
+/// `spawn`'s and `Runtime::run`'s root, moved out to run); an
+/// interpreted task's — on both runners, the root's too — is
 /// `interp::Child`.
 pub(crate) trait Body<P: Place> {
     /// What the task keeps alive until after its last access to its
