@@ -281,16 +281,15 @@ fn hook_overhead_entry(quick: bool) -> (Json, Option<String>) {
 }
 
 /// Metered-vs-plain throughput with the live-metrics layer on, both
-/// backends: the native runner with the timed tier plus a sampler at
-/// the default interval (uts11, one worker — deterministic, no steal
-/// races), and the sim engine running the pinned `uts11_60w` case
-/// with a registry attached. Configurations interleave within each rep so
-/// host-speed drift cancels instead of biasing whichever batch ran
-/// last; the gate compares the pairwise-median ratio, like
-/// `hook_overhead`. Gated: the native hooks + sampler may cost at most
-/// 5% tasks/sec. The sim side is recorded but ungated — the
-/// simulator's single-threaded event loop is ~2x noisier than its
-/// metrics cost.
+/// backends: the native runner with the timed tier on (uts11, one
+/// worker — deterministic, no steal races), and the sim engine running
+/// the pinned `uts11_60w` case with a registry attached.
+/// Configurations interleave within each rep so host-speed drift
+/// cancels instead of biasing whichever batch ran last; the gate
+/// compares the pairwise-median ratio, like `hook_overhead`. Gated: the
+/// native timed tier may cost at most 5% tasks/sec. The sim side is
+/// recorded but ungated — the simulator's single-threaded event loop is
+/// ~2x noisier than its metrics cost.
 fn metrics_overhead_entry(quick: bool) -> (Json, Option<String>) {
     let reps = if quick { 3 } else { 5 };
     let rate = |n: u64, wall_s: f64| n as f64 / wall_s;
@@ -301,9 +300,7 @@ fn metrics_overhead_entry(quick: bool) -> (Json, Option<String>) {
             rate(s.total_tasks, s.wall.as_secs_f64())
         },
         || {
-            let (s, snap) = NativeRunner::new(1)
-                .with_sampler(uat_fiber::nmetrics::DEFAULT_SAMPLE_INTERVAL)
-                .run_metered(Uts::geometric(11));
+            let (s, snap) = NativeRunner::new(1).run_metered(Uts::geometric(11));
             assert_eq!(
                 snap.total(uat_metrics::names::TASKS),
                 s.total_tasks,
@@ -339,7 +336,7 @@ fn metrics_overhead_entry(quick: bool) -> (Json, Option<String>) {
     let native_pct = native.overhead_pct;
     let sim_pct = sim.overhead_pct;
     println!(
-        "metrics_overhead: uts11 w=1 plain={:.0}/s metered+sampler={:.0}/s \
+        "metrics_overhead: uts11 w=1 plain={:.0}/s metered={:.0}/s \
          overhead={native_pct:+.2}%",
         native.base_best, native.with_best
     );
@@ -348,9 +345,8 @@ fn metrics_overhead_entry(quick: bool) -> (Json, Option<String>) {
          overhead={sim_pct:+.2}%",
         sim.base_best, sim.with_best
     );
-    let fail = (native_pct > 5.0).then(|| {
-        format!("the native metrics tier + sampler costs {native_pct:.2}% tasks/sec (budget 5%)")
-    });
+    let fail = (native_pct > 5.0)
+        .then(|| format!("the native metrics tier costs {native_pct:.2}% tasks/sec (budget 5%)"));
     let entry = Json::obj([
         ("native_case", Json::str("uts11_w1")),
         ("plain_tasks_per_sec", Json::Num(native.base_best)),

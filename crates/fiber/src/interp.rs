@@ -435,20 +435,6 @@ impl NativeRunner {
         self
     }
 
-    /// Start a deque-depth sampler thread on every run, ticking each
-    /// `interval`. Implies the timed metrics tier.
-    pub fn with_sampler(mut self, interval: std::time::Duration) -> Self {
-        self.rt = self.rt.with_sampler(interval);
-        self
-    }
-
-    /// Arm the heartbeat stall watchdog on every run (implies a sampler
-    /// at the default interval unless one is configured).
-    pub fn with_watchdog(mut self, cfg: crate::nmetrics::WatchdogCfg) -> Self {
-        self.rt = self.rt.with_watchdog(cfg);
-        self
-    }
-
     /// Override the per-task stack size (default
     /// [`DEFAULT_STACK_SIZE`](crate::runtime::DEFAULT_STACK_SIZE)). Must exceed
     /// the workload's largest `frame_size` (a run panics, naming both,

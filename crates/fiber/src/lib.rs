@@ -38,10 +38,9 @@
 //!   TSC-stamped event rings, `TimeAccount` buckets, and steal-phase
 //!   spans feeding the same `uat-trace` exporters and profiler the
 //!   simulator uses, and the timed metrics tier's samples.
-//! - [`nmetrics`]: online metrics and runtime health — the registry view
-//!   of the per-worker counter rows both backends keep, HDR tail-latency
-//!   histograms, per-worker flight-recorder rings, a deque-depth sampler
-//!   thread, and the heartbeat stall watchdog.
+//! - `nmetrics`: online metrics — the registry view of the per-worker
+//!   counter rows both backends keep, and the thread runtime's HDR
+//!   tail-latency histograms.
 //! - `join`: the join protocol both real backends share — a per-joiner
 //!   count of the children whose spawn was stolen plus one waiter slot,
 //!   arbitrated on a single word.
@@ -86,7 +85,7 @@ mod idle;
 pub mod interp;
 mod join;
 pub mod mpruntime;
-pub mod nmetrics;
+mod nmetrics;
 pub mod ntrace;
 pub mod runtime;
 mod sched;
@@ -96,7 +95,6 @@ pub mod tsc;
 pub use creation::{measure_creation, CreationStrategy};
 pub use interp::{NativeRunStats, NativeRunner};
 pub use mpruntime::{set_bootstrap_alloc_probe, MultiProcessRunner};
-pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};
 pub use ntrace::NativeTrace;
 pub use runtime::{current_worker_id, spawn, JoinHandle, Runtime};
 pub use stack::{Stack, StackPool};

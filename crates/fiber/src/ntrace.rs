@@ -10,13 +10,13 @@
 //! slightly across core migrations — and stamps each event once: the
 //! stamp feeds the worker's [`Timeline`] on a traced run (the same
 //! per-worker ring, account and open slice the simulator records
-//! through) and the timed tier (`nmetrics::MetricsShared`: histograms
-//! and flight rings) on a metered one, so the two report the same
-//! cycles. The only state the tracer shares is the run-wide
-//! `TraceShared`: the task/publication id allocators and the
-//! continuation registry that lets a thief name the task it stole (the
-//! registry is a mutex, taken only on deque publish/consume — spawn and
-//! steal events, not per-cycle).
+//! through) and the timed tier's histograms (`nmetrics::MetricsShared`)
+//! on a metered one, so the two report the same cycles. The only state
+//! the tracer shares is the run-wide `TraceShared`: the
+//! task/publication id allocators and the continuation registry that
+//! lets a thief name the task it stole (the registry is a mutex, taken
+//! only on deque publish/consume — spawn and steal events, not
+//! per-cycle).
 //!
 //! When its loop exits, each worker closes its timeline and hands it
 //! back through its thread's `JoinHandle`. `finalize` takes the global
@@ -30,7 +30,7 @@
 //! flag (`runtime::Threads::observe`), so the observer keeps no "am I
 //! on?" test of its own: it exists only on an observed run.
 
-use crate::nmetrics::{flight_code, MetricsShared};
+use crate::nmetrics::MetricsShared;
 use crate::sched::Event;
 use crate::tsc::RunClock;
 use std::collections::HashMap;
@@ -97,7 +97,6 @@ impl Stamps {
 /// One observed worker's observer: its stamps of the run's clock, its
 /// tracer on a traced run and the run's timed tier on a metered one.
 pub(crate) struct Observer {
-    id: usize,
     stamps: Stamps,
     trace: Option<WorkerTracer>,
     metrics: Option<Arc<MetricsShared>>,
@@ -115,7 +114,6 @@ impl Observer {
         metrics: Option<Arc<MetricsShared>>,
     ) -> Self {
         Observer {
-            id,
             stamps: Stamps {
                 clock,
                 latest: Cycles::ZERO,
@@ -145,7 +143,6 @@ impl Observer {
             t.cur_task = task;
             t.tl.instant(at, EventKind::TaskBegin { task });
         }
-        self.flight(at, flight_code::TASK_BEGIN, 0);
         at.get()
     }
 
@@ -177,9 +174,8 @@ impl Observer {
             trace,
             metrics,
             park_started,
-            ..
         } = self;
-        let (at, code, payload) = match e {
+        match e {
             Event::Steal(victim, got, Some(ph)) => {
                 let at = stamps.steal(&ph);
                 if let Some(t) = trace {
@@ -189,11 +185,6 @@ impl Observer {
                 if let Some(m) = metrics {
                     m.steal_latency.record(end.since(start).get());
                 }
-                let code = match got {
-                    Some(_) => flight_code::STEAL_OK,
-                    None => flight_code::STEAL_FAIL,
-                };
-                (end, code, victim as u64)
             }
             Event::Park => {
                 let at = stamps.now();
@@ -201,7 +192,6 @@ impl Observer {
                 if let Some(t) = trace {
                     t.tl.instant(at, EventKind::Park);
                 }
-                (at, flight_code::PARK, 0)
             }
             Event::Unpark => {
                 let at = stamps.now();
@@ -211,7 +201,6 @@ impl Observer {
                 if let Some(t) = trace {
                     t.tl.instant(at, EventKind::Unpark);
                 }
-                (at, flight_code::UNPARK, 0)
             }
             // The body returned: fall into the suspend/resume bucket
             // for the completion epilogue.
@@ -225,23 +214,12 @@ impl Observer {
                     t.tl.switch(at, Bucket::SuspendResume);
                     t.tl.instant(at, EventKind::TaskEnd { task, run });
                 }
-                (at, flight_code::TASK_END, 0)
             }
             e => {
                 if let Some(t) = trace {
                     t.record(&e, stamps);
                 }
-                return;
             }
-        };
-        self.flight(at, code, payload);
-    }
-
-    /// Push one record onto this worker's flight ring, on a metered run.
-    #[inline]
-    fn flight(&self, at: Cycles, code: u8, payload: u64) {
-        if let Some(m) = &self.metrics {
-            m.flight[self.id].0.push(at.get(), code, payload);
         }
     }
 
@@ -466,9 +444,8 @@ mod tests {
     /// One stamp per event feeds both tiers. Driven by hand on one
     /// thread, an observer's histograms sum to exactly what its timeline
     /// records — for a steal whose raw stamps the deque read before the
-    /// worker's latest stamp too, which both see clamped — its flight
-    /// ring holds one record per timed event, and the closed timeline
-    /// tiles the makespan.
+    /// worker's latest stamp too, which both see clamped — and the
+    /// closed timeline tiles the makespan.
     #[test]
     fn one_stamp_feeds_the_timeline_and_the_timed_tier() {
         let clock = RunClock::start();
@@ -517,7 +494,6 @@ mod tests {
         assert_eq!(run_hist.sum(), run.iter().sum::<u64>());
         assert_eq!(steal_hist.sum(), latency.iter().sum::<u64>());
         assert_eq!(hist(names::PARK_DURATION).count(), 1);
-        assert_eq!(metrics.flight[0].0.snapshot().len(), 6);
         assert_eq!(t.accounts[0].total(), t.data.makespan);
     }
 }

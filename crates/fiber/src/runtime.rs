@@ -103,7 +103,7 @@ struct Shared {
     /// [I17]; the termination scan sums their `TASKS` and `SPAWNED`.
     rows: Box<[Row]>,
     /// Raised by the first idle worker whose termination scan passes;
-    /// every worker loop, and the sampler, leaves when it reads it.
+    /// every worker loop leaves when it reads it.
     shutdown: AtomicU32,
     /// The root's task record, started (once) by worker 0; from then on
     /// only an address.
@@ -288,16 +288,10 @@ pub const DEFAULT_STACK_SIZE: usize = 128 << 10;
 pub struct Runtime {
     pub(crate) nworkers: usize,
     stack_size: usize,
-    /// Caller-supplied registry to record into; `None` = per-run owned.
+    /// Caller-supplied registry to record every run into, with the
+    /// timed metrics tier on; `None`: a run meters only if its runner
+    /// asks ([`Observe::metrics`]), into a registry of its own.
     registry: Option<Arc<uat_metrics::Registry>>,
-    /// Whether the timed metrics tier (histograms, flight rings) is on.
-    metered: bool,
-    /// Sampler tick; `None` with a watchdog set falls back to the
-    /// default interval.
-    sampler: Option<std::time::Duration>,
-    watchdog: Option<crate::nmetrics::WatchdogCfg>,
-    /// Watchdog-test sabotage: this worker never heartbeats.
-    sabotage: Option<usize>,
 }
 
 /// What one run observes beyond its counter rows and the runtime's own
@@ -324,10 +318,6 @@ impl Runtime {
             nworkers,
             stack_size: DEFAULT_STACK_SIZE,
             registry: None,
-            metered: false,
-            sampler: None,
-            watchdog: None,
-            sabotage: None,
         }
     }
 
@@ -339,43 +329,10 @@ impl Runtime {
 
     /// Record subsequent runs into `registry` (built for at least this
     /// runtime's worker count) and turn on the timed metrics tier:
-    /// steal-latency / task-run / park-duration histograms and the
-    /// per-worker flight rings. Snapshot the registry after the run.
+    /// steal-latency / task-run / park-duration histograms. Snapshot
+    /// the registry after the run.
     pub fn with_metrics(mut self, registry: Arc<uat_metrics::Registry>) -> Self {
         self.registry = Some(registry);
-        self.metered = true;
-        self
-    }
-
-    /// Start a sampler thread on subsequent runs: every `interval` it
-    /// samples each worker's deque depth into the registry (and drives
-    /// the watchdog, if one is configured). Implies the timed tier.
-    pub fn with_sampler(mut self, interval: std::time::Duration) -> Self {
-        self.sampler = Some(interval);
-        self.metered = true;
-        self
-    }
-
-    /// Arm the stall watchdog on subsequent runs: if one worker's
-    /// heartbeat epoch freezes for `cfg.stall_after` while the other
-    /// workers keep advancing, dump a metrics snapshot plus every
-    /// worker's flight ring and apply `cfg.action` (abort by default).
-    /// Implies a sampler (at the default interval unless
-    /// [`with_sampler`](Self::with_sampler) set one) and the timed tier.
-    pub fn with_watchdog(mut self, cfg: crate::nmetrics::WatchdogCfg) -> Self {
-        self.watchdog = Some(cfg);
-        self.metered = true;
-        self
-    }
-
-    /// Deliberately wedge worker `id` (it parks forever without
-    /// heartbeating) so watchdog tests can exercise a stall on demand.
-    /// Worker 0 seeds the root task and must stay live.
-    #[doc(hidden)]
-    pub fn with_stalled_worker(mut self, id: usize) -> Self {
-        assert!(id != 0, "worker 0 seeds the root task; cannot stall it");
-        assert!(id < self.nworkers);
-        self.sabotage = Some(id);
         self
     }
 
@@ -415,7 +372,7 @@ impl Runtime {
         // A run that observes nothing builds none of this: no clock, no
         // tracer, no timed tier and no registry.
         let trace = observe.trace.map(TraceShared::new);
-        let metrics = (self.metered || observe.metrics)
+        let metrics = (self.registry.is_some() || observe.metrics)
             .then(|| Arc::new(MetricsShared::new(self.nworkers, self.registry.clone())));
         let clock = (trace.is_some() || metrics.is_some()).then(RunClock::start);
         // The root is an ordinary task record on an ordinary stack, with
@@ -445,7 +402,6 @@ impl Runtime {
                 let shared = Arc::clone(&shared);
                 let (trace, metrics) = (trace.clone(), metrics.clone());
                 let (workers, stack_size) = (self.nworkers, self.stack_size);
-                let stalled = self.sabotage == Some(id);
                 std::thread::Builder::new()
                     .name(format!("uat-worker-{id}"))
                     .spawn(move || {
@@ -454,20 +410,8 @@ impl Runtime {
                             clock.map(|clock| Box::new(Observer::new(clock, id, trace, metrics)));
                         let place = Threads::new(shared, stack_size, observe);
                         let mut worker = Worker::new(id, workers, place);
-                        if stalled {
-                            // Watchdog-test sabotage: stay alive (so the
-                            // run is otherwise healthy) but never enter
-                            // the scheduler loop, so this worker's
-                            // heartbeat stays frozen while the others
-                            // advance.
-                            let shutdown = &worker.place.shared.shutdown;
-                            while shutdown.load(Ordering::Acquire) == 0 {
-                                std::thread::sleep(std::time::Duration::from_millis(2));
-                            }
-                        } else {
-                            // Worker 0 seeds the root task.
-                            worker_loop(&mut worker, root);
-                        }
+                        // Worker 0 seeds the root task.
+                        worker_loop(&mut worker, root);
                         // Close this worker's timeline, on a traced run,
                         // and hand it back.
                         worker.place.observe.and_then(|o| o.finish())
@@ -480,32 +424,6 @@ impl Runtime {
             })
             .collect();
 
-        // Sampler/watchdog thread, when configured (either meters the
-        // run): deque-depth samples every tick, heartbeat stall
-        // detection when armed. Its stop flag is the run's shutdown
-        // word: workers stop heartbeating once they see it, and the
-        // watchdog must never mistake an orderly exit for a stall.
-        let sampling = self.sampler.is_some() || self.watchdog.is_some();
-        let sampler = metrics.as_ref().filter(|_| sampling).map(|metrics| {
-            let (shared, metrics) = (Arc::clone(&shared), Arc::clone(metrics));
-            let interval = self
-                .sampler
-                .unwrap_or(crate::nmetrics::DEFAULT_SAMPLE_INTERVAL);
-            let watchdog = self.watchdog.clone();
-            std::thread::Builder::new()
-                .name("uat-sampler".into())
-                .spawn(move || {
-                    crate::nmetrics::sampler_loop(
-                        &metrics,
-                        &shared.deques,
-                        &shared.rows,
-                        &shared.shutdown,
-                        interval,
-                        watchdog.as_ref(),
-                    );
-                })
-        });
-
         // Nothing to decide here: the workers leave once one of them
         // has seen the whole task tree complete (the root, everything
         // it joined and every detached straggler), and this thread
@@ -513,7 +431,6 @@ impl Runtime {
         // any failure goes up.
         let ended: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         let wall = t0.elapsed();
-        let sampled = sampler.map(|s| s.map(|h| h.join()));
         if let Some(e) = refused {
             panic!("spawn worker thread: {e}");
         }
@@ -521,9 +438,6 @@ impl Runtime {
             .into_iter()
             .filter_map(|t| t.expect("worker thread"))
             .collect();
-        if let Some(s) = sampled {
-            s.expect("spawn sampler thread").expect("sampler thread");
-        }
         debug_assert!(block.is_done());
         // Every worker has left: the rows are final, and on a traced run
         // every timeline is closed. Report the rows in the registry, and

@@ -5,8 +5,7 @@
 //! listing only populated buckets plus the mandatory `+Inf` rail, with
 //! `_sum` and `_count`. The output parses under the Prometheus text
 //! format v0.0.4 (one scrape's worth — this crate has no HTTP listener;
-//! the bins print it to stderr and the sampler can hand it to any
-//! push-gateway shim).
+//! the bins print it to stderr).
 
 use std::fmt::Write as _;
 

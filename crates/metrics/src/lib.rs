@@ -1,8 +1,8 @@
 //! Online metrics for the uni-address runtime.
 //!
 //! The trace layer (`uat-trace`) reconstructs a run *after* it finished;
-//! this crate is the *during* view: counters a live sampler or an
-//! exporter can read while workers are still running. Everything is
+//! this crate is the *during* view: counters an exporter can read while
+//! workers are still running. Everything is
 //! built from three primitives:
 //!
 //! - [`Counter`] / [`Gauge`]: per-worker shards, one cache line each, so
@@ -20,10 +20,10 @@
 //!   ([`Snapshot::prometheus_text`]) and `uat_base::json`
 //!   ([`uat_base::json::ToJson`] on [`Snapshot`]).
 //!
-//! [`EventRing`] is the odd one out: a tiny per-worker flight-recorder
-//! ring (single writer, racy reader) the native watchdog dumps when a
-//! worker's heartbeat stalls — "what was each worker last doing" for a
-//! runtime that can no longer answer politely.
+//! [`EventRing`] is the odd one out: a tiny flight-recorder ring
+//! (single writer, racy reader) that no runtime in the workspace
+//! records into; only the benchmark's micro layer writes one, to time
+//! its push.
 //!
 //! The crate is dependency-free beyond `uat-base` (for the JSON model)
 //! and contains no `unsafe`.

@@ -7,8 +7,7 @@
 //! cycles on the sim backend and calibrated TSC cycles on the native
 //! one — same shape, different clock.
 
-/// Scheduler loop iterations per worker — the watchdog's heartbeat
-/// epochs. A worker whose shard freezes while others advance is stalled.
+/// Scheduler-loop iterations per worker.
 pub const HEARTBEATS: &str = "uat_heartbeats_total";
 
 /// Steal attempts that took an entry and resumed the stolen thread.
@@ -42,9 +41,3 @@ pub const TASK_RUN: &str = "uat_task_run_cycles";
 /// Duration of one park episode in cycles (sleep entry to the wake that
 /// found work).
 pub const PARK_DURATION: &str = "uat_park_duration_cycles";
-
-/// Sampled deque depth distribution (entries observed per sample).
-pub const DEQUE_DEPTH: &str = "uat_deque_depth";
-
-/// Most recently sampled deque depth per worker.
-pub const DEQUE_DEPTH_NOW: &str = "uat_deque_depth_current";

@@ -1,14 +1,12 @@
-//! Flight-recorder event ring: the last N scheduler events per worker.
+//! Flight-recorder event ring: the last N events of one writer.
 //!
-//! An audited simulator run keeps a bounded trace ring and dumps it
-//! when an invariant trips (`target/flight/*.trace.json`). The native
-//! watchdog needs the same post-mortem story for a runtime that may be
-//! mid-wedge: each worker records compact `(timestamp, code, payload)`
-//! triples into its own ring with plain relaxed stores (single writer),
-//! and the sampler thread takes a racy read-only [`EventRing::snapshot`]
-//! when it decides to dump. A torn read can at worst mispair one slot's
-//! timestamp with the next event's code — acceptable for a crash dump,
-//! and the alternative (locks on the scheduler hot path) is not.
+//! A writer records compact `(timestamp, code, payload)` triples with
+//! plain relaxed stores (single writer), and a reader takes a racy
+//! read-only [`EventRing::snapshot`]. A torn read can at worst mispair
+//! one slot's timestamp with the next event's code — acceptable for a
+//! post-mortem, where the alternative is a lock on the writer's path.
+//! No runtime in the workspace records into one; the benchmark's
+//! micro layer times [`EventRing::push`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

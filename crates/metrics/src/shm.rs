@@ -47,10 +47,7 @@ pub const SPAWNED: usize = 6;
 /// the two cannot disagree.
 pub const SEGMENT_COUNTERS: [(&str, &str); SPAWNED + 1] = {
     let mut t = [("", ""); SPAWNED + 1];
-    t[HEARTBEATS] = (
-        names::HEARTBEATS,
-        "Scheduler loop iterations per worker (heartbeat epochs)",
-    );
+    t[HEARTBEATS] = (names::HEARTBEATS, "Scheduler loop iterations per worker");
     t[STEALS_COMPLETED] = (
         names::STEALS_COMPLETED,
         "Steal attempts that took an entry and resumed the stolen thread",
